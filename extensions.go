@@ -63,13 +63,8 @@ func ScheduleNetwork(ms []Mapping, nArrays int) (NetworkSchedule, error) {
 // executor is pluggable. See nn.Model.
 type Model = nn.Model
 
-// Stage is one conv block of a Model.
-type Stage = nn.Stage
-
-// ConvExec executes one convolution for Model.Infer.
-type ConvExec = nn.ConvExec
-
-// ReferenceConv is the golden ConvExec (direct convolution).
+// ReferenceConv is the golden convolution executor for Model.Infer (direct
+// convolution).
 func ReferenceConv(l Layer, ifm *FeatureMap, w *Weights) (*FeatureMap, error) {
 	return nn.Reference(l, ifm, w)
 }

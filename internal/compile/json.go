@@ -41,3 +41,22 @@ func FromJSON(data []byte) (*NetworkPlan, error) {
 	}
 	return &p, nil
 }
+
+// FromKeyedJSON is FromJSON plus an address check: the decoded plan's own
+// request must have the canonical key key. Plans that arrive from outside
+// the process — a store load, a peer's reply — pass this one check, so bytes
+// filed or sent under the wrong key are rejected, never served.
+func FromKeyedJSON(data []byte, key string) (*NetworkPlan, error) {
+	p, err := FromJSON(data)
+	if err != nil {
+		return nil, err
+	}
+	got, err := Key(p.Request)
+	if err != nil {
+		return nil, fmt.Errorf("compile: key the decoded plan: %w", err)
+	}
+	if got != key {
+		return nil, fmt.Errorf("compile: plan for %s is not the plan for the requested key", p.Network.Name)
+	}
+	return p, nil
+}

@@ -88,3 +88,26 @@ func TestFromJSONRejectsCorruptTotals(t *testing.T) {
 		t.Error("malformed JSON accepted")
 	}
 }
+
+// TestFromKeyedJSON pins the address check: a valid plan decodes under its
+// own key and is rejected under any other.
+func TestFromKeyedJSON(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "vgg13_512_plan.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := Key(NewRequest(model.VGG13(), array512, Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromKeyedJSON(data, own); err != nil {
+		t.Errorf("plan rejected under its own key: %v", err)
+	}
+	other, err := Key(NewRequest(model.AlexNet(), array512, Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := FromKeyedJSON(data, other); err == nil {
+		t.Error("plan accepted under another request's key")
+	}
+}

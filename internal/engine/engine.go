@@ -123,30 +123,31 @@ func New(opts ...Option) *Engine {
 // Workers reports the configured worker-pool size.
 func (e *Engine) Workers() int { return e.workers }
 
-// Stats are cumulative Engine counters.
+// Stats are cumulative Engine counters. The JSON names are the "engine"
+// block of vwsdkd's /stats, a wire contract.
 type Stats struct {
 	// Searches is the number of top-level search calls served.
-	Searches uint64
+	Searches uint64 `json:"searches"`
 
 	// CacheHits counts searches answered from the LRU cache or joined onto
 	// an identical in-flight search.
-	CacheHits uint64
+	CacheHits uint64 `json:"cache_hits"`
 
 	// CacheMisses counts searches that ran the underlying algorithm
 	// (including searches that were then cancelled mid-run).
-	CacheMisses uint64
+	CacheMisses uint64 `json:"cache_misses"`
 
 	// FlightDedupes counts searches that joined an identical in-flight
 	// search instead of starting their own computation (counted at join
 	// time; successful joins are also CacheHits).
-	FlightDedupes uint64
+	FlightDedupes uint64 `json:"flight_dedupes"`
 
 	// Evictions counts results dropped from the LRU cache to respect its
 	// capacity.
-	Evictions uint64
+	Evictions uint64 `json:"evictions"`
 
 	// CachedResults is the current number of cached results.
-	CachedResults int
+	CachedResults int `json:"cached_results"`
 
 	// CandidatesCosted sums Result.Evaluated over every search the engine
 	// actually computed (cache hits and in-flight joins cost nothing): the
@@ -154,18 +155,18 @@ type Stats struct {
 	// searches (whether the class was costed by the model or resolved in
 	// closed form; see core.SearchStats for that split), per window for the
 	// baselines.
-	CandidatesCosted uint64
+	CandidatesCosted uint64 `json:"candidates_costed"`
 
 	// CandidatesPruned counts the candidate windows the exhaustive sweeps
 	// would have costed for those same searches but the breakpoint-pruned
 	// enumerators skipped (core.ExhaustiveCandidates − Evaluated). Always 0
 	// on a WithExhaustiveSearch engine and for the SDK/SMD baselines, which
 	// have no pruned/exhaustive split.
-	CandidatesPruned uint64
+	CandidatesPruned uint64 `json:"candidates_pruned"`
 
 	// InFlightSearches is the number of searches currently holding a
 	// worker-pool slot — a gauge, not cumulative.
-	InFlightSearches int64
+	InFlightSearches int64 `json:"in_flight_searches"`
 }
 
 // Stats returns a snapshot of the engine's counters.

@@ -120,6 +120,18 @@ func (h *Histogram) Observe(v float64) {
 // ObserveDuration records a duration in seconds.
 func (h *Histogram) ObserveDuration(seconds float64) { h.Observe(seconds) }
 
+// Buckets returns copies of the upper bounds and of the per-bucket counts.
+// Counts are disjoint, not cumulative: counts[i] is the number of
+// observations in (bounds[i-1], bounds[i]], and the extra last count is the
+// +Inf overflow bucket.
+func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
+	counts = make([]uint64, len(h.counts))
+	for i := range h.counts {
+		counts[i] = h.counts[i].Load()
+	}
+	return append([]float64(nil), h.bounds...), counts
+}
+
 func (h *Histogram) collect(b *bytes.Buffer, name, labels string) {
 	var cum uint64
 	for i, bound := range h.bounds {

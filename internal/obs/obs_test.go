@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -274,6 +275,12 @@ func TestRegistryExposition(t *testing.T) {
 		}
 	}
 	obstest.CheckExposition(t, out)
+
+	// Buckets reports the same observations as disjoint counts.
+	bounds, counts := h.Buckets()
+	if fmt.Sprint(bounds, counts) != "[0.001 0.01 0.1] [1 0 1 1]" {
+		t.Errorf("Buckets() = %v, %v", bounds, counts)
+	}
 }
 
 func TestLabelEscaping(t *testing.T) {

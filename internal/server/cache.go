@@ -26,23 +26,12 @@ type planEntry struct {
 	source string // which tier filled the entry: "" (compiled), "store" or "peer"
 }
 
-// Fill sources for planEntry.source / compiled.source; a locally compiled
-// entry keeps the zero value. The strings double as X-Cache header values.
+// Fill sources for planEntry.source; a locally compiled entry keeps the
+// zero value. The strings double as X-Cache header values.
 const (
 	sourceStore = "store"
 	sourcePeer  = "peer"
 )
-
-// compiled is one compute result handed back to planCache.do: the plan, its
-// serialized bytes, the provenance recorded while compiling, and which
-// cache tier produced it.
-type compiled struct {
-	plan   *compile.NetworkPlan
-	data   []byte
-	trace  []*obs.Node
-	phases []obs.Phase
-	source string
-}
 
 // planFlight is one in-flight compilation; joiners block on done and read
 // entry/err.
@@ -81,10 +70,11 @@ func newPlanCache(capacity int) *planCache {
 
 // do serves one compilation through the cache: an LRU hit returns
 // immediately, a key already in flight joins it, and otherwise compute runs
-// exactly once and its result is stored. The bool reports whether the entry
-// was served without running compute (LRU hit or coalesced join). A joiner
-// whose own ctx ends while it waits on the leader abandons the join with
-// ctx.Err(); the leader keeps running for everyone else.
+// exactly once and its entry, keyed here, is stored. The bool reports
+// whether the entry was served without running compute (LRU hit or
+// coalesced join). A joiner whose own ctx ends while it waits on the leader
+// abandons the join with ctx.Err(); the leader keeps running for everyone
+// else.
 //
 // A failed flight is never shared: its error may be private to the leader
 // (most likely: the leader's client hung up or timed out mid-compile), so a
@@ -92,7 +82,7 @@ func newPlanCache(capacity int) *planCache {
 // own outcome, mirroring engine.memoized. Reachable compile errors are
 // caller-specific or caught before the cache, so the duplicated work is
 // negligible.
-func (c *planCache) do(ctx context.Context, key string, compute func() (compiled, error)) (*planEntry, bool, error) {
+func (c *planCache) do(ctx context.Context, key string, compute func() (*planEntry, error)) (*planEntry, bool, error) {
 	c.mu.Lock()
 	if e := c.lockedGet(key); e != nil {
 		c.mu.Unlock()
@@ -112,11 +102,11 @@ func (c *planCache) do(ctx context.Context, key string, compute func() (compiled
 			return f.entry, true, nil
 		}
 		c.misses.Add(1)
-		res, err := compute()
+		e, err := compute()
 		if err != nil {
 			return nil, false, err
 		}
-		e := newPlanEntry(key, res)
+		e.key = key
 		c.mu.Lock()
 		c.lockedPut(e)
 		c.mu.Unlock()
@@ -127,9 +117,10 @@ func (c *planCache) do(ctx context.Context, key string, compute func() (compiled
 	c.mu.Unlock()
 
 	c.misses.Add(1)
-	res, err := compute()
+	e, err := compute()
 	if err == nil {
-		f.entry = newPlanEntry(key, res)
+		e.key = key
+		f.entry = e
 	}
 	f.err = err
 	c.mu.Lock()
@@ -143,11 +134,6 @@ func (c *planCache) do(ctx context.Context, key string, compute func() (compiled
 		return nil, false, err
 	}
 	return f.entry, false, nil
-}
-
-// newPlanEntry freezes one compute result into a shareable cache entry.
-func newPlanEntry(key string, res compiled) *planEntry {
-	return &planEntry{key: key, plan: res.plan, data: res.data, trace: res.trace, phases: res.phases, source: res.source}
 }
 
 // hit returns the cached entry for a key still held as bytes, or nil on a

@@ -165,7 +165,7 @@ func TestCancelledWhileQueuedFreesQueueSlot(t *testing.T) {
 	s.sem <- struct{}{} // the slot is busy
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if err := s.acquire(ctx); err == nil {
+	if err := s.acquire(ctx, false); err == nil {
 		t.Fatal("cancelled acquire succeeded")
 	}
 	if got := s.queued.Load(); got != 0 {
@@ -174,7 +174,7 @@ func TestCancelledWhileQueuedFreesQueueSlot(t *testing.T) {
 	// The queue position is reusable: a live caller can take it (and the
 	// slot, once released).
 	s.release()
-	if err := s.acquire(context.Background()); err != nil {
+	if err := s.acquire(context.Background(), false); err != nil {
 		t.Fatalf("queue slot not reusable: %v", err)
 	}
 	s.release()

@@ -12,6 +12,9 @@ import (
 	"testing"
 
 	"repro/internal/compile"
+	"repro/internal/core"
+	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/peer"
 	"repro/internal/store"
 )
@@ -321,6 +324,62 @@ func TestPeerDownDegradesToLocalCompute(t *testing.T) {
 	}
 	if got := servers[0].Engine().Stats().Searches; got == 0 {
 		t.Error("no local search ran under degradation")
+	}
+}
+
+// TestPeerReplyKeyChecked pins that a peer's reply is checked against the
+// requested key, exactly like a store load: an owner answering every hop
+// with a valid plan for a different request (AlexNet@64x64) must not have
+// that plan served. The reply counts as a peer failure and the node
+// compiles locally.
+func TestPeerReplyKeyChecked(t *testing.T) {
+	wrong, err := compile.New(engine.New()).Compile(context.Background(),
+		compile.NewRequest(model.AlexNet(), core.Array{Rows: 64, Cols: 64}, compile.Options{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply bytes.Buffer
+	if err := wrong.Encode(&reply); err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{"10.99.4.1:80", "10.99.4.2:80"}
+	ring, err := peer.NewRing(addrs[0], addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	liar := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { w.Write(reply.Bytes()) })
+	s := New(Config{Peers: peer.NewClient(ring, peer.MemTransport{addrs[1]: liar}, 0)})
+
+	body, key, name := "", "", ""
+	for i := 0; i < 64 && body == ""; i++ {
+		n := fmt.Sprintf("tiny-%d", i)
+		b := fmt.Sprintf(`{"network": {"name": %q, "layers": [
+			{"name": "c1", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 4, "oc": 8}]},
+			"array": "64x64"}`, n)
+		k := mustKeyFor(t, b)
+		if addr, _ := ring.Owner(k); addr == addrs[1] {
+			body, key, name = b, k, n
+		}
+	}
+	if body == "" {
+		t.Fatal("no probe key owned by the lying peer; widen the probe set")
+	}
+	resp, got := fleetPost(t, s, body, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	if xc := resp.Header.Get("X-Cache"); xc != "miss" {
+		t.Errorf("X-Cache = %q, want miss (wrong-key reply rejected, computed locally)", xc)
+	}
+	plan, err := compile.FromJSON(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k, err := compile.Key(plan.Request); err != nil || k != key {
+		t.Errorf("served a plan for %s, not for the requested %s", plan.Request.Network.Name, name)
+	}
+	if failed, proxied := s.peerFailed.Load(), s.peerProxied.Load(); failed != 1 || proxied != 0 {
+		t.Errorf("peer failed = %d, proxied = %d; want 1, 0", failed, proxied)
 	}
 }
 

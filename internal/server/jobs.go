@@ -2,10 +2,11 @@
 // optimize request and returns a job snapshot immediately; GET /v1/jobs/{id}
 // reports state and per-cell progress (monotone — cells only ever accumulate);
 // DELETE /v1/jobs/{id} cancels the job's context, which stops cell dispatch
-// and aborts in-flight searches at their next checkpoint. Jobs run through
-// exactly the same executor as the synchronous endpoints (compilePlan and
-// runSweep), so they share the plan cache, the singleflight coalescing and
-// the compilation semaphore; a job waiting for capacity simply stays
+// and aborts in-flight searches at their next checkpoint. One runner
+// (startJob) starts every kind, and jobs run through exactly the same
+// executors as the synchronous endpoints (compilePlan, runSweep and
+// runOptimize), so they share the plan cache, the singleflight coalescing
+// and the compilation semaphore; a job waiting for capacity simply stays
 // "queued". Finished jobs remain queryable for the configured TTL and are
 // then garbage-collected on the next jobs-API access.
 package server
@@ -39,6 +40,7 @@ const (
 // are set at creation; everything below mu is owned by it.
 type job struct {
 	id      string
+	seq     uint64 // creation order
 	kind    string // "compile", "sweep" or "optimize"
 	created time.Time
 	cancel  context.CancelFunc
@@ -48,7 +50,7 @@ type job struct {
 	errMsg    string
 	finished  time.Time // terminal transition, for TTL garbage collection
 	total     int       // cells in the request (1 for compile, design points for optimize)
-	completed int       // evaluated design points (optimize jobs)
+	completed int       // completed cells: sweep results, the compile plan, evaluated design points
 	results   []sweepSummary
 	plan      []byte // serialized NetworkPlan (compile jobs)
 	planCache bool   // the plan came from the cache
@@ -73,10 +75,10 @@ type jobSnapshot struct {
 }
 
 // snapshot captures the job's current state; withPayload additionally
-// copies the accumulated results (sweep) or the serialized plan (compile).
-// Progress is monotone: completed counts only ever grow, and the results
-// slice is append-only, so two successive snapshots never disagree
-// backwards.
+// copies the accumulated results (sweep), the serialized plan (compile) or
+// the frontier (optimize). Progress is monotone: the completed count only
+// ever grows, and the results slice is append-only, so two successive
+// snapshots never disagree backwards.
 func (j *job) snapshot(withPayload bool) jobSnapshot {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -86,14 +88,8 @@ func (j *job) snapshot(withPayload bool) jobSnapshot {
 		State:          j.state,
 		Created:        j.created,
 		CellsTotal:     j.total,
-		CellsCompleted: len(j.results),
+		CellsCompleted: j.completed,
 		Error:          j.errMsg,
-	}
-	if j.kind == kindCompile && j.plan != nil {
-		snap.CellsCompleted = 1
-	}
-	if j.kind == kindOptimize {
-		snap.CellsCompleted = j.completed
 	}
 	if withPayload {
 		snap.Results = append([]sweepSummary(nil), j.results...)
@@ -117,6 +113,7 @@ func (j *job) setRunning() {
 func (j *job) addResult(sum sweepSummary) {
 	j.mu.Lock()
 	j.results = append(j.results, sum)
+	j.completed++
 	j.mu.Unlock()
 }
 
@@ -125,11 +122,11 @@ func (j *job) setPlan(data []byte, cached bool) {
 	j.mu.Lock()
 	j.plan = data
 	j.planCache = cached
+	j.completed = 1
 	j.mu.Unlock()
 }
 
-// addProgress bumps an optimize job's evaluated-point counter (monotone,
-// like sweep results).
+// addProgress counts one evaluated design point of an optimize job.
 func (j *job) addProgress() {
 	j.mu.Lock()
 	j.completed++
@@ -218,18 +215,14 @@ func (js *jobSet) add(kind string, total int, cancel context.CancelFunc) (*job, 
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	js.gcLocked(time.Now())
-	live := 0
-	for _, j := range js.jobs {
-		if j.live() {
-			live++
-		}
-	}
-	if live >= js.maxLive {
+	if live := js.liveLocked(); live >= js.maxLive {
 		return nil, errorf(http.StatusServiceUnavailable,
 			"server at capacity: %d jobs are already queued or running", live)
 	}
+	seq := js.seq.Add(1)
 	j := &job{
-		id:      fmt.Sprintf("job-%d", js.seq.Add(1)),
+		id:      fmt.Sprintf("job-%d", seq),
+		seq:     seq,
 		kind:    kind,
 		created: time.Now(),
 		cancel:  cancel,
@@ -275,14 +268,20 @@ type JobStats struct {
 	Live int `json:"live"`
 }
 
-func (js *jobSet) stats() JobStats {
-	js.mu.Lock()
+// liveLocked counts queued or running jobs; the caller holds mu.
+func (js *jobSet) liveLocked() int {
 	live := 0
 	for _, j := range js.jobs {
 		if j.live() {
 			live++
 		}
 	}
+	return live
+}
+
+func (js *jobSet) stats() JobStats {
+	js.mu.Lock()
+	live := js.liveLocked()
 	js.mu.Unlock()
 	return JobStats{
 		Created:   js.created.Load(),
@@ -315,14 +314,12 @@ type jobRequest struct {
 // shutdown: a SIGTERM ends the process once open connections finish,
 // abandoning whatever jobs are still running.
 func (s *Server) jobContext() (context.Context, context.CancelFunc) {
-	ctx := context.Background()
 	if s.timeout > 0 {
-		var cancelT context.CancelFunc
-		ctx, cancelT = context.WithTimeout(ctx, s.timeout)
-		ctx, cancelC := context.WithCancel(ctx)
-		return ctx, func() { cancelC(); cancelT() }
+		// Cancelling before the deadline ends the context with
+		// context.Canceled, so a DELETE still reads as a cancellation.
+		return context.WithTimeout(context.Background(), s.timeout)
 	}
-	return context.WithCancel(ctx)
+	return context.WithCancel(context.Background())
 }
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
@@ -354,9 +351,42 @@ func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// createCompileJob validates eagerly — a 422 at submission, not a failed
-// job, for a request the synchronous endpoint would reject — then runs the
-// compilation through the shared executor in the background.
+// startJob is the one job runner: it registers an already-validated job
+// (503 beyond the live-jobs bound), answers 202 with its snapshot, and runs
+// it in the background under the job's own context. A stream job (sweep or
+// optimize) first waits for a sweep-stream slot, staying "queued" where a
+// synchronous stream would be rejected — admission control for jobs is the
+// live-jobs bound. run does the kind-specific work and the job finishes
+// with its error.
+func (s *Server) startJob(w http.ResponseWriter, kind string, total int, stream bool, run func(context.Context, *job) error) {
+	ctx, cancel := s.jobContext()
+	j, herr := s.jobs.add(kind, total, cancel)
+	if herr != nil {
+		cancel()
+		writeError(w, herr)
+		return
+	}
+	go func() {
+		if stream {
+			select {
+			case s.sweepSem <- struct{}{}:
+				defer func() { <-s.sweepSem }()
+			case <-ctx.Done():
+				j.finish(ctx.Err())
+				return
+			}
+		}
+		j.setRunning()
+		j.finish(run(ctx, j))
+	}()
+	writeJSON(w, http.StatusAccepted, map[string]any{"job": j.snapshot(false)})
+}
+
+// The create*Job functions validate eagerly — a 422 at submission, not a
+// failed job, for a request the synchronous endpoint would reject — and
+// hand startJob the run step, which goes through the same executor as the
+// synchronous endpoint.
+
 func (s *Server) createCompileJob(w http.ResponseWriter, body *compileRequest) {
 	creq, herr := body.resolve()
 	if herr != nil {
@@ -368,22 +398,13 @@ func (s *Server) createCompileJob(w http.ResponseWriter, body *compileRequest) {
 		writeError(w, errorf(http.StatusUnprocessableEntity, "%v", err))
 		return
 	}
-	ctx, cancel := s.jobContext()
-	j, herr := s.jobs.add(kindCompile, 1, cancel)
-	if herr != nil {
-		cancel()
-		writeError(w, herr)
-		return
-	}
-	go func() {
-		j.setRunning()
+	s.startJob(w, kindCompile, 1, false, func(ctx context.Context, j *job) error {
 		entry, cached, err := s.compilePlan(ctx, key, creq, true, false)
 		if err == nil {
 			j.setPlan(entry.data, cached)
 		}
-		j.finish(err)
-	}()
-	writeJSON(w, http.StatusAccepted, map[string]any{"job": j.snapshot(false)})
+		return err
+	})
 }
 
 func (s *Server) createSweepJob(w http.ResponseWriter, body *sweepRequest) {
@@ -392,35 +413,13 @@ func (s *Server) createSweepJob(w http.ResponseWriter, body *sweepRequest) {
 		writeError(w, herr)
 		return
 	}
-	ctx, cancel := s.jobContext()
-	j, herr := s.jobs.add(kindSweep, len(cells), cancel)
-	if herr != nil {
-		cancel()
-		writeError(w, herr)
-		return
-	}
-	go func() {
-		// A sweep job occupies one sweep-stream unit like a synchronous
-		// sweep, but waits for it ("queued") instead of being rejected —
-		// admission control for jobs is the live-jobs bound.
-		select {
-		case s.sweepSem <- struct{}{}:
-		case <-ctx.Done():
-			j.finish(ctx.Err())
-			return
-		}
-		defer func() { <-s.sweepSem }()
-		j.setRunning()
-		j.finish(s.runSweep(ctx, cells, j.addResult))
-	}()
-	writeJSON(w, http.StatusAccepted, map[string]any{"job": j.snapshot(false)})
+	s.startJob(w, kindSweep, len(cells), true, func(ctx context.Context, j *job) error {
+		return s.runSweep(ctx, cells, j.addResult)
+	})
 }
 
-// createOptimizeJob validates the design space eagerly (a 422 at submission
-// for a spec the synchronous endpoint would reject) and runs the search in
-// the background through the same optimizer, counting progress per evaluated
-// design point; the finished job's detail snapshot carries the serialized
-// frontier.
+// createOptimizeJob counts progress per evaluated design point; the
+// finished job's detail snapshot carries the serialized frontier.
 func (s *Server) createOptimizeJob(w http.ResponseWriter, raw json.RawMessage) {
 	space, herr := resolveOptimizeSpace(raw)
 	if herr != nil {
@@ -432,40 +431,21 @@ func (s *Server) createOptimizeJob(w http.ResponseWriter, raw json.RawMessage) {
 		writeError(w, errorf(http.StatusUnprocessableEntity, "%v", err))
 		return
 	}
-	ctx, cancel := s.jobContext()
-	j, herr := s.jobs.add(kindOptimize, points, cancel)
-	if herr != nil {
-		cancel()
-		writeError(w, herr)
-		return
-	}
-	go func() {
-		// Like a sweep job: one sweep-stream unit, waited for ("queued")
-		// rather than rejected.
-		select {
-		case s.sweepSem <- struct{}{}:
-		case <-ctx.Done():
-			j.finish(ctx.Err())
-			return
-		}
-		defer func() { <-s.sweepSem }()
-		j.setRunning()
-		s.optRuns.Add(1)
-		f, err := s.opt.Run(ctx, space, func(e optimize.Event) {
-			s.countEvent(e)
+	s.startJob(w, kindOptimize, points, true, func(ctx context.Context, j *job) error {
+		f, err := s.runOptimize(ctx, space, func(e optimize.Event) {
 			if e.Kind == "admit" || e.Kind == "reject" {
 				j.addProgress()
 			}
 		})
-		if err == nil {
-			var data []byte
-			if data, err = f.ToJSON(); err == nil {
-				j.setFrontier(data)
-			}
+		if err != nil {
+			return err
 		}
-		j.finish(err)
-	}()
-	writeJSON(w, http.StatusAccepted, map[string]any{"job": j.snapshot(false)})
+		data, err := f.ToJSON()
+		if err == nil {
+			j.setFrontier(data)
+		}
+		return err
+	})
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
@@ -496,20 +476,10 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
 	jobs := s.jobs.list()
+	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq }) // creation order
 	snaps := make([]jobSnapshot, 0, len(jobs))
 	for _, j := range jobs {
 		snaps = append(snaps, j.snapshot(false))
 	}
-	// Creation order (ids are "job-N" with N unordered lexicographically
-	// past 9, so sort on the timestamp and tie-break on the numeric id).
-	sort.Slice(snaps, func(i, k int) bool {
-		if !snaps[i].Created.Equal(snaps[k].Created) {
-			return snaps[i].Created.Before(snaps[k].Created)
-		}
-		if len(snaps[i].ID) != len(snaps[k].ID) {
-			return len(snaps[i].ID) < len(snaps[k].ID)
-		}
-		return snaps[i].ID < snaps[k].ID
-	})
 	writeJSON(w, http.StatusOK, map[string]any{"jobs": snaps})
 }

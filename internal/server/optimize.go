@@ -1,11 +1,11 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
 
-	"repro/internal/obs"
 	"repro/internal/optimize"
 )
 
@@ -48,25 +48,31 @@ func resolveOptimizeSpace(raw json.RawMessage) (optimize.DesignSpace, *httpError
 	return space, nil
 }
 
-// countEvent feeds one frontier event into the optimize counters.
-func (s *Server) countEvent(e optimize.Event) {
-	switch e.Kind {
-	case "admit":
-		s.optPoints.Add(1)
-		s.optAdmitted.Add(1)
-	case "reject":
-		s.optPoints.Add(1)
-		s.optRejected.Add(1)
-	case "evict":
-		s.optEvicted.Add(1)
-	}
+// runOptimize is the one optimize executor behind the stream and optimize
+// jobs: it counts the run and every frontier event into the optimize
+// counters, hands each event to emit, and returns the final frontier.
+func (s *Server) runOptimize(ctx context.Context, space optimize.DesignSpace, emit func(optimize.Event)) (*optimize.Frontier, error) {
+	s.optRuns.Add(1)
+	return s.opt.Run(ctx, space, func(e optimize.Event) {
+		switch e.Kind {
+		case "admit":
+			s.optPoints.Add(1)
+			s.optAdmitted.Add(1)
+		case "reject":
+			s.optPoints.Add(1)
+			s.optRejected.Add(1)
+		case "evict":
+			s.optEvicted.Add(1)
+		}
+		emit(e)
+	})
 }
 
-// handleOptimize streams one optimize search as NDJSON frontier events.
-// Admission mirrors handleSweep: one sweep-stream unit per run, beyond the
-// pool a structured 503. A search cut short by the per-request deadline (or
-// a dropped client) appends one final error line when the connection still
-// exists; a complete search always ends with the "frontier" line.
+// handleOptimize streams one optimize search as NDJSON frontier events
+// through the shared streamer. A complete search ends with the "frontier"
+// line; one cut short (deadline, cancellation or a failing design point)
+// ends with one error line instead of a silent truncation, when the
+// connection still exists.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var raw json.RawMessage
 	if herr := decodeJSONBody(w, r, s.maxBody, &raw); herr != nil {
@@ -78,58 +84,11 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr)
 		return
 	}
-	select {
-	case s.sweepSem <- struct{}{}:
-		defer func() { <-s.sweepSem }()
-	default:
-		s.rejected.Add(1)
-		writeError(w, errorf(http.StatusServiceUnavailable,
-			"server at capacity: all %d concurrent optimize/sweep streams are taken", cap(s.sweepSem)))
-		return
-	}
-	s.optRuns.Add(1)
-
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	if r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1" {
-		// The optimize span tree lands on the trace the run records; the
-		// stream itself stays NDJSON, so tracing only adds span recording.
-		ctx = obs.NewContext(ctx, obs.New("optimize"))
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		flusher.Flush()
-	}
-
-	lb := linePool.Get().(*lineBuf)
-	defer linePool.Put(lb)
-	broken := false
-	f, err := s.opt.Run(ctx, space, func(e optimize.Event) {
-		s.countEvent(e)
-		if broken {
-			return
+	s.stream(w, r, "optimize/sweep", func(ctx context.Context, out *ndjson) any {
+		f, err := s.runOptimize(ctx, space, func(e optimize.Event) { out.line(e) })
+		if err != nil {
+			return optimizeError{Kind: "error", Error: fmt.Sprintf("optimize aborted: %v", err)}
 		}
-		if lb.write(w, e) != nil {
-			broken = true
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		return optimizeFinal{Kind: "frontier", Frontier: f}
 	})
-	if err != nil {
-		// The 200 is committed; a still-connected client learns the stream is
-		// incomplete (deadline, cancellation or a failing design point) from
-		// one final error line instead of a silent truncation.
-		if !broken {
-			lb.write(w, optimizeError{Kind: "error", Error: fmt.Sprintf("optimize aborted: %v", err)})
-		}
-		return
-	}
-	if !broken {
-		lb.write(w, optimizeFinal{Kind: "frontier", Frontier: f})
-	}
 }

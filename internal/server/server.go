@@ -163,7 +163,6 @@ type Server struct {
 	rejected    atomic.Uint64
 	peerProxied atomic.Uint64
 	peerFailed  atomic.Uint64
-	hist        latencyHist
 
 	optRuns     atomic.Uint64 // optimize runs started (streams + jobs)
 	optPoints   atomic.Uint64 // design points evaluated (admits + rejects)
@@ -172,8 +171,8 @@ type Server struct {
 	optRejected atomic.Uint64
 
 	started   time.Time
-	metrics   *obs.Registry
-	httpHist  *obs.Histogram            // request-duration histogram for /metrics
+	metrics   *obs.Registry             // the histograms; counters and gauges render from Stats (obs.go)
+	httpHist  *obs.Histogram            // request durations, for /metrics and /stats latency_ms
 	phaseHist map[string]*obs.Histogram // per-phase compile-time histograms, keyed by span name
 }
 
@@ -297,7 +296,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	rw := &responseWriter{ResponseWriter: w}
 	s.mux.ServeHTTP(rw, r)
 	d := time.Since(start)
-	s.hist.observe(d)
 	s.httpHist.Observe(d.Seconds())
 	if s.logger != nil {
 		s.logger.Printf("%s %s %s %d %dB %s", rid, r.Method, r.URL.Path, rw.code(), rw.bytes, d.Round(time.Microsecond))
@@ -351,25 +349,28 @@ func (w *responseWriter) code() int {
 	return w.status
 }
 
-// acquire takes one compilation slot without waiting beyond the configured
-// queue: a free slot is taken immediately, otherwise the request queues
-// until a slot frees or ctx ends (client gone, or deadline hit), and a full
-// queue rejects with errBusy. Matching release() must follow every nil
-// return.
-func (s *Server) acquire(ctx context.Context) error {
+// acquire takes one compilation slot, waiting until one frees or ctx ends
+// (client gone, or deadline hit). Unless block is set, a request that
+// cannot take a slot at once waits in the bounded queue, and a full queue
+// rejects with errBusy; block is for sweep cells, warm-up entries and jobs,
+// which belong to one already-admitted request and must not be rejected
+// individually. Matching release() must follow every nil return.
+func (s *Server) acquire(ctx context.Context, block bool) error {
 	select {
 	case s.sem <- struct{}{}:
 		return nil
 	default:
 	}
-	if s.maxQueue <= 0 || s.queued.Add(1) > int64(s.maxQueue) {
-		if s.maxQueue > 0 {
-			s.queued.Add(-1)
+	if !block {
+		if s.maxQueue <= 0 || s.queued.Add(1) > int64(s.maxQueue) {
+			if s.maxQueue > 0 {
+				s.queued.Add(-1)
+			}
+			s.rejected.Add(1)
+			return errBusy
 		}
-		s.rejected.Add(1)
-		return errBusy
+		defer s.queued.Add(-1)
 	}
-	defer s.queued.Add(-1)
 	select {
 	case s.sem <- struct{}{}:
 		return nil
@@ -377,18 +378,6 @@ func (s *Server) acquire(ctx context.Context) error {
 		// Freeing the queue slot is the whole point: a dead client must not
 		// keep occupying admission capacity. The error maps to 503 or 504
 		// through toHTTPError.
-		return ctx.Err()
-	}
-}
-
-// acquireBlocking takes a slot with no queue bound — used by sweep cells and
-// jobs, which belong to one already-admitted request and must not be
-// individually rejected.
-func (s *Server) acquireBlocking(ctx context.Context) error {
-	select {
-	case s.sem <- struct{}{}:
-		return nil
-	case <-ctx.Done():
 		return ctx.Err()
 	}
 }
@@ -425,10 +414,10 @@ func (s *Server) release() { <-s.sem }
 // compile through its "handler" phase. Store and peer fills carry no
 // provenance — the search they avoid is exactly the part worth tracing.
 func (s *Server) compilePlan(ctx context.Context, key string, req compile.Request, block, hop bool) (*planEntry, bool, error) {
-	return s.plans.do(ctx, key, func() (compiled, error) {
+	return s.plans.do(ctx, key, func() (*planEntry, error) {
 		if s.store != nil {
 			if data, plan, ok := s.store.GetPlan(key); ok {
-				return compiled{plan: plan, data: data, source: sourceStore}, nil
+				return &planEntry{plan: plan, data: data, source: sourceStore}, nil
 			}
 		}
 		if res, ok := s.fetchFromPeer(ctx, key, req, hop); ok {
@@ -437,20 +426,15 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 		prov := obs.New(req.Network.Name)
 		pctx := obs.NewContext(ctx, prov)
 		_, qsp := obs.Start(pctx, "queue-wait")
-		var err error
-		if block {
-			err = s.acquireBlocking(ctx)
-		} else {
-			err = s.acquire(ctx)
-		}
+		err := s.acquire(ctx, block)
 		qsp.End()
 		if err != nil {
-			return compiled{}, err
+			return nil, err
 		}
 		defer s.release()
 		p, err := s.comp.Compile(pctx, req)
 		if err != nil {
-			return compiled{}, err
+			return nil, err
 		}
 		// Serialize compactly once; every request served from this entry —
 		// including warm hits, which are allocation-free — writes these bytes.
@@ -459,7 +443,7 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 		err = p.Encode(&buf)
 		esp.End()
 		if err != nil {
-			return compiled{}, err
+			return nil, err
 		}
 		s.observeCompile(prov)
 		if s.store != nil {
@@ -469,26 +453,27 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 			// degradation stays warm across its own restarts too.
 			s.store.PutPlan(key, buf.Bytes())
 		}
-		return compiled{plan: p, data: buf.Bytes(), trace: prov.Tree(), phases: prov.Phases()}, nil
+		return &planEntry{plan: p, data: buf.Bytes(), trace: prov.Tree(), phases: prov.Phases()}, nil
 	})
 }
 
 // fetchFromPeer tries to fill a miss from the key's owning peer. It returns
 // ok=false — degrade to local compute — when no fleet is configured, the
 // request already took its one hop, this node owns the key, the request is
-// not wire-representable, or the owner is down or answers garbage. Failures
-// of an actual attempt are counted; configuration-based skips are not.
-func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Request, hop bool) (compiled, bool) {
+// not wire-representable, or the owner is down or answers garbage or a plan
+// for another key. Failures of an actual attempt are counted;
+// configuration-based skips are not.
+func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Request, hop bool) (*planEntry, bool) {
 	if s.peers == nil || hop {
-		return compiled{}, false
+		return nil, false
 	}
 	owner, self := s.peers.Ring().Owner(key)
 	if self {
-		return compiled{}, false
+		return nil, false
 	}
 	body, ok := proxyBody(req)
 	if !ok {
-		return compiled{}, false
+		return nil, false
 	}
 	data, err := s.peers.Fetch(ctx, owner, body)
 	if err != nil {
@@ -496,22 +481,23 @@ func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Requ
 		if s.logger != nil {
 			s.logger.Printf("peer: falling back to local compute for %s: %v", req.Network.Name, err)
 		}
-		return compiled{}, false
+		return nil, false
 	}
-	// Validate the peer's bytes exactly like a store load: a corrupt or
-	// truncated response must never enter the cache. The owner serialized a
-	// validated plan, so a failure here means transport damage or version
-	// skew — either way, local compute is the safe answer.
-	plan, err := compile.FromJSON(data)
+	// Validate the peer's bytes exactly like a store load: a corrupt,
+	// truncated or wrong-key response must never enter the cache. The owner
+	// serialized a validated plan for this key, so a failure here means
+	// transport damage, version skew or a misbehaving peer — either way,
+	// local compute is the safe answer.
+	plan, err := compile.FromKeyedJSON(data, key)
 	if err != nil {
 		s.peerFailed.Add(1)
 		if s.logger != nil {
 			s.logger.Printf("peer: rejected invalid plan from %s: %v", owner, err)
 		}
-		return compiled{}, false
+		return nil, false
 	}
 	s.peerProxied.Add(1)
-	return compiled{plan: plan, data: data, source: sourcePeer}, true
+	return &planEntry{plan: plan, data: data, source: sourcePeer}, true
 }
 
 // proxyBody serializes a resolved request back into the /v1/compile wire
@@ -614,21 +600,21 @@ func (s *Server) CachedPlan(w io.Writer, req compile.Request) (bool, error) {
 	return true, err
 }
 
+// handleCompile serves POST /v1/compile, and with ?trace=1 its debug form:
+// the same steps run under a request trace (decode, lookup and, on a miss,
+// handler phases) and writeTraced answers with the plan, that span tree and
+// the plan's compile provenance. Untraced, every span below is a no-op.
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
-	// ?trace=1 selects the debug form that attaches the span tree to the
-	// response. The RawQuery guard keeps the common no-query request off
-	// url.Values parsing entirely.
-	if r.URL.RawQuery != "" && r.URL.Query().Get("trace") == "1" {
-		s.handleCompileTraced(w, r)
-		return
-	}
 	start := time.Now()
+	tr, tctx := requestTrace(r)
+	_, sp := obs.Start(tctx, "decode")
 	var body compileRequest
-	if herr := decodeJSONBody(w, r, s.maxBody, &body); herr != nil {
-		writeError(w, herr)
-		return
+	herr := decodeJSONBody(w, r, s.maxBody, &body)
+	var req compile.Request
+	if herr == nil {
+		req, herr = body.resolve()
 	}
-	req, herr := body.resolve()
+	sp.End()
 	if herr != nil {
 		writeError(w, herr)
 		return
@@ -636,35 +622,76 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// Warm-hit fast path: key bytes in a pooled buffer, byte-keyed cache
 	// lookup, cached serialized bytes, shared header slices — no
 	// allocations, no request context, no singleflight machinery.
-	if entry, err := s.cachedEntry(req); err != nil {
-		writeError(w, errorf(http.StatusUnprocessableEntity, "%v", err))
-		return
-	} else if entry != nil {
-		setPlanHeaders(w.Header(), true, "")
-		w.Write(entry.data)
-		return
-	}
-	key, err := compile.Key(req)
+	_, sp = obs.Start(tctx, "lookup")
+	entry, err := s.cachedEntry(req)
+	sp.End()
 	if err != nil {
-		// Unreachable (cachedEntry validated req), kept for defense.
 		writeError(w, errorf(http.StatusUnprocessableEntity, "%v", err))
 		return
 	}
-	ctx, cancel := s.requestContext(r)
-	defer cancel()
-	entry, cached, err := s.compilePlan(ctx, key, req, false, isPeerHop(r))
-	if err != nil {
-		writeError(w, toHTTPError(err))
-		return
+	cached := entry != nil
+	if !cached {
+		key, err := compile.Key(req)
+		if err != nil {
+			// Unreachable (cachedEntry validated req), kept for defense.
+			writeError(w, errorf(http.StatusUnprocessableEntity, "%v", err))
+			return
+		}
+		ctx, cancel := s.requestContext(r)
+		defer cancel()
+		_, sp = obs.Start(tctx, "handler")
+		entry, cached, err = s.compilePlan(ctx, key, req, false, isPeerHop(r))
+		sp.End()
+		if err != nil {
+			writeError(w, toHTTPError(err))
+			return
+		}
+		if tr == nil {
+			// Server-Timing carries the compile provenance phases
+			// (queue-wait, compile, encode) plus this request's own total. A
+			// coalesced join reports the leader's phases, which may exceed
+			// the joiner's total — the phases describe the compilation, the
+			// total this request. The allocation-free warm hit skips the
+			// header.
+			w.Header().Set("Server-Timing", obs.ServerTiming(entry.phases, time.Since(start)))
+		}
 	}
 	setPlanHeaders(w.Header(), cached, entry.source)
-	// Server-Timing carries the compile provenance phases (queue-wait,
-	// compile, encode) plus this request's own total. A coalesced join
-	// reports the leader's phases, which may exceed the joiner's total —
-	// the phases describe the compilation, the total this request. The
-	// allocation-free warm-hit path above intentionally skips the header.
-	w.Header().Set("Server-Timing", obs.ServerTiming(entry.phases, time.Since(start)))
+	if tr != nil {
+		writeTraced(w, tr, entry, cached, start)
+		return
+	}
 	w.Write(entry.data)
+}
+
+// requestTrace returns the ?trace=1 request trace and a context carrying
+// it, or nil and r's own context, on which every span is a no-op. The
+// RawQuery guard keeps the common no-query request off url.Values parsing
+// entirely.
+func requestTrace(r *http.Request) (*obs.Trace, context.Context) {
+	if r.URL.RawQuery == "" || r.URL.Query().Get("trace") != "1" {
+		return nil, r.Context()
+	}
+	tr := obs.New("request")
+	return tr, obs.NewContext(r.Context(), tr)
+}
+
+// writeTraced answers the ?trace=1 debug form: the plan, the request's span
+// tree, and the plan's compile provenance — for a cache hit, the provenance
+// recorded when the plan was originally compiled. The Server-Timing header
+// renders the request phases, so sum(phases) never exceeds its total.
+func writeTraced(w http.ResponseWriter, tr *obs.Trace, entry *planEntry, cached bool, start time.Time) {
+	w.Header().Set("Server-Timing", obs.ServerTiming(tr.Phases(), time.Since(start)))
+	resp := map[string]any{
+		"request_id": w.Header().Get("X-Request-Id"),
+		"cached":     cached,
+		"plan":       json.RawMessage(entry.data),
+		"trace":      tr.Tree(),
+	}
+	if entry.trace != nil {
+		resp["compile_trace"] = entry.trace
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // networkInfo is one /v1/networks entry.
@@ -766,30 +793,15 @@ type ServerStats struct {
 	LatencyMs Histogram `json:"latency_ms"`
 }
 
-// EngineStats mirrors engine.Stats with stable JSON names.
-type EngineStats struct {
-	Searches      uint64 `json:"searches"`
-	CacheHits     uint64 `json:"cache_hits"`
-	CacheMisses   uint64 `json:"cache_misses"`
-	FlightDedupes uint64 `json:"flight_dedupes"`
-	Evictions     uint64 `json:"evictions"`
-	CachedResults int    `json:"cached_results"`
+// EngineStats are the engine's counters, under the JSON names engine.Stats
+// carries.
+type EngineStats = engine.Stats
 
-	// CandidatesCosted counts candidate windows handed to the cost model by
-	// computed searches; CandidatesPruned counts the windows the exhaustive
-	// sweeps would have costed but the breakpoint-pruned enumerators
-	// skipped.
-	CandidatesCosted uint64 `json:"candidates_costed"`
-	CandidatesPruned uint64 `json:"candidates_pruned"`
-
-	// InFlightSearches is the current number of searches holding a
-	// worker-pool slot.
-	InFlightSearches int64 `json:"in_flight_searches"`
-}
-
-// Stats returns a snapshot of every counter the service exposes.
+// Stats returns a snapshot of every counter the service exposes. It is the
+// only reader of the server, plan-cache, engine, store, peer, optimize and
+// job counters: /stats serves the snapshot as JSON and every /metrics
+// counter and gauge is rendered from one (obs.go).
 func (s *Server) Stats() Stats {
-	es := s.eng.Stats()
 	var st *compile.StoreStats
 	if s.store != nil {
 		ss := s.store.StoreStats()
@@ -803,6 +815,10 @@ func (s *Server) Stats() Stats {
 			Nodes:   len(s.peers.Ring().Nodes()),
 			Self:    s.peers.Ring().Self(),
 		}
+	}
+	bounds, counts := s.httpHist.Buckets()
+	for i := range bounds {
+		bounds[i] *= 1e3 // seconds to milliseconds
 	}
 	return Stats{
 		Store: st,
@@ -819,7 +835,7 @@ func (s *Server) Stats() Stats {
 			InFlight:  s.inFlight.Load(),
 			Queued:    s.queued.Load(),
 			Rejected:  s.rejected.Load(),
-			LatencyMs: s.hist.snapshot(),
+			LatencyMs: Histogram{UpperBoundsMs: bounds, Counts: counts},
 		},
 		PlanCache: s.plans.stats(),
 		Jobs:      s.jobs.stats(),
@@ -830,60 +846,18 @@ func (s *Server) Stats() Stats {
 			Evicted:         s.optEvicted.Load(),
 			Rejected:        s.optRejected.Load(),
 		},
-		Engine: EngineStats{
-			Searches:         es.Searches,
-			CacheHits:        es.CacheHits,
-			CacheMisses:      es.CacheMisses,
-			FlightDedupes:    es.FlightDedupes,
-			Evictions:        es.Evictions,
-			CachedResults:    es.CachedResults,
-			CandidatesCosted: es.CandidatesCosted,
-			CandidatesPruned: es.CandidatesPruned,
-			InFlightSearches: es.InFlightSearches,
-		},
+		Engine: s.eng.Stats(),
 	}
 }
 
-// latencyBoundsMs are the histogram bucket upper bounds in milliseconds;
-// requests slower than the last bound land in the overflow bucket.
-var latencyBoundsMs = [...]float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 2500}
-
-// latencyHist is a fixed-bucket latency histogram with atomic counters.
-type latencyHist struct {
-	counts [len(latencyBoundsMs) + 1]atomic.Uint64
-}
-
-func (h *latencyHist) observe(d time.Duration) {
-	ms := float64(d) / float64(time.Millisecond)
-	for i, bound := range latencyBoundsMs[:] {
-		if ms <= bound {
-			h.counts[i].Add(1)
-			return
-		}
-	}
-	h.counts[len(latencyBoundsMs)].Add(1)
-}
-
-// Histogram is the JSON form of the latency histogram. Buckets are
-// disjoint, not cumulative: counts[i] is the number of requests with
-// latency in (upper_bounds_ms[i-1], upper_bounds_ms[i]], and the final
+// Histogram is the JSON form of the request-latency histogram, read from
+// vwsdk_http_request_duration_seconds with its bounds in milliseconds.
+// Buckets are disjoint, not cumulative: counts[i] is the number of requests
+// with latency in (upper_bounds_ms[i-1], upper_bounds_ms[i]], and the final
 // count is the overflow bucket beyond the last bound.
 type Histogram struct {
 	UpperBoundsMs []float64 `json:"upper_bounds_ms"`
 	Counts        []uint64  `json:"counts"`
-}
-
-func (h *latencyHist) snapshot() Histogram {
-	// Both slices are fresh copies: the bounds array is shared process-wide
-	// and must not be mutable through the exported Stats API.
-	out := Histogram{
-		UpperBoundsMs: append([]float64(nil), latencyBoundsMs[:]...),
-		Counts:        make([]uint64, len(h.counts)),
-	}
-	for i := range h.counts {
-		out.Counts[i] = h.counts[i].Load()
-	}
-	return out
 }
 
 // httpError is an error with an HTTP status, rendered as the structured

@@ -463,10 +463,10 @@ func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
 	}
 	leaderDone := make(chan outcome, 1)
 	go func() {
-		e, hit, err := c.do(context.Background(), "k", func() (compiled, error) {
+		e, hit, err := c.do(context.Background(), "k", func() (*planEntry, error) {
 			close(leaderIn)
 			<-joinerJoined
-			return compiled{}, leaderErr
+			return nil, leaderErr
 		})
 		leaderDone <- outcome{e, hit, err}
 	}()
@@ -474,8 +474,8 @@ func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
 	<-leaderIn
 	joinerDone := make(chan outcome, 1)
 	go func() {
-		e, hit, err := c.do(context.Background(), "k", func() (compiled, error) {
-			return compiled{plan: &compile.NetworkPlan{}, data: []byte("joiner bytes")}, nil
+		e, hit, err := c.do(context.Background(), "k", func() (*planEntry, error) {
+			return &planEntry{plan: &compile.NetworkPlan{}, data: []byte("joiner bytes")}, nil
 		})
 		joinerDone <- outcome{e, hit, err}
 	}()
@@ -497,9 +497,9 @@ func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
 		t.Fatalf("joiner outcome %+v, want its own computed entry", got)
 	}
 	// The joiner's successful retry is cached for later requests.
-	if e, hit, err := c.do(context.Background(), "k", func() (compiled, error) {
+	if e, hit, err := c.do(context.Background(), "k", func() (*planEntry, error) {
 		t.Fatal("cached key recomputed")
-		return compiled{}, nil
+		return nil, nil
 	}); err != nil || !hit || string(e.data) != "joiner bytes" {
 		t.Fatalf("follow-up not served from cache: hit=%v err=%v", hit, err)
 	}

@@ -121,42 +121,45 @@ func (req *sweepRequest) cells() ([]sweepCell, *httpError) {
 	return cells, nil
 }
 
+// fanOut is the one worker pool behind sweeps and warm-up: it runs do(i)
+// for every i in [0, n) on at most workers goroutines, handing indices out
+// from a shared cursor, and dispatches no new index once ctx ends — work
+// already started stops at its own cancellation checkpoints. It returns
+// when every worker has.
+func fanOut(ctx context.Context, n, workers int, do func(i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, workers) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n || ctx.Err() != nil {
+					return
+				}
+				do(i)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // runSweep is the one sweep executor behind both the synchronous NDJSON
 // stream and sweep jobs: it fans cells over at most one worker per
-// compilation slot, delivers each cell's summary to emit in completion
-// order as soon as its compilation (or cache hit) finishes, and stops
-// dispatching new cells once ctx ends — cells already past admission stop
-// at their searches' next cancellation checkpoint and are not emitted.
-// It returns ctx's error when the sweep was cut short, nil when every cell
-// was delivered. emit is called from the caller's goroutine only.
+// compilation slot and delivers each cell's summary to emit in completion
+// order as soon as its compilation (or cache hit) finishes. A cell cut
+// short by the context's end is incomplete, not failed, and is not
+// emitted. It returns ctx's error when the sweep was cut short, nil when
+// every cell was delivered. emit is called from the caller's goroutine only.
 func (s *Server) runSweep(ctx context.Context, cells []sweepCell, emit func(sweepSummary)) error {
 	results := make(chan sweepSummary)
 	go func() {
-		workers := min(len(cells), cap(s.sem))
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for range workers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					// The dispatch checkpoint: no new cell starts after the
-					// sweep's context ends.
-					if i >= len(cells) || ctx.Err() != nil {
-						return
-					}
-					sum, err := s.runCell(ctx, cells[i])
-					if err != nil {
-						// Context end mid-cell: the cell is incomplete, not
-						// failed — nothing is emitted for it.
-						return
-					}
-					results <- sum
-				}
-			}()
-		}
-		wg.Wait()
+		fanOut(ctx, len(cells), cap(s.sem), func(i int) {
+			if sum, err := s.runCell(ctx, cells[i]); err == nil {
+				results <- sum
+			}
+		})
 		close(results)
 	}()
 	delivered := 0
@@ -172,14 +175,10 @@ func (s *Server) runSweep(ctx context.Context, cells []sweepCell, emit func(swee
 	return ctx.Err()
 }
 
-// handleSweep streams one NDJSON summary per cell, in completion order.
-// Sweeps are admitted through their own semaphore (one unit per stream,
-// sized like the compilation pool; beyond it: 503) and then run through
-// runSweep — the same machinery sweep jobs use — under the request's
-// context, so a dropped connection stops scheduling cells and frees every
-// slot. A sweep cut short by the per-request deadline appends one final
-// error line so a still-connected client can tell the stream from a
-// complete one.
+// handleSweep streams one NDJSON summary per cell, in completion order,
+// through runSweep — the same machinery sweep jobs use. A sweep cut short
+// by the per-request deadline ends with one error line so a
+// still-connected client can tell the stream from a complete one.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	var req sweepRequest
 	if herr := decodeJSONBody(w, r, s.maxBody, &req); herr != nil {
@@ -191,72 +190,87 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr)
 		return
 	}
+	s.stream(w, r, "sweep", func(ctx context.Context, out *ndjson) any {
+		err := s.runSweep(ctx, cells, func(sum sweepSummary) { out.line(sum) })
+		if errors.Is(err, context.DeadlineExceeded) {
+			return sweepSummary{Error: fmt.Sprintf("sweep aborted: %v", err)}
+		}
+		return nil
+	})
+}
+
+// stream is the one NDJSON streamer behind /v1/sweep and /v1/optimize. It
+// admits the stream through the sweep-stream semaphore (one unit per
+// stream, sized like the compilation pool; beyond it a structured 503
+// naming what is streamed), commits the 200 at once — the client sees it
+// when the stream is admitted, not when the first, possibly slow, line
+// lands — and runs produce under the request's context, so a dropped
+// connection stops the producer and frees every slot. produce writes its
+// lines through out.line; the value it returns, when non-nil, is the
+// stream's final line.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, what string, produce func(ctx context.Context, out *ndjson) any) {
 	select {
 	case s.sweepSem <- struct{}{}:
 		defer func() { <-s.sweepSem }()
 	default:
 		s.rejected.Add(1)
 		writeError(w, errorf(http.StatusServiceUnavailable,
-			"server at capacity: all %d concurrent sweep streams are taken", cap(s.sweepSem)))
+			"server at capacity: all %d concurrent %s streams are taken", cap(s.sweepSem), what))
 		return
 	}
-
 	ctx, cancel := s.requestContext(r)
 	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	if flusher != nil {
-		// Commit the headers now: the client sees the 200 as soon as the
-		// stream is admitted, not when the first (possibly slow) cell lands.
-		flusher.Flush()
+	out := ndjsonPool.Get().(*ndjson)
+	out.w, out.broken = w, false
+	out.flusher, _ = w.(http.Flusher)
+	if out.flusher != nil {
+		out.flusher.Flush()
 	}
-
-	lb := linePool.Get().(*lineBuf)
-	defer linePool.Put(lb)
-	broken := false // client gone: keep draining so cell goroutines can exit
-	err := s.runSweep(ctx, cells, func(sum sweepSummary) {
-		if broken {
-			return
-		}
-		if lb.write(w, sum) != nil {
-			broken = true
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	})
-	if errors.Is(err, context.DeadlineExceeded) && !broken {
-		lb.write(w, sweepSummary{Error: fmt.Sprintf("sweep aborted: %v", err)})
+	if last := produce(ctx, out); last != nil {
+		out.line(last)
 	}
+	out.w, out.flusher = nil, nil
+	ndjsonPool.Put(out)
 }
 
-// lineBuf encodes NDJSON lines through one reusable buffer/encoder pair, so
-// a streaming sweep pays a per-stream — not per-line — encoder allocation.
-type lineBuf struct {
-	buf bytes.Buffer
-	enc *json.Encoder
+// ndjson is one NDJSON response stream: a reusable line buffer and encoder
+// plus the response they write to. Streams are pooled, so a stream pays no
+// per-stream encoder allocation.
+type ndjson struct {
+	buf     bytes.Buffer
+	enc     *json.Encoder
+	w       io.Writer
+	flusher http.Flusher
+	broken  bool // the client has gone: later lines are dropped so the producer can drain
 }
 
-// linePool recycles lineBufs across sweep streams.
-var linePool = sync.Pool{New: func() any {
-	lb := &lineBuf{}
-	lb.enc = json.NewEncoder(&lb.buf)
-	return lb
+var ndjsonPool = sync.Pool{New: func() any {
+	out := &ndjson{}
+	out.enc = json.NewEncoder(&out.buf)
+	return out
 }}
 
-// write encodes v as one NDJSON line into the pooled buffer and writes it
-// to w in a single Write call. Sweep summaries and optimize frontier events
-// share this path.
-func (lb *lineBuf) write(w io.Writer, v any) error {
-	lb.buf.Reset()
-	if err := lb.enc.Encode(v); err != nil {
-		return err
+// line encodes v as one NDJSON line, writes it in a single Write call and
+// flushes it. After a failed write every later line is dropped.
+func (out *ndjson) line(v any) {
+	if out.broken {
+		return
 	}
-	_, err := w.Write(lb.buf.Bytes())
-	return err
+	out.buf.Reset()
+	err := out.enc.Encode(v)
+	if err == nil {
+		_, err = out.w.Write(out.buf.Bytes())
+	}
+	if err != nil {
+		out.broken = true
+		return
+	}
+	if out.flusher != nil {
+		out.flusher.Flush()
+	}
 }
 
 // runCell compiles one sweep cell through the plan cache (blocking

@@ -79,11 +79,11 @@ type WarmStats struct {
 }
 
 // Warm pre-compiles every manifest request through the tiered fill path,
-// running up to concurrency entries at once (<=0 selects the server's
-// compile-slot count; actual search parallelism is always bounded by the
-// admission semaphore). It returns per-entry failures joined into one error
-// after attempting every entry — a bad entry does not abandon the rest —
-// and stops early only when ctx ends.
+// running up to concurrency entries at once on the pool sweeps use
+// (<=0 selects the server's compile-slot count; actual search parallelism
+// is always bounded by the admission semaphore). It returns per-entry
+// failures joined into one error after attempting every entry — a bad
+// entry does not abandon the rest — and stops early only when ctx ends.
 func (s *Server) Warm(ctx context.Context, reqs []compile.Request, concurrency int) (WarmStats, error) {
 	type item struct {
 		key string
@@ -105,45 +105,26 @@ func (s *Server) Warm(ctx context.Context, reqs []compile.Request, concurrency i
 	if concurrency <= 0 {
 		concurrency = cap(s.sem)
 	}
-	if concurrency > len(items) {
-		concurrency = len(items)
-	}
-
 	var (
 		mu    sync.Mutex
 		stats = WarmStats{Total: len(items)}
 		errs  []error
-		wg    sync.WaitGroup
-		work  = make(chan item)
 	)
-	for range concurrency {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for it := range work {
-				entry, cached, err := s.compilePlan(ctx, it.key, it.req, true, false)
-				mu.Lock()
-				switch {
-				case err != nil:
-					stats.Failed++
-					errs = append(errs, fmt.Errorf("warm: %s: %w", it.req.Network.Name, err))
-				case cached || entry.source != "":
-					stats.Hits++
-				default:
-					stats.Compiled++
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	for _, it := range items {
-		if ctx.Err() != nil {
-			break
+	fanOut(ctx, len(items), concurrency, func(i int) {
+		it := items[i]
+		entry, cached, err := s.compilePlan(ctx, it.key, it.req, true, false)
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case err != nil:
+			stats.Failed++
+			errs = append(errs, fmt.Errorf("warm: %s: %w", it.req.Network.Name, err))
+		case cached || entry.source != "":
+			stats.Hits++
+		default:
+			stats.Compiled++
 		}
-		work <- it
-	}
-	close(work)
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		errs = append(errs, err)
 	}

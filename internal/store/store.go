@@ -96,16 +96,12 @@ func (s *Store) GetPlan(key string) ([]byte, *compile.NetworkPlan, bool) {
 		}
 		return nil, nil, false
 	}
-	plan, err := compile.FromJSON(data)
+	// Truncated, syntactically broken or totals-inconsistent bytes fail, and
+	// so does an entry whose own request is not the content this address
+	// names: one copied or renamed to the wrong path, the only "staleness" a
+	// content-addressed store can exhibit.
+	plan, err := compile.FromKeyedJSON(data, key)
 	if err != nil {
-		// Truncated, syntactically broken, or totals-inconsistent bytes.
-		s.quarantine(path)
-		return nil, nil, false
-	}
-	// Re-key: the decoded plan's own request must be the content this
-	// address names. This catches entries copied or renamed to the wrong
-	// path — the only "staleness" a content-addressed store can exhibit.
-	if got, err := compile.Key(plan.Request); err != nil || got != key {
 		s.quarantine(path)
 		return nil, nil, false
 	}

@@ -23,7 +23,7 @@
 //     per-layer-group array assignment, chip count and peripheral gating
 //     (Optimize, DesignSpace, Frontier);
 //   - generators for every table and figure of the paper's evaluation
-//     (Experiments, ExperimentTableI, ...).
+//     (ExperimentTableI, ExperimentFig8a, ...).
 //
 // The implementation lives in internal/ packages; this package re-exports
 // the stable surface via type aliases, so the types below are identical to
@@ -58,10 +58,6 @@ type Window = core.Window
 
 // Mapping is a costed mapping decision. See core.Mapping.
 type Mapping = core.Mapping
-
-// TileShape describes one computing cycle's array occupancy. See
-// core.TileShape.
-type TileShape = core.TileShape
 
 // Scheme identifies a mapping scheme.
 type Scheme = core.Scheme
@@ -155,33 +151,16 @@ func ExhaustiveSearchCandidates(l Layer, v Variant) int64 {
 	return core.ExhaustiveCandidates(l, v)
 }
 
-// SearchSDK runs the square-window SDK baseline search (context-free form
-// of SearchSDKContext).
+// SearchSDK runs the square-window SDK baseline search.
 func SearchSDK(l Layer, a Array) (SearchResult, error) { return core.SearchSDK(l, a) }
 
-// SearchSDKContext is SearchSDK under a caller context.
-func SearchSDKContext(ctx context.Context, l Layer, a Array) (SearchResult, error) {
-	return core.SearchSDKContext(ctx, l, a)
-}
-
-// SearchSMD runs the sub-matrix-duplication baseline search (context-free
-// form of SearchSMDContext).
+// SearchSMD runs the sub-matrix-duplication baseline search.
 func SearchSMD(l Layer, a Array) (SearchResult, error) { return core.SearchSMD(l, a) }
 
-// SearchSMDContext is SearchSMD under a caller context.
-func SearchSMDContext(ctx context.Context, l Layer, a Array) (SearchResult, error) {
-	return core.SearchSMDContext(ctx, l, a)
-}
-
 // SearchVariant runs an ablated VW-SDK search (breakpoint-pruned, like
-// SearchVWSDK; context-free form of SearchVariantContext).
+// SearchVWSDK).
 func SearchVariant(l Layer, a Array, v Variant) (SearchResult, error) {
 	return core.SearchVariant(l, a, v)
-}
-
-// SearchVariantContext is SearchVariant under a caller context.
-func SearchVariantContext(ctx context.Context, l Layer, a Array, v Variant) (SearchResult, error) {
-	return core.SearchVariantContext(ctx, l, a, v)
 }
 
 // SearchVariantExhaustive runs an ablated search with the brute-force
@@ -192,9 +171,6 @@ func SearchVariantExhaustive(l Layer, a Array, v Variant) (SearchResult, error) 
 
 // Network is a named list of conv layers. See model.Network.
 type Network = model.Network
-
-// ConvLayer is a network entry with an occurrence count.
-type ConvLayer = model.ConvLayer
 
 // VGG13 returns the paper's VGG-13 layer table (Table I).
 func VGG13() Network { return model.VGG13() }
@@ -287,19 +263,12 @@ func VerifyAllSchemes(l Layer, a Array, seed uint64) error {
 // EnergyModel holds latency/energy constants. See energy.Model.
 type EnergyModel = energy.Model
 
-// EnergyReport is a latency/energy estimate. See energy.Report.
-type EnergyReport = energy.Report
-
 // DefaultEnergyModel returns the synthetic reference constants under which
 // conversions dominate (>98%), as the paper assumes.
 func DefaultEnergyModel() EnergyModel { return energy.Default() }
 
 // Experiment is one regenerated table or figure of the paper.
 type Experiment = experiments.Result
-
-// Experiments regenerates every table and figure of the paper's evaluation
-// plus the documented extensions (DESIGN.md §4).
-func Experiments() ([]*Experiment, error) { return experiments.All() }
 
 // PaperArray is the 512×512 array the paper evaluates on.
 var PaperArray = experiments.Array512
@@ -353,16 +322,6 @@ type Engine = engine.Engine
 
 // EngineOption configures an Engine.
 type EngineOption = engine.Option
-
-// EngineStats are an Engine's cumulative counters.
-type EngineStats = engine.Stats
-
-// SweepCell identifies one (network, array, variant) combination of a batch
-// sweep.
-type SweepCell = engine.Cell
-
-// SweepCellResult is the outcome of one batch-sweep cell.
-type SweepCellResult = engine.CellResult
 
 // NewEngine returns a concurrent search engine. With no options it uses
 // GOMAXPROCS workers and a 4096-entry result cache.
@@ -431,9 +390,6 @@ type NetworkPlan = compile.NetworkPlan
 // LayerPlan is one layer of a compiled network.
 type LayerPlan = compile.LayerPlan
 
-// PlanTotals are a NetworkPlan's whole-network aggregates.
-type PlanTotals = compile.Totals
-
 // CompileRequest is the canonical description of one compilation — the one
 // request type shared by CompileContext, CompileKey, cmd/vwsdk's flags and
 // vwsdkd's HTTP bodies. See compile.Request.
@@ -492,13 +448,6 @@ func CompileKey(n Network, a Array, opts CompileOptions) (string, error) {
 // CompileRequestKey is CompileKey on the canonical request type.
 func CompileRequestKey(req CompileRequest) (string, error) { return compile.Key(req) }
 
-// AppendCompileKey appends the canonical cache key of req to dst and returns
-// the extended slice — the allocation-free form of CompileRequestKey for
-// serving layers that key caches by []byte.
-func AppendCompileKey(dst []byte, req CompileRequest) ([]byte, error) {
-	return compile.AppendKey(dst, req)
-}
-
 // Server is the HTTP compile service behind cmd/vwsdkd: synchronous
 // POST /v1/compile and /v1/sweep plus the asynchronous job API
 // (POST/GET/DELETE /v1/jobs) on one shared engine, with a whole-plan LRU
@@ -510,10 +459,6 @@ type Server = server.Server
 
 // ServerConfig configures a Server; the zero value is usable.
 type ServerConfig = server.Config
-
-// ServerStats is the /stats payload: server, plan-cache and engine
-// counters.
-type ServerStats = server.Stats
 
 // NewServer returns the compile service as an http.Handler:
 //
@@ -531,17 +476,9 @@ type DesignSpace = optimize.DesignSpace
 // optimize.Frontier.
 type Frontier = optimize.Frontier
 
-// FrontierPoint is one non-dominated design point: its per-group array
-// assignment, chip count, gating setting and metrics.
-type FrontierPoint = optimize.FrontierPoint
-
 // OptimizeEvent is one incremental frontier decision (admit, evict or
 // reject) emitted while a design-space search runs.
 type OptimizeEvent = optimize.Event
-
-// OptimizeMetrics is a design point's score: total cycles, total energy and
-// total cell area.
-type OptimizeMetrics = optimize.Metrics
 
 // Optimizer searches design spaces through a shared Compiler, so every
 // design point's layer searches land in one engine memoization — a (layer,
