@@ -362,10 +362,12 @@ func runOptimize(ctx context.Context, opts bench.Options, outPath, against strin
 // checkOptimize fails when the fresh optimize run diverges from the committed
 // snapshot. The workload is fully deterministic — a fixed space enumerated
 // and evaluated sequentially — so the frontier shape must reproduce exactly
-// on any machine, and the distinct-search count may never exceed the
-// snapshot's: one extra algorithm run means a shared (layer, array) cell was
-// searched twice, i.e. the memoization reuse the optimizer is built on broke.
-// Wall-clock figures are machine-dependent and not gated.
+// on any machine, and neither search count may exceed the snapshot's. One
+// extra distinct search means a shared (layer, array) pair was searched
+// twice, i.e. the engine memoization broke; one extra served search means a
+// (group, array, chips, gating) cell was compiled twice in one run, i.e. the
+// optimizer went back to compiling per design point. Wall-clock figures are
+// machine-dependent and not gated.
 func checkOptimize(rep *bench.OptimizeReport, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -387,6 +389,10 @@ func checkOptimize(rep *bench.OptimizeReport, path string) error {
 	if rep.DistinctSearches > base.DistinctSearches {
 		return fmt.Errorf("search memoization regressed: %d distinct searches > committed %d (a shared cell ran twice)",
 			rep.DistinctSearches, base.DistinctSearches)
+	}
+	if rep.SearchesServed > base.SearchesServed {
+		return fmt.Errorf("cell memoization regressed: %d searches served > committed %d (a group cell compiled twice)",
+			rep.SearchesServed, base.SearchesServed)
 	}
 	return nil
 }

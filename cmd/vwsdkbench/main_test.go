@@ -223,8 +223,8 @@ func TestRunFleet(t *testing.T) {
 
 // TestRunOptimize smoke-runs the -optimize benchmark in CI mode, validates
 // the written report, and exercises the -check-against gate in both
-// directions: a fresh run checked against itself passes, while a doctored
-// snapshot claiming fewer distinct searches must fail.
+// directions: a fresh run checked against itself passes, while doctored
+// snapshots claiming fewer distinct or fewer served searches must fail.
 func TestRunOptimize(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "BENCH_optimize.json")
@@ -257,18 +257,25 @@ func TestRunOptimize(t *testing.T) {
 	}
 
 	// Doctor the snapshot so every fresh run looks like a memoization
-	// regression: no real run can search fewer distinct cells than exist.
-	doctored := rep
-	doctored.DistinctSearches = 1
-	bad, _ := json.Marshal(doctored)
-	badPath := filepath.Join(dir, "doctored.json")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run([]string{"-optimize", "-benchtime", "1x", "-quiet", "-o", filepath.Join(dir, "c.json"),
-		"-check-against", badPath}, &stdout, &progress)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Errorf("doctored snapshot passed the gate: %v", err)
+	// regression: no real run can search fewer distinct (layer, array)
+	// pairs than exist, nor serve fewer searches than one per layer of each
+	// (group, array, chips, gating) cell.
+	for name, doctor := range map[string]func(*bench.OptimizeReport){
+		"distinct": func(r *bench.OptimizeReport) { r.DistinctSearches = 1 },
+		"served":   func(r *bench.OptimizeReport) { r.SearchesServed = rep.SearchesServed - 1 },
+	} {
+		doctored := rep
+		doctor(&doctored)
+		bad, _ := json.Marshal(doctored)
+		badPath := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = run([]string{"-optimize", "-benchtime", "1x", "-quiet", "-o", filepath.Join(dir, "c.json"),
+			"-check-against", badPath}, &stdout, &progress)
+		if err == nil || !strings.Contains(err.Error(), "regressed") {
+			t.Errorf("snapshot with fewer %s searches passed the gate: %v", name, err)
+		}
 	}
 }
 

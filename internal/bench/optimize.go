@@ -20,15 +20,17 @@ const OptimizeSchema = "vwsdk-optimize-bench/v1"
 
 // OptimizeReport is the BENCH_optimize.json document: one standardized
 // Pareto-frontier co-design search (internal/optimize) over a fixed design
-// space, reporting the frontier shape, the engine-memoization counters that
-// prove shared (layer, array) cells are searched exactly once, and wall-clock
-// figures for the cold (empty engine) and warm (every search cached) runs.
+// space, reporting the frontier shape, the memoization counters that prove
+// each (group, array, chips, gating) cell is compiled once per run and each
+// shared (layer, array) pair is searched once, and wall-clock figures for the
+// cold (empty engine) and warm (every search cached) runs.
 //
 // Everything except the wall-clock numbers is deterministic: the space is
-// fixed, the optimizer enumerates and evaluates sequentially, and the
-// distinct-search count is a pure function of the space's layer shapes and
-// array candidates. The CI gate (-check-against) therefore pins the frontier
-// shape exactly and treats any growth in DistinctSearches as a memoization
+// fixed, the optimizer enumerates and evaluates sequentially, the served
+// count is a pure function of the space's cells and group sizes, and the
+// distinct-search count of its layer shapes and array candidates. The CI
+// gate (-check-against) therefore pins the frontier shape exactly and treats
+// any growth in SearchesServed or DistinctSearches as a memoization
 // regression; latency is machine-dependent and not gated.
 type OptimizeReport struct {
 	Schema    string `json:"schema"`
@@ -46,10 +48,11 @@ type OptimizeReport struct {
 	FrontierSize    int `json:"frontier_size"`
 	Dominated       int `json:"dominated"`
 
-	// SearchesServed is every per-layer search the design points requested;
+	// SearchesServed is every per-layer search the run's cell compiles
+	// requested — one per layer of each (group, array, chips, gating) cell;
 	// DistinctSearches is how many actually ran the algorithm (engine cache
 	// misses on a cold engine) — exactly one per distinct (layer, array)
-	// cell; MemoizedReuses is the rest (cache hits plus in-flight dedupes).
+	// pair; MemoizedReuses is the rest (cache hits plus in-flight dedupes).
 	SearchesServed   uint64 `json:"searches_served"`
 	DistinctSearches uint64 `json:"distinct_searches"`
 	MemoizedReuses   uint64 `json:"memoized_reuses"`
@@ -67,7 +70,8 @@ type OptimizeReport struct {
 // the optimize golden tests, searched with two layer groups over four array
 // geometries and two chip counts, with peripheral gating on both settings —
 // 16 assignments × 2 chips × 2 gating = 64 design points sharing
-// 4 layers × 4 arrays = 16 distinct search cells.
+// 2 groups × 4 arrays × 2 chips × 2 gating = 32 group compiles and
+// 4 layers × 4 arrays = 16 distinct searches.
 func optimizeSpace() optimize.DesignSpace {
 	net := model.Network{Name: "TinyNet", Layers: []model.ConvLayer{
 		{Layer: core.Layer{Name: "conv1", IW: 32, IH: 32, KW: 3, KH: 3, IC: 3, OC: 16, PadW: 1, PadH: 1}, Count: 1},

@@ -7,8 +7,9 @@ import (
 
 // TestRunOptimizeOnce runs the optimize benchmark in its CI smoke
 // configuration and pins the deterministic figures the -check-against gate
-// relies on: the frontier shape and the memoization counters (exactly one
-// algorithm run per distinct (layer, array) cell).
+// relies on: the frontier shape and the memoization counters (one compile
+// per (group, array, chips, gating) cell and one algorithm run per distinct
+// (layer, array) pair).
 func TestRunOptimizeOnce(t *testing.T) {
 	rep, err := RunOptimize(context.Background(), Options{Once: true})
 	if err != nil {
@@ -28,8 +29,13 @@ func TestRunOptimizeOnce(t *testing.T) {
 		rep.FrontierSize+rep.Dominated > rep.PointsEvaluated {
 		t.Errorf("implausible frontier shape: %+v", rep)
 	}
-	// The memoization invariant: 4 distinct layer shapes × 4 arrays = 16
-	// algorithm runs serve every search all 64 design points request.
+	// The memoization invariants: each of the 2 groups × 4 arrays × 2 chip
+	// counts × 2 gating settings = 32 cells compiles once, serving one
+	// search per layer of its 2-layer group = 64 searches, and 4 distinct
+	// layer shapes × 4 arrays = 16 algorithm runs answer all of them.
+	if rep.SearchesServed != 64 {
+		t.Errorf("searches served = %d, want 64", rep.SearchesServed)
+	}
 	if rep.DistinctSearches != 16 {
 		t.Errorf("distinct searches = %d, want 16", rep.DistinctSearches)
 	}

@@ -231,23 +231,56 @@ func Designs(s DesignSpace) []Design {
 
 // Evaluate scores one design: each layer group is compiled as a sub-network
 // on its assigned array with the design's chip count and peripheral model,
-// and the group totals are summed.
+// and the group totals are summed in group order. It compiles every group
+// afresh, which makes it the single-point oracle Run's scores are checked
+// against.
 func (o *Optimizer) Evaluate(ctx context.Context, s DesignSpace, d Design) (FrontierPoint, error) {
-	groups := s.LayerGroups()
+	return o.evaluate(ctx, s.Network.Name, s.LayerGroups(), d, nil)
+}
+
+// cell is one group compile: a layer group on one array, with one chip count
+// and one peripheral model. Every design point of a run that contains the
+// cell gets the same group totals from it.
+type cell struct {
+	group int
+	array core.Array
+	chips int
+	gated bool
+}
+
+// cellCost is a compiled cell's share of a design point's scores.
+type cellCost struct {
+	cycles  int64
+	energyJ float64
+}
+
+// evaluate scores d on the given layer groups. A cell found in memo is read
+// instead of compiled, and a compiled cell is recorded in memo unless memo
+// is nil. Either way the group terms are added in group order, so a
+// memoized score is bit-identical to a fresh one.
+func (o *Optimizer) evaluate(ctx context.Context, network string, groups [][]model.ConvLayer, d Design, memo map[cell]cellCost) (FrontierPoint, error) {
 	if len(d.Arrays) != len(groups) {
 		return FrontierPoint{}, fmt.Errorf("optimize: design %d assigns %d arrays to %d groups",
 			d.ID, len(d.Arrays), len(groups))
 	}
 	p := FrontierPoint{ID: d.ID, Arrays: d.Arrays, Chips: d.Chips, Gated: d.Gated}
-	opts := compile.Options{Arrays: d.Chips, GatePeripherals: d.Gated}
 	for g, layers := range groups {
-		sub := model.Network{Name: s.Network.Name, Layers: layers}
-		plan, err := o.c.Compile(ctx, compile.NewRequest(sub, d.Arrays[g], opts))
-		if err != nil {
-			return FrontierPoint{}, fmt.Errorf("optimize: design %d group %d on %v: %w", d.ID, g, d.Arrays[g], err)
+		k := cell{group: g, array: d.Arrays[g], chips: d.Chips, gated: d.Gated}
+		c, ok := memo[k]
+		if !ok {
+			sub := model.Network{Name: network, Layers: layers}
+			opts := compile.Options{Arrays: d.Chips, GatePeripherals: d.Gated}
+			plan, err := o.c.Compile(ctx, compile.NewRequest(sub, d.Arrays[g], opts))
+			if err != nil {
+				return FrontierPoint{}, fmt.Errorf("optimize: design %d group %d on %v: %w", d.ID, g, d.Arrays[g], err)
+			}
+			c = cellCost{cycles: plan.Totals.Makespan, energyJ: plan.Totals.Energy.EnergyTotal}
+			if memo != nil {
+				memo[k] = c
+			}
 		}
-		p.Metrics.Cycles += plan.Totals.Makespan
-		p.Metrics.EnergyJ += plan.Totals.Energy.EnergyTotal
+		p.Metrics.Cycles += c.cycles
+		p.Metrics.EnergyJ += c.energyJ
 		p.Metrics.AreaCells += int64(d.Chips) * d.Arrays[g].Cells()
 	}
 	return p, nil
@@ -259,6 +292,12 @@ func (o *Optimizer) Evaluate(ctx context.Context, s DesignSpace, d Design) (Fron
 // when non-nil, receives one Event per admission, eviction and rejection as
 // they happen — the streaming surface. Cancelling ctx aborts the search
 // inside the current compile.
+//
+// Each cell — one layer group on one array with one chip count and gating
+// setting — is compiled once per run, by the first design point that needs
+// it; later points read its memoized totals. Cells compile lazily in
+// enumeration order, so events, scores and errors are those of evaluating
+// every point afresh.
 func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*Frontier, error) {
 	s.Normalize()
 	if err := s.Validate(); err != nil {
@@ -269,12 +308,14 @@ func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*
 	sp.SetStr("network", s.Network.Name)
 
 	f := &Frontier{Name: s.Name, Network: s.Network.Name, Groups: s.groups()}
+	groups := s.LayerGroups()
+	memo := make(map[cell]cellCost, len(groups)*len(s.Arrays)*len(s.Chips)*len(s.Gating))
 	var frontier []FrontierPoint
 	for _, d := range Designs(s) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := o.Evaluate(ctx, s, d)
+		p, err := o.evaluate(ctx, s.Network.Name, groups, d, memo)
 		if err != nil {
 			return nil, err
 		}
@@ -310,7 +351,8 @@ func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*
 	}
 	sort.Slice(frontier, func(i, j int) bool { return pointLess(frontier[i], frontier[j]) })
 	f.Points = frontier
-	sp.SetInt("evaluated", int64(f.Evaluated)).SetInt("frontier", int64(len(f.Points)))
+	sp.SetInt("evaluated", int64(f.Evaluated)).SetInt("frontier", int64(len(f.Points))).
+		SetInt("compiles", int64(len(memo)))
 	return f, nil
 }
 

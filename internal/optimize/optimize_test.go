@@ -3,14 +3,20 @@ package optimize
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/obs"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -119,6 +125,99 @@ func TestFrontierGolden(t *testing.T) {
 	}
 	if len(f.Points) < 1 || f.Dominated < 1 {
 		t.Fatalf("degenerate golden frontier: %d points, %d dominated", len(f.Points), f.Dominated)
+	}
+}
+
+// TestMultiGroupGolden pins Run's whole event stream and final frontier on
+// spaces whose design points share group cells: the example space at 2
+// layer groups (64 points) and at 3 (256 points; groups of 1, 1 and 2
+// layers). Each golden is the /v1/optimize wire form, one compact JSON line
+// per event and a closing "frontier" line. Every admitted and rejected
+// point must equal the single-point Evaluate of its design bit for bit. The
+// run must compile each (group, array, chips, gating) cell once, as its
+// span's "compiles" attribute reports, so the engine serves one search per
+// layer of each cell — not one per layer of each design point.
+func TestMultiGroupGolden(t *testing.T) {
+	for _, groups := range []int{2, 3} {
+		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
+			ctx := context.Background()
+			s := exampleSpace(t)
+			s.Groups = groups
+			eng := engine.New()
+			o := New(compile.New(eng))
+			var stream bytes.Buffer
+			var scored []FrontierPoint
+			line := func(v any) {
+				data, err := json.Marshal(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				stream.Write(append(data, '\n'))
+			}
+			tr := obs.New("test")
+			f, err := o.Run(obs.NewContext(ctx, tr), s, func(e Event) {
+				line(e)
+				if e.Point != nil {
+					scored = append(scored, *e.Point)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			line(struct {
+				Kind     string    `json:"event"`
+				Frontier *Frontier `json:"frontier"`
+			}{"frontier", f})
+
+			var cells, searches int
+			for _, layers := range s.LayerGroups() {
+				perGroup := len(s.Arrays) * len(s.Chips) * len(s.Gating)
+				cells += perGroup
+				searches += len(layers) * perGroup
+			}
+			var attrs map[string]any
+			if sp := obs.Find(tr.Tree(), "optimize"); sp != nil {
+				attrs = sp.Attrs
+			}
+			if attrs["compiles"] != int64(cells) {
+				t.Errorf("optimize span attrs %v, want compiles %d", attrs, cells)
+			}
+			if got := eng.Stats().Searches; got != uint64(searches) {
+				t.Errorf("engine served %d searches, want %d (one per layer of each group cell)", got, searches)
+			}
+
+			golden := filepath.Join("testdata", fmt.Sprintf("tinynet_groups%d_stream.golden.ndjson", groups))
+			if *update {
+				if err := os.WriteFile(golden, stream.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (regenerate with -update)", err)
+			}
+			if !bytes.Equal(stream.Bytes(), want) {
+				t.Fatalf("stream differs from %s (regenerate with -update if intended)", golden)
+			}
+
+			designs := Designs(s)
+			if len(scored) != len(designs) {
+				t.Fatalf("%d scored events for %d designs", len(scored), len(designs))
+			}
+			for i, d := range designs {
+				want, err := o.Evaluate(ctx, s, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := scored[i]
+				if got.ID != want.ID || !slices.Equal(got.Arrays, want.Arrays) || got.Chips != want.Chips ||
+					got.Gated != want.Gated || got.Metrics.Cycles != want.Metrics.Cycles ||
+					got.Metrics.AreaCells != want.Metrics.AreaCells ||
+					math.Float64bits(got.Metrics.EnergyJ) != math.Float64bits(want.Metrics.EnergyJ) {
+					t.Fatalf("design %d: Run scored %+v, Evaluate %+v", d.ID, got, want)
+				}
+			}
+		})
 	}
 }
 
@@ -309,6 +408,53 @@ func TestEvents(t *testing.T) {
 		if got.Metrics != p.Metrics {
 			t.Fatalf("replayed point %d metrics %+v != %+v", p.ID, got.Metrics, p.Metrics)
 		}
+	}
+}
+
+// failingSearcher fails the VW-SDK search of every layer with a kernel wider
+// than 3 on one array and delegates every other search.
+type failingSearcher struct {
+	core.Searcher
+	bad core.Array
+}
+
+func (f failingSearcher) SearchVariant(ctx context.Context, l core.Layer, a core.Array, v core.Variant) (core.Result, error) {
+	if a == f.bad && l.KW > 3 {
+		return core.Result{}, errors.New("injected search failure")
+	}
+	return f.Searcher.SearchVariant(ctx, l, a, v)
+}
+
+// TestRunFirstFailure pins Run's failure to that of evaluating every point
+// afresh. At 2 groups, only the second group (with the 5x5 conv4) fails, and
+// only on 128x128, so the first failing design reads a memoized cell for
+// its first group before its second group fails. Run must fail on the
+// design whose own Evaluate fails first, with the same error, after scoring
+// exactly the designs before it.
+func TestRunFirstFailure(t *testing.T) {
+	ctx := context.Background()
+	s := exampleSpace(t)
+	s.Groups = 2
+	o := New(compile.New(failingSearcher{Searcher: engine.New(), bad: core.Array{Rows: 128, Cols: 128}}))
+	var want error
+	var before int
+	for _, d := range Designs(s) {
+		if _, want = o.Evaluate(ctx, s, d); want != nil {
+			break
+		}
+		before++
+	}
+	var scored int
+	_, err := o.Run(ctx, s, func(e Event) {
+		if e.Point != nil {
+			scored++
+		}
+	})
+	if want == nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("Run failed with %v, the first failing Evaluate with %v", err, want)
+	}
+	if before == 0 || scored != before {
+		t.Fatalf("Run scored %d designs before failing, Evaluate %d", scored, before)
 	}
 }
 

@@ -3,19 +3,20 @@
 // chip should you build for this network?". A DesignSpace enumerates
 // candidate hardware configurations — array geometries assigned per layer
 // group, chips per bank, gated or full-array peripherals — and the Optimizer
-// compiles every design point through the existing compile.Compiler, scores
-// it on (total cycles, total energy, total cell area) and keeps only the
-// non-dominated Pareto frontier, pruning dominated points incrementally as
-// the enumeration proceeds.
+// scores every design point through the existing compile.Compiler on (total
+// cycles, total energy, total cell area) and keeps only the non-dominated
+// Pareto frontier, pruning dominated points incrementally as the enumeration
+// proceeds.
 //
-// Design points deliberately share the compile pipeline's engine: two points
-// that assign the same array to a group containing the same layer shape hit
-// the engine's memoized result, so each distinct (layer, array) cell is
-// searched exactly once no matter how many design points contain it. The
-// enumeration is sequential and its order deterministic, which fixes the
-// frontier's tie handling: when two points score identically, the
-// first-enumerated one is admitted and the later one is rejected as
-// dominated.
+// A point's scores are sums of per-group terms, so design points share work
+// at two levels. Within one run, each cell — a layer group on one array with
+// one chip count and gating setting — is compiled once, and every point
+// containing it reads the cell's totals. Below that, the compile pipeline's
+// engine searches each distinct (layer, array) pair exactly once, across
+// cells and runs. The enumeration is sequential and its order deterministic,
+// which fixes the frontier's tie handling: when two points score
+// identically, the first-enumerated one is admitted and the later one is
+// rejected as dominated.
 package optimize
 
 import (
@@ -23,6 +24,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -176,11 +178,14 @@ func FromJSONFile(path string) (DesignSpace, error) {
 	return s, nil
 }
 
-// Normalize canonicalizes the space in place: axes are deduplicated and
-// sorted (arrays by rows then cols, chips ascending, false before true) and
-// absent axes get their defaults (chips [1], gating [false], one group).
-// Normalization is idempotent, which makes ToJSON∘FromJSON a fixed point.
+// Normalize canonicalizes the space: axes are deduplicated and sorted
+// (arrays by rows then cols, chips ascending, false before true) and absent
+// axes get their defaults (chips [1], gating [false], one group). The axes
+// are sorted as copies, so the slices of the space Normalize was copied
+// from keep their order. Normalization is idempotent, which makes
+// ToJSON∘FromJSON a fixed point.
 func (s *DesignSpace) Normalize() {
+	s.Arrays, s.Chips, s.Gating = slices.Clone(s.Arrays), slices.Clone(s.Chips), slices.Clone(s.Gating)
 	sort.Slice(s.Arrays, func(i, j int) bool {
 		if s.Arrays[i].Rows != s.Arrays[j].Rows {
 			return s.Arrays[i].Rows < s.Arrays[j].Rows

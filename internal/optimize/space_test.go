@@ -2,7 +2,9 @@ package optimize
 
 import (
 	"bytes"
+	"context"
 	"os"
+	"slices"
 	"testing"
 
 	"repro/internal/core"
@@ -92,6 +94,38 @@ func TestToJSONFixedPoint(t *testing.T) {
 	}
 	if !bytes.Equal(out1, out2) {
 		t.Fatalf("ToJSON not a fixed point:\n%s\nvs\n%s", out1, out2)
+	}
+}
+
+// TestNormalizeLeavesCallerAxes pins that the calls taking a space by value
+// normalize copies of its axes: a DesignSpace copy shares its Arrays, Chips
+// and Gating backing arrays with the caller, who must not see them sorted
+// or deduplicated underneath.
+func TestNormalizeLeavesCallerAxes(t *testing.T) {
+	calls := []struct {
+		name string
+		call func(DesignSpace) error
+	}{
+		{"Normalize", func(s DesignSpace) error { s.Normalize(); return nil }},
+		{"Designs", func(s DesignSpace) error { Designs(s); return nil }},
+		{"ToJSON", func(s DesignSpace) error { _, err := s.ToJSON(); return err }},
+		{"Run", func(s DesignSpace) error { _, err := New(nil).Run(context.Background(), s, nil); return err }},
+	}
+	for _, c := range calls {
+		s, err := FromJSONFile(exampleSpec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Arrays = []core.Array{{Rows: 128, Cols: 128}, {Rows: 128, Cols: 128}, {Rows: 64, Cols: 64}}
+		s.Chips = []int{4, 1, 4}
+		s.Gating = []bool{true, false, true}
+		arrays, chips, gating := slices.Clone(s.Arrays), slices.Clone(s.Chips), slices.Clone(s.Gating)
+		if err := c.call(s); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !slices.Equal(s.Arrays, arrays) || !slices.Equal(s.Chips, chips) || !slices.Equal(s.Gating, gating) {
+			t.Errorf("%s rewrote the caller's axes: arrays %v chips %v gating %v", c.name, s.Arrays, s.Chips, s.Gating)
+		}
 	}
 }
 

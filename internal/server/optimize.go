@@ -16,9 +16,9 @@ import (
 // enumeration makes each decision — terminated by one "frontier" line
 // carrying the final Pareto frontier. Optimize runs are admitted through the
 // sweep-stream semaphore (they are long fan-out requests of the same shape)
-// and run through the server's shared compiler, so every design point's
-// layer searches land in the same engine memoization the compile and sweep
-// endpoints warm.
+// and run through the server's shared compiler, so the layer searches of
+// every group compile land in the same engine memoization the compile and
+// sweep endpoints warm.
 
 // optimizeFinal is the stream's terminal line.
 type optimizeFinal struct {
