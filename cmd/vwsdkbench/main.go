@@ -1,10 +1,11 @@
 // Command vwsdkbench runs the standardized search benchmark workloads
 // (internal/bench) — the paper's Table-I zoo on 256/512/1024 arrays plus
 // large-IFM stress layers — and writes BENCH_search.json: per workload, the
-// pruned search's ns/op and allocations, the candidates it costed versus the
-// exhaustive sweep's enumeration, and a cold-compile pipeline comparison.
-// CI runs it with -benchtime 1x, uploads the JSON as an artifact, and fails
-// the job via -check-reduction when the pruning regresses toward parity.
+// search's ns/op and allocations, the cost classes it evaluated versus the
+// exhaustive sweep's enumeration, its cost-model calls, and a cold-compile
+// pipeline comparison. CI runs it with -benchtime 1x, uploads the JSON as an
+// artifact, and fails the job via -check-against when any workload's
+// deterministic counts or chosen mapping drift from the committed snapshot.
 //
 // With -serve it instead benchmarks the vwsdkd HTTP surface in-process —
 // cold/warm /v1/compile and the streaming /v1/sweep — and writes
@@ -34,7 +35,7 @@
 //	vwsdkbench                            # 10ms per timed loop, writes BENCH_search.json
 //	vwsdkbench -benchtime 1x -o out.json  # one iteration per loop (CI smoke)
 //	vwsdkbench -filter VGG-13 -benchtime 100ms
-//	vwsdkbench -check-reduction 10        # exit 1 unless some Table-I layer prunes ≥10x
+//	vwsdkbench -benchtime 1x -o out.json -check-against BENCH_search.json
 //	vwsdkbench -serve                     # serve benchmark, writes BENCH_serve.json
 //	vwsdkbench -serve -benchtime 1x -check-against BENCH_serve.json
 //	vwsdkbench -fleet                     # fleet benchmark, writes BENCH_fleet.json
@@ -69,11 +70,10 @@ func run(args []string, out, progress io.Writer) (retErr error) {
 		outPath   = fs.String("o", "", "output file (default BENCH_search.json, or BENCH_serve.json with -serve); - writes the JSON to stdout")
 		benchtime = fs.String("benchtime", "10ms", "minimum time per timed loop, or Nx for exactly N iterations (only 1x is supported)")
 		filter    = fs.String("filter", "", "run only workloads whose name contains this substring")
-		check     = fs.Float64("check-reduction", 0, "exit non-zero unless the best Table-I candidate reduction is at least this factor")
 		serve     = fs.Bool("serve", false, "benchmark the HTTP serve path (cold/warm compile, streaming sweep) instead of the search")
 		fleet     = fs.Bool("fleet", false, "benchmark an in-process 3-node consistent-hash fleet under a zipfian compile mix instead of the search")
 		optimizeB = fs.Bool("optimize", false, "benchmark the Pareto-frontier co-design search instead of the layer search")
-		against   = fs.String("check-against", "", "with -serve, -fleet or -optimize: exit non-zero if the run regresses versus this committed snapshot")
+		against   = fs.String("check-against", "", "exit non-zero if the run regresses versus this committed snapshot of the same benchmark")
 		quiet     = fs.Bool("quiet", false, "suppress per-workload progress output")
 		timeout   = fs.Duration("timeout", 0, "abort the harness after this long (0 = no deadline)")
 		version   = fs.Bool("version", false, "print the version and exit")
@@ -139,9 +139,6 @@ func run(args []string, out, progress io.Writer) (retErr error) {
 			return fmt.Errorf("-serve, -fleet and -optimize are mutually exclusive")
 		}
 		mode := modes[0]
-		if *check > 0 {
-			return fmt.Errorf("-check-reduction applies to the search benchmark, not %s", mode)
-		}
 		if *filter != "" {
 			return fmt.Errorf("-filter applies to the search benchmark, not %s", mode)
 		}
@@ -153,11 +150,15 @@ func run(args []string, out, progress io.Writer) (retErr error) {
 		}
 		return runServe(ctx, opts, *outPath, *against, out, progress)
 	}
-	if *against != "" {
-		return fmt.Errorf("-check-against requires -serve, -fleet or -optimize")
-	}
 	if *outPath == "" {
 		*outPath = "BENCH_search.json"
+	}
+	// Read the snapshot before the run: -o may overwrite the same file.
+	var base bench.Report
+	if *against != "" {
+		if err := readSnapshot(*against, bench.Schema, &base); err != nil {
+			return err
+		}
 	}
 	rep, err := bench.Run(ctx, opts)
 	if err != nil {
@@ -179,9 +180,40 @@ func run(args []string, out, progress io.Writer) (retErr error) {
 		fmt.Fprintf(progress, "wrote %s: %d workloads, best Table-I reduction %.1fx\n",
 			*outPath, len(rep.Workloads), rep.MaxTable1Reduction)
 	}
-	if *check > 0 && rep.MaxTable1Reduction < *check {
-		return fmt.Errorf("pruned-vs-exhaustive candidate reduction regressed: best Table-I factor %.1fx < required %.1fx",
-			rep.MaxTable1Reduction, *check)
+	if *against != "" {
+		return checkSearch(rep, &base, *filter == "")
+	}
+	return nil
+}
+
+// checkSearch fails when the fresh search run drifts from the committed
+// snapshot. Every figure it compares is deterministic: each committed row's
+// candidate counts and chosen mapping (cycles, tile) must reproduce exactly,
+// and its cost-model calls may not grow. An unfiltered run must also cover
+// every committed row. Timings are machine-dependent and not gated.
+func checkSearch(rep, base *bench.Report, full bool) error {
+	got := make(map[string]bench.LayerResult, len(rep.Workloads))
+	for _, r := range rep.Workloads {
+		got[r.Workload] = r
+	}
+	for _, w := range base.Workloads {
+		r, ok := got[w.Workload]
+		if !ok {
+			if full {
+				return fmt.Errorf("search workload %s missing from the run", w.Workload)
+			}
+			continue
+		}
+		if r.CandidatesCosted != w.CandidatesCosted || r.CandidatesFeasible != w.CandidatesFeasible ||
+			r.CandidatesExhaustive != w.CandidatesExhaustive || r.Cycles != w.Cycles || r.Tile != w.Tile {
+			return fmt.Errorf("search %s regressed: costed/feasible/exhaustive %d/%d/%d, %d cycles, tile %s != committed %d/%d/%d, %d cycles, tile %s",
+				w.Workload, r.CandidatesCosted, r.CandidatesFeasible, r.CandidatesExhaustive, r.Cycles, r.Tile,
+				w.CandidatesCosted, w.CandidatesFeasible, w.CandidatesExhaustive, w.Cycles, w.Tile)
+		}
+		if r.CostModelEvals > w.CostModelEvals {
+			return fmt.Errorf("search %s regressed: %d cost-model calls > committed %d",
+				w.Workload, r.CostModelEvals, w.CostModelEvals)
+		}
 	}
 	return nil
 }
@@ -224,16 +256,9 @@ func runServe(ctx context.Context, opts bench.Options, outPath, against string, 
 // the snapshot (committed at 0), and warm-compile end-to-end allocs/request
 // get 25%+16 headroom for Go-runtime and net/http drift.
 func checkServe(rep *bench.ServeReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("-check-against: %w", err)
-	}
 	var base bench.ServeReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("-check-against: parse %s: %w", path, err)
-	}
-	if base.Schema != bench.ServeSchema {
-		return fmt.Errorf("-check-against: %s has schema %q, want %q", path, base.Schema, bench.ServeSchema)
+	if err := readSnapshot(path, bench.ServeSchema, &base); err != nil {
+		return err
 	}
 	if rep.WarmPlanPathAllocs > base.WarmPlanPathAllocs {
 		return fmt.Errorf("warm plan path allocations regressed: %g/request > committed %g",
@@ -292,16 +317,9 @@ func runFleet(ctx context.Context, opts bench.Options, outPath, against string, 
 // generous order-of-magnitude bound that still catches protocol regressions
 // (extra hops, redundant validation, lost coalescing).
 func checkFleet(rep *bench.FleetReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("-check-against: %w", err)
-	}
 	var base bench.FleetReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("-check-against: parse %s: %w", path, err)
-	}
-	if base.Schema != bench.FleetSchema {
-		return fmt.Errorf("-check-against: %s has schema %q, want %q", path, base.Schema, bench.FleetSchema)
+	if err := readSnapshot(path, bench.FleetSchema, &base); err != nil {
+		return err
 	}
 	if rep.FleetHitRate <= rep.BaselineHitRate {
 		return fmt.Errorf("fleet hit rate %.3f not above single-node baseline %.3f",
@@ -369,16 +387,9 @@ func runOptimize(ctx context.Context, opts bench.Options, outPath, against strin
 // optimizer went back to compiling per design point. Wall-clock figures are
 // machine-dependent and not gated.
 func checkOptimize(rep *bench.OptimizeReport, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("-check-against: %w", err)
-	}
 	var base bench.OptimizeReport
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("-check-against: parse %s: %w", path, err)
-	}
-	if base.Schema != bench.OptimizeSchema {
-		return fmt.Errorf("-check-against: %s has schema %q, want %q", path, base.Schema, bench.OptimizeSchema)
+	if err := readSnapshot(path, bench.OptimizeSchema, &base); err != nil {
+		return err
 	}
 	if rep.PointsEvaluated != base.PointsEvaluated || rep.FrontierSize != base.FrontierSize ||
 		rep.Dominated != base.Dominated {
@@ -395,6 +406,25 @@ func checkOptimize(rep *bench.OptimizeReport, path string) error {
 			rep.SearchesServed, base.SearchesServed)
 	}
 	return nil
+}
+
+// readSnapshot decodes the committed -check-against snapshot at path into
+// v, which must be a report of the given schema.
+func readSnapshot(path, schema string, v any) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return fmt.Errorf("-check-against: %w", err)
+	}
+	var head struct {
+		Schema string `json:"schema"`
+	}
+	if err := json.Unmarshal(data, &head); err != nil {
+		return fmt.Errorf("-check-against: parse %s: %w", path, err)
+	}
+	if head.Schema != schema {
+		return fmt.Errorf("-check-against: %s has schema %q, want %q", path, head.Schema, schema)
+	}
+	return json.Unmarshal(data, v)
 }
 
 func findEndpoint(rep *bench.ServeReport, name string) *bench.ServeEndpointResult {

@@ -48,21 +48,60 @@ func TestRunWritesReport(t *testing.T) {
 	}
 }
 
-// TestRunCheckReduction exercises the CI regression gate in both directions:
-// VGG-13's first layers prune far beyond 10x, while a small-layer-only run
-// sits at parity and must fail.
-func TestRunCheckReduction(t *testing.T) {
+// TestRunCheckAgainstSearch exercises the search-mode regression gate: a
+// full run passes against the committed BENCH_search.json, while snapshots
+// doctored to one fewer cost-model call or a different tile fail, as does an
+// unfiltered run that lacks a committed row.
+func TestRunCheckAgainstSearch(t *testing.T) {
+	const committed = "../../BENCH_search.json"
 	dir := t.TempDir()
 	var out, progress bytes.Buffer
-	err := run([]string{"-benchtime", "1x", "-filter", "VGG-13/conv1@256x256", "-quiet",
-		"-check-reduction", "10", "-o", filepath.Join(dir, "a.json")}, &out, &progress)
-	if err != nil {
-		t.Errorf("conv1 should prune >= 10x: %v", err)
+	if err := run([]string{"-benchtime", "1x", "-quiet", "-o", filepath.Join(dir, "a.json"),
+		"-check-against", committed}, &out, &progress); err != nil {
+		t.Fatalf("committed snapshot failed the gate: %v", err)
 	}
-	err = run([]string{"-benchtime", "1x", "-filter", "ResNet-18/conv5@512x512", "-quiet",
-		"-check-reduction", "10", "-o", filepath.Join(dir, "b.json")}, &out, &progress)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Errorf("parity workload passed the -check-reduction gate: %v", err)
+
+	data, err := os.ReadFile(committed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const row = "VGG-13/conv1@256x256"
+	for name, doctor := range map[string]func(*bench.LayerResult){
+		"cost_model_evals": func(w *bench.LayerResult) { w.CostModelEvals-- },
+		"tile":             func(w *bench.LayerResult) { w.Tile = "1x1x1x1" },
+	} {
+		var base bench.Report
+		if err := json.Unmarshal(data, &base); err != nil {
+			t.Fatal(err)
+		}
+		found := false
+		for i := range base.Workloads {
+			if base.Workloads[i].Workload == row {
+				doctor(&base.Workloads[i])
+				found = true
+			}
+		}
+		if !found {
+			t.Fatalf("%s missing from %s", row, committed)
+		}
+		bad, _ := json.Marshal(base)
+		badPath := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(badPath, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err = run([]string{"-benchtime", "1x", "-quiet", "-filter", row, "-o", filepath.Join(dir, "b.json"),
+			"-check-against", badPath}, &out, &progress)
+		if err == nil || !strings.Contains(err.Error(), "regressed") {
+			t.Errorf("snapshot with a doctored %s passed the gate: %v", name, err)
+		}
+	}
+
+	var base bench.Report
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	if err := checkSearch(&bench.Report{}, &base, true); err == nil || !strings.Contains(err.Error(), "missing") {
+		t.Errorf("unfiltered run without the committed rows passed the gate: %v", err)
 	}
 }
 
@@ -282,14 +321,11 @@ func TestRunOptimize(t *testing.T) {
 // TestRunServeFlagConflicts pins the flag combinations that make no sense.
 func TestRunServeFlagConflicts(t *testing.T) {
 	var out, progress bytes.Buffer
-	if err := run([]string{"-serve", "-check-reduction", "10"}, &out, &progress); err == nil {
-		t.Error("-serve -check-reduction accepted")
-	}
 	if err := run([]string{"-serve", "-filter", "VGG"}, &out, &progress); err == nil {
 		t.Error("-serve -filter accepted")
 	}
 	if err := run([]string{"-check-against", "x.json", "-benchtime", "1x"}, &out, &progress); err == nil {
-		t.Error("-check-against without -serve accepted")
+		t.Error("missing -check-against snapshot accepted")
 	}
 	if err := run([]string{"-serve", "-fleet"}, &out, &progress); err == nil {
 		t.Error("-serve -fleet accepted")
@@ -299,9 +335,6 @@ func TestRunServeFlagConflicts(t *testing.T) {
 	}
 	if err := run([]string{"-optimize", "-fleet"}, &out, &progress); err == nil {
 		t.Error("-optimize -fleet accepted")
-	}
-	if err := run([]string{"-optimize", "-check-reduction", "10"}, &out, &progress); err == nil {
-		t.Error("-optimize -check-reduction accepted")
 	}
 }
 

@@ -1,5 +1,5 @@
 // Package bench is the standardized search-performance harness behind
-// cmd/vwsdkbench: it times the breakpoint-pruned VW-SDK search against the
+// cmd/vwsdkbench: it times the default VW-SDK search against the
 // brute-force sweep on a fixed workload set — the paper's Table-I zoo
 // (VGG-13 and ResNet-18) on 256/512/1024 arrays, plus large-IFM stress
 // layers the exhaustive sweep handles poorly — and reports the results as a
@@ -46,7 +46,7 @@ type Workload struct {
 	Array core.Array
 
 	// Stress marks synthetic large-IFM layers whose exhaustive sweep is too
-	// slow to time routinely; only the pruned search is timed and the
+	// slow to time routinely; only the default search is timed and the
 	// exhaustive candidate count is computed analytically.
 	Stress bool
 }
@@ -121,13 +121,13 @@ type LayerResult struct {
 	Array    string `json:"array"`
 	Stress   bool   `json:"stress,omitempty"`
 
-	// NsPerOp/AllocsPerOp/Iters time the breakpoint-pruned search.
+	// NsPerOp/AllocsPerOp/Iters time the default search (core.SearchVWSDK).
 	NsPerOp     int64 `json:"ns_per_op"`
 	AllocsPerOp int64 `json:"allocs_per_op"`
 	Iters       int64 `json:"iters"`
 
-	// CandidatesCosted is Result.Evaluated (cost classes costed by the
-	// pruned search); CandidatesFeasible is Result.Swept (feasible windows
+	// CandidatesCosted is Result.Evaluated (cost classes the search
+	// evaluated); CandidatesFeasible is Result.Swept (feasible windows
 	// the exhaustive sweep costs); CandidatesExhaustive is the full
 	// candidate enumeration the exhaustive sweep hands to the cost model.
 	CandidatesCosted     int     `json:"candidates_costed"`
@@ -135,16 +135,14 @@ type LayerResult struct {
 	CandidatesExhaustive int64   `json:"candidates_exhaustive"`
 	Reduction            float64 `json:"reduction"`
 
-	// SearchPath names the search implementation the router chose
-	// ("closed-form" for dense unit-stride layers, "pruned" otherwise);
-	// CostModelEvals counts the cost-model calls it actually paid — one per
-	// class for the pruned enumerator, at most one (the argmin
-	// materialization) for the closed form.
+	// SearchPath names the search implementation that ran ("closed-form"
+	// for every layer shape); CostModelEvals counts the cost-model calls it
+	// actually paid — at most one, the argmin materialization.
 	SearchPath     string `json:"search_path"`
 	CostModelEvals int    `json:"cost_model_evals"`
 
 	// DenseEquivalentCosted/DenseEquivalentFeasible (grouped layers only)
-	// are the pruned search's candidate statistics for the same geometry
+	// are the search's candidate statistics for the same geometry
 	// with grouping dropped. Window feasibility is group-independent, so
 	// the feasible counts must match; the cost-class count may differ
 	// because the per-group channel caps move the class breakpoints.
@@ -163,7 +161,7 @@ type LayerResult struct {
 }
 
 // ColdCompileResult times the whole compile pipeline with a cold engine —
-// the /v1/compile cold path — under pruned and exhaustive search.
+// the /v1/compile cold path — under the default and exhaustive searches.
 type ColdCompileResult struct {
 	Network             string  `json:"network"`
 	Array               string  `json:"array"`
@@ -185,8 +183,7 @@ type Report struct {
 	ColdCompile []ColdCompileResult `json:"cold_compile"`
 
 	// MaxTable1Reduction is the best candidates_exhaustive/candidates_costed
-	// ratio over the non-stress (Table-I) workloads; CI fails when it
-	// regresses toward parity.
+	// ratio over the non-stress (Table-I) workloads.
 	MaxTable1Reduction float64 `json:"max_table1_reduction"`
 }
 
@@ -334,7 +331,7 @@ func measure(ctx context.Context, w Workload, opts Options) (LayerResult, error)
 
 // coldCompile times the full compile pipeline for VGG-13 on the paper's
 // 512×512 array with a fresh engine per iteration — the server's cold
-// /v1/compile path — under the pruned and exhaustive searches.
+// /v1/compile path — under the default and exhaustive searches.
 func coldCompile(ctx context.Context, opts Options) (ColdCompileResult, error) {
 	net := model.VGG13()
 	a := core.Array{Rows: 512, Cols: 512}

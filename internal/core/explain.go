@@ -13,7 +13,10 @@ func (m Mapping) Explain() string {
 	l := m.Layer.Normalized()
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s mapping of %s onto a %s array\n", m.Scheme, l, m.Array)
+	// The equations use the per-group channel counts; label them so.
+	ic, oc := "IC", "OC"
 	if g := l.NumGroups(); g > 1 {
+		ic, oc = "ICg", "OCg"
 		fmt.Fprintf(&b, "  grouped conv: %d groups of ICg=%d -> OCg=%d channels, mapped per group\n",
 			g, l.ICg(), l.OCg())
 	}
@@ -22,10 +25,10 @@ func (m Mapping) Explain() string {
 		fmt.Fprintf(&b, "  window = kernel %s: one output position per cycle\n", m.PW)
 		fmt.Fprintf(&b, "  windows          = OutW x OutH = %d x %d = %d\n",
 			l.OutW(), l.OutH(), l.Windows())
-		fmt.Fprintf(&b, "  AR (eq.1, rows)  = ceil(K*K*IC / Rows) = ceil(%d/%d) = %d\n",
-			l.KernelRows(), m.Array.Rows, m.AR)
-		fmt.Fprintf(&b, "  AC (eq.1, cols)  = ceil(OC / Cols) = ceil(%d/%d) = %d\n",
-			l.OCg(), m.Array.Cols, m.AC)
+		fmt.Fprintf(&b, "  AR (eq.1, rows)  = ceil(K*K*%s / Rows) = ceil(%d/%d) = %d\n",
+			ic, l.KernelRows(), m.Array.Rows, m.AR)
+		fmt.Fprintf(&b, "  AC (eq.1, cols)  = ceil(%s / Cols) = ceil(%d/%d) = %d\n",
+			oc, l.OCg(), m.Array.Cols, m.AC)
 	case SchemeSMD:
 		fmt.Fprintf(&b, "  %d block-diagonal kernel copies (%d rows x %d cols)\n",
 			m.Dup, m.Dup*l.KernelRows(), m.Dup*l.OCg())
@@ -38,22 +41,22 @@ func (m Mapping) Explain() string {
 			m.NwW, m.NwH, m.Nw())
 		fmt.Fprintf(&b, "  N_PW (eq.3)      = ceil(%d/%d) x ceil(%d/%d) = %d\n",
 			l.OutW(), m.NwW, l.OutH(), m.NwH, m.NPW)
-		fmt.Fprintf(&b, "  AR (eq.1, rows)  = ceil(PW area * IC / Rows) = ceil(%d/%d) = %d\n",
-			m.PW.Area()*l.ICg(), m.Array.Rows, m.AR)
-		fmt.Fprintf(&b, "  AC (eq.1, cols)  = ceil(Nw * OC / Cols) = ceil(%d/%d) = %d\n",
-			m.Nw()*l.OCg(), m.Array.Cols, m.AC)
+		fmt.Fprintf(&b, "  AR (eq.1, rows)  = ceil(PW area * %s / Rows) = ceil(%d/%d) = %d\n",
+			ic, m.PW.Area()*l.ICg(), m.Array.Rows, m.AR)
+		fmt.Fprintf(&b, "  AC (eq.1, cols)  = ceil(Nw * %s / Cols) = ceil(%d/%d) = %d\n",
+			oc, m.Nw()*l.OCg(), m.Array.Cols, m.AC)
 	case SchemeVWSDK:
 		fmt.Fprintf(&b, "  variable parallel window %s with channel tiling\n", m.PW)
 		fmt.Fprintf(&b, "  Nw               = %dx%d = %d windows share the input patch\n",
 			m.NwW, m.NwH, m.Nw())
-		fmt.Fprintf(&b, "  ICt (eq.4)       = floor(Rows / PW area) = floor(%d/%d) = %d (capped at IC=%d)\n",
-			m.Array.Rows, m.PW.Area(), m.ICt, l.ICg())
-		fmt.Fprintf(&b, "  AR  (eq.5)       = ceil(IC / ICt) = ceil(%d/%d) = %d\n",
-			l.ICg(), m.ICt, m.AR)
-		fmt.Fprintf(&b, "  OCt (eq.6)       = floor(Cols / Nw) = floor(%d/%d) = %d (capped at OC=%d)\n",
-			m.Array.Cols, m.Nw(), m.OCt, l.OCg())
-		fmt.Fprintf(&b, "  AC  (eq.7)       = ceil(OC / OCt) = ceil(%d/%d) = %d\n",
-			l.OCg(), m.OCt, m.AC)
+		fmt.Fprintf(&b, "  ICt (eq.4)       = floor(Rows / PW area) = floor(%d/%d) = %d (capped at %s=%d)\n",
+			m.Array.Rows, m.PW.Area(), m.ICt, ic, l.ICg())
+		fmt.Fprintf(&b, "  AR  (eq.5)       = ceil(%s / ICt) = ceil(%d/%d) = %d\n",
+			ic, l.ICg(), m.ICt, m.AR)
+		fmt.Fprintf(&b, "  OCt (eq.6)       = floor(Cols / Nw) = floor(%d/%d) = %d (capped at %s=%d)\n",
+			m.Array.Cols, m.Nw(), m.OCt, oc, l.OCg())
+		fmt.Fprintf(&b, "  AC  (eq.7)       = ceil(%s / OCt) = ceil(%d/%d) = %d\n",
+			oc, l.OCg(), m.OCt, m.AC)
 		fmt.Fprintf(&b, "  N_PW (eq.3)      = ceil(%d/%d) x ceil(%d/%d) = %d\n",
 			l.OutW(), m.NwW, l.OutH(), m.NwH, m.NPW)
 	}

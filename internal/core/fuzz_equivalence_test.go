@@ -1,19 +1,21 @@
 package core
 
 import (
-	"context"
 	"reflect"
 	"testing"
 )
 
 // FuzzSearchEquivalence fuzzes random (layer, array) pairs through the
-// breakpoint-pruned and brute-force searches of every variant: Best and
-// Im2col must be identical field-for-field (cycles, PW, ICt, OCt and the
-// width-inner/height-outer first-strictly-better tie-break), the pruned
-// analytic Swept must equal the exhaustive feasible-candidate count, and the
-// class count can never exceed it. The gr byte selects the group structure:
-// 0 keeps the layer dense, 1 makes it depthwise (G == IC == OC, ICg == 1),
-// and 2..7 scale IC/OC into multiples of a proper group count. Run in CI
+// default and brute-force searches of every variant: Best and Im2col must be
+// identical field-for-field (cycles, PW, ICt, OCt and the
+// width-inner/height-outer first-strictly-better tie-break), the default
+// search's analytic Swept must equal the exhaustive feasible-candidate count,
+// and the class count can never exceed it. For VariantFull, checkClosedForm
+// also pins Evaluated to the cost-class count by definition, the closed-form
+// path and at most one cost-model call. The gr byte selects the group
+// structure: 0 keeps the layer dense, 1 makes it depthwise
+// (G == IC == OC, ICg == 1), and 2..7 scale IC/OC into multiples of a
+// proper group count. Run in CI
 // alongside the unit suite
 // (go test -fuzz FuzzSearchEquivalence -fuzztime 10s ./internal/core).
 func FuzzSearchEquivalence(f *testing.F) {
@@ -75,19 +77,8 @@ func FuzzSearchEquivalence(f *testing.F) {
 				t.Fatalf("%v %s %v: pruned costed %d classes > %d exhaustive candidates",
 					l, a, v, pruned.Evaluated, exh.Evaluated)
 			}
-			// VariantFull resolves through the closed-form/pruned router;
-			// additionally pin the whole Result against the pruned enumerator
-			// run explicitly, so the closed form (when eligible) is fuzzed
-			// against both references.
 			if v == VariantFull {
-				enum, err := searchVWSDKPruned(context.Background(), l.Normalized(), a, nil)
-				if err != nil {
-					t.Fatalf("%v %s: pruned enumerator: %v", l, a, err)
-				}
-				if !reflect.DeepEqual(pruned, enum) {
-					t.Fatalf("%v %s: auto search differs from pruned enumerator\nauto   %+v\npruned %+v",
-						l, a, pruned, enum)
-				}
+				checkClosedForm(t, l, a, pruned)
 			}
 		}
 	})

@@ -95,6 +95,15 @@ func TestGroupedExplain(t *testing.T) {
 	if !strings.Contains(out, "x 96 =") {
 		t.Errorf("grouped Explain missing xG cycles factor:\n%s", out)
 	}
+	// The per-group counts are labelled as such, never as the layer's IC/OC.
+	for _, want := range []string{"capped at ICg=1", "ceil(ICg / ICt) = ceil(1/1)", "capped at OCg=1"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("grouped Explain missing %q:\n%s", want, out)
+		}
+	}
+	if base := r.Im2col.Explain(); !strings.Contains(base, "ceil(K*K*ICg / Rows) = ceil(9/512)") {
+		t.Errorf("grouped im2col Explain mislabels K*K*ICg:\n%s", base)
+	}
 
 	d, err := SearchVWSDK(denseSlice(l), a)
 	if err != nil {

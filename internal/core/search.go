@@ -16,16 +16,16 @@ type Result struct {
 	// paper's speedups are Best vs Im2col.
 	Im2col Mapping
 
-	// Evaluated is the number of distinct cost classes actually costed by
-	// the search that produced this result (excluding the im2col seed). The
-	// default breakpoint-pruned searches cost one representative per
-	// constant-cycle run of candidate widths, so Evaluated ≤ Swept; the
-	// exhaustive sweeps cost every feasible candidate, so Evaluated == Swept.
+	// Evaluated is the number of distinct cost classes evaluated by the
+	// search that produced this result (excluding the im2col seed). The
+	// default searches evaluate one representative per constant-cycle run
+	// of candidate widths, so Evaluated ≤ Swept; the exhaustive sweeps cost
+	// every feasible candidate, so Evaluated == Swept.
 	Evaluated int
 
 	// Swept is the number of feasible candidate windows the exhaustive
 	// sweep costs for this (layer, array, search) — the legacy meaning of
-	// Evaluated. Pruned and exhaustive searches report the same Swept
+	// Evaluated. Default and exhaustive searches report the same Swept
 	// (computed analytically by the former), which differential tests pin.
 	Swept int
 }
@@ -49,12 +49,10 @@ func checkpoint(ctx context.Context) error { return ctx.Err() }
 // larger than the rows can hold even one channel, or more windows than
 // columns) are skipped.
 //
-// The default implementation routes by layer shape: dense, unit-stride
-// layers run the closed-form argmin search (search_closed.go), which
-// evaluates each constant-cycle cost class arithmetically and pays at most
-// one cost-model call to materialize the winner; every other shape runs the
-// breakpoint-pruned enumerator (search_pruned.go), which costs one
-// representative per class. Both are bit-identical — including the
+// Every layer shape — dense, grouped, depthwise, strided — runs the
+// closed-form argmin search (search_closed.go), which evaluates each
+// constant-cycle cost class arithmetically and pays at most one cost-model
+// call to materialize the winner. It is bit-identical — including the
 // first-strictly-better tie-break — to the brute-force sweep, which remains
 // available as SearchVWSDKExhaustive for differential and fuzz testing.
 //
@@ -68,14 +66,14 @@ func SearchVWSDK(l Layer, a Array) (Result, error) {
 // cancellation once per candidate row and returns ctx.Err() as soon as it
 // observes it, so an abandoned request stops burning CPU mid-search.
 func SearchVWSDKContext(ctx context.Context, l Layer, a Array) (Result, error) {
-	return searchVWSDKAuto(ctx, l.Normalized(), a, nil)
+	return searchVWSDKClosed(ctx, l.Normalized(), a, nil)
 }
 
 // SearchVWSDKExhaustive is the brute-force Algorithm 1 sweep: every
 // candidate window of the padded IFM is handed to the cost model —
 // O(PaddedW × PaddedH) candidates per layer. It returns exactly the same
 // Best and Im2col as SearchVWSDK (differential and fuzz tests pin this) and
-// exists as the reference the pruned search is validated against; use
+// exists as the reference the closed-form search is validated against; use
 // SearchVWSDK everywhere else.
 func SearchVWSDKExhaustive(l Layer, a Array) (Result, error) {
 	return searchVWSDKExhaustive(context.Background(), l.Normalized(), a)
@@ -260,9 +258,9 @@ func (v Variant) String() string {
 }
 
 // SearchVariant runs the VW-SDK search restricted to the given ablation
-// variant. VariantFull is identical to SearchVWSDK. Like SearchVWSDK, every
-// variant runs its breakpoint-pruned enumerator; SearchVariantExhaustive is
-// the brute-force reference.
+// variant. VariantFull is SearchVWSDK's closed-form search; the two ablated
+// variants run their breakpoint-pruned walks (search_pruned.go).
+// SearchVariantExhaustive is the brute-force reference.
 func SearchVariant(l Layer, a Array, v Variant) (Result, error) {
 	return SearchVariantContext(context.Background(), l, a, v)
 }
@@ -273,7 +271,7 @@ func SearchVariantContext(ctx context.Context, l Layer, a Array, v Variant) (Res
 	l = l.Normalized()
 	switch v {
 	case VariantFull:
-		return searchVWSDKAuto(ctx, l, a, nil)
+		return searchVWSDKClosed(ctx, l, a, nil)
 	case VariantSquareTiled:
 		return searchSquareTiledPruned(ctx, l, a)
 	case VariantRectFullChannel:

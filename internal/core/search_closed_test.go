@@ -2,99 +2,38 @@ package core
 
 import (
 	"context"
-	"reflect"
 	"testing"
 )
 
-// TestClosedFormRouting pins which layer shapes SearchVWSDK resolves with the
-// closed-form argmin search and which fall back to the pruned enumerator, so
-// a silent always-fallback regression (every layer quietly taking the slow
-// path) is caught, as is an over-eager closed form swallowing shapes its
-// derivation does not cover.
+// TestClosedFormRouting pins that SearchVWSDK resolves every layer shape —
+// dense, padded, rectangular, pointwise, strided, grouped and depthwise —
+// with the one closed-form walk (checkClosedForm), so no shape can silently
+// fall off onto a slower path.
 func TestClosedFormRouting(t *testing.T) {
 	tests := []struct {
-		name   string
-		layer  Layer
-		closed bool
+		name  string
+		layer Layer
 	}{
-		{"dense unit stride", Layer{IW: 32, IH: 32, KW: 3, KH: 3, IC: 64, OC: 64}, true},
-		{"dense padded", Layer{IW: 224, IH: 224, KW: 3, KH: 3, IC: 3, OC: 64, PadW: 1, PadH: 1}, true},
-		{"dense rect kernel", Layer{IW: 40, IH: 12, KW: 5, KH: 3, IC: 16, OC: 32}, true},
-		{"dense pointwise", Layer{IW: 14, IH: 14, KW: 1, KH: 1, IC: 96, OC: 576}, true},
-		{"explicit groups=1", Layer{IW: 32, IH: 32, KW: 3, KH: 3, IC: 64, OC: 64, Groups: 1}, true},
-		{"strided", Layer{IW: 224, IH: 224, KW: 7, KH: 7, IC: 3, OC: 64, StrideW: 2, StrideH: 2, PadW: 3, PadH: 3}, false},
-		{"strided one axis", Layer{IW: 40, IH: 12, KW: 5, KH: 3, IC: 16, OC: 32, StrideW: 1, StrideH: 2}, false},
-		{"grouped", Layer{IW: 56, IH: 56, KW: 3, KH: 3, IC: 128, OC: 128, Groups: 32, PadW: 1, PadH: 1}, false},
-		{"depthwise", Layer{IW: 112, IH: 112, KW: 3, KH: 3, IC: 32, OC: 32, Groups: 32, PadW: 1, PadH: 1}, false},
-		{"depthwise strided", Layer{IW: 56, IH: 56, KW: 3, KH: 3, IC: 144, OC: 144, Groups: 144, StrideW: 2, StrideH: 2, PadW: 1, PadH: 1}, false},
+		{"dense unit stride", Layer{IW: 32, IH: 32, KW: 3, KH: 3, IC: 64, OC: 64}},
+		{"dense padded", Layer{IW: 224, IH: 224, KW: 3, KH: 3, IC: 3, OC: 64, PadW: 1, PadH: 1}},
+		{"dense rect kernel", Layer{IW: 40, IH: 12, KW: 5, KH: 3, IC: 16, OC: 32}},
+		{"dense pointwise", Layer{IW: 14, IH: 14, KW: 1, KH: 1, IC: 96, OC: 576}},
+		{"explicit groups=1", Layer{IW: 32, IH: 32, KW: 3, KH: 3, IC: 64, OC: 64, Groups: 1}},
+		{"strided", Layer{IW: 224, IH: 224, KW: 7, KH: 7, IC: 3, OC: 64, StrideW: 2, StrideH: 2, PadW: 3, PadH: 3}},
+		{"strided one axis", Layer{IW: 40, IH: 12, KW: 5, KH: 3, IC: 16, OC: 32, StrideW: 1, StrideH: 2}},
+		{"grouped", Layer{IW: 56, IH: 56, KW: 3, KH: 3, IC: 128, OC: 128, Groups: 32, PadW: 1, PadH: 1}},
+		{"depthwise", Layer{IW: 112, IH: 112, KW: 3, KH: 3, IC: 32, OC: 32, Groups: 32, PadW: 1, PadH: 1}},
+		{"depthwise strided", Layer{IW: 56, IH: 56, KW: 3, KH: 3, IC: 144, OC: 144, Groups: 144, StrideW: 2, StrideH: 2, PadW: 1, PadH: 1}},
 	}
+	a := Array{Rows: 512, Cols: 512}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := ClosedFormEligible(tt.layer); got != tt.closed {
-				t.Errorf("ClosedFormEligible(%v) = %v, want %v", tt.layer, got, tt.closed)
-			}
-			_, st, err := SearchVWSDKInstrumented(context.Background(), tt.layer, Array{Rows: 512, Cols: 512})
+			res, err := SearchVWSDK(tt.layer, a)
 			if err != nil {
-				t.Fatalf("SearchVWSDKInstrumented: %v", err)
+				t.Fatal(err)
 			}
-			want := PathPruned
-			if tt.closed {
-				want = PathClosedForm
-			}
-			if st.Path != want {
-				t.Errorf("search path = %q, want %q", st.Path, want)
-			}
+			checkClosedForm(t, tt.layer, a, res)
 		})
-	}
-}
-
-// TestClosedFormMatchesPruned runs every eligible zoo shape through the
-// closed-form search, the pruned enumerator and the brute force, and requires
-// the whole Result — Best (with tie-breaks), Im2col, Evaluated, Swept — to be
-// bit-identical across all three, while the closed form pays at most one
-// cost-model call against the enumerator's one-per-class.
-func TestClosedFormMatchesPruned(t *testing.T) {
-	for _, a := range prunedTestArrays {
-		for _, l := range zooShapes() {
-			l := l.Normalized()
-			if !ClosedFormEligible(l) {
-				continue
-			}
-			var cst, pst SearchStats
-			closed, err := searchVWSDKClosed(context.Background(), l, a, &cst)
-			if err != nil {
-				t.Fatalf("%v %s: closed-form: %v", l, a, err)
-			}
-			pruned, err := searchVWSDKPruned(context.Background(), l, a, &pst)
-			if err != nil {
-				t.Fatalf("%v %s: pruned: %v", l, a, err)
-			}
-			if !reflect.DeepEqual(closed, pruned) {
-				t.Fatalf("%v %s: closed-form Result differs from pruned\nclosed %+v\npruned %+v",
-					l, a, closed, pruned)
-			}
-			exh, err := searchVWSDKExhaustive(context.Background(), l, a)
-			if err != nil {
-				t.Fatalf("%v %s: exhaustive: %v", l, a, err)
-			}
-			if !reflect.DeepEqual(closed.Best, exh.Best) {
-				t.Fatalf("%v %s: closed-form Best differs from exhaustive\nclosed     %+v\nexhaustive %+v",
-					l, a, closed.Best, exh.Best)
-			}
-			if cst.CostModelCalls > 1 {
-				t.Errorf("%v %s: closed-form paid %d cost-model calls, want ≤ 1", l, a, cst.CostModelCalls)
-			}
-			if pst.CostModelCalls != pruned.Evaluated {
-				t.Errorf("%v %s: pruned cost-model calls = %d, want Evaluated = %d",
-					l, a, pst.CostModelCalls, pruned.Evaluated)
-			}
-			// The acceptance criterion: strictly fewer cost-model evaluations
-			// on dense layers whenever the enumerator would cost >1 class.
-			if pruned.Evaluated > 1 && cst.CostModelCalls >= pst.CostModelCalls {
-				t.Errorf("%v %s: closed-form cost-model calls %d not < pruned %d",
-					l, a, cst.CostModelCalls, pst.CostModelCalls)
-			}
-		}
 	}
 }
 

@@ -5,146 +5,19 @@ import (
 	"errors"
 )
 
-// This file implements the breakpoint-pruned Algorithm 1 search that
-// SearchVWSDK and SearchVariant run by default. It exploits the structure of
-// eq. 8: for a fixed window height h, every term of the cycle count is a step
-// function of the window width w —
-//
-//	ICt  = min(floor(Rows/(w·h)), ICg)       (eq. 4) → AR = ceil(ICg/ICt)
-//	OCt  = min(floor(Cols/(NwW·NwH)), OCg)   (eq. 6) → AC = ceil(OCg/OCt)
-//	NPWw = ceil(OutW/NwW)                    (eq. 3)
-//
-// (ICg = IC/Groups and OCg = OC/Groups are the per-group channel counts;
-// dense layers have Groups == 1 so ICg == IC, OCg == OC. Grouping replaces
-// the caps with per-group floors and multiplies Cycles by the G-independent
-// constant Groups — the step-function structure in w is untouched, so the
-// class walk below needs no changes; DESIGN.md §7.)
-//
-// with NwW = floor((w-KW)/StrideW)+1 itself a step function of w. The cycle
-// count is therefore constant over maximal runs of w on which (ICt, OCt,
-// NPWw) are all constant — a "cost class". Because Algorithm 1 keeps the
-// *first strictly better* candidate in its width-inner/height-outer scan, the
-// winning candidate is always the first w of some class: every later member
-// of the class has exactly the same cycle count and cannot beat it under
-// strict <. The pruned search walks only class-start representatives, in scan
-// order, with the same strict-< update, and is therefore bit-identical to the
-// exhaustive sweep (pinned by differential and fuzz tests).
-//
-// Each of the three step functions contributes O(sqrt) many breakpoints per
-// row (the divisor-count structure of floor(N/x)), so a row of the padded IFM
-// costs O(√Rows + √Cols + √OutW) classes instead of O(PaddedW) candidates.
-// Infeasibility is monotone on both loop axes — once w·h > Rows or
-// NwW·NwH > Cols, no wider w can recover, and once the kernel-width window of
-// a row is infeasible no taller row can recover — so both loops early-exit
-// instead of skipping candidate-by-candidate.
-//
-// The derivation, and the tie-break-preservation argument, are written up in
-// DESIGN.md ("Breakpoint-pruned search").
-
-// searchVWSDKPruned is the breakpoint-pruned Algorithm 1. l must be
-// normalized. Result.Evaluated counts the cost classes actually costed;
-// Result.Swept counts the feasible candidates the exhaustive sweep costs
-// (the legacy Evaluated), computed analytically. The loop checks ctx once
-// per candidate row (the cooperative cancellation checkpoint). st, which
-// may be nil, accumulates one CostModelCalls per class costed.
-func searchVWSDKPruned(ctx context.Context, l Layer, a Array, st *SearchStats) (Result, error) {
-	base, err := Im2col(l, a)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Best: base, Im2col: base, Swept: sweptVWSDK(l, a)}
-	W, H := l.PaddedW(), l.PaddedH()
-	outW := l.OutW()
-	for h := l.KH; h <= H; h++ {
-		if err := checkpoint(ctx); err != nil {
-			return Result{}, err
-		}
-		// Monotone early-exit on the height axis: the narrowest window of
-		// this row is infeasible, and both causes only worsen with h.
-		if l.KW*h > a.Rows {
-			break
-		}
-		nwH := (h-l.KH)/l.StrideH + 1
-		if nwH > a.Cols {
-			break
-		}
-		w := l.KW
-		if h == l.KH {
-			w++ // the im2col seed covers the kernel-sized window
-		}
-		for w <= W {
-			// Monotone early-exit on the width axis.
-			if w*h > a.Rows {
-				break
-			}
-			nwW := (w-l.KW)/l.StrideW + 1
-			if nwW*nwH > a.Cols {
-				break
-			}
-			m, err := SweepVW(l, a, Window{W: w, H: h})
-			if err != nil {
-				// Unreachable: the two checks above are exactly SweepVW's
-				// feasibility conditions. Kept so a future cost-model change
-				// fails loudly instead of silently mis-pruning.
-				return Result{}, err
-			}
-			res.Evaluated++
-			if st != nil {
-				st.CostModelCalls++
-			}
-			if m.Cycles < res.Best.Cycles {
-				res.Best = m
-			}
-			w = vwClassEnd(l, a, h, w, m, outW) + 1
-		}
-	}
-	return res, nil
-}
-
-// vwClassEnd returns the largest width w' ≥ w (clamped to the padded IFM)
-// for which the candidate (w', h) has the same ICt, OCt and ceil(OutW/NwW) —
-// hence the same cycle count — as the costed representative m at width w.
-func vwClassEnd(l Layer, a Array, h, w int, m Mapping, outW int) int {
-	// ICt = min(floor(Rows/(w'·h)), ICg) stays == m.ICt while w'·h·ICt ≤ Rows
-	// (m.ICt already carries the per-group cap, so this holds for any Groups).
-	end := a.Rows / (h * m.ICt)
-	// OCt = min(floor(Cols/(NwW'·NwH)), OCg) stays == m.OCt while
-	// NwW'·NwH·OCt ≤ Cols.
-	nwWEnd := a.Cols / (m.NwH * m.OCt)
-	// ceil(OutW/NwW') stays == npwW while NwW' ≤ (OutW-1)/(npwW-1); for
-	// npwW == 1 it can never change again (NwW ≤ OutW always).
-	if npwW := ceilDiv(outW, m.NwW); npwW > 1 {
-		nwWEnd = min(nwWEnd, (outW-1)/(npwW-1))
-	}
-	// The largest w' whose window count along the width is still nwWEnd.
-	end = min(end, l.KW+nwWEnd*l.StrideW-1, l.PaddedW())
-	// Defensive: the bounds above are ≥ w by construction; never stall.
-	return max(end, w)
-}
-
-// sweptVWSDK counts, in O(PaddedH) time, the feasible candidates the
-// exhaustive Algorithm 1 sweep costs: for each row the feasible widths form
-// the contiguous range [KW, min(PaddedW, Rows/h, widest w with NwW·NwH ≤
-// Cols)], minus the kernel-sized seed in the first row.
-func sweptVWSDK(l Layer, a Array) int {
-	n := 0
-	for h := l.KH; h <= l.PaddedH(); h++ {
-		if l.KW*h > a.Rows {
-			break // no feasible width in this or any taller row
-		}
-		nwH := (h-l.KH)/l.StrideH + 1
-		if nwH > a.Cols {
-			break
-		}
-		// NwW ≤ Cols/(NwH) ⇔ w ≤ KW + floor(Cols/NwH)·StrideW − 1.
-		wMax := min(a.Rows/h, l.KW+(a.Cols/nwH)*l.StrideW-1, l.PaddedW())
-		n += wMax - l.KW + 1
-		if h == l.KH {
-			n-- // the kernel-sized seed is covered by im2col, never costed
-		}
-	}
-	return n
-}
+// This file holds the breakpoint-pruned walks of the two ablation variants
+// (DESIGN.md §5) and ExhaustiveCandidates. Like the VW-SDK search
+// (search_closed.go) they exploit the structure of eq. 8: for a fixed window
+// height h, every term of the cycle count is a step function of the window
+// width w, so the cycle count is constant over maximal runs of w — "cost
+// classes" — and Algorithm 1's first-strictly-better scan can only update at
+// a class's first w. The walks cost one representative per class, in scan
+// order, with the same strict-< update, and are therefore bit-identical to
+// the exhaustive sweeps (pinned by differential and fuzz tests).
+// Infeasibility is monotone on both loop axes, so both loops early-exit
+// instead of skipping candidate-by-candidate. Each walk pays one cost-model
+// call per class. The derivation and the tie-break argument are in
+// DESIGN.md §3.
 
 // searchSquareTiledPruned is the VariantSquareTiled search with monotone
 // early-exit: the window grows in both axes with d, so ICt = floor(Rows/area)

@@ -6,12 +6,15 @@ import (
 	"testing"
 )
 
-// prunedTestArrays are the acceptance arrays the pruned search is pinned
-// against the brute force on.
+// prunedTestArrays are the acceptance arrays the default searches are
+// pinned against the brute force on. On a square array the rows always bind
+// before the columns (NwH ≤ h), so the column-bound 1024x128 array is what
+// exercises a row's NwW·NwH ≤ Cols limit on strided layers.
 var prunedTestArrays = []Array{
 	{Rows: 256, Cols: 256},
 	{Rows: 512, Cols: 512},
 	{Rows: 1024, Cols: 1024},
+	{Rows: 1024, Cols: 128},
 }
 
 // zooShapes returns every distinct layer shape of the paper's Table I zoo
@@ -41,12 +44,59 @@ func zooShapes() []Layer {
 	return shapes
 }
 
-// TestPrunedMatchesExhaustiveZoo is the differential test the breakpoint
-// pruning rests on: on the full Table-I zoo (plus stride/padding/rectangular
-// exercisers), for every acceptance array and every variant, the pruned
-// search must return exactly the exhaustive sweep's Best and Im2col —
-// including the width-inner/height-outer first-strictly-better tie-break —
+// costClasses counts Algorithm 1's cost classes for l on a by their
+// definition (DESIGN.md §3.1), straight from the exhaustive sweep's
+// candidates: a row opens a class at its first costed width, and again
+// wherever (ICt, OCt, ⌈OutW/NwW⌉) differs from the previous feasible
+// candidate.
+func costClasses(l Layer, a Array) int {
+	l = l.Normalized()
+	n := 0
+	for h := l.KH; h <= l.PaddedH(); h++ {
+		var prev *Mapping
+		for w := l.KW; w <= l.PaddedW(); w++ {
+			if w == l.KW && h == l.KH {
+				continue // the im2col seed is never costed
+			}
+			m, err := SweepVW(l, a, Window{W: w, H: h})
+			if err != nil {
+				continue // infeasible
+			}
+			if prev == nil || m.ICt != prev.ICt || m.OCt != prev.OCt ||
+				ceilDiv(l.OutW(), m.NwW) != ceilDiv(l.OutW(), prev.NwW) {
+				n++
+			}
+			prev = &m
+		}
+	}
+	return n
+}
+
+// checkClosedForm pins what comparing Best against the brute force cannot:
+// the VW-SDK search res for l on a evaluated exactly the cost classes
+// costClasses counts, on the closed-form path, with at most one cost-model
+// call.
+func checkClosedForm(t *testing.T, l Layer, a Array, res Result) {
+	t.Helper()
+	if want := costClasses(l, a); res.Evaluated != want {
+		t.Errorf("%v %s: Evaluated = %d, want %d cost classes", l, a, res.Evaluated, want)
+	}
+	_, st, err := SearchVWSDKInstrumented(context.Background(), l, a)
+	if err != nil {
+		t.Fatalf("%v %s: SearchVWSDKInstrumented: %v", l, a, err)
+	}
+	if st.Path != PathClosedForm || st.CostModelCalls > 1 {
+		t.Errorf("%v %s: stats = %+v, want path %q with ≤ 1 cost-model call", l, a, st, PathClosedForm)
+	}
+}
+
+// TestPrunedMatchesExhaustiveZoo is the differential test the class walks
+// rest on: on the full Table-I zoo (plus stride/padding/rectangular and
+// grouped exercisers), for every acceptance array and every variant, the
+// default search must return exactly the exhaustive sweep's Best and Im2col
+// — including the width-inner/height-outer first-strictly-better tie-break —
 // and its analytic Swept must equal the candidates the brute force costed.
+// For VariantFull, checkClosedForm also pins Evaluated and the search path.
 func TestPrunedMatchesExhaustiveZoo(t *testing.T) {
 	variants := []Variant{VariantFull, VariantSquareTiled, VariantRectFullChannel}
 	for _, a := range prunedTestArrays {
@@ -74,6 +124,9 @@ func TestPrunedMatchesExhaustiveZoo(t *testing.T) {
 				if pruned.Evaluated > exh.Evaluated {
 					t.Errorf("%s/%s/%v: pruned costed %d classes > %d exhaustive candidates",
 						l.Name, a, v, pruned.Evaluated, exh.Evaluated)
+				}
+				if v == VariantFull {
+					checkClosedForm(t, l, a, pruned)
 				}
 			}
 		}

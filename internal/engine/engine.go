@@ -5,14 +5,15 @@
 // shapes heavily, and experiment sweeps re-cost the same pairs from scratch
 // otherwise.
 //
-// Each individual search runs the core package's breakpoint-pruned
-// enumerator (core.SearchVWSDK and friends), which generates candidate cost
-// classes on the fly instead of materializing and chunking the O(PaddedW ×
-// PaddedH) candidate slice the engine used to fan out; a search now costs a
-// few hundred candidates at most, so the worker pool's parallelism is spent
-// where it pays — across layers and sweep cells — and per-search allocations
-// shrink to the result itself. WithExhaustiveSearch switches an engine to
-// the brute-force core sweeps for differential testing and benchmarking.
+// Each individual search runs the core package's class walk
+// (core.SearchVWSDK and friends), which visits candidate cost classes on the
+// fly instead of materializing and chunking the O(PaddedW × PaddedH)
+// candidate slice the engine used to fan out; the VW-SDK search evaluates
+// the classes in closed form and pays at most one cost-model call, so the
+// worker pool's parallelism is spent where it pays — across layers and
+// sweep cells — and per-search allocations shrink to the result itself.
+// WithExhaustiveSearch switches an engine to the brute-force core sweeps for
+// differential testing and benchmarking.
 //
 // Every method is context-first: cancellation propagates into the worker
 // pool (a search waiting for a slot gives the slot up), into in-flight
@@ -158,8 +159,8 @@ type Stats struct {
 	CandidatesCosted uint64 `json:"candidates_costed"`
 
 	// CandidatesPruned counts the candidate windows the exhaustive sweeps
-	// would have costed for those same searches but the breakpoint-pruned
-	// enumerators skipped (core.ExhaustiveCandidates − Evaluated). Always 0
+	// would have costed for those same searches but the default class
+	// walks skipped (core.ExhaustiveCandidates − Evaluated). Always 0
 	// on a WithExhaustiveSearch engine and for the SDK/SMD baselines, which
 	// have no pruned/exhaustive split.
 	CandidatesPruned uint64 `json:"candidates_pruned"`
@@ -320,23 +321,19 @@ func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, compute 
 }
 
 // searchPath names the search implementation a computed result came from, for
-// span attribution: closed-form/pruned for the VW-SDK family (the same split
-// core.SearchStats reports), exhaustive on a WithExhaustiveSearch engine,
-// baseline for SDK/SMD.
+// span attribution: closed-form for the VW-SDK search (what core.SearchStats
+// reports), pruned for the ablated variants, exhaustive on a
+// WithExhaustiveSearch engine, baseline for SDK/SMD.
 func (e *Engine) searchPath(k cacheKey) string {
 	if e.exhaustive {
 		return "exhaustive"
 	}
 	switch k.kind {
 	case kindVWSDK:
-		if core.ClosedFormEligible(k.layer) {
-			return core.PathClosedForm
-		}
-		return core.PathPruned
+		return core.PathClosedForm
 	case kindVariant:
-		// Ablated variants always run their own pruned enumerators; the
-		// closed form is proven only for the full search (VariantFull keys
-		// are kindVWSDK).
+		// Ablated variants run their own pruned walks (VariantFull keys are
+		// kindVWSDK).
 		return core.PathPruned
 	default:
 		return "baseline"

@@ -99,11 +99,12 @@ func SDK(l Layer, a Array, pw Window) (Mapping, error) { return core.SDK(l, a, p
 // VW costs the paper's variable-window mapping for one window (eqs. 3–8).
 func VW(l Layer, a Array, pw Window) (Mapping, error) { return core.VW(l, a, pw) }
 
-// SearchVWSDK runs Algorithm 1: the optimal parallel-window search. The
-// default implementation walks only breakpoints of eq. 8's step functions
-// (O(√Rows + √Cols) cost classes per IFM row instead of O(PaddedW)
-// candidates) and is bit-identical to the brute-force sweep. It is the
-// context-free convenience form of SearchVWSDKContext.
+// SearchVWSDK runs Algorithm 1: the optimal parallel-window search. It walks
+// only breakpoints of eq. 8's step functions (O(√Rows + √Cols) cost classes
+// per IFM row instead of O(PaddedW) candidates), evaluates each class in
+// closed form, runs the cost model at most once, and is bit-identical to the
+// brute-force sweep for every layer shape. It is the context-free
+// convenience form of SearchVWSDKContext.
 func SearchVWSDK(l Layer, a Array) (SearchResult, error) { return core.SearchVWSDK(l, a) }
 
 // SearchVWSDKContext is SearchVWSDK under a caller context: the search loop
@@ -118,35 +119,27 @@ func SearchVWSDKContext(ctx context.Context, l Layer, a Array) (SearchResult, er
 // model. See core.SearchStats.
 type SearchStats = core.SearchStats
 
-// Search implementation paths reported in SearchStats.Path.
-const (
-	SearchPathClosedForm = core.PathClosedForm
-	SearchPathPruned     = core.PathPruned
-)
-
-// ClosedFormEligible reports whether layer l is served by the closed-form
-// argmin search (dense, unit strides; DESIGN.md §8) rather than the
-// breakpoint-pruned enumerator. Both paths return bit-identical results;
-// this only predicts which one SearchVWSDK runs.
-func ClosedFormEligible(l Layer) bool { return core.ClosedFormEligible(l) }
+// SearchPathClosedForm is the SearchStats.Path every VW-SDK search reports
+// (DESIGN.md §8).
+const SearchPathClosedForm = core.PathClosedForm
 
 // SearchVWSDKInstrumented is SearchVWSDKContext plus execution statistics:
 // the same Result, and a SearchStats reporting the path taken and the number
-// of full cost-model evaluations.
+// of full cost-model evaluations (at most one).
 func SearchVWSDKInstrumented(ctx context.Context, l Layer, a Array) (SearchResult, SearchStats, error) {
 	return core.SearchVWSDKInstrumented(ctx, l, a)
 }
 
 // SearchVWSDKExhaustive runs the brute-force Algorithm 1 sweep — the
-// reference the pruned default is differentially tested against. It returns
-// the same Best and Im2col as SearchVWSDK.
+// reference the closed-form default is differentially tested against. It
+// returns the same Best and Im2col as SearchVWSDK.
 func SearchVWSDKExhaustive(l Layer, a Array) (SearchResult, error) {
 	return core.SearchVWSDKExhaustive(l, a)
 }
 
 // ExhaustiveSearchCandidates returns the number of candidate windows the
 // brute-force search for variant v would hand to the cost model for layer l
-// (the candidates the pruned search avoids).
+// (the candidates the default searches avoid).
 func ExhaustiveSearchCandidates(l Layer, v Variant) int64 {
 	return core.ExhaustiveCandidates(l, v)
 }
@@ -157,8 +150,8 @@ func SearchSDK(l Layer, a Array) (SearchResult, error) { return core.SearchSDK(l
 // SearchSMD runs the sub-matrix-duplication baseline search.
 func SearchSMD(l Layer, a Array) (SearchResult, error) { return core.SearchSMD(l, a) }
 
-// SearchVariant runs an ablated VW-SDK search (breakpoint-pruned, like
-// SearchVWSDK).
+// SearchVariant runs an ablated VW-SDK search: VariantFull is SearchVWSDK,
+// the ablated variants run breakpoint-pruned walks.
 func SearchVariant(l Layer, a Array, v Variant) (SearchResult, error) {
 	return core.SearchVariant(l, a, v)
 }
@@ -314,8 +307,8 @@ func SerialSearcher() Searcher { return core.Serial{} }
 func ExhaustiveSearcher() Searcher { return core.Exhaustive{} }
 
 // Engine is a concurrent, memoizing search engine: per-layer searches and
-// batch-sweep cells fan across a worker pool (each individual search runs
-// the breakpoint-pruned enumerator), and repeated (layer shape, array,
+// batch-sweep cells fan across a worker pool (each individual search walks
+// only cost-class breakpoints), and repeated (layer shape, array,
 // search) combinations are served from an LRU cache. Results are
 // bit-identical to the serial searches. See engine.Engine.
 type Engine = engine.Engine
