@@ -51,9 +51,10 @@ func (Serial) SearchNetwork(ctx context.Context, layers []Layer, a Array) (Netwo
 
 // Exhaustive is the Searcher backed by the brute-force sweeps
 // (SearchVWSDKExhaustive / SearchVariantExhaustive): the reference the
-// breakpoint-pruned default is differentially tested and benchmarked
-// against. The baseline searches (SDK, SMD) have no pruned/exhaustive split
-// and are shared with Serial. The zero value is ready to use.
+// default closed-form search (and the ablated variants' own walks) is
+// differentially tested and benchmarked against. The baseline searches
+// (SDK, SMD) have no default/exhaustive split and are shared with Serial.
+// The zero value is ready to use.
 type Exhaustive struct{}
 
 // SearchVWSDK runs the brute-force Algorithm 1 sweep.

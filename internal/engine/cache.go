@@ -1,12 +1,6 @@
 package engine
 
-import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/core"
-)
+import "repro/internal/core"
 
 // searchKind discriminates the cached search families. Variant searches are
 // keyed by the variant itself; VariantFull shares the VW-SDK entry because
@@ -38,84 +32,4 @@ func newCacheKey(l core.Layer, a core.Array, kind searchKind, v core.Variant) ca
 	l = l.Normalized()
 	l.Name = ""
 	return cacheKey{layer: l, array: a, kind: kind, variant: v}
-}
-
-// resultCache is a mutex-protected LRU of search results. Stored results
-// have their layer names cleared; Engine re-stamps the caller's name on hit.
-type resultCache struct {
-	mu    sync.Mutex
-	cap   int
-	order *list.List // front = most recently used; values are *cacheEntry
-	items map[cacheKey]*list.Element
-
-	evictions atomic.Uint64 // results dropped to respect cap
-}
-
-type cacheEntry struct {
-	key cacheKey
-	res core.Result
-}
-
-func newResultCache(capacity int) *resultCache {
-	if capacity <= 0 {
-		return nil
-	}
-	return &resultCache{
-		cap:   capacity,
-		order: list.New(),
-		items: make(map[cacheKey]*list.Element, capacity),
-	}
-}
-
-func (c *resultCache) get(k cacheKey) (core.Result, bool) {
-	if c == nil {
-		return core.Result{}, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[k]
-	if !ok {
-		return core.Result{}, false
-	}
-	c.order.MoveToFront(el)
-	return el.Value.(*cacheEntry).res, true
-}
-
-func (c *resultCache) put(k cacheKey, res core.Result) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[k]; ok {
-		el.Value.(*cacheEntry).res = res
-		c.order.MoveToFront(el)
-		return
-	}
-	c.items[k] = c.order.PushFront(&cacheEntry{key: k, res: res})
-	for c.order.Len() > c.cap {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.items, oldest.Value.(*cacheEntry).key)
-		c.evictions.Add(1)
-	}
-}
-
-// evicted reports how many results have been dropped to respect the
-// capacity.
-func (c *resultCache) evicted() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.evictions.Load()
-}
-
-// len reports the number of cached results (for tests and stats).
-func (c *resultCache) len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.order.Len()
 }

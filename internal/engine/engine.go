@@ -1,9 +1,10 @@
 // Package engine is the concurrent, memoizing front end to the core mapping
 // searches: it fans per-layer searches and batch-sweep cells across a
 // bounded worker pool and dedupes repeated (layer shape, array, search)
-// combinations through an LRU result cache — ResNet and VGG repeat layer
-// shapes heavily, and experiment sweeps re-cost the same pairs from scratch
-// otherwise.
+// combinations through a memo.Cache — an LRU of results plus singleflight
+// coalescing of identical in-flight searches — because ResNet and VGG
+// repeat layer shapes heavily, and experiment sweeps re-cost the same pairs
+// from scratch otherwise.
 //
 // Each individual search runs the core package's class walk
 // (core.SearchVWSDK and friends), which visits candidate cost classes on the
@@ -33,10 +34,10 @@ package engine
 import (
 	"context"
 	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/memo"
 	"repro/internal/obs"
 )
 
@@ -46,11 +47,8 @@ type Engine struct {
 	workers    int
 	cacheCap   int
 	exhaustive bool
-	sem        chan struct{} // bounds concurrently running searches
-	cache      *resultCache
-
-	mu     sync.Mutex
-	flight map[cacheKey]*call // in-flight searches, for duplicate suppression
+	sem        chan struct{}                      // bounds concurrently running searches
+	cache      *memo.Cache[cacheKey, core.Result] // name-cleared results
 
 	// sweepCellHook, when non-nil, observes every sweep cell index just
 	// before its dispatch check. Tests use it to cancel a context at a
@@ -58,19 +56,9 @@ type Engine struct {
 	sweepCellHook func(i int)
 
 	searches atomic.Uint64
-	hits     atomic.Uint64
-	misses   atomic.Uint64
-	dedupes  atomic.Uint64
 	costed   atomic.Uint64
 	pruned   atomic.Uint64
 	running  atomic.Int64 // searches currently holding a worker-pool slot
-}
-
-// call is one in-flight search; waiters block on done and read res/err.
-type call struct {
-	done chan struct{}
-	res  core.Result
-	err  error
 }
 
 // Option configures an Engine.
@@ -90,7 +78,8 @@ func WithCacheSize(n int) Option {
 
 // WithExhaustiveSearch routes the engine's VW-SDK and variant searches
 // through the brute-force core sweeps (core.SearchVWSDKExhaustive /
-// core.SearchVariantExhaustive) instead of the breakpoint-pruned default.
+// core.SearchVariantExhaustive) instead of the default class walks — the
+// closed-form VW-SDK search and the ablated variants' own walks.
 // Results are bit-identical either way; the option exists so differential
 // tests and cmd/vwsdkbench can compare the two paths under the same caching
 // and concurrency.
@@ -116,8 +105,7 @@ func New(opts ...Option) *Engine {
 		e.cacheCap = defaultCacheSize
 	}
 	e.sem = make(chan struct{}, e.workers)
-	e.cache = newResultCache(e.cacheCap)
-	e.flight = make(map[cacheKey]*call)
+	e.cache = memo.New[cacheKey, core.Result](e.cacheCap)
 	return e
 }
 
@@ -172,13 +160,14 @@ type Stats struct {
 
 // Stats returns a snapshot of the engine's counters.
 func (e *Engine) Stats() Stats {
+	c := e.cache.Stats()
 	return Stats{
 		Searches:         e.searches.Load(),
-		CacheHits:        e.hits.Load(),
-		CacheMisses:      e.misses.Load(),
-		FlightDedupes:    e.dedupes.Load(),
-		Evictions:        e.cache.evicted(),
-		CachedResults:    e.cache.len(),
+		CacheHits:        c.Hits,
+		CacheMisses:      c.Misses,
+		FlightDedupes:    c.Dedupes,
+		Evictions:        c.Evictions,
+		CachedResults:    c.Entries,
 		CandidatesCosted: e.costed.Load(),
 		CandidatesPruned: e.pruned.Load(),
 		InFlightSearches: e.running.Load(),
@@ -246,79 +235,37 @@ func (e *Engine) SearchNetworkVariant(ctx context.Context, layers []core.Layer, 
 	return core.SearchNetworkWith(ctx, layers, a, search)
 }
 
-// memoized serves one search through the cache and in-flight duplicate
-// suppression. compute runs the underlying algorithm with the caller's
-// original layer (so computed results and errors are exactly the serial
-// ones); the cached copy is stored name-cleared and re-stamped per caller.
-// A waiter abandons an in-flight join when its own context is cancelled, and
-// a cancelled computation is reported to the leader without being cached.
-func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, compute func(context.Context) (core.Result, error)) (core.Result, error) {
+// memoized serves one search through the memo cache. search runs the
+// underlying algorithm with the caller's original layer, so an error is
+// exactly the serial one; results are stored name-cleared and re-stamped
+// with the caller's name, which reproduces the serial result because a
+// search stamps the layer's name on both of its mappings. Everything the
+// engine adds to a computation — candidate counting and the span's path
+// attributes — runs inside the compute closure, so it happens exactly once
+// per search actually run, failed-leader retries included.
+func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, search func(context.Context) (core.Result, error)) (core.Result, error) {
 	ctx, sp := obs.Start(ctx, "engine.search")
 	defer sp.End()
 	sp.SetStr("layer", name)
 	e.searches.Add(1)
-	if res, ok := e.cache.get(k); ok {
-		e.hits.Add(1)
-		sp.SetStr("outcome", "hit")
-		return renamed(res, name), nil
-	}
-	e.mu.Lock()
-	if c, ok := e.flight[k]; ok {
-		e.mu.Unlock()
-		e.dedupes.Add(1)
-		sp.SetStr("outcome", "coalesced")
-		select {
-		case <-c.done:
-		case <-ctx.Done():
-			// The waiter's own caller is gone; the leader keeps running for
-			// everyone else.
-			return core.Result{}, ctx.Err()
+	res, outcome, err := e.cache.Do(ctx, k, func() (core.Result, error) {
+		r, err := search(ctx)
+		if err != nil {
+			return r, err
 		}
-		if c.err != nil {
-			// The leader's error message names the leader's layer (or the
-			// leader was cancelled, which must not fail this caller);
-			// recompute so this caller gets exactly the serial outcome for
-			// its own inputs. The duplicated work is negligible — search
-			// errors fail fast in input validation.
-			e.misses.Add(1)
-			res, err := compute(ctx)
-			if err == nil {
-				sp.SetStr("path", e.searchPath(k)).SetInt("candidates", int64(res.Evaluated))
-			}
-			return res, err
-		}
-		e.hits.Add(1)
-		return renamed(c.res, name), nil
+		e.countCandidates(k, r)
+		sp.SetStr("path", e.searchPath(k)).SetInt("candidates", int64(r.Evaluated))
+		return anonymized(r), nil
+	})
+	sp.SetStr("outcome", spanOutcome[outcome])
+	if err != nil {
+		return res, err
 	}
-	// Re-check the cache under the lock: a search that finished between the
-	// lock-free lookup above and Lock() has already left the flight map, and
-	// recomputing it here would duplicate the full sweep.
-	if res, ok := e.cache.get(k); ok {
-		e.mu.Unlock()
-		e.hits.Add(1)
-		sp.SetStr("outcome", "hit")
-		return renamed(res, name), nil
-	}
-	c := &call{done: make(chan struct{})}
-	e.flight[k] = c
-	e.mu.Unlock()
-
-	e.misses.Add(1)
-	sp.SetStr("outcome", "miss")
-	res, err := compute(ctx)
-	if err == nil {
-		e.countCandidates(k, res)
-		sp.SetStr("path", e.searchPath(k)).SetInt("candidates", int64(res.Evaluated))
-		c.res = anonymized(res)
-		e.cache.put(k, c.res)
-	}
-	c.err = err
-	e.mu.Lock()
-	delete(e.flight, k)
-	e.mu.Unlock()
-	close(c.done)
-	return res, err
+	return renamed(res, name), nil
 }
+
+// spanOutcome names each memo outcome on the engine.search span.
+var spanOutcome = [...]string{memo.Computed: "miss", memo.Hit: "hit", memo.Joined: "coalesced"}
 
 // searchPath names the search implementation a computed result came from, for
 // span attribution: closed-form for the VW-SDK search (what core.SearchStats

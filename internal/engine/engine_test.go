@@ -241,14 +241,9 @@ func TestEngineFlightDedupeCounter(t *testing.T) {
 		_, err := e.SearchVWSDK(bg, l, a)
 		leaderErr <- err
 	}()
-	// Wait until the leader is registered in flight.
-	for {
-		e.mu.Lock()
-		n := len(e.flight)
-		e.mu.Unlock()
-		if n == 1 {
-			break
-		}
+	// Wait until the leader is registered in flight: its miss is counted
+	// right after it registers, before it runs the search.
+	for e.Stats().CacheMisses == 0 {
 		runtime.Gosched()
 	}
 	waiterErr := make(chan error, 1)

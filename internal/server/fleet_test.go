@@ -413,10 +413,10 @@ func TestFleetSingleflightAcrossProxyHop(t *testing.T) {
 	// Exactly one compilation fleet-wide: the owner compiled once (its
 	// SearchStats counts per-layer searches, so compare plan-cache misses),
 	// and the client never computed.
-	if got := servers[owner].plans.misses.Load(); got != 1 {
+	if got := servers[owner].Stats().PlanCache.Misses; got != 1 {
 		t.Errorf("owner plan-cache misses = %d, want 1 (herd must coalesce across the hop)", got)
 	}
-	if got := servers[client].plans.misses.Load(); got != 1 {
+	if got := servers[client].Stats().PlanCache.Misses; got != 1 {
 		t.Errorf("client plan-cache misses = %d, want 1 (one proxying leader)", got)
 	}
 	if got := servers[client].Engine().Stats().Searches; got != 0 {

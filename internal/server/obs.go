@@ -139,7 +139,7 @@ var metricTable = []metricRow{
 		read: func(st *Stats) float64 { return float64(st.Engine.Evictions) }},
 	{name: "vwsdk_engine_candidates_costed_total", help: "Candidate windows handed to the cost model.",
 		read: func(st *Stats) float64 { return float64(st.Engine.CandidatesCosted) }},
-	{name: "vwsdk_engine_candidates_pruned_total", help: "Candidate windows skipped by the pruned enumerators.",
+	{name: "vwsdk_engine_candidates_pruned_total", help: "Candidate windows the exhaustive sweeps would cost but the closed-form search skipped.",
 		read: func(st *Stats) float64 { return float64(st.Engine.CandidatesPruned) }},
 	{name: "vwsdk_engine_searches_in_flight", help: "Searches currently holding a worker-pool slot.", gauge: true,
 		read: func(st *Stats) float64 { return float64(st.Engine.InFlightSearches) }},

@@ -8,7 +8,9 @@
 // per-layer result cache, a whole-plan LRU cache keyed on the canonical
 // compile.Request (compile.Key) with singleflight coalescing: N identical
 // concurrent requests run exactly one compilation and share its serialized
-// bytes. Compilations are bounded by a semaphore with a configurable wait
+// bytes. Both caches are a memo.Cache, so the plan cache follows the
+// engine's rules for hits, joins, failed-leader retries and counters.
+// Compilations are bounded by a semaphore with a configurable wait
 // queue, and sweep streams by their own same-sized semaphore; requests
 // beyond the limits are rejected with 503 instead of piling up. Request
 // bodies are size-limited and every error — including 404s and 405s — is
@@ -62,6 +64,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/memo"
 	"repro/internal/model"
 	"repro/internal/obs"
 	"repro/internal/optimize"
@@ -142,7 +145,7 @@ const (
 type Server struct {
 	eng     *engine.Engine
 	comp    *compile.Compiler
-	plans   *planCache
+	plans   *memo.Cache[string, *planEntry] // keyed on compile.Key
 	jobs    *jobSet
 	logger  *log.Logger
 	maxBody int64
@@ -208,7 +211,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		eng:      cfg.Engine,
 		comp:     compile.New(searcher),
-		plans:    newPlanCache(cfg.PlanCacheSize),
+		plans:    memo.New[string, *planEntry](cfg.PlanCacheSize),
 		store:    cfg.Store,
 		peers:    cfg.Peers,
 		jobs:     newJobSet(cfg.JobTTL, cfg.MaxJobs),
@@ -384,13 +387,15 @@ func (s *Server) acquire(ctx context.Context, block bool) error {
 
 func (s *Server) release() { <-s.sem }
 
-// compilePlan serves one compilation through the plan cache with
-// singleflight coalescing, entirely under ctx: waiting for admission,
-// joining an in-flight compilation and the search loops themselves all
-// abort when ctx ends. block selects the sweep-cell/job admission policy
-// (wait indefinitely) over the compile-endpoint one (bounded queue, 503).
-// hop marks a request already proxied by a peer, which must be answered
-// locally (never re-proxied). The returned entry is shared and must not be
+// compilePlan serves one compilation through the plan cache (a memo.Cache:
+// LRU plus singleflight coalescing), entirely under ctx: waiting for
+// admission, joining an in-flight compilation and the search loops
+// themselves all abort when ctx ends. block selects the sweep-cell/job
+// admission policy (wait indefinitely) over the compile-endpoint one
+// (bounded queue, 503). hop marks a request already proxied by a peer,
+// which must be answered locally (never re-proxied). The bool reports
+// whether the entry was served without running the fill below (an LRU hit
+// or a coalesced join). The returned entry is shared and must not be
 // mutated.
 //
 // A miss fills through the cache tiers in cost order, all inside the
@@ -414,7 +419,7 @@ func (s *Server) release() { <-s.sem }
 // compile through its "handler" phase. Store and peer fills carry no
 // provenance — the search they avoid is exactly the part worth tracing.
 func (s *Server) compilePlan(ctx context.Context, key string, req compile.Request, block, hop bool) (*planEntry, bool, error) {
-	return s.plans.do(ctx, key, func() (*planEntry, error) {
+	entry, outcome, err := s.plans.Do(ctx, key, func() (*planEntry, error) {
 		if s.store != nil {
 			if data, plan, ok := s.store.GetPlan(key); ok {
 				return &planEntry{plan: plan, data: data, source: sourceStore}, nil
@@ -455,6 +460,7 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 		}
 		return &planEntry{plan: p, data: buf.Bytes(), trace: prov.Tree(), phases: prov.Phases()}, nil
 	})
+	return entry, outcome != memo.Computed, err
 }
 
 // fetchFromPeer tries to fill a miss from the key's owning peer. It returns
@@ -581,7 +587,7 @@ func (s *Server) cachedEntry(req compile.Request) (*planEntry, error) {
 		return nil, err
 	}
 	*bp = buf // keep the grown capacity
-	entry := s.plans.hit(buf)
+	entry, _ := memo.Lookup(s.plans, buf)
 	keyBufPool.Put(bp)
 	return entry, nil
 }
@@ -837,7 +843,7 @@ func (s *Server) Stats() Stats {
 			Rejected:  s.rejected.Load(),
 			LatencyMs: Histogram{UpperBoundsMs: bounds, Counts: counts},
 		},
-		PlanCache: s.plans.stats(),
+		PlanCache: s.plans.Stats(),
 		Jobs:      s.jobs.stats(),
 		Optimize: OptimizeStats{
 			Runs:            s.optRuns.Load(),

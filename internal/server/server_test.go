@@ -18,6 +18,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/memo"
 	"repro/internal/model"
 )
 
@@ -451,7 +452,7 @@ func TestSweepOptionsVariantApplies(t *testing.T) {
 // flight whose leader fails (e.g. the leader's client hung up) runs its own
 // compute instead of inheriting the leader's private error.
 func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
-	c := newPlanCache(4)
+	c := New(Config{PlanCacheSize: 4}).plans
 	leaderIn := make(chan struct{})
 	joinerJoined := make(chan struct{})
 	leaderErr := fmt.Errorf("leader's client hung up")
@@ -463,25 +464,25 @@ func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
 	}
 	leaderDone := make(chan outcome, 1)
 	go func() {
-		e, hit, err := c.do(context.Background(), "k", func() (*planEntry, error) {
+		e, out, err := c.Do(context.Background(), "k", func() (*planEntry, error) {
 			close(leaderIn)
 			<-joinerJoined
 			return nil, leaderErr
 		})
-		leaderDone <- outcome{e, hit, err}
+		leaderDone <- outcome{e, out != memo.Computed, err}
 	}()
 
 	<-leaderIn
 	joinerDone := make(chan outcome, 1)
 	go func() {
-		e, hit, err := c.do(context.Background(), "k", func() (*planEntry, error) {
+		e, out, err := c.Do(context.Background(), "k", func() (*planEntry, error) {
 			return &planEntry{plan: &compile.NetworkPlan{}, data: []byte("joiner bytes")}, nil
 		})
-		joinerDone <- outcome{e, hit, err}
+		joinerDone <- outcome{e, out != memo.Computed, err}
 	}()
 	// The joiner is coalesced once the dedupe counter moves; only then may
 	// the leader fail.
-	for c.stats().Dedupes == 0 {
+	for c.Stats().Dedupes == 0 {
 		time.Sleep(time.Millisecond)
 	}
 	close(joinerJoined)
@@ -497,11 +498,11 @@ func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
 		t.Fatalf("joiner outcome %+v, want its own computed entry", got)
 	}
 	// The joiner's successful retry is cached for later requests.
-	if e, hit, err := c.do(context.Background(), "k", func() (*planEntry, error) {
+	if e, out, err := c.Do(context.Background(), "k", func() (*planEntry, error) {
 		t.Fatal("cached key recomputed")
 		return nil, nil
-	}); err != nil || !hit || string(e.data) != "joiner bytes" {
-		t.Fatalf("follow-up not served from cache: hit=%v err=%v", hit, err)
+	}); err != nil || out != memo.Hit || string(e.data) != "joiner bytes" {
+		t.Fatalf("follow-up not served from cache: outcome=%v err=%v", out, err)
 	}
 }
 

@@ -303,7 +303,8 @@ type Searcher = core.Searcher
 func SerialSearcher() Searcher { return core.Serial{} }
 
 // ExhaustiveSearcher returns the Searcher backed by the brute-force sweeps,
-// for differential testing and benchmarking against the pruned default.
+// for differential testing and benchmarking against the default closed-form
+// search.
 func ExhaustiveSearcher() Searcher { return core.Exhaustive{} }
 
 // Engine is a concurrent, memoizing search engine: per-layer searches and
@@ -328,8 +329,9 @@ func WithWorkers(n int) EngineOption { return engine.WithWorkers(n) }
 func WithCacheSize(n int) EngineOption { return engine.WithCacheSize(n) }
 
 // WithExhaustiveSearch routes an engine's VW-SDK and variant searches
-// through the brute-force sweeps instead of the breakpoint-pruned default,
-// for differential testing and benchmarking.
+// through the brute-force sweeps instead of the default closed-form search
+// (and the ablated variants' own walks), for differential testing and
+// benchmarking.
 func WithExhaustiveSearch() EngineOption { return engine.WithExhaustiveSearch() }
 
 // SearchNetworkParallel optimizes every layer through a fresh engine —
