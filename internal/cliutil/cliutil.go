@@ -3,7 +3,10 @@
 package cliutil
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -238,6 +241,42 @@ func ParseArray(s string) (core.Array, error) {
 		return core.Array{}, err
 	}
 	return a, nil
+}
+
+// ParseArrayRef parses a JSON array reference: a string in ParseArray's
+// form ("RowsxCols" or a square "512") or a {"rows", "cols"} object. It is
+// the one parser for every wire field that names an array: /v1/compile's
+// "array", /v1/sweep's "arrays" and a design space's "arrays".
+func ParseArrayRef(raw json.RawMessage) (core.Array, error) {
+	trimmed := bytes.TrimSpace(raw)
+	if len(trimmed) == 0 {
+		return core.Array{}, errors.New(`missing "array": give "RowsxCols" or {"rows", "cols"}`)
+	}
+	switch trimmed[0] {
+	case '"':
+		var spec string
+		if err := json.Unmarshal(trimmed, &spec); err != nil {
+			return core.Array{}, fmt.Errorf("parse array: %w", err)
+		}
+		return ParseArray(spec)
+	case '{':
+		var obj struct {
+			Rows int `json:"rows"`
+			Cols int `json:"cols"`
+		}
+		dec := json.NewDecoder(bytes.NewReader(trimmed))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&obj); err != nil {
+			return core.Array{}, fmt.Errorf("parse array: %w", err)
+		}
+		a := core.Array{Rows: obj.Rows, Cols: obj.Cols}
+		if err := a.Validate(); err != nil {
+			return core.Array{}, err
+		}
+		return a, nil
+	default:
+		return core.Array{}, errors.New(`array must be a "RowsxCols" string or a {"rows", "cols"} object`)
+	}
 }
 
 // LayerFlags collects the per-layer flag values the tools share.

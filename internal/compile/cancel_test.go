@@ -32,6 +32,21 @@ func TestCompileCancelled(t *testing.T) {
 	}
 }
 
+// TestCompileCancelledStartsNoSearch pins the dispatch checkpoint: a compile
+// under an already-cancelled context starts no layer, so the engine serves
+// no search at all.
+func TestCompileCancelledStartsNoSearch(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	eng := engine.New()
+	if _, err := New(eng).Compile(ctx, NewRequest(model.VGG13(), array512, Options{})); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if st := eng.Stats(); st.Searches != 0 {
+		t.Errorf("cancelled compile started %d searches, want 0", st.Searches)
+	}
+}
+
 // TestCompileCancelledAllSchemes covers the scheme dispatch: every scheme —
 // including Im2col, which runs no search loop — observes the cancel.
 func TestCompileCancelledAllSchemes(t *testing.T) {

@@ -13,10 +13,11 @@
 // energy.EstimateLayers path the experiments, CLIs and examples previously
 // stitched together themselves.
 //
-// The stages run as a pipeline: layer searches fan out through the
-// compiler's Searcher (normally the concurrent, memoizing engine), and
-// scheduling, energy estimation and physical planning stream per layer as
-// each search completes — layer i's schedule is built while layer j is still
+// The stages run as a pipeline: layers fan out through fanout.Each on at
+// most GOMAXPROCS workers, each layer's search goes through the compiler's
+// Searcher (normally the concurrent, memoizing engine), and scheduling,
+// energy estimation and physical planning run per layer as soon as its
+// search completes — layer i's schedule is built while layer j is still
 // searching. Options selects the mapping scheme, the VW-SDK ablation
 // variant, the chip size and the peripheral model, so one Compile call
 // covers every ablation the repository evaluates.
@@ -32,12 +33,13 @@ package compile
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
 
 	"repro/internal/chip"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/engine"
+	"repro/internal/fanout"
 	"repro/internal/mapping"
 	"repro/internal/model"
 	"repro/internal/obs"
@@ -301,14 +303,16 @@ func (c *Compiler) compileLayer(ctx context.Context, cl model.ConvLayer, a core.
 }
 
 // Compile compiles req.Network for req.Array under req.Options. Layer
-// pipelines run concurrently (searches fan out through the compiler's
-// searcher; scheduling, energy and planning stream per layer as searches
-// complete); results are returned in layer order and the first error in
-// layer order wins.
+// pipelines run through fanout.Each on at most GOMAXPROCS workers, inline
+// when there is one worker or one layer; each worker runs a layer's search
+// and then its schedule, energy and plan before it takes the next layer.
+// Results are returned in layer order and the first error in layer order
+// wins.
 //
-// Cancelling ctx aborts the compilation: every in-flight layer search stops
-// at its next cancellation checkpoint and Compile returns an error wrapping
-// ctx.Err(). No partial plan is returned.
+// Cancelling ctx aborts the compilation: no layer not yet started is
+// started, every in-flight layer search stops at its next cancellation
+// checkpoint, and Compile returns an error wrapping ctx.Err(). No partial
+// plan is returned.
 func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, error) {
 	n, a := req.Network, req.Array
 	if err := n.Validate(); err != nil {
@@ -325,16 +329,10 @@ func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, erro
 	defer sp.End()
 	sp.SetStr("network", n.Name).SetInt("layers", int64(len(n.Layers)))
 	p := &NetworkPlan{Request: req, Layers: make([]LayerPlan, len(n.Layers))}
-	errs := make([]error, len(n.Layers))
-	var wg sync.WaitGroup
-	for i, cl := range n.Layers {
-		wg.Add(1)
-		go func(i int, cl model.ConvLayer) {
-			defer wg.Done()
-			p.Layers[i], errs[i] = c.compileLayer(ctx, cl, a, req.Options)
-		}(i, cl)
-	}
-	wg.Wait()
+	errs := fanout.Each(ctx, len(n.Layers), runtime.GOMAXPROCS(0), func(i int) (err error) {
+		p.Layers[i], err = c.compileLayer(ctx, n.Layers[i], a, req.Options)
+		return err
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("compile: %s/%s: %w", n.Name, n.Layers[i].Name, err)

@@ -3,8 +3,11 @@ package compile
 import (
 	"context"
 	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/chip"
 	"repro/internal/core"
@@ -327,5 +330,41 @@ func TestNewNilSearcher(t *testing.T) {
 	if _, err := c.CompileLayer(bg, core.Layer{Name: "c", IW: 8, IH: 8, KW: 3, KH: 3, IC: 2, OC: 2},
 		core.Array{Rows: 64, Cols: 64}, Options{}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// peakSearcher is the serial searcher with a gauge of how many layer
+// searches are in flight at once. Each search sleeps a millisecond, so
+// searches that are allowed to overlap do.
+type peakSearcher struct {
+	core.Serial
+	inFlight, peak atomic.Int32
+}
+
+func (s *peakSearcher) SearchVariant(ctx context.Context, l core.Layer, a core.Array, v core.Variant) (core.Result, error) {
+	now := s.inFlight.Add(1)
+	defer s.inFlight.Add(-1)
+	for {
+		p := s.peak.Load()
+		if now <= p || s.peak.CompareAndSwap(p, now) {
+			break
+		}
+	}
+	time.Sleep(time.Millisecond)
+	return s.Serial.SearchVariant(ctx, l, a, v)
+}
+
+// TestCompileBoundsLayerFanOut pins the layer fan-out's width: a compile of
+// MobileNet-V2's many layers has at most GOMAXPROCS layer searches in flight,
+// not one per layer.
+func TestCompileBoundsLayerFanOut(t *testing.T) {
+	s := &peakSearcher{}
+	n := model.MobileNetV2()
+	if _, err := New(s).Compile(bg, NewRequest(n, array512, Options{})); err != nil {
+		t.Fatal(err)
+	}
+	if got, limit := s.peak.Load(), runtime.GOMAXPROCS(0); int(got) > limit {
+		t.Errorf("%d of %d layer searches in flight at once, want at most GOMAXPROCS = %d",
+			got, len(n.Layers), limit)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 )
 
@@ -37,9 +38,8 @@ func TestSearchContextCancelled(t *testing.T) {
 }
 
 // TestSearchNetworkCancelled pins that a cancelled context surfaces from the
-// network aggregation as a layer-wrapped context error, for both the
-// parallel and sequential paths, and that the sequential path never starts
-// layers after observing the cancel.
+// network aggregation as a layer-wrapped context error, and that no layer
+// search is started after the cancel.
 func TestSearchNetworkCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -47,19 +47,19 @@ func TestSearchNetworkCancelled(t *testing.T) {
 	a := Array{Rows: 512, Cols: 512}
 
 	if _, err := SearchNetworkContext(ctx, layers, a); !errors.Is(err, context.Canceled) {
-		t.Errorf("parallel: err = %v, want context.Canceled", err)
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 
-	started := 0
-	_, err := SearchNetworkSeq(ctx, layers, a, func(ctx context.Context, l Layer, a Array) (Result, error) {
-		started++
+	var started atomic.Int32
+	_, err := SearchNetworkWith(ctx, layers, a, func(ctx context.Context, l Layer, a Array) (Result, error) {
+		started.Add(1)
 		return SearchVWSDKContext(ctx, l, a)
 	})
 	if !errors.Is(err, context.Canceled) {
-		t.Errorf("seq: err = %v, want context.Canceled", err)
+		t.Errorf("with: err = %v, want context.Canceled", err)
 	}
-	if started != 0 {
-		t.Errorf("seq started %d layer searches after cancel, want 0", started)
+	if n := started.Load(); n != 0 {
+		t.Errorf("started %d layer searches after cancel, want 0", n)
 	}
 }
 

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
+	"runtime"
+
+	"repro/internal/fanout"
 )
 
 // NetworkResult is the outcome of optimizing every layer of a network.
@@ -32,10 +34,9 @@ func (n NetworkResult) Speedup() float64 {
 // this shape.
 type LayerSearch func(ctx context.Context, l Layer, a Array) (Result, error)
 
-// SearchNetwork runs SearchVWSDK on every layer concurrently (layer
-// searches are independent) and aggregates the totals. Results are returned
-// in layer order regardless of completion order; the first error wins.
-// SearchNetworkContext is the same aggregation under a caller context.
+// SearchNetwork runs SearchVWSDK on every layer and aggregates the totals
+// (see SearchNetworkWith). SearchNetworkContext is the same aggregation
+// under a caller context.
 func SearchNetwork(layers []Layer, a Array) (NetworkResult, error) {
 	return SearchNetworkContext(context.Background(), layers, a)
 }
@@ -48,46 +49,20 @@ func SearchNetworkContext(ctx context.Context, layers []Layer, a Array) (Network
 }
 
 // SearchNetworkWith is SearchNetworkContext with a caller-chosen per-layer
-// search running one goroutine per layer; internal/engine aggregates its
-// pooled searches through the same loop so the two paths cannot diverge.
+// search; internal/engine aggregates its memoized searches through it, so
+// the two paths cannot diverge. Layers run through fanout.Each on at most
+// GOMAXPROCS workers, inline when there is one worker or one layer. Results
+// are returned in layer order and the first error in layer order wins; a
+// layer not yet started when ctx ends is never started.
 func SearchNetworkWith(ctx context.Context, layers []Layer, a Array, search LayerSearch) (NetworkResult, error) {
-	return searchNetwork(ctx, layers, a, search, true)
-}
-
-// SearchNetworkSeq is SearchNetworkWith without the per-layer goroutines,
-// for callers that already serialize work (e.g. a single-worker engine,
-// where goroutine-per-layer only adds scheduler churn). A cancelled ctx
-// additionally short-circuits between layers, so later layers are never
-// started at all.
-func SearchNetworkSeq(ctx context.Context, layers []Layer, a Array, search LayerSearch) (NetworkResult, error) {
-	return searchNetwork(ctx, layers, a, search, false)
-}
-
-func searchNetwork(ctx context.Context, layers []Layer, a Array, search LayerSearch, parallel bool) (NetworkResult, error) {
 	if len(layers) == 0 {
 		return NetworkResult{}, fmt.Errorf("core: SearchNetwork with no layers")
 	}
 	results := make([]Result, len(layers))
-	errs := make([]error, len(layers))
-	if parallel {
-		var wg sync.WaitGroup
-		for i, l := range layers {
-			wg.Add(1)
-			go func(i int, l Layer) {
-				defer wg.Done()
-				results[i], errs[i] = search(ctx, l, a)
-			}(i, l)
-		}
-		wg.Wait()
-	} else {
-		for i, l := range layers {
-			if err := ctx.Err(); err != nil {
-				errs[i] = err
-				continue
-			}
-			results[i], errs[i] = search(ctx, l, a)
-		}
-	}
+	errs := fanout.Each(ctx, len(layers), runtime.GOMAXPROCS(0), func(i int) (err error) {
+		results[i], err = search(ctx, layers[i], a)
+		return err
+	})
 	var out NetworkResult
 	for i := range layers {
 		if errs[i] != nil {

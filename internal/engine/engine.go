@@ -1,10 +1,10 @@
 // Package engine is the concurrent, memoizing front end to the core mapping
-// searches: it fans per-layer searches and batch-sweep cells across a
-// bounded worker pool and dedupes repeated (layer shape, array, search)
-// combinations through a memo.Cache — an LRU of results plus singleflight
-// coalescing of identical in-flight searches — because ResNet and VGG
-// repeat layer shapes heavily, and experiment sweeps re-cost the same pairs
-// from scratch otherwise.
+// searches: it fans per-layer searches and batch-sweep cells out through
+// fanout.Each, bounds the searches themselves with a worker pool, and
+// dedupes repeated (layer shape, array, search) combinations through a
+// memo.Cache — an LRU of results plus singleflight coalescing of identical
+// in-flight searches — because ResNet and VGG repeat layer shapes heavily,
+// and experiment sweeps re-cost the same pairs from scratch otherwise.
 //
 // Each individual search runs the core package's class walk
 // (core.SearchVWSDK and friends), which visits candidate cost classes on the
@@ -50,9 +50,10 @@ type Engine struct {
 	sem        chan struct{}                      // bounds concurrently running searches
 	cache      *memo.Cache[cacheKey, core.Result] // name-cleared results
 
-	// sweepCellHook, when non-nil, observes every sweep cell index just
-	// before its dispatch check. Tests use it to cancel a context at a
-	// deterministic point mid-sweep; it is never set in production.
+	// sweepCellHook, when non-nil, observes every sweep cell index as the
+	// cell is dispatched, before any of its layers is. Tests use it to
+	// cancel a context at a deterministic point mid-sweep; it is never set
+	// in production.
 	sweepCellHook func(i int)
 
 	searches atomic.Uint64
@@ -220,19 +221,13 @@ func (e *Engine) SearchNetwork(ctx context.Context, layers []core.Layer, a core.
 	return e.SearchNetworkVariant(ctx, layers, a, core.VariantFull)
 }
 
-// SearchNetworkVariant is SearchNetwork under an ablation variant. The
-// per-layer goroutines it fans out are cheap orchestrators — the actual
-// costing inside each search is bounded by the worker pool.
+// SearchNetworkVariant is SearchNetwork under an ablation variant. Layers
+// run through core.SearchNetworkWith, so on at most GOMAXPROCS workers; the
+// searches that miss the cache are further bounded by the worker pool.
 func (e *Engine) SearchNetworkVariant(ctx context.Context, layers []core.Layer, a core.Array, v core.Variant) (core.NetworkResult, error) {
-	search := func(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
+	return core.SearchNetworkWith(ctx, layers, a, func(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
 		return e.SearchVariant(ctx, l, a, v)
-	}
-	if e.workers == 1 {
-		// Everything serializes through the one pool slot anyway; skipping
-		// the per-layer goroutines avoids measurable scheduler churn.
-		return core.SearchNetworkSeq(ctx, layers, a, search)
-	}
-	return core.SearchNetworkWith(ctx, layers, a, search)
+	})
 }
 
 // memoized serves one search through the memo cache. search runs the

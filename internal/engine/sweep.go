@@ -2,10 +2,9 @@ package engine
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/model"
 )
 
@@ -35,16 +34,16 @@ func (c CellResult) Speedup() float64 {
 	return c.Result.Speedup()
 }
 
-// Sweep optimizes every network on every array under every variant, fanning
-// cells (and their per-layer searches) across the worker pool. An empty
-// variants slice means the full VW-SDK search only. Results are returned in
-// deterministic input order — networks outermost, variants innermost — and
-// repeated layer shapes across cells are served from the engine's cache, so
-// e.g. ResNet-18's four conv2..conv5 repeats and shapes shared between VGG
-// variants are costed once per array.
+// Sweep optimizes every network on every array under every variant. An
+// empty variants slice means the full VW-SDK search only. Results are
+// returned in deterministic input order — networks outermost, variants
+// innermost — and repeated layer shapes across cells are served from the
+// engine's cache, so e.g. ResNet-18's four conv2..conv5 repeats and shapes
+// shared between VGG variants are costed once per array.
 //
-// Cells are dispatched from a shared cursor by at most one runner per pool
-// worker; once ctx is cancelled no further cell is dispatched — undispatched
+// Cells run through fanout.Each on at most one worker per pool slot, inline
+// on a single-worker engine; each cell's layers fan out again through
+// SearchNetworkVariant. Once ctx ends no further cell is dispatched — such
 // cells come back with Err set to ctx.Err() — and cells already running stop
 // at their searches' next cancellation checkpoint. Sweep itself always
 // returns the full, input-ordered slice.
@@ -60,45 +59,16 @@ func (e *Engine) Sweep(ctx context.Context, networks []model.Network, arrays []c
 			}
 		}
 	}
-	runCell := func(i int) {
+	errs := fanout.Each(ctx, len(out), e.workers, func(i int) (err error) {
 		if e.sweepCellHook != nil {
 			e.sweepCellHook(i)
 		}
 		c := &out[i]
-		// The dispatch checkpoint: a cancelled sweep stops scheduling new
-		// cells here instead of funnelling thousands of doomed searches
-		// through the pool.
-		if err := ctx.Err(); err != nil {
-			c.Err = err
-			return
-		}
-		c.Result, c.Err = e.SearchNetworkVariant(ctx, c.Cell.Network.CoreLayers(), c.Cell.Array, c.Cell.Variant)
+		c.Result, err = e.SearchNetworkVariant(ctx, c.Cell.Network.CoreLayers(), c.Cell.Array, c.Cell.Variant)
+		return err
+	})
+	for i, err := range errs {
+		out[i].Err = err
 	}
-	if e.workers == 1 {
-		// A single-worker pool serializes every cell anyway; running them
-		// inline avoids parking a goroutine per cell on the one slot, which
-		// costs measurable scheduler churn on a single core.
-		for i := range out {
-			runCell(i)
-		}
-		return out
-	}
-	runners := min(len(out), e.workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range runners {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(out) {
-					return
-				}
-				runCell(i)
-			}
-		}()
-	}
-	wg.Wait()
 	return out
 }

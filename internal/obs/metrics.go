@@ -13,9 +13,10 @@ import (
 
 // This file is the metrics half of the package: a hand-rolled Prometheus
 // registry writing text exposition format version 0.0.4 — no dependencies,
-// just counters, gauges and fixed-bucket histograms backed by atomics. The
-// server exposes one Registry on GET /metrics; metric names and label sets
-// registered there are a stable contract (DESIGN.md §9).
+// just counters and gauges sampled from callbacks at scrape time and
+// fixed-bucket histograms backed by atomics. The server exposes one
+// Registry on GET /metrics; metric names and label sets registered there
+// are a stable contract (DESIGN.md §9).
 
 // Label is one name="value" pair on a metric series.
 type Label struct {
@@ -55,25 +56,6 @@ func escapeLabel(v string) string {
 // collector writes one series' sample lines.
 type collector interface {
 	collect(b *bytes.Buffer, name, labels string)
-}
-
-// Counter is a monotonically increasing counter. The zero value is unusable;
-// obtain one from Registry.Counter.
-type Counter struct {
-	v atomic.Uint64
-}
-
-// Inc adds one.
-func (c *Counter) Inc() { c.v.Add(1) }
-
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.v.Load() }
-
-func (c *Counter) collect(b *bytes.Buffer, name, labels string) {
-	writeSample(b, name, "", labels, float64(c.v.Load()))
 }
 
 // counterFunc samples a cumulative counter from a callback at scrape time —
@@ -116,9 +98,6 @@ func (h *Histogram) Observe(v float64) {
 		}
 	}
 }
-
-// ObserveDuration records a duration in seconds.
-func (h *Histogram) ObserveDuration(seconds float64) { h.Observe(seconds) }
 
 // Buckets returns copies of the upper bounds and of the per-bucket counts.
 // Counts are disjoint, not cumulative: counts[i] is the number of
@@ -219,14 +198,6 @@ func (r *Registry) register(name, help, typ string, labels Labels, col collector
 		panic(fmt.Sprintf("obs: metric %s registered as both %s and %s", name, f.typ, typ))
 	}
 	f.series = append(f.series, famSeries{labels: labels.render(), col: col})
-}
-
-// Counter registers and returns a counter series. By convention counter
-// names end in _total.
-func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	c := &Counter{}
-	r.register(name, help, "counter", labels, c)
-	return c
 }
 
 // CounterFunc registers a counter series sampled from fn at scrape time; fn

@@ -244,8 +244,7 @@ func TestWriteChrome(t *testing.T) {
 
 func TestRegistryExposition(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("vwsdk_http_requests_total", "Total HTTP requests.")
-	c.Add(3)
+	r.CounterFunc("vwsdk_http_requests_total", "Total HTTP requests.", func() uint64 { return 3 })
 	r.GaugeFunc("vwsdk_goroutines", "Goroutines.", func() float64 { return 7 })
 	r.CounterFunc("vwsdk_engine_searches_total", "Engine searches.", func() uint64 { return 11 })
 	h := r.Histogram("vwsdk_compile_phase_seconds", "Per-phase compile time.",

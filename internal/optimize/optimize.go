@@ -189,15 +189,10 @@ func New(c *compile.Compiler) *Optimizer {
 func (o *Optimizer) Compiler() *compile.Compiler { return o.c }
 
 // Designs enumerates the space's design points in the canonical order:
-// array assignments as an odometer (last group fastest), then the
-// compile.Axes cross product of chip counts and gating. IDs start at 1.
+// array assignments as an odometer (last group fastest), then chip counts,
+// then gating. IDs start at 1.
 func Designs(s DesignSpace) []Design {
 	s.Normalize()
-	axes := compile.Axes{
-		Arrays:          compile.CountAxis(s.Chips),
-		GatePeripherals: compile.BoolAxis(s.Gating),
-	}
-	opts := axes.Candidates()
 	groups := s.groups()
 	assign := make([]int, groups)
 	var out []Design
@@ -206,13 +201,10 @@ func Designs(s DesignSpace) []Design {
 		for g, ai := range assign {
 			arrays[g] = s.Arrays[ai]
 		}
-		for _, opt := range opts {
-			out = append(out, Design{
-				ID:     len(out) + 1,
-				Arrays: arrays,
-				Chips:  opt.Arrays,
-				Gated:  opt.GatePeripherals,
-			})
+		for _, chips := range s.Chips {
+			for _, gated := range s.Gating {
+				out = append(out, Design{ID: len(out) + 1, Arrays: arrays, Chips: chips, Gated: gated})
+			}
 		}
 		g := groups - 1
 		for g >= 0 {

@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sort"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/model"
 )
@@ -45,15 +46,17 @@ const MaxPoints = 4096
 //	{
 //	  "name": "tinynet-codesign",
 //	  "network": "VGG-13",            // zoo name, or an inline network spec
-//	  "arrays": ["64x64", "128x128"], // "RxC" strings or {"rows":..,"cols":..}
+//	  "arrays": ["64x64", "128"],     // "RxC", square "R" or {"rows":..,"cols":..}
 //	  "chips": [1, 4],                // crossbars per layer-group bank
 //	  "gating": [false, true],        // peripheral gating on/off
 //	  "layer_groups": 2               // heterogeneous array assignment granularity
 //	}
 //
-// "arrays" and "network" are required. "chips" defaults to [1], "gating" to
-// [false], "layer_groups" to 1 (one array for the whole network). Unknown
-// fields are rejected.
+// "arrays" and "network" are required. Each "arrays" element takes every
+// form /v1/compile's "array" takes, through the same parser
+// (cliutil.ParseArrayRef). "chips" defaults to [1], "gating" to [false],
+// "layer_groups" to 1 (one array for the whole network). Unknown fields are
+// rejected.
 type DesignSpace struct {
 	// Name labels the space in reports.
 	Name string
@@ -89,43 +92,6 @@ type spaceJSON struct {
 	Groups  int               `json:"layer_groups,omitempty"`
 }
 
-// arrayJSON is the object form of one "arrays" element.
-type arrayJSON struct {
-	Rows int `json:"rows"`
-	Cols int `json:"cols"`
-}
-
-// parseArrayRef parses one "arrays" element: an "RxC" string or a
-// {"rows","cols"} object.
-func parseArrayRef(raw json.RawMessage) (core.Array, error) {
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) == 0 {
-		return core.Array{}, fmt.Errorf("optimize: empty array reference")
-	}
-	switch trimmed[0] {
-	case '"':
-		var s string
-		if err := json.Unmarshal(trimmed, &s); err != nil {
-			return core.Array{}, fmt.Errorf("optimize: parse array: %w", err)
-		}
-		var a core.Array
-		if n, err := fmt.Sscanf(s, "%dx%d", &a.Rows, &a.Cols); err != nil || n != 2 {
-			return core.Array{}, fmt.Errorf("optimize: array %q is not RxC", s)
-		}
-		return a, nil
-	case '{':
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		dec.DisallowUnknownFields()
-		var a arrayJSON
-		if err := dec.Decode(&a); err != nil {
-			return core.Array{}, fmt.Errorf("optimize: parse array: %w", err)
-		}
-		return core.Array{Rows: a.Rows, Cols: a.Cols}, nil
-	default:
-		return core.Array{}, fmt.Errorf("optimize: array reference must be an \"RxC\" string or a {rows, cols} object")
-	}
-}
-
 // FromJSON parses and validates a design-space spec. The returned space is
 // normalized: arrays deduplicated and sorted by (rows, cols), chips and
 // gating deduplicated and sorted, defaults applied — so equal spaces have
@@ -152,9 +118,9 @@ func FromJSON(data []byte) (DesignSpace, error) {
 		Groups:  spec.Groups,
 	}
 	for _, raw := range spec.Arrays {
-		a, err := parseArrayRef(raw)
+		a, err := cliutil.ParseArrayRef(raw)
 		if err != nil {
-			return DesignSpace{}, err
+			return DesignSpace{}, fmt.Errorf("optimize: design space %q: %w", spec.Name, err)
 		}
 		s.Arrays = append(s.Arrays, a)
 	}

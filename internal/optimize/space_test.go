@@ -201,18 +201,26 @@ func FuzzDesignSpaceFromJSON(f *testing.F) {
 	})
 }
 
+// TestParseArrayRef pins the "arrays" forms FromJSON accepts: exactly the
+// forms /v1/compile accepts for its "array", through the one parser.
 func TestParseArrayRef(t *testing.T) {
-	for _, bad := range []string{`""`, `"x"`, `"64"`, `"64x"`, `"ax b"`, `[1,2]`, `true`, `{"rows": 64, "cols": 64, "x": 1}`} {
-		if _, err := parseArrayRef([]byte(bad)); err == nil {
-			t.Errorf("parseArrayRef(%s) accepted", bad)
+	space := func(ref string) []byte {
+		return []byte(`{"network": "VGG-13", "arrays": [` + ref + `]}`)
+	}
+	for _, bad := range []string{`""`, `"x"`, `"64x"`, `"ax b"`, `"512x512junk"`, `"64x64x9"`,
+		`[1,2]`, `true`, `{"rows": 64, "cols": 64, "x": 1}`} {
+		if s, err := FromJSON(space(bad)); err == nil {
+			t.Errorf("FromJSON accepted array %s as %v", bad, s.Arrays)
 		}
 	}
-	a, err := parseArrayRef([]byte(`"128x64"`))
-	if err != nil || a != (core.Array{Rows: 128, Cols: 64}) {
-		t.Fatalf("parseArrayRef string: %v, %v", a, err)
-	}
-	a, err = parseArrayRef([]byte(`{"rows": 32, "cols": 16}`))
-	if err != nil || a != (core.Array{Rows: 32, Cols: 16}) {
-		t.Fatalf("parseArrayRef object: %v, %v", a, err)
+	for ref, want := range map[string]core.Array{
+		`"128x64"`:                 {Rows: 128, Cols: 64},
+		`"64"`:                     {Rows: 64, Cols: 64},
+		`{"rows": 32, "cols": 16}`: {Rows: 32, Cols: 16},
+	} {
+		s, err := FromJSON(space(ref))
+		if err != nil || len(s.Arrays) != 1 || s.Arrays[0] != want {
+			t.Errorf("FromJSON array %s = %v, %v; want [%v]", ref, s.Arrays, err, want)
+		}
 	}
 }

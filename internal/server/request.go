@@ -123,44 +123,14 @@ func resolveNetworkRef(raw json.RawMessage) (model.Network, *httpError) {
 	return n, nil
 }
 
-// resolveArrayRef parses an array reference: "RowsxCols" (or a square
-// "512") as a string, or {"rows", "cols"} as an object.
+// resolveArrayRef parses an array reference through cliutil.ParseArrayRef,
+// the parser design spaces share, and reports a bad one as a 422.
 func resolveArrayRef(raw json.RawMessage) (core.Array, *httpError) {
-	trimmed := bytes.TrimSpace(raw)
-	if len(trimmed) == 0 {
-		return core.Array{}, errorf(http.StatusUnprocessableEntity,
-			`missing "array": give "RowsxCols" or {"rows", "cols"}`)
+	a, err := cliutil.ParseArrayRef(raw)
+	if err != nil {
+		return core.Array{}, errorf(http.StatusUnprocessableEntity, "%v", err)
 	}
-	switch trimmed[0] {
-	case '"':
-		var spec string
-		if err := json.Unmarshal(trimmed, &spec); err != nil {
-			return core.Array{}, errorf(http.StatusUnprocessableEntity, "parse array: %v", err)
-		}
-		a, err := cliutil.ParseArray(spec)
-		if err != nil {
-			return core.Array{}, errorf(http.StatusUnprocessableEntity, "%v", err)
-		}
-		return a, nil
-	case '{':
-		var obj struct {
-			Rows int `json:"rows"`
-			Cols int `json:"cols"`
-		}
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&obj); err != nil {
-			return core.Array{}, errorf(http.StatusUnprocessableEntity, "parse array: %v", err)
-		}
-		a := core.Array{Rows: obj.Rows, Cols: obj.Cols}
-		if err := a.Validate(); err != nil {
-			return core.Array{}, errorf(http.StatusUnprocessableEntity, "%v", err)
-		}
-		return a, nil
-	default:
-		return core.Array{}, errorf(http.StatusUnprocessableEntity,
-			`array must be a "RowsxCols" string or a {"rows", "cols"} object`)
-	}
+	return a, nil
 }
 
 // compileOptions maps the wire options onto compile.Options; a nil receiver

@@ -9,10 +9,10 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/compile"
 	"repro/internal/core"
+	"repro/internal/fanout"
 	"repro/internal/model"
 )
 
@@ -121,44 +121,22 @@ func (req *sweepRequest) cells() ([]sweepCell, *httpError) {
 	return cells, nil
 }
 
-// fanOut is the one worker pool behind sweeps and warm-up: it runs do(i)
-// for every i in [0, n) on at most workers goroutines, handing indices out
-// from a shared cursor, and dispatches no new index once ctx ends — work
-// already started stops at its own cancellation checkpoints. It returns
-// when every worker has.
-func fanOut(ctx context.Context, n, workers int, do func(i int)) {
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(n, workers) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n || ctx.Err() != nil {
-					return
-				}
-				do(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // runSweep is the one sweep executor behind both the synchronous NDJSON
-// stream and sweep jobs: it fans cells over at most one worker per
-// compilation slot and delivers each cell's summary to emit in completion
-// order as soon as its compilation (or cache hit) finishes. A cell cut
-// short by the context's end is incomplete, not failed, and is not
-// emitted. It returns ctx's error when the sweep was cut short, nil when
-// every cell was delivered. emit is called from the caller's goroutine only.
+// stream and sweep jobs: it fans cells out through fanout.Each on at most
+// one worker per compilation slot, dispatching no cell after ctx ends, and
+// delivers each cell's summary to emit in completion order as soon as its
+// compilation (or cache hit) finishes. A cell cut short by the context's
+// end is incomplete, not failed, and is not emitted. It returns ctx's error
+// when the sweep was cut short, nil when every cell was delivered. emit is
+// called from the caller's goroutine only.
 func (s *Server) runSweep(ctx context.Context, cells []sweepCell, emit func(sweepSummary)) error {
 	results := make(chan sweepSummary)
 	go func() {
-		fanOut(ctx, len(cells), cap(s.sem), func(i int) {
+		fanout.Each(ctx, len(cells), cap(s.sem), func(i int) error {
 			if sum, err := s.runCell(ctx, cells[i]); err == nil {
 				results <- sum
 			}
+			return nil
 		})
 		close(results)
 	}()

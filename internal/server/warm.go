@@ -9,6 +9,7 @@ import (
 	"sync"
 
 	"repro/internal/compile"
+	"repro/internal/fanout"
 )
 
 // Manifest is the bulk pre-compile list behind vwsdkd -warm: a JSON document
@@ -79,11 +80,12 @@ type WarmStats struct {
 }
 
 // Warm pre-compiles every manifest request through the tiered fill path,
-// running up to concurrency entries at once on the pool sweeps use
-// (<=0 selects the server's compile-slot count; actual search parallelism
-// is always bounded by the admission semaphore). It returns per-entry
-// failures joined into one error after attempting every entry — a bad
-// entry does not abandon the rest — and stops early only when ctx ends.
+// running up to concurrency entries at once through fanout.Each, the
+// fan-out sweeps use (<=0 selects the server's compile-slot count; actual
+// search parallelism is always bounded by the admission semaphore). It
+// returns per-entry failures joined into one error after attempting every
+// entry — a bad entry does not abandon the rest — and stops early only when
+// ctx ends.
 func (s *Server) Warm(ctx context.Context, reqs []compile.Request, concurrency int) (WarmStats, error) {
 	type item struct {
 		key string
@@ -110,7 +112,7 @@ func (s *Server) Warm(ctx context.Context, reqs []compile.Request, concurrency i
 		stats = WarmStats{Total: len(items)}
 		errs  []error
 	)
-	fanOut(ctx, len(items), concurrency, func(i int) {
+	fanout.Each(ctx, len(items), concurrency, func(i int) error {
 		it := items[i]
 		entry, cached, err := s.compilePlan(ctx, it.key, it.req, true, false)
 		mu.Lock()
@@ -124,6 +126,7 @@ func (s *Server) Warm(ctx context.Context, reqs []compile.Request, concurrency i
 		default:
 			stats.Compiled++
 		}
+		return nil
 	})
 	if err := ctx.Err(); err != nil {
 		errs = append(errs, err)

@@ -288,7 +288,8 @@ func SearchNetwork(layers []Layer, a Array) (NetworkResult, error) {
 }
 
 // SearchNetworkContext is SearchNetwork under a caller context; cancelling
-// it stops every in-flight layer search at its next checkpoint.
+// it starts no further layer and stops every in-flight layer search at its
+// next checkpoint.
 func SearchNetworkContext(ctx context.Context, layers []Layer, a Array) (NetworkResult, error) {
 	return core.SearchNetworkContext(ctx, layers, a)
 }
@@ -502,9 +503,3 @@ func DesignSpaceFromJSON(data []byte) (DesignSpace, error) { return optimize.Fro
 // DesignSpaceToJSON serializes a design space as a spec DesignSpaceFromJSON
 // accepts, with the network inlined.
 func DesignSpaceToJSON(s DesignSpace) ([]byte, error) { return s.ToJSON() }
-
-// CompileAxes enumerates compile-option candidates knob by knob — the
-// searchable form of CompileOptions the optimizer's design points are built
-// from. Each unset axis contributes the knob's zero value, so the zero
-// CompileAxes yields exactly the zero CompileOptions. See compile.Axes.
-type CompileAxes = compile.Axes

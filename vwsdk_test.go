@@ -546,7 +546,7 @@ func TestFacadeContextForms(t *testing.T) {
 // TestFacadeOptimize exercises the co-design exports end to end: a spec
 // parsed with DesignSpaceFromJSON, searched with Optimize, yielding a valid
 // frontier whose points all beat each other on some objective; plus the
-// CompileAxes zero-value contract and the serialization round trip.
+// serialization round trip.
 func TestFacadeOptimize(t *testing.T) {
 	spec := []byte(`{
 	  "name": "facade",
@@ -599,12 +599,5 @@ func TestFacadeOptimize(t *testing.T) {
 	}
 	if len(back.Arrays) != len(space.Arrays) || back.Network.Name != space.Network.Name {
 		t.Errorf("round trip changed the space: %+v vs %+v", back, space)
-	}
-
-	// The zero CompileAxes enumerates exactly the zero CompileOptions.
-	var axes CompileAxes
-	cands := axes.Candidates()
-	if len(cands) != 1 || cands[0] != (CompileOptions{}) {
-		t.Errorf("zero CompileAxes candidates = %+v, want [zero CompileOptions]", cands)
 	}
 }
