@@ -351,7 +351,7 @@ func BenchmarkSearchVWSDKEngine(b *testing.B) {
 	l := Layer{Name: "vgg-conv1", IW: 224, IH: 224, KW: 3, KH: 3, IC: 3, OC: 64}
 	eng := engine.New(engine.WithCacheSize(0))
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.SearchVWSDK(context.Background(), l, experiments.Array512); err != nil {
+		if _, err := eng.Search(context.Background(), l, experiments.Array512, core.MethodVWSDK); err != nil {
 			b.Fatal(err)
 		}
 	}

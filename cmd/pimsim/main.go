@@ -33,28 +33,11 @@ func main() {
 	}
 }
 
-// compileScheme maps the -scheme flag onto the compile pipeline's search
-// selector.
-func compileScheme(scheme string) (compile.Scheme, error) {
-	switch scheme {
-	case "im2col":
-		return compile.Im2col, nil
-	case "smd":
-		return compile.SMD, nil
-	case "sdk":
-		return compile.SDK, nil
-	case "vw":
-		return compile.VWSDK, nil
-	default:
-		return 0, fmt.Errorf("unknown scheme %q (im2col, smd, sdk, vw)", scheme)
-	}
-}
-
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("pimsim", flag.ContinueOnError)
 	var (
 		arraySp = fs.String("array", "512x512", "PIM array size RowsxCols")
-		scheme  = fs.String("scheme", "vw", "mapping scheme: im2col, smd, sdk or vw")
+		scheme  = fs.String("scheme", "vw", "mapping scheme: im2col, smd, sdk or vw (also vwsdk, vw-sdk)")
 		seed    = fs.Uint64("seed", 1, "seed for the deterministic input/weight fill")
 		quant   = fs.Int("quant", 0, "weight quantization bits (0 = ideal cells)")
 		noise   = fs.Float64("noise", 0, "ADC read-noise sigma (0 = ideal readout)")
@@ -85,7 +68,7 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	sc, err := compileScheme(*scheme)
+	sc, err := compile.ParseScheme(*scheme)
 	if err != nil {
 		return err
 	}

@@ -6,9 +6,10 @@ import (
 )
 
 // TestRunSchemes executes a small layer on the simulated crossbar under
-// every scheme and requires the bit-exact verification to pass.
+// every scheme, by every name /v1/compile accepts for it, and requires the
+// bit-exact verification to pass.
 func TestRunSchemes(t *testing.T) {
-	for _, scheme := range []string{"im2col", "smd", "sdk", "vw"} {
+	for _, scheme := range []string{"im2col", "smd", "sdk", "vw", "vwsdk", "vw-sdk"} {
 		var out strings.Builder
 		err := run([]string{"-ifm", "9x9", "-kernel", "3x3", "-ic", "5", "-oc", "7",
 			"-array", "64x48", "-scheme", scheme}, &out)

@@ -150,7 +150,7 @@ func run(args []string, out io.Writer) (retErr error) {
 		if len(net.Layers) != 1 {
 			return fmt.Errorf("-explain works on a single layer, not a network")
 		}
-		res, err := eng.SearchVWSDK(ctx, net.Layers[0].Layer, a)
+		res, err := eng.Search(ctx, net.Layers[0].Layer, a, core.MethodVWSDK)
 		if err != nil {
 			return err
 		}

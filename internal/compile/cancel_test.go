@@ -73,4 +73,7 @@ func TestRequestValidate(t *testing.T) {
 	if err := (Request{Network: model.VGG13()}).Validate(); err == nil {
 		t.Error("zero array accepted")
 	}
+	if err := NewRequest(model.VGG13(), array512, Options{Scheme: Scheme(42)}).Validate(); err == nil {
+		t.Error("unknown scheme accepted")
+	}
 }

@@ -34,6 +34,8 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
+	"strings"
 
 	"repro/internal/chip"
 	"repro/internal/core"
@@ -63,20 +65,88 @@ const (
 	SDK
 )
 
+// schemes maps each Scheme, by index, onto the core scheme it searches.
+var schemes = [...]core.Scheme{
+	VWSDK:  core.SchemeVWSDK,
+	Im2col: core.SchemeIm2col,
+	SMD:    core.SchemeSMD,
+	SDK:    core.SchemeSDK,
+}
+
 // String returns the paper's name for the scheme.
 func (s Scheme) String() string {
-	switch s {
-	case VWSDK:
-		return core.SchemeVWSDK.String()
-	case Im2col:
-		return core.SchemeIm2col.String()
-	case SMD:
-		return core.SchemeSMD.String()
-	case SDK:
-		return core.SchemeSDK.String()
-	default:
+	if s < 0 || int(s) >= len(schemes) {
 		return fmt.Sprintf("Scheme(%d)", int(s))
 	}
+	return schemes[s].String()
+}
+
+// schemeNames and variantNames are the one place the names of the schemes
+// and VW-SDK ablations are defined, for the HTTP options, the CLI flags and
+// the peer hop alike: indexed by the enum value, canonical name first. The
+// empty name selects the default.
+var (
+	schemeNames = [...][]string{
+		VWSDK:  {"vw", "", "vwsdk", "vw-sdk"},
+		Im2col: {"im2col"},
+		SMD:    {"smd"},
+		SDK:    {"sdk"},
+	}
+	variantNames = [...][]string{
+		core.VariantFull:            {"full", ""},
+		core.VariantSquareTiled:     {"square-tiled", "square", "square+tiled"},
+		core.VariantRectFullChannel: {"rect-full-channel", "rect", "rect+full-channels"},
+	}
+)
+
+// ParseScheme maps a scheme name onto its Scheme: "vw" ("vwsdk", "vw-sdk" or
+// empty for the default), "im2col", "smd" or "sdk". It is the one scheme
+// parser of the HTTP options and the CLI flags.
+func ParseScheme(name string) (Scheme, error) {
+	i, err := parseName("scheme", name, schemeNames[:])
+	return Scheme(i), err
+}
+
+// ParseVariant maps an ablation name onto its core.Variant: "full" (or
+// empty), "square-tiled" ("square", "square+tiled") or "rect-full-channel"
+// ("rect", "rect+full-channels").
+func ParseVariant(name string) (core.Variant, error) {
+	i, err := parseName("variant", name, variantNames[:])
+	return core.Variant(i), err
+}
+
+// SchemeName returns the canonical name of s, the first name ParseScheme
+// accepts for it; an unknown Scheme gets its String form, which ParseScheme
+// rejects.
+func SchemeName(s Scheme) string { return canonicalName(schemeNames[:], int(s), s.String()) }
+
+// VariantName is SchemeName for the VW-SDK ablations and ParseVariant.
+func VariantName(v core.Variant) string {
+	return canonicalName(variantNames[:], int(v), v.String())
+}
+
+// parseName returns the index of the table entry that lists name; its error
+// names the kind and lists every canonical name.
+func parseName(kind, name string, table [][]string) (int, error) {
+	for i, names := range table {
+		if slices.Contains(names, name) {
+			return i, nil
+		}
+	}
+	have := make([]string, len(table))
+	for i, names := range table {
+		have[i] = names[0]
+	}
+	return 0, fmt.Errorf("unknown %s %q (have %s)", kind, name, strings.Join(have, ", "))
+}
+
+// canonicalName returns entry i's canonical name, or unknown when i is
+// outside the table.
+func canonicalName(table [][]string, i int, unknown string) string {
+	if i < 0 || i >= len(table) {
+		return unknown
+	}
+	return table[i][0]
 }
 
 // Options configures one compilation. The zero value compiles the full
@@ -106,6 +176,16 @@ type Options struct {
 	// (mapping.NewPlan) for every layer. Plans are execution artifacts, not
 	// part of the serialized NetworkPlan.
 	Plans bool
+}
+
+// method maps the options onto the core search they select. Compile
+// rejects an unknown Scheme here, once per compilation; the Variant is
+// checked by core.Search, and only for VW-SDK.
+func (o Options) method() (core.Method, error) {
+	if o.Scheme < 0 || int(o.Scheme) >= len(schemes) {
+		return core.Method{}, fmt.Errorf("compile: unknown scheme %v", o.Scheme)
+	}
+	return core.Method{Scheme: schemes[o.Scheme], Variant: o.Variant}, nil
 }
 
 // normalized fills in the option defaults.
@@ -156,6 +236,9 @@ func (r Request) Validate() error {
 		return err
 	}
 	if err := r.Array.Validate(); err != nil {
+		return err
+	}
+	if _, err := r.Options.method(); err != nil {
 		return err
 	}
 	return r.Options.normalized().Energy.Validate()
@@ -242,29 +325,6 @@ func New(s core.Searcher) *Compiler {
 // Searcher returns the searcher the compiler runs on.
 func (c *Compiler) Searcher() core.Searcher { return c.s }
 
-// search runs the option-selected mapping search for one layer.
-func (c *Compiler) search(ctx context.Context, l core.Layer, a core.Array, opts Options) (core.Result, error) {
-	switch opts.Scheme {
-	case Im2col:
-		if err := ctx.Err(); err != nil {
-			return core.Result{}, err
-		}
-		m, err := core.Im2col(l, a)
-		if err != nil {
-			return core.Result{}, err
-		}
-		return core.Result{Best: m, Im2col: m}, nil
-	case SMD:
-		return c.s.SearchSMD(ctx, l, a)
-	case SDK:
-		return c.s.SearchSDK(ctx, l, a)
-	case VWSDK:
-		return c.s.SearchVariant(ctx, l, a, opts.Variant)
-	default:
-		return core.Result{}, fmt.Errorf("compile: unknown scheme %v", opts.Scheme)
-	}
-}
-
 // compileLayer runs the full per-layer pipeline: search, then schedule,
 // energy and (optionally) the physical plan as soon as the search returns.
 func (c *Compiler) compileLayer(ctx context.Context, cl model.ConvLayer, a core.Array, opts Options) (LayerPlan, error) {
@@ -272,8 +332,9 @@ func (c *Compiler) compileLayer(ctx context.Context, cl model.ConvLayer, a core.
 	defer lsp.End()
 	lsp.SetStr("name", cl.Name)
 	lp := LayerPlan{Layer: cl}
+	m, _ := opts.method() // Compile rejected an unknown scheme
 	sctx, sp := obs.Start(ctx, "search")
-	res, err := c.search(sctx, cl.Layer, a, opts)
+	res, err := c.s.Search(sctx, cl.Layer, a, m)
 	sp.End()
 	if err != nil {
 		return LayerPlan{}, err
@@ -319,6 +380,9 @@ func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, erro
 		return nil, err
 	}
 	if err := a.Validate(); err != nil {
+		return nil, err
+	}
+	if _, err := req.Options.method(); err != nil {
 		return nil, err
 	}
 	req.Options = req.Options.normalized()

@@ -113,9 +113,12 @@ func TestCompileGroupedNetworks(t *testing.T) {
 	}
 }
 
-// TestCompileSchemes pins each Scheme onto the search it selects.
+// TestCompileSchemes pins each Scheme onto the search it selects, and that
+// every scheme, im2col included, reaches the compiler's searcher: one engine
+// search per one-layer compile.
 func TestCompileSchemes(t *testing.T) {
-	c := New(core.Serial{})
+	e := engine.New()
+	c := New(e)
 	l := core.Layer{Name: "conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
 	cases := []struct {
 		scheme Scheme
@@ -129,7 +132,7 @@ func TestCompileSchemes(t *testing.T) {
 			return core.Result{Best: m, Im2col: m}, err
 		}},
 	}
-	for _, tc := range cases {
+	for i, tc := range cases {
 		want, err := tc.want()
 		if err != nil {
 			t.Fatal(err)
@@ -141,10 +144,16 @@ func TestCompileSchemes(t *testing.T) {
 		if !reflect.DeepEqual(lp.Search, want) {
 			t.Errorf("%v: search differs\ncompile %+v\nserial  %+v", tc.scheme, lp.Search, want)
 		}
+		if got := e.Stats().Searches; got != uint64(i+1) {
+			t.Errorf("%v: %d engine searches after %d compiles, want one per compile", tc.scheme, got, i+1)
+		}
 	}
 	if _, err := c.CompileLayer(bg, l, array512, Options{Scheme: Scheme(42)}); err == nil ||
 		!strings.Contains(err.Error(), "unknown scheme") {
 		t.Errorf("unknown scheme accepted: %v", err)
+	}
+	if got := e.Stats().Searches; got != uint64(len(cases)) {
+		t.Errorf("an unknown scheme reached the searcher: %d searches", got)
 	}
 }
 
@@ -333,15 +342,15 @@ func TestNewNilSearcher(t *testing.T) {
 	}
 }
 
-// peakSearcher is the serial searcher with a gauge of how many layer
-// searches are in flight at once. Each search sleeps a millisecond, so
-// searches that are allowed to overlap do.
+// peakSearcher is the serial searcher with a count of its calls and a gauge
+// of how many layer searches are in flight at once. Each search sleeps a
+// millisecond, so searches that are allowed to overlap do.
 type peakSearcher struct {
-	core.Serial
-	inFlight, peak atomic.Int32
+	calls, inFlight, peak atomic.Int32
 }
 
-func (s *peakSearcher) SearchVariant(ctx context.Context, l core.Layer, a core.Array, v core.Variant) (core.Result, error) {
+func (s *peakSearcher) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (core.Result, error) {
+	s.calls.Add(1)
 	now := s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 	for {
@@ -351,17 +360,21 @@ func (s *peakSearcher) SearchVariant(ctx context.Context, l core.Layer, a core.A
 		}
 	}
 	time.Sleep(time.Millisecond)
-	return s.Serial.SearchVariant(ctx, l, a, v)
+	return core.Search(ctx, l, a, m)
 }
 
 // TestCompileBoundsLayerFanOut pins the layer fan-out's width: a compile of
 // MobileNet-V2's many layers has at most GOMAXPROCS layer searches in flight,
-// not one per layer.
+// not one per layer. Every layer's search goes through the searcher once, so
+// the bound cannot hold vacuously.
 func TestCompileBoundsLayerFanOut(t *testing.T) {
 	s := &peakSearcher{}
 	n := model.MobileNetV2()
 	if _, err := New(s).Compile(bg, NewRequest(n, array512, Options{})); err != nil {
 		t.Fatal(err)
+	}
+	if got := s.calls.Load(); int(got) != len(n.Layers) {
+		t.Errorf("searcher called %d times for %d layers, want one call per layer", got, len(n.Layers))
 	}
 	if got, limit := s.peak.Load(), runtime.GOMAXPROCS(0); int(got) > limit {
 		t.Errorf("%d of %d layer searches in flight at once, want at most GOMAXPROCS = %d",

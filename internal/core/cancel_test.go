@@ -7,34 +7,44 @@ import (
 	"testing"
 )
 
+// allMethods lists every search method Search dispatches.
+var allMethods = []Method{
+	{Scheme: SchemeIm2col},
+	{Scheme: SchemeSMD},
+	{Scheme: SchemeSDK},
+	MethodVWSDK,
+	{Scheme: SchemeVWSDK, Variant: VariantSquareTiled},
+	{Scheme: SchemeVWSDK, Variant: VariantRectFullChannel},
+}
+
 // TestSearchContextCancelled pins the cooperative cancellation contract: a
 // search entered with an already-cancelled context returns ctx.Err() (not a
-// result, not a different error) for every search family and both the pruned
-// and exhaustive implementations.
+// result, not a different error) for every search method under both the
+// default and the exhaustive searcher.
 func TestSearchContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	l := Layer{Name: "c", IW: 14, IH: 14, KW: 3, KH: 3, IC: 64, OC: 64}
 	a := Array{Rows: 256, Cols: 256}
-	searches := map[string]func() (Result, error){
-		"vwsdk":     func() (Result, error) { return SearchVWSDKContext(ctx, l, a) },
-		"sdk":       func() (Result, error) { return SearchSDKContext(ctx, l, a) },
-		"smd":       func() (Result, error) { return SearchSMDContext(ctx, l, a) },
-		"full":      func() (Result, error) { return SearchVariantContext(ctx, l, a, VariantFull) },
-		"square":    func() (Result, error) { return SearchVariantContext(ctx, l, a, VariantSquareTiled) },
-		"rect":      func() (Result, error) { return SearchVariantContext(ctx, l, a, VariantRectFullChannel) },
-		"exh-vwsdk": func() (Result, error) { return Exhaustive{}.SearchVWSDK(ctx, l, a) },
-		"exh-rect":  func() (Result, error) { return Exhaustive{}.SearchVariant(ctx, l, a, VariantRectFullChannel) },
-	}
-	for name, search := range searches {
-		res, err := search()
-		if !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", name, err)
-		}
-		if res != (Result{}) {
-			t.Errorf("%s: cancelled search returned a result: %+v", name, res)
+	for _, s := range []Searcher{Serial{}, Exhaustive{}} {
+		for _, m := range allMethods {
+			res, err := s.Search(ctx, l, a, m)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%T %v: err = %v, want context.Canceled", s, m, err)
+			}
+			if res != (Result{}) {
+				t.Errorf("%T %v: cancelled search returned a result: %+v", s, m, res)
+			}
 		}
 	}
+}
+
+// startCounter is the serial searcher counting the searches it starts.
+type startCounter struct{ started atomic.Int32 }
+
+func (c *startCounter) Search(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
+	c.started.Add(1)
+	return Search(ctx, l, a, m)
 }
 
 // TestSearchNetworkCancelled pins that a cancelled context surfaces from the
@@ -50,15 +60,12 @@ func TestSearchNetworkCancelled(t *testing.T) {
 		t.Errorf("err = %v, want context.Canceled", err)
 	}
 
-	var started atomic.Int32
-	_, err := SearchNetworkWith(ctx, layers, a, func(ctx context.Context, l Layer, a Array) (Result, error) {
-		started.Add(1)
-		return SearchVWSDKContext(ctx, l, a)
-	})
+	var s startCounter
+	_, err := SearchNetworkWith(ctx, layers, a, &s, MethodVWSDK)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("with: err = %v, want context.Canceled", err)
 	}
-	if n := started.Load(); n != 0 {
+	if n := s.started.Load(); n != 0 {
 		t.Errorf("started %d layer searches after cancel, want 0", n)
 	}
 }

@@ -21,6 +21,11 @@
 // because the array is smaller than the layer.
 //
 // SearchVWSDK implements Algorithm 1 of the paper; SearchSDK and SearchSMD
-// implement the baselines the paper compares against. Utilization follows
-// eq. 9 and counts weight-holding cells per cycle.
+// implement the baselines the paper compares against. Every per-layer search
+// is one call, Search(ctx, layer, array, method): a Method names the scheme
+// and, for VW-SDK, the ablation Variant, and Search is the one place a
+// method selects its algorithm, with SearchExhaustive as its brute-force
+// oracle. The Searcher interface has that one method; Serial, Exhaustive
+// and internal/engine implement it. Utilization follows eq. 9 and counts
+// weight-holding cells per cycle.
 package core

@@ -80,7 +80,7 @@ func ExplainSearch(r Result) string {
 	b.WriteString(indent(r.Im2col.Explain()))
 	b.WriteString("chosen:\n")
 	b.WriteString(indent(r.Best.Explain()))
-	fmt.Fprintf(&b, "speedup vs im2col: %.2fx (%d cost classes costed, %d feasible windows swept exhaustively)\n",
+	fmt.Fprintf(&b, "speedup vs im2col: %.2fx (%d cost classes costed, %d windows the exhaustive sweep costs)\n",
 		r.SpeedupVsIm2col(), r.Evaluated, r.Swept)
 	return b.String()
 }

@@ -28,12 +28,6 @@ func (n NetworkResult) Speedup() float64 {
 	return float64(n.TotalIm2col) / float64(n.TotalCycles)
 }
 
-// LayerSearch is one per-layer mapping search under a caller context — the
-// pluggable unit SearchNetworkWith aggregates. Both the serial algorithms
-// (SearchVWSDKContext and friends) and the engine's memoized methods have
-// this shape.
-type LayerSearch func(ctx context.Context, l Layer, a Array) (Result, error)
-
 // SearchNetwork runs SearchVWSDK on every layer and aggregates the totals
 // (see SearchNetworkWith). SearchNetworkContext is the same aggregation
 // under a caller context.
@@ -45,22 +39,23 @@ func SearchNetwork(layers []Layer, a Array) (NetworkResult, error) {
 // search runs its own cancellation checkpoints, so cancelling ctx stops the
 // whole network search within one candidate row per in-flight layer.
 func SearchNetworkContext(ctx context.Context, layers []Layer, a Array) (NetworkResult, error) {
-	return SearchNetworkWith(ctx, layers, a, SearchVWSDKContext)
+	return SearchNetworkWith(ctx, layers, a, Serial{}, MethodVWSDK)
 }
 
-// SearchNetworkWith is SearchNetworkContext with a caller-chosen per-layer
-// search; internal/engine aggregates its memoized searches through it, so
-// the two paths cannot diverge. Layers run through fanout.Each on at most
-// GOMAXPROCS workers, inline when there is one worker or one layer. Results
-// are returned in layer order and the first error in layer order wins; a
-// layer not yet started when ctx ends is never started.
-func SearchNetworkWith(ctx context.Context, layers []Layer, a Array, search LayerSearch) (NetworkResult, error) {
+// SearchNetworkWith is SearchNetworkContext with a caller-chosen searcher
+// and method: every layer runs s.Search(ctx, layer, a, m). internal/engine
+// aggregates its memoized searches through it, so the two paths cannot
+// diverge. Layers run through fanout.Each on at most GOMAXPROCS workers,
+// inline when there is one worker or one layer. Results are returned in
+// layer order and the first error in layer order wins; a layer not yet
+// started when ctx ends is never started.
+func SearchNetworkWith(ctx context.Context, layers []Layer, a Array, s Searcher, m Method) (NetworkResult, error) {
 	if len(layers) == 0 {
 		return NetworkResult{}, fmt.Errorf("core: SearchNetwork with no layers")
 	}
 	results := make([]Result, len(layers))
 	errs := fanout.Each(ctx, len(layers), runtime.GOMAXPROCS(0), func(i int) (err error) {
-		results[i], err = search(ctx, layers[i], a)
+		results[i], err = s.Search(ctx, layers[i], a, m)
 		return err
 	})
 	var out NetworkResult

@@ -19,14 +19,17 @@ type Result struct {
 	// Evaluated is the number of distinct cost classes evaluated by the
 	// search that produced this result (excluding the im2col seed). The
 	// default searches evaluate one representative per constant-cycle run
-	// of candidate widths, so Evaluated ≤ Swept; the exhaustive sweeps cost
-	// every feasible candidate, so Evaluated == Swept.
+	// of candidate widths, so Evaluated ≤ Swept; the exhaustive sweeps
+	// report every candidate they cost, so Evaluated == Swept.
 	Evaluated int
 
-	// Swept is the number of feasible candidate windows the exhaustive
-	// sweep costs for this (layer, array, search) — the legacy meaning of
-	// Evaluated. Default and exhaustive searches report the same Swept
-	// (computed analytically by the former), which differential tests pin.
+	// Swept is the number of candidate windows the exhaustive sweep costs
+	// for this (layer, array, search) — the legacy meaning of Evaluated.
+	// The VW-SDK and square-tiled sweeps cost only feasible windows; the
+	// SDK and rect-full-channel sweeps cost every enumerated window before
+	// the baseline rule filters it, so there Swept counts infeasible windows
+	// too. Default and exhaustive searches report the same Swept (computed
+	// analytically by the former), which differential tests pin.
 	Swept int
 }
 
@@ -59,14 +62,14 @@ func checkpoint(ctx context.Context) error { return ctx.Err() }
 // SearchVWSDK never cancels; SearchVWSDKContext is the same search under a
 // caller context with cooperative cancellation checkpoints.
 func SearchVWSDK(l Layer, a Array) (Result, error) {
-	return SearchVWSDKContext(context.Background(), l, a)
+	return Search(context.Background(), l, a, MethodVWSDK)
 }
 
 // SearchVWSDKContext is Algorithm 1 under ctx: the search loop checks for
 // cancellation once per candidate row and returns ctx.Err() as soon as it
 // observes it, so an abandoned request stops burning CPU mid-search.
 func SearchVWSDKContext(ctx context.Context, l Layer, a Array) (Result, error) {
-	return searchVWSDKClosed(ctx, l.Normalized(), a, nil)
+	return Search(ctx, l, a, MethodVWSDK)
 }
 
 // SearchVWSDKExhaustive is the brute-force Algorithm 1 sweep: every
@@ -76,7 +79,7 @@ func SearchVWSDKContext(ctx context.Context, l Layer, a Array) (Result, error) {
 // exists as the reference the closed-form search is validated against; use
 // SearchVWSDK everywhere else.
 func SearchVWSDKExhaustive(l Layer, a Array) (Result, error) {
-	return searchVWSDKExhaustive(context.Background(), l.Normalized(), a)
+	return SearchExhaustive(context.Background(), l, a, MethodVWSDK)
 }
 
 // searchVWSDKExhaustive is the brute-force sweep under ctx; l must be
@@ -115,6 +118,19 @@ func searchVWSDKExhaustive(ctx context.Context, l Layer, a Array) (Result, error
 	return res, nil
 }
 
+// searchIm2col is the im2col baseline as a search: no candidate is costed,
+// and Best is the im2col mapping itself. l must be normalized.
+func searchIm2col(ctx context.Context, l Layer, a Array) (Result, error) {
+	if err := checkpoint(ctx); err != nil {
+		return Result{}, err
+	}
+	m, err := Im2col(l, a)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Best: m, Im2col: m}, nil
+}
+
 // SearchSDK implements the existing SDK-based algorithm the paper compares
 // against [Zhang TCAD'20] as the paper characterizes it: it considers only
 // square parallel windows holding the entire input channels, duplicating
@@ -133,13 +149,12 @@ func searchVWSDKExhaustive(ctx context.Context, l Layer, a Array) (Result, error
 // When no larger window is feasible the result degenerates to im2col, which
 // is how the paper explains SDK's flat speedup beyond VGG-13 layer 3.
 func SearchSDK(l Layer, a Array) (Result, error) {
-	return SearchSDKContext(context.Background(), l, a)
+	return Search(context.Background(), l, a, Method{Scheme: SchemeSDK})
 }
 
-// SearchSDKContext is SearchSDK under a caller context, checking for
-// cancellation once per candidate window.
-func SearchSDKContext(ctx context.Context, l Layer, a Array) (Result, error) {
-	l = l.Normalized()
+// searchSDK is SearchSDK under ctx, checking for cancellation once per
+// candidate window; l must be normalized.
+func searchSDK(ctx context.Context, l Layer, a Array) (Result, error) {
 	base, err := Im2col(l, a)
 	if err != nil {
 		return Result{}, err
@@ -187,16 +202,15 @@ func SearchSDKContext(ctx context.Context, l Layer, a Array) (Result, error) {
 // copies fit the array; with no room to duplicate it degenerates to im2col
 // tiling (dup = 1).
 func SearchSMD(l Layer, a Array) (Result, error) {
-	return SearchSMDContext(context.Background(), l, a)
+	return Search(context.Background(), l, a, Method{Scheme: SchemeSMD})
 }
 
-// SearchSMDContext is SearchSMD under a caller context. SMD costs a single
+// searchSMD is SearchSMD under ctx; l must be normalized. SMD costs a single
 // candidate, so the context is checked once at entry.
-func SearchSMDContext(ctx context.Context, l Layer, a Array) (Result, error) {
+func searchSMD(ctx context.Context, l Layer, a Array) (Result, error) {
 	if err := checkpoint(ctx); err != nil {
 		return Result{}, err
 	}
-	l = l.Normalized()
 	base, err := Im2col(l, a)
 	if err != nil {
 		return Result{}, err
@@ -262,102 +276,84 @@ func (v Variant) String() string {
 // variants run their breakpoint-pruned walks (search_pruned.go).
 // SearchVariantExhaustive is the brute-force reference.
 func SearchVariant(l Layer, a Array, v Variant) (Result, error) {
-	return SearchVariantContext(context.Background(), l, a, v)
-}
-
-// SearchVariantContext is SearchVariant under a caller context with the same
-// per-row cancellation checkpoints as SearchVWSDKContext.
-func SearchVariantContext(ctx context.Context, l Layer, a Array, v Variant) (Result, error) {
-	l = l.Normalized()
-	switch v {
-	case VariantFull:
-		return searchVWSDKClosed(ctx, l, a, nil)
-	case VariantSquareTiled:
-		return searchSquareTiledPruned(ctx, l, a)
-	case VariantRectFullChannel:
-		return searchRectFullChannelPruned(ctx, l, a)
-	default:
-		return Result{}, fmt.Errorf("core: unknown variant %d", int(v))
-	}
+	return Search(context.Background(), l, a, Method{Scheme: SchemeVWSDK, Variant: v})
 }
 
 // SearchVariantExhaustive is the brute-force counterpart of SearchVariant:
 // candidate-by-candidate sweeps with no breakpoint pruning, returning the
 // same Best and Im2col (differential and fuzz tests pin this). Evaluated
-// keeps its legacy meaning here — every feasible candidate costed — and
-// always equals Swept.
+// keeps its legacy meaning here — every candidate costed — and always
+// equals Swept.
 func SearchVariantExhaustive(l Layer, a Array, v Variant) (Result, error) {
-	return searchVariantExhaustive(context.Background(), l.Normalized(), a, v)
+	return SearchExhaustive(context.Background(), l, a, Method{Scheme: SchemeVWSDK, Variant: v})
 }
 
-// searchVariantExhaustive is the brute-force variant sweep under ctx; l must
-// be normalized.
-func searchVariantExhaustive(ctx context.Context, l Layer, a Array, v Variant) (Result, error) {
-	switch v {
-	case VariantFull:
-		return searchVWSDKExhaustive(ctx, l, a)
-	case VariantSquareTiled:
-		base, err := Im2col(l, a)
-		if err != nil {
+// searchSquareTiledExhaustive is the brute-force VariantSquareTiled sweep
+// under ctx; l must be normalized.
+func searchSquareTiledExhaustive(ctx context.Context, l Layer, a Array) (Result, error) {
+	base, err := Im2col(l, a)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Best: base, Im2col: base}
+	for d := 1; ; d++ {
+		if err := checkpoint(ctx); err != nil {
 			return Result{}, err
 		}
-		res := Result{Best: base, Im2col: base}
-		for d := 1; ; d++ {
-			if err := checkpoint(ctx); err != nil {
-				return Result{}, err
+		pw := Window{W: l.KW + d*l.StrideW, H: l.KH + d*l.StrideH}
+		if pw.W > l.PaddedW() || pw.H > l.PaddedH() {
+			break
+		}
+		m, err := SweepVW(l, a, pw)
+		if err != nil {
+			if errors.Is(err, ErrInfeasible) {
+				// Skip rather than early-exit: the brute force stays
+				// deliberately free of monotonicity assumptions so it can
+				// falsify the pruned search's (guarded by a regression
+				// test that the pruned early exit misses nothing).
+				continue
 			}
-			pw := Window{W: l.KW + d*l.StrideW, H: l.KH + d*l.StrideH}
-			if pw.W > l.PaddedW() || pw.H > l.PaddedH() {
-				break
+			return Result{}, err
+		}
+		res.Evaluated++
+		if m.Cycles < res.Best.Cycles {
+			res.Best = m
+		}
+	}
+	res.Swept = res.Evaluated
+	return res, nil
+}
+
+// searchRectFullChannelExhaustive is the brute-force VariantRectFullChannel
+// sweep under ctx; l must be normalized. Like searchSDK it costs every
+// enumerated window before the baseline rule filters it.
+func searchRectFullChannelExhaustive(ctx context.Context, l Layer, a Array) (Result, error) {
+	base, err := Im2col(l, a)
+	if err != nil {
+		return Result{}, err
+	}
+	res := Result{Best: base, Im2col: base}
+	for h := l.KH; h <= l.PaddedH(); h++ {
+		if err := checkpoint(ctx); err != nil {
+			return Result{}, err
+		}
+		for w := l.KW; w <= l.PaddedW(); w++ {
+			if w == l.KW && h == l.KH {
+				continue
 			}
-			m, err := SweepVW(l, a, pw)
+			m, err := SDK(l, a, Window{W: w, H: h})
 			if err != nil {
-				if errors.Is(err, ErrInfeasible) {
-					// Skip rather than early-exit: the brute force stays
-					// deliberately free of monotonicity assumptions so it can
-					// falsify the pruned search's (guarded by a regression
-					// test that the pruned early exit misses nothing).
-					continue
-				}
 				return Result{}, err
 			}
 			res.Evaluated++
+			if m.AR > base.AR || m.AC > base.AC {
+				continue
+			}
 			if m.Cycles < res.Best.Cycles {
 				res.Best = m
 			}
 		}
-		res.Swept = res.Evaluated
-		return res, nil
-	case VariantRectFullChannel:
-		base, err := Im2col(l, a)
-		if err != nil {
-			return Result{}, err
-		}
-		res := Result{Best: base, Im2col: base}
-		for h := l.KH; h <= l.PaddedH(); h++ {
-			if err := checkpoint(ctx); err != nil {
-				return Result{}, err
-			}
-			for w := l.KW; w <= l.PaddedW(); w++ {
-				if w == l.KW && h == l.KH {
-					continue
-				}
-				m, err := SDK(l, a, Window{W: w, H: h})
-				if err != nil {
-					return Result{}, err
-				}
-				res.Evaluated++
-				if m.AR > base.AR || m.AC > base.AC {
-					continue
-				}
-				if m.Cycles < res.Best.Cycles {
-					res.Best = m
-				}
-			}
-		}
-		res.Swept = res.Evaluated
-		return res, nil
-	default:
-		return Result{}, fmt.Errorf("core: unknown variant %d", int(v))
 	}
+	res.Swept = res.Evaluated
+	return res, nil
 }

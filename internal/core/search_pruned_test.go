@@ -179,11 +179,11 @@ func TestExhaustiveCandidatesSquareTiled(t *testing.T) {
 func TestExhaustiveSearcher(t *testing.T) {
 	ctx := context.Background()
 	layers := resnet18Shapes()
-	want, err := Serial{}.SearchNetwork(ctx, layers, array512)
+	want, err := SearchNetworkWith(ctx, layers, array512, Serial{}, MethodVWSDK)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Exhaustive{}.SearchNetwork(ctx, layers, array512)
+	got, err := SearchNetworkWith(ctx, layers, array512, Exhaustive{}, MethodVWSDK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +196,9 @@ func TestExhaustiveSearcher(t *testing.T) {
 			t.Errorf("layer %d: Best differs", i)
 		}
 	}
-	for _, pair := range [][2]func(context.Context, Layer, Array) (Result, error){
-		{Serial{}.SearchSDK, Exhaustive{}.SearchSDK},
-		{Serial{}.SearchSMD, Exhaustive{}.SearchSMD},
-	} {
-		w, err1 := pair[0](ctx, layers[0], array512)
-		g, err2 := pair[1](ctx, layers[0], array512)
+	for _, m := range []Method{{Scheme: SchemeIm2col}, {Scheme: SchemeSMD}, {Scheme: SchemeSDK}} {
+		w, err1 := Serial{}.Search(ctx, layers[0], array512, m)
+		g, err2 := Exhaustive{}.Search(ctx, layers[0], array512, m)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}

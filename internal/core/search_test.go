@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 )
@@ -370,6 +371,40 @@ func TestSearchVariants(t *testing.T) {
 	} {
 		if got := v.String(); got != want {
 			t.Errorf("Variant.String = %q, want %q", got, want)
+		}
+	}
+}
+
+// TestMethod pins Method's canonical form and names, and that both
+// dispatchers reject an unknown method with an error.
+func TestMethod(t *testing.T) {
+	for m, want := range map[Method]string{
+		MethodVWSDK: "VW-SDK",
+		{Scheme: SchemeVWSDK, Variant: VariantRectFullChannel}: "VW-SDK rect+full-channels",
+		{Scheme: SchemeSDK, Variant: VariantSquareTiled}:       "SDK",
+		{Scheme: SchemeIm2col}:                                 "im2col",
+		{Scheme: Scheme(9)}:                                    "Scheme(9)",
+	} {
+		if got := m.String(); got != want {
+			t.Errorf("%+v.String() = %q, want %q", m, got, want)
+		}
+	}
+	for m, want := range map[Method]Method{
+		{Scheme: SchemeSMD, Variant: VariantSquareTiled}:        {Scheme: SchemeSMD},
+		{Scheme: SchemeVWSDK, Variant: VariantSquareTiled}:      {Scheme: SchemeVWSDK, Variant: VariantSquareTiled},
+		{Scheme: SchemeIm2col, Variant: VariantRectFullChannel}: {Scheme: SchemeIm2col},
+	} {
+		if got := m.Canonical(); got != want {
+			t.Errorf("%+v.Canonical() = %+v, want %+v", m, got, want)
+		}
+	}
+	l := Layer{Name: "c", IW: 14, IH: 14, KW: 3, KH: 3, IC: 64, OC: 64}
+	for _, m := range []Method{{Scheme: Scheme(9)}, {Scheme: SchemeVWSDK, Variant: Variant(42)}} {
+		if _, err := Search(context.Background(), l, array512, m); err == nil {
+			t.Errorf("Search accepted unknown method %+v", m)
+		}
+		if _, err := SearchExhaustive(context.Background(), l, array512, m); err == nil {
+			t.Errorf("SearchExhaustive accepted unknown method %+v", m)
 		}
 	}
 }

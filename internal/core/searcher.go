@@ -1,86 +1,122 @@
 package core
 
-import "context"
+import (
+	"context"
+	"fmt"
+)
 
-// Searcher is the set of mapping searches shared by the serial reference
-// implementation (Serial) and the concurrent, memoizing engine
-// (internal/engine). Experiment generators, the compile pipeline and the
-// CLIs accept a Searcher so callers choose the execution strategy; both
-// implementations return bit-identical results.
+// Method names one per-layer mapping search: the scheme the paper compares
+// (im2col, SMD, SDK or VW-SDK) and, for VW-SDK, which Algorithm 1 ablation
+// runs. Method is comparable, so it keys caches directly; a baseline scheme
+// has no ablations, and Canonical folds its Variant away so that methods
+// running the same search compare equal. The zero value is the im2col
+// baseline; MethodVWSDK is Algorithm 1.
+type Method struct {
+	Scheme  Scheme
+	Variant Variant
+}
+
+// MethodVWSDK is the paper's full VW-SDK search (Algorithm 1).
+var MethodVWSDK = Method{Scheme: SchemeVWSDK, Variant: VariantFull}
+
+// Canonical returns m with the Variant cleared to VariantFull unless m is a
+// VW-SDK method: the variant selects an ablation of Algorithm 1 only, so an
+// SDK method carrying VariantSquareTiled runs exactly the SDK search.
+func (m Method) Canonical() Method {
+	if m.Scheme != SchemeVWSDK {
+		m.Variant = VariantFull
+	}
+	return m
+}
+
+// String names the method: the scheme, followed by the ablation variant for
+// an ablated VW-SDK search ("VW-SDK square+tiled").
+func (m Method) String() string {
+	if m = m.Canonical(); m.Variant != VariantFull {
+		return m.Scheme.String() + " " + m.Variant.String()
+	}
+	return m.Scheme.String()
+}
+
+// Search runs the per-layer search m names for layer l on array a under ctx:
+// the im2col baseline (no search; Best is the im2col mapping), SMD's
+// duplication factor, SDK's square windows, Algorithm 1's closed-form walk,
+// or one of its two ablations' walks. It is the one place a method selects
+// its algorithm. Every search checks ctx at least once, and once per
+// candidate row, and returns ctx.Err() once it observes a cancellation. An
+// unknown method is an error.
+func Search(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
+	l = l.Normalized()
+	switch m.Canonical() {
+	case Method{Scheme: SchemeIm2col}:
+		return searchIm2col(ctx, l, a)
+	case Method{Scheme: SchemeSMD}:
+		return searchSMD(ctx, l, a)
+	case Method{Scheme: SchemeSDK}:
+		return searchSDK(ctx, l, a)
+	case MethodVWSDK:
+		return searchVWSDKClosed(ctx, l, a, nil)
+	case Method{Scheme: SchemeVWSDK, Variant: VariantSquareTiled}:
+		return searchSquareTiledPruned(ctx, l, a)
+	case Method{Scheme: SchemeVWSDK, Variant: VariantRectFullChannel}:
+		return searchRectFullChannelPruned(ctx, l, a)
+	}
+	return Result{}, unknownMethod(m)
+}
+
+// SearchExhaustive is Search's oracle: the VW-SDK family runs the
+// brute-force sweeps, candidate by candidate with no breakpoint pruning, and
+// returns the same Best and Im2col as Search (differential and fuzz tests pin
+// this). Evaluated keeps its legacy meaning there and equals Swept. The
+// baselines have no default/exhaustive split and run Search.
+func SearchExhaustive(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
+	if m.Scheme != SchemeVWSDK {
+		return Search(ctx, l, a, m)
+	}
+	l = l.Normalized()
+	switch m.Variant {
+	case VariantFull:
+		return searchVWSDKExhaustive(ctx, l, a)
+	case VariantSquareTiled:
+		return searchSquareTiledExhaustive(ctx, l, a)
+	case VariantRectFullChannel:
+		return searchRectFullChannelExhaustive(ctx, l, a)
+	}
+	return Result{}, unknownMethod(m)
+}
+
+func unknownMethod(m Method) error { return fmt.Errorf("core: unknown search method %v", m) }
+
+// Searcher runs per-layer mapping searches. The serial reference (Serial),
+// its brute-force oracle (Exhaustive) and the concurrent, memoizing engine
+// (internal/engine) implement it, and the compile pipeline, the experiment
+// generators and the CLIs accept one, so callers choose the execution
+// strategy; every implementation returns results bit-identical to Search.
 //
-// Every method is context-first: the search loops run cooperative
-// cancellation checkpoints (once per candidate row), so a cancelled or
-// expired context actually stops the work instead of letting it run to
-// completion. Pass context.Background() when cancellation is not needed.
+// Search is context-first: the search loops run cooperative cancellation
+// checkpoints (once per candidate row), so a cancelled or expired context
+// actually stops the work instead of letting it run to completion. Pass
+// context.Background() when cancellation is not needed.
 type Searcher interface {
-	SearchVWSDK(ctx context.Context, l Layer, a Array) (Result, error)
-	SearchSDK(ctx context.Context, l Layer, a Array) (Result, error)
-	SearchSMD(ctx context.Context, l Layer, a Array) (Result, error)
-	SearchVariant(ctx context.Context, l Layer, a Array, v Variant) (Result, error)
-	SearchNetwork(ctx context.Context, layers []Layer, a Array) (NetworkResult, error)
+	Search(ctx context.Context, l Layer, a Array, m Method) (Result, error)
 }
 
 // Serial is the Searcher backed directly by this package's single-threaded
-// algorithms; it holds no state and the zero value is ready to use.
+// algorithms (Search); it holds no state and the zero value is ready to use.
 type Serial struct{}
 
-// SearchVWSDK runs Algorithm 1 serially.
-func (Serial) SearchVWSDK(ctx context.Context, l Layer, a Array) (Result, error) {
-	return SearchVWSDKContext(ctx, l, a)
-}
-
-// SearchSDK runs the SDK baseline search serially.
-func (Serial) SearchSDK(ctx context.Context, l Layer, a Array) (Result, error) {
-	return SearchSDKContext(ctx, l, a)
-}
-
-// SearchSMD runs the SMD baseline search serially.
-func (Serial) SearchSMD(ctx context.Context, l Layer, a Array) (Result, error) {
-	return SearchSMDContext(ctx, l, a)
-}
-
-// SearchVariant runs an ablated search serially.
-func (Serial) SearchVariant(ctx context.Context, l Layer, a Array, v Variant) (Result, error) {
-	return SearchVariantContext(ctx, l, a, v)
-}
-
-// SearchNetwork optimizes every layer and sums the totals.
-func (Serial) SearchNetwork(ctx context.Context, layers []Layer, a Array) (NetworkResult, error) {
-	return SearchNetworkContext(ctx, layers, a)
+// Search runs Search serially.
+func (Serial) Search(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
+	return Search(ctx, l, a, m)
 }
 
 // Exhaustive is the Searcher backed by the brute-force sweeps
-// (SearchVWSDKExhaustive / SearchVariantExhaustive): the reference the
-// default closed-form search (and the ablated variants' own walks) is
-// differentially tested and benchmarked against. The baseline searches
-// (SDK, SMD) have no default/exhaustive split and are shared with Serial.
+// (SearchExhaustive): the reference the closed-form VW-SDK search and the
+// ablated variants' walks are differentially tested and benchmarked against.
 // The zero value is ready to use.
 type Exhaustive struct{}
 
-// SearchVWSDK runs the brute-force Algorithm 1 sweep.
-func (Exhaustive) SearchVWSDK(ctx context.Context, l Layer, a Array) (Result, error) {
-	return searchVWSDKExhaustive(ctx, l.Normalized(), a)
-}
-
-// SearchSDK runs the SDK baseline search (no exhaustive split).
-func (Exhaustive) SearchSDK(ctx context.Context, l Layer, a Array) (Result, error) {
-	return SearchSDKContext(ctx, l, a)
-}
-
-// SearchSMD runs the SMD baseline search (no exhaustive split).
-func (Exhaustive) SearchSMD(ctx context.Context, l Layer, a Array) (Result, error) {
-	return SearchSMDContext(ctx, l, a)
-}
-
-// SearchVariant runs a brute-force ablated sweep.
-func (Exhaustive) SearchVariant(ctx context.Context, l Layer, a Array, v Variant) (Result, error) {
-	return searchVariantExhaustive(ctx, l.Normalized(), a, v)
-}
-
-// SearchNetwork optimizes every layer with the brute-force sweep and sums
-// the totals.
-func (Exhaustive) SearchNetwork(ctx context.Context, layers []Layer, a Array) (NetworkResult, error) {
-	return SearchNetworkWith(ctx, layers, a, func(ctx context.Context, l Layer, a Array) (Result, error) {
-		return searchVWSDKExhaustive(ctx, l.Normalized(), a)
-	})
+// Search runs SearchExhaustive.
+func (Exhaustive) Search(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
+	return SearchExhaustive(ctx, l, a, m)
 }

@@ -18,7 +18,7 @@ func TestEngineSearchCancelled(t *testing.T) {
 	cancel()
 	l := core.Layer{Name: "c", IW: 14, IH: 14, KW: 3, KH: 3, IC: 64, OC: 64}
 	a := core.Array{Rows: 256, Cols: 256}
-	if _, err := e.SearchVWSDK(ctx, l, a); !errors.Is(err, context.Canceled) {
+	if _, err := e.Search(ctx, l, a, core.MethodVWSDK); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	st := e.Stats()
@@ -27,7 +27,7 @@ func TestEngineSearchCancelled(t *testing.T) {
 	}
 	// The same engine still serves the search under a live context, and the
 	// result is the serial one.
-	res, err := e.SearchVWSDK(context.Background(), l, a)
+	res, err := e.Search(context.Background(), l, a, core.MethodVWSDK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +50,14 @@ func TestEngineCancelledSearchNotCached(t *testing.T) {
 	cancel()
 	l := core.Layer{Name: "c", IW: 8, IH: 8, KW: 3, KH: 3, IC: 4, OC: 4}
 	a := core.Array{Rows: 64, Cols: 64}
-	if _, err := e.SearchVWSDK(ctx, l, a); !errors.Is(err, context.Canceled) {
+	if _, err := e.Search(ctx, l, a, core.MethodVWSDK); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled (slot wait abandoned)", err)
 	}
 	<-e.sem
 	if st := e.Stats(); st.CachedResults != 0 {
 		t.Errorf("cancelled search was cached: %+v", st)
 	}
-	if _, err := e.SearchVWSDK(context.Background(), l, a); err != nil {
+	if _, err := e.Search(context.Background(), l, a, core.MethodVWSDK); err != nil {
 		t.Fatalf("engine unusable after cancelled search: %v", err)
 	}
 }

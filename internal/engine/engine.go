@@ -6,15 +6,17 @@
 // in-flight searches — because ResNet and VGG repeat layer shapes heavily,
 // and experiment sweeps re-cost the same pairs from scratch otherwise.
 //
-// Each individual search runs the core package's class walk
-// (core.SearchVWSDK and friends), which visits candidate cost classes on the
-// fly instead of materializing and chunking the O(PaddedW × PaddedH)
-// candidate slice the engine used to fan out; the VW-SDK search evaluates
-// the classes in closed form and pays at most one cost-model call, so the
-// worker pool's parallelism is spent where it pays — across layers and
-// sweep cells — and per-search allocations shrink to the result itself.
-// WithExhaustiveSearch switches an engine to the brute-force core sweeps for
-// differential testing and benchmarking.
+// Engine.Search is the one per-layer entry point: it runs core.Search — the
+// one dispatch from a core.Method to its algorithm — keyed by the layer
+// shape, the array and the method's canonical form. The core searches visit
+// candidate cost classes on the fly instead of materializing and chunking
+// the O(PaddedW × PaddedH) candidate slice the engine used to fan out; the
+// VW-SDK search evaluates the classes in closed form and pays at most one
+// cost-model call, so the worker pool's parallelism is spent where it pays —
+// across layers and sweep cells — and per-search allocations shrink to the
+// result itself. WithExhaustiveSearch switches an engine to
+// core.SearchExhaustive, the brute-force sweeps, for differential testing
+// and benchmarking.
 //
 // Every method is context-first: cancellation propagates into the worker
 // pool (a search waiting for a slot gives the slot up), into in-flight
@@ -77,10 +79,10 @@ func WithCacheSize(n int) Option {
 	return func(e *Engine) { e.cacheCap = n }
 }
 
-// WithExhaustiveSearch routes the engine's VW-SDK and variant searches
-// through the brute-force core sweeps (core.SearchVWSDKExhaustive /
-// core.SearchVariantExhaustive) instead of the default class walks — the
-// closed-form VW-SDK search and the ablated variants' own walks.
+// WithExhaustiveSearch routes the engine's searches through
+// core.SearchExhaustive, the brute-force sweeps for the VW-SDK family,
+// instead of core.Search's class walks — the closed-form VW-SDK search and
+// the ablated variants' own walks.
 // Results are bit-identical either way; the option exists so differential
 // tests and cmd/vwsdkbench can compare the two paths under the same caching
 // and concurrency.
@@ -175,41 +177,17 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// SearchVWSDK runs Algorithm 1 (the optimal parallel-window search) under
-// the cache and worker pool; bit-identical to core.SearchVWSDK.
-func (e *Engine) SearchVWSDK(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	return e.SearchVariant(ctx, l, a, core.VariantFull)
-}
-
-// SearchSDK runs the square-window SDK baseline search; bit-identical to
-// core.SearchSDK.
-func (e *Engine) SearchSDK(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	return e.memoized(ctx, newCacheKey(l, a, kindSDK, 0), l.Name, func(ctx context.Context) (core.Result, error) {
-		return e.withSlot(ctx, func() (core.Result, error) { return core.SearchSDKContext(ctx, l, a) })
-	})
-}
-
-// SearchSMD runs the sub-matrix-duplication baseline search (a single costed
-// mapping) under the cache; bit-identical to core.SearchSMD.
-func (e *Engine) SearchSMD(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	return e.memoized(ctx, newCacheKey(l, a, kindSMD, 0), l.Name, func(ctx context.Context) (core.Result, error) {
-		return e.withSlot(ctx, func() (core.Result, error) { return core.SearchSMDContext(ctx, l, a) })
-	})
-}
-
-// SearchVariant runs an ablated VW-SDK search; bit-identical to
-// core.SearchVariant. VariantFull shares cache entries with SearchVWSDK.
-func (e *Engine) SearchVariant(ctx context.Context, l core.Layer, a core.Array, v core.Variant) (core.Result, error) {
-	k := newCacheKey(l, a, kindVariant, v)
-	if v == core.VariantFull {
-		k = newCacheKey(l, a, kindVWSDK, 0)
-	}
-	return e.memoized(ctx, k, l.Name, func(ctx context.Context) (core.Result, error) {
+// Search runs the per-layer search m names under the cache and worker pool;
+// bit-identical to core.Search, or to core.SearchExhaustive on a
+// WithExhaustiveSearch engine. Methods with one canonical form
+// (core.Method.Canonical) share one cache entry.
+func (e *Engine) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (core.Result, error) {
+	return e.memoized(ctx, newCacheKey(l, a, m), l.Name, func(ctx context.Context) (core.Result, error) {
 		return e.withSlot(ctx, func() (core.Result, error) {
 			if e.exhaustive {
-				return core.Exhaustive{}.SearchVariant(ctx, l, a, v)
+				return core.SearchExhaustive(ctx, l, a, m)
 			}
-			return core.SearchVariantContext(ctx, l, a, v)
+			return core.Search(ctx, l, a, m)
 		})
 	})
 }
@@ -225,9 +203,7 @@ func (e *Engine) SearchNetwork(ctx context.Context, layers []core.Layer, a core.
 // run through core.SearchNetworkWith, so on at most GOMAXPROCS workers; the
 // searches that miss the cache are further bounded by the worker pool.
 func (e *Engine) SearchNetworkVariant(ctx context.Context, layers []core.Layer, a core.Array, v core.Variant) (core.NetworkResult, error) {
-	return core.SearchNetworkWith(ctx, layers, a, func(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-		return e.SearchVariant(ctx, l, a, v)
-	})
+	return core.SearchNetworkWith(ctx, layers, a, e, core.Method{Scheme: core.SchemeVWSDK, Variant: v})
 }
 
 // memoized serves one search through the memo cache. search runs the
@@ -263,19 +239,16 @@ func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, search f
 var spanOutcome = [...]string{memo.Computed: "miss", memo.Hit: "hit", memo.Joined: "coalesced"}
 
 // searchPath names the search implementation a computed result came from, for
-// span attribution: closed-form for the VW-SDK search (what core.SearchStats
-// reports), pruned for the ablated variants, exhaustive on a
-// WithExhaustiveSearch engine, baseline for SDK/SMD.
+// span attribution: exhaustive on a WithExhaustiveSearch engine, closed-form
+// for the VW-SDK search (what core.SearchStats reports), pruned for the
+// ablated variants' walks, baseline for im2col, SMD and SDK.
 func (e *Engine) searchPath(k cacheKey) string {
-	if e.exhaustive {
+	switch {
+	case e.exhaustive:
 		return "exhaustive"
-	}
-	switch k.kind {
-	case kindVWSDK:
+	case k.method == core.MethodVWSDK:
 		return core.PathClosedForm
-	case kindVariant:
-		// Ablated variants run their own pruned walks (VariantFull keys are
-		// kindVWSDK).
+	case k.method.Scheme == core.SchemeVWSDK:
 		return core.PathPruned
 	default:
 		return "baseline"
@@ -283,21 +256,15 @@ func (e *Engine) searchPath(k cacheKey) string {
 }
 
 // countCandidates maintains the CandidatesCosted/CandidatesPruned counters
-// for one computed (never cached) search result.
+// for one computed (never cached) search result; only the VW-SDK family has
+// an exhaustive sweep to prune against.
 func (e *Engine) countCandidates(k cacheKey, res core.Result) {
 	e.costed.Add(uint64(res.Evaluated))
-	if e.exhaustive {
+	if e.exhaustive || k.method.Scheme != core.SchemeVWSDK {
 		return
 	}
-	switch k.kind {
-	case kindVWSDK, kindVariant:
-		v := core.VariantFull
-		if k.kind == kindVariant {
-			v = k.variant
-		}
-		if ex := core.ExhaustiveCandidates(k.layer, v); ex > int64(res.Evaluated) {
-			e.pruned.Add(uint64(ex - int64(res.Evaluated)))
-		}
+	if ex := core.ExhaustiveCandidates(k.layer, k.method.Variant); ex > int64(res.Evaluated) {
+		e.pruned.Add(uint64(ex - int64(res.Evaluated)))
 	}
 }
 

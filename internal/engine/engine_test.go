@@ -26,54 +26,39 @@ var testArrays = []core.Array{
 	{Rows: 1024, Cols: 1024},
 }
 
+// allMethods lists every search method core.Search dispatches.
+var allMethods = []core.Method{
+	{Scheme: core.SchemeIm2col},
+	{Scheme: core.SchemeSMD},
+	{Scheme: core.SchemeSDK},
+	core.MethodVWSDK,
+	{Scheme: core.SchemeVWSDK, Variant: core.VariantSquareTiled},
+	{Scheme: core.SchemeVWSDK, Variant: core.VariantRectFullChannel},
+}
+
 // TestEngineMatchesSerialEverywhere is the differential test the engine's
 // correctness rests on: on every layer of every predefined network, for
-// every array size and every search family, the engine's result must be
+// every array size and every search method, the engine's result must be
 // bit-identical (reflect.DeepEqual on the full Result struct) to the serial
 // core algorithms'.
 func TestEngineMatchesSerialEverywhere(t *testing.T) {
 	e := New()
-	type search struct {
-		name   string
-		serial func(core.Layer, core.Array) (core.Result, error)
-		engine func(core.Layer, core.Array) (core.Result, error)
-	}
-	searches := []search{
-		{"vwsdk", core.SearchVWSDK,
-			func(l core.Layer, a core.Array) (core.Result, error) { return e.SearchVWSDK(bg, l, a) }},
-		{"sdk", core.SearchSDK,
-			func(l core.Layer, a core.Array) (core.Result, error) { return e.SearchSDK(bg, l, a) }},
-		{"smd", core.SearchSMD,
-			func(l core.Layer, a core.Array) (core.Result, error) { return e.SearchSMD(bg, l, a) }},
-	}
-	for _, v := range []core.Variant{core.VariantFull, core.VariantSquareTiled, core.VariantRectFullChannel} {
-		v := v
-		searches = append(searches, search{
-			name: "variant/" + v.String(),
-			serial: func(l core.Layer, a core.Array) (core.Result, error) {
-				return core.SearchVariant(l, a, v)
-			},
-			engine: func(l core.Layer, a core.Array) (core.Result, error) {
-				return e.SearchVariant(bg, l, a, v)
-			},
-		})
-	}
 	for _, n := range model.All() {
 		for _, a := range testArrays {
 			for _, l := range n.CoreLayers() {
-				for _, s := range searches {
-					want, wantErr := s.serial(l, a)
-					got, gotErr := s.engine(l, a)
+				for _, m := range allMethods {
+					want, wantErr := core.Search(bg, l, a, m)
+					got, gotErr := e.Search(bg, l, a, m)
 					if (wantErr == nil) != (gotErr == nil) {
-						t.Fatalf("%s/%s/%v/%s: serial err=%v, engine err=%v",
-							n.Name, l.Name, a, s.name, wantErr, gotErr)
+						t.Fatalf("%s/%s/%v/%v: serial err=%v, engine err=%v",
+							n.Name, l.Name, a, m, wantErr, gotErr)
 					}
 					if wantErr != nil {
 						continue
 					}
 					if !reflect.DeepEqual(want, got) {
-						t.Errorf("%s/%s/%v/%s:\nserial %+v\nengine %+v",
-							n.Name, l.Name, a, s.name, want, got)
+						t.Errorf("%s/%s/%v/%v:\nserial %+v\nengine %+v",
+							n.Name, l.Name, a, m, want, got)
 					}
 				}
 			}
@@ -92,7 +77,7 @@ func TestEngineCachedHitIsIdentical(t *testing.T) {
 	e := New()
 	l := core.Layer{Name: "conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
 	a := core.Array{Rows: 512, Cols: 512}
-	if _, err := e.SearchVWSDK(bg, l, a); err != nil {
+	if _, err := e.Search(bg, l, a, core.MethodVWSDK); err != nil {
 		t.Fatal(err)
 	}
 	renamedLayer := l
@@ -101,7 +86,7 @@ func TestEngineCachedHitIsIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.SearchVWSDK(bg, renamedLayer, a)
+	got, err := e.Search(bg, renamedLayer, a, core.MethodVWSDK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,20 +98,43 @@ func TestEngineCachedHitIsIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineVariantFullSharesVWSDKCache pins that SearchVariant(VariantFull)
-// and SearchVWSDK hit one cache entry, like their serial definitions.
+// TestEngineVariantFullSharesVWSDKCache pins that methods with one canonical
+// form share one cache entry: VW-SDK under VariantFull is MethodVWSDK, and a
+// baseline method carrying a variant is its variant-free form. The second
+// search of each form is a hit on the first one's entry, with the same
+// result, no new miss and no new entry.
 func TestEngineVariantFullSharesVWSDKCache(t *testing.T) {
 	e := New()
 	l := core.Layer{Name: "c", IW: 14, IH: 14, KW: 3, KH: 3, IC: 64, OC: 64}
 	a := core.Array{Rows: 256, Cols: 256}
-	if _, err := e.SearchVWSDK(bg, l, a); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.SearchVariant(bg, l, a, core.VariantFull); err != nil {
-		t.Fatal(err)
-	}
-	if st := e.Stats(); st.CacheMisses != 1 || st.CacheHits != 1 {
-		t.Errorf("stats = %+v, want 1 miss then 1 hit", st)
+	for _, base := range []core.Method{
+		core.MethodVWSDK, {Scheme: core.SchemeSDK}, {Scheme: core.SchemeSMD}, {Scheme: core.SchemeIm2col},
+	} {
+		want, err := e.Search(bg, l, a, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := e.Stats()
+		variants := []core.Variant{core.VariantFull}
+		if base.Scheme != core.SchemeVWSDK {
+			variants = append(variants, core.VariantSquareTiled, core.VariantRectFullChannel)
+		}
+		for _, v := range variants {
+			m := core.Method{Scheme: base.Scheme, Variant: v}
+			got, err := e.Search(bg, l, a, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v: result differs from %v's", m, base)
+			}
+		}
+		st := e.Stats()
+		if st.CacheMisses != before.CacheMisses || st.CachedResults != before.CachedResults ||
+			st.CacheHits != before.CacheHits+uint64(len(variants)) {
+			t.Errorf("%v: stats %+v -> %+v, want %d hits and no new miss or entry",
+				base, before, st, len(variants))
+		}
 	}
 }
 
@@ -159,11 +167,11 @@ func TestEngineErrorsMatchSerial(t *testing.T) {
 	e := New()
 	bad := core.Layer{IW: 0, IH: 8, KW: 3, KH: 3, IC: 1, OC: 1}
 	a := core.Array{Rows: 512, Cols: 512}
-	if _, err := e.SearchVWSDK(bg, bad, a); err == nil {
+	if _, err := e.Search(bg, bad, a, core.MethodVWSDK); err == nil {
 		t.Error("engine accepted invalid layer")
 	}
 	ok := core.Layer{IW: 8, IH: 8, KW: 3, KH: 3, IC: 1, OC: 1}
-	if _, err := e.SearchVWSDK(bg, ok, core.Array{}); err == nil {
+	if _, err := e.Search(bg, ok, core.Array{}, core.MethodVWSDK); err == nil {
 		t.Error("engine accepted invalid array")
 	}
 	if st := e.Stats(); st.CachedResults != 0 {
@@ -193,7 +201,7 @@ func TestEngineConcurrentIdenticalSearches(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = e.SearchVWSDK(bg, l, a)
+			results[i], errs[i] = e.Search(bg, l, a, core.MethodVWSDK)
 		}(i)
 	}
 	wg.Wait()
@@ -238,7 +246,7 @@ func TestEngineFlightDedupeCounter(t *testing.T) {
 	e.sem <- struct{}{}
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := e.SearchVWSDK(bg, l, a)
+		_, err := e.Search(bg, l, a, core.MethodVWSDK)
 		leaderErr <- err
 	}()
 	// Wait until the leader is registered in flight: its miss is counted
@@ -248,7 +256,7 @@ func TestEngineFlightDedupeCounter(t *testing.T) {
 	}
 	waiterErr := make(chan error, 1)
 	go func() {
-		_, err := e.SearchVWSDK(bg, l, a)
+		_, err := e.Search(bg, l, a, core.MethodVWSDK)
 		waiterErr <- err
 	}()
 	// Wait until the waiter has observed the in-flight entry (its dedupe is
@@ -286,7 +294,7 @@ func TestEngineOptions(t *testing.T) {
 		New(WithWorkers(1), WithCacheSize(0)),
 		New(WithWorkers(64), WithCacheSize(1)),
 	} {
-		got, err := e.SearchVWSDK(bg, l, a)
+		got, err := e.Search(bg, l, a, core.MethodVWSDK)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -296,7 +304,7 @@ func TestEngineOptions(t *testing.T) {
 	}
 	nocache := New(WithCacheSize(0))
 	for i := 0; i < 2; i++ {
-		if _, err := nocache.SearchVWSDK(bg, l, a); err != nil {
+		if _, err := nocache.Search(bg, l, a, core.MethodVWSDK); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -316,7 +324,7 @@ func TestCacheLRUEviction(t *testing.T) {
 	l1 := core.Layer{Name: "a", IW: 14, IH: 14, KW: 3, KH: 3, IC: 16, OC: 16}
 	l2 := core.Layer{Name: "b", IW: 16, IH: 16, KW: 3, KH: 3, IC: 16, OC: 16}
 	for _, l := range []core.Layer{l1, l2, l1} {
-		if _, err := e.SearchVWSDK(bg, l, a); err != nil {
+		if _, err := e.Search(bg, l, a, core.MethodVWSDK); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -352,7 +360,7 @@ func TestEngineCandidateCounters(t *testing.T) {
 	enumerated := core.ExhaustiveCandidates(l, core.VariantFull)
 
 	e := New()
-	if _, err := e.SearchVWSDK(bg, l, a); err != nil {
+	if _, err := e.Search(bg, l, a, core.MethodVWSDK); err != nil {
 		t.Fatal(err)
 	}
 	st := e.Stats()
@@ -365,14 +373,14 @@ func TestEngineCandidateCounters(t *testing.T) {
 			st.CandidatesPruned, want, enumerated, serial.Evaluated)
 	}
 	// A cache hit costs nothing.
-	if _, err := e.SearchVWSDK(bg, l, a); err != nil {
+	if _, err := e.Search(bg, l, a, core.MethodVWSDK); err != nil {
 		t.Fatal(err)
 	}
 	if st2 := e.Stats(); st2.CandidatesCosted != st.CandidatesCosted || st2.CandidatesPruned != st.CandidatesPruned {
 		t.Errorf("cache hit moved candidate counters: %+v -> %+v", st, st2)
 	}
 	// Baseline searches count their costed candidates but prune nothing.
-	sdk, err := e.SearchSDK(bg, l, a)
+	sdk, err := e.Search(bg, l, a, core.Method{Scheme: core.SchemeSDK})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +390,7 @@ func TestEngineCandidateCounters(t *testing.T) {
 	}
 
 	exh := New(WithExhaustiveSearch())
-	if _, err := exh.SearchVWSDK(bg, l, a); err != nil {
+	if _, err := exh.Search(bg, l, a, core.MethodVWSDK); err != nil {
 		t.Fatal(err)
 	}
 	if st := exh.Stats(); st.CandidatesPruned != 0 || st.CandidatesCosted != uint64(serial.Swept) {
@@ -392,25 +400,25 @@ func TestEngineCandidateCounters(t *testing.T) {
 
 // TestEngineExhaustiveSearchOption pins that a WithExhaustiveSearch engine
 // returns the brute-force results (same Best, legacy Evaluated == Swept) on
-// a sample of zoo shapes and variants.
+// a sample of zoo shapes under every method.
 func TestEngineExhaustiveSearchOption(t *testing.T) {
 	e := New(WithExhaustiveSearch())
 	a := core.Array{Rows: 512, Cols: 512}
 	for _, l := range model.ResNet18().CoreLayers() {
-		for _, v := range []core.Variant{core.VariantFull, core.VariantSquareTiled, core.VariantRectFullChannel} {
-			want, err := core.SearchVariantExhaustive(l, a, v)
+		for _, m := range allMethods {
+			want, err := core.SearchExhaustive(bg, l, a, m)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := e.SearchVariant(bg, l, a, v)
+			got, err := e.Search(bg, l, a, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%v: exhaustive engine differs from core exhaustive", l.Name, v)
+				t.Errorf("%s/%v: exhaustive engine differs from core exhaustive", l.Name, m)
 			}
 			if got.Evaluated != got.Swept {
-				t.Errorf("%s/%v: exhaustive Evaluated %d != Swept %d", l.Name, v, got.Evaluated, got.Swept)
+				t.Errorf("%s/%v: exhaustive Evaluated %d != Swept %d", l.Name, m, got.Evaluated, got.Swept)
 			}
 		}
 	}

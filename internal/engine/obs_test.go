@@ -19,10 +19,10 @@ func TestSearchSpans(t *testing.T) {
 
 	tr := obs.New("test")
 	ctx := obs.NewContext(context.Background(), tr)
-	if _, err := e.SearchVWSDK(ctx, l, a); err != nil {
+	if _, err := e.Search(ctx, l, a, core.MethodVWSDK); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.SearchVWSDK(ctx, l, a); err != nil {
+	if _, err := e.Search(ctx, l, a, core.MethodVWSDK); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,7 +56,7 @@ func TestSearchSpans(t *testing.T) {
 	dw := core.Layer{Name: "dw2_1", IW: 112, IH: 112, KW: 3, KH: 3, IC: 96, OC: 96,
 		StrideW: 2, StrideH: 2, PadW: 1, PadH: 1, Groups: 96}
 	tr = obs.New("test")
-	if _, err := e.SearchVWSDK(obs.NewContext(context.Background(), tr), dw, a); err != nil {
+	if _, err := e.Search(obs.NewContext(context.Background(), tr), dw, a, core.MethodVWSDK); err != nil {
 		t.Fatal(err)
 	}
 	sp := obs.Find(tr.Tree(), "engine.search")
@@ -65,6 +65,24 @@ func TestSearchSpans(t *testing.T) {
 	}
 	if sp.Attrs["path"] != core.PathClosedForm {
 		t.Errorf("dw2_1 path = %v, want %q", sp.Attrs["path"], core.PathClosedForm)
+	}
+
+	// The other methods: the ablations run their pruned walks, and im2col,
+	// SMD and SDK are baselines.
+	for m, want := range map[core.Method]string{
+		{Scheme: core.SchemeVWSDK, Variant: core.VariantSquareTiled}:     core.PathPruned,
+		{Scheme: core.SchemeVWSDK, Variant: core.VariantRectFullChannel}: core.PathPruned,
+		{Scheme: core.SchemeIm2col}:                                      "baseline",
+		{Scheme: core.SchemeSMD}:                                         "baseline",
+		{Scheme: core.SchemeSDK}:                                         "baseline",
+	} {
+		tr = obs.New("test")
+		if _, err := e.Search(obs.NewContext(context.Background(), tr), l, a, m); err != nil {
+			t.Fatal(err)
+		}
+		if sp := obs.Find(tr.Tree(), "engine.search"); sp == nil || sp.Attrs["path"] != want {
+			t.Errorf("%v: engine.search span = %+v, want path %q", m, sp, want)
+		}
 	}
 }
 
@@ -75,7 +93,7 @@ func TestSearchSpansExhaustive(t *testing.T) {
 
 	tr := obs.New("test")
 	ctx := obs.NewContext(context.Background(), tr)
-	if _, err := e.SearchVWSDK(ctx, l, core.Array{Rows: 64, Cols: 64}); err != nil {
+	if _, err := e.Search(ctx, l, core.Array{Rows: 64, Cols: 64}, core.MethodVWSDK); err != nil {
 		t.Fatal(err)
 	}
 	sp := obs.Find(tr.Tree(), "engine.search")

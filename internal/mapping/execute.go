@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/conv"
@@ -89,40 +90,23 @@ func Verify(m core.Mapping, seed uint64) error {
 }
 
 // VerifyAllSchemes verifies layer l on array a under im2col, searched SMD,
-// searched SDK and searched VW-SDK mappings. It returns the first failure.
-// Grouped layers verify the schemes with grouped physical layouts (im2col
-// and VW-SDK); SMD duplication and SDK have dense-only layouts and are
-// skipped.
+// searched SDK and searched VW-SDK mappings, in that order, each the Best of
+// core.Search under its method. It returns the first failure. Grouped layers
+// verify the schemes with grouped physical layouts (im2col and VW-SDK); SMD
+// duplication and SDK have dense-only layouts and are skipped.
 func VerifyAllSchemes(l core.Layer, a core.Array, seed uint64) error {
-	im, err := core.Im2col(l, a)
-	if err != nil {
-		return err
+	methods := []core.Method{{Scheme: core.SchemeIm2col}, {Scheme: core.SchemeSMD}, {Scheme: core.SchemeSDK}, core.MethodVWSDK}
+	if l.Normalized().NumGroups() > 1 {
+		methods = []core.Method{{Scheme: core.SchemeIm2col}, core.MethodVWSDK}
 	}
-	if err := Verify(im, seed); err != nil {
-		return fmt.Errorf("im2col: %w", err)
-	}
-	if l.Normalized().NumGroups() == 1 {
-		smd, err := core.SearchSMD(l, a)
+	for _, m := range methods {
+		res, err := core.Search(context.Background(), l, a, m)
 		if err != nil {
 			return err
 		}
-		if err := Verify(smd.Best, seed); err != nil {
-			return fmt.Errorf("SMD: %w", err)
+		if err := Verify(res.Best, seed); err != nil {
+			return fmt.Errorf("%v: %w", m, err)
 		}
-		sdk, err := core.SearchSDK(l, a)
-		if err != nil {
-			return err
-		}
-		if err := Verify(sdk.Best, seed); err != nil {
-			return fmt.Errorf("SDK: %w", err)
-		}
-	}
-	vw, err := core.SearchVWSDK(l, a)
-	if err != nil {
-		return err
-	}
-	if err := Verify(vw.Best, seed); err != nil {
-		return fmt.Errorf("VW-SDK: %w", err)
 	}
 	return nil
 }

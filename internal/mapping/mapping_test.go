@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"context"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -507,5 +509,49 @@ func TestFaultDetection(t *testing.T) {
 	}
 	if !clean.Equal(want) {
 		t.Fatal("zero-fraction fault option changed the result")
+	}
+}
+
+// TestVerifyAblationWinners runs the winners of both Algorithm 1 ablations
+// on the crossbar — dense, strided and padded, rectangular-kernel, grouped
+// and depthwise layers on four arrays — and requires a bit-exact OFM and
+// executed cycles equal to the analytic count. A grouped rect-full-channel
+// winner that takes SDK's row-granular layout, which has no grouped form,
+// must be rejected with that structured error rather than skipped.
+func TestVerifyAblationWinners(t *testing.T) {
+	layers := []core.Layer{
+		{Name: "dense", IW: 9, IH: 8, KW: 3, KH: 3, IC: 5, OC: 7},
+		{Name: "strided padded", IW: 11, IH: 10, KW: 3, KH: 3, IC: 4, OC: 6, StrideW: 2, StrideH: 2, PadW: 1, PadH: 1},
+		{Name: "rect kernel", IW: 10, IH: 9, KW: 3, KH: 2, IC: 4, OC: 5},
+		{Name: "grouped", IW: 9, IH: 8, KW: 3, KH: 3, IC: 6, OC: 8, Groups: 2},
+		{Name: "depthwise", IW: 9, IH: 9, KW: 3, KH: 3, IC: 7, OC: 7, Groups: 7},
+	}
+	arrays := []core.Array{{Rows: 32, Cols: 32}, {Rows: 64, Cols: 48}, {Rows: 128, Cols: 64}, {Rows: 256, Cols: 256}}
+	rejected := 0
+	for _, v := range []core.Variant{core.VariantSquareTiled, core.VariantRectFullChannel} {
+		m := core.Method{Scheme: core.SchemeVWSDK, Variant: v}
+		for _, l := range layers {
+			for _, a := range arrays {
+				res, err := core.Search(context.Background(), l, a, m)
+				if err != nil {
+					t.Fatalf("%v %s %v: %v", m, l.Name, a, err)
+				}
+				err = Verify(res.Best, 0xab1a)
+				if l.NumGroups() > 1 && res.Best.Scheme == core.SchemeSDK {
+					rejected++
+					if err == nil || !strings.Contains(err.Error(), "SDK's row-granular layout has no grouped form") {
+						t.Errorf("%v %s %v: grouped SDK-layout winner %v: err = %v, want the no-grouped-form rejection",
+							m, l.Name, a, res.Best, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Errorf("%v %s %v: winner %v: %v", m, l.Name, a, res.Best, err)
+				}
+			}
+		}
+	}
+	if rejected == 0 {
+		t.Error("no grouped rect-full-channel winner took the SDK layout; the rejection went unchecked")
 	}
 }

@@ -411,18 +411,18 @@ func TestEvents(t *testing.T) {
 	}
 }
 
-// failingSearcher fails the VW-SDK search of every layer with a kernel wider
-// than 3 on one array and delegates every other search.
+// failingSearcher fails the search of every layer with a kernel wider than 3
+// on one array and delegates every other search to inner.
 type failingSearcher struct {
-	core.Searcher
-	bad core.Array
+	inner core.Searcher
+	bad   core.Array
 }
 
-func (f failingSearcher) SearchVariant(ctx context.Context, l core.Layer, a core.Array, v core.Variant) (core.Result, error) {
+func (f failingSearcher) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (core.Result, error) {
 	if a == f.bad && l.KW > 3 {
 		return core.Result{}, errors.New("injected search failure")
 	}
-	return f.Searcher.SearchVariant(ctx, l, a, v)
+	return f.inner.Search(ctx, l, a, m)
 }
 
 // TestRunFirstFailure pins Run's failure to that of evaluating every point
@@ -435,7 +435,7 @@ func TestRunFirstFailure(t *testing.T) {
 	ctx := context.Background()
 	s := exampleSpace(t)
 	s.Groups = 2
-	o := New(compile.New(failingSearcher{Searcher: engine.New(), bad: core.Array{Rows: 128, Cols: 128}}))
+	o := New(compile.New(failingSearcher{inner: engine.New(), bad: core.Array{Rows: 128, Cols: 128}}))
 	var want error
 	var before int
 	for _, d := range Designs(s) {

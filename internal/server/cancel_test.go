@@ -20,7 +20,6 @@ import (
 // without timing assumptions.
 type gateSearcher struct {
 	release chan struct{}
-	inner   core.Serial
 }
 
 func newGateSearcher() *gateSearcher {
@@ -43,36 +42,11 @@ func (g *gateSearcher) wait(ctx context.Context) error {
 	}
 }
 
-func (g *gateSearcher) SearchVWSDK(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
+func (g *gateSearcher) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (core.Result, error) {
 	if err := g.wait(ctx); err != nil {
 		return core.Result{}, err
 	}
-	return g.inner.SearchVWSDK(ctx, l, a)
-}
-
-func (g *gateSearcher) SearchSDK(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	if err := g.wait(ctx); err != nil {
-		return core.Result{}, err
-	}
-	return g.inner.SearchSDK(ctx, l, a)
-}
-
-func (g *gateSearcher) SearchSMD(ctx context.Context, l core.Layer, a core.Array) (core.Result, error) {
-	if err := g.wait(ctx); err != nil {
-		return core.Result{}, err
-	}
-	return g.inner.SearchSMD(ctx, l, a)
-}
-
-func (g *gateSearcher) SearchVariant(ctx context.Context, l core.Layer, a core.Array, v core.Variant) (core.Result, error) {
-	if err := g.wait(ctx); err != nil {
-		return core.Result{}, err
-	}
-	return g.inner.SearchVariant(ctx, l, a, v)
-}
-
-func (g *gateSearcher) SearchNetwork(ctx context.Context, layers []core.Layer, a core.Array) (core.NetworkResult, error) {
-	return core.SearchNetworkWith(ctx, layers, a, g.SearchVWSDK)
+	return core.Search(ctx, l, a, m)
 }
 
 // oneLayerNet returns a one-layer inline network spec with a distinguishing

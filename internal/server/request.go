@@ -140,24 +140,13 @@ func (o *requestOptions) compileOptions() (compile.Options, *httpError) {
 	if o == nil {
 		return opts, nil
 	}
-	switch o.Scheme {
-	case "", "vw", "vwsdk", "vw-sdk":
-		opts.Scheme = compile.VWSDK
-	case "im2col":
-		opts.Scheme = compile.Im2col
-	case "smd":
-		opts.Scheme = compile.SMD
-	case "sdk":
-		opts.Scheme = compile.SDK
-	default:
-		return opts, errorf(http.StatusUnprocessableEntity,
-			"unknown scheme %q (have vw, im2col, smd, sdk)", o.Scheme)
+	var err error
+	if opts.Scheme, err = compile.ParseScheme(o.Scheme); err != nil {
+		return opts, errorf(http.StatusUnprocessableEntity, "%v", err)
 	}
-	v, herr := parseVariant(o.Variant)
-	if herr != nil {
-		return opts, herr
+	if opts.Variant, err = compile.ParseVariant(o.Variant); err != nil {
+		return opts, errorf(http.StatusUnprocessableEntity, "%v", err)
 	}
-	opts.Variant = v
 	if o.Arrays < 0 {
 		return opts, errorf(http.StatusUnprocessableEntity, "negative arrays %d", o.Arrays)
 	}
@@ -173,22 +162,11 @@ func (o *requestOptions) compileOptions() (compile.Options, *httpError) {
 // before this point (see proxyBody).
 func wireOptions(opts compile.Options) *requestOptions {
 	var o requestOptions
-	switch opts.Scheme {
-	case compile.VWSDK:
-		// The default; leave the field empty.
-	case compile.Im2col:
-		o.Scheme = "im2col"
-	case compile.SMD:
-		o.Scheme = "smd"
-	case compile.SDK:
-		o.Scheme = "sdk"
+	if opts.Scheme != compile.VWSDK {
+		o.Scheme = compile.SchemeName(opts.Scheme)
 	}
-	switch opts.Variant {
-	case core.VariantFull:
-	case core.VariantSquareTiled:
-		o.Variant = "square-tiled"
-	case core.VariantRectFullChannel:
-		o.Variant = "rect-full-channel"
+	if opts.Variant != core.VariantFull {
+		o.Variant = compile.VariantName(opts.Variant)
 	}
 	if opts.Arrays > 1 {
 		o.Arrays = opts.Arrays
@@ -198,19 +176,4 @@ func wireOptions(opts compile.Options) *requestOptions {
 		return nil
 	}
 	return &o
-}
-
-// parseVariant maps a wire variant name onto the VW-SDK ablation enum.
-func parseVariant(name string) (core.Variant, *httpError) {
-	switch name {
-	case "", "full":
-		return core.VariantFull, nil
-	case "square", "square-tiled", "square+tiled":
-		return core.VariantSquareTiled, nil
-	case "rect", "rect-full-channel", "rect+full-channels":
-		return core.VariantRectFullChannel, nil
-	default:
-		return 0, errorf(http.StatusUnprocessableEntity,
-			"unknown variant %q (have full, square-tiled, rect-full-channel)", name)
-	}
 }

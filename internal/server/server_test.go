@@ -336,6 +336,23 @@ func TestCompileErrorPaths(t *testing.T) {
 		}
 	}
 
+	// A bad scheme or variant is rejected with a message that lists the
+	// canonical names.
+	for opts, want := range map[string]string{
+		`{"scheme": "magic"}`:  `unknown scheme "magic" (have vw, im2col, smd, sdk)`,
+		`{"variant": "magic"}`: `unknown variant "magic" (have full, square-tiled, rect-full-channel)`,
+	} {
+		_, body := post(t, ts.URL+"/v1/compile", `{"network": "VGG-13", "array": "64x64", "options": `+opts+`}`)
+		var e struct {
+			Error struct {
+				Message string `json:"message"`
+			} `json:"error"`
+		}
+		if err := json.Unmarshal(body, &e); err != nil || e.Error.Message != want {
+			t.Errorf("options %s: message %q (%v), want %q", opts, e.Error.Message, err, want)
+		}
+	}
+
 	// The grouped-spec rejection names the actual divisibility problem, so a
 	// client can fix the spec without reading server logs.
 	resp1, body1 := post(t, ts.URL+"/v1/compile",
@@ -680,4 +697,33 @@ func (w *syncWriter) String() string {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.b.String()
+}
+
+// TestWireOptionsRoundTrip pins the peer hop's option encoding against the
+// parser: every scheme, variant, chip count and gating bit survives
+// wireOptions then compileOptions, defaults collapse to no options at all,
+// and an out-of-range scheme or variant is written as a name the parser
+// rejects instead of the default.
+func TestWireOptionsRoundTrip(t *testing.T) {
+	for _, s := range []compile.Scheme{compile.VWSDK, compile.Im2col, compile.SMD, compile.SDK} {
+		for _, v := range []core.Variant{core.VariantFull, core.VariantSquareTiled, core.VariantRectFullChannel} {
+			for _, opts := range []compile.Options{
+				{Scheme: s, Variant: v},
+				{Scheme: s, Variant: v, Arrays: 4, GatePeripherals: true},
+			} {
+				got, herr := wireOptions(opts).compileOptions()
+				if herr != nil || got != opts {
+					t.Errorf("%+v: round trip gave %+v, %v", opts, got, herr)
+				}
+			}
+		}
+	}
+	if o := wireOptions(compile.Options{}); o != nil {
+		t.Errorf("default options wired as %+v, want nil", o)
+	}
+	for _, opts := range []compile.Options{{Scheme: compile.Scheme(9)}, {Variant: core.Variant(-1)}} {
+		if _, herr := wireOptions(opts).compileOptions(); herr == nil || herr.status != http.StatusUnprocessableEntity {
+			t.Errorf("%+v: wired options accepted (%v)", opts, herr)
+		}
+	}
 }

@@ -108,9 +108,9 @@ func (req *sweepRequest) cells() ([]sweepCell, *httpError) {
 	for _, n := range networks {
 		for _, a := range arrays {
 			for _, vName := range variants {
-				v, herr := parseVariant(vName)
-				if herr != nil {
-					return nil, herr
+				v, err := compile.ParseVariant(vName)
+				if err != nil {
+					return nil, errorf(http.StatusUnprocessableEntity, "%v", err)
 				}
 				opts := base
 				opts.Variant = v

@@ -294,9 +294,18 @@ func SearchNetworkContext(ctx context.Context, layers []Layer, a Array) (Network
 	return core.SearchNetworkContext(ctx, layers, a)
 }
 
-// Searcher abstracts the mapping searches; both the serial reference
-// implementation (SerialSearcher) and the concurrent Engine satisfy it.
-// Every method is context-first (see core.Searcher).
+// Method names one per-layer search: a Scheme plus, for VW-SDK, the
+// ablation Variant. Methods that run the same search compare equal after
+// Canonical. See core.Method.
+type Method = core.Method
+
+// MethodVWSDK is the full VW-SDK search, Algorithm 1.
+var MethodVWSDK = core.MethodVWSDK
+
+// Searcher is the one per-layer search: Search(ctx, layer, array, method).
+// The serial reference (SerialSearcher), its brute-force oracle
+// (ExhaustiveSearcher) and the concurrent Engine implement it, with
+// bit-identical results; Search is context-first (see core.Searcher).
 type Searcher = core.Searcher
 
 // SerialSearcher returns the Searcher backed by the single-threaded
@@ -308,11 +317,12 @@ func SerialSearcher() Searcher { return core.Serial{} }
 // search.
 func ExhaustiveSearcher() Searcher { return core.Exhaustive{} }
 
-// Engine is a concurrent, memoizing search engine: per-layer searches and
-// batch-sweep cells fan across a worker pool (each individual search walks
-// only cost-class breakpoints), and repeated (layer shape, array,
-// search) combinations are served from an LRU cache. Results are
-// bit-identical to the serial searches. See engine.Engine.
+// Engine is a concurrent, memoizing search engine and a Searcher: its one
+// per-layer method, Engine.Search, and batch-sweep cells fan across a worker
+// pool (each individual search walks only cost-class breakpoints), and
+// repeated (layer shape, array, canonical method) combinations are served
+// from an LRU cache. Results are bit-identical to the serial searches. See
+// engine.Engine.
 type Engine = engine.Engine
 
 // EngineOption configures an Engine.

@@ -315,7 +315,7 @@ func TestFacadeExhaustiveSearch(t *testing.T) {
 	if vp.Best != ve.Best {
 		t.Error("variant pruned/exhaustive disagree")
 	}
-	es, err := ExhaustiveSearcher().SearchVWSDK(context.Background(), l, PaperArray)
+	es, err := ExhaustiveSearcher().Search(context.Background(), l, PaperArray, MethodVWSDK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestFacadeExhaustiveSearch(t *testing.T) {
 		t.Error("ExhaustiveSearcher disagrees with SearchVWSDKExhaustive")
 	}
 	eng := NewEngine(WithExhaustiveSearch())
-	er, err := eng.SearchVWSDK(context.Background(), l, PaperArray)
+	er, err := eng.Search(context.Background(), l, PaperArray, MethodVWSDK)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestFacadeEngine(t *testing.T) {
 	}
 
 	eng := NewEngine(WithWorkers(2))
-	res, err := eng.SearchVWSDK(context.Background(), layers[3], a)
+	res, err := eng.Search(context.Background(), layers[3], a, MethodVWSDK)
 	if err != nil {
 		t.Fatal(err)
 	}
