@@ -2,6 +2,7 @@ package compile
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"runtime"
 	"strings"
@@ -303,6 +304,27 @@ func TestCompileErrors(t *testing.T) {
 	if _, err := c.Compile(bg, NewRequest(net, core.Array{Rows: 8, Cols: 8}, Options{})); err == nil ||
 		!strings.Contains(err.Error(), "huge") {
 		t.Errorf("invalid layer error should name the layer, got %v", err)
+	}
+}
+
+// TestCompileRejectsNonFiniteEnergy pins that a NaN or infinite energy
+// constant fails the request up front, before any layer is searched, rather
+// than yielding a plan that cannot be serialized.
+func TestCompileRejectsNonFiniteEnergy(t *testing.T) {
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		m := energy.Default()
+		m.EnergyDAC = v
+		s := &peakSearcher{}
+		req := NewRequest(model.VGG13(), array512, Options{Energy: &m})
+		if err := req.Validate(); err == nil {
+			t.Errorf("Request.Validate accepted DAC energy %v", v)
+		}
+		if _, err := New(s).Compile(bg, req); err == nil {
+			t.Errorf("Compile accepted DAC energy %v", v)
+		}
+		if n := s.calls.Load(); n != 0 {
+			t.Errorf("DAC energy %v: %d layer searches ran before the rejection", v, n)
+		}
 	}
 }
 

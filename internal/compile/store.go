@@ -6,7 +6,10 @@ package compile
 // key compile to equivalent plans, so an entry can never be stale — only
 // corrupt) and Encode/FromJSON is the storable representation (FromJSON
 // re-validates totals, so a loaded entry is checked exactly like the golden
-// round-trip before it is ever served).
+// round-trip before it is ever served). Encode's bytes are AppendPlan's, and
+// FromJSON reads them with a one-pass decoder it trusts only when
+// re-encoding reproduces them, so a load costs less than the compile it
+// saves while accepting exactly what encoding/json accepts.
 //
 // Implementations must be safe for concurrent use: the server calls GetPlan
 // from concurrent cache-miss fills and PutPlan behind every locally computed

@@ -31,6 +31,7 @@ package energy
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/core"
@@ -76,14 +77,19 @@ func Default() Model {
 	}
 }
 
-// Validate reports whether all constants are positive.
+// Validate reports whether all constants are positive and finite. A NaN
+// or infinite constant would make every estimate, and so every plan
+// compiled under the model, unserializable.
 func (m Model) Validate() error {
-	if m.TCycle <= 0 || m.EnergyDAC <= 0 || m.EnergyADC <= 0 ||
-		m.EnergyCellMAC <= 0 || m.EnergyCellWrite <= 0 {
-		return fmt.Errorf("energy: non-positive model constant: %+v", m)
+	if m.TCycle <= 0 || !finitePositive(m.EnergyDAC) || !finitePositive(m.EnergyADC) ||
+		!finitePositive(m.EnergyCellMAC) || !finitePositive(m.EnergyCellWrite) {
+		return fmt.Errorf("energy: non-positive or non-finite model constant: %+v", m)
 	}
 	return nil
 }
+
+// finitePositive reports whether x is positive and finite; NaN is not.
+func finitePositive(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Report is the latency/energy estimate for one mapping (or a sum of
 // mappings; see Add).

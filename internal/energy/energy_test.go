@@ -22,6 +22,18 @@ func TestDefaultValidates(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Fatal("negative cycle time accepted")
 	}
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		bad = Default()
+		bad.EnergyDAC = v
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("DAC energy %v accepted", v)
+		}
+		bad = Default()
+		bad.EnergyCellWrite = v
+		if err := bad.Validate(); err == nil {
+			t.Fatalf("cell-write energy %v accepted", v)
+		}
+	}
 }
 
 func TestEstimateSmallLayerByHand(t *testing.T) {

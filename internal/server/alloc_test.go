@@ -1,10 +1,13 @@
 package server
 
 import (
+	"bytes"
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/compile"
@@ -65,5 +68,55 @@ func TestCachedPlanMiss(t *testing.T) {
 	// Invalid requests are reported as errors, not silent misses.
 	if _, err := s.CachedPlan(io.Discard, compile.Request{}); err == nil {
 		t.Error("invalid request accepted")
+	}
+}
+
+// recordingStore is a compile.PlanStore that keeps every PutPlan's bytes and
+// never has a plan.
+type recordingStore struct {
+	mu   sync.Mutex
+	puts [][]byte
+}
+
+func (r *recordingStore) GetPlan(string) ([]byte, *compile.NetworkPlan, bool) { return nil, nil, false }
+func (r *recordingStore) StoreStats() compile.StoreStats                      { return compile.StoreStats{} }
+
+func (r *recordingStore) PutPlan(_ string, data []byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.puts = append(r.puts, data)
+}
+
+// TestCompiledPlanBytesExactSize pins the size rule of a cold compile's
+// serialization: the served and the stored bytes are one slice of exactly
+// the plan's length, copied out of the encoder's scratch buffer, not a
+// grown buffer whose unused capacity the plan cache would hold for the
+// entry's lifetime.
+func TestCompiledPlanBytesExactSize(t *testing.T) {
+	st := &recordingStore{}
+	s := New(Config{Store: st})
+	req := compile.NewRequest(model.VGG13(), core.Array{Rows: 512, Cols: 512}, compile.Options{})
+	key, err := compile.Key(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry, _, err := s.compilePlan(context.Background(), key, req, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entry.data) == 0 || cap(entry.data) != len(entry.data) {
+		t.Errorf("served plan bytes have length %d and capacity %d, want equal", len(entry.data), cap(entry.data))
+	}
+	var want bytes.Buffer
+	if err := entry.plan.Encode(&want); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(entry.data, want.Bytes()) {
+		t.Error("served plan bytes differ from Encode's")
+	}
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if len(st.puts) != 1 || &st.puts[0][0] != &entry.data[0] || len(st.puts[0]) != len(entry.data) {
+		t.Errorf("store got %d writes, want the served slice once", len(st.puts))
 	}
 }

@@ -45,7 +45,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -54,6 +53,7 @@ import (
 	"log"
 	"net/http"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -443,9 +443,8 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 		}
 		// Serialize compactly once; every request served from this entry —
 		// including warm hits, which are allocation-free — writes these bytes.
-		var buf bytes.Buffer
 		_, esp := obs.Start(pctx, "encode")
-		err = p.Encode(&buf)
+		data, err := encodePlan(p)
 		esp.End()
 		if err != nil {
 			return nil, err
@@ -456,11 +455,29 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 			// serve path nothing. Locally computed plans are persisted whether
 			// or not this node owns the key — a node that computed under peer
 			// degradation stays warm across its own restarts too.
-			s.store.PutPlan(key, buf.Bytes())
+			s.store.PutPlan(key, data)
 		}
-		return &planEntry{plan: p, data: buf.Bytes(), trace: prov.Tree(), phases: prov.Phases()}, nil
+		return &planEntry{plan: p, data: data, trace: prov.Tree(), phases: prov.Phases()}, nil
 	})
 	return entry, outcome != memo.Computed, err
+}
+
+// encodePlan serializes p compactly with compile.AppendPlan in a pooled
+// scratch buffer, then copies the bytes into one slice of exactly their
+// length: the plan cache and the store hold them for the entry's lifetime,
+// so they are allocated once and never with a growing buffer's slack.
+func encodePlan(p *compile.NetworkPlan) ([]byte, error) {
+	bp := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(bp)
+	buf := slices.Grow((*bp)[:0], planBytesPerLayer*(len(p.Layers)+1))
+	buf, err := compile.AppendPlan(buf, p)
+	if err != nil {
+		return nil, fmt.Errorf("encode plan: %w", err)
+	}
+	*bp = buf // keep the grown capacity
+	data := make([]byte, len(buf))
+	copy(data, buf)
+	return data, nil
 }
 
 // fetchFromPeer tries to fill a miss from the key's owning peer. It returns
@@ -534,9 +551,17 @@ func proxyBody(req compile.Request) ([]byte, bool) {
 	return body, true
 }
 
-// keyBufPool recycles compile.AppendKey scratch buffers across requests, so
-// the warm-hit fast path builds its cache key without allocating.
-var keyBufPool = sync.Pool{New: func() any {
+// planBytesPerLayer bounds a compiled plan's compact encoding per layer
+// (zoo plans run 1.6–1.8 KiB). encodePlan reserves it up front, so a
+// scratch buffer the pool has dropped at a GC is allocated once at about
+// the plan's size rather than grown in append's 1.25× steps.
+const planBytesPerLayer = 2 << 10
+
+// scratchPool recycles compile.AppendKey and compile.AppendPlan scratch
+// buffers across requests, so the warm-hit fast path builds its cache key
+// without allocating and a compile encodes its plan without growing a
+// buffer.
+var scratchPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
 }}
@@ -580,15 +605,15 @@ func isPeerHop(r *http.Request) bool {
 // in the plan cache, allocating nothing on either hit or miss. It returns
 // nil when the plan is not cached; the error reports an invalid request.
 func (s *Server) cachedEntry(req compile.Request) (*planEntry, error) {
-	bp := keyBufPool.Get().(*[]byte)
+	bp := scratchPool.Get().(*[]byte)
 	buf, err := compile.AppendKey((*bp)[:0], req)
 	if err != nil {
-		keyBufPool.Put(bp)
+		scratchPool.Put(bp)
 		return nil, err
 	}
 	*bp = buf // keep the grown capacity
 	entry, _ := memo.Lookup(s.plans, buf)
-	keyBufPool.Put(bp)
+	scratchPool.Put(bp)
 	return entry, nil
 }
 

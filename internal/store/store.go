@@ -12,7 +12,10 @@
 // totals against its layers) plus a re-key check (the decoded plan's own
 // request must hash back to the key it was stored under); an entry failing
 // either check is quarantined on the spot — renamed aside with a .corrupt
-// suffix so it is recomputed, never served, and never retried.
+// suffix so it is recomputed, never served, and never retried. Entries hold
+// compile.AppendPlan's compact bytes, which compile.FromJSON decodes in one
+// pass, guarded by re-encoding; an entry in any other form still loads,
+// through encoding/json.
 //
 // Layout: one file per plan at <dir>/<aa>/<sha256(key) hex>.json, where
 // <aa> is the first hash byte (256-way fan-out keeps directories small at
