@@ -17,9 +17,10 @@
 // With -optimize it benchmarks the Pareto-frontier hardware co-design search
 // (internal/optimize) on a fixed 64-point design space and writes
 // BENCH_optimize.json: the frontier shape, the engine-memoization counters
-// (distinct searches must stay at one per shared (layer, array) cell), and
-// cold/warm wall-clock figures. -check-against pins the deterministic
-// frontier shape exactly and fails on any memoization regression.
+// (distinct searches must stay at one per shared (layer, array) cell), the
+// allocation count of a warm run, and cold/warm wall-clock figures.
+// -check-against pins the deterministic frontier shape exactly and fails on
+// any memoization regression or any growth in warm-run allocations.
 //
 // With -fleet it benchmarks the fleet tier: a zipfian compile mix driven
 // round-robin over an in-process 3-node consistent-hash fleet (persistent
@@ -367,9 +368,9 @@ func runOptimize(ctx context.Context, opts bench.Options, outPath, against strin
 		if err := os.WriteFile(outPath, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(progress, "wrote %s: %d design points, frontier %d (%d dominated), %d distinct searches of %d served\n",
+		fmt.Fprintf(progress, "wrote %s: %d design points, frontier %d (%d dominated), %d distinct searches of %d served, %d allocs per warm run\n",
 			outPath, rep.PointsEvaluated, rep.FrontierSize, rep.Dominated,
-			rep.DistinctSearches, rep.SearchesServed)
+			rep.DistinctSearches, rep.SearchesServed, rep.WarmAllocsPerRun)
 	}
 	if against != "" {
 		return checkOptimize(rep, against)
@@ -384,7 +385,8 @@ func runOptimize(ctx context.Context, opts bench.Options, outPath, against strin
 // extra distinct search means a shared (layer, array) pair was searched
 // twice, i.e. the engine memoization broke; one extra served search means a
 // (group, array, chips, gating) cell was compiled twice in one run, i.e. the
-// optimizer went back to compiling per design point. Wall-clock figures are
+// optimizer went back to compiling per design point. The warm allocation
+// count, taken at GOMAXPROCS 1, may not grow either. Wall-clock figures are
 // machine-dependent and not gated.
 func checkOptimize(rep *bench.OptimizeReport, path string) error {
 	var base bench.OptimizeReport
@@ -404,6 +406,10 @@ func checkOptimize(rep *bench.OptimizeReport, path string) error {
 	if rep.SearchesServed > base.SearchesServed {
 		return fmt.Errorf("cell memoization regressed: %d searches served > committed %d (a group cell compiled twice)",
 			rep.SearchesServed, base.SearchesServed)
+	}
+	if rep.WarmAllocsPerRun > base.WarmAllocsPerRun {
+		return fmt.Errorf("warm run allocations regressed: %d per run > committed %d",
+			rep.WarmAllocsPerRun, base.WarmAllocsPerRun)
 	}
 	return nil
 }

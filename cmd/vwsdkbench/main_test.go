@@ -263,7 +263,8 @@ func TestRunFleet(t *testing.T) {
 // TestRunOptimize smoke-runs the -optimize benchmark in CI mode, validates
 // the written report, and exercises the -check-against gate in both
 // directions: a fresh run checked against itself passes, while doctored
-// snapshots claiming fewer distinct or fewer served searches must fail.
+// snapshots claiming fewer distinct or fewer served searches, or fewer
+// allocations per warm run, must fail.
 func TestRunOptimize(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "BENCH_optimize.json")
@@ -295,13 +296,14 @@ func TestRunOptimize(t *testing.T) {
 		t.Errorf("self-check failed: %v", err)
 	}
 
-	// Doctor the snapshot so every fresh run looks like a memoization
-	// regression: no real run can search fewer distinct (layer, array)
-	// pairs than exist, nor serve fewer searches than one per layer of each
-	// (group, array, chips, gating) cell.
+	// Doctor the snapshot so every fresh run looks like a regression: no
+	// real run can search fewer distinct (layer, array) pairs than exist,
+	// nor serve fewer searches than one per layer of each (group, array,
+	// chips, gating) cell, nor allocate less than the count it repeats.
 	for name, doctor := range map[string]func(*bench.OptimizeReport){
 		"distinct": func(r *bench.OptimizeReport) { r.DistinctSearches = 1 },
 		"served":   func(r *bench.OptimizeReport) { r.SearchesServed = rep.SearchesServed - 1 },
+		"allocs":   func(r *bench.OptimizeReport) { r.WarmAllocsPerRun = rep.WarmAllocsPerRun - 1 },
 	} {
 		doctored := rep
 		doctor(&doctored)

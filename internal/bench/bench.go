@@ -391,5 +391,24 @@ func timeIt(opts Options, f func()) (nsPerOp, allocsPerOp, iters int64) {
 	return elapsed.Nanoseconds() / n, int64(after.Mallocs-before.Mallocs) / n, n
 }
 
+// mallocs counts the heap allocations of runs calls of f after one warm-up
+// call, at GOMAXPROCS 1 as testing.AllocsPerRun counts them, so that the
+// count repeats on any runner. It stops at f's first error.
+func mallocs(runs int, f func() error) (uint64, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if err := f(); err != nil {
+		return 0, err
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		if err := f(); err != nil {
+			return 0, err
+		}
+	}
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, nil
+}
+
 // round1 rounds to one decimal so the JSON stays readable.
 func round1(x float64) float64 { return float64(int64(x*10+0.5)) / 10 }

@@ -28,10 +28,12 @@ const OptimizeSchema = "vwsdk-optimize-bench/v1"
 // Everything except the wall-clock numbers is deterministic: the space is
 // fixed, the optimizer enumerates and evaluates sequentially, the served
 // count is a pure function of the space's cells and group sizes, and the
-// distinct-search count of its layer shapes and array candidates. The CI
-// gate (-check-against) therefore pins the frontier shape exactly and treats
-// any growth in SearchesServed or DistinctSearches as a memoization
-// regression; latency is machine-dependent and not gated.
+// distinct-search count of its layer shapes and array candidates; the warm
+// allocation count is taken at GOMAXPROCS 1. The CI gate (-check-against)
+// therefore pins the frontier shape exactly, treats any growth in
+// SearchesServed or DistinctSearches as a memoization regression and any
+// growth in WarmAllocsPerRun as a warm-path regression; latency is
+// machine-dependent and not gated.
 type OptimizeReport struct {
 	Schema    string `json:"schema"`
 	GoVersion string `json:"go_version"`
@@ -56,6 +58,12 @@ type OptimizeReport struct {
 	SearchesServed   uint64 `json:"searches_served"`
 	DistinctSearches uint64 `json:"distinct_searches"`
 	MemoizedReuses   uint64 `json:"memoized_reuses"`
+
+	// WarmAllocsPerRun is the heap allocation count of one warm run, where
+	// every layer search is an engine hit, counted at GOMAXPROCS 1 like
+	// testing.AllocsPerRun: every compile then runs its layers on the
+	// caller, so the count repeats on any runner.
+	WarmAllocsPerRun int64 `json:"warm_allocs_per_run"`
 
 	// ColdNs is the wall clock of the first full search on an empty engine;
 	// WarmNsPerRun times repeat runs where every layer search is a cache hit
@@ -97,7 +105,8 @@ func optimizeSpace() optimize.DesignSpace {
 // RunOptimize executes the optimize benchmark and builds the report. The
 // cold run is timed once on a fresh engine and supplies both the frontier
 // shape and the memoization counters; the warm loop then re-runs the same
-// search on the now-fully-cached engine under the usual benchtime rules.
+// search on the now-fully-cached engine under the usual benchtime rules, and
+// 50 more warm runs at GOMAXPROCS 1 give the warm allocation count.
 func RunOptimize(ctx context.Context, opts Options) (*OptimizeReport, error) {
 	if opts.Benchtime <= 0 {
 		opts.Benchtime = 10 * time.Millisecond
@@ -153,5 +162,14 @@ func RunOptimize(ctx context.Context, opts Options) (*OptimizeReport, error) {
 		}
 	})
 	wsp.SetInt("iters", rep.WarmIters).End()
+	const allocRuns = 50
+	n, err := mallocs(allocRuns, func() error {
+		_, err := o.Run(context.Background(), space, nil)
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bench: optimize warm run: %w", err)
+	}
+	rep.WarmAllocsPerRun = int64(n / allocRuns)
 	return rep, nil
 }

@@ -43,6 +43,15 @@ func TestRunOptimizeOnce(t *testing.T) {
 		t.Errorf("search counters inconsistent: served %d != distinct %d + reused %d",
 			rep.SearchesServed, rep.DistinctSearches, rep.MemoizedReuses)
 	}
+	if rep.WarmAllocsPerRun <= 0 {
+		t.Errorf("warm allocs per run = %d, want a positive count", rep.WarmAllocsPerRun)
+	}
+	if again, err := RunOptimize(context.Background(), Options{Once: true}); err != nil {
+		t.Fatal(err)
+	} else if again.WarmAllocsPerRun != rep.WarmAllocsPerRun {
+		t.Errorf("warm allocs per run = %d, then %d: the count must repeat",
+			rep.WarmAllocsPerRun, again.WarmAllocsPerRun)
+	}
 	if rep.ColdNs <= 0 || rep.WarmNsPerRun <= 0 || rep.WarmIters != 1 {
 		t.Errorf("implausible timings: %+v", rep)
 	}

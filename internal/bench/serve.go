@@ -216,21 +216,14 @@ func sampleEndpoint(ctx context.Context, name string, h http.Handler, path strin
 // planPathAllocs measures the warm-hit plan path in isolation, mirroring
 // testing.AllocsPerRun (GOMAXPROCS pinned to 1, warm-up run excluded).
 func planPathAllocs(s *server.Server, req compile.Request) (float64, error) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const runs = 500
-	ok, err := s.CachedPlan(io.Discard, req)
-	if err != nil || !ok {
-		return 0, fmt.Errorf("bench: warm plan path: hit=%v err=%v", ok, err)
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for range runs {
+	n, err := mallocs(runs, func() error {
 		if ok, err := s.CachedPlan(io.Discard, req); err != nil || !ok {
-			return 0, fmt.Errorf("bench: warm plan path: hit=%v err=%v", ok, err)
+			return fmt.Errorf("bench: warm plan path: hit=%v err=%v", ok, err)
 		}
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / runs, nil
+		return nil
+	})
+	return float64(n) / runs, err
 }
 
 // discardResponseWriter is the no-op http.ResponseWriter the serve loops

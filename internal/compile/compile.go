@@ -14,13 +14,14 @@
 // stitched together themselves.
 //
 // The stages run as a pipeline: layers fan out through fanout.Each on at
-// most GOMAXPROCS workers, each layer's search goes through the compiler's
-// Searcher (normally the concurrent, memoizing engine), and scheduling,
-// energy estimation and physical planning run per layer as soon as its
-// search completes — layer i's schedule is built while layer j is still
-// searching. Options selects the mapping scheme, the VW-SDK ablation
-// variant, the chip size and the peripheral model, so one Compile call
-// covers every ablation the repository evaluates.
+// most GOMAXPROCS workers, the calling goroutine among them, each layer's
+// search goes through the compiler's Searcher (normally the concurrent,
+// memoizing engine), and scheduling, energy estimation and physical planning
+// run per layer as soon as its search completes — layer i's schedule is
+// built while layer j is still searching. Each worker fills its layer's
+// entry of the plan in place. Options selects the mapping scheme, the
+// VW-SDK ablation variant, the chip size and the peripheral model, so one
+// Compile call covers every ablation the repository evaluates.
 //
 // A compilation is described by the canonical Request{Network, Array,
 // Options} — the one type shared by the vwsdk facade, the CLI flags and
@@ -325,48 +326,50 @@ func New(s core.Searcher) *Compiler {
 // Searcher returns the searcher the compiler runs on.
 func (c *Compiler) Searcher() core.Searcher { return c.s }
 
-// compileLayer runs the full per-layer pipeline: search, then schedule,
-// energy and (optionally) the physical plan as soon as the search returns.
-func (c *Compiler) compileLayer(ctx context.Context, cl model.ConvLayer, a core.Array, opts Options) (LayerPlan, error) {
+// compileLayer runs the full per-layer pipeline into lp: search, then
+// schedule, energy and (optionally) the physical plan as soon as the search
+// returns. lp, cl and opts all point into the plan being built, which is
+// already on the heap, so the layer plan is filled in place instead of
+// being returned and copied.
+func (c *Compiler) compileLayer(ctx context.Context, lp *LayerPlan, cl *model.ConvLayer, a core.Array, opts *Options) error {
 	ctx, lsp := obs.Start(ctx, "layer")
 	defer lsp.End()
 	lsp.SetStr("name", cl.Name)
-	lp := LayerPlan{Layer: cl}
+	lp.Layer = *cl
 	m, _ := opts.method() // Compile rejected an unknown scheme
 	sctx, sp := obs.Start(ctx, "search")
-	res, err := c.s.Search(sctx, cl.Layer, a, m)
+	var err error
+	lp.Search, err = c.s.Search(sctx, cl.Layer, a, m)
 	sp.End()
 	if err != nil {
-		return LayerPlan{}, err
+		return err
 	}
-	lp.Search = res
 	_, sp = obs.Start(ctx, "schedule")
-	lp.Schedule, err = chip.ScheduleLayer(res.Best, opts.Arrays)
+	lp.Schedule, err = chip.ScheduleLayer(lp.Search.Best, opts.Arrays)
 	sp.End()
 	if err != nil {
-		return LayerPlan{}, err
+		return err
 	}
 	_, sp = obs.Start(ctx, "energy")
-	lp.Energy, err = opts.Energy.Estimate(res.Best)
+	lp.Energy, err = opts.Energy.Estimate(lp.Search.Best)
 	sp.End()
 	if err != nil {
-		return LayerPlan{}, err
+		return err
 	}
 	if opts.Plans {
 		pctx, sp := obs.Start(ctx, "plan")
-		lp.Plan, err = mapping.NewPlanContext(pctx, res.Best)
+		lp.Plan, err = mapping.NewPlanContext(pctx, lp.Search.Best)
 		sp.End()
-		if err != nil {
-			return LayerPlan{}, err
-		}
 	}
-	return lp, nil
+	return err
 }
 
 // Compile compiles req.Network for req.Array under req.Options. Layer
-// pipelines run through fanout.Each on at most GOMAXPROCS workers, inline
-// when there is one worker or one layer; each worker runs a layer's search
-// and then its schedule, energy and plan before it takes the next layer.
+// pipelines run through fanout.Each on at most GOMAXPROCS workers: the
+// caller is one of them, so a compile starts at most GOMAXPROCS − 1
+// goroutines, and none when there is one worker or one layer. Each worker
+// runs a layer's search and then its schedule, energy and plan, filling the
+// layer's entry of the plan in place, before it takes the next layer.
 // Results are returned in layer order and the first error in layer order
 // wins.
 //
@@ -393,9 +396,8 @@ func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, erro
 	defer sp.End()
 	sp.SetStr("network", n.Name).SetInt("layers", int64(len(n.Layers)))
 	p := &NetworkPlan{Request: req, Layers: make([]LayerPlan, len(n.Layers))}
-	errs := fanout.Each(ctx, len(n.Layers), runtime.GOMAXPROCS(0), func(i int) (err error) {
-		p.Layers[i], err = c.compileLayer(ctx, n.Layers[i], a, req.Options)
-		return err
+	errs := fanout.Each(ctx, len(n.Layers), runtime.GOMAXPROCS(0), func(i int) error {
+		return c.compileLayer(ctx, &p.Layers[i], &p.Network.Layers[i], p.Array, &p.Options)
 	})
 	for i, err := range errs {
 		if err != nil {
@@ -421,7 +423,8 @@ func (c *Compiler) CompileLayer(ctx context.Context, l core.Layer, a core.Array,
 func totals(layers []LayerPlan) Totals {
 	var t Totals
 	var utilCycles float64
-	for _, lp := range layers {
+	for i := range layers {
+		lp := &layers[i]
 		t.Cycles += lp.Search.Best.Cycles
 		t.Im2colCycles += lp.Search.Im2col.Cycles
 		t.Makespan += lp.Schedule.Makespan

@@ -14,74 +14,91 @@ type TileShape struct {
 	UsedCells int64
 }
 
-// icTile returns the number of input channels mapped in array-row tile i
-// (0 ≤ i < AR) for channel-granular schemes. Tiling is per convolution
-// group (ICg channels); divisibility makes every group's grid identical.
-func (m Mapping) icTile(i int) int {
-	if i < m.AR-1 {
-		return m.ICt
+// span returns the extent of one tile along an axis that n tiles of size full
+// cover, the last of them taking what remains of total: the channels of a
+// channel-granular row or column tile, or the raw rows of a row-granular one.
+func span(total, full, n int, last bool) int {
+	if !last {
+		return full
 	}
-	return m.Layer.ICg() - (m.AR-1)*m.ICt
-}
-
-// ocTile returns the number of output channels computed in array-column tile
-// j (0 ≤ j < AC) for channel-granular column layouts (per group, like icTile).
-func (m Mapping) ocTile(j int) int {
-	if j < m.AC-1 {
-		return m.OCt
-	}
-	return m.Layer.OCg() - (m.AC-1)*m.OCt
-}
-
-// rowTile returns the number of raw array rows occupied by row tile i when
-// rows are split row-granularly (im2col, SDK): full tiles take the whole
-// array and the last takes the remainder.
-func (m Mapping) rowTile(totalRows, i int) int {
-	if i < m.AR-1 {
-		return m.Array.Rows
-	}
-	return totalRows - (m.AR-1)*m.Array.Rows
-}
-
-// colTile returns the number of raw array columns occupied by column tile j
-// when columns are split column-granularly (SDK).
-func (m Mapping) colTile(totalCols, j int) int {
-	if j < m.AC-1 {
-		return m.Array.Cols
-	}
-	return totalCols - (m.AC-1)*m.Array.Cols
+	return total - (n-1)*full
 }
 
 // Tile returns the shape of the cycle at array-row tile i and array-column
 // tile j (0 ≤ i < AR, 0 ≤ j < AC). Every parallel-window position reuses the
 // same weights, so the shape depends only on (i, j); for SMD the last window
 // group may drive fewer columns, which Utilization accounts for separately.
-func (m Mapping) Tile(i, j int) TileShape {
-	l := m.Layer
-	switch m.Scheme {
-	case SchemeIm2col:
-		rows := m.rowTile(l.KernelRows(), i)
-		cols := m.ocTile(j)
-		return TileShape{Rows: rows, Cols: cols, UsedCells: int64(rows) * int64(cols)}
-	case SchemeSMD:
-		if m.Dup <= 1 {
-			rows := m.rowTile(l.KernelRows(), i)
-			cols := m.ocTile(j)
-			return TileShape{Rows: rows, Cols: cols, UsedCells: int64(rows) * int64(cols)}
-		}
-		rows := m.Dup * l.KernelRows()
-		cols := m.Dup * l.OCg()
-		used := int64(m.Dup) * int64(l.KernelRows()) * int64(l.OCg())
-		return TileShape{Rows: rows, Cols: cols, UsedCells: used}
-	case SchemeSDK:
+func (m *Mapping) Tile(i, j int) TileShape {
+	if m.Scheme == SchemeSDK {
 		return m.sdkTile(i, j)
-	default: // SchemeVWSDK
-		ic := m.icTile(i)
-		oc := m.ocTile(j)
-		rows := m.PW.Area() * ic
-		cols := m.Nw() * oc
-		used := int64(l.KW*l.KH*ic) * int64(cols)
-		return TileShape{Rows: rows, Cols: cols, UsedCells: used}
+	}
+	var r, c int
+	if i >= m.AR-1 {
+		r = 1
+	}
+	if j >= m.AC-1 {
+		c = 1
+	}
+	return m.classTiles()[r][c]
+}
+
+// classTiles returns the shape of each class of tiles, for every scheme but
+// SDK. Such a tile's shape depends only on whether it is in the last row
+// tile and whether it is in the last column tile, so the classes are indexed
+// [lastRow][lastCol]: every other row tile holds ICt channels (or,
+// row-granularly, the whole array's rows), every other column tile OCt
+// channels, and the last tile along each axis takes the remainder. Tiling is
+// per convolution group (ICg and OCg channels); divisibility makes every
+// group's grid identical.
+func (m *Mapping) classTiles() (shapes [2][2]TileShape) {
+	// Each value-method call copies the layer or the mapping, so the
+	// derived sizes are read once.
+	kernelRows, icg, ocg, nw := m.Layer.KernelRows(), m.Layer.ICg(), m.Layer.OCg(), m.Nw()
+	for r, lastRow := range [2]bool{false, true} {
+		for c, lastCol := range [2]bool{false, true} {
+			switch {
+			case m.Scheme == SchemeIm2col, m.Scheme == SchemeSMD && m.Dup <= 1:
+				rows := span(kernelRows, m.Array.Rows, m.AR, lastRow)
+				cols := span(ocg, m.OCt, m.AC, lastCol)
+				shapes[r][c] = TileShape{Rows: rows, Cols: cols, UsedCells: int64(rows) * int64(cols)}
+			case m.Scheme == SchemeSMD:
+				used := int64(m.Dup) * int64(kernelRows) * int64(ocg)
+				shapes[r][c] = TileShape{Rows: m.Dup * kernelRows, Cols: m.Dup * ocg, UsedCells: used}
+			default: // SchemeVWSDK
+				ic := span(icg, m.ICt, m.AR, lastRow)
+				cols := nw * span(ocg, m.OCt, m.AC, lastCol)
+				used := int64(m.Layer.KW*m.Layer.KH*ic) * int64(cols)
+				shapes[r][c] = TileShape{Rows: m.PW.Area() * ic, Cols: cols, UsedCells: used}
+			}
+		}
+	}
+	return shapes
+}
+
+// EachTileClass calls f once per class of the AR×AC tile grid with the
+// shape its tiles share and how many tiles it holds. For every scheme but
+// SDK there are at most four classes (see classTiles), holding (AR−1)(AC−1),
+// AR−1, AC−1 and 1 tiles; an empty class is skipped. SDK tiles have no
+// classes, so f sees each of them with count 1.
+func (m *Mapping) EachTileClass(f func(shape TileShape, count int64)) {
+	if m.Scheme == SchemeSDK {
+		for i := range m.AR {
+			for j := range m.AC {
+				f(m.sdkTile(i, j), 1)
+			}
+		}
+		return
+	}
+	if m.AR < 1 || m.AC < 1 {
+		return
+	}
+	counts := [2][2]int64{{int64(m.AR-1) * int64(m.AC-1), int64(m.AR - 1)}, {int64(m.AC - 1), 1}}
+	for r, row := range m.classTiles() {
+		for c, shape := range row {
+			if n := counts[r][c]; n > 0 {
+				f(shape, n)
+			}
+		}
 	}
 }
 
@@ -90,11 +107,10 @@ func (m Mapping) Tile(i, j int) TileShape {
 // column-granularly across the Nw·OC duplicated kernels. Weight cells are
 // counted by enumerating, per window copy, the kernel positions that fall in
 // the tile's row range.
-func (m Mapping) sdkTile(i, j int) TileShape {
-	l := m.Layer
-	area := m.PW.Area()
-	totalRows := area * l.ICg()
-	totalCols := m.Nw() * l.OCg()
+func (m *Mapping) sdkTile(i, j int) TileShape {
+	icg, ocg := m.Layer.ICg(), m.Layer.OCg()
+	totalRows := m.PW.Area() * icg
+	totalCols := m.Nw() * ocg
 
 	rowLo := i * m.Array.Rows
 	rowHi := min(rowLo+m.Array.Rows, totalRows)
@@ -106,12 +122,12 @@ func (m Mapping) sdkTile(i, j int) TileShape {
 		for wx := 0; wx < m.NwW; wx++ {
 			w := wy*m.NwW + wx
 			// Columns of this window copy overlapping the column tile.
-			cLo := max(colLo, w*l.OCg())
-			cHi := min(colHi, (w+1)*l.OCg())
+			cLo := max(colLo, w*ocg)
+			cHi := min(colHi, (w+1)*ocg)
 			if cLo >= cHi {
 				continue
 			}
-			nnz := m.sdkWindowRowsIn(wx, wy, rowLo, rowHi)
+			nnz := m.sdkWindowRowsIn(icg, wx, wy, rowLo, rowHi)
 			used += int64(cHi-cLo) * int64(nnz)
 		}
 	}
@@ -120,15 +136,16 @@ func (m Mapping) sdkTile(i, j int) TileShape {
 
 // sdkWindowRowsIn counts the weight-holding rows of one shifted kernel copy
 // (window offset wx,wy inside the parallel window) that fall in the
-// row-granular range [lo, hi). Rows are laid out channel-major: channel c
-// occupies rows [c·area, (c+1)·area) in parallel-window raster order.
-func (m Mapping) sdkWindowRowsIn(wx, wy, lo, hi int) int {
-	l := m.Layer
+// row-granular range [lo, hi). Rows are laid out channel-major: each of the
+// icg channels c occupies rows [c·area, (c+1)·area) in parallel-window
+// raster order.
+func (m *Mapping) sdkWindowRowsIn(icg, wx, wy, lo, hi int) int {
+	l := &m.Layer
 	area := m.PW.Area()
 	dx := wx * l.StrideW
 	dy := wy * l.StrideH
 	count := 0
-	for c := 0; c < l.ICg(); c++ {
+	for c := 0; c < icg; c++ {
 		base := c * area
 		if base >= hi {
 			break
@@ -156,9 +173,9 @@ func (m Mapping) sdkWindowRowsIn(wx, wy, lo, hi int) int {
 // group may be partial). For grouped layers the grid is one group's — the
 // divisibility constraint (IC%G == OC%G == 0) makes every group's AR×AC
 // grid identical, so the per-group average equals the all-group average.
-func (m Mapping) Utilization() float64 {
+func (m *Mapping) Utilization() float64 {
 	if m.Scheme == SchemeSMD && m.Dup > 1 {
-		l := m.Layer
+		l := &m.Layer
 		full := m.NPW - 1
 		rem := l.Windows() - full*m.Dup
 		perWin := int64(l.KernelRows()) * int64(l.OCg())
@@ -167,9 +184,34 @@ func (m Mapping) Utilization() float64 {
 		return 100 * sum / float64(m.NPW)
 	}
 	var sum float64
-	for i := 0; i < m.AR; i++ {
-		for j := 0; j < m.AC; j++ {
-			sum += cellFrac(m.Tile(i, j).UsedCells, m.Array)
+	if m.Scheme == SchemeSDK {
+		for i := range m.AR {
+			for j := range m.AC {
+				sum += cellFrac(m.sdkTile(i, j).UsedCells, m.Array)
+			}
+		}
+		return 100 * sum / float64(m.AR*m.AC)
+	}
+	// Each tile class's fraction is computed once, [lastRow][lastCol], but
+	// the sum still adds one term per tile in row-major order: a class
+	// fraction times its count would round differently.
+	var frac [2][2]float64
+	for r, row := range m.classTiles() {
+		for c, shape := range row {
+			frac[r][c] = cellFrac(shape.UsedCells, m.Array)
+		}
+	}
+	for i := range m.AR {
+		row := &frac[0]
+		if i == m.AR-1 {
+			row = &frac[1]
+		}
+		for j := range m.AC {
+			if j < m.AC-1 {
+				sum += row[0]
+			} else {
+				sum += row[1]
+			}
 		}
 	}
 	return 100 * sum / float64(m.AR*m.AC)
@@ -177,15 +219,9 @@ func (m Mapping) Utilization() float64 {
 
 // PeakUtilization returns the utilization of the fullest cycle in percent;
 // the paper's "up to 73.8%" for VGG-13 layer 5 is this value.
-func (m Mapping) PeakUtilization() float64 {
+func (m *Mapping) PeakUtilization() float64 {
 	var best int64
-	for i := 0; i < m.AR; i++ {
-		for j := 0; j < m.AC; j++ {
-			if u := m.Tile(i, j).UsedCells; u > best {
-				best = u
-			}
-		}
-	}
+	m.EachTileClass(func(shape TileShape, _ int64) { best = max(best, shape.UsedCells) })
 	return 100 * cellFrac(best, m.Array)
 }
 

@@ -149,7 +149,9 @@ func (r *Report) Add(other Report) {
 // Estimate computes the report for one costed mapping. Each of the AR×AC
 // tiles runs NPW cycles; conversions follow the peripheral model, used
 // (weight-holding) cells consume MAC energy, and each tile is programmed
-// once.
+// once. Tiles that share a shape (core.Mapping.EachTileClass) are counted
+// together: the counts are integers, so a class's shape times its size is
+// exactly the sum over its tiles.
 func (m Model) Estimate(mp core.Mapping) (Report, error) {
 	if err := m.Validate(); err != nil {
 		return Report{}, err
@@ -159,20 +161,17 @@ func (m Model) Estimate(mp core.Mapping) (Report, error) {
 	}
 	var r Report
 	npw := int64(mp.NPW)
-	for i := 0; i < mp.AR; i++ {
-		for j := 0; j < mp.AC; j++ {
-			tile := mp.Tile(i, j)
-			rows, cols := mp.Array.Rows, mp.Array.Cols
-			if m.GatePeripherals {
-				rows, cols = tile.Rows, tile.Cols
-			}
-			r.DACConversions += npw * int64(rows)
-			r.ADCConversions += npw * int64(cols)
-			r.CellMACCycles += npw * tile.UsedCells
-			r.CellWrites += int64(tile.Rows) * int64(tile.Cols)
+	mp.EachTileClass(func(tile core.TileShape, n int64) {
+		rows, cols := mp.Array.Rows, mp.Array.Cols
+		if m.GatePeripherals {
+			rows, cols = tile.Rows, tile.Cols
 		}
-	}
-	// The loop above covers one convolution group's AR×AC grid; the
+		r.DACConversions += n * npw * int64(rows)
+		r.ADCConversions += n * npw * int64(cols)
+		r.CellMACCycles += n * npw * tile.UsedCells
+		r.CellWrites += n * int64(tile.Rows) * int64(tile.Cols)
+	})
+	// The classes above cover one convolution group's AR×AC grid; the
 	// divisibility constraint makes every group's grid identical, so the
 	// remaining groups scale the counts.
 	if g := int64(mp.Layer.NumGroups()); g > 1 {

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -175,4 +176,52 @@ func goroutineID() uint64 {
 		panic(err)
 	}
 	return id
+}
+
+// TestEachCallerIsAWorker pins that the caller is one of the workers: with
+// n ≥ workers ≥ 2, one call runs on the caller's goroutine and Each starts
+// at most workers − 1 goroutines. The first workers calls wait for one
+// another, so they run on workers distinct goroutines at once; a fan-out
+// whose caller only waited would start workers goroutines for them.
+func TestEachCallerIsAWorker(t *testing.T) {
+	caller := goroutineID()
+	for _, c := range []struct{ n, workers int }{{2, 2}, {4, 4}, {12, 3}} {
+		base := runtime.NumGoroutine()
+		var arrived atomic.Int32
+		all := make(chan struct{})
+		var mu sync.Mutex
+		ran := map[uint64]bool{}
+		peak := 0
+		errs := Each(context.Background(), c.n, c.workers, func(int) error {
+			mu.Lock()
+			ran[goroutineID()] = true
+			peak = max(peak, runtime.NumGoroutine()-base)
+			mu.Unlock()
+			if k := arrived.Add(1); k == int32(c.workers) {
+				close(all)
+			} else if k > int32(c.workers) {
+				return nil
+			}
+			select {
+			case <-all:
+				return nil
+			case <-time.After(10 * time.Second):
+				return errors.New("fewer than workers calls ran at once")
+			}
+		})
+		for i, err := range errs {
+			if err != nil {
+				t.Errorf("n=%d workers=%d: call %d: %v", c.n, c.workers, i, err)
+			}
+		}
+		if !ran[caller] {
+			t.Errorf("n=%d workers=%d: no call ran on the caller's goroutine", c.n, c.workers)
+		}
+		if len(ran) != c.workers {
+			t.Errorf("n=%d workers=%d: calls ran on %d goroutines, want %d", c.n, c.workers, len(ran), c.workers)
+		}
+		if peak > c.workers-1 {
+			t.Errorf("n=%d workers=%d: %d goroutines started, want at most %d", c.n, c.workers, peak, c.workers-1)
+		}
+	}
 }

@@ -276,22 +276,42 @@ func ResNeXt50() Network {
 	}
 }
 
+// zoo is the one table of predefined networks: each name with the
+// constructor that builds it, in the order All returns them.
+var zoo = []struct {
+	name  string
+	build func() Network
+}{
+	{"VGG-13", VGG13},
+	{"ResNet-18", ResNet18},
+	{"VGG-16", VGG16},
+	{"AlexNet", AlexNet},
+	{"MobileNet-V2", MobileNetV2},
+	{"ResNeXt-50", ResNeXt50},
+}
+
 // All returns every predefined network.
 func All() []Network {
-	return []Network{VGG13(), ResNet18(), VGG16(), AlexNet(), MobileNetV2(), ResNeXt50()}
+	out := make([]Network, len(zoo))
+	for i, z := range zoo {
+		out[i] = z.build()
+	}
+	return out
 }
 
 // ByName returns the predefined network with the given name
-// (case-sensitive, e.g. "VGG-13"), or an error listing the options.
+// (case-sensitive, e.g. "VGG-13"), or an error listing the options. It
+// builds only the named network, afresh on every call, so the caller may
+// modify it.
 func ByName(name string) (Network, error) {
-	for _, n := range All() {
-		if n.Name == name {
-			return n, nil
+	for _, z := range zoo {
+		if z.name == name {
+			return z.build(), nil
 		}
 	}
-	names := make([]string, 0, 6)
-	for _, n := range All() {
-		names = append(names, n.Name)
+	names := make([]string, len(zoo))
+	for i, z := range zoo {
+		names[i] = z.name
 	}
 	return Network{}, fmt.Errorf("model: unknown network %q (have %v)", name, names)
 }

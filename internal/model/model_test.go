@@ -73,6 +73,54 @@ func TestByName(t *testing.T) {
 	}
 }
 
+// TestZooTable pins the name table ByName and All share: every entry's
+// name is the name its constructor gives the network, and All lists the
+// networks in table order.
+func TestZooTable(t *testing.T) {
+	all := All()
+	if len(all) != len(zoo) {
+		t.Fatalf("All returned %d networks, want %d", len(all), len(zoo))
+	}
+	for i, z := range zoo {
+		if all[i].Name != z.name {
+			t.Errorf("All()[%d] is %q, want table entry %q", i, all[i].Name, z.name)
+		}
+		n, err := ByName(z.name)
+		if err != nil || n.Name != z.name || len(n.Layers) != len(all[i].Layers) {
+			t.Errorf("ByName(%q) = %q with %d layers, %v", z.name, n.Name, len(n.Layers), err)
+		}
+	}
+}
+
+// TestByNameBuildsOne pins that ByName builds only the named network: at
+// most one allocation (its layer slice) per call, for every zoo name.
+func TestByNameBuildsOne(t *testing.T) {
+	for _, z := range zoo {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ByName(z.name); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 1 {
+			t.Errorf("ByName(%q) allocates %.0f times, want at most 1", z.name, allocs)
+		}
+	}
+}
+
+// TestByNameFresh pins that every call builds its own network: a caller
+// that edits one result does not change the next.
+func TestByNameFresh(t *testing.T) {
+	a, _ := ByName("ResNet-18")
+	b, _ := ByName("ResNet-18")
+	if &a.Layers[0] == &b.Layers[0] {
+		t.Fatal("two ByName calls share one Layers slice")
+	}
+	a.Layers[0].IC++
+	if c, _ := ByName("ResNet-18"); c.Layers[0] != b.Layers[0] {
+		t.Errorf("editing one result changed a later one: %+v", c.Layers[0])
+	}
+}
+
 func TestAlexNetStride(t *testing.T) {
 	n := AlexNet()
 	c1 := n.Layers[0].Layer.Normalized()
