@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
@@ -257,66 +258,48 @@ func BenchmarkReuse(b *testing.B) {
 	})
 }
 
-// The network-sweep benchmarks compare the serial per-layer search loop
-// with the engine-backed parallel sweep on the Table-I workload (both paper
-// networks across the paper's five array sizes). "Cold" builds a fresh
-// engine per iteration, so it measures pooled candidate evaluation plus
-// intra-sweep dedup of repeated layer shapes; "Warm" shares one engine
-// across iterations, the steady state of a server re-answering known
-// (layer, array) pairs from its LRU cache.
+// The network-sweep benchmarks compile the Table-I workload — both paper
+// networks across the paper's five array sizes — once on the serial
+// reference searcher and twice on the engine. "Cold" builds a fresh engine
+// per iteration, so it measures intra-sweep dedup of repeated layer shapes;
+// "Warm" shares one engine across iterations, the steady state of a server
+// re-answering known (layer, array) pairs from its LRU cache.
 
-func sweepNetworks() []Network { return []Network{VGG13(), ResNet18()} }
-
-// BenchmarkNetworkSweepSerial is the baseline: every (network, array, layer)
-// costed from scratch with the serial Algorithm 1.
-func BenchmarkNetworkSweepSerial(b *testing.B) {
-	nets := sweepNetworks()
-	for i := 0; i < b.N; i++ {
-		var total int64
-		for _, n := range nets {
-			for _, a := range experiments.PaperArrays {
-				for _, l := range n.CoreLayers() {
-					res, err := core.SearchVWSDK(l, a)
-					if err != nil {
-						b.Fatal(err)
-					}
-					total += res.Best.Cycles
-				}
+// compileSweep compiles every paper network on every paper array through c.
+func compileSweep(b *testing.B, c *compile.Compiler) {
+	b.Helper()
+	for _, n := range []Network{VGG13(), ResNet18()} {
+		for _, a := range experiments.PaperArrays {
+			if _, err := c.Compile(context.Background(), compile.NewRequest(n, a, compile.Options{})); err != nil {
+				b.Fatal(err)
 			}
 		}
-		if total == 0 {
-			b.Fatal("no cycles")
-		}
+	}
+}
+
+// BenchmarkNetworkSweepSerial is the baseline: every (network, array, layer)
+// searched from scratch by the serial reference searcher, with no cache.
+func BenchmarkNetworkSweepSerial(b *testing.B) {
+	c := compile.New(core.Serial{})
+	for i := 0; i < b.N; i++ {
+		compileSweep(b, c)
 	}
 }
 
 // BenchmarkNetworkSweepEngineCold runs the same sweep through a fresh
 // engine each iteration.
 func BenchmarkNetworkSweepEngineCold(b *testing.B) {
-	nets := sweepNetworks()
 	for i := 0; i < b.N; i++ {
-		eng := engine.New()
-		cells := eng.Sweep(context.Background(), nets, experiments.PaperArrays, nil)
-		for _, c := range cells {
-			if c.Err != nil {
-				b.Fatal(c.Err)
-			}
-		}
+		compileSweep(b, compile.New(engine.New()))
 	}
 }
 
 // BenchmarkNetworkSweepEngineWarm shares one engine across iterations.
 func BenchmarkNetworkSweepEngineWarm(b *testing.B) {
-	nets := sweepNetworks()
-	eng := engine.New()
+	c := compile.New(engine.New())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cells := eng.Sweep(context.Background(), nets, experiments.PaperArrays, nil)
-		for _, c := range cells {
-			if c.Err != nil {
-				b.Fatal(c.Err)
-			}
-		}
+		compileSweep(b, c)
 	}
 }
 

@@ -114,10 +114,10 @@ func run(args []string, out io.Writer) (retErr error) {
 			retErr = perr
 		}
 	}()
-	// Everything below runs through one compile pipeline on one engine:
-	// per-layer candidate sweeps fan across the worker pool, and each of the
-	// four scheme compilations (plus the multi-array one) reuses the cached
-	// per-layer searches.
+	// Everything below runs through one compile pipeline on one engine: each
+	// compilation fans its layers out, the worker pool bounds their searches,
+	// and each of the four scheme compilations (plus the multi-array one)
+	// reuses the cached per-layer searches.
 	eng := engine.New(engine.WithWorkers(*workers))
 	comp := compile.New(eng)
 

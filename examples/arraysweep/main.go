@@ -34,9 +34,8 @@ func main() {
 		{Rows: 2048, Cols: 2048},
 	}
 
-	// One engine-backed compiler serves the whole sweep: candidate windows
-	// are costed across its worker pool, and every per-array compilation
-	// shares the engine's cache.
+	// One engine-backed compiler serves the whole sweep: every compilation
+	// shares the engine's search cache.
 	eng := vwsdk.NewEngine()
 	comp := vwsdk.NewCompiler(eng)
 
@@ -58,20 +57,20 @@ func main() {
 	fmt.Println("cycle, so the speedup over im2col keeps growing — the paper's")
 	fmt.Println("closing argument for VW-SDK on future PIM arrays.")
 
-	// The same layer through the batch Sweep API: one network × the array
-	// list × every ablation variant, fanned across the pool in one call.
+	// The same layer under each ablation variant, one compile per variant on
+	// the same compiler: the full search is already cached from the sweep.
 	net := vwsdk.SingleLayerNetwork(layer)
-	variants := []vwsdk.Variant{
-		vwsdk.VariantFull, vwsdk.VariantSquareTiled, vwsdk.VariantRectFullChannel,
-	}
-	fmt.Printf("\nablation sweep (networks x arrays x variants via Engine.Sweep):\n")
 	a := vwsdk.Array{Rows: 512, Cols: 512}
-	for _, cell := range eng.Sweep(ctx, []vwsdk.Network{net}, []vwsdk.Array{a}, variants) {
-		if cell.Err != nil {
-			log.Fatal(cell.Err)
+	fmt.Printf("\nablation on %v (one compile per variant):\n", a)
+	for _, v := range []vwsdk.Variant{
+		vwsdk.VariantFull, vwsdk.VariantSquareTiled, vwsdk.VariantRectFullChannel,
+	} {
+		plan, err := comp.Compile(ctx, vwsdk.NewCompileRequest(net, a, vwsdk.CompileOptions{Variant: v}))
+		if err != nil {
+			log.Fatal(err)
 		}
 		fmt.Printf("  %-20s %6d cycles (%.2fx vs im2col)\n",
-			cell.Cell.Variant, cell.Result.TotalCycles, cell.Speedup())
+			v, plan.Totals.Cycles, plan.Totals.Speedup)
 	}
 
 	st := eng.Stats()

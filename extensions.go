@@ -46,17 +46,9 @@ func QuantizeValues(data []float64, bits int) { bitslice.Quantize(data, bits) }
 // See chip.LayerSchedule.
 type LayerSchedule = chip.LayerSchedule
 
-// NetworkSchedule is the layer-sequential chip execution of a network.
-type NetworkSchedule = chip.NetworkSchedule
-
 // ScheduleLayer places a mapped layer on a chip with nArrays crossbars.
 func ScheduleLayer(m Mapping, nArrays int) (LayerSchedule, error) {
 	return chip.ScheduleLayer(m, nArrays)
-}
-
-// ScheduleNetwork schedules mapped layers in sequence on a chip.
-func ScheduleNetwork(ms []Mapping, nArrays int) (NetworkSchedule, error) {
-	return chip.ScheduleNetwork(ms, nArrays)
 }
 
 // Model is a feed-forward CNN (conv stages with ReLU/pooling) whose conv

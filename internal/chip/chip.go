@@ -17,6 +17,10 @@
 //     makespan = ceil(N_PW / floor(arrays/tiles)).
 //   - arrays < tiles: ceil(tiles/arrays) sequential rounds of N_PW cycles,
 //     reprogramming between rounds.
+//
+// Layers run one after another (each layer's inputs are the previous
+// layer's outputs), so a network's makespan is the sum of its layers'; the
+// compile pipeline adds them up in its plan totals.
 package chip
 
 import (
@@ -87,62 +91,6 @@ func ScheduleLayer(m core.Mapping, nArrays int) (LayerSchedule, error) {
 	total := m.Cycles // G·AR·AC·NPW array-cycles of real work
 	s.BusyFraction = float64(total) / (float64(s.Makespan) * float64(s.Arrays))
 	return s, nil
-}
-
-// NetworkSchedule is the layer-sequential execution of a network on a chip.
-type NetworkSchedule struct {
-	// Layers are the per-layer schedules in order.
-	Layers []LayerSchedule
-
-	// Makespan is the total latency in computing cycles (layers run
-	// sequentially: each layer's inputs are the previous layer's outputs).
-	Makespan int64
-
-	// Programs is the total tile programmings.
-	Programs int
-}
-
-// ScheduleNetwork schedules each mapping in order on a chip with nArrays
-// crossbars.
-func ScheduleNetwork(mappings []core.Mapping, nArrays int) (NetworkSchedule, error) {
-	var out NetworkSchedule
-	for _, m := range mappings {
-		s, err := ScheduleLayer(m, nArrays)
-		if err != nil {
-			return NetworkSchedule{}, err
-		}
-		out.Layers = append(out.Layers, s)
-		out.Makespan += s.Makespan
-		out.Programs += s.Programs
-	}
-	return out, nil
-}
-
-// Scaling reports the network makespan for each chip size in arrays,
-// normalized as speedup over a single array.
-type Scaling struct {
-	Arrays   []int
-	Makespan []int64
-	Speedup  []float64
-}
-
-// Scale evaluates ScheduleNetwork over the given chip sizes.
-func Scale(mappings []core.Mapping, arrayCounts []int) (Scaling, error) {
-	var sc Scaling
-	var base int64
-	for i, n := range arrayCounts {
-		ns, err := ScheduleNetwork(mappings, n)
-		if err != nil {
-			return Scaling{}, err
-		}
-		if i == 0 {
-			base = ns.Makespan
-		}
-		sc.Arrays = append(sc.Arrays, n)
-		sc.Makespan = append(sc.Makespan, ns.Makespan)
-		sc.Speedup = append(sc.Speedup, float64(base)/float64(ns.Makespan))
-	}
-	return sc, nil
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

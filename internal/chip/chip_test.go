@@ -140,66 +140,6 @@ func TestScheduleMonotonicity(t *testing.T) {
 	}
 }
 
-func TestScheduleNetwork(t *testing.T) {
-	layers := []core.Layer{
-		{Name: "a", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256},
-		{Name: "b", IW: 7, IH: 7, KW: 3, KH: 3, IC: 512, OC: 512},
-	}
-	var ms []core.Mapping
-	var total int64
-	for _, l := range layers {
-		r, err := core.SearchVWSDK(l, a512)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ms = append(ms, r.Best)
-		total += r.Best.Cycles
-	}
-	ns, err := ScheduleNetwork(ms, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns.Makespan != total {
-		t.Errorf("1-array network makespan = %d, want %d", ns.Makespan, total)
-	}
-	ns16, err := ScheduleNetwork(ms, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ns16.Makespan >= ns.Makespan {
-		t.Errorf("16 arrays no faster: %d vs %d", ns16.Makespan, ns.Makespan)
-	}
-	if len(ns16.Layers) != 2 || ns16.Programs == 0 {
-		t.Errorf("network schedule = %+v", ns16)
-	}
-	if _, err := ScheduleNetwork(ms, 0); err == nil {
-		t.Error("zero arrays accepted")
-	}
-}
-
-func TestScale(t *testing.T) {
-	l := core.Layer{IW: 28, IH: 28, KW: 3, KH: 3, IC: 128, OC: 128}
-	r, err := core.SearchVWSDK(l, a512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc, err := Scale([]core.Mapping{r.Best}, []int{1, 2, 4, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sc.Speedup) != 4 || sc.Speedup[0] != 1.0 {
-		t.Fatalf("scaling = %+v", sc)
-	}
-	for i := 1; i < len(sc.Speedup); i++ {
-		if sc.Speedup[i] < sc.Speedup[i-1]-1e-12 {
-			t.Errorf("speedup not monotone: %v", sc.Speedup)
-		}
-	}
-	if _, err := Scale([]core.Mapping{{}}, []int{1}); err == nil {
-		t.Error("uncosted mapping accepted")
-	}
-}
-
 // TestScheduleLayerGrouped: a grouped mapping schedules G·AR·AC weight tiles
 // — one AR×AC grid per convolution group — and the busy-fraction accounting
 // stays consistent (one array per tile sweeps NPW cycles at full utilization).

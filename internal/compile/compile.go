@@ -8,10 +8,11 @@
 // (chip.LayerSchedule), its latency/energy estimate (energy.Report) and,
 // optionally, the physical weight-placement plan (mapping.Plan); network
 // totals (cycles, speedup vs im2col, makespan, energy, utilization) are
-// computed once, in one place, in layer order, so they are bit-identical to
-// the hand-wired SearchNetwork + chip.ScheduleNetwork +
-// energy.EstimateLayers path the experiments, CLIs and examples previously
-// stitched together themselves.
+// computed once, in one place, in layer order. Compile is the repository's
+// one whole-network path: the experiments, CLIs, server and examples read
+// every network total from a plan, and differential tests pin those totals
+// to per-layer core.Search, chip.ScheduleLayer and energy.Model.Estimate
+// calls summed by hand.
 //
 // The stages run as a pipeline: layers fan out through fanout.Each on at
 // most GOMAXPROCS workers, the calling goroutine among them, each layer's
@@ -266,8 +267,8 @@ type LayerPlan struct {
 }
 
 // Totals are the whole-network numbers, aggregated over one entry per
-// distinct layer shape (the paper's Table I convention, matching
-// core.NetworkResult).
+// distinct layer shape (the paper's Table I convention: a layer's Count does
+// not weight it).
 type Totals struct {
 	// Cycles and Im2colCycles sum the chosen and baseline mappings' cycles.
 	Cycles       int64

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -24,9 +25,10 @@ var bg = context.Background()
 
 // TestCompileMatchesHandWiredPath is the acceptance differential test: a
 // Compile of VGG-13 (and ResNet-18) on the paper's array must be
-// bit-identical to the pre-pipeline path — core.SearchNetwork for the
-// per-layer results and cycle totals, chip.ScheduleNetwork for the makespan
-// and programmings, and energy.EstimateLayers for the energy report.
+// bit-identical to the same stages wired by hand — core.Search per layer for
+// the results and cycle totals, chip.ScheduleLayer for the makespan and
+// programmings, and energy.Model.Estimate for the energy report, each
+// summed in layer order.
 func TestCompileMatchesHandWiredPath(t *testing.T) {
 	c := New(engine.New())
 	for _, n := range []model.Network{model.VGG13(), model.ResNet18()} {
@@ -36,41 +38,116 @@ func TestCompileMatchesHandWiredPath(t *testing.T) {
 				t.Fatalf("%s: %v", n.Name, err)
 			}
 
-			want, err := core.SearchNetwork(n.CoreLayers(), array512)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if p.Totals.Cycles != want.TotalCycles || p.Totals.Im2colCycles != want.TotalIm2col {
-				t.Errorf("%s: totals %d/%d, want %d/%d", n.Name,
-					p.Totals.Cycles, p.Totals.Im2colCycles, want.TotalCycles, want.TotalIm2col)
-			}
-			if p.Totals.Speedup != want.Speedup() {
-				t.Errorf("%s: speedup %v, want %v", n.Name, p.Totals.Speedup, want.Speedup())
-			}
-			best := make([]core.Mapping, len(want.Results))
-			for i, res := range want.Results {
-				if !reflect.DeepEqual(p.Layers[i].Search, res) {
-					t.Errorf("%s/%s: search result differs from serial", n.Name, n.Layers[i].Name)
+			var cycles, im2col, makespan int64
+			var programs int
+			var rep energy.Report
+			for i, l := range n.CoreLayers() {
+				res, err := core.Search(bg, l, array512, core.MethodVWSDK)
+				if err != nil {
+					t.Fatal(err)
 				}
-				best[i] = res.Best
+				if !reflect.DeepEqual(p.Layers[i].Search, res) {
+					t.Errorf("%s/%s: search result differs from serial", n.Name, l.Name)
+				}
+				sched, err := chip.ScheduleLayer(res.Best, nArrays)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r, err := energy.Default().Estimate(res.Best)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cycles += res.Best.Cycles
+				im2col += res.Im2col.Cycles
+				makespan += sched.Makespan
+				programs += sched.Programs
+				rep.Add(r)
 			}
 
-			sched, err := chip.ScheduleNetwork(best, nArrays)
-			if err != nil {
-				t.Fatal(err)
+			if p.Totals.Cycles != cycles || p.Totals.Im2colCycles != im2col {
+				t.Errorf("%s: totals %d/%d, want %d/%d", n.Name,
+					p.Totals.Cycles, p.Totals.Im2colCycles, cycles, im2col)
 			}
-			if p.Totals.Makespan != sched.Makespan || p.Totals.Programs != sched.Programs {
+			if want := float64(im2col) / float64(cycles); p.Totals.Speedup != want {
+				t.Errorf("%s: speedup %v, want %v", n.Name, p.Totals.Speedup, want)
+			}
+			if p.Totals.Makespan != makespan || p.Totals.Programs != programs {
 				t.Errorf("%s on %d arrays: makespan/programs %d/%d, want %d/%d", n.Name,
-					nArrays, p.Totals.Makespan, p.Totals.Programs, sched.Makespan, sched.Programs)
-			}
-
-			rep, err := energy.Default().EstimateLayers(best)
-			if err != nil {
-				t.Fatal(err)
+					nArrays, p.Totals.Makespan, p.Totals.Programs, makespan, programs)
 			}
 			if p.Totals.Energy != rep {
 				t.Errorf("%s: energy totals differ\ncompile %+v\nserial  %+v",
 					n.Name, p.Totals.Energy, rep)
+			}
+		}
+	}
+}
+
+// TestCompilePaperTotals pins the paper's whole-network totals on the
+// 512×512 array (Table I): VW-SDK and im2col cycles for VGG-13 and
+// ResNet-18, and ResNet-18's SDK cycles, with the speedups over im2col they
+// imply.
+func TestCompilePaperTotals(t *testing.T) {
+	c := New(core.Serial{})
+	cases := []struct {
+		n              model.Network
+		scheme         Scheme
+		cycles, im2col int64
+		speedup        float64
+	}{
+		{model.VGG13(), VWSDK, 77102, 243736, 3.161},
+		{model.ResNet18(), VWSDK, 4294, 20041, 4.667},
+		{model.ResNet18(), SDK, 7240, 20041, 2.768},
+	}
+	for _, tc := range cases {
+		p, err := c.Compile(bg, NewRequest(tc.n, array512, Options{Scheme: tc.scheme}))
+		if err != nil {
+			t.Fatalf("%s %v: %v", tc.n.Name, tc.scheme, err)
+		}
+		if p.Totals.Cycles != tc.cycles || p.Totals.Im2colCycles != tc.im2col {
+			t.Errorf("%s %v: totals = %d/%d, want %d/%d", tc.n.Name, tc.scheme,
+				p.Totals.Cycles, p.Totals.Im2colCycles, tc.cycles, tc.im2col)
+		}
+		if math.Abs(p.Totals.Speedup-tc.speedup) > 0.001 {
+			t.Errorf("%s %v: speedup = %v, want %v", tc.n.Name, tc.scheme, p.Totals.Speedup, tc.speedup)
+		}
+	}
+}
+
+// TestCompileEngineMatchesSerial is the whole-plan differential: on every zoo
+// network, three array shapes and all six search methods (the four schemes
+// and both VW-SDK ablations), compiling on one shared engine — first as the
+// cache fills, then again from its hits — yields plans reflect.DeepEqual to
+// compiling on the serial reference searcher.
+func TestCompileEngineMatchesSerial(t *testing.T) {
+	serial, eng := New(core.Serial{}), New(engine.New())
+	arrays := []core.Array{{Rows: 128, Cols: 128}, {Rows: 256, Cols: 512}, {Rows: 512, Cols: 512}}
+	options := []Options{
+		{Scheme: VWSDK},
+		{Scheme: VWSDK, Variant: core.VariantSquareTiled},
+		{Scheme: VWSDK, Variant: core.VariantRectFullChannel},
+		{Scheme: Im2col},
+		{Scheme: SMD},
+		{Scheme: SDK},
+	}
+	for _, n := range model.All() {
+		for _, a := range arrays {
+			for _, o := range options {
+				name := fmt.Sprintf("%s on %v, %v/%v", n.Name, a, o.Scheme, o.Variant)
+				req := NewRequest(n, a, o)
+				want, err := serial.Compile(bg, req)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				for _, pass := range []string{"first", "repeat"} {
+					got, err := eng.Compile(bg, req)
+					if err != nil {
+						t.Fatalf("%s (%s): %v", name, pass, err)
+					}
+					if !reflect.DeepEqual(want, got) {
+						t.Errorf("%s (%s): engine plan differs from serial", name, pass)
+					}
+				}
 			}
 		}
 	}
@@ -104,12 +181,16 @@ func TestCompileGroupedNetworks(t *testing.T) {
 		if groupedLayers == 0 {
 			t.Fatalf("%s: no grouped layers reached the compile pipeline", n.Name)
 		}
-		want, err := core.SearchNetwork(n.CoreLayers(), array512)
-		if err != nil {
-			t.Fatal(err)
+		var want int64
+		for _, l := range n.CoreLayers() {
+			res, err := core.Search(bg, l, array512, core.MethodVWSDK)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want += res.Best.Cycles
 		}
-		if p.Totals.Cycles != want.TotalCycles {
-			t.Errorf("%s: total cycles %d, want %d", n.Name, p.Totals.Cycles, want.TotalCycles)
+		if p.Totals.Cycles != want {
+			t.Errorf("%s: total cycles %d, want %d", n.Name, p.Totals.Cycles, want)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"sync/atomic"
 	"testing"
 )
 
@@ -36,37 +35,6 @@ func TestSearchContextCancelled(t *testing.T) {
 				t.Errorf("%T %v: cancelled search returned a result: %+v", s, m, res)
 			}
 		}
-	}
-}
-
-// startCounter is the serial searcher counting the searches it starts.
-type startCounter struct{ started atomic.Int32 }
-
-func (c *startCounter) Search(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
-	c.started.Add(1)
-	return Search(ctx, l, a, m)
-}
-
-// TestSearchNetworkCancelled pins that a cancelled context surfaces from the
-// network aggregation as a layer-wrapped context error, and that no layer
-// search is started after the cancel.
-func TestSearchNetworkCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	layers := resnet18Shapes()
-	a := Array{Rows: 512, Cols: 512}
-
-	if _, err := SearchNetworkContext(ctx, layers, a); !errors.Is(err, context.Canceled) {
-		t.Errorf("err = %v, want context.Canceled", err)
-	}
-
-	var s startCounter
-	_, err := SearchNetworkWith(ctx, layers, a, &s, MethodVWSDK)
-	if !errors.Is(err, context.Canceled) {
-		t.Errorf("with: err = %v, want context.Canceled", err)
-	}
-	if n := s.started.Load(); n != 0 {
-		t.Errorf("started %d layer searches after cancel, want 0", n)
 	}
 }
 

@@ -1,109 +1,59 @@
 package core
 
 import (
+	"context"
 	"math"
-	"strings"
 	"testing"
 )
 
+// searchTotals searches every layer with the serial searcher — the one a
+// compile.New(core.Serial{}) pipeline calls — and sums the VW-SDK and
+// im2col cycles in layer order, the sums compile reports as its Totals.
+func searchTotals(t *testing.T, layers []Layer) (cycles, im2col int64, results []Result) {
+	t.Helper()
+	for _, l := range layers {
+		r, err := Serial{}.Search(context.Background(), l, array512, MethodVWSDK)
+		if err != nil {
+			t.Fatalf("%s: %v", l.Name, err)
+		}
+		cycles += r.Best.Cycles
+		im2col += r.Im2col.Cycles
+		results = append(results, r)
+	}
+	return cycles, im2col, results
+}
+
+// TestSearchNetworkMatchesSerial pins ResNet-18's Table I totals on the
+// 512×512 array as the sum of its per-layer searches, and that the Searcher
+// the compile pipeline calls picks the same mapping as the per-layer
+// SearchVWSDK wrapper on every layer.
 func TestSearchNetworkMatchesSerial(t *testing.T) {
 	layers := resnet18Shapes()
-	nr, err := SearchNetwork(layers, array512)
-	if err != nil {
-		t.Fatal(err)
+	cycles, im2col, results := searchTotals(t, layers)
+	if cycles != 4294 || im2col != 20041 {
+		t.Fatalf("totals = %d/%d, want 4294/20041", cycles, im2col)
 	}
-	if nr.TotalCycles != 4294 || nr.TotalIm2col != 20041 {
-		t.Fatalf("totals = %d/%d, want 4294/20041", nr.TotalCycles, nr.TotalIm2col)
+	if s := float64(im2col) / float64(cycles); math.Abs(s-4.667) > 0.001 {
+		t.Fatalf("speedup = %v, want 4.667", s)
 	}
-	if math.Abs(nr.Speedup()-4.667) > 0.001 {
-		t.Fatalf("speedup = %v, want 4.667", nr.Speedup())
-	}
-	// Order preserved and identical to the serial search.
 	for i, l := range layers {
 		serial, err := SearchVWSDK(l, array512)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if nr.Results[i].Best.Cycles != serial.Best.Cycles ||
-			nr.Results[i].Best.PW != serial.Best.PW {
-			t.Errorf("layer %d: concurrent %v != serial %v",
-				i, nr.Results[i].Best, serial.Best)
+		if results[i].Best.Cycles != serial.Best.Cycles ||
+			results[i].Best.PW != serial.Best.PW {
+			t.Errorf("layer %d: searcher %v != SearchVWSDK %v",
+				i, results[i].Best, serial.Best)
 		}
 	}
 }
 
-func TestSearchNetworkErrors(t *testing.T) {
-	if _, err := SearchNetwork(nil, array512); err == nil {
-		t.Error("empty layer list accepted")
-	}
-	bad := []Layer{
-		{Name: "ok", IW: 8, IH: 8, KW: 3, KH: 3, IC: 2, OC: 2},
-		{Name: "bad", IW: 0, IH: 8, KW: 3, KH: 3, IC: 2, OC: 2},
-	}
-	if _, err := SearchNetwork(bad, array512); err == nil {
-		t.Error("invalid layer accepted")
-	}
-	if nr := (NetworkResult{}); nr.Speedup() != 0 {
-		t.Error("empty result speedup should be 0")
-	}
-}
-
+// TestSearchNetworkVGG13 pins VGG-13's Table I totals on the 512×512 array
+// as the sum of its per-layer searches.
 func TestSearchNetworkVGG13(t *testing.T) {
-	nr, err := SearchNetwork(vgg13Shapes(), array512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nr.TotalCycles != 77102 || nr.TotalIm2col != 243736 {
-		t.Fatalf("totals = %d/%d, want 77102/243736", nr.TotalCycles, nr.TotalIm2col)
-	}
-}
-
-func TestExplainVWSDK(t *testing.T) {
-	l := Layer{Name: "conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
-	res, err := SearchVWSDK(l, array512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := res.Best.Explain()
-	for _, want := range []string{
-		"VW-SDK mapping",
-		"ICt (eq.4)       = floor(Rows / PW area) = floor(512/12) = 42",
-		"AR  (eq.5)       = ceil(IC / ICt) = ceil(256/42) = 7",
-		"OCt (eq.6)       = floor(Cols / Nw) = floor(512/2) = 256",
-		"cycles (eq.8)    = N_PW x AR x AC = 72 x 7 x 1 = 504",
-	} {
-		if !strings.Contains(s, want) {
-			t.Errorf("Explain missing %q in:\n%s", want, s)
-		}
-	}
-	full := ExplainSearch(res)
-	if !strings.Contains(full, "baseline:") || !strings.Contains(full, "speedup vs im2col: 1.43x") {
-		t.Errorf("ExplainSearch malformed:\n%s", full)
-	}
-}
-
-func TestExplainOtherSchemes(t *testing.T) {
-	l := Layer{IW: 12, IH: 12, KW: 3, KH: 3, IC: 8, OC: 8}
-	a := Array{Rows: 96, Cols: 64}
-	im, err := Im2col(l, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(im.Explain(), "window = kernel") {
-		t.Error("im2col explain malformed")
-	}
-	sdk, err := SDK(l, a, Window{W: 4, H: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sdk.Explain(), "entire channels") {
-		t.Error("SDK explain malformed")
-	}
-	smd, err := SMD(l, a, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(smd.Explain(), "block-diagonal") {
-		t.Error("SMD explain malformed")
+	cycles, im2col, _ := searchTotals(t, vgg13Shapes())
+	if cycles != 77102 || im2col != 243736 {
+		t.Fatalf("totals = %d/%d, want 77102/243736", cycles, im2col)
 	}
 }

@@ -189,17 +189,3 @@ func (m Model) Estimate(mp core.Mapping) (Report, error) {
 	r.EnergyTotal = r.EnergyDAC + r.EnergyADC + r.EnergyCompute
 	return r, nil
 }
-
-// EstimateLayers sums the estimate over a set of mappings (e.g. one per
-// network layer).
-func (m Model) EstimateLayers(mappings []core.Mapping) (Report, error) {
-	var total Report
-	for _, mp := range mappings {
-		r, err := m.Estimate(mp)
-		if err != nil {
-			return Report{}, err
-		}
-		total.Add(r)
-	}
-	return total, nil
-}

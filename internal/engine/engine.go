@@ -1,33 +1,34 @@
-// Package engine is the concurrent, memoizing front end to the core mapping
-// searches: it fans per-layer searches and batch-sweep cells out through
-// fanout.Each, bounds the searches themselves with a worker pool, and
-// dedupes repeated (layer shape, array, search) combinations through a
-// memo.Cache — an LRU of results plus singleflight coalescing of identical
-// in-flight searches — because ResNet and VGG repeat layer shapes heavily,
-// and experiment sweeps re-cost the same pairs from scratch otherwise.
+// Package engine is the concurrent, memoizing core.Searcher the compile
+// pipeline runs on: it bounds concurrently running searches with a worker
+// pool and dedupes repeated (layer shape, array, search) combinations
+// through a memo.Cache — an LRU of results plus singleflight coalescing of
+// identical in-flight searches — because ResNet and VGG repeat layer shapes
+// heavily, and experiment sweeps re-cost the same pairs from scratch
+// otherwise. The engine searches one layer per call; its callers fan out:
+// compile.Compile over a network's layers, the server over sweep cells.
 //
-// Engine.Search is the one per-layer entry point: it runs core.Search — the
-// one dispatch from a core.Method to its algorithm — keyed by the layer
-// shape, the array and the method's canonical form. The core searches visit
+// Engine.Search is the one entry point: it runs core.Search — the one
+// dispatch from a core.Method to its algorithm — keyed by the layer shape,
+// the array and the method's canonical form. The core searches visit
 // candidate cost classes on the fly instead of materializing and chunking
 // the O(PaddedW × PaddedH) candidate slice the engine used to fan out; the
 // VW-SDK search evaluates the classes in closed form and pays at most one
-// cost-model call, so the worker pool's parallelism is spent where it pays —
-// across layers and sweep cells — and per-search allocations shrink to the
-// result itself. WithExhaustiveSearch switches an engine to
+// cost-model call, so the parallelism is spent where it pays — across the
+// layers and cells the callers fan out — and per-search allocations shrink
+// to the result itself. WithExhaustiveSearch switches an engine to
 // core.SearchExhaustive, the brute-force sweeps, for differential testing
 // and benchmarking.
 //
-// Every method is context-first: cancellation propagates into the worker
-// pool (a search waiting for a slot gives the slot up), into in-flight
-// dedupe waits, and into the search loops themselves via the core package's
-// per-row checkpoints — so a cancelled caller actually stops burning CPU.
-// Cancelled searches are never cached.
+// Search is context-first: cancellation propagates into the worker pool (a
+// search waiting for a slot gives the slot up), into in-flight dedupe waits,
+// and into the search loops themselves via the core package's per-row
+// checkpoints — so a cancelled caller actually stops burning CPU. Cancelled
+// searches are never cached.
 //
 // Results are bit-identical to the serial algorithms in internal/core:
 // every cached result is replayed with only the caller's layer name
-// re-stamped, and differential tests assert equality on every predefined
-// network.
+// re-stamped, and differential tests assert equality on every layer of
+// every predefined network and on whole compiled plans.
 //
 // An Engine is safe for concurrent use; all methods may be called from any
 // goroutine.
@@ -51,12 +52,6 @@ type Engine struct {
 	exhaustive bool
 	sem        chan struct{}                      // bounds concurrently running searches
 	cache      *memo.Cache[cacheKey, core.Result] // name-cleared results
-
-	// sweepCellHook, when non-nil, observes every sweep cell index as the
-	// cell is dispatched, before any of its layers is. Tests use it to
-	// cancel a context at a deterministic point mid-sweep; it is never set
-	// in production.
-	sweepCellHook func(i int)
 
 	searches atomic.Uint64
 	costed   atomic.Uint64
@@ -192,20 +187,6 @@ func (e *Engine) Search(ctx context.Context, l core.Layer, a core.Array, m core.
 	})
 }
 
-// SearchNetwork optimizes every layer through the engine concurrently and
-// aggregates the totals, mirroring core.SearchNetwork (results in layer
-// order, first error wins) with cached and pooled layer searches.
-func (e *Engine) SearchNetwork(ctx context.Context, layers []core.Layer, a core.Array) (core.NetworkResult, error) {
-	return e.SearchNetworkVariant(ctx, layers, a, core.VariantFull)
-}
-
-// SearchNetworkVariant is SearchNetwork under an ablation variant. Layers
-// run through core.SearchNetworkWith, so on at most GOMAXPROCS workers; the
-// searches that miss the cache are further bounded by the worker pool.
-func (e *Engine) SearchNetworkVariant(ctx context.Context, layers []core.Layer, a core.Array, v core.Variant) (core.NetworkResult, error) {
-	return core.SearchNetworkWith(ctx, layers, a, e, core.Method{Scheme: core.SchemeVWSDK, Variant: v})
-}
-
 // memoized serves one search through the memo cache. search runs the
 // underlying algorithm with the caller's original layer, so an error is
 // exactly the serial one; results are stored name-cleared and re-stamped
@@ -270,10 +251,9 @@ func (e *Engine) countCandidates(k cacheKey, res core.Result) {
 
 // withSlot runs f while holding one worker-pool slot, so every leaf search
 // is bounded by WithWorkers; a caller cancelled while waiting for a slot
-// gives up instead of queueing dead work. Callers must not already hold a
-// slot (holding one while acquiring another would deadlock a single-worker
-// pool); the orchestration layers (memoized, SearchNetworkVariant, Sweep)
-// never do.
+// gives up instead of queueing dead work. Search, its only caller, holds no
+// slot while it waits for one: holding one while acquiring another would
+// deadlock a single-worker pool.
 func (e *Engine) withSlot(ctx context.Context, f func() (core.Result, error)) (core.Result, error) {
 	select {
 	case e.sem <- struct{}{}:

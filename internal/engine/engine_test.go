@@ -138,26 +138,47 @@ func TestEngineVariantFullSharesVWSDKCache(t *testing.T) {
 	}
 }
 
-// TestEngineSearchNetwork compares the engine's network aggregation with the
-// serial one on every predefined network.
+// TestEngineSearchNetwork searches every layer of each zoo network at once
+// on one engine, the way a compile fans a network's layers out, and checks
+// each result against the serial search in layer order; ResNet-18's summed
+// cycles are Table I's 4294 VW-SDK and 20041 im2col.
 func TestEngineSearchNetwork(t *testing.T) {
 	e := New()
 	a := core.Array{Rows: 512, Cols: 512}
 	for _, n := range model.All() {
-		want, err := core.SearchNetwork(n.CoreLayers(), a)
-		if err != nil {
-			t.Fatalf("%s: %v", n.Name, err)
+		layers := n.CoreLayers()
+		got := make([]core.Result, len(layers))
+		errs := make([]error, len(layers))
+		var wg sync.WaitGroup
+		for i, l := range layers {
+			wg.Add(1)
+			go func(i int, l core.Layer) {
+				defer wg.Done()
+				got[i], errs[i] = e.Search(bg, l, a, core.MethodVWSDK)
+			}(i, l)
 		}
-		got, err := e.SearchNetwork(bg, n.CoreLayers(), a)
-		if err != nil {
-			t.Fatalf("%s: %v", n.Name, err)
+		wg.Wait()
+		var cycles, im2col int64
+		for i, l := range layers {
+			if errs[i] != nil {
+				t.Fatalf("%s/%s: %v", n.Name, l.Name, errs[i])
+			}
+			want, err := core.Search(bg, l, a, core.MethodVWSDK)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(want, got[i]) {
+				t.Errorf("%s/%s: engine result differs\nserial %+v\nengine %+v", n.Name, l.Name, want, got[i])
+			}
+			cycles += got[i].Best.Cycles
+			im2col += got[i].Im2col.Cycles
 		}
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: network result differs\nserial %+v\nengine %+v", n.Name, want, got)
+		if n.Name == "ResNet-18" && (cycles != 4294 || im2col != 20041) {
+			t.Errorf("ResNet-18 totals = %d/%d, want 4294/20041", cycles, im2col)
 		}
 	}
-	if _, err := e.SearchNetwork(bg, nil, a); err == nil {
-		t.Error("SearchNetwork accepted an empty layer list")
+	if st := e.Stats(); st.Searches != st.CacheHits+st.CacheMisses {
+		t.Errorf("stats don't balance: %+v", st)
 	}
 }
 
@@ -424,50 +445,64 @@ func TestEngineExhaustiveSearchOption(t *testing.T) {
 	}
 }
 
-// TestSweep compares every cell of a batch sweep against serial
-// per-layer searches.
+// TestSweep searches a networks × arrays × variants grid layer by layer on
+// one shared engine, as a sweep over compiles does: every cell's total is
+// the serial per-layer sum, and a second pass over the grid is served from
+// the cache alone.
 func TestSweep(t *testing.T) {
 	e := New()
 	networks := []model.Network{model.VGG13(), model.ResNet18()}
 	arrays := []core.Array{{Rows: 256, Cols: 256}, {Rows: 512, Cols: 512}}
 	variants := []core.Variant{core.VariantFull, core.VariantSquareTiled}
-	cells := e.Sweep(bg, networks, arrays, variants)
-	if len(cells) != len(networks)*len(arrays)*len(variants) {
-		t.Fatalf("got %d cells", len(cells))
+	sweep := func() (totals []int64, searches uint64) {
+		for _, n := range networks {
+			for _, a := range arrays {
+				for _, v := range variants {
+					m := core.Method{Scheme: core.SchemeVWSDK, Variant: v}
+					var total int64
+					for _, l := range n.CoreLayers() {
+						r, err := e.Search(bg, l, a, m)
+						if err != nil {
+							t.Fatalf("%s/%v/%v: %v", n.Name, a, v, err)
+						}
+						total += r.Best.Cycles
+						searches++
+					}
+					totals = append(totals, total)
+				}
+			}
+		}
+		return totals, searches
 	}
+
+	got, searches := sweep()
 	i := 0
 	for _, n := range networks {
 		for _, a := range arrays {
 			for _, v := range variants {
-				c := cells[i]
-				i++
-				if c.Cell.Network.Name != n.Name || c.Cell.Array != a || c.Cell.Variant != v {
-					t.Fatalf("cell %d out of order: %+v", i-1, c.Cell)
-				}
-				if c.Err != nil {
-					t.Fatalf("%s/%v/%v: %v", n.Name, a, v, c.Err)
-				}
-				var wantTotal int64
+				var want int64
 				for _, l := range n.CoreLayers() {
 					r, err := core.SearchVariant(l, a, v)
 					if err != nil {
 						t.Fatal(err)
 					}
-					wantTotal += r.Best.Cycles
+					want += r.Best.Cycles
 				}
-				if c.Result.TotalCycles != wantTotal {
-					t.Errorf("%s/%v/%v: total = %d, want %d",
-						n.Name, a, v, c.Result.TotalCycles, wantTotal)
+				if got[i] != want {
+					t.Errorf("%s/%v/%v: total = %d, want %d", n.Name, a, v, got[i], want)
 				}
-				if c.Speedup() <= 0 {
-					t.Errorf("%s/%v/%v: speedup = %v", n.Name, a, v, c.Speedup())
-				}
+				i++
 			}
 		}
 	}
-	// Empty variants default to the full search.
-	def := e.Sweep(bg, networks[:1], arrays[:1], nil)
-	if len(def) != 1 || def[0].Cell.Variant != core.VariantFull {
-		t.Fatalf("default sweep = %+v", def)
+
+	before := e.Stats()
+	again, _ := sweep()
+	if !reflect.DeepEqual(again, got) {
+		t.Errorf("second sweep totals %v, first %v", again, got)
+	}
+	st := e.Stats()
+	if st.CacheMisses != before.CacheMisses || st.CacheHits != before.CacheHits+searches {
+		t.Errorf("stats %+v -> %+v, want %d hits and no new miss", before, st, searches)
 	}
 }

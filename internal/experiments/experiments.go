@@ -110,35 +110,32 @@ func mapLayer(c *compile.Compiler, l core.Layer, a core.Array) (trio, error) {
 	return trio{im: vw.Search.Im2col, sdk: sdk.Search.Best, vw: vw.Search.Best}, nil
 }
 
-// mapNetwork compiles a whole network under the SDK and VW-SDK schemes and
-// pairs the per-layer mappings up in layer order.
-func mapNetwork(c *compile.Compiler, n model.Network, a core.Array) ([]trio, error) {
+// compiled is a network compiled under the SDK and VW-SDK schemes: the
+// per-layer mappings paired up in layer order, and both plans' totals.
+type compiled struct {
+	layers  []trio
+	sdk, vw compile.Totals
+}
+
+// mapNetwork compiles a whole network under the SDK and VW-SDK schemes.
+func mapNetwork(c *compile.Compiler, n model.Network, a core.Array) (compiled, error) {
 	sdk, err := c.Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Scheme: compile.SDK}))
 	if err != nil {
-		return nil, err
+		return compiled{}, err
 	}
 	vw, err := c.Compile(context.Background(), compile.NewRequest(n, a, compile.Options{}))
 	if err != nil {
-		return nil, err
+		return compiled{}, err
 	}
-	out := make([]trio, len(n.Layers))
+	out := compiled{layers: make([]trio, len(n.Layers)), sdk: sdk.Totals, vw: vw.Totals}
 	for i := range n.Layers {
-		out[i] = trio{
+		out.layers[i] = trio{
 			im:  vw.Layers[i].Search.Im2col,
 			sdk: sdk.Layers[i].Search.Best,
 			vw:  vw.Layers[i].Search.Best,
 		}
 	}
 	return out, nil
-}
-
-func totals(ts []trio) (im, sdk, vw int64) {
-	for _, t := range ts {
-		im += t.im.Cycles
-		sdk += t.sdk.Cycles
-		vw += t.vw.Cycles
-	}
-	return
 }
 
 // TableI reproduces the paper's Table I: per-layer window/tile choices of
@@ -164,11 +161,11 @@ func TableIWith(c *compile.Compiler, a core.Array) (*Result, error) {
 		Summary: map[string]float64{},
 	}
 	for _, n := range []model.Network{model.VGG13(), model.ResNet18()} {
-		ts, err := mapNetwork(c, n, a)
+		cn, err := mapNetwork(c, n, a)
 		if err != nil {
 			return nil, err
 		}
-		for i, t := range ts {
+		for i, t := range cn.layers {
 			l := n.Layers[i]
 			r.Table.AddRow(n.Name, i+1,
 				fmt.Sprintf("%dx%d", l.IW, l.IH),
@@ -178,7 +175,7 @@ func TableIWith(c *compile.Compiler, a core.Array) (*Result, error) {
 				t.vw.TileString(),
 				t.vw.Cycles)
 		}
-		im, sdk, vw := totals(ts)
+		im, sdk, vw := cn.vw.Im2colCycles, cn.sdk.Cycles, cn.vw.Cycles
 		r.Table.AddRow(n.Name, "total", "", "", "", sdk, "", vw)
 		key := strings.ToLower(strings.ReplaceAll(n.Name, "-", ""))
 		r.Summary[key+"/im2col-cycles"] = float64(im)

@@ -26,14 +26,14 @@ func Fig8aWith(c *compile.Compiler, a core.Array) (*Result, error) {
 		Summary: map[string]float64{},
 	}
 	for _, n := range []model.Network{model.VGG13(), model.ResNet18()} {
-		ts, err := mapNetwork(c, n, a)
+		cn, err := mapNetwork(c, n, a)
 		if err != nil {
 			return nil, err
 		}
-		cats := make([]string, 0, len(ts)+1)
+		cats := make([]string, 0, len(cn.layers)+1)
 		sdkS := textplot.Series{Name: "SDK"}
 		vwS := textplot.Series{Name: "VW-SDK"}
-		for i, t := range ts {
+		for i, t := range cn.layers {
 			sdk := t.sdk.Speedup(t.im)
 			vw := t.vw.Speedup(t.im)
 			r.Table.AddRow(n.Name, n.Layers[i].Name, t.im.Cycles,
@@ -42,7 +42,7 @@ func Fig8aWith(c *compile.Compiler, a core.Array) (*Result, error) {
 			sdkS.Values = append(sdkS.Values, sdk)
 			vwS.Values = append(vwS.Values, vw)
 		}
-		im, sdk, vw := totals(ts)
+		im, sdk, vw := cn.vw.Im2colCycles, cn.sdk.Cycles, cn.vw.Cycles
 		totSDK := float64(im) / float64(sdk)
 		totVW := float64(im) / float64(vw)
 		r.Table.AddRow(n.Name, "total", im,
@@ -81,11 +81,11 @@ func Fig8bWith(c *compile.Compiler) (*Result, error) {
 		sdkS := textplot.Series{Name: "SDK"}
 		vwS := textplot.Series{Name: "VW-SDK"}
 		for _, a := range PaperArrays {
-			ts, err := mapNetwork(c, n, a)
+			cn, err := mapNetwork(c, n, a)
 			if err != nil {
 				return nil, err
 			}
-			im, sdk, vw := totals(ts)
+			im, sdk, vw := cn.vw.Im2colCycles, cn.sdk.Cycles, cn.vw.Cycles
 			sdkSp := float64(im) / float64(sdk)
 			vwSp := float64(im) / float64(vw)
 			r.Table.AddRow(n.Name, a, im,

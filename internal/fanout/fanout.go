@@ -1,8 +1,8 @@
 // Package fanout is the one bounded fan-out of the compile stack: a map over
 // independent, index-addressed units of work, joined before it returns. The
-// layers of a compile or a network search, the cells of a sweep and the
-// entries of a server warm-up all run through Each, so every fan-out shares
-// one dispatch rule, one cancellation rule and one worker bound. The caller
+// layers of a compile, the cells of a server sweep and the entries of a
+// server warm-up all run through Each, so every fan-out shares one dispatch
+// rule, one cancellation rule and one worker bound. The caller
 // is always one of the workers: a fan-out of width w starts w − 1
 // goroutines, and one of width one starts none.
 package fanout

@@ -18,15 +18,6 @@ type Node struct {
 	Children []*Node        `json:"children,omitempty"`
 }
 
-// Sum returns the total duration of the node's direct children.
-func (n *Node) Sum() time.Duration {
-	var total int64
-	for _, c := range n.Children {
-		total += c.DurUs
-	}
-	return time.Duration(total) * time.Microsecond
-}
-
 // Find returns the first node named name in a depth-first walk of the
 // forest, or nil.
 func Find(nodes []*Node, name string) *Node {

@@ -278,22 +278,6 @@ func ExperimentFig8b() (*Experiment, error) { return experiments.Fig8b() }
 // ExperimentFig9a regenerates Fig. 9(a) (utilization per layer) on array a.
 func ExperimentFig9a(a Array) (*Experiment, error) { return experiments.Fig9a(a) }
 
-// NetworkResult aggregates per-layer search results and network totals.
-type NetworkResult = core.NetworkResult
-
-// SearchNetwork optimizes every layer concurrently and sums the totals
-// (context-free form of SearchNetworkContext).
-func SearchNetwork(layers []Layer, a Array) (NetworkResult, error) {
-	return core.SearchNetwork(layers, a)
-}
-
-// SearchNetworkContext is SearchNetwork under a caller context; cancelling
-// it starts no further layer and stops every in-flight layer search at its
-// next checkpoint.
-func SearchNetworkContext(ctx context.Context, layers []Layer, a Array) (NetworkResult, error) {
-	return core.SearchNetworkContext(ctx, layers, a)
-}
-
 // Method names one per-layer search: a Scheme plus, for VW-SDK, the
 // ablation Variant. Methods that run the same search compare equal after
 // Canonical. See core.Method.
@@ -318,11 +302,11 @@ func SerialSearcher() Searcher { return core.Serial{} }
 func ExhaustiveSearcher() Searcher { return core.Exhaustive{} }
 
 // Engine is a concurrent, memoizing search engine and a Searcher: its one
-// per-layer method, Engine.Search, and batch-sweep cells fan across a worker
-// pool (each individual search walks only cost-class breakpoints), and
-// repeated (layer shape, array, canonical method) combinations are served
-// from an LRU cache. Results are bit-identical to the serial searches. See
-// engine.Engine.
+// method, Engine.Search, runs under a bounded worker pool (each individual
+// search walks only cost-class breakpoints), and repeated (layer shape,
+// array, canonical method) combinations are served from an LRU cache.
+// Results are bit-identical to the serial searches. Hand one Engine to
+// NewCompiler to share its cache across compilations. See engine.Engine.
 type Engine = engine.Engine
 
 // EngineOption configures an Engine.
@@ -344,23 +328,6 @@ func WithCacheSize(n int) EngineOption { return engine.WithCacheSize(n) }
 // (and the ablated variants' own walks), for differential testing and
 // benchmarking.
 func WithExhaustiveSearch() EngineOption { return engine.WithExhaustiveSearch() }
-
-// SearchNetworkParallel optimizes every layer through a fresh engine —
-// layer searches fan across the worker pool and repeated layer shapes
-// are costed once. Results are bit-identical to SearchNetwork. Callers
-// optimizing several networks or arrays should build one Engine (or use
-// Engine.Sweep) to share its cache across calls. It is the context-free
-// convenience form of SearchNetworkParallelContext.
-func SearchNetworkParallel(layers []Layer, a Array, opts ...EngineOption) (NetworkResult, error) {
-	return SearchNetworkParallelContext(context.Background(), layers, a, opts...)
-}
-
-// SearchNetworkParallelContext is SearchNetworkParallel under a caller
-// context: cancellation propagates into the engine's worker pool and every
-// search loop.
-func SearchNetworkParallelContext(ctx context.Context, layers []Layer, a Array, opts ...EngineOption) (NetworkResult, error) {
-	return engine.New(opts...).SearchNetwork(ctx, layers, a)
-}
 
 // ExplainSearch renders a step-by-step, equation-referenced derivation of a
 // search result (see Mapping.Explain via core).

@@ -233,13 +233,6 @@ func TestFacadeExtensions(t *testing.T) {
 	if s.Makespan <= 0 {
 		t.Error("empty layer schedule")
 	}
-	ns, err := ScheduleNetwork([]Mapping{base.Best, m}, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ns.Layers) != 2 {
-		t.Error("network schedule missing layers")
-	}
 
 	// Network-level inference: TinyCNN on crossbar == reference.
 	cnn := TinyCNN(5)
@@ -335,58 +328,54 @@ func TestFacadeExhaustiveSearch(t *testing.T) {
 	}
 }
 
+// TestFacadeSearchNetwork pins ResNet-18's Table I network total through the
+// facade: 4294 VW-SDK cycles and a 4.67x speedup over im2col, the same on
+// the serial searcher and on a parallel engine.
 func TestFacadeSearchNetwork(t *testing.T) {
-	nr, err := SearchNetwork(ResNet18().CoreLayers(), PaperArray)
+	ctx := context.Background()
+	req := NewCompileRequest(ResNet18(), PaperArray, CompileOptions{})
+	serial, err := NewCompiler(SerialSearcher()).Compile(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if nr.TotalCycles != 4294 {
-		t.Errorf("network total = %d, want 4294", nr.TotalCycles)
+	parallel, err := NewCompiler(NewEngine(WithWorkers(2))).Compile(ctx, req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if s := nr.Speedup(); s < 4.66 || s > 4.68 {
-		t.Errorf("speedup = %v, want 4.67", s)
+	for _, p := range []*NetworkPlan{serial, parallel} {
+		if p.Totals.Cycles != 4294 {
+			t.Errorf("network total = %d, want 4294", p.Totals.Cycles)
+		}
+		if s := p.Totals.Speedup; s < 4.66 || s > 4.68 {
+			t.Errorf("speedup = %v, want 4.67", s)
+		}
 	}
 }
 
-// TestFacadeEngine exercises the concurrent-engine exports: parallel
-// network search equals the serial one, the batch Sweep covers its grid,
-// and the stats/worker knobs round-trip.
+// TestFacadeEngine exercises the concurrent-engine exports: a memoized
+// search, a compile that shares the engine's cache, and the stats/worker
+// knobs.
 func TestFacadeEngine(t *testing.T) {
+	ctx := context.Background()
 	a := Array{Rows: 512, Cols: 512}
+	eng := NewEngine(WithWorkers(2), WithCacheSize(128))
+	if eng.Workers() != 2 {
+		t.Errorf("Workers = %d, want 2", eng.Workers())
+	}
 	layers := ResNet18().CoreLayers()
-	want, err := SearchNetwork(layers, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := SearchNetworkParallel(layers, a, WithWorkers(2), WithCacheSize(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.TotalCycles != want.TotalCycles || got.TotalIm2col != want.TotalIm2col {
-		t.Errorf("parallel totals = %d/%d, serial %d/%d",
-			got.TotalCycles, got.TotalIm2col, want.TotalCycles, want.TotalIm2col)
-	}
-
-	eng := NewEngine(WithWorkers(2))
-	res, err := eng.Search(context.Background(), layers[3], a, MethodVWSDK)
+	res, err := eng.Search(ctx, layers[3], a, MethodVWSDK)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Best.TileString() != "4x3x42x256" {
 		t.Errorf("conv4 tile = %s, want 4x3x42x256", res.Best.TileString())
 	}
-	cells := eng.Sweep(context.Background(), []Network{ResNet18()}, []Array{{Rows: 256, Cols: 256}, a},
-		[]Variant{VariantFull})
-	if len(cells) != 2 {
-		t.Fatalf("sweep returned %d cells, want 2", len(cells))
+	plan, err := NewCompiler(eng).Compile(ctx, NewCompileRequest(ResNet18(), a, CompileOptions{}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, c := range cells {
-		if c.Err != nil {
-			t.Fatal(c.Err)
-		}
-		if c.Speedup() < 1 {
-			t.Errorf("%v: speedup %.2f < 1", c.Cell.Array, c.Speedup())
-		}
+	if plan.Layers[3].Search != res {
+		t.Error("compiled conv4 differs from the engine's search")
 	}
 	if st := eng.Stats(); st.Searches == 0 || st.CacheHits == 0 {
 		t.Errorf("engine stats = %+v, want searches and cache hits", st)
@@ -534,12 +523,6 @@ func TestFacadeContextForms(t *testing.T) {
 	cancel()
 	if _, err := CompileContext(cancelled, req); err == nil {
 		t.Error("CompileContext ignored a cancelled context")
-	}
-	if _, err := SearchNetworkContext(cancelled, ResNet18().CoreLayers(), PaperArray); err == nil {
-		t.Error("SearchNetworkContext ignored a cancelled context")
-	}
-	if _, err := SearchNetworkParallelContext(cancelled, ResNet18().CoreLayers(), PaperArray); err == nil {
-		t.Error("SearchNetworkParallelContext ignored a cancelled context")
 	}
 }
 
