@@ -327,9 +327,9 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkSearchVWSDKEngine measures the engine's pooled Algorithm 1 on
+// BenchmarkSearchVWSDKEngine measures Algorithm 1 through the engine on
 // the largest single-layer sweep (VGG conv1's 224x224 IFM, ~49k candidate
-// windows), cache disabled so every iteration costs the full sweep.
+// windows), cache disabled so every iteration runs the search.
 func BenchmarkSearchVWSDKEngine(b *testing.B) {
 	l := Layer{Name: "vgg-conv1", IW: 224, IH: 224, KW: 3, KH: 3, IC: 3, OC: 64}
 	eng := engine.New(engine.WithCacheSize(0))

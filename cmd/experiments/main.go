@@ -1,14 +1,14 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation (Table I, Figs. 4, 5, 7, 8, 9) plus the documented extensions
 // (ablation, energy, functional verification), printing them and optionally
-// writing one .txt and one .csv file per artifact. Searches run through the
-// concurrent engine; repeated (layer, array) pairs across experiments are
+// writing one .txt and one .csv file per artifact. Searches run through one
+// memoizing engine; repeated (layer, array) pairs across experiments are
 // costed once.
 //
 // Examples:
 //
 //	experiments -out results
-//	experiments -only table1,fig8a -workers 4
+//	experiments -only table1,fig8a -quiet
 package main
 
 import (
@@ -38,7 +38,6 @@ func run(args []string, out io.Writer) error {
 	quiet := fs.Bool("quiet", false, "print only one summary line per experiment")
 	only := fs.String("only", "", fmt.Sprintf("comma-separated experiment ids to run (default all; have %v)",
 		strings.Join(experiments.IDs(), ",")))
-	workers := fs.Int("workers", 0, "search worker-pool size (0 = GOMAXPROCS)")
 	version := fs.Bool("version", false, "print the version and exit")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -58,7 +57,7 @@ func run(args []string, out io.Writer) error {
 	}
 	// All generators share one compile pipeline on one engine, so repeated
 	// (layer, array) searches across experiments are costed once.
-	comp := compile.New(engine.New(engine.WithWorkers(*workers)))
+	comp := compile.New(engine.New())
 	results, err := experiments.Run(comp, ids...)
 	if err != nil {
 		return err

@@ -11,7 +11,7 @@ import (
 // experiment comes out.
 func TestRunOnly(t *testing.T) {
 	var out strings.Builder
-	if err := run([]string{"-only", "fig4,fig5a", "-quiet", "-workers", "2"}, &out); err != nil {
+	if err := run([]string{"-only", "fig4,fig5a", "-quiet"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
@@ -53,6 +53,11 @@ func TestRunBadFlags(t *testing.T) {
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+	// The engine has no worker pool to size.
+	var out strings.Builder
+	if err := run([]string{"-workers", "2"}, &out); err == nil || !strings.Contains(err.Error(), "not defined: -workers") {
+		t.Errorf("-workers 2: err = %v, want an undefined flag", err)
 	}
 }
 

@@ -61,7 +61,6 @@ func run(args []string, out io.Writer) (retErr error) {
 		arraySp = fs.String("array", "512x512", "PIM array size RowsxCols")
 		nArrays = fs.Int("arrays", 1, "number of crossbars on the chip (multi-array makespan)")
 		explain = fs.Bool("explain", false, "print the equation-by-equation derivation (single layer only)")
-		workers = fs.Int("workers", 0, "search worker-pool size (0 = GOMAXPROCS)")
 		csv     = fs.Bool("csv", false, "emit CSV instead of an aligned table")
 		stats   = fs.Bool("stats", false, "print engine statistics (cache hits/misses, candidates costed/pruned)")
 		timeout = fs.Duration("timeout", 0, "abort the whole run after this long (0 = no deadline)")
@@ -115,10 +114,10 @@ func run(args []string, out io.Writer) (retErr error) {
 		}
 	}()
 	// Everything below runs through one compile pipeline on one engine: each
-	// compilation fans its layers out, the worker pool bounds their searches,
-	// and each of the four scheme compilations (plus the multi-array one)
-	// reuses the cached per-layer searches.
-	eng := engine.New(engine.WithWorkers(*workers))
+	// compilation fans its layers out on at most GOMAXPROCS workers, and each
+	// of the four scheme compilations (plus the multi-array one) reuses the
+	// cached per-layer searches.
+	eng := engine.New()
 	comp := compile.New(eng)
 
 	if *optSp != "" {

@@ -24,11 +24,10 @@ func TestRunSingleLayer(t *testing.T) {
 	}
 }
 
-// TestRunNetworkCSV exercises the predefined-network path with CSV output
-// and an explicit worker count.
+// TestRunNetworkCSV exercises the predefined-network path with CSV output.
 func TestRunNetworkCSV(t *testing.T) {
 	var out strings.Builder
-	err := run([]string{"-network", "ResNet-18", "-array", "512x512", "-csv", "-workers", "2"}, &out)
+	err := run([]string{"-network", "ResNet-18", "-array", "512x512", "-csv"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,6 +165,11 @@ func TestRunBadFlags(t *testing.T) {
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+	// The engine has no worker pool to size.
+	var out strings.Builder
+	if err := run([]string{"-workers", "2"}, &out); err == nil || !strings.Contains(err.Error(), "not defined: -workers") {
+		t.Errorf("-workers 2: err = %v, want an undefined flag", err)
 	}
 }
 

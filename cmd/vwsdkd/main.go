@@ -17,7 +17,7 @@
 // Examples:
 //
 //	vwsdkd -addr :8080
-//	vwsdkd -addr 127.0.0.1:0 -workers 4 -plan-cache 256 -timeout 30s -quiet
+//	vwsdkd -addr 127.0.0.1:0 -max-inflight 4 -plan-cache 256 -timeout 30s -quiet
 //	vwsdkd -addr :8080 -pprof 127.0.0.1:6060   # opt-in profiling listener
 //	vwsdkd -addr :8080 -store /var/lib/vwsdk/plans
 //	vwsdkd -addr :8081 -store s1 -peers 127.0.0.1:8081,127.0.0.1:8082
@@ -77,7 +77,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("vwsdkd", flag.ContinueOnError)
 	var (
 		addr      = fs.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		workers   = fs.Int("workers", 0, "search worker-pool size (0 = GOMAXPROCS)")
 		cacheSize = fs.Int("cache", -1, "engine result-cache capacity in entries (0 disables, <0 default 4096)")
 		planCache = fs.Int("plan-cache", 0, "plan-cache capacity in plans (0 default 128, <0 disables)")
 		inflight  = fs.Int("max-inflight", 0, "max concurrently running compilations (0 = GOMAXPROCS)")
@@ -112,7 +111,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		logger = log.New(out, "vwsdkd: ", log.LstdFlags)
 	}
 	cfg := server.Config{
-		Engine:         engine.New(engine.WithWorkers(*workers), engine.WithCacheSize(*cacheSize)),
+		Engine:         engine.New(engine.WithCacheSize(*cacheSize)),
 		PlanCacheSize:  *planCache,
 		MaxConcurrent:  *inflight,
 		MaxQueue:       *maxQueue,

@@ -193,4 +193,10 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+	// The engine has no worker pool to size; -max-inflight bounds the
+	// compilations.
+	var out syncBuffer
+	if err := run(context.Background(), []string{"-workers", "2"}, &out); err == nil || !strings.Contains(err.Error(), "not defined: -workers") {
+		t.Errorf("-workers 2: err = %v, want an undefined flag", err)
+	}
 }

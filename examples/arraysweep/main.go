@@ -1,7 +1,7 @@
 // Array sweep: show how the optimal parallel window changes with the PIM
 // array size (the paper's Fig. 8(b) observation that VW-SDK gains more on
 // larger arrays), for a user-defined layer — running every search through
-// one concurrent, memoizing engine.
+// one memoizing engine.
 //
 // Run with: go run ./examples/arraysweep
 package main
@@ -74,6 +74,6 @@ func main() {
 	}
 
 	st := eng.Stats()
-	fmt.Printf("\nengine: %d searches, %d cache hits (%d in-flight dedupes), %d computed (workers %d)\n",
-		st.Searches, st.CacheHits, st.FlightDedupes, st.CacheMisses, eng.Workers())
+	fmt.Printf("\nengine: %d searches, %d cache hits (%d in-flight dedupes), %d computed\n",
+		st.Searches, st.CacheHits, st.FlightDedupes, st.CacheMisses)
 }

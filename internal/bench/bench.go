@@ -331,7 +331,8 @@ func measure(ctx context.Context, w Workload, opts Options) (LayerResult, error)
 
 // coldCompile times the full compile pipeline for VGG-13 on the paper's
 // 512×512 array with a fresh engine per iteration — the server's cold
-// /v1/compile path — under the default and exhaustive searches.
+// /v1/compile path — and on core.Exhaustive, the brute-force oracle, which
+// memoizes nothing.
 func coldCompile(ctx context.Context, opts Options) (ColdCompileResult, error) {
 	net := model.VGG13()
 	a := core.Array{Rows: 512, Cols: 512}
@@ -339,9 +340,9 @@ func coldCompile(ctx context.Context, opts Options) (ColdCompileResult, error) {
 	// The timed iterations deliberately run under context.Background(): a
 	// deadline firing inside a timing loop would corrupt the measurement
 	// anyway, so the caller's ctx gates between loops instead.
-	run := func(engOpts ...engine.Option) func() {
+	run := func(newSearcher func() core.Searcher) func() {
 		return func() {
-			comp := compile.New(engine.New(engOpts...))
+			comp := compile.New(newSearcher())
 			if _, err := comp.Compile(context.Background(), req); err != nil {
 				panic(err) // unreachable: VGG-13 on 512x512 always compiles
 			}
@@ -356,13 +357,13 @@ func coldCompile(ctx context.Context, opts Options) (ColdCompileResult, error) {
 	defer sp.End()
 	out := ColdCompileResult{Network: net.Name, Array: a.String()}
 	_, psp := obs.Start(ctx, "timed/pruned")
-	out.NsPerOp, out.AllocsPerOp, _ = timeIt(opts, run())
+	out.NsPerOp, out.AllocsPerOp, _ = timeIt(opts, run(func() core.Searcher { return engine.New() }))
 	psp.End()
 	if err := ctx.Err(); err != nil {
 		return ColdCompileResult{}, err
 	}
 	_, esp := obs.Start(ctx, "timed/exhaustive")
-	out.ExhaustiveNsPerOp, _, _ = timeIt(opts, run(engine.WithExhaustiveSearch()))
+	out.ExhaustiveNsPerOp, _, _ = timeIt(opts, run(func() core.Searcher { return core.Exhaustive{} }))
 	esp.End()
 	if out.NsPerOp > 0 {
 		out.SpeedupVsExhaustive = round1(float64(out.ExhaustiveNsPerOp) / float64(out.NsPerOp))

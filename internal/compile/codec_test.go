@@ -219,6 +219,9 @@ func TestAppendPlanZeroAlloc(t *testing.T) {
 // allocations. The 19 are the plan, its energy model, its two layer slices
 // (the network's grown by appending), and one string per distinct name.
 func TestFromJSONAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops a share of sync.Pool puts, so FromJSON's pooled decode buffer is sometimes reallocated and the count reads 20; the build without -race pins it")
+	}
 	p, err := New(core.Serial{}).Compile(bg, NewRequest(model.VGG13(), array512, Options{}))
 	if err != nil {
 		t.Fatal(err)

@@ -16,8 +16,8 @@
 //
 // The stages run as a pipeline: layers fan out through fanout.Each on at
 // most GOMAXPROCS workers, the calling goroutine among them, each layer's
-// search goes through the compiler's Searcher (normally the concurrent,
-// memoizing engine), and scheduling, energy estimation and physical planning
+// search goes through the compiler's Searcher (normally the memoizing
+// engine), and scheduling, energy estimation and physical planning
 // run per layer as soon as its search completes — layer i's schedule is
 // built while layer j is still searching. Each worker fills its layer's
 // entry of the plan in place. Options selects the mapping scheme, the
@@ -316,7 +316,7 @@ type Compiler struct {
 }
 
 // New returns a Compiler running its searches through s; a nil s selects a
-// fresh concurrent engine (engine.New).
+// fresh memoizing engine (engine.New).
 func New(s core.Searcher) *Compiler {
 	if s == nil {
 		s = engine.New()

@@ -38,25 +38,3 @@ func TestEngineSearchCancelled(t *testing.T) {
 		t.Error("post-cancel search differs from serial")
 	}
 }
-
-// TestEngineCancelledSearchNotCached pins that a cancellation surfacing from
-// inside a running search (here: forced via the pre-cancelled slot path on a
-// fully occupied pool) never poisons the cache for later callers.
-func TestEngineCancelledSearchNotCached(t *testing.T) {
-	e := New(WithWorkers(1))
-	e.sem <- struct{}{} // the pool is busy; acquiring a slot must block
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	l := core.Layer{Name: "c", IW: 8, IH: 8, KW: 3, KH: 3, IC: 4, OC: 4}
-	a := core.Array{Rows: 64, Cols: 64}
-	if _, err := e.Search(ctx, l, a, core.MethodVWSDK); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled (slot wait abandoned)", err)
-	}
-	<-e.sem
-	if st := e.Stats(); st.CachedResults != 0 {
-		t.Errorf("cancelled search was cached: %+v", st)
-	}
-	if _, err := e.Search(context.Background(), l, a, core.MethodVWSDK); err != nil {
-		t.Fatalf("engine unusable after cancelled search: %v", err)
-	}
-}

@@ -207,7 +207,7 @@ func TestEngineErrorsMatchSerial(t *testing.T) {
 // goroutines; duplicate suppression must collapse them onto one computation
 // and every caller must still see the serial result (run under -race).
 func TestEngineConcurrentIdenticalSearches(t *testing.T) {
-	e := New(WithWorkers(4))
+	e := New()
 	l := core.Layer{Name: "conv5", IW: 56, IH: 56, KW: 3, KH: 3, IC: 128, OC: 256}
 	a := core.Array{Rows: 512, Cols: 512}
 	want, err := core.SearchVWSDK(l, a)
@@ -255,40 +255,38 @@ func TestEngineConcurrentIdenticalSearches(t *testing.T) {
 
 // TestEngineFlightDedupeCounter pins FlightDedupes deterministically: with
 // the result cache disabled, a waiter that joins an in-flight search is the
-// only way a hit can happen. The leader holds the engine's single worker
-// slot until the waiter is known to have arrived, so the join is forced.
+// only way a hit can happen. The leader's compute blocks until the waiter is
+// known to have joined, so the join is forced.
 func TestEngineFlightDedupeCounter(t *testing.T) {
-	e := New(WithWorkers(1), WithCacheSize(0))
+	e := New(WithCacheSize(0))
 	l := core.Layer{Name: "conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
 	a := core.Array{Rows: 512, Cols: 512}
 
-	// Occupy the single worker slot so the leader's search blocks in
-	// withSlot after registering itself in the flight map.
-	e.sem <- struct{}{}
+	entered, release := make(chan struct{}), make(chan struct{})
 	leaderErr := make(chan error, 1)
 	go func() {
-		_, err := e.Search(bg, l, a, core.MethodVWSDK)
+		_, err := e.memoized(bg, newCacheKey(l, a, core.MethodVWSDK), l.Name, func(ctx context.Context) (core.Result, error) {
+			close(entered)
+			<-release
+			return core.Search(ctx, l, a, core.MethodVWSDK)
+		})
 		leaderErr <- err
 	}()
-	// Wait until the leader is registered in flight: its miss is counted
-	// right after it registers, before it runs the search.
-	for e.Stats().CacheMisses == 0 {
-		runtime.Gosched()
-	}
+	<-entered // the leader is registered in flight and blocked in its compute
 	waiterErr := make(chan error, 1)
 	go func() {
 		_, err := e.Search(bg, l, a, core.MethodVWSDK)
 		waiterErr <- err
 	}()
 	// Wait until the waiter has observed the in-flight entry (its dedupe is
-	// counted before it blocks on the leader), then release the slot.
+	// counted before it blocks on the leader), then release the leader.
 	for e.Stats().FlightDedupes == 0 {
 		if e.Stats().CacheMisses > 1 {
 			t.Fatal("waiter recomputed instead of joining the in-flight search")
 		}
 		runtime.Gosched()
 	}
-	<-e.sem
+	close(release)
 	if err := <-leaderErr; err != nil {
 		t.Fatal(err)
 	}
@@ -301,8 +299,78 @@ func TestEngineFlightDedupeCounter(t *testing.T) {
 	}
 }
 
-// TestEngineOptions exercises the worker and cache-size knobs, including the
-// degenerate single-worker and cache-disabled configurations.
+// TestInFlightSearchesGauge pins InFlightSearches to the searches running
+// inside the memo's compute closure. With GOMAXPROCS+1 distinct searches
+// blocked in their computes the gauge reads all of them, because the
+// engine bounds nothing itself; it reads 0 once they return; and neither a
+// cache hit nor a join onto an in-flight search moves it.
+func TestInFlightSearchesGauge(t *testing.T) {
+	e := New()
+	key := func(i int) cacheKey { return cacheKey{layer: core.Layer{IW: i}} }
+	stored := func(context.Context) (core.Result, error) { return core.Result{Evaluated: 1}, nil }
+	if _, err := e.memoized(bg, key(0), "hit", stored); err != nil {
+		t.Fatal(err)
+	}
+	gauge := func() int64 { return e.Stats().InFlightSearches }
+	if got := gauge(); got != 0 {
+		t.Fatalf("gauge = %d after a returned search, want 0", got)
+	}
+
+	k := runtime.GOMAXPROCS(0) + 1
+	var entered, done sync.WaitGroup
+	release := make(chan struct{})
+	entered.Add(k)
+	done.Add(k + 1)
+	search := func(i int) {
+		defer done.Done()
+		_, err := e.memoized(bg, key(i), "blocked", func(context.Context) (core.Result, error) {
+			entered.Done()
+			<-release
+			return core.Result{Evaluated: 1}, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+	}
+	for i := 1; i <= k; i++ {
+		go search(i)
+	}
+	entered.Wait()
+	if got := gauge(); got != int64(k) {
+		t.Errorf("gauge = %d with %d searches blocked in compute, want %d", got, k, k)
+	}
+	// A hit is served without computing.
+	if _, err := e.memoized(bg, key(0), "hit", func(context.Context) (core.Result, error) {
+		t.Error("a cached search recomputed")
+		return core.Result{}, nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	// A join waits on key(1)'s flight without computing.
+	go func() {
+		defer done.Done()
+		if _, err := e.memoized(bg, key(1), "joiner", stored); err != nil {
+			t.Error(err)
+		}
+	}()
+	for e.Stats().FlightDedupes == 0 {
+		runtime.Gosched()
+	}
+	if got := gauge(); got != int64(k) {
+		t.Errorf("gauge = %d after a hit and a join, want %d", got, k)
+	}
+	close(release)
+	done.Wait()
+	if got := gauge(); got != 0 {
+		t.Errorf("gauge = %d once every search returned, want 0", got)
+	}
+	if st := e.Stats(); st.CacheMisses != uint64(k)+1 || st.CacheHits != 2 {
+		t.Errorf("stats = %+v, want %d misses and 2 hits", st, k+1)
+	}
+}
+
+// TestEngineOptions exercises the cache-size knob, including the disabled
+// and single-entry caches and the default for a negative size.
 func TestEngineOptions(t *testing.T) {
 	l := core.Layer{Name: "c", IW: 28, IH: 28, KW: 3, KH: 3, IC: 64, OC: 64}
 	a := core.Array{Rows: 256, Cols: 256}
@@ -310,17 +378,14 @@ func TestEngineOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range []*Engine{
-		New(WithWorkers(1)),
-		New(WithWorkers(1), WithCacheSize(0)),
-		New(WithWorkers(64), WithCacheSize(1)),
-	} {
+	for _, size := range []int{-3, 0, 1, 64} {
+		e := New(WithCacheSize(size))
 		got, err := e.Search(bg, l, a, core.MethodVWSDK)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(want, got) {
-			t.Errorf("workers=%d: result differs from serial", e.Workers())
+			t.Errorf("cache size %d: result differs from serial", size)
 		}
 	}
 	nocache := New(WithCacheSize(0))
@@ -332,8 +397,8 @@ func TestEngineOptions(t *testing.T) {
 	if st := nocache.Stats(); st.CacheHits != 0 || st.CachedResults != 0 {
 		t.Errorf("cache disabled but stats = %+v", st)
 	}
-	if w := New(WithWorkers(-3)).Workers(); w < 1 {
-		t.Errorf("default workers = %d, want >= 1", w)
+	if c := New(WithCacheSize(-3)).cacheCap; c != defaultCacheSize {
+		t.Errorf("cache size for n < 0 = %d, want the default %d", c, defaultCacheSize)
 	}
 }
 
@@ -369,8 +434,7 @@ func TestCacheLRUEviction(t *testing.T) {
 // TestEngineCandidateCounters pins CandidatesCosted/CandidatesPruned
 // deterministically: one computed search adds exactly the serial result's
 // cost-class count and the exhaustive-minus-costed difference; cache hits add
-// nothing; baseline searches (no pruned/exhaustive split) prune nothing; and
-// a WithExhaustiveSearch engine reports zero pruning by definition.
+// nothing; and baseline searches (no pruned/exhaustive split) prune nothing.
 func TestEngineCandidateCounters(t *testing.T) {
 	l := core.Layer{Name: "conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
 	a := core.Array{Rows: 512, Cols: 512}
@@ -408,40 +472,6 @@ func TestEngineCandidateCounters(t *testing.T) {
 	if st3 := e.Stats(); st3.CandidatesCosted != st.CandidatesCosted+uint64(sdk.Evaluated) ||
 		st3.CandidatesPruned != st.CandidatesPruned {
 		t.Errorf("SDK search counters off: %+v (sdk costed %d)", st3, sdk.Evaluated)
-	}
-
-	exh := New(WithExhaustiveSearch())
-	if _, err := exh.Search(bg, l, a, core.MethodVWSDK); err != nil {
-		t.Fatal(err)
-	}
-	if st := exh.Stats(); st.CandidatesPruned != 0 || st.CandidatesCosted != uint64(serial.Swept) {
-		t.Errorf("exhaustive engine stats = %+v, want %d costed, 0 pruned", st, serial.Swept)
-	}
-}
-
-// TestEngineExhaustiveSearchOption pins that a WithExhaustiveSearch engine
-// returns the brute-force results (same Best, legacy Evaluated == Swept) on
-// a sample of zoo shapes under every method.
-func TestEngineExhaustiveSearchOption(t *testing.T) {
-	e := New(WithExhaustiveSearch())
-	a := core.Array{Rows: 512, Cols: 512}
-	for _, l := range model.ResNet18().CoreLayers() {
-		for _, m := range allMethods {
-			want, err := core.SearchExhaustive(bg, l, a, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := e.Search(bg, l, a, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%v: exhaustive engine differs from core exhaustive", l.Name, m)
-			}
-			if got.Evaluated != got.Swept {
-				t.Errorf("%s/%v: exhaustive Evaluated %d != Swept %d", l.Name, m, got.Evaluated, got.Swept)
-			}
-		}
 	}
 }
 

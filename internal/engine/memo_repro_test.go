@@ -15,7 +15,7 @@ import (
 // an ordinary computation: cached for the next caller, counted in
 // CandidatesCosted, and a miss on its span.
 func TestWaiterRecomputeAfterCancelledLeader(t *testing.T) {
-	e := New(WithWorkers(2))
+	e := New()
 	k := cacheKey{}
 	leaderCtx, cancelLeader := context.WithCancel(context.Background())
 	leaderEntered := make(chan struct{})

@@ -13,7 +13,7 @@ import (
 // distinguishes cache hits from computed misses, with the chosen search path
 // and candidate count attached to the compute.
 func TestSearchSpans(t *testing.T) {
-	e := New(WithWorkers(1))
+	e := New()
 	l := core.Layer{Name: "probe", IW: 14, IH: 14, KW: 3, KH: 3, IC: 16, OC: 16}.Normalized()
 	a := core.Array{Rows: 128, Cols: 128}
 
@@ -83,24 +83,5 @@ func TestSearchSpans(t *testing.T) {
 		if sp := obs.Find(tr.Tree(), "engine.search"); sp == nil || sp.Attrs["path"] != want {
 			t.Errorf("%v: engine.search span = %+v, want path %q", m, sp, want)
 		}
-	}
-}
-
-// TestSearchSpansExhaustive checks the exhaustive engine reports its path.
-func TestSearchSpansExhaustive(t *testing.T) {
-	e := New(WithWorkers(1), WithExhaustiveSearch())
-	l := core.Layer{Name: "probe", IW: 9, IH: 9, KW: 3, KH: 3, IC: 4, OC: 4}.Normalized()
-
-	tr := obs.New("test")
-	ctx := obs.NewContext(context.Background(), tr)
-	if _, err := e.Search(ctx, l, core.Array{Rows: 64, Cols: 64}, core.MethodVWSDK); err != nil {
-		t.Fatal(err)
-	}
-	sp := obs.Find(tr.Tree(), "engine.search")
-	if sp == nil {
-		t.Fatal("no engine.search span")
-	}
-	if sp.Attrs["path"] != "exhaustive" {
-		t.Errorf("path = %v, want exhaustive", sp.Attrs["path"])
 	}
 }

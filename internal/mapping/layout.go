@@ -1,17 +1,10 @@
 package mapping
 
 import (
+	"repro/internal/conv"
 	"repro/internal/core"
 	"repro/internal/tensor"
 )
-
-// rowCoordIm2col maps an im2col virtual row to (channel, kernel-y, kernel-x)
-// in the canonical channel-major order shared with package conv.
-func rowCoordIm2col(l core.Layer, r int) (c, ky, kx int) {
-	kk := l.KH * l.KW
-	rem := r % kk
-	return r / kk, rem / l.KW, rem % l.KW
-}
 
 // rowCoordWindow maps a parallel-window virtual row to (channel, y, x)
 // inside the window: channel-major, then raster order over the PW extent.
@@ -48,7 +41,7 @@ func (p *Plan) WeightTile(w *tensor.Tensor4, t Tile) *tensor.Matrix {
 			for rr := 0; rr < m.Rows; rr++ {
 				r := t.RowLo + rr
 				d := r / kr
-				c, ky, kx := rowCoordIm2col(l, r%kr)
+				c, ky, kx := conv.RowCoord(l, r%kr)
 				// Only the matching duplicate's column block is non-zero.
 				for oc := 0; oc < l.OC; oc++ {
 					m.Set(rr, d*l.OC+oc, w.At(oc, c, ky, kx))
@@ -61,7 +54,7 @@ func (p *Plan) WeightTile(w *tensor.Tensor4, t Tile) *tensor.Matrix {
 		// input channel r % KernelRows; dense layers have r < KernelRows.
 		kr := l.KernelRows()
 		for rr := 0; rr < m.Rows; rr++ {
-			ci, ky, kx := rowCoordIm2col(l, (t.RowLo+rr)%kr)
+			ci, ky, kx := conv.RowCoord(l, (t.RowLo+rr)%kr)
 			for cc := 0; cc < m.Cols; cc++ {
 				m.Set(rr, cc, w.At(t.ColLo+cc, ci, ky, kx))
 			}
@@ -113,7 +106,7 @@ func (p *Plan) InputVector(padded *tensor.Tensor3, t Tile, pos Position) []float
 			}
 			win := pos.Windows[d]
 			oy, ox := win/outW, win%outW
-			ci, ky, kx := rowCoordIm2col(l, r%kr)
+			ci, ky, kx := conv.RowCoord(l, r%kr)
 			in[rr] = padded.At(g*l.ICg()+ci, oy*l.StrideH+ky, ox*l.StrideW+kx)
 		}
 	default: // SDK, VW-SDK

@@ -1,6 +1,9 @@
 package mapping
 
-import "repro/internal/core"
+import (
+	"repro/internal/conv"
+	"repro/internal/core"
+)
 
 // ReuseStats quantifies input-feature-map reuse — the motivation of the
 // paper's Fig. 1: im2col re-reads overlapping window elements every cycle,
@@ -61,7 +64,7 @@ func (p *Plan) inputCoord(t Tile, pos Position, rr int) (c, y, x int, ok bool) {
 		}
 		win := pos.Windows[d]
 		oy, ox := win/l.OutW(), win%l.OutW()
-		c, ky, kx := rowCoordIm2col(l, rk)
+		c, ky, kx := conv.RowCoord(l, rk)
 		return c, oy*l.StrideH + ky, ox*l.StrideW + kx, true
 	default:
 		c, wy, wx := p.rowCoordWindow(r)

@@ -7,11 +7,11 @@ import (
 	"fmt"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 )
 
 // gateSearcher is a core.Searcher whose leaf searches block until they can
@@ -49,6 +49,19 @@ func (g *gateSearcher) Search(ctx context.Context, l core.Layer, a core.Array, m
 	return core.Search(ctx, l, a, m)
 }
 
+// countingSearcher runs core.Exhaustive, the brute-force sweeps, and counts
+// the searches it starts and finishes, so a test can see a search running
+// and see that none is left running after a cancel.
+type countingSearcher struct {
+	started, finished atomic.Int64
+}
+
+func (c *countingSearcher) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (core.Result, error) {
+	c.started.Add(1)
+	defer c.finished.Add(1)
+	return core.Exhaustive{}.Search(ctx, l, a, m)
+}
+
 // oneLayerNet returns a one-layer inline network spec with a distinguishing
 // IFM width, so each call is its own plan-cache key.
 func oneLayerNet(iw int) string {
@@ -61,12 +74,12 @@ func oneLayerNet(iw int) string {
 // completion. Now, with one compilation slot total: request A (a large
 // exhaustive search) starts and occupies the slot, request B queues behind
 // it, A's client disconnects — and B must complete, which can only happen
-// if A's cancellation actually freed the slot. Afterwards the engine's
-// candidate counter must be quiescent: cancelled work stops, it does not
-// keep costing candidates in the background.
+// if A's cancellation actually freed the slot. Afterwards the searcher must
+// be quiescent: cancelled work stops, it does not keep searching in the
+// background.
 func TestCancelledCompileFreesSlot(t *testing.T) {
-	eng := engine.New(engine.WithExhaustiveSearch())
-	_, ts := newTestServer(t, Config{Engine: eng, MaxConcurrent: 1})
+	searcher := &countingSearcher{}
+	_, ts := newTestServer(t, Config{Searcher: searcher, MaxConcurrent: 1})
 
 	// A: a 2048×2048-IFM layer whose exhaustive sweep enumerates ~4.2M
 	// candidates (tens of milliseconds) — plenty of time to observe it
@@ -87,10 +100,10 @@ func TestCancelledCompileFreesSlot(t *testing.T) {
 		aDone <- err
 	}()
 
-	// Wait until A's search is actually running (the engine recorded the
-	// miss), so the cancel lands mid-search, not before admission.
+	// Wait until A's search is actually running, so the cancel lands
+	// mid-search, not before admission.
 	deadline := time.Now().Add(10 * time.Second)
-	for eng.Stats().CacheMisses == 0 {
+	for searcher.started.Load() == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("request A never started its search")
 		}
@@ -121,13 +134,12 @@ func TestCancelledCompileFreesSlot(t *testing.T) {
 		t.Fatal("B never completed: A's cancelled compile did not free its slot")
 	}
 
-	// No further work: once B is done the engine's counters must be still —
-	// A's search is not grinding on in the background.
-	st1 := eng.Stats()
+	// No further work: once B is done every search has returned and none
+	// starts — A's search is not grinding on in the background.
+	started := searcher.started.Load()
 	time.Sleep(30 * time.Millisecond)
-	st2 := eng.Stats()
-	if st1.CandidatesCosted != st2.CandidatesCosted || st1.Searches != st2.Searches {
-		t.Errorf("engine still working after cancel: %+v -> %+v", st1, st2)
+	if s, f := searcher.started.Load(), searcher.finished.Load(); s != started || f != s {
+		t.Errorf("searcher still working after cancel: %d started, then %d started and %d finished", started, s, f)
 	}
 }
 

@@ -137,11 +137,11 @@ var metricTable = []metricRow{
 		read: func(st *Stats) float64 { return float64(st.Engine.FlightDedupes) }},
 	{name: "vwsdk_engine_evictions_total", help: "Search results evicted from the LRU.",
 		read: func(st *Stats) float64 { return float64(st.Engine.Evictions) }},
-	{name: "vwsdk_engine_candidates_costed_total", help: "Candidate windows handed to the cost model.",
+	{name: "vwsdk_engine_candidates_costed_total", help: "Candidates evaluated by computed searches: VW-SDK cost classes, mostly in closed form, and baseline windows.",
 		read: func(st *Stats) float64 { return float64(st.Engine.CandidatesCosted) }},
 	{name: "vwsdk_engine_candidates_pruned_total", help: "Candidate windows the exhaustive sweeps would cost but the closed-form search skipped.",
 		read: func(st *Stats) float64 { return float64(st.Engine.CandidatesPruned) }},
-	{name: "vwsdk_engine_searches_in_flight", help: "Searches currently holding a worker-pool slot.", gauge: true,
+	{name: "vwsdk_engine_searches_in_flight", help: "Searches currently running the underlying algorithm.", gauge: true,
 		read: func(st *Stats) float64 { return float64(st.Engine.InFlightSearches) }},
 
 	{name: "vwsdk_store_hits_total", help: "Plan-store loads that validated and were served.", tier: "store",

@@ -288,7 +288,7 @@ var MethodVWSDK = core.MethodVWSDK
 
 // Searcher is the one per-layer search: Search(ctx, layer, array, method).
 // The serial reference (SerialSearcher), its brute-force oracle
-// (ExhaustiveSearcher) and the concurrent Engine implement it, with
+// (ExhaustiveSearcher) and the memoizing Engine implement it, with
 // bit-identical results; Search is context-first (see core.Searcher).
 type Searcher = core.Searcher
 
@@ -301,33 +301,25 @@ func SerialSearcher() Searcher { return core.Serial{} }
 // search.
 func ExhaustiveSearcher() Searcher { return core.Exhaustive{} }
 
-// Engine is a concurrent, memoizing search engine and a Searcher: its one
-// method, Engine.Search, runs under a bounded worker pool (each individual
-// search walks only cost-class breakpoints), and repeated (layer shape,
-// array, canonical method) combinations are served from an LRU cache.
-// Results are bit-identical to the serial searches. Hand one Engine to
-// NewCompiler to share its cache across compilations. See engine.Engine.
+// Engine is a memoizing search engine and a Searcher: its one method,
+// Engine.Search, runs the default search and serves repeated (layer shape,
+// array, canonical method) combinations from an LRU cache, coalescing
+// identical concurrent searches onto one. Results are bit-identical to the
+// serial searches. It is safe for concurrent use; the compiler fans a
+// network's layers out over it. Hand one Engine to NewCompiler to share its
+// cache across compilations. See engine.Engine.
 type Engine = engine.Engine
 
 // EngineOption configures an Engine.
 type EngineOption = engine.Option
 
-// NewEngine returns a concurrent search engine. With no options it uses
-// GOMAXPROCS workers and a 4096-entry result cache.
+// NewEngine returns a memoizing search engine. With no options it keeps a
+// 4096-entry result cache.
 func NewEngine(opts ...EngineOption) *Engine { return engine.New(opts...) }
-
-// WithWorkers bounds the engine's worker pool; n < 1 restores the default.
-func WithWorkers(n int) EngineOption { return engine.WithWorkers(n) }
 
 // WithCacheSize sets the engine's LRU capacity in results; 0 disables
 // caching.
 func WithCacheSize(n int) EngineOption { return engine.WithCacheSize(n) }
-
-// WithExhaustiveSearch routes an engine's VW-SDK and variant searches
-// through the brute-force sweeps instead of the default closed-form search
-// (and the ablated variants' own walks), for differential testing and
-// benchmarking.
-func WithExhaustiveSearch() EngineOption { return engine.WithExhaustiveSearch() }
 
 // ExplainSearch renders a step-by-step, equation-referenced derivation of a
 // search result (see Mapping.Explain via core).
@@ -374,13 +366,13 @@ func NewCompileRequest(n Network, a Array, opts CompileOptions) CompileRequest {
 }
 
 // NewCompiler returns a Compiler running its searches through s; a nil s
-// selects a fresh concurrent engine. Share one Compiler across compilations
+// selects a fresh memoizing engine. Share one Compiler across compilations
 // to reuse its search cache. Compiler.Compile is context-first:
 // Compile(ctx, CompileRequest).
 func NewCompiler(s Searcher) *Compiler { return compile.New(s) }
 
 // Compile compiles network n for array a under opts through a fresh
-// concurrent engine. Callers compiling several networks, arrays or option
+// memoizing engine. Callers compiling several networks, arrays or option
 // sets should build one NewCompiler and reuse it; callers that need
 // cancellation or deadlines should use CompileContext, of which this is the
 // context-free convenience form.
@@ -388,7 +380,7 @@ func Compile(n Network, a Array, opts CompileOptions) (*NetworkPlan, error) {
 	return CompileContext(context.Background(), NewCompileRequest(n, a, opts))
 }
 
-// CompileContext compiles one canonical request through a fresh concurrent
+// CompileContext compiles one canonical request through a fresh memoizing
 // engine under ctx: cancelling it aborts every in-flight layer search at
 // its next checkpoint and returns an error wrapping ctx.Err().
 func CompileContext(ctx context.Context, req CompileRequest) (*NetworkPlan, error) {
@@ -460,7 +452,7 @@ type OptimizeEvent = optimize.Event
 type Optimizer = optimize.Optimizer
 
 // NewOptimizer returns an Optimizer running its compilations through c; a
-// nil c selects a fresh compiler on a fresh concurrent engine. Share one
+// nil c selects a fresh compiler on a fresh memoizing engine. Share one
 // Optimizer (or its Compiler) across searches to reuse the search cache.
 func NewOptimizer(c *Compiler) *Optimizer { return optimize.New(c) }
 

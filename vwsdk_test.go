@@ -315,22 +315,11 @@ func TestFacadeExhaustiveSearch(t *testing.T) {
 	if es.Best != exh.Best {
 		t.Error("ExhaustiveSearcher disagrees with SearchVWSDKExhaustive")
 	}
-	eng := NewEngine(WithExhaustiveSearch())
-	er, err := eng.Search(context.Background(), l, PaperArray, MethodVWSDK)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if er.Evaluated != exh.Evaluated {
-		t.Errorf("exhaustive engine costed %d, want %d", er.Evaluated, exh.Evaluated)
-	}
-	if st := eng.Stats(); st.CandidatesPruned != 0 || st.CandidatesCosted == 0 {
-		t.Errorf("exhaustive engine stats = %+v", st)
-	}
 }
 
 // TestFacadeSearchNetwork pins ResNet-18's Table I network total through the
 // facade: 4294 VW-SDK cycles and a 4.67x speedup over im2col, the same on
-// the serial searcher and on a parallel engine.
+// the serial searcher and on an engine.
 func TestFacadeSearchNetwork(t *testing.T) {
 	ctx := context.Background()
 	req := NewCompileRequest(ResNet18(), PaperArray, CompileOptions{})
@@ -338,7 +327,7 @@ func TestFacadeSearchNetwork(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := NewCompiler(NewEngine(WithWorkers(2))).Compile(ctx, req)
+	parallel, err := NewCompiler(NewEngine()).Compile(ctx, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,16 +341,13 @@ func TestFacadeSearchNetwork(t *testing.T) {
 	}
 }
 
-// TestFacadeEngine exercises the concurrent-engine exports: a memoized
-// search, a compile that shares the engine's cache, and the stats/worker
+// TestFacadeEngine exercises the engine exports: a memoized search, a
+// compile that shares the engine's cache, and the stats and cache-size
 // knobs.
 func TestFacadeEngine(t *testing.T) {
 	ctx := context.Background()
 	a := Array{Rows: 512, Cols: 512}
-	eng := NewEngine(WithWorkers(2), WithCacheSize(128))
-	if eng.Workers() != 2 {
-		t.Errorf("Workers = %d, want 2", eng.Workers())
-	}
+	eng := NewEngine(WithCacheSize(128))
 	layers := ResNet18().CoreLayers()
 	res, err := eng.Search(ctx, layers[3], a, MethodVWSDK)
 	if err != nil {
@@ -403,7 +389,7 @@ func TestFacadeCompile(t *testing.T) {
 		t.Errorf("totals incomplete: %+v", plan.Totals)
 	}
 
-	comp := NewCompiler(NewEngine(WithWorkers(2)))
+	comp := NewCompiler(NewEngine())
 	sdk, err := comp.Compile(context.Background(), NewCompileRequest(ResNet18(), PaperArray, CompileOptions{Scheme: CompileSDK}))
 	if err != nil {
 		t.Fatal(err)
