@@ -19,10 +19,13 @@
 // search goes through the compiler's Searcher (normally the memoizing
 // engine), and scheduling, energy estimation and physical planning
 // run per layer as soon as its search completes — layer i's schedule is
-// built while layer j is still searching. Each worker fills its layer's
-// entry of the plan in place. Options selects the mapping scheme, the
-// VW-SDK ablation variant, the chip size and the peripheral model, so one
-// Compile call covers every ablation the repository evaluates.
+// built while layer j is still searching. On a searcher that reports which
+// searches it holds (the engine), a compile fans out only for the searches
+// it must compute, so one whose every search is a cache hit runs on its
+// caller. Each worker fills its layer's entry of the plan in place. Options
+// selects the mapping scheme, the VW-SDK ablation variant, the chip size and
+// the peripheral model, so one Compile call covers every ablation the
+// repository evaluates.
 //
 // A compilation is described by the canonical Request{Network, Array,
 // Options} — the one type shared by the vwsdk facade, the CLI flags and
@@ -190,16 +193,20 @@ func (o Options) method() (core.Method, error) {
 	return core.Method{Scheme: schemes[o.Scheme], Variant: o.Variant}, nil
 }
 
-// normalized fills in the option defaults.
+// normalized fills in the option defaults. It allocates at most one energy
+// model: the default one, with the gate set on it when asked, or a copy of
+// the caller's model when the gate must be set on it; a caller's model is
+// never mutated.
 func (o Options) normalized() Options {
 	if o.Arrays < 1 {
 		o.Arrays = 1
 	}
-	if o.Energy == nil {
+	switch {
+	case o.Energy == nil:
 		m := energy.Default()
+		m.GatePeripherals = o.GatePeripherals
 		o.Energy = &m
-	}
-	if o.GatePeripherals {
+	case o.GatePeripherals:
 		m := *o.Energy
 		m.GatePeripherals = true
 		o.Energy = &m
@@ -365,11 +372,23 @@ func (c *Compiler) compileLayer(ctx context.Context, lp *LayerPlan, cl *model.Co
 	return err
 }
 
+// cacher is a Searcher that can tell, without searching, whether it holds
+// a search's result already (engine.Engine does). Compile asks it how many
+// of a network's searches still need computing and fans out only that wide.
+type cacher interface {
+	Cached(l core.Layer, a core.Array, m core.Method) bool
+}
+
 // Compile compiles req.Network for req.Array under req.Options. Layer
-// pipelines run through fanout.Each on at most GOMAXPROCS workers: the
-// caller is one of them, so a compile starts at most GOMAXPROCS − 1
-// goroutines, and none when there is one worker or one layer. Each worker
-// runs a layer's search and then its schedule, energy and plan, filling the
+// pipelines run through fanout.Each: the caller is one of the workers, so a
+// compile of width w starts w − 1 goroutines. The width is GOMAXPROCS,
+// except on a searcher that reports what it holds (an engine): there it is
+// the number of layers whose search the searcher must compute, counted up
+// to GOMAXPROCS and at least one. A search served from the cache costs less
+// than starting a goroutine, so a compile whose every search is a hit runs
+// on its caller; a stale count changes only where a layer runs, never its
+// result. The compile span records the width as "workers". Each worker runs
+// a layer's search and then its schedule, energy and plan, filling the
 // layer's entry of the plan in place, before it takes the next layer.
 // Results are returned in layer order and the first error in layer order
 // wins.
@@ -386,7 +405,8 @@ func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, erro
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	if _, err := req.Options.method(); err != nil {
+	m, err := req.Options.method()
+	if err != nil {
 		return nil, err
 	}
 	req.Options = req.Options.normalized()
@@ -395,9 +415,10 @@ func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, erro
 	}
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
-	sp.SetStr("network", n.Name).SetInt("layers", int64(len(n.Layers)))
 	p := &NetworkPlan{Request: req, Layers: make([]LayerPlan, len(n.Layers))}
-	errs := fanout.Each(ctx, len(n.Layers), runtime.GOMAXPROCS(0), func(i int) error {
+	workers := c.width(p.Network.Layers, a, m)
+	sp.SetStr("network", n.Name).SetInt("layers", int64(len(n.Layers))).SetInt("workers", int64(workers))
+	errs := fanout.Each(ctx, len(n.Layers), workers, func(i int) error {
 		return c.compileLayer(ctx, &p.Layers[i], &p.Network.Layers[i], p.Array, &p.Options)
 	})
 	for i, err := range errs {
@@ -407,6 +428,24 @@ func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, erro
 	}
 	p.Totals = totals(p.Layers)
 	return p, nil
+}
+
+// width returns the fan-out width of a compile of layers, a validated
+// network's, so at least one: GOMAXPROCS, at most one worker per layer, and
+// on a cacher one worker per search it must compute.
+func (c *Compiler) width(layers []model.ConvLayer, a core.Array, m core.Method) int {
+	w := min(len(layers), runtime.GOMAXPROCS(0))
+	cs, ok := c.s.(cacher)
+	if !ok || w == 1 {
+		return w
+	}
+	uncached := 0
+	for i := 0; i < len(layers) && uncached < w; i++ {
+		if !cs.Cached(layers[i].Layer, a, m) {
+			uncached++
+		}
+	}
+	return max(uncached, 1)
 }
 
 // CompileLayer compiles a single layer (wrapped as a one-layer network) and

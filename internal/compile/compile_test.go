@@ -2,6 +2,7 @@ package compile
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -353,6 +354,16 @@ func TestCompileOptionDefaults(t *testing.T) {
 		t.Errorf("gated energy %g not below full-array %g",
 			gated.Totals.Energy.EnergyTotal, p.Totals.Energy.EnergyTotal)
 	}
+	// The gate is set on a copy of a caller's model, never on the model.
+	own := energy.Default()
+	mine, err := c.Compile(bg, NewRequest(model.Single(l), array512, Options{Energy: &own, GatePeripherals: true}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own.GatePeripherals || mine.Options.Energy == &own || !mine.Options.Energy.GatePeripherals {
+		t.Errorf("gating a caller's model: caller's gate %v, plan's model %p (caller's %p) gated %v",
+			own.GatePeripherals, mine.Options.Energy, &own, mine.Options.Energy.GatePeripherals)
+	}
 
 	planned, err := c.Compile(bg, NewRequest(model.Single(l), array512, Options{Plans: true}))
 	if err != nil {
@@ -482,5 +493,56 @@ func TestCompileBoundsLayerFanOut(t *testing.T) {
 	if got, limit := s.peak.Load(), runtime.GOMAXPROCS(0); int(got) > limit {
 		t.Errorf("%d of %d layer searches in flight at once, want at most GOMAXPROCS = %d",
 			got, len(n.Layers), limit)
+	}
+}
+
+// rendezvousSearcher is the serial searcher whose searches each wait, up to
+// a deadline, until two of them have started: a compile through it succeeds
+// only if it runs two layer searches at once.
+type rendezvousSearcher struct {
+	entered atomic.Int32
+	both    chan struct{}
+}
+
+func (s *rendezvousSearcher) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (core.Result, error) {
+	if s.entered.Add(1) == 2 {
+		close(s.both)
+	}
+	select {
+	case <-s.both:
+	case <-time.After(5 * time.Second):
+		return core.Result{}, errors.New("no second layer search started alongside this one")
+	}
+	return core.Search(ctx, l, a, m)
+}
+
+// uncachedSearcher is a rendezvousSearcher that reports every search
+// uncached, as a cold engine does.
+type uncachedSearcher struct{ *rendezvousSearcher }
+
+func (uncachedSearcher) Cached(core.Layer, core.Array, core.Method) bool { return false }
+
+// twoLayers is a network of two distinct layer shapes, the smallest compile
+// with a fan-out to choose.
+var twoLayers = model.Network{Name: "two", Layers: []model.ConvLayer{
+	{Layer: core.Layer{Name: "a", IW: 14, IH: 14, KW: 3, KH: 3, IC: 16, OC: 16}, Count: 1},
+	{Layer: core.Layer{Name: "b", IW: 28, IH: 28, KW: 3, KH: 3, IC: 16, OC: 32}, Count: 1},
+}}
+
+// TestCompileFansOutUncachedSearches: at GOMAXPROCS ≥ 2, a two-layer
+// compile runs both layer searches at once, on a searcher that cannot say
+// what it holds (the GOMAXPROCS width) and on one that reports both searches
+// uncached (one worker per search it must compute).
+func TestCompileFansOutUncachedSearches(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	for _, s := range []core.Searcher{
+		&rendezvousSearcher{both: make(chan struct{})},
+		uncachedSearcher{&rendezvousSearcher{both: make(chan struct{})}},
+	} {
+		if _, err := New(s).Compile(bg, NewRequest(twoLayers, array512, Options{})); err != nil {
+			t.Errorf("%T: %v", s, err)
+		}
 	}
 }

@@ -2,17 +2,20 @@ package compile
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
 
 // TestCompileRecordsSpanTree pins the compile pipeline's span shape — the
 // provenance contract the server freezes onto plan-cache entries: one
-// "compile" root carrying the network attributes, one "layer" span per
-// network layer, and search/schedule/energy/plan children inside each.
+// "compile" root carrying the network attributes and the fan-out width, one
+// "layer" span per network layer, and search/schedule/energy/plan children
+// inside each.
 func TestCompileRecordsSpanTree(t *testing.T) {
 	tr := obs.New("test")
 	ctx := obs.NewContext(context.Background(), tr)
@@ -25,7 +28,7 @@ func TestCompileRecordsSpanTree(t *testing.T) {
 	if comp == nil {
 		t.Fatal("no compile span recorded")
 	}
-	if comp.Attrs["network"] != net.Name || comp.Attrs["layers"] != int64(1) {
+	if comp.Attrs["network"] != net.Name || comp.Attrs["layers"] != int64(1) || comp.Attrs["workers"] != int64(1) {
 		t.Errorf("compile attrs = %v", comp.Attrs)
 	}
 	layer := obs.Find(comp.Children, "layer")
@@ -46,6 +49,24 @@ func TestCompileRecordsSpanTree(t *testing.T) {
 	for _, phase := range []string{"search", "schedule", "energy", "plan"} {
 		if _, ok := by[phase]; !ok {
 			t.Errorf("DurationByName missing %q: %v", phase, by)
+		}
+	}
+
+	// "workers" is the width the compile used. On an engine, a cold
+	// two-layer compile fans out to one worker per search to compute (at
+	// most GOMAXPROCS), and the same compile again, every search a hit,
+	// runs on its caller.
+	if runtime.GOMAXPROCS(0) < 2 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	}
+	c := New(engine.New())
+	for _, want := range []int64{2, 1} {
+		tr := obs.New("test")
+		if _, err := c.Compile(obs.NewContext(context.Background(), tr), NewRequest(twoLayers, array512, Options{})); err != nil {
+			t.Fatal(err)
+		}
+		if comp := obs.Find(tr.Tree(), "compile"); comp == nil || comp.Attrs["workers"] != want {
+			t.Errorf("compile span on an engine %+v, want workers = %d", comp, want)
 		}
 	}
 }

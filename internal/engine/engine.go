@@ -11,8 +11,11 @@
 // one search costs tens of microseconds and allocates only its result.
 // The engine searches one layer per call and bounds nothing itself: its
 // callers fan out and bound the work, compile.Compile over a network's
-// layers (GOMAXPROCS wide) and the server through its compile and stream
-// slots. The brute-force oracle is core.Exhaustive, a Searcher of its own.
+// layers and the server through its compile and stream slots. Cached tells
+// a caller, without searching or counting, whether a search would be a hit:
+// compile.Compile fans out one worker per search the engine must compute,
+// at most GOMAXPROCS, so a compile whose every search is a hit runs on its
+// caller. The brute-force oracle is core.Exhaustive, a Searcher of its own.
 //
 // Search is context-first: cancellation propagates into in-flight dedupe
 // waits and into the search loops themselves via the core package's
@@ -22,7 +25,8 @@
 // Results are bit-identical to core.Search: every cached result is replayed
 // with only the caller's layer name re-stamped, and differential tests
 // assert equality on every layer of every predefined network and on whole
-// compiled plans.
+// compiled plans. A hit reads the memo's stored result in place and copies
+// it once, into the result Search returns.
 //
 // An Engine is safe for concurrent use; all methods may be called from any
 // goroutine.
@@ -137,25 +141,44 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Search runs core.Search for m under the cache; bit-identical to
-// core.Search. Methods with one canonical form (core.Method.Canonical)
-// share one cache entry.
-func (e *Engine) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (core.Result, error) {
-	return e.memoized(ctx, newCacheKey(l, a, m), l.Name, func(ctx context.Context) (core.Result, error) {
-		return core.Search(ctx, l, a, m)
-	})
+// Cached reports whether the result of searching l on a under m is stored
+// in the cache, so that Search would answer it without computing. It counts
+// nothing and leaves the LRU order alone. A search in flight is not cached
+// yet, and the answer can be stale by the time the caller searches: it is a
+// hint about where the work is, never a promise about a result.
+func (e *Engine) Cached(l core.Layer, a core.Array, m core.Method) bool {
+	return e.cache.Contains(newCacheKey(l, a, m))
 }
 
-// memoized serves one search through the memo cache. search runs the
-// underlying algorithm with the caller's original layer, so an error is
-// exactly the serial one; results are stored name-cleared and re-stamped
-// with the caller's name, which reproduces the serial result because a
+// Search runs core.Search for m under the cache; bit-identical to
+// core.Search. Methods with one canonical form (core.Method.Canonical)
+// share one cache entry. A hit copies the stored result once, into the
+// result Search returns, and stamps the caller's layer name on it there.
+func (e *Engine) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (res core.Result, err error) {
+	p, err := e.memoized(ctx, newCacheKey(l, a, m), l.Name, func(ctx context.Context) (core.Result, error) {
+		return core.Search(ctx, l, a, m)
+	})
+	if p != nil {
+		res = *p
+	}
+	if err == nil {
+		res.Best.Layer.Name = l.Name
+		res.Im2col.Layer.Name = l.Name
+	}
+	return res, err
+}
+
+// memoized serves one search through the memo cache and returns the memo's
+// shared copy of the result, which the caller must not modify. search runs
+// the underlying algorithm with the caller's original layer, so an error is
+// exactly the serial one; results are stored name-cleared, and Search
+// re-stamps the caller's name, which reproduces the serial result because a
 // search stamps the layer's name on both of its mappings. Everything the
 // engine adds to a computation — the in-flight gauge, candidate counting
 // and the span's path attributes — runs inside the compute closure, so it
 // happens exactly once per search actually run, failed-leader retries
 // included.
-func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, search func(context.Context) (core.Result, error)) (core.Result, error) {
+func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, search func(context.Context) (core.Result, error)) (*core.Result, error) {
 	ctx, sp := obs.Start(ctx, "engine.search")
 	defer sp.End()
 	sp.SetStr("layer", name)
@@ -169,13 +192,12 @@ func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, search f
 		}
 		e.countCandidates(k, r)
 		sp.SetStr("path", searchPath(k.method)).SetInt("candidates", int64(r.Evaluated))
-		return anonymized(r), nil
+		r.Best.Layer.Name = ""
+		r.Im2col.Layer.Name = ""
+		return r, nil
 	})
 	sp.SetStr("outcome", spanOutcome[outcome])
-	if err != nil {
-		return res, err
-	}
-	return renamed(res, name), nil
+	return res, err
 }
 
 // spanOutcome names each memo outcome on the engine.search span.
@@ -207,15 +229,4 @@ func (e *Engine) countCandidates(k cacheKey, res core.Result) {
 	if ex := core.ExhaustiveCandidates(k.layer, k.method.Variant); ex > int64(res.Evaluated) {
 		e.pruned.Add(uint64(ex - int64(res.Evaluated)))
 	}
-}
-
-// anonymized clears the layer name from a result so shape-equal layers share
-// one cache entry.
-func anonymized(res core.Result) core.Result { return renamed(res, "") }
-
-// renamed stamps name onto the result's mappings.
-func renamed(res core.Result, name string) core.Result {
-	res.Best.Layer.Name = name
-	res.Im2col.Layer.Name = name
-	return res
 }

@@ -98,6 +98,34 @@ func TestEngineCachedHitIsIdentical(t *testing.T) {
 	}
 }
 
+// TestEngineCached: Cached reports whether Search would answer from the
+// cache, under another layer name and for a method's canonical form too,
+// and moves no counter.
+func TestEngineCached(t *testing.T) {
+	e := New()
+	l := core.Layer{Name: "conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
+	a := core.Array{Rows: 512, Cols: 512}
+	sdk := core.Method{Scheme: core.SchemeSDK}
+	if e.Cached(l, a, sdk) {
+		t.Fatal("a fresh engine reports a cached search")
+	}
+	if _, err := e.Search(bg, l, a, sdk); err != nil {
+		t.Fatal(err)
+	}
+	before := e.Stats()
+	other := l
+	other.Name = "resnet-conv4"
+	if !e.Cached(other, a, core.Method{Scheme: core.SchemeSDK, Variant: core.VariantSquareTiled}) {
+		t.Error("a stored search under another name and variant reads uncached")
+	}
+	if e.Cached(l, a, core.MethodVWSDK) || e.Cached(l, core.Array{Rows: 256, Cols: 256}, sdk) {
+		t.Error("a search never run reads cached")
+	}
+	if st := e.Stats(); st != before {
+		t.Errorf("Cached moved the counters: %+v -> %+v", before, st)
+	}
+}
+
 // TestEngineVariantFullSharesVWSDKCache pins that methods with one canonical
 // form share one cache entry: VW-SDK under VariantFull is MethodVWSDK, and a
 // baseline method carrying a variant is its variant-free form. The second
@@ -534,5 +562,29 @@ func TestSweep(t *testing.T) {
 	st := e.Stats()
 	if st.CacheMisses != before.CacheMisses || st.CacheHits != before.CacheHits+searches {
 		t.Errorf("stats %+v -> %+v, want %d hits and no new miss", before, st, searches)
+	}
+}
+
+// BenchmarkEngineSearchHit is the cost of one engine hit: ResNet-18's five
+// layer shapes on a 256×256 array, each searched once before the timer
+// starts, then served from the cache in turn. An op is one hit.
+func BenchmarkEngineSearchHit(b *testing.B) {
+	e := New()
+	a := core.Array{Rows: 256, Cols: 256}
+	layers := model.ResNet18().CoreLayers()
+	for _, l := range layers {
+		if _, err := e.Search(bg, l, a, core.MethodVWSDK); err != nil {
+			b.Fatal(err)
+		}
+	}
+	i := 0
+	for b.Loop() {
+		if _, err := e.Search(bg, layers[i], a, core.MethodVWSDK); err != nil {
+			b.Fatal(err)
+		}
+		i = (i + 1) % len(layers)
+	}
+	if st := e.Stats(); st.CacheMisses != uint64(len(layers)) {
+		b.Fatalf("stats = %+v, want only the %d set-up misses", st, len(layers))
 	}
 }

@@ -35,7 +35,7 @@ func TestWaiterRecomputeAfterCancelledLeader(t *testing.T) {
 	want := core.Result{Best: core.Mapping{Cycles: 42}, Evaluated: 7}
 	tr := obs.New("waiter")
 	waiterDone := make(chan struct{})
-	var gotRes core.Result
+	var gotRes *core.Result
 	var gotErr error
 	go func() {
 		defer close(waiterDone)
@@ -55,7 +55,7 @@ func TestWaiterRecomputeAfterCancelledLeader(t *testing.T) {
 	if gotErr != nil {
 		t.Fatalf("waiter err = %v, want nil", gotErr)
 	}
-	if gotRes.Best.Cycles != 42 {
+	if gotRes == nil || gotRes.Best.Cycles != 42 {
 		t.Fatalf("waiter got %+v, want the recomputed result (Cycles=42) — empty result with nil error", gotRes)
 	}
 	st := e.Stats()
@@ -72,7 +72,7 @@ func TestWaiterRecomputeAfterCancelledLeader(t *testing.T) {
 		t.Error("the next identical call recomputed the cached retry")
 		return want, nil
 	})
-	if err != nil || res.Best.Cycles != 42 {
+	if err != nil || res == nil || res.Best.Cycles != 42 {
 		t.Errorf("next call = %+v, %v; want the cached retry", res, err)
 	}
 }

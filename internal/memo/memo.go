@@ -67,9 +67,9 @@ type Stats struct {
 // record is one computation. While it runs, it sits in the flight map with
 // a non-nil done; the leader then fills val and err, clears done and, on
 // success, makes the record itself the LRU element's value. A published
-// record is read-only: re-storing a key swaps the element's value for a new
-// record instead of mutating the old one, which a concurrent hit may still
-// be reading.
+// record is read-only, since Do hands out pointers to its val: re-storing a
+// key swaps the element's value for a new record instead of mutating the
+// old one, which a concurrent hit may still be reading.
 type record[K comparable, V any] struct {
 	key  K
 	val  V
@@ -103,17 +103,20 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 }
 
 // Do returns the value for k: from the LRU, by joining an identical
-// in-flight computation, or by running compute. compute runs without the
-// cache's lock held; capture the caller's context in it to make it
-// cancellable. On Computed, Do returns exactly what compute returned.
-func (c *Cache[K, V]) Do(ctx context.Context, k K, compute func() (V, error)) (V, Outcome, error) {
+// in-flight computation, or by running compute. It returns a pointer to the
+// cache's own copy of the value, which every caller of k shares: read it or
+// copy it, never write through it. A caller that abandons a join gets nil.
+// compute runs without the cache's lock held; capture the caller's context
+// in it to make it cancellable. On Computed, the value is exactly what
+// compute returned.
+func (c *Cache[K, V]) Do(ctx context.Context, k K, compute func() (V, error)) (*V, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[k]; ok {
 		c.order.MoveToFront(el)
-		v := el.Value.(*record[K, V]).val
+		r := el.Value.(*record[K, V])
 		c.mu.Unlock()
 		c.hits.Add(1)
-		return v, Hit, nil
+		return &r.val, Hit, nil
 	}
 	if r, ok := c.flight[k]; ok {
 		done := r.done
@@ -122,21 +125,21 @@ func (c *Cache[K, V]) Do(ctx context.Context, k K, compute func() (V, error)) (V
 		select {
 		case <-done:
 		case <-ctx.Done():
-			var zero V
-			return zero, Joined, ctx.Err()
+			return nil, Joined, ctx.Err()
 		}
 		if r.err == nil {
 			c.hits.Add(1)
-			return r.val, Joined, nil
+			return &r.val, Joined, nil
 		}
 		c.misses.Add(1)
-		v, err := compute()
-		if err == nil {
+		retry := &record[K, V]{key: k}
+		var err error
+		if retry.val, err = compute(); err == nil {
 			c.mu.Lock()
-			c.store(&record[K, V]{key: k, val: v})
+			c.store(retry)
 			c.mu.Unlock()
 		}
-		return v, Computed, err
+		return &retry.val, Computed, err
 	}
 	done := make(chan struct{})
 	r := &record[K, V]{key: k, done: done}
@@ -153,7 +156,7 @@ func (c *Cache[K, V]) Do(ctx context.Context, k K, compute func() (V, error)) (V
 	}
 	c.mu.Unlock()
 	close(done)
-	return v, Computed, err
+	return &r.val, Computed, err
 }
 
 // store makes r the most recently used value for its key, evicting from
@@ -174,6 +177,18 @@ func (c *Cache[K, V]) store(r *record[K, V]) {
 		delete(c.items, oldest.Value.(*record[K, V]).key)
 		c.evictions.Add(1)
 	}
+}
+
+// Contains reports whether a value for k is stored, without counting a hit
+// or a miss and without touching the LRU order, so asking where a value
+// would come from changes nothing the cache keeps. A computation still in
+// flight is not stored yet. The answer can be stale by the time the caller
+// acts on it.
+func (c *Cache[K, V]) Contains(k K) bool {
+	c.mu.Lock()
+	_, ok := c.items[k]
+	c.mu.Unlock()
+	return ok
 }
 
 // Lookup returns the stored value for a string key still held as bytes,

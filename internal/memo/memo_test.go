@@ -20,7 +20,17 @@ func value(v int, n *atomic.Int64) func() (int, error) {
 	}
 }
 
-// result is one Do call's return values.
+// do is c.Do with the value read through the pointer it returns; a nil
+// pointer, which only an abandoned join returns, reads as -1.
+func do(c *Cache[string, int], ctx context.Context, k string, compute func() (int, error)) (int, Outcome, error) {
+	p, out, err := c.Do(ctx, k, compute)
+	if p == nil {
+		return -1, out, err
+	}
+	return *p, out, err
+}
+
+// result is one Do call's return values, the value read as do reads it.
 type result struct {
 	v   int
 	out Outcome
@@ -34,7 +44,7 @@ func blocked(c *Cache[string, int], k string, v int, err error) (release chan st
 	entered := make(chan struct{})
 	release, done = make(chan struct{}), make(chan result, 1)
 	go func() {
-		got, out, e := c.Do(bg, k, func() (int, error) {
+		got, out, e := do(c, bg, k, func() (int, error) {
 			close(entered)
 			<-release
 			return v, err
@@ -51,7 +61,7 @@ func join(c *Cache[string, int], ctx context.Context, k string, compute func() (
 	before := c.Stats().Dedupes
 	done := make(chan result, 1)
 	go func() {
-		v, out, err := c.Do(ctx, k, compute)
+		v, out, err := do(c, ctx, k, compute)
 		done <- result{v, out, err}
 	}()
 	for c.Stats().Dedupes == before {
@@ -70,11 +80,17 @@ func wantStats(t *testing.T, c *Cache[string, int], want Stats) {
 func TestHit(t *testing.T) {
 	c := New[string, int](4)
 	var n atomic.Int64
-	if v, out, err := c.Do(bg, "k", value(7, &n)); v != 7 || out != Computed || err != nil {
+	if v, out, err := do(c, bg, "k", value(7, &n)); v != 7 || out != Computed || err != nil {
 		t.Fatalf("first Do = %v, %v, %v; want 7, Computed", v, out, err)
 	}
-	if v, out, err := c.Do(bg, "k", value(8, &n)); v != 7 || out != Hit || err != nil {
+	if v, out, err := do(c, bg, "k", value(8, &n)); v != 7 || out != Hit || err != nil {
 		t.Fatalf("second Do = %v, %v, %v; want the stored 7, Hit", v, out, err)
+	}
+	// Every hit reads the one stored copy.
+	p1, _, _ := c.Do(bg, "k", value(8, &n))
+	p2, _, _ := c.Do(bg, "k", value(8, &n))
+	if p1 == nil || p1 != p2 {
+		t.Error("two hits returned different copies of the stored value")
 	}
 	if v, ok := Lookup(c, []byte("k")); !ok || v != 7 {
 		t.Fatalf("Lookup = %v, %v; want 7", v, ok)
@@ -86,7 +102,7 @@ func TestHit(t *testing.T) {
 		t.Errorf("compute ran %d times, want 1", n.Load())
 	}
 	// Lookup counts its hit and never its miss.
-	wantStats(t, c, Stats{Hits: 2, Misses: 1, Entries: 1})
+	wantStats(t, c, Stats{Hits: 4, Misses: 1, Entries: 1})
 }
 
 func TestJoin(t *testing.T) {
@@ -128,7 +144,7 @@ func TestFailedLeaderRetry(t *testing.T) {
 		}
 	}
 	wantStats(t, c, Stats{Misses: 3, Dedupes: 2, Entries: 1})
-	if v, out, err := c.Do(bg, "k", value(9, &n)); v != 1 || out != Hit || err != nil {
+	if v, out, err := do(c, bg, "k", value(9, &n)); v != 1 || out != Hit || err != nil {
 		t.Fatalf("follow-up = %v, %v, %v; want the stored retry", v, out, err)
 	}
 	if n.Load() != 2 {
@@ -146,8 +162,8 @@ func TestJoinerAbandons(t *testing.T) {
 	var n atomic.Int64
 	joiner := join(c, ctx, "k", value(8, &n))
 	cancel()
-	if got := <-joiner; got.out != Joined || !errors.Is(got.err, context.Canceled) || got.v != 0 {
-		t.Fatalf("joiner = %+v, want Joined with context.Canceled", got)
+	if got := <-joiner; got.out != Joined || !errors.Is(got.err, context.Canceled) || got.v != -1 {
+		t.Fatalf("joiner = %+v, want Joined with context.Canceled and no value", got)
 	}
 	wantStats(t, c, Stats{Misses: 1, Dedupes: 1})
 	close(release)
@@ -164,7 +180,7 @@ func TestErrorsNotStored(t *testing.T) {
 	c := New[string, int](4)
 	boom := errors.New("boom")
 	for i := 0; i < 2; i++ {
-		v, out, err := c.Do(bg, "k", func() (int, error) { return 3, boom })
+		v, out, err := do(c, bg, "k", func() (int, error) { return 3, boom })
 		if err != boom || out != Computed || v != 3 {
 			t.Fatalf("Do %d = %v, %v, %v; want compute's own 3, boom", i, v, out, err)
 		}
@@ -206,6 +222,34 @@ func TestLRU(t *testing.T) {
 	wantStats(t, c, Stats{Hits: 3, Misses: 3, Evictions: 1, Entries: 2})
 }
 
+// TestContains: Contains reports stored values only, moves no counter and
+// leaves the LRU order alone, so a capacity-2 cache still evicts the key it
+// just reported.
+func TestContains(t *testing.T) {
+	c := New[string, int](2)
+	var n atomic.Int64
+	c.Do(bg, "a", value(1, &n))
+	c.Do(bg, "b", value(2, &n))
+	before := c.Stats()
+	if c.Contains("c") || !c.Contains("b") || !c.Contains("a") {
+		t.Fatal("Contains disagrees with what is stored")
+	}
+	wantStats(t, c, before)
+	c.Do(bg, "c", value(3, &n)) // a, asked about last, is still the least recently used
+	if c.Contains("a") || !c.Contains("b") || !c.Contains("c") {
+		t.Error("asking Contains about a key moved it in the LRU order")
+	}
+	release, leader := blocked(c, "d", 4, nil)
+	if c.Contains("d") {
+		t.Error("Contains reported a computation still in flight")
+	}
+	close(release)
+	<-leader
+	if !c.Contains("d") {
+		t.Error("Contains missed a stored computation")
+	}
+}
+
 // TestNoCapacityCoalesces: a capacity ≤ 0 stores nothing, but identical
 // in-flight computations still coalesce.
 func TestNoCapacityCoalesces(t *testing.T) {
@@ -224,7 +268,7 @@ func TestNoCapacityCoalesces(t *testing.T) {
 		if _, ok := Lookup(c, []byte("k")); ok {
 			t.Errorf("capacity %d stored a value", capacity)
 		}
-		if v, out, _ := c.Do(bg, "k", value(8, &n)); v != 8 || out != Computed {
+		if v, out, _ := do(c, bg, "k", value(8, &n)); v != 8 || out != Computed {
 			t.Errorf("capacity %d: later Do = %v, %v; want a fresh compute", capacity, v, out)
 		}
 		wantStats(t, c, Stats{Hits: 1, Misses: 2, Dedupes: 1})
@@ -265,7 +309,8 @@ func TestMissAllocs(t *testing.T) {
 }
 
 // TestHammer: many concurrent callers on a few keys run exactly one compute
-// per key, and every call is a hit or a miss. Run under -race.
+// per key, every call is a hit or a miss, and Contains calls among them
+// count nothing. Run under -race.
 func TestHammer(t *testing.T) {
 	const keys, callers, rounds = 4, 32, 50
 	c := New[string, int](keys)
@@ -277,7 +322,7 @@ func TestHammer(t *testing.T) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
 				i := (g + r) % keys
-				v, _, err := c.Do(bg, fmt.Sprint(i), func() (int, error) {
+				v, _, err := do(c, bg, fmt.Sprint(i), func() (int, error) {
 					computes[i].Add(1)
 					runtime.Gosched()
 					return i, nil
@@ -286,6 +331,7 @@ func TestHammer(t *testing.T) {
 					t.Errorf("key %d = %v, %v", i, v, err)
 				}
 				Lookup(c, []byte(fmt.Sprint(i)))
+				c.Contains(fmt.Sprint((i + 1) % keys))
 			}
 		}(g)
 	}

@@ -459,7 +459,10 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 		}
 		return &planEntry{plan: p, data: data, trace: prov.Tree(), phases: prov.Phases()}, nil
 	})
-	return entry, outcome != memo.Computed, err
+	if err != nil {
+		return nil, outcome != memo.Computed, err
+	}
+	return *entry, outcome != memo.Computed, nil
 }
 
 // encodePlan serializes p compactly with compile.AppendPlan in a pooled

@@ -486,7 +486,7 @@ func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
 			<-joinerJoined
 			return nil, leaderErr
 		})
-		leaderDone <- outcome{e, out != memo.Computed, err}
+		leaderDone <- outcome{*e, out != memo.Computed, err}
 	}()
 
 	<-leaderIn
@@ -495,7 +495,7 @@ func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
 		e, out, err := c.Do(context.Background(), "k", func() (*planEntry, error) {
 			return &planEntry{plan: &compile.NetworkPlan{}, data: []byte("joiner bytes")}, nil
 		})
-		joinerDone <- outcome{e, out != memo.Computed, err}
+		joinerDone <- outcome{*e, out != memo.Computed, err}
 	}()
 	// The joiner is coalesced once the dedupe counter moves; only then may
 	// the leader fail.
@@ -518,7 +518,7 @@ func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
 	if e, out, err := c.Do(context.Background(), "k", func() (*planEntry, error) {
 		t.Fatal("cached key recomputed")
 		return nil, nil
-	}); err != nil || out != memo.Hit || string(e.data) != "joiner bytes" {
+	}); err != nil || out != memo.Hit || string((*e).data) != "joiner bytes" {
 		t.Fatalf("follow-up not served from cache: outcome=%v err=%v", out, err)
 	}
 }
