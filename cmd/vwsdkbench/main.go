@@ -7,21 +7,6 @@
 // artifact, and fails the job via -check-against when any workload's
 // deterministic counts or chosen mapping drift from the committed snapshot.
 //
-// With -serve it instead benchmarks the vwsdkd HTTP surface in-process —
-// cold/warm /v1/compile and the streaming /v1/sweep — and writes
-// BENCH_serve.json (p50/p99 latency and allocs/request per endpoint, plus
-// the warm plan path's allocation count, which must be 0). The matching CI
-// gate is -check-against, which compares a fresh run to the committed
-// snapshot.
-//
-// With -optimize it benchmarks the Pareto-frontier hardware co-design search
-// (internal/optimize) on a fixed 64-point design space and writes
-// BENCH_optimize.json: the frontier shape, the engine-memoization counters
-// (distinct searches must stay at one per shared (layer, array) cell), the
-// allocation count of a warm run, and cold/warm wall-clock figures.
-// -check-against pins the deterministic frontier shape exactly and fails on
-// any memoization regression or any growth in warm-run allocations.
-//
 // With -fleet it benchmarks the fleet tier: a zipfian compile mix driven
 // round-robin over an in-process 3-node consistent-hash fleet (persistent
 // stores, peer proxying, no sockets) versus the same mix over a single node
@@ -31,18 +16,18 @@
 // regressions; the workload is deterministic, so the cache figures reproduce
 // across machines.
 //
+// The serve and co-design paths are measured by the repository benchmark
+// (perfbench), and their deterministic counts are pinned by unit tests in
+// internal/server and internal/optimize.
+//
 // Examples:
 //
 //	vwsdkbench                            # 10ms per timed loop, writes BENCH_search.json
 //	vwsdkbench -benchtime 1x -o out.json  # one iteration per loop (CI smoke)
 //	vwsdkbench -filter VGG-13 -benchtime 100ms
 //	vwsdkbench -benchtime 1x -o out.json -check-against BENCH_search.json
-//	vwsdkbench -serve                     # serve benchmark, writes BENCH_serve.json
-//	vwsdkbench -serve -benchtime 1x -check-against BENCH_serve.json
 //	vwsdkbench -fleet                     # fleet benchmark, writes BENCH_fleet.json
 //	vwsdkbench -fleet -check-against BENCH_fleet.json
-//	vwsdkbench -optimize                  # co-design search benchmark, writes BENCH_optimize.json
-//	vwsdkbench -optimize -benchtime 1x -check-against BENCH_optimize.json
 package main
 
 import (
@@ -68,12 +53,10 @@ func main() {
 func run(args []string, out, progress io.Writer) (retErr error) {
 	fs := flag.NewFlagSet("vwsdkbench", flag.ContinueOnError)
 	var (
-		outPath   = fs.String("o", "", "output file (default BENCH_search.json, or BENCH_serve.json with -serve); - writes the JSON to stdout")
+		outPath   = fs.String("o", "", "output file (default BENCH_search.json, or BENCH_fleet.json with -fleet); - writes the JSON to stdout")
 		benchtime = fs.String("benchtime", "10ms", "minimum time per timed loop, or Nx for exactly N iterations (only 1x is supported)")
 		filter    = fs.String("filter", "", "run only workloads whose name contains this substring")
-		serve     = fs.Bool("serve", false, "benchmark the HTTP serve path (cold/warm compile, streaming sweep) instead of the search")
 		fleet     = fs.Bool("fleet", false, "benchmark an in-process 3-node consistent-hash fleet under a zipfian compile mix instead of the search")
-		optimizeB = fs.Bool("optimize", false, "benchmark the Pareto-frontier co-design search instead of the layer search")
 		against   = fs.String("check-against", "", "exit non-zero if the run regresses versus this committed snapshot of the same benchmark")
 		quiet     = fs.Bool("quiet", false, "suppress per-workload progress output")
 		timeout   = fs.Duration("timeout", 0, "abort the harness after this long (0 = no deadline)")
@@ -129,27 +112,11 @@ func run(args []string, out, progress io.Writer) (retErr error) {
 			retErr = terr
 		}
 	}()
-	if *serve || *fleet || *optimizeB {
-		var modes []string
-		for flagName, on := range map[string]bool{"-serve": *serve, "-fleet": *fleet, "-optimize": *optimizeB} {
-			if on {
-				modes = append(modes, flagName)
-			}
-		}
-		if len(modes) > 1 {
-			return fmt.Errorf("-serve, -fleet and -optimize are mutually exclusive")
-		}
-		mode := modes[0]
+	if *fleet {
 		if *filter != "" {
-			return fmt.Errorf("-filter applies to the search benchmark, not %s", mode)
+			return fmt.Errorf("-filter applies to the search benchmark, not -fleet")
 		}
-		switch {
-		case *fleet:
-			return runFleet(ctx, opts, *outPath, *against, out, progress)
-		case *optimizeB:
-			return runOptimize(ctx, opts, *outPath, *against, out, progress)
-		}
-		return runServe(ctx, opts, *outPath, *against, out, progress)
+		return runFleet(ctx, opts, *outPath, *against, out, progress)
 	}
 	if *outPath == "" {
 		*outPath = "BENCH_search.json"
@@ -215,65 +182,6 @@ func checkSearch(rep, base *bench.Report, full bool) error {
 			return fmt.Errorf("search %s regressed: %d cost-model calls > committed %d",
 				w.Workload, r.CostModelEvals, w.CostModelEvals)
 		}
-	}
-	return nil
-}
-
-// runServe executes the serve benchmark, writes the report, and applies the
-// -check-against regression gate.
-func runServe(ctx context.Context, opts bench.Options, outPath, against string, out, progress io.Writer) error {
-	rep, err := bench.RunServe(ctx, opts)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outPath == "" {
-		outPath = "BENCH_serve.json"
-	}
-	if outPath == "-" {
-		if _, err := out.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(progress, "wrote %s: %d endpoints, warm plan path allocs %g\n",
-			outPath, len(rep.Endpoints), rep.WarmPlanPathAllocs)
-	}
-	if against != "" {
-		return checkServe(rep, against)
-	}
-	return nil
-}
-
-// checkServe fails when the fresh serve run allocates more than the committed
-// snapshot allows. Latency is machine-dependent and not gated; allocation
-// counts are deterministic, so they are: the warm plan path may never exceed
-// the snapshot (committed at 0), and warm-compile end-to-end allocs/request
-// get 25%+16 headroom for Go-runtime and net/http drift.
-func checkServe(rep *bench.ServeReport, path string) error {
-	var base bench.ServeReport
-	if err := readSnapshot(path, bench.ServeSchema, &base); err != nil {
-		return err
-	}
-	if rep.WarmPlanPathAllocs > base.WarmPlanPathAllocs {
-		return fmt.Errorf("warm plan path allocations regressed: %g/request > committed %g",
-			rep.WarmPlanPathAllocs, base.WarmPlanPathAllocs)
-	}
-	got := findEndpoint(rep, "compile-warm")
-	want := findEndpoint(&base, "compile-warm")
-	if got == nil || want == nil {
-		return fmt.Errorf("-check-against: compile-warm endpoint missing (run=%v, committed=%v)", got != nil, want != nil)
-	}
-	limit := int64(float64(want.AllocsPerRequest)*1.25) + 16
-	if got.AllocsPerRequest > limit {
-		return fmt.Errorf("warm /v1/compile allocations regressed: %d/request > limit %d (committed %d)",
-			got.AllocsPerRequest, limit, want.AllocsPerRequest)
 	}
 	return nil
 }
@@ -345,75 +253,6 @@ func checkFleet(rep *bench.FleetReport, path string) error {
 	return nil
 }
 
-// runOptimize executes the co-design search benchmark, writes the report, and
-// applies the -check-against regression gate.
-func runOptimize(ctx context.Context, opts bench.Options, outPath, against string, out, progress io.Writer) error {
-	rep, err := bench.RunOptimize(ctx, opts)
-	if err != nil {
-		return err
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if outPath == "" {
-		outPath = "BENCH_optimize.json"
-	}
-	if outPath == "-" {
-		if _, err := out.Write(data); err != nil {
-			return err
-		}
-	} else {
-		if err := os.WriteFile(outPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Fprintf(progress, "wrote %s: %d design points, frontier %d (%d dominated), %d distinct searches of %d served, %d allocs per warm run\n",
-			outPath, rep.PointsEvaluated, rep.FrontierSize, rep.Dominated,
-			rep.DistinctSearches, rep.SearchesServed, rep.WarmAllocsPerRun)
-	}
-	if against != "" {
-		return checkOptimize(rep, against)
-	}
-	return nil
-}
-
-// checkOptimize fails when the fresh optimize run diverges from the committed
-// snapshot. The workload is fully deterministic — a fixed space enumerated
-// and evaluated sequentially — so the frontier shape must reproduce exactly
-// on any machine, and neither search count may exceed the snapshot's. One
-// extra distinct search means a shared (layer, array) pair was searched
-// twice, i.e. the engine memoization broke; one extra served search means a
-// (group, array, chips, gating) cell was compiled twice in one run, i.e. the
-// optimizer went back to compiling per design point. The warm allocation
-// count, taken at GOMAXPROCS 1, may not grow either. Wall-clock figures are
-// machine-dependent and not gated.
-func checkOptimize(rep *bench.OptimizeReport, path string) error {
-	var base bench.OptimizeReport
-	if err := readSnapshot(path, bench.OptimizeSchema, &base); err != nil {
-		return err
-	}
-	if rep.PointsEvaluated != base.PointsEvaluated || rep.FrontierSize != base.FrontierSize ||
-		rep.Dominated != base.Dominated {
-		return fmt.Errorf("frontier shape regressed: evaluated/frontier/dominated %d/%d/%d != committed %d/%d/%d",
-			rep.PointsEvaluated, rep.FrontierSize, rep.Dominated,
-			base.PointsEvaluated, base.FrontierSize, base.Dominated)
-	}
-	if rep.DistinctSearches > base.DistinctSearches {
-		return fmt.Errorf("search memoization regressed: %d distinct searches > committed %d (a shared cell ran twice)",
-			rep.DistinctSearches, base.DistinctSearches)
-	}
-	if rep.SearchesServed > base.SearchesServed {
-		return fmt.Errorf("cell memoization regressed: %d searches served > committed %d (a group cell compiled twice)",
-			rep.SearchesServed, base.SearchesServed)
-	}
-	if rep.WarmAllocsPerRun > base.WarmAllocsPerRun {
-		return fmt.Errorf("warm run allocations regressed: %d per run > committed %d",
-			rep.WarmAllocsPerRun, base.WarmAllocsPerRun)
-	}
-	return nil
-}
-
 // readSnapshot decodes the committed -check-against snapshot at path into
 // v, which must be a report of the given schema.
 func readSnapshot(path, schema string, v any) error {
@@ -431,13 +270,4 @@ func readSnapshot(path, schema string, v any) error {
 		return fmt.Errorf("-check-against: %s has schema %q, want %q", path, head.Schema, schema)
 	}
 	return json.Unmarshal(data, v)
-}
-
-func findEndpoint(rep *bench.ServeReport, name string) *bench.ServeEndpointResult {
-	for i := range rep.Endpoints {
-		if rep.Endpoints[i].Name == name {
-			return &rep.Endpoints[i]
-		}
-	}
-	return nil
 }

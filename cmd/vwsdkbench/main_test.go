@@ -150,65 +150,6 @@ func TestRunStdout(t *testing.T) {
 	}
 }
 
-// TestRunServe smoke-runs the -serve benchmark in CI mode, validates the
-// written report, and exercises the -check-against gate in both directions:
-// a fresh run checked against itself passes, while a doctored snapshot with
-// lower allocation numbers must fail.
-func TestRunServe(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_serve.json")
-	var stdout, progress bytes.Buffer
-	if err := run([]string{"-serve", "-benchtime", "1x", "-o", out}, &stdout, &progress); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep bench.ServeReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, data)
-	}
-	if rep.Schema != bench.ServeSchema || len(rep.Endpoints) != 3 {
-		t.Fatalf("report header/shape: schema=%q endpoints=%d", rep.Schema, len(rep.Endpoints))
-	}
-	if rep.WarmPlanPathAllocs != 0 && !bench.RaceEnabled {
-		t.Errorf("warm plan path allocs = %v, want 0", rep.WarmPlanPathAllocs)
-	}
-	if !strings.Contains(progress.String(), "wrote "+out) {
-		t.Errorf("progress output missing summary:\n%s", progress.String())
-	}
-
-	// Gate against the run's own output: must pass. Under -race the warm
-	// plan path picks up nondeterministic instrumentation allocations, so
-	// run-vs-run comparisons are only meaningful in regular builds.
-	if !bench.RaceEnabled {
-		if err := run([]string{"-serve", "-benchtime", "1x", "-quiet", "-o", filepath.Join(dir, "b.json"),
-			"-check-against", out}, &stdout, &progress); err != nil {
-			t.Errorf("self-check failed: %v", err)
-		}
-	}
-
-	// Doctor the snapshot so every fresh run looks like a regression.
-	doctored := rep
-	doctored.Endpoints = append([]bench.ServeEndpointResult(nil), rep.Endpoints...)
-	for i := range doctored.Endpoints {
-		if doctored.Endpoints[i].Name == "compile-warm" {
-			doctored.Endpoints[i].AllocsPerRequest = -100
-		}
-	}
-	bad, _ := json.Marshal(doctored)
-	badPath := filepath.Join(dir, "doctored.json")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run([]string{"-serve", "-benchtime", "1x", "-quiet", "-o", filepath.Join(dir, "c.json"),
-		"-check-against", badPath}, &stdout, &progress)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Errorf("doctored snapshot passed the gate: %v", err)
-	}
-}
-
 // TestRunFleet smoke-runs the -fleet benchmark, validates the written
 // report, and exercises the -check-against gate in both directions: a fresh
 // run checked against itself passes, while a doctored snapshot claiming a
@@ -260,83 +201,23 @@ func TestRunFleet(t *testing.T) {
 	}
 }
 
-// TestRunOptimize smoke-runs the -optimize benchmark in CI mode, validates
-// the written report, and exercises the -check-against gate in both
-// directions: a fresh run checked against itself passes, while doctored
-// snapshots claiming fewer distinct or fewer served searches, or fewer
-// allocations per warm run, must fail.
-func TestRunOptimize(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_optimize.json")
-	var stdout, progress bytes.Buffer
-	if err := run([]string{"-optimize", "-benchtime", "1x", "-o", out}, &stdout, &progress); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep bench.OptimizeReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, data)
-	}
-	if rep.Schema != bench.OptimizeSchema || rep.PointsEvaluated != 64 {
-		t.Fatalf("report header/shape: schema=%q evaluated=%d", rep.Schema, rep.PointsEvaluated)
-	}
-	if rep.FrontierSize < 1 || rep.Dominated < 1 {
-		t.Errorf("degenerate frontier: %+v", rep)
-	}
-	if !strings.Contains(progress.String(), "wrote "+out) {
-		t.Errorf("progress output missing summary:\n%s", progress.String())
-	}
-
-	// Gate against the run's own output: must pass.
-	if err := run([]string{"-optimize", "-benchtime", "1x", "-quiet", "-o", filepath.Join(dir, "b.json"),
-		"-check-against", out}, &stdout, &progress); err != nil {
-		t.Errorf("self-check failed: %v", err)
-	}
-
-	// Doctor the snapshot so every fresh run looks like a regression: no
-	// real run can search fewer distinct (layer, array) pairs than exist,
-	// nor serve fewer searches than one per layer of each (group, array,
-	// chips, gating) cell, nor allocate less than the count it repeats.
-	for name, doctor := range map[string]func(*bench.OptimizeReport){
-		"distinct": func(r *bench.OptimizeReport) { r.DistinctSearches = 1 },
-		"served":   func(r *bench.OptimizeReport) { r.SearchesServed = rep.SearchesServed - 1 },
-		"allocs":   func(r *bench.OptimizeReport) { r.WarmAllocsPerRun = rep.WarmAllocsPerRun - 1 },
-	} {
-		doctored := rep
-		doctor(&doctored)
-		bad, _ := json.Marshal(doctored)
-		badPath := filepath.Join(dir, name+".json")
-		if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		err = run([]string{"-optimize", "-benchtime", "1x", "-quiet", "-o", filepath.Join(dir, "c.json"),
-			"-check-against", badPath}, &stdout, &progress)
-		if err == nil || !strings.Contains(err.Error(), "regressed") {
-			t.Errorf("snapshot with fewer %s searches passed the gate: %v", name, err)
-		}
-	}
-}
-
-// TestRunServeFlagConflicts pins the flag combinations that make no sense.
+// TestRunServeFlagConflicts pins the flag combinations that make no sense,
+// and that the serve and co-design modes are gone: perfbench measures those
+// paths, and unit tests in internal/server and internal/optimize hold their
+// counts.
 func TestRunServeFlagConflicts(t *testing.T) {
 	var out, progress bytes.Buffer
-	if err := run([]string{"-serve", "-filter", "VGG"}, &out, &progress); err == nil {
-		t.Error("-serve -filter accepted")
-	}
-	if err := run([]string{"-check-against", "x.json", "-benchtime", "1x"}, &out, &progress); err == nil {
-		t.Error("missing -check-against snapshot accepted")
-	}
-	if err := run([]string{"-serve", "-fleet"}, &out, &progress); err == nil {
-		t.Error("-serve -fleet accepted")
+	for _, flagName := range []string{"-serve", "-optimize"} {
+		if err := run([]string{flagName}, &out, &progress); err == nil ||
+			!strings.Contains(err.Error(), "flag provided but not defined: "+flagName) {
+			t.Errorf("%s: err = %v, want an undefined flag", flagName, err)
+		}
 	}
 	if err := run([]string{"-fleet", "-filter", "VGG"}, &out, &progress); err == nil {
 		t.Error("-fleet -filter accepted")
 	}
-	if err := run([]string{"-optimize", "-fleet"}, &out, &progress); err == nil {
-		t.Error("-optimize -fleet accepted")
+	if err := run([]string{"-check-against", "x.json", "-benchtime", "1x"}, &out, &progress); err == nil {
+		t.Error("missing -check-against snapshot accepted")
 	}
 }
 

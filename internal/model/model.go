@@ -37,7 +37,8 @@ func (n Network) Validate() error {
 	if len(n.Layers) == 0 {
 		return fmt.Errorf("model: network %q has no layers", n.Name)
 	}
-	for _, l := range n.Layers {
+	for i := range n.Layers {
+		l := &n.Layers[i]
 		if err := l.Validate(); err != nil {
 			return fmt.Errorf("model: network %q: %w", n.Name, err)
 		}

@@ -136,7 +136,8 @@ func TestFrontierGolden(t *testing.T) {
 // point must equal the single-point Evaluate of its design bit for bit. The
 // run must compile each (group, array, chips, gating) cell once, as its
 // span's "compiles" attribute reports, so the engine serves one search per
-// layer of each cell — not one per layer of each design point.
+// layer of each cell — not one per layer of each design point — and runs
+// the algorithm once per distinct (layer, array) pair.
 func TestMultiGroupGolden(t *testing.T) {
 	for _, groups := range []int{2, 3} {
 		t.Run(fmt.Sprintf("groups=%d", groups), func(t *testing.T) {
@@ -182,8 +183,14 @@ func TestMultiGroupGolden(t *testing.T) {
 			if attrs["compiles"] != int64(cells) {
 				t.Errorf("optimize span attrs %v, want compiles %d", attrs, cells)
 			}
-			if got := eng.Stats().Searches; got != uint64(searches) {
-				t.Errorf("engine served %d searches, want %d (one per layer of each group cell)", got, searches)
+			st := eng.Stats()
+			if st.Searches != uint64(searches) {
+				t.Errorf("engine served %d searches, want %d (one per layer of each group cell)", st.Searches, searches)
+			}
+			// The example network's layers all differ in shape, and neither
+			// chips nor gating enters the search key.
+			if distinct := len(s.Network.Layers) * len(s.Arrays); st.CacheMisses != uint64(distinct) {
+				t.Errorf("engine ran %d searches, want %d (one per distinct layer shape and array)", st.CacheMisses, distinct)
 			}
 
 			golden := filepath.Join("testdata", fmt.Sprintf("tinynet_groups%d_stream.golden.ndjson", groups))
@@ -469,5 +476,26 @@ func TestRunCancellation(t *testing.T) {
 func TestRunInvalidSpace(t *testing.T) {
 	if _, err := New(nil).Run(context.Background(), DesignSpace{}, nil); err == nil {
 		t.Fatal("empty space accepted")
+	}
+}
+
+// TestWarmRunAllocs pins the allocations of a co-design run whose every
+// search is an engine hit: the example space at 2 layer groups (64 points,
+// 32 cell compiles). testing.AllocsPerRun counts at GOMAXPROCS 1, where
+// every compile runs its layers on the caller, so the count repeats on any
+// runner; it reads 342 with and without the race detector.
+func TestWarmRunAllocs(t *testing.T) {
+	const limit = 358
+	s := exampleSpace(t)
+	s.Groups = 2
+	o := New(compile.New(engine.New()))
+	run := func() {
+		if _, err := o.Run(context.Background(), s, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // fill the engine, so every measured run is all hits
+	if allocs := testing.AllocsPerRun(50, run); allocs > limit {
+		t.Errorf("warm run allocates %.0f times, want ≤ %d", allocs, limit)
 	}
 }

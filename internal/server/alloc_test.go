@@ -49,6 +49,52 @@ func TestWarmCompileZeroPlanPathAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmCompileRequestAllocs pins a warm POST /v1/compile end to end:
+// building the request, ServeHTTP's routing, request id and response
+// bookkeeping, the body decode, then the cached plan's bytes. The limit is
+// 39, an earlier measurement of the same loop, × 1.25 + 16 of headroom for
+// net/http and runtime drift; the count reads 32 (34 under the race
+// detector).
+func TestWarmCompileRequestAllocs(t *testing.T) {
+	const limit = 64
+	s := New(Config{})
+	body := []byte(`{"network": "VGG-13", "array": "512x512"}`)
+	rw := &statusWriter{header: http.Header{}}
+	post := func() {
+		clear(rw.header)
+		rw.status = 0
+		s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/compile", bytes.NewReader(body)))
+		if rw.status != http.StatusOK {
+			t.Fatalf("status %d", rw.status)
+		}
+	}
+	post() // compile once, so every measured request is a plan-cache hit
+	if allocs := testing.AllocsPerRun(200, post); allocs > limit {
+		t.Errorf("warm /v1/compile allocates %.1f times per request, want ≤ %d", allocs, limit)
+	}
+}
+
+// statusWriter is a response writer that keeps the status and drops the
+// body, so a request costs no allocations on the writer's side once its
+// header map has grown.
+type statusWriter struct {
+	header http.Header
+	status int
+}
+
+func (w *statusWriter) Header() http.Header { return w.header }
+
+func (w *statusWriter) WriteHeader(status int) {
+	if w.status == 0 {
+		w.status = status
+	}
+}
+
+func (w *statusWriter) Write(p []byte) (int, error) {
+	w.WriteHeader(http.StatusOK)
+	return len(p), nil
+}
+
 // TestCachedPlanMiss pins that CachedPlan does not compile: a cold cache
 // reports a miss and leaves the engine untouched.
 func TestCachedPlanMiss(t *testing.T) {

@@ -478,6 +478,7 @@ func TestParseManifestRejects(t *testing.T) {
 		`{"requests": [{"network": "NoSuchNet", "array": "64x64"}]}`,
 		`{"requests": [{"network": "VGG-13"}]}`,
 		`{"typo": 1}`,
+		`{"requests": [{"network": "VGG-13", "array": "64x64"}]}]}}`,
 	}
 	for _, c := range cases {
 		if _, _, err := ParseManifest([]byte(c)); err == nil {

@@ -158,6 +158,7 @@ func TestOptimizeErrorPaths(t *testing.T) {
 	}{
 		{"malformed JSON", `{`, http.StatusBadRequest},
 		{"empty body", ``, http.StatusBadRequest},
+		{"trailing bracket", `{"network": "VGG-13", "arrays": ["64x64"]}]`, http.StatusBadRequest},
 		{"no network", `{"arrays": ["64x64"]}`, http.StatusUnprocessableEntity},
 		{"no arrays", `{"network": "VGG-13"}`, http.StatusUnprocessableEntity},
 		{"empty arrays axis", `{"network": "VGG-13", "arrays": []}`, http.StatusUnprocessableEntity},

@@ -83,10 +83,17 @@ func decodeJSONBody(w http.ResponseWriter, r *http.Request, maxBody int64, dst a
 	if err := dec.Decode(dst); err != nil {
 		return errorf(http.StatusBadRequest, "parse request: %v", err)
 	}
-	if dec.More() {
+	if trailingData(dec, buf) {
 		return errorf(http.StatusBadRequest, "parse request: trailing data after JSON body")
 	}
 	return nil
+}
+
+// trailingData reports whether anything but JSON whitespace follows the
+// value dec has just decoded from buf. Decoder.More is no such check: it
+// reports false when the next byte is a closing '}' or ']'.
+func trailingData(dec *json.Decoder, buf []byte) bool {
+	return len(bytes.TrimLeft(buf[dec.InputOffset():], " \t\r\n")) != 0
 }
 
 // resolve turns the wire request into the canonical compile.Request.

@@ -622,9 +622,9 @@ func (s *Server) cachedEntry(req compile.Request) (*planEntry, error) {
 
 // CachedPlan writes the cached serialized plan for req to w and reports
 // whether one was present, without compiling on a miss. It is the warm-hit
-// fast path of the /v1/compile handler, exported as a measurable unit: the
-// serve benchmark and the allocation regression tests pin it at zero
-// allocations per call.
+// fast path of the /v1/compile handler, exported as a measurable unit:
+// perfbench times it as server.cached_plan_us, and
+// TestWarmCompileZeroPlanPathAllocs pins it at zero allocations per call.
 func (s *Server) CachedPlan(w io.Writer, req compile.Request) (bool, error) {
 	entry, err := s.cachedEntry(req)
 	if err != nil || entry == nil {

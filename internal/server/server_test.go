@@ -298,6 +298,8 @@ func TestCompileErrorPaths(t *testing.T) {
 		{"malformed JSON", `{"network": `, http.StatusBadRequest},
 		{"unknown field", `{"bogus": 1}`, http.StatusBadRequest},
 		{"trailing garbage", `{"network": "VGG-13", "array": "64x64"} extra`, http.StatusBadRequest},
+		{"trailing brace", `{"network": "VGG-13", "array": "64x64"}}`, http.StatusBadRequest},
+		{"trailing bracket", `{"network": "VGG-13", "array": "64x64"} ]`, http.StatusBadRequest},
 		{"missing network", `{"array": "64x64"}`, http.StatusUnprocessableEntity},
 		{"unknown zoo name", `{"network": "LeNet-5", "array": "64x64"}`, http.StatusUnprocessableEntity},
 		{"network wrong type", `{"network": 42, "array": "64x64"}`, http.StatusUnprocessableEntity},
@@ -334,6 +336,11 @@ func TestCompileErrorPaths(t *testing.T) {
 		if e.Error.Status != tc.status || e.Error.Message == "" {
 			t.Errorf("%s: error payload %+v", tc.name, e.Error)
 		}
+	}
+
+	// JSON whitespace after the body is not trailing data.
+	if resp, body := post(t, ts.URL+"/v1/compile", "{\"network\": \"VGG-13\", \"array\": \"64x64\"} \t\r\n"); resp.StatusCode != http.StatusOK {
+		t.Errorf("body with a whitespace tail: status %d (%s)", resp.StatusCode, body)
 	}
 
 	// A bad scheme or variant is rejected with a message that lists the

@@ -42,7 +42,7 @@ func ParseManifest(data []byte) (*Manifest, []compile.Request, error) {
 	if err := dec.Decode(&m); err != nil {
 		return nil, nil, fmt.Errorf("warm manifest: %w", err)
 	}
-	if dec.More() {
+	if trailingData(dec, data) {
 		return nil, nil, errors.New("warm manifest: trailing data after JSON document")
 	}
 	if len(m.Requests) == 0 {
