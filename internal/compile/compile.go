@@ -352,13 +352,13 @@ func (c *Compiler) compileLayer(ctx context.Context, lp *LayerPlan, cl *model.Co
 	if err != nil {
 		return err
 	}
-	_, sp = obs.Start(ctx, "schedule")
+	sp = obs.StartLeaf(ctx, "schedule")
 	lp.Schedule, err = chip.ScheduleLayer(lp.Search.Best, opts.Arrays)
 	sp.End()
 	if err != nil {
 		return err
 	}
-	_, sp = obs.Start(ctx, "energy")
+	sp = obs.StartLeaf(ctx, "energy")
 	lp.Energy, err = opts.Energy.Estimate(lp.Search.Best)
 	sp.End()
 	if err != nil {

@@ -45,10 +45,11 @@ func TestCompileRecordsSpanTree(t *testing.T) {
 	}
 	// The per-phase durations the server's histograms consume must be
 	// reachable through DurationByName.
-	by := tr.DurationByName()
-	for _, phase := range []string{"search", "schedule", "energy", "plan"} {
-		if _, ok := by[phase]; !ok {
-			t.Errorf("DurationByName missing %q: %v", phase, by)
+	sums := []obs.NameSum{{Name: "search"}, {Name: "schedule"}, {Name: "energy"}, {Name: "plan"}}
+	tr.DurationByName(sums)
+	for _, sum := range sums {
+		if sum.Spans != 1 {
+			t.Errorf("DurationByName found %d %q spans, want 1: %+v", sum.Spans, sum.Name, sums)
 		}
 	}
 

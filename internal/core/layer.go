@@ -49,10 +49,23 @@ func (l Layer) Normalized() Layer {
 	return l
 }
 
+// strides returns the layer's strides with zero read as 1, the values
+// Normalized would set, without copying the layer.
+func (l *Layer) strides() (w, h int) {
+	w, h = l.StrideW, l.StrideH
+	if w == 0 {
+		w = 1
+	}
+	if h == 0 {
+		h = 1
+	}
+	return w, h
+}
+
 // Validate reports whether the layer geometry is well formed: positive
 // dimensions, kernel no larger than the padded IFM, and non-negative padding.
-func (l Layer) Validate() error {
-	l = l.Normalized()
+func (l *Layer) Validate() error {
+	sw, sh := l.strides()
 	switch {
 	case l.IW <= 0 || l.IH <= 0:
 		return fmt.Errorf("core: layer %q: non-positive IFM %dx%d", l.Name, l.IW, l.IH)
@@ -60,8 +73,8 @@ func (l Layer) Validate() error {
 		return fmt.Errorf("core: layer %q: non-positive kernel %dx%d", l.Name, l.KW, l.KH)
 	case l.IC <= 0 || l.OC <= 0:
 		return fmt.Errorf("core: layer %q: non-positive channels IC=%d OC=%d", l.Name, l.IC, l.OC)
-	case l.StrideW <= 0 || l.StrideH <= 0:
-		return fmt.Errorf("core: layer %q: non-positive stride %dx%d", l.Name, l.StrideW, l.StrideH)
+	case sw <= 0 || sh <= 0:
+		return fmt.Errorf("core: layer %q: non-positive stride %dx%d", l.Name, sw, sh)
 	case l.PadW < 0 || l.PadH < 0:
 		return fmt.Errorf("core: layer %q: negative padding %dx%d", l.Name, l.PadW, l.PadH)
 	case l.KW > l.PaddedW() || l.KH > l.PaddedH():
@@ -81,7 +94,7 @@ func (l Layer) Validate() error {
 
 // NumGroups returns the effective group count: Groups, with zero (the dense
 // default) and one both meaning a single dense group.
-func (l Layer) NumGroups() int {
+func (l *Layer) NumGroups() int {
 	if l.Groups < 2 {
 		return 1
 	}
@@ -90,43 +103,43 @@ func (l Layer) NumGroups() int {
 
 // ICg returns the input channels per group, IC / NumGroups (eq. 8's grouped
 // per-group cap; for depthwise layers ICg == 1).
-func (l Layer) ICg() int { return l.IC / l.NumGroups() }
+func (l *Layer) ICg() int { return l.IC / l.NumGroups() }
 
 // OCg returns the output channels per group, OC / NumGroups.
-func (l Layer) OCg() int { return l.OC / l.NumGroups() }
+func (l *Layer) OCg() int { return l.OC / l.NumGroups() }
 
 // PaddedW returns the IFM width after padding.
-func (l Layer) PaddedW() int { return l.IW + 2*l.PadW }
+func (l *Layer) PaddedW() int { return l.IW + 2*l.PadW }
 
 // PaddedH returns the IFM height after padding.
-func (l Layer) PaddedH() int { return l.IH + 2*l.PadH }
+func (l *Layer) PaddedH() int { return l.IH + 2*l.PadH }
 
 // OutW returns the output feature map width.
-func (l Layer) OutW() int {
-	l = l.Normalized()
-	return (l.PaddedW()-l.KW)/l.StrideW + 1
+func (l *Layer) OutW() int {
+	sw, _ := l.strides()
+	return (l.PaddedW()-l.KW)/sw + 1
 }
 
 // OutH returns the output feature map height.
-func (l Layer) OutH() int {
-	l = l.Normalized()
-	return (l.PaddedH()-l.KH)/l.StrideH + 1
+func (l *Layer) OutH() int {
+	_, sh := l.strides()
+	return (l.PaddedH()-l.KH)/sh + 1
 }
 
 // Windows returns the number of kernel-sized windows in the IFM, which equals
 // the number of output positions per channel (OutW × OutH).
-func (l Layer) Windows() int { return l.OutW() * l.OutH() }
+func (l *Layer) Windows() int { return l.OutW() * l.OutH() }
 
 // KernelRows returns the number of array rows one fully unrolled kernel
 // occupies: KW × KH × ICg. A grouped kernel sees only its group's ICg input
 // channels; for a dense layer ICg == IC and this is the classic KW·KH·IC.
-func (l Layer) KernelRows() int { return l.KW * l.KH * l.ICg() }
+func (l *Layer) KernelRows() int { return l.KW * l.KH * l.ICg() }
 
 // Kernel returns the kernel extent as a Window.
-func (l Layer) Kernel() Window { return Window{W: l.KW, H: l.KH} }
+func (l *Layer) Kernel() Window { return Window{W: l.KW, H: l.KH} }
 
 // MACs returns the number of multiply-accumulate operations of the layer.
-func (l Layer) MACs() int64 {
+func (l *Layer) MACs() int64 {
 	return int64(l.Windows()) * int64(l.KernelRows()) * int64(l.OC)
 }
 

@@ -177,9 +177,10 @@ func (e *Engine) Search(ctx context.Context, l core.Layer, a core.Array, m core.
 // engine adds to a computation — the in-flight gauge, candidate counting
 // and the span's path attributes — runs inside the compute closure, so it
 // happens exactly once per search actually run, failed-leader retries
-// included.
+// included. The engine.search span is a leaf: core.Search and the memo
+// start no spans, so it derives no context.
 func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, search func(context.Context) (core.Result, error)) (*core.Result, error) {
-	ctx, sp := obs.Start(ctx, "engine.search")
+	sp := obs.StartLeaf(ctx, "engine.search")
 	defer sp.End()
 	sp.SetStr("layer", name)
 	e.searches.Add(1)

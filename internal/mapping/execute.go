@@ -96,7 +96,7 @@ func Verify(m core.Mapping, seed uint64) error {
 // duplication and SDK have dense-only layouts and are skipped.
 func VerifyAllSchemes(l core.Layer, a core.Array, seed uint64) error {
 	methods := []core.Method{{Scheme: core.SchemeIm2col}, {Scheme: core.SchemeSMD}, {Scheme: core.SchemeSDK}, core.MethodVWSDK}
-	if l.Normalized().NumGroups() > 1 {
+	if l.NumGroups() > 1 {
 		methods = []core.Method{{Scheme: core.SchemeIm2col}, core.MethodVWSDK}
 	}
 	for _, m := range methods {

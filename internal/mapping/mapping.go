@@ -89,7 +89,7 @@ type Plan struct {
 // planning stage calls this form so physical planning shows up in compile
 // provenance. The plan itself is identical to NewPlan's.
 func NewPlanContext(ctx context.Context, m core.Mapping) (*Plan, error) {
-	_, sp := obs.Start(ctx, "mapping.plan")
+	sp := obs.StartLeaf(ctx, "mapping.plan")
 	defer sp.End()
 	p, err := NewPlan(m)
 	if err == nil {

@@ -15,16 +15,32 @@
 // Spans nest through the context: Start parents the new span under the
 // context's current span and returns a derived context carrying the new one,
 // so a call tree becomes a span tree without any explicit plumbing. Traces
-// are attached with NewContext and recovered with FromContext.
+// are attached with NewContext and recovered with FromContext. A region
+// that starts no spans of its own uses StartLeaf, which parents the span
+// the same way but derives no context:
+//
+//	sp := obs.StartLeaf(ctx, "encode")
+//	data, err := encode(p)
+//	sp.End()
+//
+// # What a span costs
+//
+// Recording is the only cost a traced region pays: a span allocates itself
+// (and now and then a longer span log for its trace), Start one derived
+// context (StartLeaf none), and the first attribute one slice with room for
+// four. Nothing is rendered while spans are recorded;
+// Tree, Phases, DurationByName and WriteChrome replay the recorded spans
+// when a consumer asks, so a trace nobody reads costs no rendering.
 //
 // # The disabled fast path
 //
 // Tracing is strictly opt-in per context. When no Trace rides the context —
 // the normal case for every production request that did not ask for one —
-// Start returns the context unchanged and a nil *Span, and every Span method
-// no-ops on a nil receiver. The disabled path performs no allocation and no
-// locking (pinned by TestStartDisabledZeroAllocs), which is what keeps the
-// warm /v1/compile plan path at 0 allocs/request.
+// Start returns the context unchanged and a nil *Span, StartLeaf a nil
+// *Span, and every Span method no-ops on a nil receiver. The disabled path
+// performs no allocation and no locking (pinned by
+// TestStartDisabledZeroAllocs), which is what keeps the warm /v1/compile
+// plan path at 0 allocs/request.
 //
 // # Lifecycle and concurrency
 //
@@ -34,7 +50,10 @@
 // Tree, Phases, DurationByName, WriteChrome — expect the recorded spans to
 // have ended: call them after the traced work has joined (which every caller
 // in this repository does — handlers read the trace after the request
-// finishes, the CLIs after the run).
+// finishes, the CLIs after the run). A trace whose spans have all ended is
+// read-only, so any number of goroutines may read it at once and each reads
+// the same spans: the server keeps a compilation's finished trace on its
+// plan-cache entry and renders it for every ?trace=1 request that asks.
 //
 // Consumers: Tree renders the nested span tree the server attaches to
 // ?trace=1 responses, Phases/ServerTiming feed the Server-Timing header,
@@ -166,15 +185,32 @@ func Start(ctx context.Context, name string) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
-	parent := -1
-	if ps, ok := ctx.Value(spanKey).(*Span); ok && ps != nil && ps.t == t {
-		parent = ps.id
-	}
-	s := t.newSpan(name, parent)
+	s := t.newSpan(name, parentID(ctx, t))
 	if s == nil {
 		return ctx, nil // over the span limit: degrade to no-op
 	}
 	return context.WithValue(ctx, spanKey, s), s
+}
+
+// StartLeaf begins a span named name under the context's current span, as
+// Start does, but derives no context: nothing can start under the span, so
+// it is for a region that records no spans of its own, and it costs no
+// context allocation. Disabled, it returns nil without allocating.
+func StartLeaf(ctx context.Context, name string) *Span {
+	t := FromContext(ctx)
+	if t == nil {
+		return nil
+	}
+	return t.newSpan(name, parentID(ctx, t))
+}
+
+// parentID returns the index of ctx's current span when it belongs to t,
+// else -1 (a top-level span).
+func parentID(ctx context.Context, t *Trace) int {
+	if ps, ok := ctx.Value(spanKey).(*Span); ok && ps != nil && ps.t == t {
+		return ps.id
+	}
+	return -1
 }
 
 // End finishes the span, fixing its duration; the first End wins and later
@@ -204,7 +240,7 @@ func (s *Span) SetInt(key string, v int64) *Span {
 	if s == nil {
 		return nil
 	}
-	s.attrs = append(s.attrs, attr{key: key, num: v, isNum: true})
+	s.setAttr(attr{key: key, num: v, isNum: true})
 	return s
 }
 
@@ -213,8 +249,20 @@ func (s *Span) SetStr(key, v string) *Span {
 	if s == nil {
 		return nil
 	}
-	s.attrs = append(s.attrs, attr{key: key, str: v})
+	s.setAttr(attr{key: key, str: v})
 	return s
+}
+
+// spanAttrs is the attribute capacity a span makes on its first attribute:
+// the most any span in this repository sets (a computed engine.search, an
+// optimize run), so attributes cost one allocation, not one per doubling.
+const spanAttrs = 4
+
+func (s *Span) setAttr(a attr) {
+	if s.attrs == nil {
+		s.attrs = make([]attr, 0, spanAttrs)
+	}
+	s.attrs = append(s.attrs, a)
 }
 
 // Name returns the span's name ("" on nil).

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -78,6 +79,68 @@ func TestStartDisabledZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled Start allocated %.1f/op, want 0", allocs)
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		s := StartLeaf(ctx, "hot")
+		s.SetStr("k", "v")
+		s.End()
+	})
+	if allocs != 0 {
+		t.Fatalf("disabled StartLeaf allocated %.1f/op, want 0", allocs)
+	}
+}
+
+// TestSpanAttrsAllocOnce pins that a span's attributes cost one allocation:
+// a span given four attributes allocates once more than a bare one.
+func TestSpanAttrsAllocOnce(t *testing.T) {
+	allocs := func(attrs int) float64 {
+		ctx := NewContext(context.Background(), New("attrs"))
+		return testing.AllocsPerRun(100, func() {
+			s := StartLeaf(ctx, "engine.search")
+			for i := range attrs {
+				s.SetInt("k", int64(i))
+			}
+			s.End()
+		})
+	}
+	bare, four := allocs(0), allocs(4)
+	if four-bare != 1 {
+		t.Errorf("four attributes cost %.1f allocations per span (bare span %.1f, with them %.1f), want 1",
+			four-bare, bare, four)
+	}
+}
+
+// TestStartLeaf pins where a leaf span lands: under the context's current
+// span, or at the top level when the context has none, and never past the
+// span limit. Nothing can start under a leaf, so it derives no context.
+func TestStartLeaf(t *testing.T) {
+	tr := New("leaf")
+	ctx := NewContext(context.Background(), tr)
+	StartLeaf(ctx, "queue-wait").End()
+	cctx, comp := Start(ctx, "compile")
+	leaf := StartLeaf(cctx, "schedule")
+	leaf.SetStr("layer", "conv1").SetInt("n", 2)
+	leaf.End()
+	comp.End()
+
+	roots := tr.Tree()
+	if len(roots) != 2 || roots[0].Name != "queue-wait" || roots[1].Name != "compile" {
+		t.Fatalf("roots = %+v, want queue-wait and compile", roots)
+	}
+	if len(roots[0].Children) != 0 {
+		t.Errorf("top-level leaf has children: %+v", roots[0].Children)
+	}
+	kids := roots[1].Children
+	if len(kids) != 1 || kids[0].Name != "schedule" {
+		t.Fatalf("compile children = %+v, want the schedule leaf", kids)
+	}
+	if kids[0].Attrs["layer"] != "conv1" || kids[0].Attrs["n"] != int64(2) {
+		t.Errorf("leaf attrs = %v", kids[0].Attrs)
+	}
+
+	tr.SetMaxSpans(tr.Len())
+	if s := StartLeaf(ctx, "over"); s != nil || tr.Dropped() != 1 {
+		t.Errorf("leaf over the span limit = %v with %d dropped, want nil and 1", s, tr.Dropped())
 	}
 }
 
@@ -174,6 +237,52 @@ func TestPhasesAndServerTiming(t *testing.T) {
 	}
 }
 
+// TestServerTimingMatchesFmt holds the Server-Timing value to the fmt form
+// it was first written with ("%s;dur=%.2f, " per phase, then the total)
+// for zero, rounding, large and negative durations, names the token
+// grammar rewrites, and a header longer than the stack buffer.
+func TestServerTimingMatchesFmt(t *testing.T) {
+	fmtForm := func(phases []Phase, total time.Duration) string {
+		token := func(r rune) rune {
+			switch {
+			case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
+				r == '-', r == '_', r == '.':
+				return r
+			default:
+				return '-'
+			}
+		}
+		var b strings.Builder
+		for _, p := range phases {
+			fmt.Fprintf(&b, "%s;dur=%.2f, ", strings.Map(token, p.Name), ms(p.Dur))
+		}
+		fmt.Fprintf(&b, "total;dur=%.2f", ms(total))
+		return b.String()
+	}
+	durs := []time.Duration{
+		0, 1, 4999, 5000, 5001, 15000, 25000, 1234567, 2345000, 999_995_000,
+		90 * time.Minute, math.MaxInt64, -1500 * time.Microsecond,
+	}
+	names := []string{"queue-wait", "compile", "encode", "hand ler", "phase/é", "bad\xffutf8", ""}
+	for i, d := range durs {
+		var phases []Phase
+		for j := range i % 4 {
+			phases = append(phases, Phase{Name: names[(i+j)%len(names)], Dur: durs[(i+j+1)%len(durs)]})
+		}
+		if got, want := ServerTiming(phases, d), fmtForm(phases, d); got != want {
+			t.Errorf("ServerTiming(%v, %v) = %q, want %q", phases, d, got, want)
+		}
+	}
+	long := make([]Phase, 12)
+	for i := range long {
+		long[i] = Phase{Name: names[i%len(names)], Dur: durs[i]}
+	}
+	got, want := ServerTiming(long, time.Second), fmtForm(long, time.Second)
+	if got != want || len(got) <= serverTimingStack {
+		t.Errorf("long header = %q (%d bytes), want %q (over %d bytes)", got, len(got), want, serverTimingStack)
+	}
+}
+
 func TestDurationByName(t *testing.T) {
 	tr := New("t")
 	ctx := NewContext(context.Background(), tr)
@@ -183,12 +292,13 @@ func TestDurationByName(t *testing.T) {
 	}
 	_, s := Start(ctx, "energy")
 	s.End()
-	by := tr.DurationByName()
-	if len(by) != 2 {
-		t.Fatalf("names = %v", by)
+	sums := []NameSum{{Name: "search"}, {Name: "plan"}, {Name: "energy"}}
+	tr.DurationByName(sums)
+	if sums[0].Spans != 3 || sums[1].Spans != 0 || sums[2].Spans != 1 {
+		t.Fatalf("sums = %+v, want 3 search spans, no plan, 1 energy", sums)
 	}
-	if _, ok := by["search"]; !ok {
-		t.Fatal("missing search")
+	if sums[1].Dur != 0 || sums[0].Dur < 0 || sums[2].Dur != s.Duration() {
+		t.Fatalf("sums = %+v", sums)
 	}
 }
 

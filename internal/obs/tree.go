@@ -1,15 +1,14 @@
 package obs
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 	"time"
 )
 
 // Node is one span of the rendered span tree: the JSON form the server
-// attaches to ?trace=1 responses and stores as a cached plan's compile
-// provenance. Times are microseconds; StartUs is the offset from the trace's
-// start so trees are comparable across requests.
+// attaches to ?trace=1 responses, for the request and for a cached plan's
+// compile provenance. Times are microseconds; StartUs is the offset from the
+// trace's start so trees are comparable across requests.
 type Node struct {
 	Name     string         `json:"name"`
 	StartUs  int64          `json:"start_us"`
@@ -33,8 +32,9 @@ func Find(nodes []*Node, name string) *Node {
 }
 
 // Tree renders the recorded spans as a forest of nested nodes in start
-// order. Call it after the traced work has ended (see the package comment's
-// lifecycle rules).
+// order, one Node and one attribute map per span, anew on every call. Call
+// it after the traced work has ended (see the package comment's lifecycle
+// rules); a finished trace renders the same forest every time.
 func (t *Trace) Tree() []*Node {
 	t.mu.Lock()
 	spans := t.spans
@@ -79,7 +79,13 @@ type Phase struct {
 func (t *Trace) Phases() []Phase {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []Phase
+	n := 0
+	for _, s := range t.spans {
+		if s.parent < 0 {
+			n++
+		}
+	}
+	out := make([]Phase, 0, n)
 	for _, s := range t.spans {
 		if s.parent < 0 {
 			out = append(out, Phase{Name: s.name, Dur: s.Duration()})
@@ -88,45 +94,73 @@ func (t *Trace) Phases() []Phase {
 	return out
 }
 
-// DurationByName sums span durations by span name across the whole trace.
-// Concurrent spans (the compile pipeline's per-layer fan-out) sum their
-// individual durations, so a phase total can legitimately exceed the trace's
-// wall time — it is per-phase work accounting, not elapsed time.
-func (t *Trace) DurationByName() map[string]time.Duration {
+// NameSum is one span name's total across a trace: the summed duration of
+// the spans with that name, and how many there were.
+type NameSum struct {
+	Name  string
+	Dur   time.Duration
+	Spans int
+}
+
+// DurationByName sums span durations by span name across the whole trace
+// into sums, one pass for every name the caller asks about: sums[i] totals
+// the spans named sums[i].Name, and its Spans count tells a name whose
+// spans took no measurable time from one never recorded. Spans of other
+// names are skipped, and the call allocates nothing. Concurrent spans (the
+// compile pipeline's per-layer fan-out) sum their individual durations, so
+// a phase total can legitimately exceed the trace's wall time — it is
+// per-phase work accounting, not elapsed time.
+func (t *Trace) DurationByName(sums []NameSum) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make(map[string]time.Duration)
 	for _, s := range t.spans {
-		out[s.name] += s.Duration()
+		for i := range sums {
+			if sums[i].Name == s.name {
+				sums[i].Dur += s.Duration()
+				sums[i].Spans++
+				break
+			}
+		}
 	}
-	return out
 }
 
 // ServerTiming renders phases plus a trailing total as a Server-Timing
 // header value (RFC: durations in milliseconds): "decode;dur=0.21,
 // handler;dur=3.90, total;dur=4.15". Phase names are sanitized to header
-// token characters.
+// token characters. The value is built in one byte slice, on the stack for
+// a header of up to serverTimingStack bytes, so the string is the only
+// allocation.
 func ServerTiming(phases []Phase, total time.Duration) string {
-	var b strings.Builder
+	var stack [serverTimingStack]byte
+	b := stack[:0]
 	for _, p := range phases {
-		fmt.Fprintf(&b, "%s;dur=%.2f, ", token(p.Name), ms(p.Dur))
+		b = appendToken(b, p.Name)
+		b = append(b, ";dur="...)
+		b = strconv.AppendFloat(b, ms(p.Dur), 'f', 2, 64)
+		b = append(b, ", "...)
 	}
-	fmt.Fprintf(&b, "total;dur=%.2f", ms(total))
-	return b.String()
+	b = append(b, "total;dur="...)
+	b = strconv.AppendFloat(b, ms(total), 'f', 2, 64)
+	return string(b)
 }
+
+// serverTimingStack fits a compile's Server-Timing value (three phases and
+// the total) with room to spare.
+const serverTimingStack = 128
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
 
-// token keeps a phase name inside the Server-Timing token grammar, mapping
-// anything else to '-'.
-func token(s string) string {
-	return strings.Map(func(r rune) rune {
+// appendToken appends a phase name kept inside the Server-Timing token
+// grammar, mapping any other rune to one '-'.
+func appendToken(b []byte, s string) []byte {
+	for _, r := range s {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
 			r == '-', r == '_', r == '.':
-			return r
+			b = append(b, byte(r))
 		default:
-			return '-'
+			b = append(b, '-')
 		}
-	}, s)
+	}
+	return b
 }

@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -71,6 +73,38 @@ func TestWarmCompileRequestAllocs(t *testing.T) {
 	post() // compile once, so every measured request is a plan-cache hit
 	if allocs := testing.AllocsPerRun(200, post); allocs > limit {
 		t.Errorf("warm /v1/compile allocates %.1f times per request, want ≤ %d", allocs, limit)
+	}
+}
+
+// TestColdCompileRequestAllocs pins a cold POST /v1/compile end to end: a
+// VGG-13 compile on an array no earlier request used, so every request
+// misses the plan cache and searches every distinct layer afresh. Each
+// compile records its provenance trace and keeps it on the plan-cache
+// entry, and none of the requests asks for the ?trace=1 tree. GOMAXPROCS 1
+// keeps the compile on its caller. The count reads 198 (202 under the race
+// detector); the limit is 240, which a provenance tree rendered on every
+// compile (457) fails.
+func TestColdCompileRequestAllocs(t *testing.T) {
+	const limit, runs = 240, 20
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s := New(Config{})
+	bodies := make([][]byte, runs+1) // AllocsPerRun makes one unmeasured run first
+	for i := range bodies {
+		bodies[i] = []byte(fmt.Sprintf(`{"network": "VGG-13", "array": "%dx%d"}`, 300+i, 500-i))
+	}
+	rw := &statusWriter{header: http.Header{}}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		clear(rw.header)
+		rw.status = 0
+		s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/compile", bytes.NewReader(bodies[next])))
+		next++
+		if rw.status != http.StatusOK || rw.header.Get("X-Cache") != "miss" {
+			t.Fatalf("status %d, X-Cache %q, want 200 and a miss", rw.status, rw.header.Get("X-Cache"))
+		}
+	})
+	if allocs > limit {
+		t.Errorf("cold /v1/compile allocates %.1f times per request, want ≤ %d", allocs, limit)
 	}
 }
 

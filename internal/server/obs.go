@@ -58,9 +58,9 @@ func validRequestID(id string) bool {
 }
 
 // compilePhases are the per-phase compile-time histogram series, matching
-// the span names the compile pipeline records (DurationByName keys):
+// the span names the compile pipeline records (summed by DurationByName):
 // admission wait, the per-layer pipeline stages, and plan serialization.
-var compilePhases = []string{"queue-wait", "search", "schedule", "energy", "plan", "encode"}
+var compilePhases = [...]string{"queue-wait", "search", "schedule", "energy", "plan", "encode"}
 
 // initMetrics builds the registry's own state: the two histogram families,
 // fed by observation. Every counter and gauge is a metricTable row instead.
@@ -68,21 +68,27 @@ func (s *Server) initMetrics() {
 	s.metrics = obs.NewRegistry()
 	s.httpHist = s.metrics.Histogram("vwsdk_http_request_duration_seconds",
 		"End-to-end HTTP request latency.", obs.DurationBuckets)
-	s.phaseHist = make(map[string]*obs.Histogram, len(compilePhases))
-	for _, ph := range compilePhases {
-		s.phaseHist[ph] = s.metrics.Histogram("vwsdk_compile_phase_seconds",
+	for i, ph := range compilePhases {
+		s.phaseHist[i] = s.metrics.Histogram("vwsdk_compile_phase_seconds",
 			"Compile-pipeline time per phase, summed per compilation (concurrent layers add up).",
 			obs.DurationBuckets, obs.Label{Name: "phase", Value: ph})
 	}
 }
 
 // observeCompile feeds one computed compilation's provenance into the
-// per-phase histograms.
+// per-phase histograms, in one pass over its spans and without allocating.
+// A phase is observed when the compilation recorded a span of it, even one
+// that took no measurable time; "plan" is absent unless physical plans
+// were asked for.
 func (s *Server) observeCompile(prov *obs.Trace) {
-	by := prov.DurationByName()
-	for ph, h := range s.phaseHist {
-		if d, ok := by[ph]; ok {
-			h.Observe(d.Seconds())
+	var sums [len(compilePhases)]obs.NameSum
+	for i, ph := range compilePhases {
+		sums[i].Name = ph
+	}
+	prov.DurationByName(sums[:])
+	for i, sum := range sums {
+		if sum.Spans > 0 {
+			s.phaseHist[i].Observe(sum.Dur.Seconds())
 		}
 	}
 }

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
@@ -186,12 +188,17 @@ func parseServerTiming(t *testing.T, header string) map[string]float64 {
 
 // TestCompileTraceDebug exercises ?trace=1 end to end, cold then warm: the
 // response must carry the request span tree and the compile provenance, and
-// the request phases must sum to no more than the Server-Timing total (the
-// PR's acceptance criterion — phases are sequential inside the request).
+// the request phases must sum to no more than the Server-Timing total
+// (phases are sequential inside the request). The provenance is rendered
+// from the entry's finished trace on each request, so the cold answer and
+// every hit, concurrent hits included, carry the same compile_trace bytes;
+// a span still open when the entry was stored would render a longer
+// duration each time.
 func TestCompileTraceDebug(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 	const body = `{"network": "VGG-13", "array": "512x512"}`
 
+	var rawTraces [][]byte
 	for round, wantCached := range []bool{false, true} {
 		resp, data := post(t, ts.URL+"/v1/compile?trace=1", body)
 		if resp.StatusCode != http.StatusOK {
@@ -207,6 +214,7 @@ func TestCompileTraceDebug(t *testing.T) {
 		if err := json.Unmarshal(data, &tr); err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
+		rawTraces = append(rawTraces, compileTraceBytes(t, data))
 		if tr.Cached != wantCached {
 			t.Errorf("round %d: cached = %v, want %v", round, tr.Cached, wantCached)
 		}
@@ -257,6 +265,50 @@ func TestCompileTraceDebug(t *testing.T) {
 			t.Errorf("round %d: phase sum %.2fms > total %.2fms (%v)", round, sum, total, st)
 		}
 	}
+	if !bytes.Equal(rawTraces[0], rawTraces[1]) {
+		t.Errorf("hit's compile_trace differs from the cold answer's:\ncold %s\nhit  %s", rawTraces[0], rawTraces[1])
+	}
+
+	// Concurrent hits render the one stored trace at once.
+	const hits = 8
+	got := make([][]byte, hits)
+	var wg sync.WaitGroup
+	for i := range hits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rw := httptest.NewRecorder()
+			s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/compile?trace=1", strings.NewReader(body)))
+			if rw.Code != http.StatusOK {
+				t.Errorf("concurrent hit %d: status %d: %s", i, rw.Code, rw.Body.Bytes())
+				return
+			}
+			got[i] = compileTraceBytes(t, rw.Body.Bytes())
+		}()
+	}
+	wg.Wait()
+	for i, raw := range got {
+		if raw != nil && !bytes.Equal(raw, rawTraces[0]) {
+			t.Errorf("concurrent hit %d rendered a different compile_trace:\n%s\nwant %s", i, raw, rawTraces[0])
+		}
+	}
+}
+
+// compileTraceBytes returns the compile_trace member of a ?trace=1 answer
+// exactly as it was written.
+func compileTraceBytes(t *testing.T, answer []byte) []byte {
+	t.Helper()
+	var raw struct {
+		CompileTrace json.RawMessage `json:"compile_trace"`
+	}
+	if err := json.Unmarshal(answer, &raw); err != nil {
+		t.Errorf("?trace=1 answer: %v", err)
+		return nil
+	}
+	if len(raw.CompileTrace) == 0 {
+		t.Errorf("?trace=1 answer has no compile_trace")
+	}
+	return raw.CompileTrace
 }
 
 // TestServerTimingColdOnly pins the warm-path contract: a cold /v1/compile

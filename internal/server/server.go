@@ -174,9 +174,9 @@ type Server struct {
 	optRejected atomic.Uint64
 
 	started   time.Time
-	metrics   *obs.Registry             // the histograms; counters and gauges render from Stats (obs.go)
-	httpHist  *obs.Histogram            // request durations, for /metrics and /stats latency_ms
-	phaseHist map[string]*obs.Histogram // per-phase compile-time histograms, keyed by span name
+	metrics   *obs.Registry                      // the histograms; counters and gauges render from Stats (obs.go)
+	httpHist  *obs.Histogram                     // request durations, for /metrics and /stats latency_ms
+	phaseHist [len(compilePhases)]*obs.Histogram // per-phase compile-time histograms, one per compilePhases entry
 }
 
 // New returns a Server with the given configuration.
@@ -411,13 +411,16 @@ func (s *Server) release() { <-s.sem }
 //
 // Every compilation that actually runs records its own provenance trace —
 // queue-wait, the compile pipeline's span tree, and plan serialization —
-// regardless of whether the requesting client asked for one: the tree and
-// phase durations are frozen onto the cache entry (so a later ?trace=1 hit
-// still answers where the plan came from) and feed the per-phase
-// vwsdk_compile_phase_seconds histograms. The provenance trace deliberately
-// replaces any request trace on ctx; the request's own tree references the
-// compile through its "handler" phase. Store and peer fills carry no
-// provenance — the search they avoid is exactly the part worth tracing.
+// regardless of whether the requesting client asked for one: the finished
+// trace and its phase durations are kept on the cache entry (so a later
+// ?trace=1 hit still answers where the plan came from, rendering the span
+// tree only then) and feed the per-phase vwsdk_compile_phase_seconds
+// histograms. Only a ?trace=1 request renders the tree, so a compilation
+// pays for recording its spans and nothing more. The provenance trace
+// deliberately replaces any request trace on ctx; the request's own tree
+// references the compile through its "handler" phase. Store and peer fills
+// carry no provenance — the search they avoid is exactly the part worth
+// tracing.
 func (s *Server) compilePlan(ctx context.Context, key string, req compile.Request, block, hop bool) (*planEntry, bool, error) {
 	entry, outcome, err := s.plans.Do(ctx, key, func() (*planEntry, error) {
 		if s.store != nil {
@@ -430,7 +433,7 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 		}
 		prov := obs.New(req.Network.Name)
 		pctx := obs.NewContext(ctx, prov)
-		_, qsp := obs.Start(pctx, "queue-wait")
+		qsp := obs.StartLeaf(pctx, "queue-wait")
 		err := s.acquire(ctx, block)
 		qsp.End()
 		if err != nil {
@@ -443,7 +446,7 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 		}
 		// Serialize compactly once; every request served from this entry —
 		// including warm hits, which are allocation-free — writes these bytes.
-		_, esp := obs.Start(pctx, "encode")
+		esp := obs.StartLeaf(pctx, "encode")
 		data, err := encodePlan(p)
 		esp.End()
 		if err != nil {
@@ -457,7 +460,7 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 			// degradation stays warm across its own restarts too.
 			s.store.PutPlan(key, data)
 		}
-		return &planEntry{plan: p, data: data, trace: prov.Tree(), phases: prov.Phases()}, nil
+		return &planEntry{plan: p, data: data, prov: prov, phases: prov.Phases()}, nil
 	})
 	if err != nil {
 		return nil, outcome != memo.Computed, err
@@ -641,7 +644,7 @@ func (s *Server) CachedPlan(w io.Writer, req compile.Request) (bool, error) {
 func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	tr, tctx := requestTrace(r)
-	_, sp := obs.Start(tctx, "decode")
+	sp := obs.StartLeaf(tctx, "decode")
 	var body compileRequest
 	herr := decodeJSONBody(w, r, s.maxBody, &body)
 	var req compile.Request
@@ -656,7 +659,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// Warm-hit fast path: key bytes in a pooled buffer, byte-keyed cache
 	// lookup, cached serialized bytes, shared header slices — no
 	// allocations, no request context, no singleflight machinery.
-	_, sp = obs.Start(tctx, "lookup")
+	sp = obs.StartLeaf(tctx, "lookup")
 	entry, err := s.cachedEntry(req)
 	sp.End()
 	if err != nil {
@@ -673,7 +676,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 		}
 		ctx, cancel := s.requestContext(r)
 		defer cancel()
-		_, sp = obs.Start(tctx, "handler")
+		sp = obs.StartLeaf(tctx, "handler")
 		entry, cached, err = s.compilePlan(ctx, key, req, false, isPeerHop(r))
 		sp.End()
 		if err != nil {
@@ -712,8 +715,10 @@ func requestTrace(r *http.Request) (*obs.Trace, context.Context) {
 
 // writeTraced answers the ?trace=1 debug form: the plan, the request's span
 // tree, and the plan's compile provenance — for a cache hit, the provenance
-// recorded when the plan was originally compiled. The Server-Timing header
-// renders the request phases, so sum(phases) never exceeds its total.
+// recorded when the plan was originally compiled, rendered from the entry's
+// finished trace here, the only place the tree is read. The Server-Timing
+// header renders the request phases, so sum(phases) never exceeds its
+// total.
 func writeTraced(w http.ResponseWriter, tr *obs.Trace, entry *planEntry, cached bool, start time.Time) {
 	w.Header().Set("Server-Timing", obs.ServerTiming(tr.Phases(), time.Since(start)))
 	resp := map[string]any{
@@ -722,8 +727,8 @@ func writeTraced(w http.ResponseWriter, tr *obs.Trace, entry *planEntry, cached 
 		"plan":       json.RawMessage(entry.data),
 		"trace":      tr.Tree(),
 	}
-	if entry.trace != nil {
-		resp["compile_trace"] = entry.trace
+	if entry.prov != nil {
+		resp["compile_trace"] = entry.prov.Tree()
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
