@@ -25,7 +25,10 @@
 // is one call, Search(ctx, layer, array, method): a Method names the scheme
 // and, for VW-SDK, the ablation Variant, and Search is the one place a
 // method selects its algorithm, with SearchExhaustive as its brute-force
-// oracle. The Searcher interface has that one method; Serial, Exhaustive
-// and internal/engine implement it. Utilization follows eq. 9 and counts
-// weight-holding cells per cycle.
+// oracle. SDK, Algorithm 1 and its two ablations are the four corners of
+// the paper's ablation grid — square or rectangular windows, whole or tiled
+// channels — and run one closed-form class walk, checked by one brute
+// force over the same corner. The Searcher interface has that one method;
+// Serial, Exhaustive and internal/engine implement it. Utilization follows
+// eq. 9 and counts weight-holding cells per cycle.
 package core

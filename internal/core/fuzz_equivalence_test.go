@@ -1,21 +1,17 @@
 package core
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
-// FuzzSearchEquivalence fuzzes random (layer, array) pairs through the
-// default and brute-force searches of every variant: Best and Im2col must be
-// identical field-for-field (cycles, PW, ICt, OCt and the
-// width-inner/height-outer first-strictly-better tie-break), the default
-// search's analytic Swept must equal the exhaustive feasible-candidate count,
-// and the class count can never exceed it. For VariantFull, checkClosedForm
-// also pins Evaluated to the cost-class count by definition, the closed-form
-// path and at most one cost-model call. The gr byte selects the group
-// structure: 0 keeps the layer dense, 1 makes it depthwise
-// (G == IC == OC, ICg == 1), and 2..7 scale IC/OC into multiples of a
-// proper group count. Run in CI
+// FuzzSearchEquivalence fuzzes random (layer, array) pairs through the class
+// walk and the brute force of every corner of the ablation grid — SDK,
+// Algorithm 1 and its two ablations — and holds them together with
+// checkWalk: Best and Im2col identical field for field (cycles, PW, ICt,
+// OCt and the width-inner/height-outer first-strictly-better tie-break),
+// the walk's analytic Swept equal to the brute force's count, the whole
+// Result equal on the square diagonal, and for Algorithm 1 the
+// checkClosedForm pins. The gr byte selects the group structure: 0 keeps
+// the layer dense, 1 makes it depthwise (G == IC == OC, ICg == 1), and
+// 2..7 scale IC/OC into multiples of a proper group count. Run in CI
 // alongside the unit suite
 // (go test -fuzz FuzzSearchEquivalence -fuzztime 10s ./internal/core).
 func FuzzSearchEquivalence(f *testing.F) {
@@ -30,6 +26,9 @@ func FuzzSearchEquivalence(f *testing.F) {
 	f.Add(uint8(28), uint8(28), uint8(3), uint8(3), uint8(47), uint8(47), uint8(2), uint8(2), uint8(1), uint8(1), uint8(7), uint8(7), uint8(1))
 	f.Add(uint8(56), uint8(56), uint8(3), uint8(3), uint8(3), uint8(3), uint8(1), uint8(1), uint8(1), uint8(1), uint8(7), uint8(7), uint8(4))
 	f.Add(uint8(14), uint8(14), uint8(1), uint8(1), uint8(31), uint8(47), uint8(1), uint8(1), uint8(0), uint8(0), uint8(3), uint8(3), uint8(2))
+	// A rectangular kernel on a rectangular IFM, where SDK's diagonal
+	// leaves the short axis first (TestSearchSDKBoundsGuard's last case).
+	f.Add(uint8(9), uint8(39), uint8(2), uint8(4), uint8(1), uint8(3), uint8(1), uint8(1), uint8(0), uint8(0), uint8(15), uint8(15), uint8(0))
 	f.Fuzz(func(t *testing.T, iw, ih, kw, kh, ic, oc, sw, sh, pw, ph, rows, cols, gr uint8) {
 		l := Layer{
 			Name: "fuzz",
@@ -53,33 +52,8 @@ func FuzzSearchEquivalence(f *testing.F) {
 		if l.Validate() != nil {
 			t.Skip()
 		}
-		for _, v := range []Variant{VariantFull, VariantSquareTiled, VariantRectFullChannel} {
-			pruned, err1 := SearchVariant(l, a, v)
-			exh, err2 := SearchVariantExhaustive(l, a, v)
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("%v %s %v: pruned err=%v, exhaustive err=%v", l, a, v, err1, err2)
-			}
-			if err1 != nil {
-				continue
-			}
-			if !reflect.DeepEqual(pruned.Best, exh.Best) {
-				t.Fatalf("%v %s %v: Best differs\npruned     %+v\nexhaustive %+v",
-					l, a, v, pruned.Best, exh.Best)
-			}
-			if !reflect.DeepEqual(pruned.Im2col, exh.Im2col) {
-				t.Fatalf("%v %s %v: Im2col differs", l, a, v)
-			}
-			if pruned.Swept != exh.Evaluated {
-				t.Fatalf("%v %s %v: pruned Swept = %d, exhaustive costed %d",
-					l, a, v, pruned.Swept, exh.Evaluated)
-			}
-			if pruned.Evaluated > exh.Evaluated {
-				t.Fatalf("%v %s %v: pruned costed %d classes > %d exhaustive candidates",
-					l, a, v, pruned.Evaluated, exh.Evaluated)
-			}
-			if v == VariantFull {
-				checkClosedForm(t, l, a, pruned)
-			}
+		for _, m := range walkMethods {
+			checkWalk(t, l, a, m)
 		}
 	})
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 )
 
@@ -18,18 +17,23 @@ type Result struct {
 
 	// Evaluated is the number of distinct cost classes evaluated by the
 	// search that produced this result (excluding the im2col seed). The
-	// default searches evaluate one representative per constant-cycle run
-	// of candidate widths, so Evaluated ≤ Swept; the exhaustive sweeps
-	// report every candidate they cost, so Evaluated == Swept.
+	// class walk of SDK, Algorithm 1 and its ablations evaluates one
+	// representative per constant-cycle run of candidate widths, so
+	// Evaluated ≤ Swept; with whole channels it also counts the one
+	// filtered class that ends a row early, which that costing costs
+	// before it filters, so on the square diagonal it counts every step.
+	// The brute force reports every candidate it costs, so
+	// Evaluated == Swept.
 	Evaluated int
 
-	// Swept is the number of candidate windows the exhaustive sweep costs
-	// for this (layer, array, search) — the legacy meaning of Evaluated.
-	// The VW-SDK and square-tiled sweeps cost only feasible windows; the
-	// SDK and rect-full-channel sweeps cost every enumerated window before
-	// the baseline rule filters it, so there Swept counts infeasible windows
-	// too. Default and exhaustive searches report the same Swept (computed
-	// analytically by the former), which differential tests pin.
+	// Swept is the number of candidate windows the brute force costs for
+	// this (layer, array, search) — the legacy meaning of Evaluated. With
+	// tiled channels (Algorithm 1, square-tiled) it costs only feasible
+	// windows; with whole channels (SDK, rect-full-channel) it costs every
+	// window of its lattice before the baseline rule filters it, so there
+	// Swept counts infeasible windows too. The walk and the brute force
+	// report the same Swept (computed analytically by the former), which
+	// differential tests pin.
 	Swept int
 }
 
@@ -53,7 +57,7 @@ func checkpoint(ctx context.Context) error { return ctx.Err() }
 // columns) are skipped.
 //
 // Every layer shape — dense, grouped, depthwise, strided — runs the
-// closed-form argmin search (search_closed.go), which evaluates each
+// closed-form class walk (search_closed.go), which evaluates each
 // constant-cycle cost class arithmetically and pays at most one cost-model
 // call to materialize the winner. It is bit-identical — including the
 // first-strictly-better tie-break — to the brute-force sweep, which remains
@@ -80,42 +84,6 @@ func SearchVWSDKContext(ctx context.Context, l Layer, a Array) (Result, error) {
 // SearchVWSDK everywhere else.
 func SearchVWSDKExhaustive(l Layer, a Array) (Result, error) {
 	return SearchExhaustive(context.Background(), l, a, MethodVWSDK)
-}
-
-// searchVWSDKExhaustive is the brute-force sweep under ctx; l must be
-// normalized. Cancellation is checked once per candidate row.
-func searchVWSDKExhaustive(ctx context.Context, l Layer, a Array) (Result, error) {
-	base, err := Im2col(l, a)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Best: base, Im2col: base}
-	for h := l.KH; h <= l.PaddedH(); h++ {
-		if err := checkpoint(ctx); err != nil {
-			return Result{}, err
-		}
-		for w := l.KW; w <= l.PaddedW(); w++ {
-			if w == l.KW && h == l.KH {
-				continue // the im2col seed covers the kernel-sized window
-			}
-			// l is normalized and validated (Im2col above) and the loop
-			// bounds keep every candidate inside [kernel, padded IFM], so
-			// the sweep-tuned costing applies.
-			m, err := SweepVW(l, a, Window{W: w, H: h})
-			if err != nil {
-				if errors.Is(err, ErrInfeasible) {
-					continue
-				}
-				return Result{}, err
-			}
-			res.Evaluated++
-			if m.Cycles < res.Best.Cycles {
-				res.Best = m
-			}
-		}
-	}
-	res.Swept = res.Evaluated
-	return res, nil
 }
 
 // searchIm2col is the im2col baseline as a search: no candidate is costed,
@@ -148,53 +116,13 @@ func searchIm2col(ctx context.Context, l Layer, a Array) (Result, error) {
 // window, and 5×5 is rejected for VGG-13 layer 1 because 9·64 > 512 columns.
 // When no larger window is feasible the result degenerates to im2col, which
 // is how the paper explains SDK's flat speedup beyond VGG-13 layer 3.
+//
+// SDK is the square whole-channel corner of the ablation grid (DESIGN.md
+// §5): it runs the same closed-form class walk as Algorithm 1 over the
+// diagonal kernel + d·stride, with at most one cost-model call, and
+// SearchExhaustive's brute force over the same corner is its oracle.
 func SearchSDK(l Layer, a Array) (Result, error) {
 	return Search(context.Background(), l, a, Method{Scheme: SchemeSDK})
-}
-
-// searchSDK is SearchSDK under ctx, checking for cancellation once per
-// candidate window; l must be normalized.
-func searchSDK(ctx context.Context, l Layer, a Array) (Result, error) {
-	base, err := Im2col(l, a)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Best: base, Im2col: base}
-	// Square windows require a square kernel extent to stay square in
-	// window units; for rectangular kernels the baseline grows both sides
-	// equally from the kernel, matching "shift and duplicate" in both axes.
-	// (An earlier version also broke when max(pw.W, pw.H) exceeded
-	// min(PaddedW, PaddedH); for square kernels with equal strides — where
-	// pw stays square — and for square IFMs that check is implied by the
-	// two bounds below, see TestSearchSDKBoundsGuard. On rectangular IFMs
-	// with rectangular kernels it wrongly truncated the sweep before the
-	// window reached the padded IFM, discarding valid candidates.)
-	for d := 1; ; d++ {
-		if err := checkpoint(ctx); err != nil {
-			return Result{}, err
-		}
-		pw := Window{W: l.KW + d*l.StrideW, H: l.KH + d*l.StrideH}
-		if pw.W > l.PaddedW() || pw.H > l.PaddedH() {
-			break
-		}
-		m, err := SDK(l, a, pw)
-		if err != nil {
-			return Result{}, err
-		}
-		res.Evaluated++
-		if m.AR > base.AR || m.AC > base.AC {
-			continue // infeasible under the baseline's rule
-		}
-		if m.Cycles < res.Best.Cycles {
-			res.Best = m
-		}
-	}
-	res.Swept = res.Evaluated
-	if res.Best.Scheme == SchemeIm2col {
-		// Report the degenerate choice in SDK notation (kernel window).
-		res.Best.Scheme = SchemeSDK
-	}
-	return res, nil
 }
 
 // SearchSMD implements the sub-matrix duplication baseline [Peng ISCAS'19]:
@@ -272,88 +200,19 @@ func (v Variant) String() string {
 }
 
 // SearchVariant runs the VW-SDK search restricted to the given ablation
-// variant. VariantFull is SearchVWSDK's closed-form search; the two ablated
-// variants run their breakpoint-pruned walks (search_pruned.go).
+// variant. Each variant is a corner of the ablation grid (DESIGN.md §5),
+// so all three run the one closed-form class walk (search_closed.go) with
+// at most one cost-model call; VariantFull is SearchVWSDK.
 // SearchVariantExhaustive is the brute-force reference.
 func SearchVariant(l Layer, a Array, v Variant) (Result, error) {
 	return Search(context.Background(), l, a, Method{Scheme: SchemeVWSDK, Variant: v})
 }
 
 // SearchVariantExhaustive is the brute-force counterpart of SearchVariant:
-// candidate-by-candidate sweeps with no breakpoint pruning, returning the
-// same Best and Im2col (differential and fuzz tests pin this). Evaluated
-// keeps its legacy meaning here — every candidate costed — and always
-// equals Swept.
+// the one brute force over the variant's corner, candidate by candidate
+// with no pruning, returning the same Best and Im2col (differential and
+// fuzz tests pin this). Evaluated keeps its legacy meaning here — every
+// candidate costed — and always equals Swept.
 func SearchVariantExhaustive(l Layer, a Array, v Variant) (Result, error) {
 	return SearchExhaustive(context.Background(), l, a, Method{Scheme: SchemeVWSDK, Variant: v})
-}
-
-// searchSquareTiledExhaustive is the brute-force VariantSquareTiled sweep
-// under ctx; l must be normalized.
-func searchSquareTiledExhaustive(ctx context.Context, l Layer, a Array) (Result, error) {
-	base, err := Im2col(l, a)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Best: base, Im2col: base}
-	for d := 1; ; d++ {
-		if err := checkpoint(ctx); err != nil {
-			return Result{}, err
-		}
-		pw := Window{W: l.KW + d*l.StrideW, H: l.KH + d*l.StrideH}
-		if pw.W > l.PaddedW() || pw.H > l.PaddedH() {
-			break
-		}
-		m, err := SweepVW(l, a, pw)
-		if err != nil {
-			if errors.Is(err, ErrInfeasible) {
-				// Skip rather than early-exit: the brute force stays
-				// deliberately free of monotonicity assumptions so it can
-				// falsify the pruned search's (guarded by a regression
-				// test that the pruned early exit misses nothing).
-				continue
-			}
-			return Result{}, err
-		}
-		res.Evaluated++
-		if m.Cycles < res.Best.Cycles {
-			res.Best = m
-		}
-	}
-	res.Swept = res.Evaluated
-	return res, nil
-}
-
-// searchRectFullChannelExhaustive is the brute-force VariantRectFullChannel
-// sweep under ctx; l must be normalized. Like searchSDK it costs every
-// enumerated window before the baseline rule filters it.
-func searchRectFullChannelExhaustive(ctx context.Context, l Layer, a Array) (Result, error) {
-	base, err := Im2col(l, a)
-	if err != nil {
-		return Result{}, err
-	}
-	res := Result{Best: base, Im2col: base}
-	for h := l.KH; h <= l.PaddedH(); h++ {
-		if err := checkpoint(ctx); err != nil {
-			return Result{}, err
-		}
-		for w := l.KW; w <= l.PaddedW(); w++ {
-			if w == l.KW && h == l.KH {
-				continue
-			}
-			m, err := SDK(l, a, Window{W: w, H: h})
-			if err != nil {
-				return Result{}, err
-			}
-			res.Evaluated++
-			if m.AR > base.AR || m.AC > base.AC {
-				continue
-			}
-			if m.Cycles < res.Best.Cycles {
-				res.Best = m
-			}
-		}
-	}
-	res.Swept = res.Evaluated
-	return res, nil
 }

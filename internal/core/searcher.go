@@ -40,11 +40,11 @@ func (m Method) String() string {
 
 // Search runs the per-layer search m names for layer l on array a under ctx:
 // the im2col baseline (no search; Best is the im2col mapping), SMD's
-// duplication factor, SDK's square windows, Algorithm 1's closed-form walk,
-// or one of its two ablations' walks. It is the one place a method selects
-// its algorithm. Every search checks ctx at least once, and once per
-// candidate row, and returns ctx.Err() once it observes a cancellation. An
-// unknown method is an error.
+// duplication factor, or the class walk of m's corner — SDK, Algorithm 1 or
+// one of its two ablations. It is the one place a method selects its
+// algorithm. Every search checks ctx at least once, and once per candidate
+// row, and returns ctx.Err() once it observes a cancellation. An unknown
+// method is an error.
 func Search(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
 	l = l.Normalized()
 	switch m.Canonical() {
@@ -52,37 +52,41 @@ func Search(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
 		return searchIm2col(ctx, l, a)
 	case Method{Scheme: SchemeSMD}:
 		return searchSMD(ctx, l, a)
-	case Method{Scheme: SchemeSDK}:
-		return searchSDK(ctx, l, a)
-	case MethodVWSDK:
-		return searchVWSDKClosed(ctx, l, a, nil)
-	case Method{Scheme: SchemeVWSDK, Variant: VariantSquareTiled}:
-		return searchSquareTiledPruned(ctx, l, a)
-	case Method{Scheme: SchemeVWSDK, Variant: VariantRectFullChannel}:
-		return searchRectFullChannelPruned(ctx, l, a)
 	}
-	return Result{}, unknownMethod(m)
+	c, ok := cornerOf(m)
+	if !ok {
+		return Result{}, unknownMethod(m)
+	}
+	return walk(ctx, l, a, c, nil)
 }
 
-// SearchExhaustive is Search's oracle: the VW-SDK family runs the
-// brute-force sweeps, candidate by candidate with no breakpoint pruning, and
-// returns the same Best and Im2col as Search (differential and fuzz tests pin
-// this). Evaluated keeps its legacy meaning there and equals Swept. The
-// baselines have no default/exhaustive split and run Search.
+// SearchExhaustive is Search's oracle: SDK, Algorithm 1 and its ablations
+// run the brute force of their corner, candidate by candidate with no
+// pruning, and return the same Best and Im2col as Search (differential and
+// fuzz tests pin this). Evaluated keeps its legacy meaning there and equals
+// Swept. im2col and SMD have no walk to check and run Search.
 func SearchExhaustive(ctx context.Context, l Layer, a Array, m Method) (Result, error) {
-	if m.Scheme != SchemeVWSDK {
+	c, ok := cornerOf(m)
+	if !ok {
 		return Search(ctx, l, a, m)
 	}
-	l = l.Normalized()
-	switch m.Variant {
-	case VariantFull:
-		return searchVWSDKExhaustive(ctx, l, a)
-	case VariantSquareTiled:
-		return searchSquareTiledExhaustive(ctx, l, a)
-	case VariantRectFullChannel:
-		return searchRectFullChannelExhaustive(ctx, l, a)
+	return bruteForce(ctx, l.Normalized(), a, c)
+}
+
+// cornerOf maps a method to its corner of the ablation grid, and reports
+// false for im2col, SMD and unknown methods, which have none.
+func cornerOf(m Method) (corner, bool) {
+	switch m.Canonical() {
+	case Method{Scheme: SchemeSDK}:
+		return corner{square: true, whole: true}, true
+	case MethodVWSDK:
+		return corner{}, true
+	case Method{Scheme: SchemeVWSDK, Variant: VariantSquareTiled}:
+		return corner{square: true}, true
+	case Method{Scheme: SchemeVWSDK, Variant: VariantRectFullChannel}:
+		return corner{whole: true}, true
 	}
-	return Result{}, unknownMethod(m)
+	return corner{}, false
 }
 
 func unknownMethod(m Method) error { return fmt.Errorf("core: unknown search method %v", m) }
@@ -110,9 +114,9 @@ func (Serial) Search(ctx context.Context, l Layer, a Array, m Method) (Result, e
 	return Search(ctx, l, a, m)
 }
 
-// Exhaustive is the Searcher backed by the brute-force sweeps
-// (SearchExhaustive): the reference the closed-form VW-SDK search and the
-// ablated variants' walks are differentially tested and benchmarked against.
+// Exhaustive is the Searcher backed by the brute force (SearchExhaustive):
+// the reference the class walk of SDK, Algorithm 1 and its ablations is
+// differentially tested and benchmarked against.
 // The zero value is ready to use.
 type Exhaustive struct{}
 

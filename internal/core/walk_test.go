@@ -6,8 +6,8 @@ import (
 	"testing"
 )
 
-// prunedTestArrays are the acceptance arrays the default searches are
-// pinned against the brute force on. On a square array the rows always bind
+// prunedTestArrays are the acceptance arrays the class walk is pinned
+// against the brute force on. On a square array the rows always bind
 // before the columns (NwH ≤ h), so the column-bound 1024x128 array is what
 // exercises a row's NwW·NwH ≤ Cols limit on strided layers.
 var prunedTestArrays = []Array{
@@ -90,51 +90,74 @@ func checkClosedForm(t *testing.T, l Layer, a Array, res Result) {
 	}
 }
 
-// TestPrunedMatchesExhaustiveZoo is the differential test the class walks
-// rest on: on the full Table-I zoo (plus stride/padding/rectangular and
-// grouped exercisers), for every acceptance array and every variant, the
-// default search must return exactly the exhaustive sweep's Best and Im2col
-// — including the width-inner/height-outer first-strictly-better tie-break —
-// and its analytic Swept must equal the candidates the brute force costed.
-// For VariantFull, checkClosedForm also pins Evaluated and the search path.
+// walkMethods are the four corners of the paper's ablation grid (DESIGN.md
+// §5), the methods that run the class walk: SDK (square windows, whole
+// channels), Algorithm 1 (rectangles, tiled channels) and its two
+// ablations.
+var walkMethods = []Method{
+	{Scheme: SchemeSDK},
+	MethodVWSDK,
+	{Scheme: SchemeVWSDK, Variant: VariantSquareTiled},
+	{Scheme: SchemeVWSDK, Variant: VariantRectFullChannel},
+}
+
+// checkWalk holds the class walk of m on l and a to the brute force over
+// the same corner. Best and Im2col must be identical field for field —
+// including the width-inner/height-outer first-strictly-better tie-break —
+// and the walk's analytic Swept must equal the candidates the brute force
+// costed. On the square diagonal every row is one window, so the whole
+// Result must match, Evaluated included; on the rectangle the walk costs
+// one window per class and Evaluated may not exceed the brute force's
+// count. For Algorithm 1, checkClosedForm also pins Evaluated and the
+// search path. l and a must be valid, so neither search may fail.
+func checkWalk(t *testing.T, l Layer, a Array, m Method) {
+	t.Helper()
+	ctx := context.Background()
+	got, err1 := Search(ctx, l, a, m)
+	brute, err2 := SearchExhaustive(ctx, l, a, m)
+	if err1 != nil || err2 != nil {
+		t.Fatalf("%v %s %v: walk err = %v, brute force err = %v", l, a, m, err1, err2)
+	}
+	if !reflect.DeepEqual(got.Best, brute.Best) {
+		t.Errorf("%v %s %v: Best differs\nwalk        %+v\nbrute force %+v", l, a, m, got.Best, brute.Best)
+	}
+	if !reflect.DeepEqual(got.Im2col, brute.Im2col) {
+		t.Errorf("%v %s %v: Im2col differs", l, a, m)
+	}
+	if got.Swept != brute.Evaluated || brute.Swept != brute.Evaluated {
+		t.Errorf("%v %s %v: walk Swept = %d, brute force costed %d (Swept %d)",
+			l, a, m, got.Swept, brute.Evaluated, brute.Swept)
+	}
+	c, _ := cornerOf(m)
+	switch {
+	case c.square && got.Evaluated != brute.Evaluated:
+		t.Errorf("%v %s %v: walk Evaluated = %d, brute force costed %d on the diagonal",
+			l, a, m, got.Evaluated, brute.Evaluated)
+	case got.Evaluated > brute.Evaluated:
+		t.Errorf("%v %s %v: walk costed %d classes > %d brute-force candidates",
+			l, a, m, got.Evaluated, brute.Evaluated)
+	}
+	if m == MethodVWSDK {
+		checkClosedForm(t, l, a, got)
+	}
+}
+
+// TestPrunedMatchesExhaustiveZoo is the differential test the class walk
+// rests on: on the full Table-I zoo (plus stride/padding/rectangular and
+// grouped exercisers), for every acceptance array and every corner of the
+// ablation grid, checkWalk holds the walk to the brute force.
 func TestPrunedMatchesExhaustiveZoo(t *testing.T) {
-	variants := []Variant{VariantFull, VariantSquareTiled, VariantRectFullChannel}
 	for _, a := range prunedTestArrays {
 		for _, l := range zooShapes() {
-			for _, v := range variants {
-				pruned, err := SearchVariant(l, a, v)
-				if err != nil {
-					t.Fatalf("%s/%s/%v pruned: %v", l.Name, a, v, err)
-				}
-				exh, err := SearchVariantExhaustive(l, a, v)
-				if err != nil {
-					t.Fatalf("%s/%s/%v exhaustive: %v", l.Name, a, v, err)
-				}
-				if !reflect.DeepEqual(pruned.Best, exh.Best) {
-					t.Errorf("%s/%s/%v: Best differs\npruned     %+v\nexhaustive %+v",
-						l.Name, a, v, pruned.Best, exh.Best)
-				}
-				if !reflect.DeepEqual(pruned.Im2col, exh.Im2col) {
-					t.Errorf("%s/%s/%v: Im2col differs", l.Name, a, v)
-				}
-				if pruned.Swept != exh.Evaluated || exh.Swept != exh.Evaluated {
-					t.Errorf("%s/%s/%v: pruned Swept = %d, exhaustive costed %d (Swept %d)",
-						l.Name, a, v, pruned.Swept, exh.Evaluated, exh.Swept)
-				}
-				if pruned.Evaluated > exh.Evaluated {
-					t.Errorf("%s/%s/%v: pruned costed %d classes > %d exhaustive candidates",
-						l.Name, a, v, pruned.Evaluated, exh.Evaluated)
-				}
-				if v == VariantFull {
-					checkClosedForm(t, l, a, pruned)
-				}
+			for _, m := range walkMethods {
+				checkWalk(t, l, a, m)
 			}
 		}
 	}
 }
 
 // TestPrunedSearchReduction pins the headline perf claim: on VGG-13's first
-// layer the pruned search costs at least 10x fewer candidates than the
+// layer the class walk costs at least 10x fewer candidates than the
 // exhaustive sweep enumerates, and stays well under the feasible count too.
 func TestPrunedSearchReduction(t *testing.T) {
 	conv1 := Layer{Name: "conv1", IW: 224, IH: 224, KW: 3, KH: 3, IC: 3, OC: 64}
@@ -175,9 +198,10 @@ func TestExhaustiveCandidatesSquareTiled(t *testing.T) {
 }
 
 // TestExhaustiveSearcher pins that the Exhaustive reference Searcher agrees
-// with Serial (the pruned default) layer by layer: the same chosen mapping
-// and im2col baseline on every ResNet-18 shape, and the same whole result
-// for the baselines, which Exhaustive runs through Search.
+// with Serial (the class walk) layer by layer: the same chosen mapping and
+// im2col baseline on every ResNet-18 shape, and the same whole result for
+// im2col and SMD, which Exhaustive runs through Search, and for SDK, whose
+// square diagonal the brute force costs window for window like the walk.
 func TestExhaustiveSearcher(t *testing.T) {
 	ctx := context.Background()
 	layers := resnet18Shapes()

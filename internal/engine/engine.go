@@ -6,9 +6,10 @@
 //
 // Engine.Search is the one entry point: it runs core.Search — the one
 // dispatch from a core.Method to its algorithm — keyed by the layer shape,
-// the array and the method's canonical form. The VW-SDK search evaluates
-// its cost classes in closed form and pays at most one cost-model call, so
-// one search costs tens of microseconds and allocates only its result.
+// the array and the method's canonical form. SDK, the VW-SDK search and
+// its ablations evaluate their cost classes in closed form and pay at most
+// one cost-model call, so one search costs tens of microseconds and
+// allocates only its result.
 // The engine searches one layer per call and bounds nothing itself: its
 // callers fan out and bound the work, compile.Compile over a network's
 // layers and the server through its compile and stream slots. Cached tells
@@ -114,9 +115,11 @@ type Stats struct {
 	CandidatesCosted uint64 `json:"candidates_costed"`
 
 	// CandidatesPruned counts the candidate windows the exhaustive sweeps
-	// would have costed for those same searches but the class walks
-	// skipped (core.ExhaustiveCandidates − Evaluated). Always 0 for the
-	// im2col, SMD and SDK baselines, which have no pruned/exhaustive split.
+	// would have costed for those same searches but the class walk skipped
+	// (core.ExhaustiveCandidates − Evaluated), over the VW-SDK search and
+	// its ablations. Always 0 for the im2col, SMD and SDK baselines: SDK
+	// runs the class walk too, but it costs every step of its diagonal,
+	// so it prunes nothing.
 	CandidatesPruned uint64 `json:"candidates_pruned"`
 
 	// InFlightSearches is the number of searches currently running the
@@ -205,18 +208,14 @@ func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, search f
 var spanOutcome = [...]string{memo.Computed: "miss", memo.Hit: "hit", memo.Joined: "coalesced"}
 
 // searchPath names the search implementation a computed result came from,
-// for span attribution: closed-form for the VW-SDK search (what
-// core.SearchStats reports), pruned for the ablated variants' walks,
-// baseline for im2col, SMD and SDK.
+// for span attribution: closed-form for the class walk that SDK, the VW-SDK
+// search and its ablations run (what core.SearchStats reports), baseline
+// for im2col and SMD.
 func searchPath(m core.Method) string {
-	switch {
-	case m == core.MethodVWSDK:
+	if m.Scheme == core.SchemeSDK || m.Scheme == core.SchemeVWSDK {
 		return core.PathClosedForm
-	case m.Scheme == core.SchemeVWSDK:
-		return core.PathPruned
-	default:
-		return "baseline"
 	}
+	return "baseline"
 }
 
 // countCandidates maintains the CandidatesCosted/CandidatesPruned counters

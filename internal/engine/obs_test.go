@@ -67,14 +67,14 @@ func TestSearchSpans(t *testing.T) {
 		t.Errorf("dw2_1 path = %v, want %q", sp.Attrs["path"], core.PathClosedForm)
 	}
 
-	// The other methods: the ablations run their pruned walks, and im2col,
-	// SMD and SDK are baselines.
+	// The other methods: SDK and the ablations run the same closed-form
+	// class walk, and im2col and SMD are baselines.
 	for m, want := range map[core.Method]string{
-		{Scheme: core.SchemeVWSDK, Variant: core.VariantSquareTiled}:     core.PathPruned,
-		{Scheme: core.SchemeVWSDK, Variant: core.VariantRectFullChannel}: core.PathPruned,
-		{Scheme: core.SchemeIm2col}:                                      "baseline",
-		{Scheme: core.SchemeSMD}:                                         "baseline",
-		{Scheme: core.SchemeSDK}:                                         "baseline",
+		{Scheme: core.SchemeVWSDK, Variant: core.VariantSquareTiled}:     core.PathClosedForm,
+		{Scheme: core.SchemeVWSDK, Variant: core.VariantRectFullChannel}: core.PathClosedForm,
+		{Scheme: core.SchemeSDK}:    core.PathClosedForm,
+		{Scheme: core.SchemeIm2col}: "baseline",
+		{Scheme: core.SchemeSMD}:    "baseline",
 	} {
 		tr = obs.New("test")
 		if _, err := e.Search(obs.NewContext(context.Background(), tr), l, a, m); err != nil {

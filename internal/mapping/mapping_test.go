@@ -128,20 +128,34 @@ func TestVerifyStridedWindow(t *testing.T) {
 // TestFunctionalEquivalenceProperty is the repository's central property
 // test: for random small layers and arrays, every scheme's crossbar
 // execution equals the reference convolution exactly and takes exactly the
-// analytic number of cycles.
+// analytic number of cycles. Layers draw strides 1–2 and padding 0–1 per
+// axis, and are dense, depthwise or split into 2 groups; VerifyAllSchemes
+// verifies a grouped layer under the schemes with grouped layouts.
 func TestFunctionalEquivalenceProperty(t *testing.T) {
-	f := func(seed uint64, iw, ih, k, ic, oc, rows, cols uint8) bool {
+	f := func(seed uint64, iw, ih, k, ic, oc, rows, cols, sp, g uint8) bool {
 		l := core.Layer{
 			IW: int(iw%8) + 5, IH: int(ih%8) + 5,
 			KW: int(k%3) + 1, KH: int(k)/3%3 + 1,
 			IC: int(ic%6) + 1, OC: int(oc%6) + 1,
+			StrideW: int(sp%2) + 1, StrideH: int(sp/2%2) + 1,
+			PadW: int(sp / 4 % 2), PadH: int(sp / 8 % 2),
+		}
+		switch g % 3 {
+		case 1: // depthwise
+			l.OC, l.Groups = l.IC, l.IC
+		case 2: // two groups
+			l.IC, l.OC, l.Groups = 2*(l.IC%3+1), 2*(l.OC%3+1), 2
 		}
 		a := core.Array{Rows: int(rows%3)*24 + 24, Cols: int(cols%3)*16 + 16}
-		return VerifyAllSchemes(l, a, seed) == nil
+		if err := VerifyAllSchemes(l, a, seed); err != nil {
+			t.Logf("%v on %s: %v", l, a, err)
+			return false
+		}
+		return true
 	}
-	n := 60
+	n := 200
 	if testing.Short() {
-		n = 10
+		n = 20
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: n}); err != nil {
 		t.Fatal(err)

@@ -144,20 +144,24 @@ func ExhaustiveSearchCandidates(l Layer, v Variant) int64 {
 	return core.ExhaustiveCandidates(l, v)
 }
 
-// SearchSDK runs the square-window SDK baseline search.
+// SearchSDK runs the square-window SDK baseline search: the square
+// whole-channel corner of the ablation grid, on the same closed-form class
+// walk as SearchVWSDK, with at most one cost-model call.
 func SearchSDK(l Layer, a Array) (SearchResult, error) { return core.SearchSDK(l, a) }
 
 // SearchSMD runs the sub-matrix-duplication baseline search.
 func SearchSMD(l Layer, a Array) (SearchResult, error) { return core.SearchSMD(l, a) }
 
 // SearchVariant runs an ablated VW-SDK search: VariantFull is SearchVWSDK,
-// the ablated variants run breakpoint-pruned walks.
+// and every variant runs the same closed-form class walk over its corner of
+// the ablation grid, with at most one cost-model call.
 func SearchVariant(l Layer, a Array, v Variant) (SearchResult, error) {
 	return core.SearchVariant(l, a, v)
 }
 
 // SearchVariantExhaustive runs an ablated search with the brute-force
-// candidate sweep instead of breakpoint pruning.
+// candidate sweep instead of the class walk: the oracle SearchVariant is
+// differentially tested against.
 func SearchVariantExhaustive(l Layer, a Array, v Variant) (SearchResult, error) {
 	return core.SearchVariantExhaustive(l, a, v)
 }
