@@ -2,10 +2,10 @@
 // (internal/bench) — the paper's Table-I zoo on 256/512/1024 arrays plus
 // large-IFM stress layers — and writes BENCH_search.json: per workload, the
 // search's ns/op and allocations, the cost classes it evaluated versus the
-// exhaustive sweep's enumeration, its cost-model calls, and a cold-compile
-// pipeline comparison. CI runs it with -benchtime 1x, uploads the JSON as an
-// artifact, and fails the job via -check-against when any workload's
-// deterministic counts or chosen mapping drift from the committed snapshot.
+// exhaustive sweep's enumeration, and its cost-model calls. CI runs it with
+// -benchtime 1x, uploads the JSON as an artifact, and fails the job via
+// -check-against when any workload's deterministic counts or chosen mapping
+// drift from the committed snapshot.
 //
 // With -fleet it benchmarks the fleet tier: a zipfian compile mix driven
 // round-robin over an in-process 3-node consistent-hash fleet (persistent

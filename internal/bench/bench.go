@@ -9,9 +9,10 @@
 // The harness is deliberately self-contained (no testing.B): cmd/vwsdkbench
 // must run as a plain binary in CI, support -benchtime 1x for smoke runs,
 // and emit stable JSON. Timings are wall-clock per search; allocation counts
-// are process-wide malloc deltas per operation (exact for the single-
-// threaded search loops, approximate for the concurrent cold-compile
-// pipeline).
+// are process-wide malloc deltas per operation, exact for the single-
+// threaded search loops. The compile pipeline around the search is measured
+// end to end elsewhere: by the repository benchmark (perfbench) and by the
+// root package's BenchmarkNetworkSweep* benchmarks.
 package bench
 
 import (
@@ -22,9 +23,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/model"
 	"repro/internal/obs"
 )
@@ -160,17 +159,6 @@ type LayerResult struct {
 	Tile   string `json:"tile"`
 }
 
-// ColdCompileResult times the whole compile pipeline with a cold engine —
-// the /v1/compile cold path — under the default and exhaustive searches.
-type ColdCompileResult struct {
-	Network             string  `json:"network"`
-	Array               string  `json:"array"`
-	NsPerOp             int64   `json:"ns_per_op"`
-	AllocsPerOp         int64   `json:"allocs_per_op"`
-	ExhaustiveNsPerOp   int64   `json:"exhaustive_ns_per_op"`
-	SpeedupVsExhaustive float64 `json:"speedup_vs_exhaustive"`
-}
-
 // Report is the BENCH_search.json document.
 type Report struct {
 	Schema    string `json:"schema"`
@@ -179,8 +167,7 @@ type Report struct {
 	GOARCH    string `json:"goarch"`
 	Benchtime string `json:"benchtime"`
 
-	Workloads   []LayerResult       `json:"workloads"`
-	ColdCompile []ColdCompileResult `json:"cold_compile"`
+	Workloads []LayerResult `json:"workloads"`
 
 	// MaxTable1Reduction is the best candidates_exhaustive/candidates_costed
 	// ratio over the non-stress (Table-I) workloads.
@@ -250,18 +237,6 @@ func Run(ctx context.Context, opts Options) (*Report, error) {
 				w.Name, r.NsPerOp, r.CandidatesCosted, r.CandidatesExhaustive, r.Reduction)
 		}
 	}
-	if opts.Filter == "" || strings.Contains("cold-compile", opts.Filter) {
-		cc, err := coldCompile(ctx, opts)
-		if err != nil {
-			return nil, err
-		}
-		rep.ColdCompile = append(rep.ColdCompile, cc)
-		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "%-32s %12d ns/op vs %d exhaustive (%.1fx)\n",
-				"cold-compile/"+cc.Network+"@"+cc.Array, cc.NsPerOp, cc.ExhaustiveNsPerOp,
-				cc.SpeedupVsExhaustive)
-		}
-	}
 	return rep, nil
 }
 
@@ -325,48 +300,6 @@ func measure(ctx context.Context, w Workload, opts Options) (LayerResult, error)
 		if out.NsPerOp > 0 {
 			out.SpeedupVsExhaustive = round1(float64(exhNs) / float64(out.NsPerOp))
 		}
-	}
-	return out, nil
-}
-
-// coldCompile times the full compile pipeline for VGG-13 on the paper's
-// 512×512 array with a fresh engine per iteration — the server's cold
-// /v1/compile path — and on core.Exhaustive, the brute-force oracle, which
-// memoizes nothing.
-func coldCompile(ctx context.Context, opts Options) (ColdCompileResult, error) {
-	net := model.VGG13()
-	a := core.Array{Rows: 512, Cols: 512}
-	req := compile.NewRequest(net, a, compile.Options{})
-	// The timed iterations deliberately run under context.Background(): a
-	// deadline firing inside a timing loop would corrupt the measurement
-	// anyway, so the caller's ctx gates between loops instead.
-	run := func(newSearcher func() core.Searcher) func() {
-		return func() {
-			comp := compile.New(newSearcher())
-			if _, err := comp.Compile(context.Background(), req); err != nil {
-				panic(err) // unreachable: VGG-13 on 512x512 always compiles
-			}
-		}
-	}
-	// Fail fast (with an error, not a panic) if the pipeline is broken or
-	// the deadline already passed.
-	if _, err := compile.New(engine.New()).Compile(ctx, req); err != nil {
-		return ColdCompileResult{}, fmt.Errorf("bench: cold compile: %w", err)
-	}
-	ctx, sp := obs.Start(ctx, "cold-compile")
-	defer sp.End()
-	out := ColdCompileResult{Network: net.Name, Array: a.String()}
-	_, psp := obs.Start(ctx, "timed/pruned")
-	out.NsPerOp, out.AllocsPerOp, _ = timeIt(opts, run(func() core.Searcher { return engine.New() }))
-	psp.End()
-	if err := ctx.Err(); err != nil {
-		return ColdCompileResult{}, err
-	}
-	_, esp := obs.Start(ctx, "timed/exhaustive")
-	out.ExhaustiveNsPerOp, _, _ = timeIt(opts, run(func() core.Searcher { return core.Exhaustive{} }))
-	esp.End()
-	if out.NsPerOp > 0 {
-		out.SpeedupVsExhaustive = round1(float64(out.ExhaustiveNsPerOp) / float64(out.NsPerOp))
 	}
 	return out, nil
 }

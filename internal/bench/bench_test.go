@@ -115,10 +115,6 @@ func TestRunOnce(t *testing.T) {
 	if r.ExhaustiveNsPerOp <= 0 {
 		t.Errorf("exhaustive timing missing for a Table-I workload: %+v", r)
 	}
-	// Filtered runs skip the cold-compile pipeline benchmark.
-	if len(rep.ColdCompile) != 0 {
-		t.Errorf("filtered run still ran cold-compile: %+v", rep.ColdCompile)
-	}
 }
 
 // TestRunStressSkipsExhaustiveTiming pins that stress workloads report the

@@ -1,5 +1,7 @@
 // Package cliutil holds the small flag-parsing helpers shared by the
-// command-line tools in cmd/.
+// command-line tools in cmd/, and the two JSON input helpers shared across
+// packages: the strict decode (DecodeStrict) and the array reference parser
+// (ParseArrayRef).
 package cliutil
 
 import (
@@ -243,6 +245,28 @@ func ParseArray(s string) (core.Array, error) {
 	return a, nil
 }
 
+// ErrTrailingData is DecodeStrict's error for a document that goes on past
+// its JSON value.
+var ErrTrailingData = errors.New("trailing data after JSON value")
+
+// DecodeStrict decodes the one JSON value in data into v, strictly: an
+// object field v does not declare is an error, and so is anything but JSON
+// whitespace after the value (ErrTrailingData). Network specs, design
+// spaces, request bodies, warm manifests and array references all decode
+// through it. Decoder.More is no trailing-data check: it reports false when
+// the next byte is a closing '}' or ']'.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if len(bytes.TrimLeft(data[dec.InputOffset():], " \t\r\n")) != 0 {
+		return ErrTrailingData
+	}
+	return nil
+}
+
 // ParseArrayRef parses a JSON array reference: a string in ParseArray's
 // form ("RowsxCols" or a square "512") or a {"rows", "cols"} object. It is
 // the one parser for every wire field that names an array: /v1/compile's
@@ -264,9 +288,7 @@ func ParseArrayRef(raw json.RawMessage) (core.Array, error) {
 			Rows int `json:"rows"`
 			Cols int `json:"cols"`
 		}
-		dec := json.NewDecoder(bytes.NewReader(trimmed))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&obj); err != nil {
+		if err := DecodeStrict(trimmed, &obj); err != nil {
 			return core.Array{}, fmt.Errorf("parse array: %w", err)
 		}
 		a := core.Array{Rows: obj.Rows, Cols: obj.Cols}

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -47,6 +48,24 @@ func TestParseArray(t *testing.T) {
 	}
 	if _, err := ParseArray("bogus"); err == nil {
 		t.Error("bogus accepted")
+	}
+	for ref, want := range map[string]core.Array{
+		`"512x256"`:                         {Rows: 512, Cols: 256},
+		`{"rows": 512, "cols": 256}`:        {Rows: 512, Cols: 256},
+		" {\"rows\": 512, \"cols\": 256}\n": {Rows: 512, Cols: 256},
+	} {
+		if a, err := ParseArrayRef(json.RawMessage(ref)); err != nil || a != want {
+			t.Errorf("ParseArrayRef(%s) = %v, %v; want %v", ref, a, err, want)
+		}
+	}
+	for _, bad := range []string{
+		`{"rows": 512, "cols": 256, "x": 1}`,
+		`{"rows": 512, "cols": 256}}`,
+		`{"rows": 512, "cols": 256} garbage`,
+	} {
+		if a, err := ParseArrayRef(json.RawMessage(bad)); err == nil {
+			t.Errorf("ParseArrayRef accepted %s as %v", bad, a)
+		}
 	}
 }
 

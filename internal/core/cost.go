@@ -285,8 +285,15 @@ func SweepVW(l Layer, a Array, pw Window) (Mapping, error) {
 	return m.finish(), nil
 }
 
-// checkWindow validates layer, array and that the parallel window covers the
-// kernel, fits the padded IFM, and aligns with the stride grid.
+// checkWindow validates layer and array, and that the parallel window covers
+// the kernel and fits the padded IFM. It does not check that the window ends
+// on the stride grid. A window one column past it, such as 6×3 for a 3×3,
+// stride-2 kernel, holds no more windows than the aligned 5×3 but spends
+// rows on the unused column: on an 11×11 layer with 4 channels on a 64×64
+// array, VW packs 3 channels per tile for 30 cycles against 5×3's 4 and 15.
+// Such a layout is valid and verifies bit-exactly, only wasteful, and no
+// search picks it: the aligned window costs no more and comes first in scan
+// order.
 func checkWindow(l Layer, a Array, pw Window) error {
 	if err := l.Validate(); err != nil {
 		return err

@@ -2,15 +2,17 @@ package model
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"testing"
 )
 
 // FuzzFromJSON proves the spec parser is total: arbitrary bytes never panic,
-// and every accepted spec round-trips — ToJSON re-serializes it into a
-// canonical form that FromJSON accepts again and that is a fixed point of
-// another ToJSON pass. Seeds include the repository's example spec plus the
-// syntax corners the parser discriminates on.
+// every accepted spec is one valid JSON document (nothing follows its
+// value), and every accepted spec round-trips — ToJSON re-serializes it
+// into a canonical form that FromJSON accepts again and that is a fixed
+// point of another ToJSON pass. Seeds include the repository's example spec
+// plus the syntax corners the parser discriminates on.
 func FuzzFromJSON(f *testing.F) {
 	for _, example := range []string{
 		"../../examples/networks/tinynet.json",
@@ -24,6 +26,7 @@ func FuzzFromJSON(f *testing.F) {
 	f.Add([]byte(`{"name": "n", "layers": [{"name": "dw", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 4, "oc": 4, "groups": 4}]}`))
 	f.Add([]byte(`{"name": "n", "layers": [{"name": "g", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 6, "oc": 4, "groups": 2}]}`))
 	f.Add([]byte(`{"name": "n", "layers": [{"iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 1, "oc": 1, "stride_w": 2, "pad_h": 1, "count": 3}]}`))
+	f.Add([]byte(`{"name": "n", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 1, "oc": 1}]}}`))
 	f.Add([]byte(`{"name": "n", "layers": []}`))
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`not json`))
@@ -31,6 +34,9 @@ func FuzzFromJSON(f *testing.F) {
 		n, err := FromJSON(data)
 		if err != nil {
 			return
+		}
+		if !json.Valid(data) {
+			t.Fatalf("accepted a spec that is not one JSON document: %q", data)
 		}
 		out, err := ToJSON(n)
 		if err != nil {

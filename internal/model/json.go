@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 )
 
@@ -67,14 +68,13 @@ func axis(override *int, shorthand int) int {
 }
 
 // FromJSON parses a network spec (see the format above) and validates it.
-// Beyond the per-layer geometry checks, the spec itself must be well formed:
-// at least one layer, no duplicate (non-empty) layer names, and no negative
-// occurrence counts.
+// The decode is strict (cliutil.DecodeStrict): an unknown field, or anything
+// but whitespace after the spec's object, is an error. Beyond the per-layer
+// geometry checks, the spec itself must be well formed: at least one layer,
+// no duplicate (non-empty) layer names, and no negative occurrence counts.
 func FromJSON(data []byte) (Network, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var spec jsonNetwork
-	if err := dec.Decode(&spec); err != nil {
+	if err := cliutil.DecodeStrict(data, &spec); err != nil {
 		return Network{}, fmt.Errorf("model: parse network spec: %w", err)
 	}
 	if len(spec.Layers) == 0 {

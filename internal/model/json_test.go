@@ -83,6 +83,8 @@ func TestFromJSONErrors(t *testing.T) {
 		{"negative groups", `{"name": "x", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 4, "oc": 4, "groups": -2}]}`, "negative groups -2"},
 		{"ic not divisible", `{"name": "x", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 5, "oc": 6, "groups": 3}]}`, "input channels 5 not divisible by groups 3"},
 		{"oc not divisible", `{"name": "x", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 6, "oc": 4, "groups": 3}]}`, "output channels 4 not divisible by groups 3"},
+		{"trailing brace", `{"name": "x", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 1, "oc": 1}]}}`, "trailing data"},
+		{"trailing garbage", `{"name": "x", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 1, "oc": 1}]} garbage`, "trailing data"},
 	}
 	for _, tc := range cases {
 		_, err := FromJSON([]byte(tc.spec))

@@ -2,21 +2,20 @@ package obs
 
 import (
 	"bytes"
-	"fmt"
-	"io"
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
-// This file is the metrics half of the package: a hand-rolled Prometheus
-// registry writing text exposition format version 0.0.4 — no dependencies,
-// just counters and gauges sampled from callbacks at scrape time and
-// fixed-bucket histograms backed by atomics. The server exposes one
-// Registry on GET /metrics; metric names and label sets registered there
-// are a stable contract (DESIGN.md §9).
+// This file is the metrics half of the package: writers for Prometheus text
+// exposition format version 0.0.4 and a fixed-bucket histogram backed by
+// atomics, with no dependencies. There is no registry: the server writes
+// GET /metrics straight into one buffer, each counter and gauge from one
+// Stats snapshot and then its two histogram families, so the caller that
+// knows every name, help text, label and value hands them over once. The
+// metric names and label sets it writes are a stable contract (DESIGN.md
+// §9).
 
 // Label is one name="value" pair on a metric series.
 type Label struct {
@@ -53,34 +52,22 @@ func escapeLabel(v string) string {
 	return r.Replace(v)
 }
 
-// collector writes one series' sample lines.
-type collector interface {
-	collect(b *bytes.Buffer, name, labels string)
-}
-
-// counterFunc samples a cumulative counter from a callback at scrape time —
-// how the registry mirrors counters owned elsewhere (engine stats, cache
-// stats) without double counting.
-type counterFunc func() uint64
-
-func (f counterFunc) collect(b *bytes.Buffer, name, labels string) {
-	writeSample(b, name, "", labels, float64(f()))
-}
-
-// gaugeFunc samples a gauge from a callback at scrape time.
-type gaugeFunc func() float64
-
-func (f gaugeFunc) collect(b *bytes.Buffer, name, labels string) {
-	writeSample(b, name, "", labels, f())
-}
-
-// Histogram is a fixed-bucket histogram. Observations and scrapes are
+// Histogram is a fixed-bucket histogram. Observations and writes are
 // lock-free; bucket counts are exposed cumulatively, as the text format
-// requires. The zero value is unusable; obtain one from Registry.Histogram.
+// requires. The zero value is unusable; obtain one from NewHistogram.
 type Histogram struct {
 	bounds  []float64
 	counts  []atomic.Uint64 // len(bounds)+1; the last is the +Inf bucket
 	sumBits atomic.Uint64   // float64 bits, CAS-accumulated
+}
+
+// NewHistogram returns an empty histogram with the given bucket upper
+// bounds (ascending, +Inf implied).
+func NewHistogram(bounds []float64) *Histogram {
+	return &Histogram{
+		bounds: append([]float64(nil), bounds...),
+		counts: make([]atomic.Uint64, len(bounds)+1),
+	}
 }
 
 // Observe records one value.
@@ -111,20 +98,36 @@ func (h *Histogram) Buckets() (bounds []float64, counts []uint64) {
 	return append([]float64(nil), h.bounds...), counts
 }
 
-func (h *Histogram) collect(b *bytes.Buffer, name, labels string) {
+// WriteSeries writes the histogram's sample lines as one series of the
+// family name: cumulative name_bucket lines ending at le="+Inf", then
+// name_sum and name_count. The family's header is the caller's
+// (WriteFamily), once before its first series.
+func (h *Histogram) WriteSeries(b *bytes.Buffer, name string, labels ...Label) {
+	ls := Labels(labels).render()
 	var cum uint64
 	for i, bound := range h.bounds {
 		cum += h.counts[i].Load()
-		le := `le="` + formatFloat(bound) + `"`
-		writeSample(b, name+"_bucket", le, labels, float64(cum))
+		writeSample(b, name+"_bucket", `le="`+formatFloat(bound)+`"`, ls, float64(cum))
 	}
 	cum += h.counts[len(h.bounds)].Load()
-	writeSample(b, name+"_bucket", `le="+Inf"`, labels, float64(cum))
-	writeSample(b, name+"_sum", "", labels, math.Float64frombits(h.sumBits.Load()))
-	writeSample(b, name+"_count", "", labels, float64(cum))
+	writeSample(b, name+"_bucket", `le="+Inf"`, ls, float64(cum))
+	writeSample(b, name+"_sum", "", ls, math.Float64frombits(h.sumBits.Load()))
+	writeSample(b, name+"_count", "", ls, float64(cum))
 }
 
-// writeSample writes one exposition line: name{extra,labels} value.
+// WriteFamily writes a metric family's # HELP and # TYPE lines; typ is
+// "counter", "gauge" or "histogram".
+func WriteFamily(b *bytes.Buffer, name, help, typ string) {
+	b.WriteString("# HELP " + name + " " + help + "\n")
+	b.WriteString("# TYPE " + name + " " + typ + "\n")
+}
+
+// WriteSample writes one counter or gauge sample line.
+func WriteSample(b *bytes.Buffer, name string, v float64, labels ...Label) {
+	writeSample(b, name, "", Labels(labels).render(), v)
+}
+
+// writeSample writes one exposition line: name{labels,extra} value.
 func writeSample(b *bytes.Buffer, name, extra, labels string, v float64) {
 	b.WriteString(name)
 	if extra != "" || labels != "" {
@@ -158,91 +161,5 @@ var DurationBuckets = []float64{
 	0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 10,
 }
 
-// family is one metric name: its metadata plus every labeled series.
-type family struct {
-	name, help, typ string
-	series          []famSeries
-}
-
-type famSeries struct {
-	labels string
-	col    collector
-}
-
-// Registry holds metric families and writes them in Prometheus text
-// exposition format. Build one with NewRegistry; registration methods are
-// typically called once at construction, scrapes any time after.
-type Registry struct {
-	mu     sync.Mutex
-	order  []*family
-	byName map[string]*family
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{byName: make(map[string]*family)}
-}
-
-// register appends one series to the (possibly new) family, enforcing that a
-// name keeps one type and help across registrations. Registration conflicts
-// are programmer errors and panic.
-func (r *Registry) register(name, help, typ string, labels Labels, col collector) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.byName[name]
-	if !ok {
-		f = &family{name: name, help: help, typ: typ}
-		r.byName[name] = f
-		r.order = append(r.order, f)
-	} else if f.typ != typ {
-		panic(fmt.Sprintf("obs: metric %s registered as both %s and %s", name, f.typ, typ))
-	}
-	f.series = append(f.series, famSeries{labels: labels.render(), col: col})
-}
-
-// CounterFunc registers a counter series sampled from fn at scrape time; fn
-// must be monotone and safe for concurrent use.
-func (r *Registry) CounterFunc(name, help string, fn func() uint64, labels ...Label) {
-	r.register(name, help, "counter", labels, counterFunc(fn))
-}
-
-// GaugeFunc registers a gauge series sampled from fn at scrape time; fn must
-// be safe for concurrent use.
-func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) {
-	r.register(name, help, "gauge", labels, gaugeFunc(fn))
-}
-
-// Histogram registers and returns a histogram series with the given bucket
-// upper bounds (ascending, +Inf implied).
-func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	h := &Histogram{
-		bounds: append([]float64(nil), buckets...),
-		counts: make([]atomic.Uint64, len(buckets)+1),
-	}
-	r.register(name, help, "histogram", labels, h)
-	return h
-}
-
-// ContentType is the Content-Type of the exposition WriteTo produces.
+// ContentType is the Content-Type of the text exposition format.
 const ContentType = "text/plain; version=0.0.4; charset=utf-8"
-
-// WriteTo writes the full exposition: families in registration order, each
-// with its # HELP and # TYPE line followed by every series' samples.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	r.mu.Lock()
-	fams := make([]*family, len(r.order))
-	copy(fams, r.order)
-	r.mu.Unlock()
-	var b bytes.Buffer
-	for _, f := range fams {
-		if f.help != "" {
-			fmt.Fprintf(&b, "# HELP %s %s\n", f.name, f.help)
-		}
-		fmt.Fprintf(&b, "# TYPE %s %s\n", f.name, f.typ)
-		for _, s := range f.series {
-			s.col.collect(&b, f.name, s.labels)
-		}
-	}
-	n, err := w.Write(b.Bytes())
-	return int64(n), err
-}

@@ -1,7 +1,9 @@
 // Package obs is the repository's observability layer: a lightweight,
-// stdlib-only span recorder (tracing) and a hand-rolled Prometheus metrics
-// registry (metrics.go), shared by the engine, the compile pipeline, the
-// HTTP server and the command-line tools.
+// stdlib-only span recorder (tracing), shared by the engine, the compile
+// pipeline, the HTTP server and the command-line tools, and hand-rolled
+// Prometheus text-exposition writers with a fixed-bucket histogram
+// (metrics.go). It holds no metrics registry: the server writes /metrics
+// from one Stats snapshot and its two histograms.
 //
 // # Spans
 //

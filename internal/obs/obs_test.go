@@ -352,21 +352,21 @@ func TestWriteChrome(t *testing.T) {
 	}
 }
 
-func TestRegistryExposition(t *testing.T) {
-	r := NewRegistry()
-	r.CounterFunc("vwsdk_http_requests_total", "Total HTTP requests.", func() uint64 { return 3 })
-	r.GaugeFunc("vwsdk_goroutines", "Goroutines.", func() float64 { return 7 })
-	r.CounterFunc("vwsdk_engine_searches_total", "Engine searches.", func() uint64 { return 11 })
-	h := r.Histogram("vwsdk_compile_phase_seconds", "Per-phase compile time.",
-		[]float64{0.001, 0.01, 0.1}, Label{"phase", "search"})
+func TestExposition(t *testing.T) {
+	h := NewHistogram([]float64{0.001, 0.01, 0.1})
 	h.Observe(0.0005)
 	h.Observe(0.05)
 	h.Observe(99) // lands in +Inf
 
 	var buf bytes.Buffer
-	if _, err := r.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
+	WriteFamily(&buf, "vwsdk_http_requests_total", "Total HTTP requests.", "counter")
+	WriteSample(&buf, "vwsdk_http_requests_total", 3)
+	WriteFamily(&buf, "vwsdk_goroutines", "Goroutines.", "gauge")
+	WriteSample(&buf, "vwsdk_goroutines", 7)
+	WriteFamily(&buf, "vwsdk_engine_searches_total", "Engine searches.", "counter")
+	WriteSample(&buf, "vwsdk_engine_searches_total", 11)
+	WriteFamily(&buf, "vwsdk_compile_phase_seconds", "Per-phase compile time.", "histogram")
+	h.WriteSeries(&buf, "vwsdk_compile_phase_seconds", Label{"phase", "search"})
 	out := buf.String()
 	for _, want := range []string{
 		"# TYPE vwsdk_http_requests_total counter",

@@ -92,15 +92,15 @@ type spaceJSON struct {
 	Groups  int               `json:"layer_groups,omitempty"`
 }
 
-// FromJSON parses and validates a design-space spec. The returned space is
-// normalized: arrays deduplicated and sorted by (rows, cols), chips and
-// gating deduplicated and sorted, defaults applied — so equal spaces have
-// equal parsed forms and ToJSON(FromJSON(x)) is a fixed point.
+// FromJSON parses and validates a design-space spec, strictly
+// (cliutil.DecodeStrict): an unknown field, or anything but whitespace after
+// the spec's object, is an error. The returned space is normalized: arrays
+// deduplicated and sorted by (rows, cols), chips and gating deduplicated and
+// sorted, defaults applied — so equal spaces have equal parsed forms and
+// ToJSON(FromJSON(x)) is a fixed point.
 func FromJSON(data []byte) (DesignSpace, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var spec spaceJSON
-	if err := dec.Decode(&spec); err != nil {
+	if err := cliutil.DecodeStrict(data, &spec); err != nil {
 		return DesignSpace{}, fmt.Errorf("optimize: parse design space: %w", err)
 	}
 	if len(spec.Network) == 0 {

@@ -3,6 +3,7 @@ package optimize
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"slices"
 	"testing"
@@ -53,16 +54,18 @@ func TestFromJSONZooAndDefaults(t *testing.T) {
 
 func TestFromJSONErrors(t *testing.T) {
 	cases := map[string]string{
-		"no network":      `{"arrays": ["64x64"]}`,
-		"no arrays":       `{"network": "VGG-13"}`,
-		"empty arrays":    `{"network": "VGG-13", "arrays": []}`,
-		"bad array":       `{"network": "VGG-13", "arrays": ["64by64"]}`,
-		"zero array":      `{"network": "VGG-13", "arrays": ["0x64"]}`,
-		"bad chips":       `{"network": "VGG-13", "arrays": ["64x64"], "chips": [0]}`,
-		"too many groups": `{"network": "VGG-13", "arrays": ["64x64"], "layer_groups": 99}`,
-		"unknown field":   `{"network": "VGG-13", "arrays": ["64x64"], "bogus": 1}`,
-		"unknown zoo":     `{"network": "NoSuchNet", "arrays": ["64x64"]}`,
-		"point explosion": `{"network": "VGG-13", "arrays": ["1x1","2x2","3x3","4x4","5x5","6x6","7x7","8x8"], "layer_groups": 5}`,
+		"no network":       `{"arrays": ["64x64"]}`,
+		"no arrays":        `{"network": "VGG-13"}`,
+		"empty arrays":     `{"network": "VGG-13", "arrays": []}`,
+		"bad array":        `{"network": "VGG-13", "arrays": ["64by64"]}`,
+		"zero array":       `{"network": "VGG-13", "arrays": ["0x64"]}`,
+		"bad chips":        `{"network": "VGG-13", "arrays": ["64x64"], "chips": [0]}`,
+		"too many groups":  `{"network": "VGG-13", "arrays": ["64x64"], "layer_groups": 99}`,
+		"unknown field":    `{"network": "VGG-13", "arrays": ["64x64"], "bogus": 1}`,
+		"unknown zoo":      `{"network": "NoSuchNet", "arrays": ["64x64"]}`,
+		"point explosion":  `{"network": "VGG-13", "arrays": ["1x1","2x2","3x3","4x4","5x5","6x6","7x7","8x8"], "layer_groups": 5}`,
+		"trailing brace":   `{"network": "VGG-13", "arrays": ["64x64"]}}`,
+		"trailing garbage": `{"network": "VGG-13", "arrays": ["64x64"]} garbage`,
 	}
 	for name, spec := range cases {
 		if _, err := FromJSON([]byte(spec)); err == nil {
@@ -163,6 +166,10 @@ func TestLayerGroups(t *testing.T) {
 	}
 }
 
+// FuzzDesignSpaceFromJSON proves the design-space parser is total: every
+// accepted spec is one valid JSON document (nothing follows its value),
+// round-trips through ToJSON to a fixed point, and has a point count in
+// range.
 func FuzzDesignSpaceFromJSON(f *testing.F) {
 	data, err := os.ReadFile(exampleSpec)
 	if err != nil {
@@ -170,6 +177,7 @@ func FuzzDesignSpaceFromJSON(f *testing.F) {
 	}
 	f.Add(string(data))
 	f.Add(`{"network": "VGG-13", "arrays": ["512x512"]}`)
+	f.Add(`{"network": "VGG-13", "arrays": ["512x512"]}}`)
 	f.Add(`{"network": "VGG-13", "arrays": ["64x64", "512x512"], "chips": [1, 2, 4], "gating": [true], "layer_groups": 2}`)
 	f.Add(`{"arrays": []}`)
 	f.Add(`{"network": {"name": "x"}, "arrays": ["64x64"]}`)
@@ -178,6 +186,9 @@ func FuzzDesignSpaceFromJSON(f *testing.F) {
 		s, err := FromJSON([]byte(in))
 		if err != nil {
 			return
+		}
+		if !json.Valid([]byte(in)) {
+			t.Fatalf("accepted a spec that is not one JSON document: %q", in)
 		}
 		// Accepted specs round-trip to a fixed point.
 		out1, err := s.ToJSON()

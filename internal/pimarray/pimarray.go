@@ -147,9 +147,6 @@ func (a *Array) Cols() int { return a.cols }
 // Stats returns a copy of the accumulated statistics.
 func (a *Array) Stats() Stats { return a.stats }
 
-// ResetStats zeroes the statistics, keeping the programmed weights.
-func (a *Array) ResetStats() { a.stats = Stats{} }
-
 // Program loads the weight tile w into the top-left corner of the array and
 // clears any previous contents. It fails if the tile exceeds the physical
 // dimensions. Programming counts one ProgramOp and w.Rows·w.Cols CellWrites

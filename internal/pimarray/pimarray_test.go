@@ -141,28 +141,6 @@ func TestUtilizationBeforeAnyCycle(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	a, _ := New(2, 2)
-	if err := a.Program(tile(1, 1, 5)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := a.Compute([]float64{1}); err != nil {
-		t.Fatal(err)
-	}
-	a.ResetStats()
-	if a.Stats() != (Stats{}) {
-		t.Fatalf("stats after reset = %+v", a.Stats())
-	}
-	// Weights survive the reset.
-	out, err := a.Compute([]float64{2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out[0] != 10 {
-		t.Fatalf("out = %v, want 10", out[0])
-	}
-}
-
 func TestStatsAdd(t *testing.T) {
 	s := Stats{Cycles: 1, DACConversions: 2, ADCConversions: 3, CellWrites: 4, ProgramOps: 5, UsedCellCycles: 6}
 	s.Add(Stats{Cycles: 10, DACConversions: 20, ADCConversions: 30, CellWrites: 40, ProgramOps: 50, UsedCellCycles: 60})

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
@@ -13,7 +14,7 @@ import (
 )
 
 // This file is the server's observability surface: X-Request-ID assignment,
-// the per-compile phase histograms, and the /metrics counter table. The
+// the per-compile phase histograms, and the /metrics exposition. The
 // ?trace=1 debug form is a branch of handleCompile. The conventions —
 // vwsdk_-prefixed metric names as a stable contract, provenance stored on
 // cache entries — are documented in DESIGN.md §9.
@@ -61,19 +62,6 @@ func validRequestID(id string) bool {
 // the span names the compile pipeline records (summed by DurationByName):
 // admission wait, the per-layer pipeline stages, and plan serialization.
 var compilePhases = [...]string{"queue-wait", "search", "schedule", "energy", "plan", "encode"}
-
-// initMetrics builds the registry's own state: the two histogram families,
-// fed by observation. Every counter and gauge is a metricTable row instead.
-func (s *Server) initMetrics() {
-	s.metrics = obs.NewRegistry()
-	s.httpHist = s.metrics.Histogram("vwsdk_http_request_duration_seconds",
-		"End-to-end HTTP request latency.", obs.DurationBuckets)
-	for i, ph := range compilePhases {
-		s.phaseHist[i] = s.metrics.Histogram("vwsdk_compile_phase_seconds",
-			"Compile-pipeline time per phase, summed per compilation (concurrent layers add up).",
-			obs.DurationBuckets, obs.Label{Name: "phase", Value: ph})
-	}
-}
 
 // observeCompile feeds one computed compilation's provenance into the
 // per-phase histograms, in one pass over its spans and without allocating.
@@ -184,14 +172,15 @@ var metricTable = []metricRow{
 		read: func(st *Stats) float64 { return float64(st.Jobs.Live) }},
 }
 
-// handleMetrics renders one Stats snapshot through metricTable (plus the
-// build-info gauge, whose labels come from the same snapshot), then the
-// registry's histograms.
+// handleMetrics writes the exposition into one buffer: the build-info
+// gauge, whose labels come from the same snapshot, and every metricTable
+// row from one Stats snapshot, then the request-latency and per-phase
+// compile-time histogram families.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.Stats()
-	reg := obs.NewRegistry()
-	reg.GaugeFunc("vwsdk_build_info", "Build metadata carried in labels; the value is always 1.",
-		func() float64 { return 1 },
+	var b bytes.Buffer
+	obs.WriteFamily(&b, "vwsdk_build_info", "Build metadata carried in labels; the value is always 1.", "gauge")
+	obs.WriteSample(&b, "vwsdk_build_info", 1,
 		obs.Label{Name: "version", Value: st.Process.Version},
 		obs.Label{Name: "revision", Value: st.Process.Revision},
 		obs.Label{Name: "goversion", Value: st.Process.GoVersion})
@@ -199,14 +188,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		if m.tier == "store" && st.Store == nil || m.tier == "peer" && st.Peer == nil {
 			continue
 		}
-		v := m.read(&st)
+		typ := "counter"
 		if m.gauge {
-			reg.GaugeFunc(m.name, m.help, func() float64 { return v })
-		} else {
-			reg.CounterFunc(m.name, m.help, func() uint64 { return uint64(v) })
+			typ = "gauge"
 		}
+		obs.WriteFamily(&b, m.name, m.help, typ)
+		obs.WriteSample(&b, m.name, m.read(&st))
+	}
+	obs.WriteFamily(&b, "vwsdk_http_request_duration_seconds", "End-to-end HTTP request latency.", "histogram")
+	s.httpHist.WriteSeries(&b, "vwsdk_http_request_duration_seconds")
+	obs.WriteFamily(&b, "vwsdk_compile_phase_seconds",
+		"Compile-pipeline time per phase, summed per compilation (concurrent layers add up).", "histogram")
+	for i, ph := range compilePhases {
+		s.phaseHist[i].WriteSeries(&b, "vwsdk_compile_phase_seconds", obs.Label{Name: "phase", Value: ph})
 	}
 	w.Header().Set("Content-Type", obs.ContentType)
-	reg.WriteTo(w)
-	s.metrics.WriteTo(w)
+	w.Write(b.Bytes())
 }

@@ -174,7 +174,6 @@ type Server struct {
 	optRejected atomic.Uint64
 
 	started   time.Time
-	metrics   *obs.Registry                      // the histograms; counters and gauges render from Stats (obs.go)
 	httpHist  *obs.Histogram                     // request durations, for /metrics and /stats latency_ms
 	phaseHist [len(compilePhases)]*obs.Histogram // per-phase compile-time histograms, one per compilePhases entry
 }
@@ -223,11 +222,14 @@ func New(cfg Config) *Server {
 		maxQueue: cfg.MaxQueue,
 		mux:      http.NewServeMux(),
 		started:  time.Now(),
+		httpHist: obs.NewHistogram(obs.DurationBuckets),
+	}
+	for i := range s.phaseHist {
+		s.phaseHist[i] = obs.NewHistogram(obs.DurationBuckets)
 	}
 	// The optimizer compiles through the server's shared compiler, so design
 	// points reuse the same engine memoization every other endpoint warms.
 	s.opt = optimize.New(s.comp)
-	s.initMetrics()
 	// Every path is registered for all methods and dispatched through
 	// methods{}, so method mismatches get the structured 405 below instead
 	// of the mux's plain-text default; the "/" fallback turns unknown paths
@@ -608,19 +610,25 @@ func isPeerHop(r *http.Request) bool {
 }
 
 // cachedEntry builds req's canonical key in a pooled buffer and looks it up
-// in the plan cache, allocating nothing on either hit or miss. It returns
-// nil when the plan is not cached; the error reports an invalid request.
-func (s *Server) cachedEntry(req compile.Request) (*planEntry, error) {
+// in the plan cache. It returns nil when the plan is not cached, together
+// with the key as a string when missKey is set, for the compile the miss
+// runs: that string is its only allocation, so a hit, or a miss without
+// missKey, allocates nothing. The error reports an invalid request.
+func (s *Server) cachedEntry(req compile.Request, missKey bool) (*planEntry, string, error) {
 	bp := scratchPool.Get().(*[]byte)
 	buf, err := compile.AppendKey((*bp)[:0], req)
 	if err != nil {
 		scratchPool.Put(bp)
-		return nil, err
+		return nil, "", err
 	}
 	*bp = buf // keep the grown capacity
 	entry, _ := memo.Lookup(s.plans, buf)
+	var key string
+	if entry == nil && missKey {
+		key = string(buf)
+	}
 	scratchPool.Put(bp)
-	return entry, nil
+	return entry, key, nil
 }
 
 // CachedPlan writes the cached serialized plan for req to w and reports
@@ -629,7 +637,7 @@ func (s *Server) cachedEntry(req compile.Request) (*planEntry, error) {
 // perfbench times it as server.cached_plan_us, and
 // TestWarmCompileZeroPlanPathAllocs pins it at zero allocations per call.
 func (s *Server) CachedPlan(w io.Writer, req compile.Request) (bool, error) {
-	entry, err := s.cachedEntry(req)
+	entry, _, err := s.cachedEntry(req, false)
 	if err != nil || entry == nil {
 		return false, err
 	}
@@ -660,7 +668,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	// lookup, cached serialized bytes, shared header slices — no
 	// allocations, no request context, no singleflight machinery.
 	sp = obs.StartLeaf(tctx, "lookup")
-	entry, err := s.cachedEntry(req)
+	entry, key, err := s.cachedEntry(req, true)
 	sp.End()
 	if err != nil {
 		writeError(w, errorf(http.StatusUnprocessableEntity, "%v", err))
@@ -668,12 +676,6 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	cached := entry != nil
 	if !cached {
-		key, err := compile.Key(req)
-		if err != nil {
-			// Unreachable (cachedEntry validated req), kept for defense.
-			writeError(w, errorf(http.StatusUnprocessableEntity, "%v", err))
-			return
-		}
 		ctx, cancel := s.requestContext(r)
 		defer cancel()
 		sp = obs.StartLeaf(tctx, "handler")

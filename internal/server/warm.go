@@ -1,13 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 
+	"repro/internal/cliutil"
 	"repro/internal/compile"
 	"repro/internal/fanout"
 )
@@ -36,24 +36,20 @@ type Manifest struct {
 // per-entry resolution failures (bad network names, malformed arrays) are
 // reported up front with the entry index, before any compilation starts.
 func ParseManifest(data []byte) (*Manifest, []compile.Request, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var m Manifest
-	if err := dec.Decode(&m); err != nil {
-		return nil, nil, fmt.Errorf("warm manifest: %w", err)
-	}
-	if trailingData(dec, data) {
+	switch err := cliutil.DecodeStrict(data, &m); {
+	case errors.Is(err, cliutil.ErrTrailingData):
 		return nil, nil, errors.New("warm manifest: trailing data after JSON document")
+	case err != nil:
+		return nil, nil, fmt.Errorf("warm manifest: %w", err)
 	}
 	if len(m.Requests) == 0 {
 		return nil, nil, errors.New("warm manifest: no requests")
 	}
 	reqs := make([]compile.Request, 0, len(m.Requests))
 	for i, raw := range m.Requests {
-		rdec := json.NewDecoder(bytes.NewReader(raw))
-		rdec.DisallowUnknownFields()
 		var body compileRequest
-		if err := rdec.Decode(&body); err != nil {
+		if err := cliutil.DecodeStrict(raw, &body); err != nil {
 			return nil, nil, fmt.Errorf("warm manifest: request %d: %w", i, err)
 		}
 		req, herr := body.resolve()

@@ -114,40 +114,6 @@ type Series struct {
 	Values []float64
 }
 
-// HBars renders one horizontal bar per label, scaled to width characters at
-// the maximum value.
-func HBars(title string, labels []string, values []float64, width int) string {
-	if width < 8 {
-		width = 8
-	}
-	var b strings.Builder
-	if title != "" {
-		b.WriteString(title + "\n")
-	}
-	labelW := 0
-	maxV := 0.0
-	for i, l := range labels {
-		if len(l) > labelW {
-			labelW = len(l)
-		}
-		if i < len(values) && values[i] > maxV {
-			maxV = values[i]
-		}
-	}
-	for i, l := range labels {
-		v := 0.0
-		if i < len(values) {
-			v = values[i]
-		}
-		n := 0
-		if maxV > 0 {
-			n = int(math.Round(v / maxV * float64(width)))
-		}
-		fmt.Fprintf(&b, "%s | %s %.3g\n", pad(l, labelW), strings.Repeat("#", n), v)
-	}
-	return b.String()
-}
-
 // GroupedBars renders one bar per (category, series) pair, grouping bars of
 // the same category together — the layout of the paper's Figs. 8 and 9.
 func GroupedBars(title string, categories []string, series []Series, width int) string {

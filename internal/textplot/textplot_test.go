@@ -49,24 +49,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestHBars(t *testing.T) {
-	s := HBars("title", []string{"aa", "b"}, []float64{2, 1}, 10)
-	if !strings.Contains(s, "title") {
-		t.Error("missing title")
-	}
-	if !strings.Contains(s, "aa | ##########") {
-		t.Errorf("max bar not full width:\n%s", s)
-	}
-	if !strings.Contains(s, "b  | ##### 1") {
-		t.Errorf("half bar wrong:\n%s", s)
-	}
-	// Zero values and missing values render empty bars.
-	s = HBars("", []string{"z", "m"}, []float64{0}, 10)
-	if !strings.Contains(s, "z |  0") || !strings.Contains(s, "m |  0") {
-		t.Errorf("zero bar wrong:\n%s", s)
-	}
-}
-
 func TestGroupedBars(t *testing.T) {
 	s := GroupedBars("g", []string{"l1", "l2"}, []Series{
 		{Name: "im2col", Values: []float64{1, 1}},
@@ -113,9 +95,6 @@ func TestLineDegenerate(t *testing.T) {
 }
 
 func TestSmallWidthsClamped(t *testing.T) {
-	if s := HBars("", []string{"a"}, []float64{1}, 0); !strings.Contains(s, "########") {
-		t.Errorf("width clamp failed:\n%s", s)
-	}
 	if s := GroupedBars("", []string{"a"}, []Series{{Name: "s", Values: []float64{1}}}, 0); !strings.Contains(s, "########") {
 		t.Errorf("grouped width clamp failed:\n%s", s)
 	}
