@@ -1,11 +1,17 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 func approx(t *testing.T, got, want, tol float64, what string) {
 	t.Helper()
@@ -231,6 +237,11 @@ func TestVerifyFunctional(t *testing.T) {
 	}
 }
 
+// TestAllRuns regenerates every experiment and pins, byte for byte, what
+// cmd/experiments prints and writes for each: its rendering (the .txt file)
+// and its table's CSV (the .csv file), in run order. The generators may be
+// rewritten only if every line stays identical. Regenerate with
+// go test ./internal/experiments -run AllRuns -update.
 func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite including functional verification")
@@ -243,9 +254,10 @@ func TestAllRuns(t *testing.T) {
 		t.Fatalf("All returned %d results, want 16", len(rs))
 	}
 	ids := map[string]bool{}
+	var buf bytes.Buffer
 	for _, r := range rs {
 		if r.Table == nil {
-			t.Errorf("%s: nil table", r.ID)
+			t.Fatalf("%s: nil table", r.ID)
 		}
 		if ids[r.ID] {
 			t.Errorf("duplicate id %s", r.ID)
@@ -254,7 +266,32 @@ func TestAllRuns(t *testing.T) {
 		if len(r.String()) == 0 {
 			t.Errorf("%s: empty rendering", r.ID)
 		}
+		fmt.Fprintf(&buf, "==== %s.txt\n%s==== %s.csv\n%s", r.ID, r.String(), r.ID, r.Table.CSV())
 	}
+	golden := filepath.Join("testdata", "experiments.golden")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := buf.Bytes()
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := range min(len(gl), len(wl)) {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("experiments differ from %s at line %d\ngot  %s\nwant %s", golden, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("experiments differ from %s: %d lines, want %d", golden, len(gl), len(wl))
 }
 
 func TestBitslice(t *testing.T) {
