@@ -20,8 +20,6 @@ import (
 	"strings"
 
 	"repro/internal/cliutil"
-	"repro/internal/compile"
-	"repro/internal/engine"
 	"repro/internal/experiments"
 )
 
@@ -55,10 +53,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 	}
-	// All generators share one compile pipeline on one engine, so repeated
-	// (layer, array) searches across experiments are costed once.
-	comp := compile.New(engine.New())
-	results, err := experiments.Run(comp, ids...)
+	results, err := experiments.Run(ids...)
 	if err != nil {
 		return err
 	}

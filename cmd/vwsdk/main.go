@@ -85,6 +85,9 @@ func run(args []string, out io.Writer) (retErr error) {
 		fmt.Fprintf(out, "vwsdk %s\n", cliutil.Version())
 		return nil
 	}
+	if *nArrays < 1 {
+		return fmt.Errorf("-arrays must be at least 1, got %d", *nArrays)
+	}
 	a, err := cliutil.ParseArray(*arraySp)
 	if err != nil {
 		return err

@@ -159,12 +159,19 @@ func TestRunBadFlags(t *testing.T) {
 		{"-network", "LeNet-5"},
 		{"-network", "no-such-file.json"},
 		{"-ifm", "2x2", "-kernel", "3x3"},
+		{"-arrays", "0"},
 		{"-nonsense"},
 	} {
 		var out strings.Builder
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+	// A chip has at least one array: a negative count is an error naming
+	// the flag, not a quiet single-array table.
+	var arrOut strings.Builder
+	if err := run([]string{"-network", "VGG-13", "-arrays", "-3"}, &arrOut); err == nil || !strings.Contains(err.Error(), "-arrays") {
+		t.Errorf("-arrays -3: err = %v, want an error naming -arrays", err)
 	}
 	// The engine has no worker pool to size.
 	var out strings.Builder

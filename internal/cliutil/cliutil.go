@@ -153,24 +153,10 @@ func Version() string {
 	if v := bi.Main.Version; v != "" && v != "(devel)" {
 		return v
 	}
-	var rev, dirty string
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			rev = s.Value
-		case "vcs.modified":
-			if s.Value == "true" {
-				dirty = "+dirty"
-			}
-		}
+	if rev := revision(bi); rev != "" {
+		return "devel+" + rev
 	}
-	if rev == "" {
-		return "devel"
-	}
-	if len(rev) > 12 {
-		rev = rev[:12]
-	}
-	return "devel+" + rev + dirty
+	return "devel"
 }
 
 // Revision returns the bare VCS revision the build embedded ("+dirty" when
@@ -178,10 +164,18 @@ func Version() string {
 // (e.g. under go test). Fleet dashboards use it to detect version skew
 // across vwsdkd instances, independent of the tagged module version.
 func Revision() string {
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return "unknown"
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		if rev := revision(bi); rev != "" {
+			return rev
+		}
 	}
+	return "unknown"
+}
+
+// revision reads the VCS revision bi embedded, cut to 12 characters, with
+// "+dirty" when the working tree was modified; it is empty when bi carries
+// no revision.
+func revision(bi *debug.BuildInfo) string {
 	var rev, dirty string
 	for _, s := range bi.Settings {
 		switch s.Key {
@@ -194,12 +188,9 @@ func Revision() string {
 		}
 	}
 	if rev == "" {
-		return "unknown"
+		return ""
 	}
-	if len(rev) > 12 {
-		rev = rev[:12]
-	}
-	return rev + dirty
+	return rev[:min(len(rev), 12)] + dirty
 }
 
 // ParseSize parses "WxH" (e.g. "512x256") or a single integer "512"

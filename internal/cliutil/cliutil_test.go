@@ -5,6 +5,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -114,6 +115,26 @@ func TestVersion(t *testing.T) {
 	}
 	if again := Version(); again != v {
 		t.Errorf("version not stable: %q then %q", v, again)
+	}
+}
+
+// TestRevision pins the one VCS walk Version and Revision share: the
+// revision cut to 12 characters, "+dirty" for a modified tree, and nothing
+// when the build embedded no revision.
+func TestRevision(t *testing.T) {
+	for _, c := range []struct {
+		settings []debug.BuildSetting
+		want     string
+	}{
+		{nil, ""},
+		{[]debug.BuildSetting{{Key: "vcs.modified", Value: "true"}}, ""},
+		{[]debug.BuildSetting{{Key: "vcs.revision", Value: "abc123"}}, "abc123"},
+		{[]debug.BuildSetting{{Key: "vcs.revision", Value: "0123456789abcdef"}, {Key: "vcs.modified", Value: "true"}}, "0123456789ab+dirty"},
+		{[]debug.BuildSetting{{Key: "vcs.revision", Value: "0123456789abcdef"}, {Key: "vcs.modified", Value: "false"}}, "0123456789ab"},
+	} {
+		if got := revision(&debug.BuildInfo{Settings: c.settings}); got != c.want {
+			t.Errorf("revision(%v) = %q, want %q", c.settings, got, c.want)
+		}
 	}
 }
 

@@ -238,19 +238,32 @@ func NewRequest(n model.Network, a core.Array, opts Options) Request {
 	return Request{Network: n, Array: a, Options: opts}
 }
 
-// Validate checks the request the way Compile would: network, array and
-// energy model must all be individually valid.
+// Validate checks the request the way Compile does: network, array,
+// scheme and energy model must all be individually valid.
 func (r Request) Validate() error {
+	_, _, err := r.check()
+	return err
+}
+
+// check is the validation Validate and Compile share. It returns the search
+// method the options select and the options normalized, so a compile
+// normalizes them once.
+func (r Request) check() (core.Method, Options, error) {
 	if err := r.Network.Validate(); err != nil {
-		return err
+		return core.Method{}, Options{}, err
 	}
 	if err := r.Array.Validate(); err != nil {
-		return err
+		return core.Method{}, Options{}, err
 	}
-	if _, err := r.Options.method(); err != nil {
-		return err
+	m, err := r.Options.method()
+	if err != nil {
+		return core.Method{}, Options{}, err
 	}
-	return r.Options.normalized().Energy.Validate()
+	o := r.Options.normalized()
+	if err := o.Energy.Validate(); err != nil {
+		return core.Method{}, Options{}, err
+	}
+	return m, o, nil
 }
 
 // LayerPlan is one layer of a compiled network.
@@ -399,20 +412,11 @@ type cacher interface {
 // plan is returned.
 func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, error) {
 	n, a := req.Network, req.Array
-	if err := n.Validate(); err != nil {
-		return nil, err
-	}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	m, err := req.Options.method()
+	m, opts, err := req.check()
 	if err != nil {
 		return nil, err
 	}
-	req.Options = req.Options.normalized()
-	if err := req.Options.Energy.Validate(); err != nil {
-		return nil, err
-	}
+	req.Options = opts
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
 	p := &NetworkPlan{Request: req, Layers: make([]LayerPlan, len(n.Layers))}

@@ -1,7 +1,9 @@
 // Package conv is the convolution substrate: a direct reference convolution
-// (the golden model every PIM mapping is verified against) and the im2col
-// lowering that turns a convolution into a matrix product, exactly as the
-// paper's Fig. 2(a) unrolls kernels into crossbar columns.
+// (the golden model every PIM mapping is verified against), the
+// block-diagonal expansion of grouped weights, and the channel-major row
+// order in which the paper's Fig. 2(a) unrolls kernels into crossbar
+// columns. The unrolling itself is the mapping package's im2col layout,
+// which the crossbar simulator runs and checks against Reference.
 package conv
 
 import (
@@ -94,101 +96,6 @@ func ExpandGrouped(l core.Layer, w *tensor.Tensor4) (*tensor.Tensor4, error) {
 func DenseEquivalent(l core.Layer) core.Layer {
 	l.Groups = 0
 	return l
-}
-
-// WeightMatrix lowers the OIHW weights into the im2col weight matrix: one
-// column per output channel, rows ordered channel-major then kernel
-// raster-order — the same order RowCoord/Im2colMatrix use, and the order in
-// which kernels are unrolled into crossbar columns.
-func WeightMatrix(l core.Layer, w *tensor.Tensor4) (*tensor.Matrix, error) {
-	l = l.Normalized()
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	if l.NumGroups() > 1 {
-		// The flat lowering has no block structure; expand the weights with
-		// ExpandGrouped and lower the dense equivalent instead.
-		return nil, fmt.Errorf("conv: WeightMatrix is dense-only; layer %v has %d groups", l, l.NumGroups())
-	}
-	if w.O != l.OC || w.C != l.IC || w.H != l.KH || w.W != l.KW {
-		return nil, fmt.Errorf("conv: weights %v do not match layer %v", w, l)
-	}
-	m := tensor.NewMatrix(l.KernelRows(), l.OC)
-	for oc := 0; oc < l.OC; oc++ {
-		for c := 0; c < l.IC; c++ {
-			for ky := 0; ky < l.KH; ky++ {
-				for kx := 0; kx < l.KW; kx++ {
-					r := (c*l.KH+ky)*l.KW + kx
-					m.Set(r, oc, w.At(oc, c, ky, kx))
-				}
-			}
-		}
-	}
-	return m, nil
-}
-
-// Im2colMatrix lowers the (padded) IFM into the im2col activation matrix:
-// one column per output position (window), one row per kernel element, in
-// the same row order as WeightMatrix. Columns are ordered oy-major.
-func Im2colMatrix(l core.Layer, ifm *tensor.Tensor3) (*tensor.Matrix, error) {
-	l = l.Normalized()
-	if err := l.Validate(); err != nil {
-		return nil, err
-	}
-	if l.NumGroups() > 1 {
-		return nil, fmt.Errorf("conv: Im2colMatrix is dense-only; layer %v has %d groups", l, l.NumGroups())
-	}
-	if ifm.C != l.IC || ifm.H != l.IH || ifm.W != l.IW {
-		return nil, fmt.Errorf("conv: IFM %v does not match layer %v", ifm, l)
-	}
-	padded := ifm.Pad(l.PadH, l.PadW)
-	m := tensor.NewMatrix(l.KernelRows(), l.Windows())
-	for oy := 0; oy < l.OutH(); oy++ {
-		for ox := 0; ox < l.OutW(); ox++ {
-			col := oy*l.OutW() + ox
-			for c := 0; c < l.IC; c++ {
-				for ky := 0; ky < l.KH; ky++ {
-					iy := oy*l.StrideH + ky
-					for kx := 0; kx < l.KW; kx++ {
-						r := (c*l.KH+ky)*l.KW + kx
-						m.Set(r, col, padded.At(c, iy, ox*l.StrideW+kx))
-					}
-				}
-			}
-		}
-	}
-	return m, nil
-}
-
-// Lowered computes the convolution through the im2col lowering:
-// OFM[oc][pos] = WeightMatrixᵀ[oc]·Im2colMatrix[:,pos]. It exists to
-// cross-validate the two lowerings against Reference.
-func Lowered(l core.Layer, ifm *tensor.Tensor3, w *tensor.Tensor4) (*tensor.Tensor3, error) {
-	l = l.Normalized()
-	if err := CheckShapes(l, ifm, w); err != nil {
-		return nil, err
-	}
-	wm, err := WeightMatrix(l, w)
-	if err != nil {
-		return nil, err
-	}
-	am, err := Im2colMatrix(l, ifm)
-	if err != nil {
-		return nil, err
-	}
-	out := tensor.NewTensor3(l.OC, l.OutH(), l.OutW())
-	for pos := 0; pos < am.Cols; pos++ {
-		in := make([]float64, am.Rows)
-		for r := 0; r < am.Rows; r++ {
-			in[r] = am.At(r, pos)
-		}
-		res := wm.MulVec(in)
-		oy, ox := pos/l.OutW(), pos%l.OutW()
-		for oc, v := range res {
-			out.Set(oc, oy, ox, v)
-		}
-	}
-	return out, nil
 }
 
 // RowCoord maps an im2col row index r (0 ≤ r < KernelRows) to its (channel,

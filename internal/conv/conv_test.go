@@ -87,18 +87,6 @@ func TestCheckShapes(t *testing.T) {
 	if _, err := Reference(bad, good3, good4); err == nil {
 		t.Error("Reference accepted invalid layer")
 	}
-	if _, err := WeightMatrix(bad, good4); err == nil {
-		t.Error("WeightMatrix accepted invalid layer")
-	}
-	if _, err := Im2colMatrix(bad, good3); err == nil {
-		t.Error("Im2colMatrix accepted invalid layer")
-	}
-	if _, err := WeightMatrix(l, tensor.NewTensor4(1, 2, 3, 3)); err == nil {
-		t.Error("WeightMatrix accepted wrong OC")
-	}
-	if _, err := Im2colMatrix(l, tensor.NewTensor3(2, 4, 5)); err == nil {
-		t.Error("Im2colMatrix accepted wrong IFM")
-	}
 }
 
 func TestRowCoordRoundTrip(t *testing.T) {
@@ -117,38 +105,6 @@ func TestRowCoordRoundTrip(t *testing.T) {
 		if got := (c*l.KH+ky)*l.KW + kx; got != r {
 			t.Fatalf("RowCoord(%d) does not invert: %d", r, got)
 		}
-	}
-}
-
-// TestLoweredMatchesReference is the central lowering identity: im2col
-// matrices reproduce the direct convolution exactly, over random layers
-// including stride and padding.
-func TestLoweredMatchesReference(t *testing.T) {
-	f := func(seed uint64, iw, ih, k, ic, oc, stride, pad uint8) bool {
-		l := core.Layer{
-			IW: int(iw%10) + 4, IH: int(ih%10) + 4,
-			KW: int(k%3) + 1, KH: int(k%3) + 1,
-			IC: int(ic%4) + 1, OC: int(oc%4) + 1,
-			StrideW: int(stride%2) + 1, StrideH: int(stride%2) + 1,
-			PadW: int(pad % 2), PadH: int(pad % 2),
-		}
-		if l.Validate() != nil {
-			return true
-		}
-		ifm := tensor.RandTensor3(seed, l.IC, l.IH, l.IW)
-		w := tensor.RandTensor4(seed^0xabcdef, l.OC, l.IC, l.KH, l.KW)
-		ref, err := Reference(l, ifm, w)
-		if err != nil {
-			return false
-		}
-		low, err := Lowered(l, ifm, w)
-		if err != nil {
-			return false
-		}
-		return ref.Equal(low)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -196,8 +152,8 @@ func TestGroupedMatchesExpandedDense(t *testing.T) {
 }
 
 // TestGroupedShapesAndDenseOnlyLowering: grouped layers take compact OC×ICg
-// weights (dense-shaped kernels are rejected), and the im2col lowering
-// helpers stay dense-only.
+// weights (dense-shaped kernels are rejected), and ExpandGrouped lowers them
+// to their dense-only form: block-diagonal weights over all IC channels.
 func TestGroupedShapesAndDenseOnlyLowering(t *testing.T) {
 	l := core.Layer{IW: 6, IH: 6, KW: 3, KH: 3, IC: 8, OC: 8, Groups: 4}
 	compact := tensor.NewTensor4(8, 2, 3, 3)
@@ -206,12 +162,6 @@ func TestGroupedShapesAndDenseOnlyLowering(t *testing.T) {
 	}
 	if err := CheckShapes(l, tensor.NewTensor3(8, 6, 6), tensor.NewTensor4(8, 8, 3, 3)); err == nil {
 		t.Error("dense-shaped weights accepted for grouped layer")
-	}
-	if _, err := WeightMatrix(l, compact); err == nil {
-		t.Error("WeightMatrix accepted grouped layer")
-	}
-	if _, err := Im2colMatrix(l, tensor.RandTensor3(1, 8, 6, 6)); err == nil {
-		t.Error("Im2colMatrix accepted grouped layer")
 	}
 	// ExpandGrouped produces block-diagonal dense weights: entries outside a
 	// kernel's own group are zero.
@@ -232,28 +182,6 @@ func TestGroupedShapesAndDenseOnlyLowering(t *testing.T) {
 				t.Fatalf("expanded[oc=%d][ci=%d] = %v, want %v", oc, ci, got, want)
 			}
 		}
-	}
-}
-
-// TestIm2colMatrixShape pins the matrix dimensions against the paper's
-// description: K·K·IC rows, one column per window.
-func TestIm2colMatrixShape(t *testing.T) {
-	l := core.Layer{IW: 6, IH: 5, KW: 3, KH: 3, IC: 2, OC: 4}
-	ifm := tensor.RandTensor3(11, 2, 5, 6)
-	am, err := Im2colMatrix(l, ifm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if am.Rows != 18 || am.Cols != l.Windows() {
-		t.Fatalf("im2col matrix %dx%d, want 18x%d", am.Rows, am.Cols, l.Windows())
-	}
-	w := tensor.RandTensor4(12, 4, 2, 3, 3)
-	wm, err := WeightMatrix(l, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wm.Rows != 18 || wm.Cols != 4 {
-		t.Fatalf("weight matrix %dx%d, want 18x4", wm.Rows, wm.Cols)
 	}
 }
 

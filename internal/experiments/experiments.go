@@ -7,6 +7,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 	"sync"
 
@@ -20,17 +22,14 @@ import (
 // Array512 is the paper's default evaluation array.
 var Array512 = core.Array{Rows: 512, Cols: 512}
 
-// defaultCompiler is the compile pipeline shared by every generator that is
-// not handed an explicit Compiler. It runs on one concurrent engine:
-// experiments repeat (layer, array) pairs heavily (Table I, Fig. 8 and
-// Fig. 9 all sweep the same networks), so one cache serves them all. Engine
-// results are bit-identical to the serial searches, which the package's
-// golden tests pin against the paper.
-var defaultCompiler = sync.OnceValue(func() *compile.Compiler { return compile.New(engine.New()) })
-
-// DefaultCompiler returns the shared engine-backed compiler the
-// parameterless generators run on.
-func DefaultCompiler() *compile.Compiler { return defaultCompiler() }
+// pipeline is the one compile pipeline every generator that searches runs
+// on. It runs on one concurrent engine: experiments repeat (layer, array)
+// pairs heavily (Table I, Fig. 8 and Fig. 9 all sweep the same networks),
+// so one cache serves them all. Engine results are bit-identical to the
+// serial searches, which the package's golden tests pin against the paper.
+// It is built on first use, so a program that imports the package without
+// running an experiment never allocates the engine's cache.
+var pipeline = sync.OnceValue(func() *compile.Compiler { return compile.New(engine.New()) })
 
 // PaperArrays are the array sizes of the paper's Fig. 8(b), in its order.
 var PaperArrays = []core.Array{
@@ -71,24 +70,11 @@ func (r *Result) String() string {
 	}
 	if len(r.Summary) > 0 {
 		b.WriteString("\nsummary:\n")
-		for _, k := range sortedKeys(r.Summary) {
+		for _, k := range slices.Sorted(maps.Keys(r.Summary)) {
 			fmt.Fprintf(&b, "  %-40s %.4g\n", k, r.Summary[k])
 		}
 	}
 	return b.String()
-}
-
-func sortedKeys(m map[string]float64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	return keys
 }
 
 // trio holds the three mappings the paper compares on every layer.
@@ -98,7 +84,8 @@ type trio struct {
 
 // mapLayer compiles one layer under the SDK and VW-SDK schemes (the im2col
 // baseline rides along in every search result).
-func mapLayer(c *compile.Compiler, l core.Layer, a core.Array) (trio, error) {
+func mapLayer(l core.Layer, a core.Array) (trio, error) {
+	c := pipeline()
 	sdk, err := c.CompileLayer(context.Background(), l, a, compile.Options{Scheme: compile.SDK})
 	if err != nil {
 		return trio{}, err
@@ -118,7 +105,8 @@ type compiled struct {
 }
 
 // mapNetwork compiles a whole network under the SDK and VW-SDK schemes.
-func mapNetwork(c *compile.Compiler, n model.Network, a core.Array) (compiled, error) {
+func mapNetwork(n model.Network, a core.Array) (compiled, error) {
+	c := pipeline()
 	sdk, err := c.Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Scheme: compile.SDK}))
 	if err != nil {
 		return compiled{}, err
@@ -140,12 +128,8 @@ func mapNetwork(c *compile.Compiler, n model.Network, a core.Array) (compiled, e
 
 // TableI reproduces the paper's Table I: per-layer window/tile choices of
 // the SDK baseline and VW-SDK, and total cycles per network, on array a
-// (the paper uses 512×512). It runs on the shared compiler; TableIWith
-// picks the pipeline.
-func TableI(a core.Array) (*Result, error) { return TableIWith(DefaultCompiler(), a) }
-
-// TableIWith is TableI on an explicit compile pipeline.
-func TableIWith(c *compile.Compiler, a core.Array) (*Result, error) {
+// (the paper uses 512×512).
+func TableI(a core.Array) (*Result, error) {
 	r := &Result{
 		ID:    "table1",
 		Paper: "Table I: information of CNNs and results",
@@ -161,7 +145,7 @@ func TableIWith(c *compile.Compiler, a core.Array) (*Result, error) {
 		Summary: map[string]float64{},
 	}
 	for _, n := range []model.Network{model.VGG13(), model.ResNet18()} {
-		cn, err := mapNetwork(c, n, a)
+		cn, err := mapNetwork(n, a)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +161,7 @@ func TableIWith(c *compile.Compiler, a core.Array) (*Result, error) {
 		}
 		im, sdk, vw := cn.vw.Im2colCycles, cn.sdk.Cycles, cn.vw.Cycles
 		r.Table.AddRow(n.Name, "total", "", "", "", sdk, "", vw)
-		key := strings.ToLower(strings.ReplaceAll(n.Name, "-", ""))
+		key := netKey(n)
 		r.Summary[key+"/im2col-cycles"] = float64(im)
 		r.Summary[key+"/sdk-cycles"] = float64(sdk)
 		r.Summary[key+"/vw-cycles"] = float64(vw)

@@ -246,12 +246,12 @@ func TestAllRuns(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the full suite including functional verification")
 	}
-	rs, err := All()
+	rs, err := Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rs) != 16 {
-		t.Fatalf("All returned %d results, want 16", len(rs))
+		t.Fatalf("Run returned %d results, want 16", len(rs))
 	}
 	ids := map[string]bool{}
 	var buf bytes.Buffer

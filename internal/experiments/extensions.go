@@ -14,11 +14,7 @@ import (
 // Ablation (extension E11) attributes VW-SDK's gain between its two ideas —
 // rectangular windows and channel tiling — by compiling each network under
 // the restricted variants of the search, with the SMD baseline for context.
-// It runs on the shared compiler; AblationWith picks the pipeline.
-func Ablation(a core.Array) (*Result, error) { return AblationWith(DefaultCompiler(), a) }
-
-// AblationWith is Ablation on an explicit compile pipeline.
-func AblationWith(c *compile.Compiler, a core.Array) (*Result, error) {
+func Ablation(a core.Array) (*Result, error) {
 	r := &Result{
 		ID:    "ablation",
 		Paper: "Extension: ablation of VW-SDK's two ideas (DESIGN.md §5)",
@@ -48,7 +44,7 @@ func AblationWith(c *compile.Compiler, a core.Array) (*Result, error) {
 		cycles := make([]int64, len(ablations))
 		var im int64
 		for i, ab := range ablations {
-			p, err := c.Compile(context.Background(), compile.NewRequest(n, a, ab.opts))
+			p, err := pipeline().Compile(context.Background(), compile.NewRequest(n, a, ab.opts))
 			if err != nil {
 				return nil, err
 			}
@@ -71,12 +67,8 @@ func AblationWith(c *compile.Compiler, a core.Array) (*Result, error) {
 
 // Energy (extension E12) estimates per-inference latency and energy for
 // im2col, SDK and VW-SDK under the default (full-array peripherals) model
-// and reports the conversion-dominated split the paper cites. It runs on
-// the shared compiler; EnergyWith picks the pipeline.
-func Energy(a core.Array) (*Result, error) { return EnergyWith(DefaultCompiler(), a) }
-
-// EnergyWith is Energy on an explicit compile pipeline.
-func EnergyWith(c *compile.Compiler, a core.Array) (*Result, error) {
+// and reports the conversion-dominated split the paper cites.
+func Energy(a core.Array) (*Result, error) {
 	r := &Result{
 		ID:    "energy",
 		Paper: "Extension: latency/energy estimate (conversion-dominated, Section II-B)",
@@ -103,11 +95,11 @@ func EnergyWith(c *compile.Compiler, a core.Array) (*Result, error) {
 		for _, s := range schemes {
 			// Two compiles per scheme — default and gated peripherals; the
 			// searches behind them are shared through the compiler's cache.
-			p, err := c.Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Scheme: s.scheme}))
+			p, err := pipeline().Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Scheme: s.scheme}))
 			if err != nil {
 				return nil, err
 			}
-			gp, err := c.Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Scheme: s.scheme, GatePeripherals: true}))
+			gp, err := pipeline().Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Scheme: s.scheme, GatePeripherals: true}))
 			if err != nil {
 				return nil, err
 			}
@@ -171,28 +163,26 @@ func VerifyFunctional(seed uint64) (*Result, error) {
 	return r, nil
 }
 
-// generators lists every experiment with the paper's default parameters, in
-// DESIGN.md §4 order. Generators that search do so through the given
-// compile pipeline; the purely arithmetic ones (Fig. 4, 5, 7) and the
-// simulator- and precision-bound ones ignore it.
-func generators(c *compile.Compiler) []generator {
+// generators lists every experiment with the paper's default parameters:
+// Table I and the figures in the paper's order, then the extensions.
+func generators() []generator {
 	return []generator{
-		{"table1", func() (*Result, error) { return TableIWith(c, Array512) }},
+		{"table1", func() (*Result, error) { return TableI(Array512) }},
 		{"fig4", Fig4},
 		{"fig5a", Fig5a},
 		{"fig5b", Fig5b},
 		{"fig7a", Fig7a},
 		{"fig7b", Fig7b},
-		{"fig8a", func() (*Result, error) { return Fig8aWith(c, Array512) }},
-		{"fig8b", func() (*Result, error) { return Fig8bWith(c) }},
-		{"fig9a", func() (*Result, error) { return Fig9aWith(c, Array512) }},
-		{"fig9b", func() (*Result, error) { return Fig9bWith(c) }},
-		{"ablation", func() (*Result, error) { return AblationWith(c, Array512) }},
-		{"energy", func() (*Result, error) { return EnergyWith(c, Array512) }},
+		{"fig8a", func() (*Result, error) { return Fig8a(Array512) }},
+		{"fig8b", Fig8b},
+		{"fig9a", func() (*Result, error) { return Fig9a(Array512) }},
+		{"fig9b", Fig9b},
+		{"ablation", func() (*Result, error) { return Ablation(Array512) }},
+		{"energy", func() (*Result, error) { return Energy(Array512) }},
 		{"verify", func() (*Result, error) { return VerifyFunctional(0xbeef) }},
 		{"bitslice", func() (*Result, error) { return Bitslice(Array512) }},
-		{"chip", func() (*Result, error) { return ChipWith(c, Array512) }},
-		{"reuse", func() (*Result, error) { return ReuseWith(c, Array512) }},
+		{"chip", func() (*Result, error) { return Chip(Array512) }},
+		{"reuse", func() (*Result, error) { return Reuse(Array512) }},
 	}
 }
 
@@ -204,7 +194,7 @@ type generator struct {
 
 // IDs returns every experiment identifier, in run order.
 func IDs() []string {
-	gens := generators(nil) // names only; the generator closures never run
+	gens := generators()
 	ids := make([]string, len(gens))
 	for i, g := range gens {
 		ids[i] = g.name
@@ -212,14 +202,11 @@ func IDs() []string {
 	return ids
 }
 
-// All regenerates every experiment on the shared compiler.
-func All() ([]*Result, error) { return Run(DefaultCompiler()) }
-
-// Run regenerates the experiments with the given ids (all of them when none
-// are listed) through compile pipeline c, in DESIGN.md §4 order. Unknown
-// ids error before anything runs.
-func Run(c *compile.Compiler, ids ...string) ([]*Result, error) {
-	gens := generators(c)
+// Run regenerates the experiments with the given ids, in the order given,
+// or every experiment in generator order when none are listed. Unknown ids
+// error before anything runs.
+func Run(ids ...string) ([]*Result, error) {
+	gens := generators()
 	if len(ids) > 0 {
 		byName := make(map[string]generator, len(gens))
 		for _, g := range gens {

@@ -68,12 +68,8 @@ func Bitslice(a core.Array) (*Result, error) {
 }
 
 // Chip (extension E15) scales each network across multi-array chips,
-// comparing VW-SDK and im2col makespans. It runs on the shared compiler;
-// ChipWith picks the pipeline.
-func Chip(a core.Array) (*Result, error) { return ChipWith(DefaultCompiler(), a) }
-
-// ChipWith is Chip on an explicit compile pipeline.
-func ChipWith(c *compile.Compiler, a core.Array) (*Result, error) {
+// comparing VW-SDK and im2col makespans.
+func Chip(a core.Array) (*Result, error) {
 	counts := []int{1, 2, 4, 8, 16, 32, 64}
 	r := &Result{
 		ID:    "chip",
@@ -94,11 +90,11 @@ func ChipWith(c *compile.Compiler, a core.Array) (*Result, error) {
 		imSpans := make([]int64, len(counts))
 		vwSpans := make([]int64, len(counts))
 		for i, count := range counts {
-			imPlan, err := c.Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Scheme: compile.Im2col, Arrays: count}))
+			imPlan, err := pipeline().Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Scheme: compile.Im2col, Arrays: count}))
 			if err != nil {
 				return nil, err
 			}
-			vwPlan, err := c.Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Arrays: count}))
+			vwPlan, err := pipeline().Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Arrays: count}))
 			if err != nil {
 				return nil, err
 			}
@@ -127,12 +123,8 @@ func ChipWith(c *compile.Compiler, a core.Array) (*Result, error) {
 
 // Reuse (extension E17) quantifies the input-reuse motivation of the
 // paper's Fig. 1: average DAC loads per distinct IFM element for each
-// mapping scheme on ResNet-18. It runs on the shared compiler; ReuseWith
-// picks the pipeline.
-func Reuse(a core.Array) (*Result, error) { return ReuseWith(DefaultCompiler(), a) }
-
-// ReuseWith is Reuse on an explicit compile pipeline.
-func ReuseWith(c *compile.Compiler, a core.Array) (*Result, error) {
+// mapping scheme on ResNet-18.
+func Reuse(a core.Array) (*Result, error) {
 	r := &Result{
 		ID:    "reuse",
 		Paper: "Extension: input-feature-map reuse (Fig. 1 motivation, quantified)",
@@ -151,7 +143,7 @@ func ReuseWith(c *compile.Compiler, a core.Array) (*Result, error) {
 	n := model.ResNet18()
 	plans := make([]*compile.NetworkPlan, 0, 3)
 	for _, s := range []compile.Scheme{compile.Im2col, compile.SDK, compile.VWSDK} {
-		p, err := c.Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Scheme: s, Plans: true}))
+		p, err := pipeline().Compile(context.Background(), compile.NewRequest(n, a, compile.Options{Scheme: s, Plans: true}))
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/model"
 	"repro/internal/textplot"
@@ -11,11 +10,7 @@ import (
 
 // Fig8a reproduces Fig. 8(a): per-layer speedup over im2col of the SDK
 // baseline and VW-SDK on VGG-13 and ResNet-18 with array a (paper: 512×512).
-// It runs on the shared compiler; Fig8aWith picks the pipeline.
-func Fig8a(a core.Array) (*Result, error) { return Fig8aWith(DefaultCompiler(), a) }
-
-// Fig8aWith is Fig8a on an explicit compile pipeline.
-func Fig8aWith(c *compile.Compiler, a core.Array) (*Result, error) {
+func Fig8a(a core.Array) (*Result, error) {
 	r := &Result{
 		ID:    "fig8a",
 		Paper: "Fig. 8(a): per-layer speedup normalized to im2col",
@@ -26,7 +21,7 @@ func Fig8aWith(c *compile.Compiler, a core.Array) (*Result, error) {
 		Summary: map[string]float64{},
 	}
 	for _, n := range []model.Network{model.VGG13(), model.ResNet18()} {
-		cn, err := mapNetwork(c, n, a)
+		cn, err := mapNetwork(n, a)
 		if err != nil {
 			return nil, err
 		}
@@ -61,12 +56,8 @@ func Fig8aWith(c *compile.Compiler, a core.Array) (*Result, error) {
 }
 
 // Fig8b reproduces Fig. 8(b): whole-network speedup over im2col for the
-// paper's five array sizes. It runs on the shared compiler; Fig8bWith
-// picks the pipeline.
-func Fig8b() (*Result, error) { return Fig8bWith(DefaultCompiler()) }
-
-// Fig8bWith is Fig8b on an explicit compile pipeline.
-func Fig8bWith(c *compile.Compiler) (*Result, error) {
+// paper's five array sizes.
+func Fig8b() (*Result, error) {
 	r := &Result{
 		ID:    "fig8b",
 		Paper: "Fig. 8(b): total speedup across PIM array sizes",
@@ -81,7 +72,7 @@ func Fig8bWith(c *compile.Compiler) (*Result, error) {
 		sdkS := textplot.Series{Name: "SDK"}
 		vwS := textplot.Series{Name: "VW-SDK"}
 		for _, a := range PaperArrays {
-			cn, err := mapNetwork(c, n, a)
+			cn, err := mapNetwork(n, a)
 			if err != nil {
 				return nil, err
 			}
@@ -104,12 +95,8 @@ func Fig8bWith(c *compile.Compiler) (*Result, error) {
 }
 
 // Fig9a reproduces Fig. 9(a): average array utilization (eq. 9) of im2col,
-// SDK and VW-SDK on VGG-13 layers 1–6 with array a (paper: 512×512). It
-// runs on the shared compiler; Fig9aWith picks the pipeline.
-func Fig9a(a core.Array) (*Result, error) { return Fig9aWith(DefaultCompiler(), a) }
-
-// Fig9aWith is Fig9a on an explicit compile pipeline.
-func Fig9aWith(c *compile.Compiler, a core.Array) (*Result, error) {
+// SDK and VW-SDK on VGG-13 layers 1–6 with array a (paper: 512×512).
+func Fig9a(a core.Array) (*Result, error) {
 	r := &Result{
 		ID:    "fig9a",
 		Paper: "Fig. 9(a): utilization in VGG-13 conv layers 1-6",
@@ -130,7 +117,7 @@ func Fig9aWith(c *compile.Compiler, a core.Array) (*Result, error) {
 	sdkS := textplot.Series{Name: "SDK"}
 	vwS := textplot.Series{Name: "VW-SDK"}
 	for i, cl := range layers {
-		t, err := mapLayer(c, cl.Layer, a)
+		t, err := mapLayer(cl.Layer, a)
 		if err != nil {
 			return nil, err
 		}
@@ -145,7 +132,7 @@ func Fig9aWith(c *compile.Compiler, a core.Array) (*Result, error) {
 		r.Summary[fmt.Sprintf("layer%d/vw-util", i+1)] = uVW
 		r.Summary[fmt.Sprintf("layer%d/im2col-util", i+1)] = uIm
 	}
-	t5, err := mapLayer(c, layers[4].Layer, a)
+	t5, err := mapLayer(layers[4].Layer, a)
 	if err != nil {
 		return nil, err
 	}
@@ -157,11 +144,8 @@ func Fig9aWith(c *compile.Compiler, a core.Array) (*Result, error) {
 }
 
 // Fig9b reproduces Fig. 9(b): utilization of VGG-13 layers 4 and 5 across
-// array sizes. It runs on the shared compiler; Fig9bWith picks the pipeline.
-func Fig9b() (*Result, error) { return Fig9bWith(DefaultCompiler()) }
-
-// Fig9bWith is Fig9b on an explicit compile pipeline.
-func Fig9bWith(c *compile.Compiler) (*Result, error) {
+// array sizes.
+func Fig9b() (*Result, error) {
 	arrays := []core.Array{
 		{Rows: 128, Cols: 128},
 		{Rows: 256, Cols: 256},
@@ -185,7 +169,7 @@ func Fig9bWith(c *compile.Compiler) (*Result, error) {
 		sdkS := textplot.Series{Name: "SDK"}
 		vwS := textplot.Series{Name: "VW-SDK"}
 		for _, a := range arrays {
-			t, err := mapLayer(c, cl.Layer, a)
+			t, err := mapLayer(cl.Layer, a)
 			if err != nil {
 				return nil, err
 			}

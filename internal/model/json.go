@@ -117,7 +117,8 @@ func FromJSON(data []byte) (Network, error) {
 	return n, nil
 }
 
-// FromJSONFile reads and parses a network spec file.
+// FromJSONFile reads and parses a network spec file. A parse error is
+// FromJSON's, which names the package, prefixed with the path.
 func FromJSONFile(path string) (Network, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -125,7 +126,7 @@ func FromJSONFile(path string) (Network, error) {
 	}
 	n, err := FromJSON(data)
 	if err != nil {
-		return Network{}, fmt.Errorf("model: %s: %w", path, err)
+		return Network{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return n, nil
 }

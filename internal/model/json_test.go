@@ -216,8 +216,11 @@ func TestFromJSONFile(t *testing.T) {
 	if err := os.WriteFile(bad, []byte("{"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromJSONFile(bad); err == nil || !strings.Contains(err.Error(), "bad.json") {
-		t.Errorf("parse error should name the file, got %v", err)
+	// The error names the file, and the package once: FromJSON's error
+	// already carries the "model:" prefix.
+	if _, err := FromJSONFile(bad); err == nil || !strings.Contains(err.Error(), "bad.json") ||
+		strings.Count(err.Error(), "model:") != 1 {
+		t.Errorf("parse error should name the file and the package once, got %v", err)
 	}
 }
 

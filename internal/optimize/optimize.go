@@ -146,7 +146,7 @@ func pointLess(a, b FrontierPoint) bool {
 	return a.ID < b.ID
 }
 
-// ToJSON serializes the frontier; FromJSON parses and validates one.
+// ToJSON serializes the frontier; FromJSONFrontier parses and validates one.
 func (f *Frontier) ToJSON() ([]byte, error) {
 	data, err := json.MarshalIndent(f, "", "  ")
 	if err != nil {

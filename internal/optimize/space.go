@@ -131,7 +131,8 @@ func FromJSON(data []byte) (DesignSpace, error) {
 	return s, nil
 }
 
-// FromJSONFile reads and parses a design-space spec file.
+// FromJSONFile reads and parses a design-space spec file. A parse error is
+// FromJSON's, which names the package, prefixed with the path.
 func FromJSONFile(path string) (DesignSpace, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -139,7 +140,7 @@ func FromJSONFile(path string) (DesignSpace, error) {
 	}
 	s, err := FromJSON(data)
 	if err != nil {
-		return DesignSpace{}, fmt.Errorf("optimize: %s: %w", path, err)
+		return DesignSpace{}, fmt.Errorf("%s: %w", path, err)
 	}
 	return s, nil
 }

@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -71,6 +73,20 @@ func TestFromJSONErrors(t *testing.T) {
 		if _, err := FromJSON([]byte(spec)); err == nil {
 			t.Errorf("%s: accepted %s", name, spec)
 		}
+	}
+}
+
+// TestFromJSONFileErrors checks a bad design-space file's error names the
+// file, and the package once: FromJSON's error already carries the
+// "optimize:" prefix.
+func TestFromJSONFileErrors(t *testing.T) {
+	bad := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(bad, []byte(`{"arrays": ["64x64"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := FromJSONFile(bad)
+	if err == nil || !strings.Contains(err.Error(), "bad.json") || strings.Count(err.Error(), "optimize:") != 1 {
+		t.Errorf("parse error should name the file and the package once, got %v", err)
 	}
 }
 

@@ -188,9 +188,8 @@ type jobSet struct {
 
 	mu   sync.Mutex
 	jobs map[string]*job
-	seq  atomic.Uint64
+	seq  atomic.Uint64 // jobs created so far; the last job's seq
 
-	created   atomic.Uint64
 	cancels   atomic.Uint64
 	collected atomic.Uint64
 }
@@ -230,7 +229,6 @@ func (js *jobSet) add(kind string, total int, cancel context.CancelFunc) (*job, 
 		total:   total,
 	}
 	js.jobs[j.id] = j
-	js.created.Add(1)
 	return j, nil
 }
 
@@ -284,7 +282,7 @@ func (js *jobSet) stats() JobStats {
 	live := js.liveLocked()
 	js.mu.Unlock()
 	return JobStats{
-		Created:   js.created.Load(),
+		Created:   js.seq.Load(),
 		Cancelled: js.cancels.Load(),
 		Collected: js.collected.Load(),
 		Live:      live,

@@ -172,8 +172,8 @@ func (t *Tensor4) String() string {
 	return fmt.Sprintf("Tensor4(%dx%dx%dx%d)", t.O, t.C, t.H, t.W)
 }
 
-// Matrix is a dense row-major matrix used for im2col lowering and for
-// crossbar cell contents.
+// Matrix is a dense row-major matrix: a crossbar's cell contents, or a
+// weight tile programmed into them.
 type Matrix struct {
 	Rows, Cols int
 	Data       []float64
