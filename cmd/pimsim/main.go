@@ -39,7 +39,7 @@ func run(args []string, out io.Writer) error {
 		arraySp = fs.String("array", "512x512", "PIM array size RowsxCols")
 		scheme  = fs.String("scheme", "vw", "mapping scheme: im2col, smd, sdk or vw (also vwsdk, vw-sdk)")
 		seed    = fs.Uint64("seed", 1, "seed for the deterministic input/weight fill")
-		quant   = fs.Int("quant", 0, "weight quantization bits (0 = ideal cells)")
+		quant   = fs.Int("quant", 0, "weight quantization bits, 1 to 16 (0 = ideal cells)")
 		noise   = fs.Float64("noise", 0, "ADC read-noise sigma (0 = ideal readout)")
 		version = fs.Bool("version", false, "print the version and exit")
 		tf      cliutil.TraceFlags
@@ -59,6 +59,12 @@ func run(args []string, out io.Writer) error {
 	if *version {
 		fmt.Fprintf(out, "pimsim %s\n", cliutil.Version())
 		return nil
+	}
+	if *quant < 0 || *quant > 16 {
+		return fmt.Errorf("-quant must be 0 (ideal cells) to 16 bits, got %d", *quant)
+	}
+	if !(*noise >= 0) {
+		return fmt.Errorf("-noise must be 0 (ideal readout) or a positive sigma, got %g", *noise)
 	}
 	a, err := cliutil.ParseArray(*arraySp)
 	if err != nil {

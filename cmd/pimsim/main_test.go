@@ -49,6 +49,24 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
+	// A non-ideality setting out of range is an error naming its flag, not
+	// a panic inside the crossbar model or an ideal run reported as
+	// non-ideal.
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-quant", "40"}, "-quant"},
+		{[]string{"-quant", "17"}, "-quant"},
+		{[]string{"-quant", "-3", "-noise", "-0.5"}, "-quant"},
+		{[]string{"-noise", "-0.5"}, "-noise"},
+		{[]string{"-noise", "NaN"}, "-noise"},
+	} {
+		var out strings.Builder
+		if err := run(tc.args, &out); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("args %v: err = %v, want an error naming %s", tc.args, err, tc.flag)
+		}
+	}
 }
 
 // TestRunVersion checks -version prints the tool name and exits cleanly

@@ -88,6 +88,14 @@ func run(args []string, out io.Writer) (retErr error) {
 	if *nArrays < 1 {
 		return fmt.Errorf("-arrays must be at least 1, got %d", *nArrays)
 	}
+	// Only the table output reports the multi-array chip; the other modes
+	// would drop -arrays without a word.
+	modes := [...]string{"-csv", "-explain", "-optimize"}
+	for i, set := range [...]bool{*csv, *explain, *optSp != ""} {
+		if set && *nArrays > 1 {
+			return fmt.Errorf("-arrays %d cannot be combined with %s: only the table output reports the multi-array chip", *nArrays, modes[i])
+		}
+	}
 	a, err := cliutil.ParseArray(*arraySp)
 	if err != nil {
 		return err

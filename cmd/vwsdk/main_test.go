@@ -173,6 +173,26 @@ func TestRunBadFlags(t *testing.T) {
 	if err := run([]string{"-network", "VGG-13", "-arrays", "-3"}, &arrOut); err == nil || !strings.Contains(err.Error(), "-arrays") {
 		t.Errorf("-arrays -3: err = %v, want an error naming -arrays", err)
 	}
+	// Only the table output reports a multi-array chip, so every other
+	// mode rejects -arrays above 1, naming both flags, rather than drop it.
+	space := filepath.Join(t.TempDir(), "space.json")
+	if err := os.WriteFile(space, []byte(`{"network": "VGG-13", "arrays": ["256x256"]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		flag string
+	}{
+		{[]string{"-network", "VGG-13", "-csv"}, "-csv"},
+		{[]string{"-explain"}, "-explain"},
+		{[]string{"-optimize", space}, "-optimize"},
+	} {
+		var out strings.Builder
+		err := run(append([]string{"-arrays", "16"}, tc.args...), &out)
+		if err == nil || !strings.Contains(err.Error(), "-arrays") || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("-arrays 16 %v: err = %v, want an error naming -arrays and %s", tc.args, err, tc.flag)
+		}
+	}
 	// The engine has no worker pool to size.
 	var out strings.Builder
 	if err := run([]string{"-workers", "2"}, &out); err == nil || !strings.Contains(err.Error(), "not defined: -workers") {

@@ -1,6 +1,8 @@
 package mapping
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/conv"
@@ -105,5 +107,51 @@ func TestGroupedPlanRejections(t *testing.T) {
 	}
 	if _, err := NewPlan(sdk); err == nil {
 		t.Error("NewPlan accepted grouped SDK")
+	}
+}
+
+// TestIm2colIsKernelWindowLayout: im2col, and SMD without duplication, are
+// the window layout with the kernel as the window. Every output window is a
+// position of its own at its window origin, with no SMD window group, and
+// the tiles cut at array rows and OCt columns inside each group's block of
+// KernelRows rows and OCg columns.
+func TestIm2colIsKernelWindowLayout(t *testing.T) {
+	l := core.Layer{IW: 7, IH: 6, KW: 3, KH: 3, IC: 8, OC: 6, StrideW: 2, StrideH: 1, PadW: 1, Groups: 2}
+	a := core.Array{Rows: 16, Cols: 2}
+	im, err := core.Im2col(l, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	smd, err := core.SMD(l, a, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// KernelRows = 4·9 = 36 per group on 16 rows; OCg = 3 on 2 columns.
+	var want []Tile
+	for g := 0; g < 2; g++ {
+		for i, rows := range [][2]int{{0, 16}, {16, 32}, {32, 36}} {
+			for j, cols := range [][2]int{{0, 2}, {2, 3}} {
+				want = append(want, Tile{I: i, J: j, RowLo: 36*g + rows[0], RowHi: 36*g + rows[1],
+					ColLo: 3*g + cols[0], ColHi: 3*g + cols[1]})
+			}
+		}
+	}
+	for _, m := range []core.Mapping{im, smd} {
+		p, err := NewPlan(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(p.Tiles, want) {
+			t.Errorf("%v tiles = %v, want %v", m.Scheme, p.Tiles, want)
+		}
+		if len(p.Positions) != l.Windows() {
+			t.Fatalf("%v: %d positions, want one per window (%d)", m.Scheme, len(p.Positions), l.Windows())
+		}
+		for i, pos := range p.Positions {
+			oy, ox := i/l.OutW(), i%l.OutW()
+			if want := (Position{PX: ox * l.StrideW, PY: oy * l.StrideH, OXStart: ox, OYStart: oy}); !reflect.DeepEqual(pos, want) {
+				t.Errorf("%v position %d = %+v, want %+v", m.Scheme, i, pos, want)
+			}
+		}
 	}
 }

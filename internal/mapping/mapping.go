@@ -9,20 +9,24 @@
 // to the reference convolution, which is the repository's core integration
 // test (DESIGN.md §6).
 //
-// Layouts implemented (one per scheme):
+// One layout serves im2col, SDK and VW-SDK: rows are a parallel window
+// unrolled channel-major (window raster order within a channel), and columns
+// hold its Nw shifted kernel copies. The schemes differ only in the window
+// and in where tiles cut (DESIGN.md §7):
 //
-//   - im2col: rows are the unrolled kernel (channel-major), one column per
-//     output channel; each cycle processes one window.
-//   - SMD: Dup block-diagonal copies of the im2col matrix; each cycle
-//     processes a group of Dup independent windows.
-//   - SDK: rows are the parallel window unrolled channel-major (window
-//     raster order within a channel); columns hold Nw shifted kernel copies,
-//     window-major (all OC of window 0, then window 1, ...). Row tiles split
-//     row-granularly and column tiles column-granularly, as the baseline's
-//     eq. 1 assumes.
-//   - VW-SDK: same row layout but tiles cut at channel boundaries (ICt per
-//     tile, eq. 4); columns are channel-major (all Nw windows of an output
-//     channel together) so column tiles cut at OCt boundaries (eq. 6).
+//   - im2col, and SMD without duplication, take the kernel as the window
+//     (PW = K, Nw = 1×1): one window per cycle, one column per output
+//     channel, row tiles cut at array rows and column tiles at OCt channels.
+//   - SDK orders columns window-major (all OC of window 0, then window 1,
+//     ...) and cuts row and column tiles at array rows and columns, as the
+//     baseline's eq. 1 assumes.
+//   - VW-SDK orders columns channel-major (all Nw windows of an output
+//     channel together) and cuts tiles at ICt input channels (eq. 4) and
+//     OCt output channels (eq. 6).
+//
+// SMD duplication (Dup > 1) alone has its own layout: Dup block-diagonal
+// copies of the im2col matrix in one tile, each cycle processing a group of
+// Dup independent windows.
 package mapping
 
 import (
@@ -33,8 +37,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Position is one parallel-window placement: a single computing cycle's
-// input region (per row tile) and the output elements it is responsible for.
+// Position is one computing cycle's placement, a parallel-window origin or,
+// for SMD duplication, a group of windows: the cycle's input region (per row
+// tile) and the output elements it is responsible for.
 type Position struct {
 	// PX, PY is the parallel-window origin in padded IFM coordinates.
 	PX, PY int
@@ -49,8 +54,9 @@ type Position struct {
 	// twice.
 	FreshXLo, FreshYLo int
 
-	// Windows lists the output positions (oy·OutW+ox indices) processed by
-	// this cycle for the im2col and SMD schemes; nil for window schemes.
+	// Windows lists the output positions (oy·OutW+ox indices) an SMD
+	// duplication cycle processes, one per kernel-matrix copy; nil for every
+	// other layout, whose positions are parallel-window origins.
 	Windows []int
 }
 
@@ -113,27 +119,27 @@ func NewPlan(m core.Mapping) (*Plan, error) {
 	p.M.Layer = l
 	switch m.Scheme {
 	case core.SchemeIm2col, core.SchemeSMD:
-		if m.Dup < 1 {
+		if m.Dup < 1 || m.Scheme == core.SchemeIm2col && m.Dup > 1 {
 			return nil, fmt.Errorf("mapping: %v with Dup=%d", m.Scheme, m.Dup)
 		}
-		if m.Dup > 1 && l.NumGroups() > 1 {
+		if p.duplicated() && l.NumGroups() > 1 {
 			return nil, fmt.Errorf("mapping: SMD duplication has no grouped layout (layer %v has %d groups)",
 				l, l.NumGroups())
 		}
-		p.buildIm2colTiles()
-		p.buildGroupPositions()
 	case core.SchemeSDK:
 		if l.NumGroups() > 1 {
 			return nil, fmt.Errorf("mapping: SDK's row-granular layout has no grouped form (layer %v has %d groups)",
 				l, l.NumGroups())
 		}
-		p.buildSDKTiles()
-		p.buildWindowPositions()
 	case core.SchemeVWSDK:
-		p.buildVWTiles()
-		p.buildWindowPositions()
 	default:
 		return nil, fmt.Errorf("mapping: unknown scheme %v", m.Scheme)
+	}
+	if p.duplicated() {
+		p.buildDuplicated()
+	} else {
+		p.buildTiles()
+		p.buildWindowPositions()
 	}
 	for _, t := range p.Tiles {
 		if t.Rows() > m.Array.Rows || t.Cols() > m.Array.Cols {
@@ -152,89 +158,20 @@ func NewPlan(m core.Mapping) (*Plan, error) {
 	return p, nil
 }
 
-// buildIm2colTiles creates the AR×AC grid for im2col and SMD layouts — per
-// convolution group, over global virtual spaces: group g's kernel rows
-// occupy [g·KernelRows, (g+1)·KernelRows) and its output channels
-// [g·OCg, (g+1)·OCg), so every tile lies inside one group's block. For SMD
-// with Dup > 1 (dense only) the whole block-diagonal matrix forms a single
-// tile.
-func (p *Plan) buildIm2colTiles() {
-	m, l := p.M, p.M.Layer
-	if m.Scheme == core.SchemeSMD && m.Dup > 1 {
-		p.Tiles = []Tile{{
-			RowLo: 0, RowHi: m.Dup * l.KernelRows(),
-			ColLo: 0, ColHi: m.Dup * l.OC,
-		}}
-		return
-	}
-	kr, ocg := l.KernelRows(), l.OCg()
-	for g := 0; g < l.NumGroups(); g++ {
-		for i := 0; i < m.AR; i++ {
-			rowLo := g*kr + i*m.Array.Rows
-			rowHi := min(rowLo+m.Array.Rows, (g+1)*kr)
-			for j := 0; j < m.AC; j++ {
-				colLo := g*ocg + j*m.OCt
-				colHi := min(colLo+m.OCt, (g+1)*ocg)
-				p.Tiles = append(p.Tiles, Tile{I: i, J: j,
-					RowLo: rowLo, RowHi: rowHi, ColLo: colLo, ColHi: colHi})
-			}
-		}
-	}
-}
+// duplicated reports whether the plan is SMD duplication, the one layout
+// that is not a window layout.
+func (p *Plan) duplicated() bool { return p.M.Scheme == core.SchemeSMD && p.M.Dup > 1 }
 
-// buildSDKTiles creates row-granular × column-granular tiles over the
-// parallel-window layout (virtual rows PW²·IC, virtual columns Nw·OC).
-func (p *Plan) buildSDKTiles() {
-	m, l := p.M, p.M.Layer
-	totalRows := m.PW.Area() * l.IC
-	totalCols := m.Nw() * l.OC
-	for i := 0; i < m.AR; i++ {
-		rowLo := i * m.Array.Rows
-		rowHi := min(rowLo+m.Array.Rows, totalRows)
-		for j := 0; j < m.AC; j++ {
-			colLo := j * m.Array.Cols
-			colHi := min(colLo+m.Array.Cols, totalCols)
-			p.Tiles = append(p.Tiles, Tile{I: i, J: j,
-				RowLo: rowLo, RowHi: rowHi, ColLo: colLo, ColHi: colHi})
-		}
-	}
-}
-
-// buildVWTiles creates channel-granular tiles: row tiles cut at ICt channel
-// boundaries (eq. 4/5) and column tiles at OCt output-channel boundaries
-// (eq. 6/7) over the channel-major column layout. Grouped layers repeat the
-// per-group AR×AC grid once per group in the global channel spaces (group g
-// owns input channels [g·ICg, (g+1)·ICg) and output channels
-// [g·OCg, (g+1)·OCg)), so a tile never crosses a group boundary — the
-// physical form of "a group cannot share array columns with another group".
-func (p *Plan) buildVWTiles() {
-	m, l := p.M, p.M.Layer
-	area := m.PW.Area()
-	nw := m.Nw()
-	icg, ocg := l.ICg(), l.OCg()
-	for g := 0; g < l.NumGroups(); g++ {
-		for i := 0; i < m.AR; i++ {
-			cLo := g*icg + i*m.ICt
-			cHi := min(cLo+m.ICt, (g+1)*icg)
-			for j := 0; j < m.AC; j++ {
-				oLo := g*ocg + j*m.OCt
-				oHi := min(oLo+m.OCt, (g+1)*ocg)
-				p.Tiles = append(p.Tiles, Tile{I: i, J: j,
-					RowLo: cLo * area, RowHi: cHi * area,
-					ColLo: oLo * nw, ColHi: oHi * nw})
-			}
-		}
-	}
-}
-
-// buildGroupPositions enumerates window groups for im2col (groups of one)
-// and SMD (groups of Dup windows).
-func (p *Plan) buildGroupPositions() {
-	l := p.M.Layer
+// buildDuplicated lays out SMD duplication (dense only): the Dup
+// block-diagonal copies of the im2col matrix form a single tile, and each
+// position is a group of Dup consecutive windows, one per copy; the last
+// group may be partial.
+func (p *Plan) buildDuplicated() {
+	l, dup := p.M.Layer, p.M.Dup
+	p.Tiles = []Tile{{RowHi: dup * l.KernelRows(), ColHi: dup * l.OC}}
 	windows := l.Windows()
-	group := p.M.Dup
-	for lo := 0; lo < windows; lo += group {
-		hi := min(lo+group, windows)
+	for lo := 0; lo < windows; lo += dup {
+		hi := min(lo+dup, windows)
 		idx := make([]int, 0, hi-lo)
 		for w := lo; w < hi; w++ {
 			idx = append(idx, w)
@@ -243,34 +180,60 @@ func (p *Plan) buildGroupPositions() {
 	}
 }
 
-// buildWindowPositions enumerates parallel-window origins for the SDK and
-// VW-SDK schemes. Origins advance by Nw outputs per axis; the final position
-// per axis is clamped so the window stays inside the padded IFM, and its
-// Fresh*Lo fields mark which window offsets were not already produced by the
-// previous position (the hardware recomputes them; the scatter skips them).
+// buildTiles creates the AR×AC tile grid of the window layout once per
+// convolution group. Group g owns the virtual rows of input channels
+// [g·ICg, (g+1)·ICg) and the columns of output channels [g·OCg, (g+1)·OCg),
+// and its tiles are cut inside that block, so a tile never crosses a group
+// boundary: the physical form of "a group cannot share array columns with
+// another group". Row tiles step by an array's rows when the mapping is
+// RowGranular (im2col, SDK), else by ICt channels of the window's area
+// (eqs. 4–5); column tiles step by an array's columns when it is
+// ColGranular (SDK), else by OCt output channels of Nw windows (eqs. 6–7).
+func (p *Plan) buildTiles() {
+	m, l := p.M, p.M.Layer
+	rows, cols := l.ICg()*m.PW.Area(), l.OCg()*m.Nw()
+	rowStep, colStep := m.ICt*m.PW.Area(), m.OCt*m.Nw()
+	if m.RowGranular {
+		rowStep = m.Array.Rows
+	}
+	if m.ColGranular {
+		colStep = m.Array.Cols
+	}
+	for g := 0; g < l.NumGroups(); g++ {
+		for i := 0; i < m.AR; i++ {
+			rowLo := g*rows + i*rowStep
+			rowHi := min(rowLo+rowStep, (g+1)*rows)
+			for j := 0; j < m.AC; j++ {
+				colLo := g*cols + j*colStep
+				colHi := min(colLo+colStep, (g+1)*cols)
+				p.Tiles = append(p.Tiles, Tile{I: i, J: j,
+					RowLo: rowLo, RowHi: rowHi, ColLo: colLo, ColHi: colHi})
+			}
+		}
+	}
+}
+
+// buildWindowPositions enumerates the parallel-window origins of the window
+// layout; for im2col every window is its own position. Origins advance by
+// Nw outputs per axis; the final position per axis is clamped so the window
+// stays inside the padded IFM, and its Fresh*Lo fields mark which window
+// offsets were not already produced by the previous position (the hardware
+// recomputes them; the scatter skips them). The start before the first,
+// oxStart(-1) = -NwW, leaves the first position all fresh.
 func (p *Plan) buildWindowPositions() {
 	m, l := p.M, p.M.Layer
 	outW, outH := l.OutW(), l.OutH()
-	nX := ceilDiv(outW, m.NwW)
-	nY := ceilDiv(outH, m.NwH)
 	oxStart := func(g int) int { return min(g*m.NwW, outW-m.NwW) }
 	oyStart := func(g int) int { return min(g*m.NwH, outH-m.NwH) }
-	for gy := 0; gy < nY; gy++ {
+	for gy := 0; gy < ceilDiv(outH, m.NwH); gy++ {
 		oy := oyStart(gy)
-		freshY := 0
-		if gy > 0 {
-			freshY = oyStart(gy-1) + m.NwH - oy
-		}
-		for gx := 0; gx < nX; gx++ {
+		freshY := oyStart(gy-1) + m.NwH - oy
+		for gx := 0; gx < ceilDiv(outW, m.NwW); gx++ {
 			ox := oxStart(gx)
-			freshX := 0
-			if gx > 0 {
-				freshX = oxStart(gx-1) + m.NwW - ox
-			}
 			p.Positions = append(p.Positions, Position{
 				PX: ox * l.StrideW, PY: oy * l.StrideH,
 				OXStart: ox, OYStart: oy,
-				FreshXLo: freshX, FreshYLo: freshY,
+				FreshXLo: oxStart(gx-1) + m.NwW - ox, FreshYLo: freshY,
 			})
 		}
 	}

@@ -29,6 +29,9 @@ func TestVerifyTableILayers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("large functional simulation")
 	}
+	if raceEnabled {
+		t.Skip("a single-goroutine simulation, an order of magnitude slower under -race and with no second goroutine to check; CI runs it without -race")
+	}
 	a := core.Array{Rows: 512, Cols: 512}
 	layers := []core.Layer{
 		{Name: "resnet-conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256},
@@ -410,6 +413,13 @@ func TestNewPlanValidation(t *testing.T) {
 	bad.Dup = 0
 	if _, err := NewPlan(bad); err == nil {
 		t.Error("Dup=0 accepted")
+	}
+	// Only SMD duplicates the kernel matrix; im2col is the kernel-window
+	// layout, which a duplication factor must not slip through.
+	bad = im
+	bad.Dup = 2
+	if _, err := NewPlan(bad); err == nil {
+		t.Error("im2col with Dup=2 accepted")
 	}
 }
 

@@ -1,10 +1,5 @@
 package mapping
 
-import (
-	"repro/internal/conv"
-	"repro/internal/core"
-)
-
 // ReuseStats quantifies input-feature-map reuse — the motivation of the
 // paper's Fig. 1: im2col re-reads overlapping window elements every cycle,
 // while a parallel window reads each covered element once and shares it
@@ -24,7 +19,8 @@ type ReuseStats struct {
 }
 
 // InputReuse computes the schedule's input-load statistics analytically
-// (no crossbar execution), by walking the same gather geometry Execute uses.
+// (no crossbar execution), reading every row through the gather InputVector
+// uses.
 func (p *Plan) InputReuse() ReuseStats {
 	l := p.M.Layer
 	padW := l.PaddedW()
@@ -47,31 +43,4 @@ func (p *Plan) InputReuse() ReuseStats {
 		out.LoadsPerElement = float64(out.Driven) / float64(out.Distinct)
 	}
 	return out
-}
-
-// inputCoord maps virtual row rr of tile t at position pos to its padded
-// IFM coordinate, mirroring InputVector's gather. ok is false for rows that
-// carry no input (idle SMD copies, or strided windows overhanging the IFM).
-func (p *Plan) inputCoord(t Tile, pos Position, rr int) (c, y, x int, ok bool) {
-	l := p.M.Layer
-	r := t.RowLo + rr
-	switch p.M.Scheme {
-	case core.SchemeIm2col, core.SchemeSMD:
-		kr := l.KernelRows()
-		d, rk := r/kr, r%kr
-		if d >= len(pos.Windows) {
-			return 0, 0, 0, false
-		}
-		win := pos.Windows[d]
-		oy, ox := win/l.OutW(), win%l.OutW()
-		c, ky, kx := conv.RowCoord(l, rk)
-		return c, oy*l.StrideH + ky, ox*l.StrideW + kx, true
-	default:
-		c, wy, wx := p.rowCoordWindow(r)
-		iy, ix := pos.PY+wy, pos.PX+wx
-		if iy >= l.PaddedH() || ix >= l.PaddedW() {
-			return 0, 0, 0, false
-		}
-		return c, iy, ix, true
-	}
 }

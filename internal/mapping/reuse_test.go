@@ -86,31 +86,41 @@ func TestInputReuseWholeWindowOnePass(t *testing.T) {
 
 // TestInputReuseDistinctCoversIFM: every element needed by the convolution
 // is read at least once (distinct reads == padded IFM size for stride-1
-// valid convs, where every element participates).
+// valid convs, where every element participates). On grouped layers every
+// group's channels count: group g's rows gather channels [g·ICg, (g+1)·ICg).
 func TestInputReuseDistinctCoversIFM(t *testing.T) {
-	l := core.Layer{IW: 9, IH: 7, KW: 3, KH: 3, IC: 3, OC: 4}
 	a := core.Array{Rows: 64, Cols: 48}
-	for _, mk := range []func() (core.Mapping, error){
-		func() (core.Mapping, error) { return core.Im2col(l, a) },
-		func() (core.Mapping, error) { return core.VW(l, a, core.Window{W: 4, H: 3}) },
-		func() (core.Mapping, error) { return core.SDK(l, a, core.Window{W: 4, H: 4}) },
-		func() (core.Mapping, error) {
-			r, err := core.SearchSMD(l, a)
-			return r.Best, err
-		},
+	type build func(core.Layer) (core.Mapping, error)
+	im2col := func(l core.Layer) (core.Mapping, error) { return core.Im2col(l, a) }
+	vw := func(l core.Layer) (core.Mapping, error) { return core.VW(l, a, core.Window{W: 4, H: 3}) }
+	sdk := func(l core.Layer) (core.Mapping, error) { return core.SDK(l, a, core.Window{W: 4, H: 4}) }
+	smd := func(l core.Layer) (core.Mapping, error) {
+		r, err := core.SearchSMD(l, a)
+		return r.Best, err
+	}
+	for _, tc := range []struct {
+		l      core.Layer
+		builds []build
+	}{
+		{core.Layer{Name: "dense", IW: 9, IH: 7, KW: 3, KH: 3, IC: 3, OC: 4}, []build{im2col, vw, sdk, smd}},
+		{core.Layer{Name: "depthwise", IW: 9, IH: 7, KW: 3, KH: 3, IC: 4, OC: 4, Groups: 4}, []build{im2col, vw}},
+		{core.Layer{Name: "two groups", IW: 9, IH: 7, KW: 3, KH: 3, IC: 4, OC: 6, Groups: 2}, []build{im2col, vw}},
 	} {
-		m, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := NewPlan(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		r := p.InputReuse()
-		want := int64(l.IC * l.IH * l.IW)
-		if r.Distinct != want {
-			t.Errorf("%v: distinct = %d, want %d", m.Scheme, r.Distinct, want)
+		for _, build := range tc.builds {
+			m, err := build(tc.l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := NewPlan(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := p.InputReuse()
+			want := int64(tc.l.IC * tc.l.IH * tc.l.IW)
+			if r.Distinct != want {
+				t.Errorf("%s %v: distinct = %d, want %d (%.0f loads per element)",
+					tc.l.Name, m.Scheme, r.Distinct, want, r.LoadsPerElement)
+			}
 		}
 	}
 }

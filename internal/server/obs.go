@@ -177,7 +177,7 @@ var metricTable = []metricRow{
 // row from one Stats snapshot, then the request-latency and per-phase
 // compile-time histogram families.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.Stats()
+	st := s.counters()
 	var b bytes.Buffer
 	obs.WriteFamily(&b, "vwsdk_build_info", "Build metadata carried in labels; the value is always 1.", "gauge")
 	obs.WriteSample(&b, "vwsdk_build_info", 1,

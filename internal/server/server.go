@@ -838,11 +838,23 @@ type ServerStats struct {
 // carries.
 type EngineStats = engine.Stats
 
-// Stats returns a snapshot of every counter the service exposes. It is the
-// only reader of the server, plan-cache, engine, store, peer, optimize and
-// job counters: /stats serves the snapshot as JSON and every /metrics
-// counter and gauge is rendered from one (obs.go).
+// Stats returns a snapshot of every counter the service exposes, with the
+// request-latency histogram in milliseconds; /stats serves it as JSON.
 func (s *Server) Stats() Stats {
+	st := s.counters()
+	bounds, counts := s.httpHist.Buckets()
+	for i := range bounds {
+		bounds[i] *= 1e3 // seconds to milliseconds
+	}
+	st.Server.LatencyMs = Histogram{UpperBoundsMs: bounds, Counts: counts}
+	return st
+}
+
+// counters is Stats without the latency histogram, which /metrics writes
+// from the live buckets instead. It is the only reader of the server,
+// plan-cache, engine, store, peer, optimize and job counters: every
+// /metrics counter and gauge is rendered from one snapshot (obs.go).
+func (s *Server) counters() Stats {
 	var st *compile.StoreStats
 	if s.store != nil {
 		ss := s.store.StoreStats()
@@ -857,10 +869,6 @@ func (s *Server) Stats() Stats {
 			Self:    s.peers.Ring().Self(),
 		}
 	}
-	bounds, counts := s.httpHist.Buckets()
-	for i := range bounds {
-		bounds[i] *= 1e3 // seconds to milliseconds
-	}
 	return Stats{
 		Store: st,
 		Peer:  ps,
@@ -872,11 +880,10 @@ func (s *Server) Stats() Stats {
 			Goroutines:    runtime.NumGoroutine(),
 		},
 		Server: ServerStats{
-			Requests:  s.requests.Load(),
-			InFlight:  s.inFlight.Load(),
-			Queued:    s.queued.Load(),
-			Rejected:  s.rejected.Load(),
-			LatencyMs: Histogram{UpperBoundsMs: bounds, Counts: counts},
+			Requests: s.requests.Load(),
+			InFlight: s.inFlight.Load(),
+			Queued:   s.queued.Load(),
+			Rejected: s.rejected.Load(),
 		},
 		PlanCache: s.plans.Stats(),
 		Jobs:      s.jobs.stats(),
