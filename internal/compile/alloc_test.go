@@ -76,3 +76,28 @@ func TestWarmCompileAllocsTwoProcs(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmCompileIntoAllocs pins what a warm compile costs into a plan
+// whose layer slice has grown already: TestWarmCompileAllocs's count less
+// the plan and its layer slice. The 5 are the normalized energy model, the
+// per-layer closure, and the fan-out's error slice, cursor and worker
+// closure.
+func TestWarmCompileIntoAllocs(t *testing.T) {
+	c := New(engine.New())
+	var dst NetworkPlan
+	for _, req := range warmRequests {
+		if err := c.CompileInto(bg, req, &dst); err != nil {
+			t.Fatal(err)
+		}
+		const limit = 5
+		allocs := testing.AllocsPerRun(100, func() {
+			if err := c.CompileInto(bg, req, &dst); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > limit {
+			t.Errorf("gated=%v: a warm CompileInto allocates %.1f times, want ≤ %d",
+				req.Options.GatePeripherals, allocs, limit)
+		}
+	}
+}

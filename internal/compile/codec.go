@@ -209,9 +209,7 @@ func (c *planCodec) num(key string, v *int) {
 	}
 }
 
-// real walks key and a float in encoding/json's format: the shortest
-// 'f' form, or 'e' below 1e-6 and from 1e21 with a one-digit negative
-// exponent unpadded.
+// real walks key and a float in encoding/json's format (AppendJSONFloat).
 func (c *planCodec) real(key string, v *float64) {
 	c.lit(key)
 	if c.dec {
@@ -231,22 +229,31 @@ func (c *planCodec) real(key string, v *float64) {
 		*v = f
 		return
 	}
-	f := *v
+	var err error
+	if c.buf, err = AppendJSONFloat(c.buf, *v); err != nil && c.err == nil {
+		c.err = err
+	}
+}
+
+// AppendJSONFloat appends f in encoding/json's float64 format: the
+// shortest 'f' form, or 'e' below 1e-6 and from 1e21 with a one-digit
+// negative exponent unpadded. Like encoding/json, it fails on a NaN or
+// infinite float, with the same error, and then appends nothing. It is
+// the one copy of that rule, shared by AppendPlan and the optimize stream.
+func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsNaN(f) || math.IsInf(f, 0) {
-		if c.err == nil {
-			c.err = &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
-		}
-		return
+		return dst, &json.UnsupportedValueError{Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
 	format := byte('f')
 	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	c.buf = strconv.AppendFloat(c.buf, f, format, -1, 64)
-	if n := len(c.buf); format == 'e' && c.buf[n-4] == 'e' && c.buf[n-3] == '-' && c.buf[n-2] == '0' {
-		c.buf[n-2] = c.buf[n-1] // e-09 → e-9
-		c.buf = c.buf[:n-1]
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if n := len(dst); format == 'e' && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1] // e-09 → e-9
+		dst = dst[:n-1]
 	}
+	return dst, nil
 }
 
 func isNumberByte(b byte) bool {
@@ -274,7 +281,7 @@ func (c *planCodec) flag(key string, v *bool) {
 func (c *planCodec) text(key string, v *string) {
 	c.lit(key)
 	if !c.dec {
-		c.buf = appendString(c.buf, *v)
+		c.buf = AppendJSONString(c.buf, *v)
 		return
 	}
 	if !c.has(`"`) {
@@ -294,8 +301,10 @@ func (c *planCodec) text(key string, v *string) {
 	c.pos += end + 2
 }
 
-// appendString appends s as a JSON string, escaped like encoding/json.
-func appendString(dst []byte, s string) []byte {
+// AppendJSONString appends s as a JSON string, escaped as encoding/json
+// escapes it by default (HTML-safe). It is the one copy of that rule,
+// shared by AppendPlan and the optimize stream.
+func AppendJSONString(dst []byte, s string) []byte {
 	for i := 0; i < len(s); i++ {
 		if b := s[i]; b < ' ' || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
 			q, _ := json.Marshal(s) // a string always marshals

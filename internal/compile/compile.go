@@ -351,7 +351,8 @@ func (c *Compiler) Searcher() core.Searcher { return c.s }
 // schedule, energy and (optionally) the physical plan as soon as the search
 // returns. lp, cl and opts all point into the plan being built, which is
 // already on the heap, so the layer plan is filled in place instead of
-// being returned and copied.
+// being returned and copied. A compile that succeeds writes every field of
+// lp, so a layer plan reused from an earlier compile keeps nothing of it.
 func (c *Compiler) compileLayer(ctx context.Context, lp *LayerPlan, cl *model.ConvLayer, a core.Array, opts *Options) error {
 	ctx, lsp := obs.Start(ctx, "layer")
 	defer lsp.End()
@@ -377,6 +378,7 @@ func (c *Compiler) compileLayer(ctx context.Context, lp *LayerPlan, cl *model.Co
 	if err != nil {
 		return err
 	}
+	lp.Plan = nil
 	if opts.Plans {
 		pctx, sp := obs.Start(ctx, "plan")
 		lp.Plan, err = mapping.NewPlanContext(pctx, lp.Search.Best)
@@ -392,9 +394,23 @@ type cacher interface {
 	Cached(l core.Layer, a core.Array, m core.Method) bool
 }
 
-// Compile compiles req.Network for req.Array under req.Options. Layer
-// pipelines run through fanout.Each: the caller is one of the workers, so a
-// compile of width w starts w − 1 goroutines. The width is GOMAXPROCS,
+// Compile compiles req.Network for req.Array under req.Options into a new
+// plan: it is CompileInto a fresh NetworkPlan.
+func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, error) {
+	p := new(NetworkPlan)
+	if err := c.CompileInto(ctx, req, p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// CompileInto compiles req.Network for req.Array under req.Options into
+// dst, reusing the capacity of dst.Layers, so a caller that compiles many
+// requests into one plan allocates its layer plans once. Every field of dst
+// is overwritten; after an error its contents are unspecified.
+//
+// Layer pipelines run through fanout.Each: the caller is one of the workers,
+// so a compile of width w starts w − 1 goroutines. The width is GOMAXPROCS,
 // except on a searcher that reports what it holds (an engine): there it is
 // the number of layers whose search the searcher must compute, counted up
 // to GOMAXPROCS and at least one. A search served from the cache costs less
@@ -402,36 +418,38 @@ type cacher interface {
 // on its caller; a stale count changes only where a layer runs, never its
 // result. The compile span records the width as "workers". Each worker runs
 // a layer's search and then its schedule, energy and plan, filling the
-// layer's entry of the plan in place, before it takes the next layer.
-// Results are returned in layer order and the first error in layer order
-// wins.
+// layer's entry of dst in place, before it takes the next layer. The first
+// error in layer order wins.
 //
 // Cancelling ctx aborts the compilation: no layer not yet started is
 // started, every in-flight layer search stops at its next cancellation
-// checkpoint, and Compile returns an error wrapping ctx.Err(). No partial
-// plan is returned.
-func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, error) {
+// checkpoint, and CompileInto returns an error wrapping ctx.Err().
+func (c *Compiler) CompileInto(ctx context.Context, req Request, dst *NetworkPlan) error {
 	n, a := req.Network, req.Array
 	m, opts, err := req.check()
 	if err != nil {
-		return nil, err
+		return err
 	}
 	req.Options = opts
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
-	p := &NetworkPlan{Request: req, Layers: make([]LayerPlan, len(n.Layers))}
-	workers := c.width(p.Network.Layers, a, m)
+	dst.Request = req
+	if cap(dst.Layers) < len(n.Layers) {
+		dst.Layers = make([]LayerPlan, len(n.Layers))
+	}
+	dst.Layers = dst.Layers[:len(n.Layers)]
+	workers := c.width(n.Layers, a, m)
 	sp.SetStr("network", n.Name).SetInt("layers", int64(len(n.Layers))).SetInt("workers", int64(workers))
 	errs := fanout.Each(ctx, len(n.Layers), workers, func(i int) error {
-		return c.compileLayer(ctx, &p.Layers[i], &p.Network.Layers[i], p.Array, &p.Options)
+		return c.compileLayer(ctx, &dst.Layers[i], &dst.Network.Layers[i], dst.Array, &dst.Options)
 	})
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("compile: %s/%s: %w", n.Name, n.Layers[i].Name, err)
+			return fmt.Errorf("compile: %s/%s: %w", n.Name, n.Layers[i].Name, err)
 		}
 	}
-	p.Totals = totals(p.Layers)
-	return p, nil
+	dst.Totals = totals(dst.Layers)
+	return nil
 }
 
 // width returns the fan-out width of a compile of layers, a validated

@@ -1,6 +1,7 @@
 package compile
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -543,6 +544,45 @@ func TestCompileFansOutUncachedSearches(t *testing.T) {
 	} {
 		if _, err := New(s).Compile(bg, NewRequest(twoLayers, array512, Options{})); err != nil {
 			t.Errorf("%T: %v", s, err)
+		}
+	}
+}
+
+// TestCompileIntoReuse pins the reuse of a plan by CompileInto: VGG-13 with
+// physical plans, then AlexNet (fewer layers) and MobileNet-V2 (more) without
+// them, all compiled into one plan. Each must encode to the bytes of a fresh
+// Compile, and the two without Options.Plans must keep none of VGG-13's
+// physical plans.
+func TestCompileIntoReuse(t *testing.T) {
+	c := New(engine.New())
+	var dst NetworkPlan
+	for _, req := range []Request{
+		NewRequest(model.VGG13(), array512, Options{Plans: true}),
+		NewRequest(model.AlexNet(), array512, Options{}),
+		NewRequest(model.MobileNetV2(), array512, Options{}),
+	} {
+		if err := c.CompileInto(bg, req, &dst); err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := c.Compile(bg, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendPlan(nil, &dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := AppendPlan(nil, fresh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: CompileInto a reused plan differs from a fresh Compile", req.Network.Name)
+		}
+		for i, lp := range dst.Layers {
+			if (lp.Plan != nil) != req.Options.Plans {
+				t.Fatalf("%s layer %d: physical plan %v with Options.Plans %v", req.Network.Name, i, lp.Plan != nil, req.Options.Plans)
+			}
 		}
 	}
 }

@@ -227,7 +227,7 @@ func Designs(s DesignSpace) []Design {
 // afresh, which makes it the single-point oracle Run's scores are checked
 // against.
 func (o *Optimizer) Evaluate(ctx context.Context, s DesignSpace, d Design) (FrontierPoint, error) {
-	return o.evaluate(ctx, s.Network.Name, s.LayerGroups(), d, nil)
+	return o.evaluate(ctx, s.Network.Name, s.LayerGroups(), d, nil, nil)
 }
 
 // cell is one group compile: a layer group on one array, with one chip count
@@ -249,8 +249,10 @@ type cellCost struct {
 // evaluate scores d on the given layer groups. A cell found in memo is read
 // instead of compiled, and a compiled cell is recorded in memo unless memo
 // is nil. Either way the group terms are added in group order, so a
-// memoized score is bit-identical to a fresh one.
-func (o *Optimizer) evaluate(ctx context.Context, network string, groups [][]model.ConvLayer, d Design, memo map[cell]cellCost) (FrontierPoint, error) {
+// memoized score is bit-identical to a fresh one. A cell compiles into
+// scratch, whose layer plans each compile reuses, or into a fresh plan when
+// scratch is nil.
+func (o *Optimizer) evaluate(ctx context.Context, network string, groups [][]model.ConvLayer, d Design, memo map[cell]cellCost, scratch *compile.NetworkPlan) (FrontierPoint, error) {
 	if len(d.Arrays) != len(groups) {
 		return FrontierPoint{}, fmt.Errorf("optimize: design %d assigns %d arrays to %d groups",
 			d.ID, len(d.Arrays), len(groups))
@@ -262,8 +264,11 @@ func (o *Optimizer) evaluate(ctx context.Context, network string, groups [][]mod
 		if !ok {
 			sub := model.Network{Name: network, Layers: layers}
 			opts := compile.Options{Arrays: d.Chips, GatePeripherals: d.Gated}
-			plan, err := o.c.Compile(ctx, compile.NewRequest(sub, d.Arrays[g], opts))
-			if err != nil {
+			plan := scratch
+			if plan == nil {
+				plan = new(compile.NetworkPlan)
+			}
+			if err := o.c.CompileInto(ctx, compile.NewRequest(sub, d.Arrays[g], opts), plan); err != nil {
 				return FrontierPoint{}, fmt.Errorf("optimize: design %d group %d on %v: %w", d.ID, g, d.Arrays[g], err)
 			}
 			c = cellCost{cycles: plan.Totals.Makespan, energyJ: plan.Totals.Energy.EnergyTotal}
@@ -289,7 +294,9 @@ func (o *Optimizer) evaluate(ctx context.Context, network string, groups [][]mod
 // setting — is compiled once per run, by the first design point that needs
 // it; later points read its memoized totals. Cells compile lazily in
 // enumeration order, so events, scores and errors are those of evaluating
-// every point afresh.
+// every point afresh. Every cell of a run compiles into one scratch plan of
+// the run's own (compile.Compiler.CompileInto), so concurrent runs on one
+// Optimizer share nothing but the compiler.
 func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*Frontier, error) {
 	s.Normalize()
 	if err := s.Validate(); err != nil {
@@ -302,12 +309,13 @@ func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*
 	f := &Frontier{Name: s.Name, Network: s.Network.Name, Groups: s.groups()}
 	groups := s.LayerGroups()
 	memo := make(map[cell]cellCost, len(groups)*len(s.Arrays)*len(s.Chips)*len(s.Gating))
+	var scratch compile.NetworkPlan
 	var frontier []FrontierPoint
 	for _, d := range Designs(s) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		p, err := o.evaluate(ctx, s.Network.Name, groups, d, memo)
+		p, err := o.evaluate(ctx, s.Network.Name, groups, d, memo, &scratch)
 		if err != nil {
 			return nil, err
 		}

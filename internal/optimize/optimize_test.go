@@ -10,7 +10,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/compile"
@@ -479,13 +481,15 @@ func TestRunInvalidSpace(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocs pins the allocations of a co-design run whose every
-// search is an engine hit: the example space at 2 layer groups (64 points,
-// 32 cell compiles). testing.AllocsPerRun counts at GOMAXPROCS 1, where
-// every compile runs its layers on the caller, so the count repeats on any
-// runner; it reads 342 with and without the race detector.
+// TestWarmRunAllocs pins the allocations and bytes of a co-design run whose
+// every search is an engine hit: the example space at 2 layer groups (64
+// points, 32 cell compiles). Both are counted at GOMAXPROCS 1, where every
+// compile runs its layers on the caller, so they repeat on any runner. The
+// count reads 264 (265 under the race detector), and the bytes 31,936
+// (34,240): the cells compile into the run's one scratch plan, where a new
+// plan per cell compile made them 342 allocations of 103,824 bytes.
 func TestWarmRunAllocs(t *testing.T) {
-	const limit = 358
+	const limit, bytesLimit = 265, 36_000
 	s := exampleSpace(t)
 	s.Groups = 2
 	o := New(compile.New(engine.New()))
@@ -498,4 +502,78 @@ func TestWarmRunAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(50, run); allocs > limit {
 		t.Errorf("warm run allocates %.0f times, want ≤ %d", allocs, limit)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > bytesLimit {
+		t.Errorf("warm run allocates %d bytes, want ≤ %d", b, bytesLimit)
+	}
+}
+
+// encodedStream runs s on o and returns the stream encoding/json writes for
+// the run, as /v1/optimize serves it: one line per event, then the final
+// frontier line.
+func encodedStream(o *Optimizer, s DesignSpace) ([]byte, error) {
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	var encErr error
+	f, err := o.Run(context.Background(), s, func(e Event) {
+		if err := enc.Encode(e); err != nil && encErr == nil {
+			encErr = err
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if encErr != nil {
+		return nil, encErr
+	}
+	if err := enc.Encode(finalLine{"frontier", f}); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// TestConcurrentRuns pins that runs sharing one Optimizer keep their own
+// scratch: four goroutines run the 2- and 3-group example spaces on one
+// optimizer at once, in opposite orders, and every stream must equal its
+// golden.
+func TestConcurrentRuns(t *testing.T) {
+	spaces := map[int]DesignSpace{}
+	want := map[int][]byte{}
+	for _, groups := range []int{2, 3} {
+		s := exampleSpace(t)
+		s.Groups = groups
+		spaces[groups] = s
+		golden, err := os.ReadFile(filepath.Join("testdata", fmt.Sprintf("tinynet_groups%d_stream.golden.ndjson", groups)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[groups] = golden
+	}
+	o := New(compile.New(engine.New()))
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 2 {
+				groups := 2 + (w+i)%2
+				got, err := encodedStream(o, spaces[groups])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want[groups]) {
+					t.Errorf("goroutine %d: the %d-group stream differs from its golden", w, groups)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -21,11 +21,11 @@ package optimize
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"os"
 	"slices"
-	"sort"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
@@ -147,43 +147,47 @@ func FromJSONFile(path string) (DesignSpace, error) {
 
 // Normalize canonicalizes the space: axes are deduplicated and sorted
 // (arrays by rows then cols, chips ascending, false before true) and absent
-// axes get their defaults (chips [1], gating [false], one group). The axes
-// are sorted as copies, so the slices of the space Normalize was copied
-// from keep their order. Normalization is idempotent, which makes
-// ToJSON∘FromJSON a fixed point.
+// axes get their defaults (chips [1], gating [false], one group). An axis
+// that is already strictly ascending is kept as is, so normalizing a
+// canonical space allocates nothing; any other axis is sorted as a copy, so
+// the slices of the space Normalize was copied from keep their order.
+// Normalization is idempotent, which makes ToJSON∘FromJSON a fixed point.
 func (s *DesignSpace) Normalize() {
-	s.Arrays, s.Chips, s.Gating = slices.Clone(s.Arrays), slices.Clone(s.Chips), slices.Clone(s.Gating)
-	sort.Slice(s.Arrays, func(i, j int) bool {
-		if s.Arrays[i].Rows != s.Arrays[j].Rows {
-			return s.Arrays[i].Rows < s.Arrays[j].Rows
-		}
-		return s.Arrays[i].Cols < s.Arrays[j].Cols
+	s.Arrays = canonical(s.Arrays, func(a, b core.Array) int {
+		return cmp.Or(cmp.Compare(a.Rows, b.Rows), cmp.Compare(a.Cols, b.Cols))
 	})
-	s.Arrays = dedupe(s.Arrays)
 	if len(s.Chips) == 0 {
 		s.Chips = []int{1}
 	}
-	sort.Ints(s.Chips)
-	s.Chips = dedupe(s.Chips)
+	s.Chips = canonical(s.Chips, cmp.Compare[int])
 	if len(s.Gating) == 0 {
 		s.Gating = []bool{false}
 	}
-	sort.Slice(s.Gating, func(i, j int) bool { return !s.Gating[i] && s.Gating[j] })
-	s.Gating = dedupe(s.Gating)
+	s.Gating = canonical(s.Gating, func(a, b bool) int {
+		switch {
+		case a == b:
+			return 0
+		case b:
+			return -1
+		}
+		return 1
+	})
 	if s.Groups == 0 {
 		s.Groups = 1
 	}
 }
 
-// dedupe removes adjacent duplicates from a sorted slice.
-func dedupe[T comparable](in []T) []T {
-	out := in[:0]
-	for i, v := range in {
-		if i == 0 || v != in[i-1] {
-			out = append(out, v)
+// canonical returns axis sorted by compare without duplicates: axis itself
+// when it is strictly ascending already, else a sorted copy.
+func canonical[T comparable](axis []T, compare func(a, b T) int) []T {
+	for i := 1; i < len(axis); i++ {
+		if compare(axis[i-1], axis[i]) >= 0 {
+			out := slices.Clone(axis)
+			slices.SortFunc(out, compare)
+			return slices.Compact(out)
 		}
 	}
-	return out
+	return axis
 }
 
 // Validate checks a normalized space: valid network, at least one valid

@@ -148,6 +148,23 @@ func TestNormalizeLeavesCallerAxes(t *testing.T) {
 	}
 }
 
+// TestNormalizeCanonicalAllocs pins that normalizing a space that is
+// already canonical keeps its axes and allocates nothing: one /v1/optimize
+// request normalizes its space in FromJSON, Run and Designs.
+func TestNormalizeCanonicalAllocs(t *testing.T) {
+	s := exampleSpace(t)
+	s.Groups = 2
+	if allocs := testing.AllocsPerRun(100, func() {
+		c := s
+		c.Normalize()
+		if &c.Arrays[0] != &s.Arrays[0] || &c.Chips[0] != &s.Chips[0] || &c.Gating[0] != &s.Gating[0] {
+			t.Fatal("Normalize copied an axis that was already canonical")
+		}
+	}); allocs != 0 {
+		t.Errorf("normalizing a canonical space allocates %.0f times, want 0", allocs)
+	}
+}
+
 func TestLayerGroups(t *testing.T) {
 	s, err := FromJSONFile(exampleSpec)
 	if err != nil {

@@ -76,6 +76,32 @@ func TestWarmCompileRequestAllocs(t *testing.T) {
 	}
 }
 
+// TestWarmOptimizeRequestAllocs pins a warm POST /v1/optimize end to end:
+// building the request, ServeHTTP's routing and bookkeeping, the body
+// decode, parsing and normalizing the space, the run's eight design points,
+// each its own cell compile with every search an engine hit, and the NDJSON
+// lines.
+// It reads 141 (146 under the race detector). A new plan per cell compile
+// and lines encoded by encoding/json made it 192 (222).
+func TestWarmOptimizeRequestAllocs(t *testing.T) {
+	const limit = 160
+	s := New(Config{})
+	body := []byte(testSpace)
+	rw := &statusWriter{header: http.Header{}}
+	post := func() {
+		clear(rw.header)
+		rw.status = 0
+		s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body)))
+		if rw.status != http.StatusOK {
+			t.Fatalf("status %d", rw.status)
+		}
+	}
+	post() // run once, so every measured request's searches are engine hits
+	if allocs := testing.AllocsPerRun(100, post); allocs > limit {
+		t.Errorf("warm /v1/optimize allocates %.1f times per request, want ≤ %d", allocs, limit)
+	}
+}
+
 // TestColdCompileRequestAllocs pins a cold POST /v1/compile end to end: a
 // VGG-13 compile on an array no earlier request used, so every request
 // misses the plan cache and searches every distinct layer afresh. Each

@@ -20,12 +20,6 @@ import (
 // every group compile land in the same engine memoization the compile and
 // sweep endpoints warm.
 
-// optimizeFinal is the stream's terminal line.
-type optimizeFinal struct {
-	Kind     string             `json:"event"`
-	Frontier *optimize.Frontier `json:"frontier"`
-}
-
 // optimizeError is the stream's error line, appended when the search is cut
 // short after the 200 is already committed.
 type optimizeError struct {
@@ -72,7 +66,8 @@ func (s *Server) runOptimize(ctx context.Context, space optimize.DesignSpace, em
 // through the shared streamer. A complete search ends with the "frontier"
 // line; one cut short (deadline, cancellation or a failing design point)
 // ends with one error line instead of a silent truncation, when the
-// connection still exists.
+// connection still exists. The event and frontier lines are written by
+// optimize.AppendEvent and AppendFinal, the error line by encoding/json.
 func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 	var raw json.RawMessage
 	if herr := decodeJSONBody(w, r, s.maxBody, &raw); herr != nil {
@@ -84,11 +79,14 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr)
 		return
 	}
-	s.stream(w, r, "optimize/sweep", func(ctx context.Context, out *ndjson) any {
-		f, err := s.runOptimize(ctx, space, func(e optimize.Event) { out.line(e) })
+	s.stream(w, r, "optimize/sweep", func(ctx context.Context, out *ndjson) {
+		f, err := s.runOptimize(ctx, space, func(e optimize.Event) {
+			out.appendLine(func(dst []byte) ([]byte, error) { return optimize.AppendEvent(dst, e) })
+		})
 		if err != nil {
-			return optimizeError{Kind: "error", Error: fmt.Sprintf("optimize aborted: %v", err)}
+			out.line(optimizeError{Kind: "error", Error: fmt.Sprintf("optimize aborted: %v", err)})
+			return
 		}
-		return optimizeFinal{Kind: "frontier", Frontier: f}
+		out.appendLine(func(dst []byte) ([]byte, error) { return optimize.AppendFinal(dst, f) })
 	})
 }

@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -273,5 +275,60 @@ func TestOptimizeJobValidationEager(t *testing.T) {
 	resp, body = post(t, ts.URL+"/v1/jobs", `{"optimize": `+testSpace+`, "sweep": {"networks": ["VGG-13"], "arrays": ["64x64"]}}`)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("two-kind job: status %d: %s", resp.StatusCode, body)
+	}
+}
+
+// TestOptimizeStreamBytes pins the whole /v1/optimize body to encoding/json:
+// on the tinynet example space at 2 and 3 layer groups, the served bytes
+// must equal json.Encoder's lines for a direct optimize.Run's events and its
+// final frontier line.
+func TestOptimizeStreamBytes(t *testing.T) {
+	spec, err := os.ReadFile("../../examples/designspaces/tinynet.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ts := newTestServer(t, Config{})
+	for _, groups := range []int{2, 3} {
+		body := bytes.Replace(spec, []byte(`"layer_groups": 1`), []byte(fmt.Sprintf(`"layer_groups": %d`, groups)), 1)
+		space, err := optimize.FromJSON(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if space.Groups != groups {
+			t.Fatalf("space has %d layer groups, want %d", space.Groups, groups)
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		f, err := optimize.New(nil).Run(context.Background(), space, func(e optimize.Event) {
+			if err := enc.Encode(e); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := struct {
+			Kind     string             `json:"event"`
+			Frontier *optimize.Frontier `json:"frontier"`
+		}{"frontier", f}
+		if err := enc.Encode(final); err != nil {
+			t.Fatal(err)
+		}
+		resp, got := post(t, ts.URL+"/v1/optimize", string(body))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, got)
+		}
+		if bytes.Equal(got, want.Bytes()) {
+			continue
+		}
+		gotLines, wantLines := bytes.Split(got, []byte("\n")), bytes.Split(want.Bytes(), []byte("\n"))
+		for i := range min(len(gotLines), len(wantLines)) {
+			if !bytes.Equal(gotLines[i], wantLines[i]) {
+				t.Fatalf("groups=%d: served line %d is\n%s\nencoding/json's line for a direct run is\n%s",
+					groups, i+1, gotLines[i], wantLines[i])
+			}
+		}
+		t.Fatalf("groups=%d: the served stream has %d lines, encoding/json's for a direct run %d",
+			groups, len(gotLines), len(wantLines))
 	}
 }

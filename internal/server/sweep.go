@@ -168,12 +168,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeError(w, herr)
 		return
 	}
-	s.stream(w, r, "sweep", func(ctx context.Context, out *ndjson) any {
+	s.stream(w, r, "sweep", func(ctx context.Context, out *ndjson) {
 		err := s.runSweep(ctx, cells, func(sum sweepSummary) { out.line(sum) })
 		if errors.Is(err, context.DeadlineExceeded) {
-			return sweepSummary{Error: fmt.Sprintf("sweep aborted: %v", err)}
+			out.line(sweepSummary{Error: fmt.Sprintf("sweep aborted: %v", err)})
 		}
-		return nil
 	})
 }
 
@@ -183,10 +182,9 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // naming what is streamed), commits the 200 at once — the client sees it
 // when the stream is admitted, not when the first, possibly slow, line
 // lands — and runs produce under the request's context, so a dropped
-// connection stops the producer and frees every slot. produce writes its
-// lines through out.line; the value it returns, when non-nil, is the
-// stream's final line.
-func (s *Server) stream(w http.ResponseWriter, r *http.Request, what string, produce func(ctx context.Context, out *ndjson) any) {
+// connection stops the producer and frees every slot. produce writes every
+// line of the stream, its final line included, through out.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, what string, produce func(ctx context.Context, out *ndjson)) {
 	select {
 	case s.sweepSem <- struct{}{}:
 		defer func() { <-s.sweepSem }()
@@ -207,9 +205,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, what string, pro
 	if out.flusher != nil {
 		out.flusher.Flush()
 	}
-	if last := produce(ctx, out); last != nil {
-		out.line(last)
-	}
+	produce(ctx, out)
 	out.w, out.flusher = nil, nil
 	ndjsonPool.Put(out)
 }
@@ -219,7 +215,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, what string, pro
 // per-stream encoder allocation.
 type ndjson struct {
 	buf     bytes.Buffer
-	enc     *json.Encoder
+	enc     *json.Encoder // line's encoder, writing into buf
 	w       io.Writer
 	flusher http.Flusher
 	broken  bool // the client has gone: later lines are dropped so the producer can drain
@@ -231,14 +227,29 @@ var ndjsonPool = sync.Pool{New: func() any {
 	return out
 }}
 
-// line encodes v as one NDJSON line, writes it in a single Write call and
-// flushes it. After a failed write every later line is dropped.
+// line writes v as one NDJSON line encoded by encoding/json: the sweep
+// summaries and the error lines.
 func (out *ndjson) line(v any) {
+	out.buf.Reset()
+	out.write(out.enc.Encode(v))
+}
+
+// appendLine writes the one NDJSON line that appendTo appends to an empty
+// buffer: the /v1/optimize lines, whose appenders need no reflection.
+func (out *ndjson) appendLine(appendTo func([]byte) ([]byte, error)) {
+	out.buf.Reset()
+	b, err := appendTo(out.buf.AvailableBuffer())
+	out.buf.Write(b) // b is buf's own storage unless appendTo outgrew it
+	out.write(err)
+}
+
+// write is the one write-and-flush path: unless encoding the line in buf
+// failed, it writes the line in a single Write call and flushes it. After a
+// failed encode or write every later line is dropped.
+func (out *ndjson) write(err error) {
 	if out.broken {
 		return
 	}
-	out.buf.Reset()
-	err := out.enc.Encode(v)
 	if err == nil {
 		_, err = out.w.Write(out.buf.Bytes())
 	}
