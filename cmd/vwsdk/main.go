@@ -88,6 +88,9 @@ func run(args []string, out io.Writer) (retErr error) {
 	if *nArrays < 1 {
 		return fmt.Errorf("-arrays must be at least 1, got %d", *nArrays)
 	}
+	if *timeout < 0 {
+		return fmt.Errorf("-timeout must not be negative, got %s", *timeout)
+	}
 	// Only the table output reports the multi-array chip; the other modes
 	// would drop -arrays without a word.
 	modes := [...]string{"-csv", "-explain", "-optimize"}

@@ -167,11 +167,14 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
-	// A chip has at least one array: a negative count is an error naming
-	// the flag, not a quiet single-array table.
-	var arrOut strings.Builder
-	if err := run([]string{"-network", "VGG-13", "-arrays", "-3"}, &arrOut); err == nil || !strings.Contains(err.Error(), "-arrays") {
-		t.Errorf("-arrays -3: err = %v, want an error naming -arrays", err)
+	// A chip has at least one array, and a deadline is not negative: such
+	// a value is an error naming the flag, not a quiet single-array table
+	// or a run without a deadline.
+	for _, tc := range []struct{ flag, value string }{{"-arrays", "-3"}, {"-timeout", "-1s"}} {
+		var out strings.Builder
+		if err := run([]string{"-network", "VGG-13", tc.flag, tc.value}, &out); err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s %s: err = %v, want an error naming %s", tc.flag, tc.value, err, tc.flag)
+		}
 	}
 	// Only the table output reports a multi-array chip, so every other
 	// mode rejects -arrays above 1, naming both flags, rather than drop it.

@@ -150,74 +150,26 @@ func TestRunStdout(t *testing.T) {
 	}
 }
 
-// TestRunFleet smoke-runs the -fleet benchmark, validates the written
-// report, and exercises the -check-against gate in both directions: a fresh
-// run checked against itself passes, while a doctored snapshot claiming a
-// higher hit rate must fail.
-func TestRunFleet(t *testing.T) {
-	dir := t.TempDir()
-	out := filepath.Join(dir, "BENCH_fleet.json")
-	var stdout, progress bytes.Buffer
-	if err := run([]string{"-fleet", "-benchtime", "1x", "-o", out}, &stdout, &progress); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep bench.FleetReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, data)
-	}
-	if rep.Schema != bench.FleetSchema || rep.Nodes != 3 {
-		t.Fatalf("report header/shape: schema=%q nodes=%d", rep.Schema, rep.Nodes)
-	}
-	if rep.FleetHitRate <= rep.BaselineHitRate {
-		t.Errorf("fleet hit rate %.3f not above baseline %.3f", rep.FleetHitRate, rep.BaselineHitRate)
-	}
-	if !strings.Contains(progress.String(), "wrote "+out) {
-		t.Errorf("progress output missing summary:\n%s", progress.String())
-	}
-
-	// Gate against the run's own output: must pass.
-	if err := run([]string{"-fleet", "-benchtime", "1x", "-quiet", "-o", filepath.Join(dir, "b.json"),
-		"-check-against", out}, &stdout, &progress); err != nil {
-		t.Errorf("self-check failed: %v", err)
-	}
-
-	// Doctor the snapshot so every fresh run looks like a regression: no
-	// real run can compile fewer keys than the sequence touches.
-	doctored := rep
-	doctored.FleetCompiles = 1
-	bad, _ := json.Marshal(doctored)
-	badPath := filepath.Join(dir, "doctored.json")
-	if err := os.WriteFile(badPath, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	err = run([]string{"-fleet", "-benchtime", "1x", "-quiet", "-o", filepath.Join(dir, "c.json"),
-		"-check-against", badPath}, &stdout, &progress)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Errorf("doctored snapshot passed the gate: %v", err)
-	}
-}
-
-// TestRunServeFlagConflicts pins the flag combinations that make no sense,
-// and that the serve and co-design modes are gone: perfbench measures those
-// paths, and unit tests in internal/server and internal/optimize hold their
-// counts.
+// TestRunServeFlagConflicts pins the flag values that make no sense, and
+// that the serve, co-design and fleet modes are gone: perfbench measures
+// the serve and co-design paths, and unit tests in internal/server and
+// internal/optimize hold their counts and the fleet's.
 func TestRunServeFlagConflicts(t *testing.T) {
 	var out, progress bytes.Buffer
-	for _, flagName := range []string{"-serve", "-optimize"} {
+	for _, flagName := range []string{"-serve", "-optimize", "-fleet"} {
 		if err := run([]string{flagName}, &out, &progress); err == nil ||
 			!strings.Contains(err.Error(), "flag provided but not defined: "+flagName) {
 			t.Errorf("%s: err = %v, want an undefined flag", flagName, err)
 		}
 	}
-	if err := run([]string{"-fleet", "-filter", "VGG"}, &out, &progress); err == nil {
-		t.Error("-fleet -filter accepted")
-	}
 	if err := run([]string{"-check-against", "x.json", "-benchtime", "1x"}, &out, &progress); err == nil {
 		t.Error("missing -check-against snapshot accepted")
+	}
+	// A negative deadline is an error naming the flag, not a run without
+	// one.
+	err := run([]string{"-timeout", "-1s", "-benchtime", "1x", "-filter", "ResNet-18/conv5@256x256", "-quiet", "-o", "-"}, &out, &progress)
+	if err == nil || !strings.Contains(err.Error(), "-timeout") {
+		t.Errorf("-timeout -1s: err = %v, want an error naming -timeout", err)
 	}
 }
 

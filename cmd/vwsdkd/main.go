@@ -105,6 +105,22 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if *warmOnly && *warmPath == "" {
 		return errors.New("-warm-only requires -warm")
 	}
+	// A negative deadline or limit would run as 0: no deadline, or the
+	// default limit.
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"timeout", *timeout < 0},
+		{"peer-timeout", *peerTO < 0},
+		{"max-inflight", *inflight < 0},
+		{"max-body", *maxBody < 0},
+		{"max-jobs", *maxJobs < 0},
+	} {
+		if f.negative {
+			return fmt.Errorf("-%s must not be negative, got %s", f.name, fs.Lookup(f.name).Value)
+		}
+	}
 
 	var logger *log.Logger
 	if !*quiet {

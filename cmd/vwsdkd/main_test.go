@@ -4,6 +4,8 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"sync"
@@ -198,5 +200,25 @@ func TestRunBadFlags(t *testing.T) {
 	var out syncBuffer
 	if err := run(context.Background(), []string{"-workers", "2"}, &out); err == nil || !strings.Contains(err.Error(), "not defined: -workers") {
 		t.Errorf("-workers 2: err = %v, want an undefined flag", err)
+	}
+	// A negative deadline or limit is an error naming the flag, not a run
+	// as if it were 0. The offline warm-up would otherwise exit cleanly.
+	manifest := filepath.Join(t.TempDir(), "manifest.json")
+	if err := os.WriteFile(manifest, []byte(`{"requests": [{"network": {"name": "t", "layers": [
+	  {"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 4, "oc": 4}]}, "array": "64x64"}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ flag, value string }{
+		{"-timeout", "-1s"},
+		{"-peer-timeout", "-1s"},
+		{"-max-inflight", "-1"},
+		{"-max-body", "-1"},
+		{"-max-jobs", "-2"},
+	} {
+		var out syncBuffer
+		err := run(context.Background(), []string{"-warm", manifest, "-warm-only", "-quiet", tc.flag, tc.value}, &out)
+		if err == nil || !strings.Contains(err.Error(), tc.flag) {
+			t.Errorf("%s %s: err = %v, want an error naming %s", tc.flag, tc.value, err, tc.flag)
+		}
 	}
 }

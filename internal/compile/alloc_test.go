@@ -18,19 +18,19 @@ var warmRequests = []Request{
 // TestWarmCompileAllocs pins what a warm compile costs: VGG-13@512 on an
 // engine that already holds every search, ungated and gated. AllocsPerRun
 // runs at GOMAXPROCS 1, so the layers run inline on the caller and the
-// count repeats. The 7 are the plan, its layer slice and its normalized
-// energy model (one for a gated request too: the gate is set on the fresh
-// default), the per-layer closure, and the fan-out's error slice, cursor
-// and worker closure. Every layer is filled in place from pointers into the
-// plan; a pointer into the caller's request instead moves the request to
-// the heap, one more allocation per compile.
+// count repeats. The 3 are the plan, its layer slice and the per-layer
+// closure, which escapes because a wider fan-out hands it to goroutines.
+// The plan holds its own energy model, gated or not, and a fan-out of
+// width one allocates nothing. Every layer is filled in place from pointers
+// into the plan; a pointer into the caller's request instead moves the
+// request to the heap, one more allocation per compile.
 func TestWarmCompileAllocs(t *testing.T) {
 	c := New(engine.New())
 	for _, req := range warmRequests {
 		if _, err := c.Compile(bg, req); err != nil {
 			t.Fatal(err)
 		}
-		const limit = 7
+		const limit = 3
 		allocs := testing.AllocsPerRun(100, func() {
 			if _, err := c.Compile(bg, req); err != nil {
 				t.Fatal(err)
@@ -46,7 +46,7 @@ func TestWarmCompileAllocs(t *testing.T) {
 // TestWarmCompileAllocsTwoProcs pins the fan-out width rule where
 // AllocsPerRun cannot see it, at GOMAXPROCS 2: a compile whose every search
 // is an engine hit runs on its caller and starts no goroutine, so it costs
-// the same 7 allocations as at GOMAXPROCS 1. A compile that fanned out
+// the same 3 allocations as at GOMAXPROCS 1. A compile that fanned out
 // would add its helper goroutine and the WaitGroup they share. Like
 // AllocsPerRun, it averages by integer division: a garbage collection that
 // starts during the count now and then allocates a few times on the
@@ -61,7 +61,7 @@ func TestWarmCompileAllocsTwoProcs(t *testing.T) {
 		if _, err := c.Compile(bg, req); err != nil {
 			t.Fatal(err)
 		}
-		const runs, limit = 100, 7
+		const runs, limit = 100, 3
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for range runs {
@@ -79,9 +79,7 @@ func TestWarmCompileAllocsTwoProcs(t *testing.T) {
 
 // TestWarmCompileIntoAllocs pins what a warm compile costs into a plan
 // whose layer slice has grown already: TestWarmCompileAllocs's count less
-// the plan and its layer slice. The 5 are the normalized energy model, the
-// per-layer closure, and the fan-out's error slice, cursor and worker
-// closure.
+// the plan and its layer slice, which leaves the per-layer closure.
 func TestWarmCompileIntoAllocs(t *testing.T) {
 	c := New(engine.New())
 	var dst NetworkPlan
@@ -89,7 +87,7 @@ func TestWarmCompileIntoAllocs(t *testing.T) {
 		if err := c.CompileInto(bg, req, &dst); err != nil {
 			t.Fatal(err)
 		}
-		const limit = 5
+		const limit = 1
 		allocs := testing.AllocsPerRun(100, func() {
 			if err := c.CompileInto(bg, req, &dst); err != nil {
 				t.Fatal(err)

@@ -193,25 +193,19 @@ func (o Options) method() (core.Method, error) {
 	return core.Method{Scheme: schemes[o.Scheme], Variant: o.Variant}, nil
 }
 
-// normalized fills in the option defaults. It allocates at most one energy
-// model: the default one, with the gate set on it when asked, or a copy of
-// the caller's model when the gate must be set on it; a caller's model is
-// never mutated.
-func (o Options) normalized() Options {
-	if o.Arrays < 1 {
-		o.Arrays = 1
+// defaultEnergy is the model a nil Options.Energy selects. It is only ever
+// copied.
+var defaultEnergy = energy.Default()
+
+// energyModel returns the energy model the options select, the caller's or
+// the default one, as a copy with GatePeripherals folded in.
+func (o *Options) energyModel() energy.Model {
+	m := defaultEnergy
+	if o.Energy != nil {
+		m = *o.Energy
 	}
-	switch {
-	case o.Energy == nil:
-		m := energy.Default()
-		m.GatePeripherals = o.GatePeripherals
-		o.Energy = &m
-	case o.GatePeripherals:
-		m := *o.Energy
-		m.GatePeripherals = true
-		o.Energy = &m
-	}
-	return o
+	m.GatePeripherals = m.GatePeripherals || o.GatePeripherals
+	return m
 }
 
 // Request is the canonical description of one compilation: which network,
@@ -246,24 +240,24 @@ func (r Request) Validate() error {
 }
 
 // check is the validation Validate and Compile share. It returns the search
-// method the options select and the options normalized, so a compile
-// normalizes them once.
-func (r Request) check() (core.Method, Options, error) {
+// method and the energy model the options select, so a compile derives
+// them once.
+func (r Request) check() (core.Method, energy.Model, error) {
 	if err := r.Network.Validate(); err != nil {
-		return core.Method{}, Options{}, err
+		return core.Method{}, energy.Model{}, err
 	}
 	if err := r.Array.Validate(); err != nil {
-		return core.Method{}, Options{}, err
+		return core.Method{}, energy.Model{}, err
 	}
 	m, err := r.Options.method()
 	if err != nil {
-		return core.Method{}, Options{}, err
+		return core.Method{}, energy.Model{}, err
 	}
-	o := r.Options.normalized()
-	if err := o.Energy.Validate(); err != nil {
-		return core.Method{}, Options{}, err
+	en := r.Options.energyModel()
+	if err := en.Validate(); err != nil {
+		return core.Method{}, energy.Model{}, err
 	}
-	return m, o, nil
+	return m, en, nil
 }
 
 // LayerPlan is one layer of a compiled network.
@@ -326,6 +320,10 @@ type NetworkPlan struct {
 
 	// Totals are the whole-network aggregates.
 	Totals Totals
+
+	// energy is the plan's own copy of the energy model it was compiled
+	// under; Options.Energy points to it.
+	energy energy.Model
 }
 
 // Compiler compiles networks through a core.Searcher. Build one with New;
@@ -426,13 +424,18 @@ func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, erro
 // checkpoint, and CompileInto returns an error wrapping ctx.Err().
 func (c *Compiler) CompileInto(ctx context.Context, req Request, dst *NetworkPlan) error {
 	n, a := req.Network, req.Array
-	m, opts, err := req.check()
+	m, en, err := req.check()
 	if err != nil {
 		return err
 	}
-	req.Options = opts
 	ctx, sp := obs.Start(ctx, "compile")
 	defer sp.End()
+	// The plan records the options with their defaults applied. Its energy
+	// model is a copy in the plan itself, so a compile allocates none, and
+	// a caller's model is never mutated or aliased.
+	dst.energy = en
+	req.Options.Energy = &dst.energy
+	req.Options.Arrays = max(req.Options.Arrays, 1)
 	dst.Request = req
 	if cap(dst.Layers) < len(n.Layers) {
 		dst.Layers = make([]LayerPlan, len(n.Layers))
@@ -440,13 +443,10 @@ func (c *Compiler) CompileInto(ctx context.Context, req Request, dst *NetworkPla
 	dst.Layers = dst.Layers[:len(n.Layers)]
 	workers := c.width(n.Layers, a, m)
 	sp.SetStr("network", n.Name).SetInt("layers", int64(len(n.Layers))).SetInt("workers", int64(workers))
-	errs := fanout.Each(ctx, len(n.Layers), workers, func(i int) error {
+	if i, err := fanout.Each(ctx, len(n.Layers), workers, func(i int) error {
 		return c.compileLayer(ctx, &dst.Layers[i], &dst.Network.Layers[i], dst.Array, &dst.Options)
-	})
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("compile: %s/%s: %w", n.Name, n.Layers[i].Name, err)
-		}
+	}); err != nil {
+		return fmt.Errorf("compile: %s/%s: %w", n.Name, n.Layers[i].Name, err)
 	}
 	dst.Totals = totals(dst.Layers)
 	return nil

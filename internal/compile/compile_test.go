@@ -355,15 +355,18 @@ func TestCompileOptionDefaults(t *testing.T) {
 		t.Errorf("gated energy %g not below full-array %g",
 			gated.Totals.Energy.EnergyTotal, p.Totals.Energy.EnergyTotal)
 	}
-	// The gate is set on a copy of a caller's model, never on the model.
-	own := energy.Default()
-	mine, err := c.Compile(bg, NewRequest(model.Single(l), array512, Options{Energy: &own, GatePeripherals: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if own.GatePeripherals || mine.Options.Energy == &own || !mine.Options.Energy.GatePeripherals {
-		t.Errorf("gating a caller's model: caller's gate %v, plan's model %p (caller's %p) gated %v",
-			own.GatePeripherals, mine.Options.Energy, &own, mine.Options.Energy.GatePeripherals)
+	// The plan keeps a copy of a caller's model, gated or not: the gate is
+	// never set on the caller's model, and the plan never points to it.
+	for _, gate := range []bool{true, false} {
+		own := energy.Default()
+		mine, err := c.Compile(bg, NewRequest(model.Single(l), array512, Options{Energy: &own, GatePeripherals: gate}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if own.GatePeripherals || mine.Options.Energy == &own || mine.Options.Energy.GatePeripherals != gate {
+			t.Errorf("gate %v on a caller's model: caller's gate %v, plan's model %p (caller's %p) gated %v",
+				gate, own.GatePeripherals, mine.Options.Energy, &own, mine.Options.Energy.GatePeripherals)
+		}
 	}
 
 	planned, err := c.Compile(bg, NewRequest(model.Single(l), array512, Options{Plans: true}))

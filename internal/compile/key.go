@@ -3,8 +3,6 @@ package compile
 import (
 	"strconv"
 	"sync"
-
-	"repro/internal/energy"
 )
 
 // Key returns the canonical cache key of one compilation request: two
@@ -37,10 +35,6 @@ var keyBufPool = sync.Pool{New: func() any {
 	b := make([]byte, 0, 1024)
 	return &b
 }}
-
-// defaultEnergy is the shared default model AppendKey keys nil
-// Options.Energy against, avoiding Options.normalized()'s per-call copy.
-var defaultEnergy = energy.Default()
 
 // AppendKey appends the canonical cache key of req to dst and returns the
 // extended buffer, allocating only if dst lacks capacity. The encoding is
@@ -80,20 +74,12 @@ func AppendKey(dst []byte, req Request) ([]byte, error) {
 	dst = append(dst, 'x')
 	dst = strconv.AppendInt(dst, int64(req.Array.Cols), 10)
 
-	// Options with defaults applied, without Options.normalized()'s
-	// energy-model copies. GatePeripherals is keyed as the folded bit (the
-	// form Compile consumes), so the flag set on Options and the same flag
-	// pre-set on the model collide.
+	// Options with defaults applied, and the energy model Compile runs
+	// under, whose GatePeripherals is the folded bit: the flag set on
+	// Options and the same flag pre-set on the model collide.
 	opts := req.Options
-	arrays := opts.Arrays
-	if arrays < 1 {
-		arrays = 1
-	}
-	en := opts.Energy
-	if en == nil {
-		en = &defaultEnergy
-	}
-	gate := en.GatePeripherals || opts.GatePeripherals
+	arrays := max(opts.Arrays, 1)
+	en := opts.energyModel()
 	dst = append(dst, "|o="...)
 	dst = strconv.AppendInt(dst, int64(opts.Scheme), 10)
 	dst = append(dst, ',')
@@ -101,7 +87,7 @@ func AppendKey(dst []byte, req Request) ([]byte, error) {
 	dst = append(dst, ',')
 	dst = strconv.AppendInt(dst, int64(arrays), 10)
 	dst = append(dst, ',')
-	dst = appendKeyBool(dst, gate)
+	dst = appendKeyBool(dst, en.GatePeripherals)
 	dst = append(dst, ',')
 	dst = appendKeyBool(dst, opts.Plans)
 	dst = append(dst, "|e="...)

@@ -13,44 +13,67 @@ import (
 	"sync/atomic"
 )
 
-// Each runs do(i) once for every i in [0, n) and returns errs, where errs[i]
-// is do(i)'s error. The calls run on min(n, workers) workers that take
-// indices from a shared atomic cursor: the caller's goroutine is one of
-// them, and Each starts only the other min(n, workers) − 1 goroutines. With
-// one worker, no goroutine is started and the calls run on the caller, in
-// index order. No index is dispatched after ctx ends: such an index never
-// runs, and its error is ctx.Err(). Calls already running stop at their own
-// checkpoints. Each returns once every call has returned; what the errors
-// mean is the caller's rule.
+// Each runs do(i) once for every i in [0, n) and returns the lowest index
+// whose call failed, with that call's error, or -1 and nil when none
+// failed. The calls run on min(n, workers) workers that take indices from a
+// shared atomic cursor: the caller's goroutine is one of them, and Each
+// starts only the other min(n, workers) − 1 goroutines. With one worker,
+// Each starts no goroutine and allocates nothing, and the calls run on the
+// caller, in index order. No index is dispatched after ctx ends: such an
+// index never runs and fails with ctx.Err(). Calls already running stop at
+// their own checkpoints. Each returns once every call has returned; what a
+// failure means is the caller's rule.
 //
 // Nested fan-outs cannot deadlock: the caller waits only once the cursor is
 // exhausted, when every index is held by a worker that is already running it.
-func Each(ctx context.Context, n, workers int, do func(i int) error) []error {
-	errs := make([]error, n)
-	var next atomic.Int64
+func Each(ctx context.Context, n, workers int, do func(i int) error) (int, error) {
+	workers = min(n, workers)
+	if workers <= 1 {
+		first, firstErr := -1, error(nil)
+		for i := range n {
+			err := ctx.Err()
+			if err == nil {
+				err = do(i)
+			}
+			if err != nil && first < 0 {
+				first, firstErr = i, err
+			}
+		}
+		return first, firstErr
+	}
+	// The goroutines share the cursor, the lowest failure and the
+	// WaitGroup: one allocation, which the one-worker path above does not
+	// pay for.
+	shared := struct {
+		next     atomic.Int64
+		mu       sync.Mutex
+		first    int
+		firstErr error
+		wg       sync.WaitGroup
+	}{first: -1}
 	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			if errs[i] = ctx.Err(); errs[i] == nil {
-				errs[i] = do(i)
+		for i := int(shared.next.Add(1)) - 1; i < n; i = int(shared.next.Add(1)) - 1 {
+			err := ctx.Err()
+			if err == nil {
+				err = do(i)
+			}
+			if err != nil {
+				shared.mu.Lock()
+				if shared.first < 0 || i < shared.first {
+					shared.first, shared.firstErr = i, err
+				}
+				shared.mu.Unlock()
 			}
 		}
 	}
-	workers = min(n, workers)
-	if workers <= 1 {
-		work()
-		return errs
-	}
-	// The WaitGroup is declared only here: the goroutines share it, so it
-	// lives on the heap, which the one-worker path does not pay for.
-	var wg sync.WaitGroup
-	wg.Add(workers - 1)
+	shared.wg.Add(workers - 1)
 	for range workers - 1 {
 		go func() {
-			defer wg.Done()
+			defer shared.wg.Done()
 			work()
 		}()
 	}
 	work()
-	wg.Wait()
-	return errs
+	shared.wg.Wait()
+	return shared.first, shared.firstErr
 }

@@ -14,33 +14,74 @@ import (
 )
 
 // TestEachRunsEveryIndexOnce pins the map contract for every small shape:
-// each index runs exactly once and errs[i] is do(i)'s own error.
+// each index runs exactly once, failed or not, and Each returns the lowest
+// failing index with its own error.
 func TestEachRunsEveryIndexOnce(t *testing.T) {
 	for _, n := range []int{0, 1, 5, 100} {
 		for _, workers := range []int{0, 1, 2, 8} {
 			runs := make([]atomic.Int32, n)
-			want := make([]error, n)
-			for i := 0; i < n; i += 3 {
-				want[i] = fmt.Errorf("index %d", i)
+			errs := make([]error, n)
+			for i := 2; i < n; i += 3 {
+				errs[i] = fmt.Errorf("index %d", i)
 			}
-			errs := Each(context.Background(), n, workers, func(i int) error {
+			wantFirst, wantErr := -1, error(nil)
+			if n > 2 {
+				wantFirst, wantErr = 2, errs[2]
+			}
+			first, err := Each(context.Background(), n, workers, func(i int) error {
 				runs[i].Add(1)
-				return want[i]
+				return errs[i]
 			})
-			if len(errs) != n {
-				t.Fatalf("n=%d workers=%d: %d errors, want %d", n, workers, len(errs), n)
-			}
 			for i := range n {
 				if got := runs[i].Load(); got != 1 {
 					t.Errorf("n=%d workers=%d: index %d ran %d times", n, workers, i, got)
 				}
-				if errs[i] != want[i] {
-					t.Errorf("n=%d workers=%d: errs[%d] = %v, want %v", n, workers, i, errs[i], want[i])
-				}
+			}
+			if first != wantFirst || err != wantErr {
+				t.Errorf("n=%d workers=%d: Each = %d, %v; want %d, %v", n, workers, first, err, wantFirst, wantErr)
 			}
 		}
 	}
 }
+
+// TestEachReturnsLowestFailure pins that the lowest failing index wins, not
+// the first failure in time: index 1 fails at once, and index 0 fails only
+// after index 2 has started, which the cursor hands out only once index 1's
+// failure is recorded.
+func TestEachReturnsLowestFailure(t *testing.T) {
+	started2 := make(chan struct{})
+	errs := []error{errors.New("index 0"), errors.New("index 1"), nil}
+	first, err := Each(context.Background(), 3, 2, func(i int) error {
+		switch i {
+		case 0:
+			select {
+			case <-started2:
+			case <-time.After(10 * time.Second):
+				return errors.New("index 2 never started")
+			}
+		case 2:
+			close(started2)
+		}
+		return errs[i]
+	})
+	if first != 0 || err != errs[0] {
+		t.Errorf("Each = %d, %v; want 0, %v", first, err, errs[0])
+	}
+}
+
+// TestEachOneWorkerAllocs pins that a fan-out of width one allocates
+// nothing of its own: a compile whose every search is a cache hit runs at
+// that width.
+func TestEachOneWorkerAllocs(t *testing.T) {
+	ctx := context.Background()
+	for _, workers := range []int{0, 1} {
+		if allocs := testing.AllocsPerRun(100, func() { Each(ctx, 10, workers, noop) }); allocs != 0 {
+			t.Errorf("workers=%d: Each allocates %.1f times, want 0", workers, allocs)
+		}
+	}
+}
+
+func noop(int) error { return nil }
 
 // TestEachBoundsInFlight pins the worker bound: never more than workers
 // calls run at once.
@@ -70,7 +111,7 @@ func TestEachBoundsInFlight(t *testing.T) {
 // at the same time.
 func TestEachRunsInParallel(t *testing.T) {
 	arrived := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
-	errs := Each(context.Background(), 2, 2, func(i int) error {
+	if i, err := Each(context.Background(), 2, 2, func(i int) error {
 		close(arrived[i])
 		select {
 		case <-arrived[1-i]:
@@ -78,11 +119,8 @@ func TestEachRunsInParallel(t *testing.T) {
 		case <-time.After(10 * time.Second):
 			return errors.New("the other call never started")
 		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			t.Errorf("call %d: %v", i, err)
-		}
+	}); err != nil {
+		t.Errorf("call %d: %v", i, err)
 	}
 }
 
@@ -116,36 +154,34 @@ func TestEachOneWorkerInline(t *testing.T) {
 }
 
 // TestEachCancelledDispatchesNothing pins the dispatch checkpoint: under an
-// already-cancelled ctx no index runs and every error is ctx.Err().
+// already-cancelled ctx no index runs, and index 0 fails with ctx.Err().
 func TestEachCancelledDispatchesNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	for _, workers := range []int{1, 8} {
 		var calls atomic.Int32
-		errs := Each(ctx, 20, workers, func(int) error {
+		first, err := Each(ctx, 20, workers, func(int) error {
 			calls.Add(1)
 			return nil
 		})
 		if got := calls.Load(); got != 0 {
 			t.Errorf("workers=%d: %d calls under a cancelled ctx, want 0", workers, got)
 		}
-		for i, err := range errs {
-			if !errors.Is(err, context.Canceled) {
-				t.Errorf("workers=%d: errs[%d] = %v, want context.Canceled", workers, i, err)
-			}
+		if first != 0 || !errors.Is(err, context.Canceled) {
+			t.Errorf("workers=%d: Each = %d, %v; want 0, context.Canceled", workers, first, err)
 		}
 	}
 }
 
 // TestEachCancelStopsLaterIndices pins the mid-run rule on one worker: a
 // cancel from inside do(k) lets do(k) finish with its own error and
-// dispatches no index after k.
+// dispatches no index after k, so k+1 is the first failure.
 func TestEachCancelStopsLaterIndices(t *testing.T) {
 	const n, k = 10, 3
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var ran []int
-	errs := Each(ctx, n, 1, func(i int) error {
+	first, err := Each(ctx, n, 1, func(i int) error {
 		ran = append(ran, i)
 		if i == k {
 			cancel()
@@ -155,13 +191,8 @@ func TestEachCancelStopsLaterIndices(t *testing.T) {
 	if fmt.Sprint(ran) != "[0 1 2 3]" {
 		t.Errorf("ran %v, want [0 1 2 3]", ran)
 	}
-	for i, err := range errs {
-		if i <= k && err != nil {
-			t.Errorf("errs[%d] = %v, want nil", i, err)
-		}
-		if i > k && !errors.Is(err, context.Canceled) {
-			t.Errorf("errs[%d] = %v, want context.Canceled", i, err)
-		}
+	if first != k+1 || !errors.Is(err, context.Canceled) {
+		t.Errorf("Each = %d, %v; want %d, context.Canceled", first, err, k+1)
 	}
 }
 
@@ -192,7 +223,7 @@ func TestEachCallerIsAWorker(t *testing.T) {
 		var mu sync.Mutex
 		ran := map[uint64]bool{}
 		peak := 0
-		errs := Each(context.Background(), c.n, c.workers, func(int) error {
+		i, err := Each(context.Background(), c.n, c.workers, func(int) error {
 			mu.Lock()
 			ran[goroutineID()] = true
 			peak = max(peak, runtime.NumGoroutine()-base)
@@ -209,10 +240,8 @@ func TestEachCallerIsAWorker(t *testing.T) {
 				return errors.New("fewer than workers calls ran at once")
 			}
 		})
-		for i, err := range errs {
-			if err != nil {
-				t.Errorf("n=%d workers=%d: call %d: %v", c.n, c.workers, i, err)
-			}
+		if err != nil {
+			t.Errorf("n=%d workers=%d: call %d: %v", c.n, c.workers, i, err)
 		}
 		if !ran[caller] {
 			t.Errorf("n=%d workers=%d: no call ran on the caller's goroutine", c.n, c.workers)

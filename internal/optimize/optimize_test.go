@@ -485,11 +485,14 @@ func TestRunInvalidSpace(t *testing.T) {
 // every search is an engine hit: the example space at 2 layer groups (64
 // points, 32 cell compiles). Both are counted at GOMAXPROCS 1, where every
 // compile runs its layers on the caller, so they repeat on any runner. The
-// count reads 264 (265 under the race detector), and the bytes 31,936
-// (34,240): the cells compile into the run's one scratch plan, where a new
-// plan per cell compile made them 342 allocations of 103,824 bytes.
+// count reads 136 and the bytes 26,624, also under the race detector: the
+// cells compile into the run's one scratch plan, which holds its energy
+// model, and a fan-out of width one allocates nothing. A new energy model
+// per cell compile and a fan-out that allocated at width one made them 264
+// allocations of 31,936 bytes, and a new plan per cell compile 342 of
+// 103,824.
 func TestWarmRunAllocs(t *testing.T) {
-	const limit, bytesLimit = 265, 36_000
+	const limit, bytesLimit = 136, 28_000
 	s := exampleSpace(t)
 	s.Groups = 2
 	o := New(compile.New(engine.New()))

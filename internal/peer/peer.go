@@ -247,7 +247,7 @@ func (c *Client) Fetch(ctx context.Context, owner string, body []byte) ([]byte, 
 
 // MemTransport is an in-process http.RoundTripper that dispatches by host
 // to a registered http.Handler — the loopback fabric for in-process fleets
-// (the fleet benchmark and tests wire N Servers together without sockets).
+// (tests and benchmarks wire N Servers together without sockets).
 // Hosts absent from the map fail like an unreachable peer.
 type MemTransport map[string]http.Handler
 

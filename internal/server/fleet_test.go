@@ -5,11 +5,18 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/compile"
 	"repro/internal/core"
@@ -27,11 +34,11 @@ const tinyBody = `{"network": {"name": "tiny", "layers": [
 	{"name": "c1", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 4, "oc": 8}]},
 	"array": "64x64"}`
 
-func openStore(t *testing.T, dir string) *store.Store {
-	t.Helper()
+func openStore(tb testing.TB, dir string) *store.Store {
+	tb.Helper()
 	st, err := store.Open(dir)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return st
 }
@@ -156,28 +163,29 @@ func mustKeyFor(t *testing.T, body string) string {
 	return key
 }
 
-// newFleet builds n in-process servers wired into one consistent-hash
-// fleet over a MemTransport (no sockets), with per-node configs derived
-// from base.
-func newFleet(t *testing.T, n int, base func(i int) Config) []*Server {
-	t.Helper()
+// newFleet builds n in-process servers, node-0:80 to node-<n−1>:80, wired
+// into one consistent-hash fleet over the MemTransport it returns (no
+// sockets), with per-node configs derived from base. The ring hashes the
+// node names, so they decide which node owns each key.
+func newFleet(tb testing.TB, n int, base func(i int) Config) ([]*Server, peer.MemTransport) {
+	tb.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
-		addrs[i] = fmt.Sprintf("10.99.0.%d:80", i+1)
+		addrs[i] = fmt.Sprintf("node-%d:80", i)
 	}
 	mt := peer.MemTransport{}
 	servers := make([]*Server, n)
 	for i := range servers {
 		ring, err := peer.NewRing(addrs[i], addrs)
 		if err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 		cfg := base(i)
 		cfg.Peers = peer.NewClient(ring, mt, 0)
 		servers[i] = New(cfg)
 		mt[addrs[i]] = servers[i]
 	}
-	return servers
+	return servers, mt
 }
 
 // fleetPost drives one request through a fleet node's handler in-process.
@@ -219,7 +227,7 @@ func ownerAndClient(t *testing.T, servers []*Server, body string) (owner, client
 }
 
 func TestPeerProxyOnMiss(t *testing.T) {
-	servers := newFleet(t, 3, func(int) Config { return Config{} })
+	servers, _ := newFleet(t, 3, func(int) Config { return Config{} })
 	owner, client := ownerAndClient(t, servers, tinyBody)
 
 	// A request to a non-owner is proxied: the owner runs the one search,
@@ -263,7 +271,7 @@ func TestPeerProxyOnMiss(t *testing.T) {
 func TestPeerHopNeverReproxied(t *testing.T) {
 	// A node receiving an already-proxied request must answer locally even
 	// when it does not own the key — one hop maximum, no cycles.
-	servers := newFleet(t, 3, func(int) Config { return Config{} })
+	servers, _ := newFleet(t, 3, func(int) Config { return Config{} })
 	owner, client := ownerAndClient(t, servers, tinyBody)
 
 	hdr := http.Header{}
@@ -387,7 +395,7 @@ func TestFleetSingleflightAcrossProxyHop(t *testing.T) {
 	// A thundering herd of identical requests on a non-owner must collapse
 	// to one proxy hop and one search on the owner: the local singleflight
 	// coalesces the herd, and the owner's coalesces whatever leaks through.
-	servers := newFleet(t, 3, func(int) Config { return Config{} })
+	servers, _ := newFleet(t, 3, func(int) Config { return Config{} })
 	owner, client := ownerAndClient(t, servers, tinyBody)
 
 	const herd = 16
@@ -424,6 +432,158 @@ func TestFleetSingleflightAcrossProxyHop(t *testing.T) {
 	}
 	if got := servers[client].peerProxied.Load(); got != 1 {
 		t.Errorf("client proxied %d times, want 1", got)
+	}
+}
+
+// The zipf mix is the fleet tier's payoff workload: 600 compile requests
+// over 24 keys, the six zoo networks on four square arrays, drawn by a
+// seeded zipf (a few hot networks and a long tail) and sent round-robin to
+// three nodes. Each plan cache holds 8 plans, far fewer than the keys, so
+// one node alone thrashes its LRU, while in the fleet every key is compiled
+// by its owner and served from caches and stores everywhere else.
+var (
+	zipfNetworks = []string{"VGG-13", "ResNet-18", "VGG-16", "AlexNet", "MobileNet-V2", "ResNeXt-50"}
+	zipfArrays   = []string{"128x128", "256x256", "384x384", "512x512"}
+)
+
+const (
+	zipfRequests  = 600
+	zipfPlanCache = 8
+)
+
+// zipfMix is what one replay of the zipf mix observed.
+type zipfMix struct {
+	// xcache counts the fleet's answers by X-Cache value, and latency holds
+	// each answer's ServeHTTP time under the same value.
+	xcache  map[string]int
+	latency map[string][]time.Duration
+
+	// fetches counts the peer fetches the shared transport carried, failed
+	// the nodes' Peer.Failed, and compiles the compiles run anywhere in the
+	// fleet. touched is the number of distinct keys the sequence draws.
+	fetches  int64
+	failed   uint64
+	compiles uint64
+	touched  int
+
+	// baseHits and baseCompiles are the one-node baseline's X-Cache hits
+	// and plan-cache misses.
+	baseHits     int
+	baseCompiles uint64
+}
+
+// replayZipfMix runs the zipf mix on a fresh three-node fleet — plan cache
+// 8 and a store per node, one shared MemTransport — and then on one node
+// with plan cache 8, no store and no peers. Every store is flushed after
+// every request, so no store hit depends on when a write-behind lands.
+func replayZipfMix(tb testing.TB) zipfMix {
+	tb.Helper()
+	var bodies []string
+	for _, n := range zipfNetworks {
+		for _, a := range zipfArrays {
+			bodies = append(bodies, fmt.Sprintf(`{"network": %q, "array": %q}`, n, a))
+		}
+	}
+	z := rand.NewZipf(rand.New(rand.NewSource(7)), 1.2, 1, uint64(len(bodies)-1))
+	seq := make([]int, zipfRequests)
+	touched := map[int]bool{}
+	for i := range seq {
+		seq[i] = int(z.Uint64())
+		touched[seq[i]] = true
+	}
+	serve := func(s *Server, k int) (string, time.Duration) {
+		rw := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodPost, "/v1/compile", strings.NewReader(bodies[k]))
+		start := time.Now()
+		s.ServeHTTP(rw, req)
+		d := time.Since(start)
+		if rw.Code != http.StatusOK {
+			tb.Fatalf("%s: status %d: %s", bodies[k], rw.Code, rw.Body)
+		}
+		return rw.Header().Get("X-Cache"), d
+	}
+
+	mix := zipfMix{xcache: map[string]int{}, latency: map[string][]time.Duration{}, touched: len(touched)}
+	stores := make([]*store.Store, 3)
+	servers, mt := newFleet(tb, len(stores), func(i int) Config {
+		stores[i] = openStore(tb, tb.TempDir())
+		return Config{PlanCacheSize: zipfPlanCache, Store: stores[i]}
+	})
+	var fetches atomic.Int64
+	for addr, h := range mt {
+		mt[addr] = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			fetches.Add(1)
+			h.ServeHTTP(w, r)
+		})
+	}
+	for i, k := range seq {
+		xc, d := serve(servers[i%len(servers)], k)
+		mix.xcache[xc]++
+		mix.latency[xc] = append(mix.latency[xc], d)
+		for _, st := range stores {
+			st.Flush()
+		}
+	}
+	mix.fetches = fetches.Load()
+	// A plan-cache miss is a compile unless the store or a peer filled it.
+	for _, s := range servers {
+		st := s.Stats()
+		mix.compiles += st.PlanCache.Misses - st.Store.Hits - st.Peer.Proxied
+		mix.failed += st.Peer.Failed
+	}
+
+	base := New(Config{PlanCacheSize: zipfPlanCache})
+	for _, k := range seq {
+		if xc, _ := serve(base, k); xc == "hit" {
+			mix.baseHits++
+		}
+	}
+	mix.baseCompiles = base.Stats().PlanCache.Misses
+	return mix
+}
+
+// TestFleetZipfMix pins the fleet tier's payoff on the zipf mix, count for
+// count. The fleet compiles each key the sequence draws once (23), where
+// one node with the same plan cache compiles 175 times; 595 of 600 answers
+// are served without a local compile, against the node's 425. Every
+// proxied answer made exactly one peer fetch, and no fetch failed. The
+// sequence, the round-robin placement, the ring and the flushed stores are
+// all deterministic, so the counts are exact on any machine.
+func TestFleetZipfMix(t *testing.T) {
+	mix := replayZipfMix(t)
+	if want := map[string]int{"hit": 400, "store": 33, "peer": 162, "miss": 5}; !maps.Equal(mix.xcache, want) {
+		t.Errorf("fleet X-Cache counts = %v, want %v", mix.xcache, want)
+	}
+	if mix.fetches != int64(mix.xcache["peer"]) || mix.failed != 0 {
+		t.Errorf("%d peer fetches, %d failed, for %d proxied answers; want one fetch each and none failed",
+			mix.fetches, mix.failed, mix.xcache["peer"])
+	}
+	if mix.touched != 23 || mix.compiles != uint64(mix.touched) {
+		t.Errorf("fleet compiles = %d for %d touched keys, want 23 for 23 (one per key)", mix.compiles, mix.touched)
+	}
+	if mix.baseHits != 425 || mix.baseCompiles != 175 {
+		t.Errorf("one-node baseline: %d hits and %d compiles, want 425 and 175", mix.baseHits, mix.baseCompiles)
+	}
+}
+
+// BenchmarkFleetZipfMix replays the zipf mix on a fresh fleet per iteration
+// and reports the median ServeHTTP time of each answer class: proxied (an
+// owner's plan fetched over the transport), compute (a local compile) and
+// hit (the node's plan cache or store). Its counts are TestFleetZipfMix's.
+func BenchmarkFleetZipfMix(b *testing.B) {
+	var proxied, compute, hit []time.Duration
+	for b.Loop() {
+		mix := replayZipfMix(b)
+		proxied = append(proxied, mix.latency["peer"]...)
+		compute = append(compute, mix.latency["miss"]...)
+		hit = append(append(hit, mix.latency["hit"]...), mix.latency["store"]...)
+	}
+	for _, c := range []struct {
+		unit string
+		ds   []time.Duration
+	}{{"proxied-p50-ns", proxied}, {"compute-p50-ns", compute}, {"hit-p50-ns", hit}} {
+		slices.Sort(c.ds)
+		b.ReportMetric(float64(c.ds[len(c.ds)/2]), c.unit)
 	}
 }
 
