@@ -97,23 +97,40 @@ func BenchmarkFunctionalVerify(b *testing.B) {
 	})
 }
 
-// BenchmarkSearchVWSDK measures Algorithm 1 itself on representative layers
-// (the optimizer a compiler would run per layer).
+// BenchmarkSearchVWSDK measures Algorithm 1 itself (the optimizer a
+// compiler would run per layer) on the 512x512 array. On representative
+// Table-I layers it times the closed-form class walk beside the exhaustive
+// sweep it replaces, so the ratio of the two is the walk's speedup. On
+// large-IFM stress layers, whose sweeps enumerate 10⁵–10⁶ windows, it times
+// the closed form alone. TestSearchResultsGolden (internal/core) pins each
+// search's counts and chosen mapping.
 func BenchmarkSearchVWSDK(b *testing.B) {
-	layers := []Layer{
+	tableI := []Layer{
 		{Name: "vgg-conv1", IW: 224, IH: 224, KW: 3, KH: 3, IC: 3, OC: 64},
 		{Name: "vgg-conv5", IW: 56, IH: 56, KW: 3, KH: 3, IC: 128, OC: 256},
 		{Name: "resnet-conv1", IW: 112, IH: 112, KW: 7, KH: 7, IC: 3, OC: 64},
 		{Name: "resnet-conv5", IW: 7, IH: 7, KW: 3, KH: 3, IC: 512, OC: 512},
 	}
-	for _, l := range layers {
-		b.Run(l.Name, func(b *testing.B) {
+	stress := []Layer{
+		{Name: "hd-512", IW: 512, IH: 512, KW: 3, KH: 3, IC: 64, OC: 64},
+		{Name: "hd-768", IW: 768, IH: 768, KW: 3, KH: 3, IC: 32, OC: 64},
+		{Name: "hd-1024", IW: 1024, IH: 1024, KW: 3, KH: 3, IC: 16, OC: 32},
+	}
+	run := func(l Layer, name string, search func(Layer, Array) (core.Result, error)) {
+		b.Run(l.Name+"/"+name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.SearchVWSDK(l, experiments.Array512); err != nil {
+				if _, err := search(l, experiments.Array512); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+	for _, l := range tableI {
+		run(l, "closed-form", core.SearchVWSDK)
+		run(l, "exhaustive", core.SearchVWSDKExhaustive)
+	}
+	for _, l := range stress {
+		run(l, "closed-form", core.SearchVWSDK)
 	}
 }
 

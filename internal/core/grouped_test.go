@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -138,5 +139,33 @@ func TestGroupedSMDAndSDK(t *testing.T) {
 	}
 	if gk.Best.Cycles != g*sk.Best.Cycles || gk.Best.PW != sk.Best.PW {
 		t.Errorf("SDK grouped %+v vs slice %+v", gk.Best, sk.Best)
+	}
+}
+
+// TestGroupedSweptMatchesDense: a grouped layer's search sweeps exactly as
+// many windows as its dense equivalent (the same geometry with grouping
+// dropped), on every grouped golden shape and acceptance array, under every
+// method. The tiled searches' window feasibility ignores channels, and the
+// whole-channel searches count their whole lattice. Evaluated may differ,
+// because the per-group channel caps move the cost-class breakpoints.
+func TestGroupedSweptMatchesDense(t *testing.T) {
+	for _, l := range goldenShapes() {
+		if l.NumGroups() == 1 {
+			continue
+		}
+		dense := l
+		dense.Groups = 0
+		for _, a := range prunedTestArrays {
+			for _, m := range allMethods {
+				g, err1 := Search(context.Background(), l, a, m)
+				d, err2 := Search(context.Background(), dense, a, m)
+				if err1 != nil || err2 != nil {
+					t.Fatalf("%v %s %v: %v / %v", l, a, m, err1, err2)
+				}
+				if g.Swept != d.Swept {
+					t.Errorf("%v %s %v: swept %d, dense equivalent %d", l, a, m, g.Swept, d.Swept)
+				}
+			}
+		}
 	}
 }

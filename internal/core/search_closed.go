@@ -125,8 +125,8 @@ func (c corner) done(res Result) Result {
 // exhaustive search for variant v enumerates for layer l: the full [kernel,
 // padded IFM] rectangle minus the im2col seed, or every in-bounds square
 // for VariantSquareTiled. This is the candidate count the class walk
-// avoids; engine.Stats and the cmd/vwsdkbench report use it to quantify the
-// pruning.
+// avoids; engine.Stats and the search golden (TestSearchResultsGolden) use
+// it to quantify the pruning.
 func ExhaustiveCandidates(l Layer, v Variant) int64 {
 	l = l.Normalized()
 	return corner{square: v == VariantSquareTiled}.candidates(&l)
