@@ -3,20 +3,35 @@ package engine
 import "repro/internal/core"
 
 // cacheKey identifies one memoizable search: the normalized layer shape
-// (name cleared — ResNet/VGG repeat shapes under different names), the
+// (without its name — ResNet/VGG repeat shapes under different names), the
 // array, and the canonical search method, so methods that run the same
-// search (a baseline carrying a variant, say) share one entry. core.Layer,
-// core.Array and core.Method are comparable structs, so the key is directly
-// usable as a map key.
+// search (a baseline carrying a variant, say) share one entry. Every field
+// is comparable, so the key is directly usable as a map key, and it stays
+// within the 128 bytes a Go map stores in its slot: a larger key is copied
+// to the heap on every insert, and a miss inserts it twice (the memo's
+// in-flight and stored maps).
 type cacheKey struct {
-	layer  core.Layer
+	shape  shape
 	array  core.Array
 	method core.Method
 }
 
-// newCacheKey normalizes l and m and strips l's name so equal shapes collide.
+// shape is a normalized core.Layer's geometry without its name.
+type shape struct {
+	iw, ih, kw, kh, ic, oc, strideW, strideH, padW, padH, groups int
+}
+
+// newCacheKey normalizes l and m and drops l's name so equal shapes collide.
 func newCacheKey(l core.Layer, a core.Array, m core.Method) cacheKey {
 	l = l.Normalized()
-	l.Name = ""
-	return cacheKey{layer: l, array: a, method: m.Canonical()}
+	return cacheKey{
+		shape: shape{l.IW, l.IH, l.KW, l.KH, l.IC, l.OC, l.StrideW, l.StrideH, l.PadW, l.PadH, l.Groups},
+		array: a, method: m.Canonical(),
+	}
+}
+
+// layer rebuilds the unnamed core.Layer s was taken from.
+func (s shape) layer() core.Layer {
+	return core.Layer{IW: s.iw, IH: s.ih, KW: s.kw, KH: s.kh, IC: s.ic, OC: s.oc,
+		StrideW: s.strideW, StrideH: s.strideH, PadW: s.padW, PadH: s.padH, Groups: s.groups}
 }

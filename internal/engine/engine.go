@@ -226,7 +226,7 @@ func (e *Engine) countCandidates(k cacheKey, res core.Result) {
 	if k.method.Scheme != core.SchemeVWSDK {
 		return
 	}
-	if ex := core.ExhaustiveCandidates(k.layer, k.method.Variant); ex > int64(res.Evaluated) {
+	if ex := core.ExhaustiveCandidates(k.shape.layer(), k.method.Variant); ex > int64(res.Evaluated) {
 		e.pruned.Add(uint64(ex - int64(res.Evaluated)))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"repro/internal/core"
 	"repro/internal/model"
@@ -334,7 +335,7 @@ func TestEngineFlightDedupeCounter(t *testing.T) {
 // cache hit nor a join onto an in-flight search moves it.
 func TestInFlightSearchesGauge(t *testing.T) {
 	e := New()
-	key := func(i int) cacheKey { return cacheKey{layer: core.Layer{IW: i}} }
+	key := func(i int) cacheKey { return cacheKey{shape: shape{iw: i}} }
 	stored := func(context.Context) (core.Result, error) { return core.Result{Evaluated: 1}, nil }
 	if _, err := e.memoized(bg, key(0), "hit", stored); err != nil {
 		t.Fatal(err)
@@ -456,6 +457,37 @@ func TestCacheLRUEviction(t *testing.T) {
 	}
 	if st := New(WithCacheSize(0)).Stats(); st.Evictions != 0 {
 		t.Errorf("disabled cache evictions = %d, want 0", st.Evictions)
+	}
+}
+
+// TestCacheKeyFitsMapSlot: a Go map stores a key of at most 128 bytes in
+// its slot and copies a larger one to the heap on every insert, which an
+// engine miss makes twice (the memo's in-flight and stored maps).
+func TestCacheKeyFitsMapSlot(t *testing.T) {
+	if n := unsafe.Sizeof(cacheKey{}); n > 128 {
+		t.Fatalf("cacheKey is %d bytes, want at most 128", n)
+	}
+}
+
+// TestEngineMissAllocs pins a computed VW-SDK search at 3 allocations, all
+// the memo's: the in-flight record, its done channel and the LRU element.
+// The class walk allocates nothing, and the key stays in the maps' slots.
+func TestEngineMissAllocs(t *testing.T) {
+	e := New()
+	a := core.Array{Rows: 256, Cols: 256}
+	i := 0
+	got := testing.AllocsPerRun(100, func() {
+		i++ // a new shape every run, so every search misses
+		l := core.Layer{IW: 14 + i, IH: 14, KW: 3, KH: 3, IC: 16, OC: 16}
+		if _, err := e.Search(bg, l, a, core.MethodVWSDK); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if st := e.Stats(); st.CacheMisses != uint64(i) || st.CacheHits != 0 {
+		t.Fatalf("stats = %+v, want %d misses and no hit", st, i)
+	}
+	if got != 3 {
+		t.Errorf("engine miss = %v allocations, want 3", got)
 	}
 }
 
