@@ -85,8 +85,8 @@ func run(args []string, out io.Writer) (retErr error) {
 		fmt.Fprintf(out, "vwsdk %s\n", cliutil.Version())
 		return nil
 	}
-	if *nArrays < 1 {
-		return fmt.Errorf("-arrays must be at least 1, got %d", *nArrays)
+	if *nArrays < 1 || *nArrays > compile.MaxArrays {
+		return fmt.Errorf("-arrays must be between 1 and %d, got %d", compile.MaxArrays, *nArrays)
 	}
 	if *timeout < 0 {
 		return fmt.Errorf("-timeout must not be negative, got %s", *timeout)

@@ -167,10 +167,10 @@ func TestRunBadFlags(t *testing.T) {
 			t.Errorf("args %v accepted", args)
 		}
 	}
-	// A chip has at least one array, and a deadline is not negative: such
-	// a value is an error naming the flag, not a quiet single-array table
-	// or a run without a deadline.
-	for _, tc := range []struct{ flag, value string }{{"-arrays", "-3"}, {"-timeout", "-1s"}} {
+	// A chip has between one and compile.MaxArrays arrays, and a deadline is
+	// not negative: such a value is an error naming the flag, not a quiet
+	// single-array table, a wrapped makespan or a run without a deadline.
+	for _, tc := range []struct{ flag, value string }{{"-arrays", "-3"}, {"-arrays", "9223372036854775807"}, {"-timeout", "-1s"}} {
 		var out strings.Builder
 		if err := run([]string{"-network", "VGG-13", tc.flag, tc.value}, &out); err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Errorf("%s %s: err = %v, want an error naming %s", tc.flag, tc.value, err, tc.flag)

@@ -76,4 +76,10 @@ func TestRequestValidate(t *testing.T) {
 	if err := NewRequest(model.VGG13(), array512, Options{Scheme: Scheme(42)}).Validate(); err == nil {
 		t.Error("unknown scheme accepted")
 	}
+	if err := NewRequest(model.VGG13(), array512, Options{Arrays: MaxArrays}).Validate(); err != nil {
+		t.Errorf("array count at the limit rejected: %v", err)
+	}
+	if err := NewRequest(model.VGG13(), array512, Options{Arrays: MaxArrays + 1}).Validate(); err == nil {
+		t.Error("array count over the limit accepted")
+	}
 }

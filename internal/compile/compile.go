@@ -165,8 +165,8 @@ type Options struct {
 	// VariantRectFullChannel); only consulted when Scheme is VWSDK.
 	Variant core.Variant
 
-	// Arrays is the number of crossbars on the chip; values below 1 mean a
-	// single array.
+	// Arrays is the number of crossbars on the chip, at most MaxArrays;
+	// values below 1 mean a single array.
 	Arrays int
 
 	// Energy holds the technology constants; nil selects energy.Default().
@@ -232,8 +232,12 @@ func NewRequest(n model.Network, a core.Array, opts Options) Request {
 	return Request{Network: n, Array: a, Options: opts}
 }
 
+// MaxArrays bounds a chip's array count. With core.MaxArrayDim it keeps
+// every plan total inside int64; this repository's chips have at most 16.
+const MaxArrays = 1 << 20
+
 // Validate checks the request the way Compile does: network, array,
-// scheme and energy model must all be individually valid.
+// array count, scheme and energy model must all be individually valid.
 func (r Request) Validate() error {
 	_, _, err := r.check()
 	return err
@@ -248,6 +252,9 @@ func (r Request) check() (core.Method, energy.Model, error) {
 	}
 	if err := r.Array.Validate(); err != nil {
 		return core.Method{}, energy.Model{}, err
+	}
+	if r.Options.Arrays > MaxArrays {
+		return core.Method{}, energy.Model{}, fmt.Errorf("compile: %d arrays exceed the limit of %d", r.Options.Arrays, MaxArrays)
 	}
 	m, err := r.Options.method()
 	if err != nil {

@@ -41,13 +41,11 @@ var keyBufPool = sync.Pool{New: func() any {
 // injective over the canonicalized request (names are length-prefixed, every
 // field is delimited) and collapses the same equivalence classes the spec
 // serialization does: normalized strides, Groups 0/1, Count 0/1 and
-// defaulted options all collide. It validates the network and array exactly
-// like Compile, so no key is minted for an uncompilable request.
+// defaulted options all collide. It validates req exactly like Compile, so
+// no key is minted for an uncompilable request.
 func AppendKey(dst []byte, req Request) ([]byte, error) {
-	if err := req.Network.Validate(); err != nil {
-		return nil, err
-	}
-	if err := req.Array.Validate(); err != nil {
+	_, en, err := req.check()
+	if err != nil {
 		return nil, err
 	}
 	dst = append(dst, "vwsdk-key/v2|"...)
@@ -79,7 +77,6 @@ func AppendKey(dst []byte, req Request) ([]byte, error) {
 	// Options and the same flag pre-set on the model collide.
 	opts := req.Options
 	arrays := max(opts.Arrays, 1)
-	en := opts.energyModel()
 	dst = append(dst, "|o="...)
 	dst = strconv.AppendInt(dst, int64(opts.Scheme), 10)
 	dst = append(dst, ',')

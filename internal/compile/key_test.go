@@ -151,4 +151,11 @@ func TestKeyRejectsInvalid(t *testing.T) {
 		!strings.Contains(err.Error(), "array") {
 		t.Errorf("zero array accepted or unclear error: %v", err)
 	}
+	if _, err := Key(NewRequest(model.VGG13(), array512, Options{Scheme: 9})); err == nil {
+		t.Error("unknown scheme accepted")
+	}
+	if _, err := Key(NewRequest(model.VGG13(), array512, Options{Arrays: MaxArrays + 1})); err == nil ||
+		!strings.Contains(err.Error(), "1048577") || !strings.Contains(err.Error(), "1048576") {
+		t.Errorf("array count over the limit accepted or unclear error: %v", err)
+	}
 }

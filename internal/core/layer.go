@@ -161,10 +161,19 @@ type Array struct {
 	Rows, Cols int
 }
 
-// Validate reports whether the array has positive dimensions.
+// MaxArrayDim bounds an array's rows and columns. With compile.MaxArrays it
+// keeps an array's cells, a chip's area and a layer's programs and makespan
+// inside int64; the largest array this repository evaluates has 2048 rows.
+const MaxArrayDim = 1 << 16
+
+// Validate reports whether the array has positive dimensions of at most
+// MaxArrayDim.
 func (a Array) Validate() error {
-	if a.Rows <= 0 || a.Cols <= 0 {
+	switch {
+	case a.Rows <= 0 || a.Cols <= 0:
 		return fmt.Errorf("core: invalid array %dx%d", a.Rows, a.Cols)
+	case a.Rows > MaxArrayDim || a.Cols > MaxArrayDim:
+		return fmt.Errorf("core: array %dx%d exceeds the limit of %d rows and columns", a.Rows, a.Cols, MaxArrayDim)
 	}
 	return nil
 }

@@ -182,6 +182,16 @@ func TestArrayValidate(t *testing.T) {
 			t.Fatalf("invalid array %v accepted", a)
 		}
 	}
+	// Above MaxArrayDim, Cells and every total derived from it could wrap.
+	if err := (Array{Rows: MaxArrayDim, Cols: MaxArrayDim}).Validate(); err != nil {
+		t.Fatalf("array at the limit rejected: %v", err)
+	}
+	for _, a := range []Array{{MaxArrayDim + 1, 512}, {512, 3037000500}} {
+		err := a.Validate()
+		if err == nil || !strings.Contains(err.Error(), a.String()) || !strings.Contains(err.Error(), "65536") {
+			t.Errorf("array %v: err = %v, want one naming the array and the limit", a, err)
+		}
+	}
 	if got := (Array{Rows: 512, Cols: 256}).Cells(); got != 131072 {
 		t.Fatalf("Cells = %d, want 131072", got)
 	}

@@ -28,6 +28,7 @@ import (
 	"slices"
 
 	"repro/internal/cliutil"
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/model"
 )
@@ -208,6 +209,9 @@ func (s DesignSpace) Validate() error {
 	for _, c := range s.Chips {
 		if c < 1 {
 			return fmt.Errorf("optimize: design space %q: non-positive chip count %d", s.Name, c)
+		}
+		if c > compile.MaxArrays {
+			return fmt.Errorf("optimize: design space %q: chip count %d exceeds the limit of %d", s.Name, c, compile.MaxArrays)
 		}
 	}
 	if s.Groups < 1 || s.Groups > len(s.Network.Layers) {

@@ -62,6 +62,7 @@ func TestFromJSONErrors(t *testing.T) {
 		"bad array":        `{"network": "VGG-13", "arrays": ["64by64"]}`,
 		"zero array":       `{"network": "VGG-13", "arrays": ["0x64"]}`,
 		"bad chips":        `{"network": "VGG-13", "arrays": ["64x64"], "chips": [0]}`,
+		"chips over limit": `{"network": "VGG-13", "arrays": ["64x64"], "chips": [1048577]}`,
 		"too many groups":  `{"network": "VGG-13", "arrays": ["64x64"], "layer_groups": 99}`,
 		"unknown field":    `{"network": "VGG-13", "arrays": ["64x64"], "bogus": 1}`,
 		"unknown zoo":      `{"network": "NoSuchNet", "arrays": ["64x64"]}`,

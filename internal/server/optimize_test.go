@@ -166,6 +166,7 @@ func TestOptimizeErrorPaths(t *testing.T) {
 		{"empty arrays axis", `{"network": "VGG-13", "arrays": []}`, http.StatusUnprocessableEntity},
 		{"bad array", `{"network": "VGG-13", "arrays": ["sixtyfour"]}`, http.StatusUnprocessableEntity},
 		{"bad chips", `{"network": "VGG-13", "arrays": ["64x64"], "chips": [0]}`, http.StatusUnprocessableEntity},
+		{"chips over the limit", `{"network": "VGG-13", "arrays": ["64x64"], "chips": [1048577]}`, http.StatusUnprocessableEntity},
 		{"unknown network", `{"network": "NoSuchNet", "arrays": ["64x64"]}`, http.StatusUnprocessableEntity},
 		{"groups exceed layers", `{"network": "VGG-13", "arrays": ["64x64"], "layer_groups": 11}`, http.StatusUnprocessableEntity},
 		{"point explosion", `{"network": "VGG-13", "arrays": ["1x1","2x2","4x4","8x8","16x16","32x32","64x64","128x128"], "layer_groups": 5}`, http.StatusUnprocessableEntity},

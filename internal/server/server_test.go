@@ -312,6 +312,8 @@ func TestCompileErrorPaths(t *testing.T) {
 		{"bad scheme", `{"network": "VGG-13", "array": "64x64", "options": {"scheme": "magic"}}`, http.StatusUnprocessableEntity},
 		{"bad variant", `{"network": "VGG-13", "array": "64x64", "options": {"variant": "magic"}}`, http.StatusUnprocessableEntity},
 		{"negative arrays", `{"network": "VGG-13", "array": "64x64", "options": {"arrays": -2}}`, http.StatusUnprocessableEntity},
+		{"arrays over the limit", `{"network": "VGG-13", "array": "512x512", "options": {"arrays": 4611686018427387904}}`, http.StatusUnprocessableEntity},
+		{"array over the limit", `{"network": "VGG-13", "array": "3037000500x3037000500"}`, http.StatusUnprocessableEntity},
 		{"negative groups", `{"network": {"name": "t", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 4, "oc": 4, "groups": -1}]}, "array": "64x64"}`, http.StatusUnprocessableEntity},
 		{"ic not divisible by groups", `{"network": {"name": "t", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 5, "oc": 6, "groups": 3}]}, "array": "64x64"}`, http.StatusUnprocessableEntity},
 		{"oc not divisible by groups", `{"network": {"name": "t", "layers": [{"name": "c", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 6, "oc": 4, "groups": 3}]}, "array": "64x64"}`, http.StatusUnprocessableEntity},
