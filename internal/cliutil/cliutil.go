@@ -200,27 +200,20 @@ func ParseSize(s string) (w, h int, err error) {
 	if s == "" {
 		return 0, 0, fmt.Errorf("cliutil: empty size")
 	}
-	parts := strings.Split(strings.ToLower(s), "x")
-	switch len(parts) {
-	case 1:
-		w, err = strconv.Atoi(parts[0])
-		if err != nil {
-			return 0, 0, fmt.Errorf("cliutil: bad size %q: %w", s, err)
-		}
-		return w, w, nil
-	case 2:
-		w, err = strconv.Atoi(parts[0])
-		if err != nil {
-			return 0, 0, fmt.Errorf("cliutil: bad size %q: %w", s, err)
-		}
-		h, err = strconv.Atoi(parts[1])
-		if err != nil {
-			return 0, 0, fmt.Errorf("cliutil: bad size %q: %w", s, err)
-		}
-		return w, h, nil
-	default:
+	ws, hs, two := strings.Cut(strings.ToLower(s), "x")
+	if strings.Contains(hs, "x") {
 		return 0, 0, fmt.Errorf("cliutil: bad size %q (want WxH)", s)
 	}
+	if w, err = strconv.Atoi(ws); err != nil {
+		return 0, 0, fmt.Errorf("cliutil: bad size %q: %w", s, err)
+	}
+	if !two {
+		return w, w, nil
+	}
+	if h, err = strconv.Atoi(hs); err != nil {
+		return 0, 0, fmt.Errorf("cliutil: bad size %q: %w", s, err)
+	}
+	return w, h, nil
 }
 
 // ParseArray parses "RowsxCols" (or a square "512") into a core.Array.

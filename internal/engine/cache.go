@@ -6,32 +6,47 @@ import "repro/internal/core"
 // (without its name — ResNet/VGG repeat shapes under different names), the
 // array, and the canonical search method, so methods that run the same
 // search (a baseline carrying a variant, say) share one entry. Every field
-// is comparable, so the key is directly usable as a map key, and it stays
-// within the 128 bytes a Go map stores in its slot: a larger key is copied
-// to the heap on every insert, and a miss inserts it twice (the memo's
-// in-flight and stored maps).
+// is comparable, so the key is directly usable as a map key.
+//
+// The fields are narrowed to 56 bytes. A Go map copies a key larger than
+// 128 bytes to the heap on every insert, and a miss inserts twice (the
+// memo's in-flight and stored maps). A smaller key sits in the map's
+// slots instead, and a map that LRU evictions churn keeps several slots
+// per live entry, so a narrow key also keeps a full cache no larger than
+// out-of-line keys made it.
 type cacheKey struct {
-	shape  shape
-	array  core.Array
-	method core.Method
+	// dims are the layer's IW, IH, KW, KH, IC, OC, StrideW, StrideH, PadW,
+	// PadH and Groups, then the array's Rows and Cols.
+	dims            [13]int32
+	scheme, variant uint8
 }
 
-// shape is a normalized core.Layer's geometry without its name.
-type shape struct {
-	iw, ih, kw, kh, ic, oc, strideW, strideH, padW, padH, groups int
-}
-
-// newCacheKey normalizes l and m and drops l's name so equal shapes collide.
-func newCacheKey(l core.Layer, a core.Array, m core.Method) cacheKey {
+// newCacheKey normalizes l and m and drops l's name so equal shapes
+// collide. It reports false when a value does not fit its narrowed field:
+// a dimension beyond int32 or an unknown method, which no zoo or served
+// request reaches.
+func newCacheKey(l core.Layer, a core.Array, m core.Method) (cacheKey, bool) {
 	l = l.Normalized()
-	return cacheKey{
-		shape: shape{l.IW, l.IH, l.KW, l.KH, l.IC, l.OC, l.StrideW, l.StrideH, l.PadW, l.PadH, l.Groups},
-		array: a, method: m.Canonical(),
+	m = m.Canonical()
+	var k cacheKey
+	for i, v := range [...]int{l.IW, l.IH, l.KW, l.KH, l.IC, l.OC, l.StrideW, l.StrideH, l.PadW, l.PadH, l.Groups, a.Rows, a.Cols} {
+		if int(int32(v)) != v {
+			return cacheKey{}, false
+		}
+		k.dims[i] = int32(v)
 	}
+	k.scheme, k.variant = uint8(m.Scheme), uint8(m.Variant)
+	return k, k.method() == m
 }
 
-// layer rebuilds the unnamed core.Layer s was taken from.
-func (s shape) layer() core.Layer {
-	return core.Layer{IW: s.iw, IH: s.ih, KW: s.kw, KH: s.kh, IC: s.ic, OC: s.oc,
-		StrideW: s.strideW, StrideH: s.strideH, PadW: s.padW, PadH: s.padH, Groups: s.groups}
+// layer rebuilds the unnamed, normalized core.Layer k was made from.
+func (k cacheKey) layer() core.Layer {
+	d := k.dims
+	return core.Layer{IW: int(d[0]), IH: int(d[1]), KW: int(d[2]), KH: int(d[3]), IC: int(d[4]), OC: int(d[5]),
+		StrideW: int(d[6]), StrideH: int(d[7]), PadW: int(d[8]), PadH: int(d[9]), Groups: int(d[10])}
+}
+
+// method rebuilds the canonical core.Method k was made from.
+func (k cacheKey) method() core.Method {
+	return core.Method{Scheme: core.Scheme(k.scheme), Variant: core.Variant(k.variant)}
 }

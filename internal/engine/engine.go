@@ -150,15 +150,22 @@ func (e *Engine) Stats() Stats {
 // yet, and the answer can be stale by the time the caller searches: it is a
 // hint about where the work is, never a promise about a result.
 func (e *Engine) Cached(l core.Layer, a core.Array, m core.Method) bool {
-	return e.cache.Contains(newCacheKey(l, a, m))
+	k, ok := newCacheKey(l, a, m)
+	return ok && e.cache.Contains(k)
 }
 
 // Search runs core.Search for m under the cache; bit-identical to
 // core.Search. Methods with one canonical form (core.Method.Canonical)
 // share one cache entry. A hit copies the stored result once, into the
 // result Search returns, and stamps the caller's layer name on it there.
+// A search with a value too wide for the cache key runs core.Search
+// directly: it is not cached, counted or traced.
 func (e *Engine) Search(ctx context.Context, l core.Layer, a core.Array, m core.Method) (res core.Result, err error) {
-	p, err := e.memoized(ctx, newCacheKey(l, a, m), l.Name, func(ctx context.Context) (core.Result, error) {
+	k, ok := newCacheKey(l, a, m)
+	if !ok {
+		return core.Search(ctx, l, a, m)
+	}
+	p, err := e.memoized(ctx, k, l.Name, func(ctx context.Context) (core.Result, error) {
 		return core.Search(ctx, l, a, m)
 	})
 	if p != nil {
@@ -195,7 +202,7 @@ func (e *Engine) memoized(ctx context.Context, k cacheKey, name string, search f
 			return r, err
 		}
 		e.countCandidates(k, r)
-		sp.SetStr("path", searchPath(k.method)).SetInt("candidates", int64(r.Evaluated))
+		sp.SetStr("path", searchPath(k.method())).SetInt("candidates", int64(r.Evaluated))
 		r.Best.Layer.Name = ""
 		r.Im2col.Layer.Name = ""
 		return r, nil
@@ -223,10 +230,11 @@ func searchPath(m core.Method) string {
 // an exhaustive sweep to prune against.
 func (e *Engine) countCandidates(k cacheKey, res core.Result) {
 	e.costed.Add(uint64(res.Evaluated))
-	if k.method.Scheme != core.SchemeVWSDK {
+	m := k.method()
+	if m.Scheme != core.SchemeVWSDK {
 		return
 	}
-	if ex := core.ExhaustiveCandidates(k.shape.layer(), k.method.Variant); ex > int64(res.Evaluated) {
+	if ex := core.ExhaustiveCandidates(k.layer(), m.Variant); ex > int64(res.Evaluated) {
 		e.pruned.Add(uint64(ex - int64(res.Evaluated)))
 	}
 }

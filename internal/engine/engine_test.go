@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"sync"
@@ -293,8 +294,9 @@ func TestEngineFlightDedupeCounter(t *testing.T) {
 
 	entered, release := make(chan struct{}), make(chan struct{})
 	leaderErr := make(chan error, 1)
+	k, _ := newCacheKey(l, a, core.MethodVWSDK)
 	go func() {
-		_, err := e.memoized(bg, newCacheKey(l, a, core.MethodVWSDK), l.Name, func(ctx context.Context) (core.Result, error) {
+		_, err := e.memoized(bg, k, l.Name, func(ctx context.Context) (core.Result, error) {
 			close(entered)
 			<-release
 			return core.Search(ctx, l, a, core.MethodVWSDK)
@@ -335,7 +337,7 @@ func TestEngineFlightDedupeCounter(t *testing.T) {
 // cache hit nor a join onto an in-flight search moves it.
 func TestInFlightSearchesGauge(t *testing.T) {
 	e := New()
-	key := func(i int) cacheKey { return cacheKey{shape: shape{iw: i}} }
+	key := func(i int) cacheKey { return cacheKey{dims: [13]int32{int32(i)}} }
 	stored := func(context.Context) (core.Result, error) { return core.Result{Evaluated: 1}, nil }
 	if _, err := e.memoized(bg, key(0), "hit", stored); err != nil {
 		t.Fatal(err)
@@ -469,20 +471,60 @@ func TestCacheKeyFitsMapSlot(t *testing.T) {
 	}
 }
 
-// TestEngineMissAllocs pins a computed VW-SDK search at 3 allocations, all
-// the memo's: the in-flight record, its done channel and the LRU element.
-// The class walk allocates nothing, and the key stays in the maps' slots.
-func TestEngineMissAllocs(t *testing.T) {
+// TestEngineWideValuesBypassCache: a value the narrowed key cannot hold is
+// searched directly and never served from another entry. Truncated, a
+// channel count past int32 would read as a cached layer's, and a scheme
+// past uint8 as im2col.
+func TestEngineWideValuesBypassCache(t *testing.T) {
 	e := New()
+	a := core.Array{Rows: 512, Cols: 512}
+	l := core.Layer{Name: "c", IW: 14, IH: 14, KW: 3, KH: 3, IC: 64, OC: 64}
+	wide := l
+	wide.IC += 1 << 32
+	wideScheme := core.Method{Scheme: core.SchemeIm2col + 256}
+	for _, m := range []core.Method{core.MethodVWSDK, {Scheme: core.SchemeIm2col}} {
+		if _, err := e.Search(bg, l, a, m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		l core.Layer
+		m core.Method
+	}{{wide, core.MethodVWSDK}, {l, wideScheme}} {
+		got, err := e.Search(bg, tc.l, a, tc.m)
+		want, werr := core.Search(bg, tc.l, a, tc.m)
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(werr) {
+			t.Errorf("%v %v: engine = %v, %v; core.Search = %v, %v", tc.l, tc.m, got.Best, err, want.Best, werr)
+		}
+		if e.Cached(tc.l, a, tc.m) {
+			t.Errorf("%v %v reads as cached", tc.l, tc.m)
+		}
+	}
+	if st := e.Stats(); st.Searches != 2 || st.CachedResults != 2 {
+		t.Errorf("stats = %+v, want the 2 narrow searches only", st)
+	}
+}
+
+// TestEngineMissAllocs pins a computed VW-SDK search on a full cache at 3
+// allocations, all the memo's: the in-flight record, its done channel and
+// the LRU element. The class walk allocates nothing, and the key stays in
+// the maps' slots.
+func TestEngineMissAllocs(t *testing.T) {
+	const capacity = 8
+	e := New(WithCacheSize(capacity))
 	a := core.Array{Rows: 256, Cols: 256}
 	i := 0
-	got := testing.AllocsPerRun(100, func() {
-		i++ // a new shape every run, so every search misses
+	miss := func() {
+		i++ // a new shape every call, so every search misses
 		l := core.Layer{IW: 14 + i, IH: 14, KW: 3, KH: 3, IC: 16, OC: 16}
 		if _, err := e.Search(bg, l, a, core.MethodVWSDK); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	for range capacity {
+		miss()
+	}
+	got := testing.AllocsPerRun(100, miss)
 	if st := e.Stats(); st.CacheMisses != uint64(i) || st.CacheHits != 0 {
 		t.Fatalf("stats = %+v, want %d misses and no hit", st, i)
 	}

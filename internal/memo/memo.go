@@ -92,12 +92,19 @@ type Cache[K comparable, V any] struct {
 	evictions atomic.Uint64
 }
 
+// presize is how many values a new cache's LRU map holds before it first
+// grows. It spares the first stores the map's growth allocations; past it,
+// the map grows with what it stores. A map keeps keys of up to 128 bytes
+// in its slots, so room for a full default engine cache (4,096 searches)
+// would cost half a megabyte before its first search.
+const presize = 1024
+
 // New returns an empty cache holding at most capacity values; a capacity
 // ≤ 0 stores nothing but still coalesces identical in-flight computations.
 func New[K comparable, V any](capacity int) *Cache[K, V] {
 	c := &Cache[K, V]{capacity: capacity, flight: make(map[K]*record[K, V])}
 	if capacity > 0 {
-		c.items = make(map[K]*list.Element, capacity)
+		c.items = make(map[K]*list.Element, min(capacity, presize))
 	}
 	return c
 }

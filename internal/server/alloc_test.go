@@ -109,10 +109,11 @@ func TestWarmOptimizeRequestAllocs(t *testing.T) {
 // misses the plan cache and searches every distinct layer afresh. Each
 // compile records its provenance trace and keeps it on the plan-cache
 // entry, and none of the requests asks for the ?trace=1 tree. GOMAXPROCS 1
-// keeps the compile on its caller. The count reads 176 (178 under the
-// race detector); a provenance tree rendered on every compile made it 457,
-// a new energy model per compile and a fan-out that allocated at width one
-// 199, and an engine cache key too large for a map slot 194.
+// keeps the compile on its caller. The count reads 176 (176–180 under the
+// race detector, which drops a share of sync.Pool puts); a provenance tree
+// rendered on every compile made it 457, a new energy model per compile
+// and a fan-out that allocated at width one 199, and an engine cache key
+// too large for a map slot 194.
 func TestColdCompileRequestAllocs(t *testing.T) {
 	const limit, runs = 180, 20
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
