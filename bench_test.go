@@ -118,7 +118,7 @@ func BenchmarkSearchVWSDK(b *testing.B) {
 	}
 	run := func(l Layer, name string, search func(Layer, Array) (core.Result, error)) {
 		b.Run(l.Name+"/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				if _, err := search(l, experiments.Array512); err != nil {
 					b.Fatal(err)
 				}

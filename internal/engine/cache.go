@@ -23,8 +23,9 @@ type cacheKey struct {
 
 // newCacheKey normalizes l and m and drops l's name so equal shapes
 // collide. It reports false when a value does not fit its narrowed field:
-// a dimension beyond int32 or an unknown method, which no zoo or served
-// request reaches.
+// a dimension beyond int32, which only an inline network spec can give, or
+// an unknown method. Such a search is never keyed, so a truncated value
+// cannot be served another shape's result.
 func newCacheKey(l core.Layer, a core.Array, m core.Method) (cacheKey, bool) {
 	l = l.Normalized()
 	m = m.Canonical()
