@@ -186,7 +186,7 @@ func TestArrayValidate(t *testing.T) {
 	if err := (Array{Rows: MaxArrayDim, Cols: MaxArrayDim}).Validate(); err != nil {
 		t.Fatalf("array at the limit rejected: %v", err)
 	}
-	for _, a := range []Array{{MaxArrayDim + 1, 512}, {512, 3037000500}} {
+	for _, a := range []Array{{MaxArrayDim + 1, 512}, {512, 1 << 30}} {
 		err := a.Validate()
 		if err == nil || !strings.Contains(err.Error(), a.String()) || !strings.Contains(err.Error(), "65536") {
 			t.Errorf("array %v: err = %v, want one naming the array and the limit", a, err)

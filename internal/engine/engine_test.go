@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strconv"
 	"sync"
 	"testing"
 	"unsafe"
@@ -479,18 +480,21 @@ func TestEngineWideValuesBypassCache(t *testing.T) {
 	e := New()
 	a := core.Array{Rows: 512, Cols: 512}
 	l := core.Layer{Name: "c", IW: 14, IH: 14, KW: 3, KH: 3, IC: 64, OC: 64}
-	wide := l
-	wide.IC += 1 << 32
-	wideScheme := core.Method{Scheme: core.SchemeIm2col + 256}
 	for _, m := range []core.Method{core.MethodVWSDK, {Scheme: core.SchemeIm2col}} {
 		if _, err := e.Search(bg, l, a, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, tc := range []struct {
+	wide := l
+	wide.IC += 1 << (strconv.IntSize - 32) // l's 64, truncated to int32
+	cases := []struct {
 		l core.Layer
 		m core.Method
-	}{{wide, core.MethodVWSDK}, {l, wideScheme}} {
+	}{{l, core.Method{Scheme: core.SchemeIm2col + 256}}, {wide, core.MethodVWSDK}}
+	if strconv.IntSize == 32 {
+		cases = cases[:1] // no int exceeds int32
+	}
+	for _, tc := range cases {
 		got, err := e.Search(bg, tc.l, a, tc.m)
 		want, werr := core.Search(bg, tc.l, a, tc.m)
 		if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(werr) {
