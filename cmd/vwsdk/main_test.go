@@ -1,10 +1,13 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // TestRunSingleLayer drives the optimizer end to end on the paper's running
@@ -175,6 +178,12 @@ func TestRunBadFlags(t *testing.T) {
 		if err := run([]string{"-network", "VGG-13", tc.flag, tc.value}, &out); err == nil || !strings.Contains(err.Error(), tc.flag) {
 			t.Errorf("%s %s: err = %v, want an error naming %s", tc.flag, tc.value, err, tc.flag)
 		}
+	}
+	// A layer past core's limits is an error naming the limit, not a plan
+	// whose totals wrapped.
+	if err := run([]string{"-ic", "1099511627776"}, new(strings.Builder)); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("channels IC=1099511627776 OC=256 exceed the limit of %d", core.MaxChannels)) {
+		t.Errorf("-ic 1099511627776: err = %v, want an error naming the channel limit", err)
 	}
 	// Only the table output reports a multi-array chip, so every other
 	// mode rejects -arrays above 1, naming both flags, rather than drop it.

@@ -84,7 +84,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		maxBody   = fs.Int64("max-body", 0, "request body limit in bytes (0 default 1 MiB)")
 		timeout   = fs.Duration("timeout", 0, "per-request deadline; exceeding it returns a structured 504 (0 = none)")
 		jobTTL    = fs.Duration("job-ttl", 0, "how long finished jobs stay queryable (0 default 10m, <0 collect immediately)")
-		maxJobs   = fs.Int("max-jobs", 0, "max queued or running jobs (0 default 64)")
+		maxJobs   = fs.Int("max-jobs", 0, "max queued or running jobs; 16 finished jobs per slot are kept (0 default 64)")
 		pprofAddr = fs.String("pprof", "", "serve net/http/pprof on this extra address (empty = off; never on the API listener)")
 		storeDir  = fs.String("store", "", "persistent plan store directory (empty = no persistence)")
 		peers     = fs.String("peers", "", "comma-separated fleet addresses (host:port) sharing the key space by consistent hashing; must include this node")

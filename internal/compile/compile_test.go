@@ -403,6 +403,90 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestLayerLimits compiles a layer at each of core's layer limits on the
+// smallest array and on the largest chip (1<<20 arrays of 65536×65536),
+// and checks that no total wrapped; a layer one past any limit, or a
+// network whose MACs sum past core.MaxMACs, is rejected with an error
+// naming the field and its limit. Past the limits a total could wrap into
+// a negative count or a zero tile count, which chip.ScheduleLayer divided
+// by.
+func TestLayerLimits(t *testing.T) {
+	const d, c = core.MaxLayerDim, core.MaxChannels
+	dims, channels, macs := fmt.Sprint(d), fmt.Sprint(c), fmt.Sprint(core.MaxMACs)
+	for _, tc := range []struct {
+		field           string
+		at, past        func(l *core.Layer)
+		want, wantLimit string
+	}{
+		{"IW", func(l *core.Layer) { l.IW = d }, func(l *core.Layer) { l.IW = d + 1 }, "IFM", dims},
+		{"IH", func(l *core.Layer) { l.IH = d }, func(l *core.Layer) { l.IH = d + 1 }, "IFM", dims},
+		{"KW", func(l *core.Layer) { l.IW, l.KW = d, d }, func(l *core.Layer) { l.IW, l.KW = d, d+1 }, "kernel", dims},
+		{"KH", func(l *core.Layer) { l.IH, l.KH = d, d }, func(l *core.Layer) { l.IH, l.KH = d, d+1 }, "kernel", dims},
+		{"StrideW", func(l *core.Layer) { l.StrideW = d }, func(l *core.Layer) { l.StrideW = d + 1 }, "stride", dims},
+		{"StrideH", func(l *core.Layer) { l.StrideH = d }, func(l *core.Layer) { l.StrideH = d + 1 }, "stride", dims},
+		{"PadW", func(l *core.Layer) { l.PadW = d }, func(l *core.Layer) { l.PadW = d + 1 }, "padding", dims},
+		{"PadH", func(l *core.Layer) { l.PadH = d }, func(l *core.Layer) { l.PadH = d + 1 }, "padding", dims},
+		{"IC", func(l *core.Layer) { l.IC = c }, func(l *core.Layer) { l.IC = c + 1 }, "channels", channels},
+		{"OC", func(l *core.Layer) { l.OC = c }, func(l *core.Layer) { l.OC = c + 1 }, "channels", channels},
+		// 1<<32 windows × 64 input × 64 output channels is 1<<44 MACs.
+		{"MACs", func(l *core.Layer) { l.IW, l.IH, l.IC, l.OC = d, d, 64, 64 },
+			func(l *core.Layer) { l.IW, l.IH, l.IC, l.OC = d, d, 64, 65 }, "MAC count", macs},
+	} {
+		at := core.Layer{Name: tc.field, IW: 1, IH: 1, KW: 1, KH: 1, IC: 1, OC: 1}
+		past := at
+		tc.at(&at)
+		tc.past(&past)
+		for _, hw := range []struct {
+			a      core.Array
+			arrays int
+		}{{core.Array{Rows: 1, Cols: 1}, 1}, {core.Array{Rows: core.MaxArrayDim, Cols: core.MaxArrayDim}, MaxArrays}} {
+			p, err := New(nil).Compile(bg, NewRequest(model.Single(at), hw.a, Options{Arrays: hw.arrays}))
+			if err != nil {
+				t.Errorf("%s at the limit on %v × %d: %v", tc.field, hw.a, hw.arrays, err)
+				continue
+			}
+			if bad := wrappedTotal(p.Totals); bad != "" {
+				t.Errorf("%s at the limit on %v × %d: %s wrapped: %+v", tc.field, hw.a, hw.arrays, bad, p.Totals)
+			}
+		}
+		err := NewRequest(model.Network{Name: "n", Layers: []model.ConvLayer{{Layer: past, Count: 1}}}, array512, Options{}).Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), tc.wantLimit) {
+			t.Errorf("%s one past the limit: err = %v, want one naming %s and %s", tc.field, err, tc.want, tc.wantLimit)
+		}
+	}
+	// Two layers of 1<<43 MACs reach the network limit; a third passes it.
+	half := model.ConvLayer{Layer: core.Layer{Name: "half", IW: d, IH: d, KW: 1, KH: 1, IC: 64, OC: 32}, Count: 1}
+	net := model.Network{Name: "n", Layers: []model.ConvLayer{half, half}}
+	if err := net.Validate(); err != nil {
+		t.Errorf("network of %d MACs: %v", net.TotalMACs(), err)
+	}
+	net.Layers = append(net.Layers, half)
+	if err := net.Validate(); err == nil || !strings.Contains(err.Error(), "MAC count") || !strings.Contains(err.Error(), macs) {
+		t.Errorf("network past the MAC limit: err = %v, want one naming the MAC count and %s", err, macs)
+	}
+}
+
+// wrappedTotal names the first total of t that is negative, or not a
+// finite non-negative number, or "" when every total is in range.
+func wrappedTotal(t Totals) string {
+	e := t.Energy
+	for name, v := range map[string]int64{
+		"cycles": t.Cycles, "im2col cycles": t.Im2colCycles, "makespan": t.Makespan, "programs": int64(t.Programs),
+		"DAC conversions": e.DACConversions, "ADC conversions": e.ADCConversions, "cell MAC cycles": e.CellMACCycles,
+		"cell writes": e.CellWrites, "latency": int64(e.Latency),
+	} {
+		if v <= 0 {
+			return name
+		}
+	}
+	for name, v := range map[string]float64{"speedup": t.Speedup, "utilization": t.Utilization, "energy": e.EnergyTotal, "program energy": e.EnergyProgram} {
+		if !(v > 0) || math.IsInf(v, 0) {
+			return name
+		}
+	}
+	return ""
+}
+
 // TestCompileRejectsNonFiniteEnergy pins that a NaN or infinite energy
 // constant fails the request up front, before any layer is searched, rather
 // than yielding a plan that cannot be serialized.

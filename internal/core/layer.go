@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Layer describes a single convolutional layer in the geometry the paper
@@ -62,21 +63,72 @@ func (l *Layer) strides() (w, h int) {
 	return w, h
 }
 
+// The layer limits. A padded IFM side is then below 1<<18, so every
+// product of dimensions and channels the searches and tile walks form fits
+// in 56 bits, and a layer's cycles, tiles and makespan are at most its
+// MACs. With an array of at most MaxArrayDim rows and columns, a layer's
+// conversion counts and cell writes are at most 1<<16+1 times its MACs, so
+// MaxMACs, which also bounds a network's sum (model.Network.Validate),
+// keeps every plan total under the default energy model below 1<<61. The
+// largest layer this repository compiles has 1024×1024 inputs and about
+// 1<<32 MACs.
+const (
+	// MaxLayerDim bounds a layer's IFM, kernel, stride and padding, each
+	// side separately.
+	MaxLayerDim = 1 << 16
+	// MaxChannels bounds a layer's input and output channels.
+	MaxChannels = 1 << 20
+	// MaxMACs bounds a layer's multiply-accumulate count.
+	MaxMACs int64 = 1 << 44
+)
+
 // Validate reports whether the layer geometry is well formed: positive
-// dimensions, kernel no larger than the padded IFM, and non-negative padding.
+// dimensions within the limits above, kernel no larger than the padded
+// IFM, non-negative padding, and at most MaxMACs MACs.
 func (l *Layer) Validate() error {
+	_, err := l.Check()
+	return err
+}
+
+// Check validates the layer like Validate and returns its MAC count, for a
+// caller that bounds a sum of them (model.Network.Validate).
+func (l *Layer) Check() (macs int64, err error) {
+	if err := l.checkDims(); err != nil {
+		return 0, err
+	}
+	// Within the limits, windows times OC is below 1<<56, and the product
+	// with the kernel rows is formed in 128 bits: it cannot wrap.
+	hi, lo := bits.Mul64(uint64(l.Windows())*uint64(l.OC), uint64(l.KernelRows()))
+	if hi != 0 || lo > uint64(MaxMACs) {
+		return 0, fmt.Errorf("core: layer %q: MAC count exceeds the limit of %d", l.Name, MaxMACs)
+	}
+	return int64(lo), nil
+}
+
+// checkDims is Check without the MAC count.
+func (l *Layer) checkDims() error {
 	sw, sh := l.strides()
 	switch {
 	case l.IW <= 0 || l.IH <= 0:
 		return fmt.Errorf("core: layer %q: non-positive IFM %dx%d", l.Name, l.IW, l.IH)
+	case l.IW > MaxLayerDim || l.IH > MaxLayerDim:
+		return fmt.Errorf("core: layer %q: IFM %dx%d exceeds the limit of %d", l.Name, l.IW, l.IH, MaxLayerDim)
 	case l.KW <= 0 || l.KH <= 0:
 		return fmt.Errorf("core: layer %q: non-positive kernel %dx%d", l.Name, l.KW, l.KH)
+	case l.KW > MaxLayerDim || l.KH > MaxLayerDim:
+		return fmt.Errorf("core: layer %q: kernel %dx%d exceeds the limit of %d", l.Name, l.KW, l.KH, MaxLayerDim)
 	case l.IC <= 0 || l.OC <= 0:
 		return fmt.Errorf("core: layer %q: non-positive channels IC=%d OC=%d", l.Name, l.IC, l.OC)
+	case l.IC > MaxChannels || l.OC > MaxChannels:
+		return fmt.Errorf("core: layer %q: channels IC=%d OC=%d exceed the limit of %d", l.Name, l.IC, l.OC, MaxChannels)
 	case sw <= 0 || sh <= 0:
 		return fmt.Errorf("core: layer %q: non-positive stride %dx%d", l.Name, sw, sh)
+	case sw > MaxLayerDim || sh > MaxLayerDim:
+		return fmt.Errorf("core: layer %q: stride %dx%d exceeds the limit of %d", l.Name, sw, sh, MaxLayerDim)
 	case l.PadW < 0 || l.PadH < 0:
 		return fmt.Errorf("core: layer %q: negative padding %dx%d", l.Name, l.PadW, l.PadH)
+	case l.PadW > MaxLayerDim || l.PadH > MaxLayerDim:
+		return fmt.Errorf("core: layer %q: padding %dx%d exceeds the limit of %d", l.Name, l.PadW, l.PadH, MaxLayerDim)
 	case l.KW > l.PaddedW() || l.KH > l.PaddedH():
 		return fmt.Errorf("core: layer %q: kernel %dx%d exceeds padded IFM %dx%d",
 			l.Name, l.KW, l.KH, l.PaddedW(), l.PaddedH())
@@ -102,8 +154,15 @@ func (l *Layer) NumGroups() int {
 }
 
 // ICg returns the input channels per group, IC / NumGroups (eq. 8's grouped
-// per-group cap; for depthwise layers ICg == 1).
-func (l *Layer) ICg() int { return l.IC / l.NumGroups() }
+// per-group cap; for depthwise layers ICg == 1). Here and in OutW and OutH
+// the common case, a dense layer or a unit stride, skips the division:
+// every request validates its layers' MACs, warm hits included.
+func (l *Layer) ICg() int {
+	if l.Groups < 2 {
+		return l.IC
+	}
+	return l.IC / l.Groups
+}
 
 // OCg returns the output channels per group, OC / NumGroups.
 func (l *Layer) OCg() int { return l.OC / l.NumGroups() }
@@ -117,12 +176,18 @@ func (l *Layer) PaddedH() int { return l.IH + 2*l.PadH }
 // OutW returns the output feature map width.
 func (l *Layer) OutW() int {
 	sw, _ := l.strides()
+	if sw == 1 {
+		return l.PaddedW() - l.KW + 1
+	}
 	return (l.PaddedW()-l.KW)/sw + 1
 }
 
 // OutH returns the output feature map height.
 func (l *Layer) OutH() int {
 	_, sh := l.strides()
+	if sh == 1 {
+		return l.PaddedH() - l.KH + 1
+	}
 	return (l.PaddedH()-l.KH)/sh + 1
 }
 

@@ -23,9 +23,10 @@ type cacheKey struct {
 
 // newCacheKey normalizes l and m and drops l's name so equal shapes
 // collide. It reports false when a value does not fit its narrowed field:
-// a dimension beyond int32, which only an inline network spec can give, or
-// an unknown method. Such a search is never keyed, so a truncated value
-// cannot be served another shape's result.
+// a dimension beyond int32 or an unknown method. A valid layer and array
+// always fit (core.MaxLayerDim, core.MaxChannels and core.MaxArrayDim are
+// far below int32's range), so only a search that core.Search rejects goes
+// unkeyed, and a truncated value is never served another shape's result.
 func newCacheKey(l core.Layer, a core.Array, m core.Method) (cacheKey, bool) {
 	l = l.Normalized()
 	m = m.Canonical()

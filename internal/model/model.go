@@ -32,18 +32,27 @@ type Network struct {
 	Layers []ConvLayer
 }
 
-// Validate checks every layer.
+// Validate checks every layer, and that the layers' MACs, each at most
+// core.MaxMACs, sum to at most core.MaxMACs too: a plan total sums its
+// layers' (DESIGN.md §2.4).
 func (n Network) Validate() error {
 	if len(n.Layers) == 0 {
 		return fmt.Errorf("model: network %q has no layers", n.Name)
 	}
+	var macs int64
 	for i := range n.Layers {
 		l := &n.Layers[i]
-		if err := l.Validate(); err != nil {
+		lm, err := l.Check()
+		if err != nil {
 			return fmt.Errorf("model: network %q: %w", n.Name, err)
 		}
 		if l.Count < 1 {
 			return fmt.Errorf("model: network %q layer %q: count %d", n.Name, l.Name, l.Count)
+		}
+		// The sum stops at the first layer past the limit, so it stays
+		// below twice the limit and cannot overflow.
+		if macs += lm; macs > core.MaxMACs {
+			return fmt.Errorf("model: network %q: MAC count exceeds the limit of %d", n.Name, core.MaxMACs)
 		}
 	}
 	return nil

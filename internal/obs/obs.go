@@ -93,22 +93,12 @@ func New(name string) *Trace {
 	return &Trace{name: name, start: time.Now(), limit: DefaultMaxSpans}
 }
 
-// Name returns the trace's name.
-func (t *Trace) Name() string { return t.name }
-
-// Start returns when the trace was created.
-func (t *Trace) Start() time.Time { return t.start }
-
 // Dropped reports how many spans were discarded over the span limit.
 func (t *Trace) Dropped() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.dropped
 }
-
-// SetMaxSpans overrides the span limit (DefaultMaxSpans); n < 1 makes the
-// trace drop every subsequent span. Call it before handing the trace out.
-func (t *Trace) SetMaxSpans(n int) { t.limit = n }
 
 // Len reports how many spans the trace holds.
 func (t *Trace) Len() int {
@@ -265,12 +255,4 @@ func (s *Span) setAttr(a attr) {
 		s.attrs = make([]attr, 0, spanAttrs)
 	}
 	s.attrs = append(s.attrs, a)
-}
-
-// Name returns the span's name ("" on nil).
-func (s *Span) Name() string {
-	if s == nil {
-		return ""
-	}
-	return s.name
 }

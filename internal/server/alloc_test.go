@@ -217,8 +217,12 @@ func TestCompiledPlanBytesExactSize(t *testing.T) {
 	if len(entry.data) == 0 || cap(entry.data) != len(entry.data) {
 		t.Errorf("served plan bytes have length %d and capacity %d, want equal", len(entry.data), cap(entry.data))
 	}
+	p, err := compile.New(nil).Compile(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var want bytes.Buffer
-	if err := entry.plan.Encode(&want); err != nil {
+	if err := p.Encode(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(entry.data, want.Bytes()) {

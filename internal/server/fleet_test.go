@@ -587,6 +587,66 @@ func BenchmarkFleetZipfMix(b *testing.B) {
 	}
 }
 
+// sweepVia serves one /v1/sweep through h in-process and returns its
+// summaries by cell, with Cached cleared: how a cell was filled is not part
+// of its totals.
+func sweepVia(t *testing.T, h http.Handler, body string) map[string]sweepSummary {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sweep", strings.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", rec.Code, rec.Body)
+	}
+	out := map[string]sweepSummary{}
+	dec := json.NewDecoder(rec.Body)
+	for dec.More() {
+		var sum sweepSummary
+		if err := dec.Decode(&sum); err != nil {
+			t.Fatal(err)
+		}
+		if sum.Error != "" {
+			t.Fatalf("sweep cell %s/%s: %s", sum.Network, sum.Array, sum.Error)
+		}
+		sum.Cached = false
+		out[sum.Network+"/"+sum.Array] = sum
+	}
+	return out
+}
+
+// TestSweepTotalsFromStoreAndPeer pins that a plan-cache entry filled from
+// the store or from a peer reports a sweep cell's totals exactly as the
+// compile that made the plan did.
+func TestSweepTotalsFromStoreAndPeer(t *testing.T) {
+	body := `{"networks": ["ResNet-18", "VGG-13"], "arrays": ["64x64", "256x256"]}`
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	cold := sweepVia(t, New(Config{Store: st}), body)
+	if len(cold) != 4 {
+		t.Fatalf("cold sweep delivered %d cells, want 4", len(cold))
+	}
+	st.Flush()
+
+	// A restarted server fills every cell from the store.
+	st2 := openStore(t, dir)
+	s2 := New(Config{Store: st2})
+	if got := sweepVia(t, s2, body); !maps.Equal(got, cold) {
+		t.Errorf("store-filled sweep differs from the cold one:\n got %+v\nwant %+v", got, cold)
+	}
+	if hits, searches := st2.StoreStats().Hits, s2.Engine().Stats().Searches; hits != 4 || searches != 0 {
+		t.Errorf("restarted server: %d store hits and %d searches, want 4 and 0", hits, searches)
+	}
+
+	// A fleet node that does not own the first cell fetches it from its owner.
+	servers, _ := newFleet(t, 3, func(int) Config { return Config{} })
+	_, client := ownerAndClient(t, servers, `{"network": "ResNet-18", "array": "64x64"}`)
+	if got := sweepVia(t, servers[client], body); !maps.Equal(got, cold) {
+		t.Errorf("peer-filled sweep differs from the cold one:\n got %+v\nwant %+v", got, cold)
+	}
+	if servers[client].peerProxied.Load() == 0 {
+		t.Error("no sweep cell was filled from a peer")
+	}
+}
+
 func TestWarmManifest(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)

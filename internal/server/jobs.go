@@ -7,19 +7,21 @@
 // executors as the synchronous endpoints (compilePlan, runSweep and
 // runOptimize), so they share the plan cache, the singleflight coalescing
 // and the compilation semaphore; a job waiting for capacity simply stays
-// "queued". Finished jobs remain queryable for the configured TTL and are
-// then garbage-collected on the next jobs-API access.
+// "queued". Finished jobs remain queryable for the configured TTL, and at
+// most 16 per live-job slot are kept: past that the oldest are collected
+// early.
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/compile"
@@ -36,30 +38,23 @@ const (
 	stateCancelled = "cancelled"
 )
 
-// job is one tracked asynchronous request. The immutable identity fields
-// are set at creation; everything below mu is owned by it.
+// job is one tracked asynchronous request: its wire snapshot, updated in
+// place under mu, plus the cancel func a DELETE calls and the time the job
+// went terminal, which the job table collects it by.
 type job struct {
-	id      string
-	seq     uint64 // creation order
-	kind    string // "compile", "sweep" or "optimize"
-	created time.Time
-	cancel  context.CancelFunc
+	cancel   context.CancelFunc
+	finished time.Time // zero while live; guarded by the jobSet's mu
 
-	mu        sync.Mutex
-	state     string
-	errMsg    string
-	finished  time.Time // terminal transition, for TTL garbage collection
-	total     int       // cells in the request (1 for compile, design points for optimize)
-	completed int       // completed cells: sweep results, the compile plan, evaluated design points
-	results   []sweepSummary
-	plan      []byte // serialized NetworkPlan (compile jobs)
-	planCache bool   // the plan came from the cache
-	frontier  []byte // serialized optimize.Frontier (optimize jobs)
+	mu   sync.Mutex
+	snap jobSnapshot
 }
 
-// jobSnapshot is the wire form of a job. Results and Plan are only
-// populated by the detail endpoint (GET /v1/jobs/{id}); the listing and the
-// creation response carry identity and progress only.
+// jobSnapshot is the wire form of a job, and the job's only record of
+// itself. Results, Plan, PlanCached and Frontier are its payload, which
+// only the detail endpoint (GET /v1/jobs/{id}) serves; the listing and the
+// creation and DELETE responses carry identity and progress only. Progress
+// is monotone: CellsCompleted only grows and Results is append-only, so
+// two successive snapshots never disagree backwards.
 type jobSnapshot struct {
 	ID             string          `json:"id"`
 	Kind           string          `json:"kind"`
@@ -74,190 +69,159 @@ type jobSnapshot struct {
 	Frontier       json.RawMessage `json:"frontier,omitempty"`
 }
 
-// snapshot captures the job's current state; withPayload additionally
-// copies the accumulated results (sweep), the serialized plan (compile) or
-// the frontier (optimize). Progress is monotone: the completed count only
-// ever grows, and the results slice is append-only, so two successive
-// snapshots never disagree backwards.
+// update changes the job's snapshot in place under its lock.
+func (j *job) update(f func(*jobSnapshot)) {
+	j.mu.Lock()
+	f(&j.snap)
+	j.mu.Unlock()
+}
+
+// snapshot copies the job's snapshot, dropping the payload unless
+// withPayload is set. The copy shares Results' backing array with the job:
+// later appends land past the copy's length and no result changes once
+// appended, so the copy reads safely after the lock is released.
 func (j *job) snapshot(withPayload bool) jobSnapshot {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	snap := jobSnapshot{
-		ID:             j.id,
-		Kind:           j.kind,
-		State:          j.state,
-		Created:        j.created,
-		CellsTotal:     j.total,
-		CellsCompleted: j.completed,
-		Error:          j.errMsg,
-	}
-	if withPayload {
-		snap.Results = append([]sweepSummary(nil), j.results...)
-		snap.Plan = j.plan
-		snap.PlanCached = j.planCache
-		snap.Frontier = j.frontier
+	snap := j.snap
+	j.mu.Unlock()
+	if !withPayload {
+		snap.Results, snap.Plan, snap.PlanCached, snap.Frontier = nil, nil, false, nil
 	}
 	return snap
 }
 
-// setRunning moves a queued job to running (a no-op once terminal).
-func (j *job) setRunning() {
-	j.mu.Lock()
-	if j.state == stateQueued {
-		j.state = stateRunning
-	}
-	j.mu.Unlock()
-}
-
-// addResult appends one completed cell.
-func (j *job) addResult(sum sweepSummary) {
-	j.mu.Lock()
-	j.results = append(j.results, sum)
-	j.completed++
-	j.mu.Unlock()
-}
-
-// setPlan records a compile job's serialized plan.
-func (j *job) setPlan(data []byte, cached bool) {
-	j.mu.Lock()
-	j.plan = data
-	j.planCache = cached
-	j.completed = 1
-	j.mu.Unlock()
-}
-
-// addProgress counts one evaluated design point of an optimize job.
-func (j *job) addProgress() {
-	j.mu.Lock()
-	j.completed++
-	j.mu.Unlock()
-}
-
-// setFrontier records an optimize job's serialized frontier.
-func (j *job) setFrontier(data []byte) {
-	j.mu.Lock()
-	j.frontier = data
-	j.mu.Unlock()
-}
-
-// finish moves the job to its terminal state: done on nil, cancelled on
-// context.Canceled (a DELETE), failed otherwise (including a deadline from
-// the per-request timeout). It also releases the job's context resources.
-func (j *job) finish(err error) {
-	j.mu.Lock()
-	switch {
-	case err == nil:
-		j.state = stateDone
-	case errors.Is(err, context.Canceled):
-		j.state = stateCancelled
-		j.errMsg = err.Error()
-	default:
-		j.state = stateFailed
-		j.errMsg = err.Error()
-	}
-	j.finished = time.Now()
-	j.mu.Unlock()
-	j.cancel()
-}
-
-// terminalSince reports whether the job is terminal and, if so, when it got
-// there.
-func (j *job) terminalSince() (time.Time, bool) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case stateDone, stateFailed, stateCancelled:
-		return j.finished, true
-	}
-	return time.Time{}, false
-}
-
-// live reports whether the job is still queued or running.
-func (j *job) live() bool {
-	_, terminal := j.terminalSince()
-	return !terminal
-}
+// doneJobsPerSlot is how many finished jobs the table keeps per live-job
+// slot (Config.MaxJobs): 1,024 at the default of 64. A finished sweep job
+// holds up to maxSweepCells summaries, and clients can finish jobs far
+// faster than the TTL expires them, so the TTL alone bounds nothing.
+const doneJobsPerSlot = 16
 
 // jobSet owns the job table: registration, lookup, the live-jobs admission
-// bound and TTL garbage collection (run on every jobs-API access rather
-// than on a timer, so a Server needs no background goroutine and no
-// Close method).
+// bound and collection. It counts its live jobs and keeps its terminal
+// jobs in finish order, so admission, lookup and stats never walk the
+// table, and collection visits only the jobs it drops: the oldest terminal
+// jobs past the TTL, and past maxDone. It collects whenever it is read or
+// a job finishes, rather than on a timer, so a Server needs no background
+// goroutine and no Close method.
 type jobSet struct {
 	ttl     time.Duration
 	maxLive int
+	maxDone int
 
-	mu   sync.Mutex
-	jobs map[string]*job
-	seq  atomic.Uint64 // jobs created so far; the last job's seq
-
-	cancels   atomic.Uint64
-	collected atomic.Uint64
+	mu                            sync.Mutex
+	jobs                          map[string]*job
+	done                          []*job // terminal jobs, oldest first
+	live                          int
+	created, cancelled, collected uint64
 }
 
 func newJobSet(ttl time.Duration, maxLive int) *jobSet {
-	return &jobSet{ttl: ttl, maxLive: maxLive, jobs: make(map[string]*job)}
+	return &jobSet{ttl: ttl, maxLive: maxLive, maxDone: doneJobsPerSlot * maxLive, jobs: make(map[string]*job)}
 }
 
-// gcLocked drops terminal jobs older than the TTL; the caller holds mu.
-func (js *jobSet) gcLocked(now time.Time) {
-	for id, j := range js.jobs {
-		if finished, terminal := j.terminalSince(); terminal && now.Sub(finished) >= js.ttl {
-			delete(js.jobs, id)
-			js.collected.Add(1)
-		}
+// collectLocked drops the oldest terminal jobs while they are past the TTL
+// or more than maxDone are kept; the caller holds mu. The TTL is the same
+// for every job, so the first job it keeps ends the walk. A job's ID never
+// changes, so reading it takes no job lock.
+func (js *jobSet) collectLocked(now time.Time) {
+	for len(js.done) > 0 && (len(js.done) > js.maxDone || now.Sub(js.done[0].finished) >= js.ttl) {
+		delete(js.jobs, js.done[0].snap.ID)
+		js.done[0] = nil // let the dropped job go before append reallocates
+		js.done = js.done[1:]
+		js.collected++
 	}
 }
 
-// add garbage-collects, enforces the live-jobs bound and registers a new
-// job under a fresh id.
+// add collects, enforces the live-jobs bound and registers a new job under
+// a fresh id.
 func (js *jobSet) add(kind string, total int, cancel context.CancelFunc) (*job, *httpError) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	js.gcLocked(time.Now())
-	if live := js.liveLocked(); live >= js.maxLive {
+	now := time.Now()
+	js.collectLocked(now)
+	if js.live >= js.maxLive {
 		return nil, errorf(http.StatusServiceUnavailable,
-			"server at capacity: %d jobs are already queued or running", live)
+			"server at capacity: %d jobs are already queued or running", js.live)
 	}
-	seq := js.seq.Add(1)
-	j := &job{
-		id:      fmt.Sprintf("job-%d", seq),
-		seq:     seq,
-		kind:    kind,
-		created: time.Now(),
-		cancel:  cancel,
-		state:   stateQueued,
-		total:   total,
-	}
-	js.jobs[j.id] = j
+	js.created++
+	js.live++
+	j := &job{cancel: cancel, snap: jobSnapshot{
+		ID:         fmt.Sprintf("job-%d", js.created),
+		Kind:       kind,
+		State:      stateQueued,
+		Created:    now,
+		CellsTotal: total,
+	}}
+	js.jobs[j.snap.ID] = j
 	return j, nil
 }
 
-// get garbage-collects, then looks a job up.
+// finish moves j to its terminal state — done on nil, cancelled on
+// context.Canceled (a DELETE), failed otherwise, a deadline from the
+// per-request timeout included — and releases its context. The state
+// changes under the table's lock together with the live count, so a client
+// that sees a job terminal can use its slot at once.
+func (js *jobSet) finish(j *job, err error) {
+	state, msg := stateDone, ""
+	if err != nil {
+		state, msg = stateFailed, err.Error()
+		if errors.Is(err, context.Canceled) {
+			state = stateCancelled
+		}
+	}
+	js.mu.Lock()
+	j.update(func(snap *jobSnapshot) { snap.State, snap.Error = state, msg })
+	j.finished = time.Now()
+	js.live--
+	js.done = append(js.done, j)
+	js.collectLocked(j.finished)
+	js.mu.Unlock()
+	j.cancel()
+}
+
+// cancel cancels j's context, counting the cancellation if j is live. The
+// runner observes the context and finishes the job as cancelled.
+func (js *jobSet) cancel(j *job) {
+	js.mu.Lock()
+	if j.finished.IsZero() {
+		js.cancelled++
+	}
+	js.mu.Unlock()
+	j.cancel()
+}
+
+// get collects, then looks a job up.
 func (js *jobSet) get(id string) (*job, bool) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
-	js.gcLocked(time.Now())
+	js.collectLocked(time.Now())
 	j, ok := js.jobs[id]
 	return j, ok
 }
 
-// list garbage-collects, then returns every remaining job.
-func (js *jobSet) list() []*job {
+// list collects, then returns every remaining job's snapshot, without
+// payloads, in creation order.
+func (js *jobSet) list() []jobSnapshot {
 	js.mu.Lock()
-	defer js.mu.Unlock()
-	js.gcLocked(time.Now())
-	out := make([]*job, 0, len(js.jobs))
+	js.collectLocked(time.Now())
+	snaps := make([]jobSnapshot, 0, len(js.jobs))
 	for _, j := range js.jobs {
-		out = append(out, j)
+		snaps = append(snaps, j.snapshot(false))
 	}
-	return out
+	js.mu.Unlock()
+	// An id is "job-" and the creation count in decimal, so a shorter id
+	// is an older job.
+	slices.SortFunc(snaps, func(a, b jobSnapshot) int {
+		return cmp.Or(cmp.Compare(len(a.ID), len(b.ID)), strings.Compare(a.ID, b.ID))
+	})
+	return snaps
 }
 
 // JobStats are the job table's cumulative counters and current gauge.
 type JobStats struct {
 	// Created counts every accepted job; Cancelled counts DELETE requests
-	// that reached a live job; Collected counts jobs dropped by the TTL
-	// garbage collector.
+	// that reached a live job; Collected counts finished jobs dropped from
+	// the table, after their TTL or past the bound on finished jobs kept.
 	Created   uint64 `json:"created"`
 	Cancelled uint64 `json:"cancelled"`
 	Collected uint64 `json:"collected"`
@@ -266,27 +230,10 @@ type JobStats struct {
 	Live int `json:"live"`
 }
 
-// liveLocked counts queued or running jobs; the caller holds mu.
-func (js *jobSet) liveLocked() int {
-	live := 0
-	for _, j := range js.jobs {
-		if j.live() {
-			live++
-		}
-	}
-	return live
-}
-
 func (js *jobSet) stats() JobStats {
 	js.mu.Lock()
-	live := js.liveLocked()
-	js.mu.Unlock()
-	return JobStats{
-		Created:   js.seq.Load(),
-		Cancelled: js.cancels.Load(),
-		Collected: js.collected.Load(),
-		Live:      live,
-	}
+	defer js.mu.Unlock()
+	return JobStats{Created: js.created, Cancelled: js.cancelled, Collected: js.collected, Live: js.live}
 }
 
 // Job kinds.
@@ -370,12 +317,12 @@ func (s *Server) startJob(w http.ResponseWriter, kind string, total int, stream 
 			case s.sweepSem <- struct{}{}:
 				defer func() { <-s.sweepSem }()
 			case <-ctx.Done():
-				j.finish(ctx.Err())
+				s.jobs.finish(j, ctx.Err())
 				return
 			}
 		}
-		j.setRunning()
-		j.finish(run(ctx, j))
+		j.update(func(snap *jobSnapshot) { snap.State = stateRunning })
+		s.jobs.finish(j, run(ctx, j))
 	}()
 	writeJSON(w, http.StatusAccepted, map[string]any{"job": j.snapshot(false)})
 }
@@ -399,7 +346,7 @@ func (s *Server) createCompileJob(w http.ResponseWriter, body *compileRequest) {
 	s.startJob(w, kindCompile, 1, false, func(ctx context.Context, j *job) error {
 		entry, cached, err := s.compilePlan(ctx, key, creq, true, false)
 		if err == nil {
-			j.setPlan(entry.data, cached)
+			j.update(func(snap *jobSnapshot) { snap.Plan, snap.PlanCached, snap.CellsCompleted = entry.data, cached, 1 })
 		}
 		return err
 	})
@@ -412,7 +359,12 @@ func (s *Server) createSweepJob(w http.ResponseWriter, body *sweepRequest) {
 		return
 	}
 	s.startJob(w, kindSweep, len(cells), true, func(ctx context.Context, j *job) error {
-		return s.runSweep(ctx, cells, j.addResult)
+		return s.runSweep(ctx, cells, func(sum sweepSummary) {
+			j.update(func(snap *jobSnapshot) {
+				snap.Results = append(snap.Results, sum)
+				snap.CellsCompleted++
+			})
+		})
 	})
 }
 
@@ -432,7 +384,7 @@ func (s *Server) createOptimizeJob(w http.ResponseWriter, raw json.RawMessage) {
 	s.startJob(w, kindOptimize, points, true, func(ctx context.Context, j *job) error {
 		f, err := s.runOptimize(ctx, space, func(e optimize.Event) {
 			if e.Kind == "admit" || e.Kind == "reject" {
-				j.addProgress()
+				j.update(func(snap *jobSnapshot) { snap.CellsCompleted++ })
 			}
 		})
 		if err != nil {
@@ -440,7 +392,7 @@ func (s *Server) createOptimizeJob(w http.ResponseWriter, raw json.RawMessage) {
 		}
 		data, err := f.ToJSON()
 		if err == nil {
-			j.setFrontier(data)
+			j.update(func(snap *jobSnapshot) { snap.Frontier = data })
 		}
 		return err
 	})
@@ -461,23 +413,14 @@ func (s *Server) handleJobDelete(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errorf(http.StatusNotFound, "no such job %q", r.PathValue("id")))
 		return
 	}
-	if j.live() {
-		s.jobs.cancels.Add(1)
-	}
 	// Cancelling is asynchronous: the runner observes the context and moves
 	// the job to "cancelled" (idempotent on terminal jobs — their state no
 	// longer changes). The response is the snapshot at this instant; clients
 	// poll GET until the state is terminal.
-	j.cancel()
+	s.jobs.cancel(j)
 	writeJSON(w, http.StatusOK, map[string]any{"job": j.snapshot(false)})
 }
 
 func (s *Server) handleJobList(w http.ResponseWriter, r *http.Request) {
-	jobs := s.jobs.list()
-	sort.Slice(jobs, func(i, k int) bool { return jobs[i].seq < jobs[k].seq }) // creation order
-	snaps := make([]jobSnapshot, 0, len(jobs))
-	for _, j := range jobs {
-		snaps = append(snaps, j.snapshot(false))
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"jobs": snaps})
+	writeJSON(w, http.StatusOK, map[string]any{"jobs": s.jobs.list()})
 }

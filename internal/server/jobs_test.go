@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -300,5 +303,168 @@ func TestJobStats(t *testing.T) {
 	st := s.Stats().Jobs
 	if st.Created != 1 || st.Cancelled != 1 || st.Collected != 1 || st.Live != 0 {
 		t.Errorf("final job stats: %+v", st)
+	}
+}
+
+// listJobs GETs the job listing.
+func listJobs(t *testing.T, base string) []jobSnapshot {
+	t.Helper()
+	status, body := get(t, base+"/v1/jobs")
+	if status != http.StatusOK {
+		t.Fatalf("list status %d: %s", status, body)
+	}
+	var listing struct {
+		Jobs []jobSnapshot `json:"jobs"`
+	}
+	if err := json.Unmarshal(body, &listing); err != nil {
+		t.Fatal(err)
+	}
+	return listing.Jobs
+}
+
+// TestJobRetentionBound finishes more jobs than the table keeps, 16 per
+// live-job slot, well inside the TTL: the oldest are collected early, the
+// listing holds the newest in creation order, and /stats counts the rest
+// as collected.
+func TestJobRetentionBound(t *testing.T) {
+	_, ts := newTestServer(t, Config{MaxJobs: 2})
+	const bound, extra = 2 * doneJobsPerSlot, 5
+	ids := make([]string, bound+extra)
+	for i := range ids {
+		resp, data := post(t, ts.URL+"/v1/jobs", `{"compile": {"network": `+oneLayerNet(8)+`, "array": "64x64"}}`)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		ids[i] = jobResponse(t, data).ID
+		pollJob(t, ts.URL+"/v1/jobs/"+ids[i], func(s jobSnapshot) bool { return s.State == stateDone })
+	}
+	jobs := listJobs(t, ts.URL)
+	if len(jobs) != bound {
+		t.Fatalf("listing holds %d jobs, want %d", len(jobs), bound)
+	}
+	for i, j := range jobs {
+		if j.ID != ids[extra+i] {
+			t.Fatalf("listing[%d] = %s, want %s (the newest, oldest first)", i, j.ID, ids[extra+i])
+		}
+	}
+	for _, id := range ids[:extra] {
+		if status, body := get(t, ts.URL+"/v1/jobs/"+id); status != http.StatusNotFound {
+			t.Errorf("collected %s: status %d: %s", id, status, body)
+		}
+	}
+	status, body := get(t, ts.URL+"/stats")
+	if status != http.StatusOK {
+		t.Fatalf("stats status %d", status)
+	}
+	var st struct {
+		Jobs JobStats `json:"jobs"`
+	}
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
+	if want := (JobStats{Created: bound + extra, Collected: extra}); st.Jobs != want {
+		t.Errorf("job stats %+v, want %+v", st.Jobs, want)
+	}
+}
+
+// TestJobTableRace polls one gated sweep job's detail and the listing while
+// the sweep appends its results one cell at a time and other jobs finish
+// and are collected past the retention bound (run under -race in CI). The
+// detail's progress only grows, with one result per completed cell, and
+// /stats counts exactly the jobs still queued or running as live.
+func TestJobTableRace(t *testing.T) {
+	gate := newGateSearcher()
+	s, ts := newTestServer(t, Config{Searcher: gate, MaxConcurrent: 1, MaxJobs: 2})
+	compileBody := `{"network": ` + oneLayerNet(8) + `, "array": "64x64"}`
+	hit := `{"compile": ` + compileBody + `}`
+	go gate.allow(1) // the one search behind every compile job below
+	if resp, data := post(t, ts.URL+"/v1/compile", compileBody); resp.StatusCode != http.StatusOK {
+		t.Fatalf("warm-up compile: status %d: %s", resp.StatusCode, data)
+	}
+	arrays := []string{`"16x16"`, `"32x32"`, `"48x48"`, `"64x64"`, `"96x96"`, `"128x128"`}
+	resp, data := post(t, ts.URL+"/v1/jobs", `{"sweep": {"networks": [`+oneLayerNet(10)+`], "arrays": [`+strings.Join(arrays, ", ")+`]}}`)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("sweep job: status %d: %s", resp.StatusCode, data)
+	}
+	sweepURL := ts.URL + "/v1/jobs/" + jobResponse(t, data).ID
+
+	stop := make(chan struct{})
+	var pollers sync.WaitGroup
+	defer func() {
+		close(stop)
+		pollers.Wait()
+	}()
+	poll := func(url string, check func([]byte)) {
+		pollers.Add(1)
+		go func() {
+			defer pollers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Get(url)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				body, err := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Errorf("GET %s: status %d, %v", url, resp.StatusCode, err)
+					return
+				}
+				check(body)
+			}
+		}()
+	}
+	last := 0
+	poll(sweepURL, func(body []byte) {
+		var env struct{ Job jobSnapshot }
+		if err := json.Unmarshal(body, &env); err != nil {
+			t.Error(err)
+			return
+		}
+		j := env.Job
+		if j.CellsCompleted < last || len(j.Results) != j.CellsCompleted {
+			t.Errorf("sweep snapshot went backwards or lost results: %d completed after %d, %d results", j.CellsCompleted, last, len(j.Results))
+		}
+		last = j.CellsCompleted
+	})
+	poll(ts.URL+"/v1/jobs", func(body []byte) {
+		var listing struct{ Jobs []jobSnapshot }
+		if err := json.Unmarshal(body, &listing); err != nil {
+			t.Error(err)
+			return
+		}
+		if n := len(listing.Jobs); n > 2*doneJobsPerSlot+2 {
+			t.Errorf("listing holds %d jobs, more than the bound allows", n)
+		}
+	})
+
+	// 40 compile jobs, each a plan-cache hit, finish one after another and
+	// push the oldest past the retention bound; every 8th lets one sweep
+	// cell through the gate.
+	for i := range 40 {
+		resp, data := post(t, ts.URL+"/v1/jobs", hit)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job %d: status %d: %s", i, resp.StatusCode, data)
+		}
+		pollJob(t, ts.URL+"/v1/jobs/"+jobResponse(t, data).ID, func(s jobSnapshot) bool { return s.State == stateDone })
+		if live := s.Stats().Jobs.Live; live != 1 {
+			t.Errorf("after job %d finished: %d live jobs, want the sweep's 1", i, live)
+		}
+		if i%8 == 7 {
+			gate.allow(1)
+		}
+	}
+	gate.allow(len(arrays) - 5)
+	final := pollJob(t, sweepURL, func(s jobSnapshot) bool { return s.State == stateDone })
+	if final.CellsCompleted != len(arrays) || len(final.Results) != len(arrays) {
+		t.Errorf("final sweep snapshot: %d completed, %d results, want %d", final.CellsCompleted, len(final.Results), len(arrays))
+	}
+	if st := s.Stats().Jobs; st.Live != 0 || st.Created != 41 || st.Collected != 41-2*doneJobsPerSlot {
+		t.Errorf("final job stats %+v", st)
 	}
 }

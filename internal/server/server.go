@@ -112,7 +112,9 @@ type Config struct {
 	JobTTL time.Duration
 
 	// MaxJobs bounds jobs that are queued or running at once; 0 selects the
-	// default (64). Submissions beyond it are rejected with 503.
+	// default (64). Submissions beyond it are rejected with 503. At most 16
+	// finished jobs per slot are kept: the oldest beyond that are collected
+	// before their TTL.
 	MaxJobs int
 
 	// Logger receives one access-log line per request; nil disables logging.
@@ -427,7 +429,7 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 	entry, outcome, err := s.plans.Do(ctx, key, func() (*planEntry, error) {
 		if s.store != nil {
 			if data, plan, ok := s.store.GetPlan(key); ok {
-				return &planEntry{plan: plan, data: data, source: sourceStore}, nil
+				return &planEntry{data: data, totals: plan.Totals, source: sourceStore}, nil
 			}
 		}
 		if res, ok := s.fetchFromPeer(ctx, key, req, hop); ok {
@@ -462,7 +464,7 @@ func (s *Server) compilePlan(ctx context.Context, key string, req compile.Reques
 			// degradation stays warm across its own restarts too.
 			s.store.PutPlan(key, data)
 		}
-		return &planEntry{plan: p, data: data, prov: prov, phases: prov.Phases()}, nil
+		return &planEntry{data: data, totals: p.Totals, prov: prov, phases: prov.Phases()}, nil
 	})
 	if err != nil {
 		return nil, outcome != memo.Computed, err
@@ -528,7 +530,7 @@ func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Requ
 		return nil, false
 	}
 	s.peerProxied.Add(1)
-	return &planEntry{plan: plan, data: data, source: sourcePeer}, true
+	return &planEntry{data: data, totals: plan.Totals, source: sourcePeer}, true
 }
 
 // proxyBody serializes a resolved request back into the /v1/compile wire

@@ -384,6 +384,38 @@ func TestCompileErrorPaths(t *testing.T) {
 	}
 }
 
+// bigNet has a layer of 1<<40 input and output channels, past
+// core.MaxChannels. Before the layer limits its tile count wrapped to zero,
+// and a sweep over it panicked in chip.ScheduleLayer on a goroutine
+// net/http cannot recover, which ended the process.
+const bigNet = `{"name": "big", "layers": [{"name": "a", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 1099511627776, "oc": 1099511627776}]}`
+
+// TestLayerPastLimits422 posts bigNet to every endpoint that takes a
+// network: each answers a 422 naming the channel limit, and the server
+// keeps serving.
+func TestLayerPastLimits422(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	arrays := `["512x512", "256x256", "128x128", "64x64"]`
+	sweep := `{"networks": [` + bigNet + `], "arrays": ` + arrays + `}`
+	compileBody := `{"network": ` + bigNet + `, "array": "512x512"}`
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/sweep", sweep},
+		{"/v1/compile", compileBody},
+		{"/v1/optimize", `{"network": ` + bigNet + `, "arrays": ` + arrays + `}`},
+		{"/v1/jobs", `{"sweep": ` + sweep + `}`},
+		{"/v1/jobs", `{"compile": ` + compileBody + `}`},
+	} {
+		resp, body := post(t, ts.URL+tc.path, tc.body)
+		want := fmt.Sprintf("exceed the limit of %d", core.MaxChannels)
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(body), want) {
+			t.Errorf("%s: status %d, want 422 naming the channel limit: %s", tc.path, resp.StatusCode, body)
+		}
+	}
+	if resp, body := post(t, ts.URL+"/v1/compile", `{"network": "ResNet-18", "array": "512x512"}`); resp.StatusCode != http.StatusOK {
+		t.Errorf("compile after the rejections: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestSweepStreamsNDJSON drives /v1/sweep over a (2 networks × 2 arrays ×
 // 2 variants) cross product, checks one well-formed summary line per cell,
 // and that a repeated sweep is served from the plan cache.
@@ -502,7 +534,7 @@ func TestPlanCacheLeaderErrorNotShared(t *testing.T) {
 	joinerDone := make(chan outcome, 1)
 	go func() {
 		e, out, err := c.Do(context.Background(), "k", func() (*planEntry, error) {
-			return &planEntry{plan: &compile.NetworkPlan{}, data: []byte("joiner bytes")}, nil
+			return &planEntry{data: []byte("joiner bytes")}, nil
 		})
 		joinerDone <- outcome{*e, out != memo.Computed, err}
 	}()

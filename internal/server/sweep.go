@@ -127,24 +127,23 @@ func (req *sweepRequest) cells() ([]sweepCell, *httpError) {
 // delivers each cell's summary to emit in completion order as soon as its
 // compilation (or cache hit) finishes. A cell cut short by the context's
 // end is incomplete, not failed, and is not emitted. It returns ctx's error
-// when the sweep was cut short, nil when every cell was delivered. emit is
-// called from the caller's goroutine only.
+// when the sweep was cut short, nil when every cell was delivered. emit
+// runs on the worker that finished the cell, one call at a time, and never
+// after runSweep returns: fanout.Each returns only after every worker has.
 func (s *Server) runSweep(ctx context.Context, cells []sweepCell, emit func(sweepSummary)) error {
-	results := make(chan sweepSummary)
-	go func() {
-		fanout.Each(ctx, len(cells), cap(s.sem), func(i int) error {
-			if sum, err := s.runCell(ctx, cells[i]); err == nil {
-				results <- sum
-			}
-			return nil
-		})
-		close(results)
-	}()
-	delivered := 0
-	for sum := range results {
-		delivered++
-		emit(sum)
-	}
+	var (
+		mu        sync.Mutex
+		delivered int
+	)
+	fanout.Each(ctx, len(cells), cap(s.sem), func(i int) error {
+		if sum, err := s.runCell(ctx, cells[i]); err == nil {
+			mu.Lock()
+			delivered++
+			emit(sum)
+			mu.Unlock()
+		}
+		return nil
+	})
 	if delivered == len(cells) {
 		// Every cell was delivered: the sweep is complete even if the
 		// context expired in the instant after the last cell finished.
@@ -287,7 +286,7 @@ func (s *Server) runCell(ctx context.Context, c sweepCell) (sweepSummary, error)
 		sum.Error = err.Error()
 		return sum, nil
 	}
-	t := entry.plan.Totals
+	t := &entry.totals
 	sum.Cycles = t.Cycles
 	sum.Im2colCycles = t.Im2colCycles
 	sum.Speedup = t.Speedup
