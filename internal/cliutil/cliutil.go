@@ -222,11 +222,61 @@ func ParseArray(s string) (core.Array, error) {
 	if err != nil {
 		return core.Array{}, err
 	}
-	a := core.Array{Rows: r, Cols: c}
+	return validArray(r, c)
+}
+
+// validArray returns the rows × cols array, or the error Validate finds in
+// it.
+func validArray(rows, cols int) (core.Array, error) {
+	a := core.Array{Rows: rows, Cols: cols}
 	if err := a.Validate(); err != nil {
 		return core.Array{}, err
 	}
 	return a, nil
+}
+
+// sizeBytes parses a size's common form in place: one run of one to nine
+// ASCII digits, or two joined by 'x' or 'X'. It reports false for anything
+// else, which ParseSize parses or rejects; on what it accepts, the two
+// agree.
+func sizeBytes(b []byte) (w, h int, ok bool) {
+	w, rest, ok := digits(b)
+	if !ok || len(rest) == 0 {
+		return w, w, ok
+	}
+	if rest[0] != 'x' && rest[0] != 'X' {
+		return 0, 0, false
+	}
+	h, rest, ok = digits(rest[1:])
+	return w, h, ok && len(rest) == 0
+}
+
+// digits reads the run of up to nine ASCII digits that b starts with, a
+// value no int overflows on, and returns it and the rest of b.
+func digits(b []byte) (int, []byte, bool) {
+	v, i := 0, 0
+	for ; i < len(b) && i < 9 && '0' <= b[i] && b[i] <= '9'; i++ {
+		v = 10*v + int(b[i]-'0')
+	}
+	return v, b[i:], i > 0
+}
+
+// PlainString returns the contents of the JSON string literal lit when they
+// need no decoding: printable ASCII with no quote or backslash, so the
+// bytes between the quotes are the string json.Unmarshal would make. It
+// reports false for anything else, escapes, control bytes, non-ASCII and
+// bytes past the closing quote included, which only json.Unmarshal reads.
+func PlainString(lit []byte) ([]byte, bool) {
+	if len(lit) < 2 || lit[0] != '"' || lit[len(lit)-1] != '"' {
+		return nil, false
+	}
+	s := lit[1 : len(lit)-1]
+	for _, c := range s {
+		if c < ' ' || c > '~' || c == '"' || c == '\\' {
+			return nil, false
+		}
+	}
+	return s, true
 }
 
 // ErrTrailingData is DecodeStrict's error for a document that goes on past
@@ -262,6 +312,13 @@ func ParseArrayRef(raw json.RawMessage) (core.Array, error) {
 	}
 	switch trimmed[0] {
 	case '"':
+		// The common reference, "512x512", is read in place; any other
+		// string is decoded and parsed as a flag value is.
+		if spec, ok := PlainString(trimmed); ok {
+			if r, c, ok := sizeBytes(spec); ok {
+				return validArray(r, c)
+			}
+		}
 		var spec string
 		if err := json.Unmarshal(trimmed, &spec); err != nil {
 			return core.Array{}, fmt.Errorf("parse array: %w", err)
@@ -275,11 +332,7 @@ func ParseArrayRef(raw json.RawMessage) (core.Array, error) {
 		if err := DecodeStrict(trimmed, &obj); err != nil {
 			return core.Array{}, fmt.Errorf("parse array: %w", err)
 		}
-		a := core.Array{Rows: obj.Rows, Cols: obj.Cols}
-		if err := a.Validate(); err != nil {
-			return core.Array{}, err
-		}
-		return a, nil
+		return validArray(obj.Rows, obj.Cols)
 	default:
 		return core.Array{}, errors.New(`array must be a "RowsxCols" string or a {"rows", "cols"} object`)
 	}

@@ -352,13 +352,14 @@ func New(s core.Searcher) *Compiler {
 // Searcher returns the searcher the compiler runs on.
 func (c *Compiler) Searcher() core.Searcher { return c.s }
 
-// compileLayer runs the full per-layer pipeline into lp: search, then
-// schedule, energy and (optionally) the physical plan as soon as the search
-// returns. lp, cl and opts all point into the plan being built, which is
-// already on the heap, so the layer plan is filled in place instead of
-// being returned and copied. A compile that succeeds writes every field of
-// lp, so a layer plan reused from an earlier compile keeps nothing of it.
-func (c *Compiler) compileLayer(ctx context.Context, lp *LayerPlan, cl *model.ConvLayer, a core.Array, opts *Options) error {
+// compileLayer runs the full per-layer pipeline of dst's layer i into its
+// layer plan: search, then schedule, energy and (optionally) the physical
+// plan as soon as the search returns. The plan being built is already on
+// the heap, so the layer plan is filled in place instead of being returned
+// and copied. A compile that succeeds writes every field of the layer plan,
+// so one reused from an earlier compile keeps nothing of it.
+func (c *Compiler) compileLayer(ctx context.Context, dst *NetworkPlan, i int) error {
+	lp, cl, a, opts := &dst.Layers[i], &dst.Network.Layers[i], dst.Array, &dst.Options
 	ctx, lsp := obs.Start(ctx, "layer")
 	defer lsp.End()
 	lsp.SetStr("name", cl.Name)
@@ -414,8 +415,9 @@ func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, erro
 // requests into one plan allocates its layer plans once. Every field of dst
 // is overwritten; after an error its contents are unspecified.
 //
-// Layer pipelines run through fanout.Each: the caller is one of the workers,
-// so a compile of width w starts w − 1 goroutines. The width is GOMAXPROCS,
+// Layer pipelines run through fanout.Each, or at width one through its
+// one-worker loop, fanout.Serial: the caller is one of the workers, so a
+// compile of width w starts w − 1 goroutines. The width is GOMAXPROCS,
 // except on a searcher that reports what it holds (an engine): there it is
 // the number of layers whose search the searcher must compute, counted up
 // to GOMAXPROCS and at least one. A search served from the cache costs less
@@ -450,9 +452,15 @@ func (c *Compiler) CompileInto(ctx context.Context, req Request, dst *NetworkPla
 	dst.Layers = dst.Layers[:len(n.Layers)]
 	workers := c.width(n.Layers, a, m)
 	sp.SetStr("network", n.Name).SetInt("layers", int64(len(n.Layers))).SetInt("workers", int64(workers))
-	if i, err := fanout.Each(ctx, len(n.Layers), workers, func(i int) error {
-		return c.compileLayer(ctx, &dst.Layers[i], &dst.Network.Layers[i], dst.Array, &dst.Options)
-	}); err != nil {
+	// At width one the layers run through fanout.Serial, whose closure stays
+	// on this stack; the one given to Each moves to the heap.
+	var i int
+	if workers == 1 {
+		i, err = fanout.Serial(ctx, len(n.Layers), func(i int) error { return c.compileLayer(ctx, dst, i) })
+	} else {
+		i, err = fanout.Each(ctx, len(n.Layers), workers, func(i int) error { return c.compileLayer(ctx, dst, i) })
+	}
+	if err != nil {
 		return fmt.Errorf("compile: %s/%s: %w", n.Name, n.Layers[i].Name, err)
 	}
 	dst.Totals = totals(dst.Layers)

@@ -29,17 +29,7 @@ import (
 func Each(ctx context.Context, n, workers int, do func(i int) error) (int, error) {
 	workers = min(n, workers)
 	if workers <= 1 {
-		first, firstErr := -1, error(nil)
-		for i := range n {
-			err := ctx.Err()
-			if err == nil {
-				err = do(i)
-			}
-			if err != nil && first < 0 {
-				first, firstErr = i, err
-			}
-		}
-		return first, firstErr
+		return Serial(ctx, n, do)
 	}
 	// The goroutines share the cursor, the lowest failure and the
 	// WaitGroup: one allocation, which the one-worker path above does not
@@ -76,4 +66,24 @@ func Each(ctx context.Context, n, workers int, do func(i int) error) (int, error
 	work()
 	shared.wg.Wait()
 	return shared.first, shared.firstErr
+}
+
+// Serial is Each on one worker: it runs do(i) for every i in [0, n) on the
+// caller, in index order, checks ctx before each index, and returns the
+// lowest failing index with its error. Unlike Each's, its do does not
+// escape, so a closure passed to Serial stays on its caller's stack, where
+// one passed to Each moves to the heap because Each's wide path hands it to
+// goroutines.
+func Serial(ctx context.Context, n int, do func(i int) error) (int, error) {
+	first, firstErr := -1, error(nil)
+	for i := range n {
+		err := ctx.Err()
+		if err == nil {
+			err = do(i)
+		}
+		if err != nil && first < 0 {
+			first, firstErr = i, err
+		}
+	}
+	return first, firstErr
 }

@@ -71,13 +71,20 @@ func TestEachReturnsLowestFailure(t *testing.T) {
 
 // TestEachOneWorkerAllocs pins that a fan-out of width one allocates
 // nothing of its own: a compile whose every search is a cache hit runs at
-// that width.
+// that width. Serial also keeps a closure that captures its caller's
+// variables off the heap.
 func TestEachOneWorkerAllocs(t *testing.T) {
 	ctx := context.Background()
 	for _, workers := range []int{0, 1} {
 		if allocs := testing.AllocsPerRun(100, func() { Each(ctx, 10, workers, noop) }); allocs != 0 {
 			t.Errorf("workers=%d: Each allocates %.1f times, want 0", workers, allocs)
 		}
+	}
+	sum := 0
+	if allocs := testing.AllocsPerRun(100, func() {
+		Serial(ctx, 10, func(i int) error { sum += i; return nil })
+	}); allocs != 0 {
+		t.Errorf("Serial with a capturing closure allocates %.1f times, want 0", allocs)
 	}
 }
 

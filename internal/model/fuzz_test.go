@@ -3,7 +3,9 @@ package model
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
+	"reflect"
 	"testing"
 )
 
@@ -54,4 +56,59 @@ func FuzzFromJSON(f *testing.F) {
 			t.Fatalf("ToJSON not a fixed point:\nfirst:  %s\nsecond: %s", out, out2)
 		}
 	})
+}
+
+// decodedSpec is ResolveSpec with every string decoded by json.Unmarshal
+// and looked up by ByName, the reading the in-place fast path must agree
+// with.
+func decodedSpec(raw []byte) (Network, error) {
+	trimmed := bytes.TrimSpace(raw)
+	if len(trimmed) == 0 || trimmed[0] != '"' {
+		return ResolveSpec(raw)
+	}
+	var name string
+	if err := json.Unmarshal(trimmed, &name); err != nil {
+		return Network{}, fmt.Errorf("model: parse network name: %w", err)
+	}
+	return ByName(name)
+}
+
+// FuzzResolveSpec holds ResolveSpec's in-place reading of a zoo name to
+// json.Unmarshal and ByName: the same network, or the same error text, for
+// every zoo name, escaped names, unknown names, invalid UTF-8, control
+// bytes and trailing bytes.
+func FuzzResolveSpec(f *testing.F) {
+	for _, z := range zoo {
+		f.Add([]byte(`"` + z.name + `"`))
+	}
+	for _, seed := range []string{
+		`"VGG\u002d13"`, ` "AlexNet"` + "\n", `"vgg-13"`, `"nope"`, `"VGG-13 "`, "\"VGG-13\xff\"",
+		"\"\xc3\x28\"", "\"tab\there\"", `"VGG-13"x`, `"VGG-13`, `""`, `"\"VGG-13\""`,
+		`{"name": "n", "layers": []}`, `42`, ``,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		got, err := ResolveSpec(raw)
+		want, wantErr := decodedSpec(raw)
+		if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("ResolveSpec(%q) = %q, %v; decoded reading %q, %v", raw, got.Name, err, want.Name, wantErr)
+		}
+	})
+}
+
+// TestResolveSpecAllocs pins that a plain zoo name is read in place: a
+// reference costs what ByName's build does, one allocation, where
+// json.Unmarshal into a string added three.
+func TestResolveSpecAllocs(t *testing.T) {
+	for _, z := range zoo {
+		raw := []byte(`"` + z.name + `"`)
+		if allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ResolveSpec(raw); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs > 1 {
+			t.Errorf("ResolveSpec(%s) allocates %.0f times, want at most 1", raw, allocs)
+		}
+	}
 }

@@ -188,6 +188,13 @@ func ResolveSpec(raw []byte) (Network, error) {
 	}
 	switch trimmed[0] {
 	case '"':
+		// A zoo name is read in place; any other string is decoded, and
+		// ByName names what it is not.
+		if name, ok := cliutil.PlainString(trimmed); ok {
+			if n, ok := byName(name); ok {
+				return n, nil
+			}
+		}
 		var name string
 		if err := json.Unmarshal(trimmed, &name); err != nil {
 			return Network{}, fmt.Errorf("model: parse network name: %w", err)

@@ -314,16 +314,26 @@ func All() []Network {
 // builds only the named network, afresh on every call, so the caller may
 // modify it.
 func ByName(name string) (Network, error) {
-	for _, z := range zoo {
-		if z.name == name {
-			return z.build(), nil
-		}
+	if n, ok := byName(name); ok {
+		return n, nil
 	}
 	names := make([]string, len(zoo))
 	for i, z := range zoo {
 		names[i] = z.name
 	}
 	return Network{}, fmt.Errorf("model: unknown network %q (have %v)", name, names)
+}
+
+// byName builds the zoo network named name, if there is one. It takes the
+// name as a string or as bytes, so a name read in place from a request is
+// looked up without a string made of it.
+func byName[T string | []byte](name T) (Network, bool) {
+	for _, z := range zoo {
+		if string(name) == z.name {
+			return z.build(), true
+		}
+	}
+	return Network{}, false
 }
 
 // Random returns a deterministic pseudo-random network of n small layers for

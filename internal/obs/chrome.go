@@ -34,46 +34,38 @@ type chromeDoc struct {
 // goroutine that started it and nest by containment.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	t.mu.Lock()
-	spans := t.spans
-	t.mu.Unlock()
 	doc := chromeDoc{
-		TraceEvents:     make([]chromeEvent, 0, len(spans)+1),
+		TraceEvents:     make([]chromeEvent, 1, t.spans.n+1),
 		DisplayTimeUnit: "ms",
 	}
-	doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
+	doc.TraceEvents[0] = chromeEvent{
 		Name: "process_name", Ph: "M", Pid: 1,
 		Args: map[string]any{"name": t.name},
-	})
-	// lane[i] is the tid of span i: top-level spans open their own lane,
-	// children inherit. Spans are recorded in start order, so a parent always
-	// precedes its children.
-	lane := make([]int, len(spans))
-	for i, s := range spans {
-		if s.parent < 0 {
-			lane[i] = s.id + 1
-		} else {
-			lane[i] = lane[s.parent]
+	}
+	// Span i is event i+1, and its tid is its lane: top-level spans open
+	// their own lane, children inherit. Spans are recorded in start order,
+	// so a parent always precedes its children.
+	for i, s := range t.spans.all() {
+		tid := i + 1
+		if s.parent >= 0 {
+			tid = doc.TraceEvents[s.parent+1].Tid
 		}
-		ev := chromeEvent{
+		doc.TraceEvents = append(doc.TraceEvents, chromeEvent{
 			Name: s.name,
 			Ph:   "X",
 			Pid:  1,
-			Tid:  lane[i],
-			Ts:   s.start.Sub(t.start).Microseconds(),
+			Tid:  tid,
+			Ts:   s.start.Microseconds(),
 			Dur:  s.Duration().Microseconds(),
-		}
-		if len(s.attrs) > 0 {
-			ev.Args = make(map[string]any, len(s.attrs))
-			for _, a := range s.attrs {
-				if a.isNum {
-					ev.Args[a.key] = a.num
-				} else {
-					ev.Args[a.key] = a.str
-				}
-			}
-		}
-		doc.TraceEvents = append(doc.TraceEvents, ev)
+		})
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(doc)
+	for _, a := range t.attrs.all() {
+		ev := &doc.TraceEvents[a.span+1]
+		if ev.Args == nil {
+			ev.Args = make(map[string]any)
+		}
+		ev.Args[a.key] = a.value()
+	}
+	t.mu.Unlock()
+	return json.NewEncoder(w).Encode(doc)
 }

@@ -15,7 +15,7 @@
 //	defer span.End()
 //
 // Spans nest through the context: Start parents the new span under the
-// context's current span and returns a derived context carrying the new one,
+// context's current span and returns the new span as the derived context,
 // so a call tree becomes a span tree without any explicit plumbing. Traces
 // are attached with NewContext and recovered with FromContext. A region
 // that starts no spans of its own uses StartLeaf, which parents the span
@@ -27,12 +27,29 @@
 //
 // # What a span costs
 //
-// Recording is the only cost a traced region pays: a span allocates itself
-// (and now and then a longer span log for its trace), Start one derived
-// context (StartLeaf none), and the first attribute one slice with room for
-// four. Nothing is rendered while spans are recorded;
-// Tree, Phases, DurationByName and WriteChrome replay the recorded spans
-// when a consumer asks, so a trace nobody reads costs no rendering.
+// Recording is the only cost a traced region pays. A trace keeps its spans
+// in one log and their attributes in another, each in fixed chunks of 31
+// entries that the trace allocates as they fill and never moves, so a
+// *Span stays valid as the trace grows. A span costs its share of a chunk,
+// and so does each attribute; a span that sets none pays for none. Start
+// returns the span itself as its derived context, so neither Start nor
+// StartLeaf allocates anything of its own; New and NewContext allocate
+// once each. Nothing is rendered while spans are recorded; Tree, Phases,
+// DurationByName and WriteChrome replay the recorded spans when a consumer
+// asks, so a trace nobody reads costs no rendering.
+//
+// # A span is a context
+//
+// Start returns the new span itself as the derived context. Its Value
+// answers the package's key with the span and forwards every other key,
+// and Deadline, Done and Err, to the context the span was started under
+// (past any spans between, which answer nothing else). It reads only what
+// Start fixed, so goroutines that a span's work fans out to may read it
+// while the span's owner sets attributes. A context.WithCancel or
+// WithTimeout below a span finds the parent's cancellation through Value
+// and registers with it directly, so it starts no goroutine. A finished
+// span keeps the context it was started under reachable for as long as
+// its trace lives.
 //
 // # The disabled fast path
 //
@@ -83,7 +100,8 @@ type Trace struct {
 	start time.Time
 
 	mu      sync.Mutex
-	spans   []*Span
+	spans   chunkLog[Span]
+	attrs   chunkLog[attr]
 	dropped int
 	limit   int
 }
@@ -104,115 +122,163 @@ func (t *Trace) Dropped() int {
 func (t *Trace) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return len(t.spans)
+	return t.spans.n
 }
 
-// Span is one timed region of a Trace. The zero value is not used; spans
-// come from Start, and a nil *Span (tracing disabled, or the trace full) is
-// a valid no-op receiver for every method.
+// Span is one timed region of a Trace, and the context Start derives for
+// it (see the package comment). The zero value is not used; spans come from
+// Start and StartLeaf, and a nil *Span (tracing disabled, or the trace
+// full) is a valid no-op receiver for End, SetInt, SetStr and Duration.
 type Span struct {
-	t      *Trace
-	id     int
-	parent int // index into t.spans; -1 = top level
+	t *Trace
+	// ctx is the context the span was started under, or that context's own
+	// ctx when it is a span: the nearest one that is not a span, which the
+	// context methods forward to.
+	ctx    context.Context
 	name   string
-	start  time.Time
-	dur    time.Duration
-	ended  bool
-	attrs  []attr
+	start  time.Duration // since the trace's start
+	dur    time.Duration // live until End
+	id     int32         // index in the trace's span log
+	parent int32         // the parent's id; -1 = top level
 }
 
-// attr is one span attribute; Str is used unless isNum is set.
+// live is a span's duration until End fixes it.
+const live time.Duration = -1
+
+// attr is one span attribute, kept in its trace's attribute log; Str is
+// used unless isNum is set.
 type attr struct {
 	key   string
 	str   string
 	num   int64
+	span  int32 // the id of the span it belongs to
 	isNum bool
 }
 
-// newSpan records a span under the trace's lock, enforcing the span limit.
-func (t *Trace) newSpan(name string, parent int) *Span {
-	s := &Span{t: t, parent: parent, name: name, start: time.Now()}
-	t.mu.Lock()
-	if len(t.spans) >= t.limit {
-		t.dropped++
-		t.mu.Unlock()
-		return nil
+func (a *attr) value() any {
+	if a.isNum {
+		return a.num
 	}
-	s.id = len(t.spans)
-	t.spans = append(t.spans, s)
-	t.mu.Unlock()
-	return s
+	return a.str
 }
 
-// ctxKey keys the context values; the trace and the current span are stored
-// separately so NewContext can clear the span without knowing it.
-type ctxKey int
+// newSpan records a span under the trace's lock, enforcing the span limit.
+// ctx is the context it starts under and parent ctx's current span, nil
+// for a top-level span.
+func (t *Trace) newSpan(ctx context.Context, name string, parent *Span) *Span {
+	s := Span{t: t, ctx: ctx, name: name, start: time.Since(t.start), dur: live, parent: -1}
+	if parent != nil {
+		s.parent = parent.id
+		if p, ok := ctx.(*Span); ok {
+			s.ctx = p.ctx
+		}
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.spans.n >= t.limit {
+		t.dropped++
+		return nil
+	}
+	s.id = int32(t.spans.n)
+	return t.spans.add(s)
+}
 
-const (
-	traceKey ctxKey = iota
-	spanKey
-)
+// ctxKey keys the one context value the package reads: the current span,
+// or a traceCtx when a trace is attached with no span started under it.
+type ctxKey struct{}
+
+// traceCtx is the context NewContext returns: the trace, and no span.
+type traceCtx struct {
+	context.Context
+	t *Trace
+}
+
+func (c *traceCtx) Value(key any) any {
+	if key == (ctxKey{}) {
+		return c
+	}
+	return c.Context.Value(key)
+}
+
+// current returns ctx's trace and current span: nil and nil when tracing
+// is disabled, and a nil span at a trace's top level.
+func current(ctx context.Context) (*Trace, *Span) {
+	switch v := ctx.Value(ctxKey{}).(type) {
+	case *Span:
+		return v.t, v
+	case *traceCtx:
+		return v.t, nil
+	}
+	return nil, nil
+}
 
 // NewContext returns a context carrying t as its trace. Any current span is
 // cleared, so spans started under the returned context are top-level in t —
 // attaching a fresh trace never parents its spans under a different trace's
 // span tree.
 func NewContext(ctx context.Context, t *Trace) context.Context {
-	return context.WithValue(context.WithValue(ctx, traceKey, t), spanKey, (*Span)(nil))
+	return &traceCtx{ctx, t}
 }
 
 // FromContext returns the context's trace, or nil when the context carries
 // none (tracing disabled).
 func FromContext(ctx context.Context) *Trace {
-	t, _ := ctx.Value(traceKey).(*Trace)
+	t, _ := current(ctx)
 	return t
 }
 
 // Start begins a span named name under the context's current span and
-// returns a derived context carrying it. When the context has no trace —
+// returns the span as the derived context. When the context has no trace —
 // tracing disabled — Start returns ctx unchanged and a nil span without
 // allocating; all Span methods no-op on nil, so call sites need no guard.
 func Start(ctx context.Context, name string) (context.Context, *Span) {
-	t := FromContext(ctx)
+	t, parent := current(ctx)
 	if t == nil {
 		return ctx, nil
 	}
-	s := t.newSpan(name, parentID(ctx, t))
+	s := t.newSpan(ctx, name, parent)
 	if s == nil {
 		return ctx, nil // over the span limit: degrade to no-op
 	}
-	return context.WithValue(ctx, spanKey, s), s
+	return s, s
 }
 
 // StartLeaf begins a span named name under the context's current span, as
-// Start does, but derives no context: nothing can start under the span, so
-// it is for a region that records no spans of its own, and it costs no
-// context allocation. Disabled, it returns nil without allocating.
+// Start does, but returns no context: it is for a region that records no
+// spans of its own. Disabled, it returns nil without allocating.
 func StartLeaf(ctx context.Context, name string) *Span {
-	t := FromContext(ctx)
+	t, parent := current(ctx)
 	if t == nil {
 		return nil
 	}
-	return t.newSpan(name, parentID(ctx, t))
+	return t.newSpan(ctx, name, parent)
 }
 
-// parentID returns the index of ctx's current span when it belongs to t,
-// else -1 (a top-level span).
-func parentID(ctx context.Context, t *Trace) int {
-	if ps, ok := ctx.Value(spanKey).(*Span); ok && ps != nil && ps.t == t {
-		return ps.id
+// Deadline returns the deadline of the context the span was started under.
+func (s *Span) Deadline() (time.Time, bool) { return s.ctx.Deadline() }
+
+// Done returns the Done channel of the context the span was started under.
+func (s *Span) Done() <-chan struct{} { return s.ctx.Done() }
+
+// Err returns the error of the context the span was started under.
+func (s *Span) Err() error { return s.ctx.Err() }
+
+// Value returns the span for the package's own key, and the value of the
+// context the span was started under for every other key.
+func (s *Span) Value(key any) any {
+	if key == (ctxKey{}) {
+		return s
 	}
-	return -1
+	return s.ctx.Value(key)
 }
 
 // End finishes the span, fixing its duration; the first End wins and later
 // calls no-op, so defer span.End() composes with early explicit ends.
 func (s *Span) End() {
-	if s == nil || s.ended {
+	if s == nil || s.dur != live {
 		return
 	}
-	s.ended = true
-	s.dur = time.Since(s.start)
+	s.dur = time.Since(s.t.start) - s.start
 }
 
 // Duration returns the span's duration (the live duration if not yet ended,
@@ -221,8 +287,8 @@ func (s *Span) Duration() time.Duration {
 	if s == nil {
 		return 0
 	}
-	if !s.ended {
-		return time.Since(s.start)
+	if s.dur == live {
+		return time.Since(s.t.start) - s.start
 	}
 	return s.dur
 }
@@ -232,7 +298,7 @@ func (s *Span) SetInt(key string, v int64) *Span {
 	if s == nil {
 		return nil
 	}
-	s.setAttr(attr{key: key, num: v, isNum: true})
+	s.t.addAttr(attr{key: key, num: v, span: s.id, isNum: true})
 	return s
 }
 
@@ -241,18 +307,12 @@ func (s *Span) SetStr(key, v string) *Span {
 	if s == nil {
 		return nil
 	}
-	s.setAttr(attr{key: key, str: v})
+	s.t.addAttr(attr{key: key, str: v, span: s.id})
 	return s
 }
 
-// spanAttrs is the attribute capacity a span makes on its first attribute:
-// the most any span in this repository sets (a computed engine.search, an
-// optimize run), so attributes cost one allocation, not one per doubling.
-const spanAttrs = 4
-
-func (s *Span) setAttr(a attr) {
-	if s.attrs == nil {
-		s.attrs = make([]attr, 0, spanAttrs)
-	}
-	s.attrs = append(s.attrs, a)
+func (t *Trace) addAttr(a attr) {
+	t.mu.Lock()
+	t.attrs.add(a)
+	t.mu.Unlock()
 }

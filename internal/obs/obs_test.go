@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -90,23 +91,65 @@ func TestStartDisabledZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestSpanAttrsAllocOnce pins that a span's attributes cost one allocation:
-// a span given four attributes allocates once more than a bare one.
-func TestSpanAttrsAllocOnce(t *testing.T) {
-	allocs := func(attrs int) float64 {
+// TestSpanAttrsNoAlloc pins that a span with up to four attributes costs
+// no allocation of its own, started by Start or by StartLeaf: the span and
+// its attributes take their shares of the trace's chunks, one chunk per 31
+// entries, which an average over 124 spans rounds down to 0, where an
+// allocation of each span's own would read 1 or more.
+func TestSpanAttrsNoAlloc(t *testing.T) {
+	for attrs := range 5 {
 		ctx := NewContext(context.Background(), New("attrs"))
-		return testing.AllocsPerRun(100, func() {
-			s := StartLeaf(ctx, "engine.search")
-			for i := range attrs {
-				s.SetInt("k", int64(i))
+		for _, start := range []string{"Start", "StartLeaf"} {
+			allocs := testing.AllocsPerRun(4*chunkLen, func() {
+				var s *Span
+				if start == "Start" {
+					_, s = Start(ctx, "layer")
+				} else {
+					s = StartLeaf(ctx, "engine.search")
+				}
+				for i := range attrs {
+					s.SetInt("k", int64(i))
+				}
+				s.End()
+			})
+			if allocs != 0 {
+				t.Errorf("%s with %d attributes allocates %.1f times per span, want 0", start, attrs, allocs)
 			}
-			s.End()
-		})
+		}
 	}
-	bare, four := allocs(0), allocs(4)
-	if four-bare != 1 {
-		t.Errorf("four attributes cost %.1f allocations per span (bare span %.1f, with them %.1f), want 1",
-			four-bare, bare, four)
+}
+
+// TestTraceChunkAllocs pins what a whole trace allocates: the trace, the
+// context NewContext makes for it, and one chunk per 31 spans and per 31
+// attributes, nested spans or leaves, with or without attributes.
+func TestTraceChunkAllocs(t *testing.T) {
+	chunks := func(n int) int { return (n + chunkLen - 1) / chunkLen }
+	for _, n := range []int{0, 1, chunkLen, chunkLen + 1, 100, 1000} {
+		for _, attrs := range []int{0, 1, 4} {
+			allocs := testing.AllocsPerRun(1, func() {
+				tr := New("chunks")
+				ctx := NewContext(context.Background(), tr)
+				for i := range n {
+					var s *Span
+					if i%3 == 0 {
+						s = StartLeaf(ctx, "leaf")
+					} else {
+						ctx, s = Start(ctx, "nested")
+					}
+					for a := range attrs {
+						s.SetInt("a", int64(a))
+					}
+					s.End()
+				}
+				if tr.Len() != n {
+					t.Fatalf("trace holds %d spans, want %d", tr.Len(), n)
+				}
+			})
+			if want := 2 + chunks(n) + chunks(n*attrs); allocs > float64(want) {
+				t.Errorf("%d spans with %d attributes each: %.0f allocations, want at most %d (the trace, its context and %d chunks)",
+					n, attrs, allocs, want, want-2)
+			}
+		}
 	}
 }
 
@@ -183,19 +226,30 @@ func TestNewContextClearsParentSpan(t *testing.T) {
 	}
 }
 
+// TestConcurrentStart starts spans on one trace from 16 goroutines at
+// once, each a chain of nested spans long enough that the trace's chunks
+// fill several times over while the others append, and checks every
+// span's parent and attributes.
 func TestConcurrentStart(t *testing.T) {
 	tr := New("fanout")
 	ctx := NewContext(context.Background(), tr)
 	ctx, root := Start(ctx, "compile")
 	done := make(chan struct{})
-	const n = 16
+	const n, depth = 16, 3 * chunkLen
 	for i := 0; i < n; i++ {
 		go func(i int) {
 			defer func() { done <- struct{}{} }()
 			lctx, layer := Start(ctx, "layer")
 			layer.SetInt("index", int64(i))
-			_, sub := Start(lctx, "search")
-			sub.End()
+			chain := make([]*Span, depth)
+			for d := range chain {
+				lctx, chain[d] = Start(lctx, "search")
+				chain[d].SetInt("index", int64(i)).SetInt("depth", int64(d))
+			}
+			StartLeaf(lctx, "leaf").SetInt("index", int64(i)).End()
+			for d := depth - 1; d >= 0; d-- {
+				chain[d].End()
+			}
 			layer.End()
 		}(i)
 	}
@@ -203,6 +257,9 @@ func TestConcurrentStart(t *testing.T) {
 		<-done
 	}
 	root.End()
+	if got, want := tr.Len(), 1+n*(depth+2); got != want {
+		t.Fatalf("trace holds %d spans, want %d", got, want)
+	}
 	roots := tr.Tree()
 	if len(roots) != 1 {
 		t.Fatalf("roots = %d, want 1", len(roots))
@@ -210,10 +267,91 @@ func TestConcurrentStart(t *testing.T) {
 	if got := len(roots[0].Children); got != n {
 		t.Fatalf("layer spans = %d, want %d", got, n)
 	}
+	seen := make([]bool, n)
 	for _, layer := range roots[0].Children {
-		if len(layer.Children) != 1 || layer.Children[0].Name != "search" {
-			t.Fatalf("layer children = %+v", layer.Children)
+		i, ok := layer.Attrs["index"].(int64)
+		if layer.Name != "layer" || !ok || i < 0 || i >= n || seen[i] || len(layer.Attrs) != 1 {
+			t.Fatalf("layer span %q with attrs %v", layer.Name, layer.Attrs)
 		}
+		seen[i] = true
+		node := layer
+		for d := range depth {
+			if len(node.Children) != 1 {
+				t.Fatalf("layer %d, depth %d: %d children, want 1", i, d, len(node.Children))
+			}
+			node = node.Children[0]
+			if node.Name != "search" || node.Attrs["index"] != i || node.Attrs["depth"] != int64(d) || len(node.Attrs) != 2 {
+				t.Fatalf("layer %d, depth %d: span %q with attrs %v", i, d, node.Name, node.Attrs)
+			}
+		}
+		if len(node.Children) != 1 || node.Children[0].Name != "leaf" || node.Children[0].Attrs["index"] != i {
+			t.Fatalf("layer %d: deepest span's children = %+v, want its leaf", i, node.Children)
+		}
+	}
+}
+
+// TestSpanContext pins the context a span serves as: Value answers the
+// trace for its own key and forwards every other one, Deadline, Done and
+// Err are the parent's, a WithCancel or WithTimeout below a span is
+// cancelled with its parent by the parent's own cancelCtx, with no
+// goroutine started to watch it, and NewContext over a span's context
+// clears the span.
+func TestSpanContext(t *testing.T) {
+	type key struct{}
+	deadline := time.Now().Add(time.Hour)
+	parent, cancel := context.WithDeadline(context.WithValue(context.Background(), key{}, "v"), deadline)
+	tr := New("ctx")
+	ctx, outer := Start(NewContext(parent, tr), "outer")
+	ctx, inner := Start(ctx, "inner")
+	if ctx != context.Context(inner) {
+		t.Fatal("Start did not return the span as its context")
+	}
+	if FromContext(ctx) != tr || ctx.Value(key{}) != "v" || ctx.Value("other") != nil {
+		t.Errorf("Value: trace %v, key %v, other %v", FromContext(ctx), ctx.Value(key{}), ctx.Value("other"))
+	}
+	if d, ok := ctx.Deadline(); !ok || !d.Equal(deadline) {
+		t.Errorf("Deadline = %v, %v; want %v", d, ok, deadline)
+	}
+	if ctx.Done() != parent.Done() || ctx.Err() != nil {
+		t.Errorf("Done is not the parent's, or Err = %v before cancel", ctx.Err())
+	}
+
+	goroutines := runtime.NumGoroutine()
+	below, stop := context.WithCancel(ctx)
+	defer stop()
+	timed, stopTimed := context.WithTimeout(ctx, time.Hour)
+	defer stopTimed()
+	if got := runtime.NumGoroutine(); got != goroutines {
+		t.Errorf("contexts below a span started %d goroutines", got-goroutines)
+	}
+	cancel()
+	// The parent's cancel cancels the children registered with it before it
+	// returns.
+	for name, c := range map[string]context.Context{"span": ctx, "WithCancel": below, "WithTimeout": timed} {
+		if c.Err() != context.Canceled {
+			t.Errorf("%s below the cancelled parent: Err = %v, want %v", name, c.Err(), context.Canceled)
+		}
+	}
+	select {
+	case <-inner.Done():
+	default:
+		t.Error("span's Done is open after its parent was cancelled")
+	}
+
+	fresh := New("fresh")
+	fctx := NewContext(inner, fresh)
+	_, top := Start(fctx, "top")
+	top.End()
+	inner.End()
+	outer.End()
+	if FromContext(fctx) != fresh || fctx.Value(key{}) != "v" {
+		t.Errorf("NewContext over a span: trace %v, key %v", FromContext(fctx), fctx.Value(key{}))
+	}
+	if roots := fresh.Tree(); len(roots) != 1 || roots[0].Name != "top" {
+		t.Errorf("fresh trace = %+v, want one top-level span", roots)
+	}
+	if roots := tr.Tree(); len(roots) != 1 || len(roots[0].Children) != 1 || len(roots[0].Children[0].Children) != 0 {
+		t.Errorf("first trace = %+v, want outer > inner and nothing below", roots)
 	}
 }
 

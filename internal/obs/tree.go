@@ -37,25 +37,14 @@ func Find(nodes []*Node, name string) *Node {
 // rules); a finished trace renders the same forest every time.
 func (t *Trace) Tree() []*Node {
 	t.mu.Lock()
-	spans := t.spans
-	t.mu.Unlock()
-	nodes := make([]*Node, len(spans))
+	defer t.mu.Unlock()
+	nodes := make([]*Node, t.spans.n)
 	var roots []*Node
-	for i, s := range spans {
+	for i, s := range t.spans.all() {
 		n := &Node{
 			Name:    s.name,
-			StartUs: s.start.Sub(t.start).Microseconds(),
+			StartUs: s.start.Microseconds(),
 			DurUs:   s.Duration().Microseconds(),
-		}
-		if len(s.attrs) > 0 {
-			n.Attrs = make(map[string]any, len(s.attrs))
-			for _, a := range s.attrs {
-				if a.isNum {
-					n.Attrs[a.key] = a.num
-				} else {
-					n.Attrs[a.key] = a.str
-				}
-			}
 		}
 		nodes[i] = n
 		if s.parent >= 0 {
@@ -64,6 +53,13 @@ func (t *Trace) Tree() []*Node {
 		} else {
 			roots = append(roots, n)
 		}
+	}
+	for _, a := range t.attrs.all() {
+		n := nodes[a.span]
+		if n.Attrs == nil {
+			n.Attrs = make(map[string]any)
+		}
+		n.Attrs[a.key] = a.value()
 	}
 	return roots
 }
@@ -80,13 +76,13 @@ func (t *Trace) Phases() []Phase {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	n := 0
-	for _, s := range t.spans {
+	for _, s := range t.spans.all() {
 		if s.parent < 0 {
 			n++
 		}
 	}
 	out := make([]Phase, 0, n)
-	for _, s := range t.spans {
+	for _, s := range t.spans.all() {
 		if s.parent < 0 {
 			out = append(out, Phase{Name: s.name, Dur: s.Duration()})
 		}
@@ -113,7 +109,7 @@ type NameSum struct {
 func (t *Trace) DurationByName(sums []NameSum) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for _, s := range t.spans {
+	for _, s := range t.spans.all() {
 		for i := range sums {
 			if sums[i].Name == s.name {
 				sums[i].Dur += s.Duration()

@@ -324,7 +324,7 @@ func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*
 			f.Rejected++
 			f.Dominated++
 			if emit != nil {
-				emit(Event{Kind: "reject", ID: p.ID, By: by, Point: &p})
+				emit(pointEvent("reject", by, p))
 			}
 			continue
 		}
@@ -346,7 +346,7 @@ func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*
 		frontier = append(kept, p)
 		f.Admitted++
 		if emit != nil {
-			emit(Event{Kind: "admit", ID: p.ID, Point: &p})
+			emit(pointEvent("admit", 0, p))
 		}
 	}
 	sort.Slice(frontier, func(i, j int) bool { return pointLess(frontier[i], frontier[j]) })
@@ -354,6 +354,13 @@ func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*
 	sp.SetInt("evaluated", int64(f.Evaluated)).SetInt("frontier", int64(len(f.Points))).
 		SetInt("compiles", int64(len(memo)))
 	return f, nil
+}
+
+// pointEvent returns the event of the given kind about p, by the ID of the
+// point that dominates it or 0, carrying its own copy of p, so that a point
+// moves to the heap only when a run emits it.
+func pointEvent(kind string, by int, p FrontierPoint) Event {
+	return Event{Kind: kind, ID: p.ID, By: by, Point: &p}
 }
 
 // dominatedBy returns the ID of the first frontier point (in admission

@@ -54,11 +54,11 @@ func TestWarmCompileZeroPlanPathAllocs(t *testing.T) {
 // TestWarmCompileRequestAllocs pins a warm POST /v1/compile end to end:
 // building the request, ServeHTTP's routing, request id and response
 // bookkeeping, the body decode, then the cached plan's bytes. The limit is
-// 39, an earlier measurement of the same loop, × 1.25 + 16 of headroom for
-// net/http and runtime drift; the count reads 32 (34 under the race
-// detector).
+// 25, the count this loop reads, × 1.25 + 16 of headroom for net/http and
+// runtime drift. It reads 25 (27 under the race detector); decoding the
+// body's two references through json.Unmarshal made it 31.
 func TestWarmCompileRequestAllocs(t *testing.T) {
-	const limit = 64
+	const limit = 47
 	s := New(Config{})
 	body := []byte(`{"network": "VGG-13", "array": "512x512"}`)
 	rw := &statusWriter{header: http.Header{}}
@@ -81,12 +81,14 @@ func TestWarmCompileRequestAllocs(t *testing.T) {
 // decode, parsing and normalizing the space, the run's eight design points,
 // each its own cell compile with every search an engine hit, and the NDJSON
 // lines.
-// It reads 110 (112–115 under the race detector, which drops sync.Pool
-// puts). A new energy model per cell compile and a fan-out that allocated
-// at width one made it 141, and before that, a new plan per cell compile
-// and lines encoded by encoding/json made it 192.
+// It reads 94 (97–100 under the race detector, which drops sync.Pool
+// puts), and the limit leaves 10 above that. A per-layer closure per cell
+// compile and references decoded through json.Unmarshal made it 108, a new
+// energy model per cell compile and a fan-out that allocated at width one
+// 141, and before that, a new plan per cell compile and lines encoded by
+// encoding/json 192.
 func TestWarmOptimizeRequestAllocs(t *testing.T) {
-	const limit = 120
+	const limit = 104
 	s := New(Config{})
 	body := []byte(testSpace)
 	rw := &statusWriter{header: http.Header{}}
@@ -109,13 +111,15 @@ func TestWarmOptimizeRequestAllocs(t *testing.T) {
 // misses the plan cache and searches every distinct layer afresh. Each
 // compile records its provenance trace and keeps it on the plan-cache
 // entry, and none of the requests asks for the ?trace=1 tree. GOMAXPROCS 1
-// keeps the compile on its caller. The count reads 176 (176–180 under the
-// race detector, which drops a share of sync.Pool puts); a provenance tree
-// rendered on every compile made it 457, a new energy model per compile
-// and a fan-out that allocated at width one 199, and an engine cache key
-// too large for a map slot 194.
+// keeps the compile on its caller. The count reads 70 (71–73 under the
+// race detector, which drops a share of sync.Pool puts), and the limit
+// leaves 10 above that. Spans, their attribute slices and their derived
+// contexts allocated one by one made it 176, a provenance tree rendered on
+// every compile 457, a new energy model per compile and a fan-out that
+// allocated at width one 199, and an engine cache key too large for a map
+// slot 194.
 func TestColdCompileRequestAllocs(t *testing.T) {
-	const limit, runs = 180, 20
+	const limit, runs = 80, 20
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	s := New(Config{})
 	bodies := make([][]byte, runs+1) // AllocsPerRun makes one unmeasured run first
