@@ -4,13 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
-	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
 
 	"repro/internal/chip"
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/model"
@@ -26,7 +27,7 @@ import (
 // NaN or infinite float.
 //
 // AppendPlan is the one plan encoder: Encode and ToJSON wrap it, and
-// FromJSON's fast path runs the same field walk backwards.
+// FromJSON's fast path and CheckPlan run the same field walk backwards.
 func AppendPlan(dst []byte, p *NetworkPlan) ([]byte, error) {
 	c := planCodec{buf: dst}
 	c.plan(p)
@@ -36,46 +37,85 @@ func AppendPlan(dst []byte, p *NetworkPlan) ([]byte, error) {
 	return c.buf, nil
 }
 
-// decodePlan is FromJSON's fast path: one pass over data in the form
-// AppendPlan writes. It reports false when data is in any other form —
-// whitespace, an escaped string, another key order, a non-canonical
-// number — and then the caller must decode with encoding/json instead. It
-// accepts data only when AppendPlan of the decoded plan reproduces data
-// byte for byte, so it never accepts an input, or decodes one to a value,
-// that encoding/json would not.
-func decodePlan(data []byte) (*NetworkPlan, bool) {
-	p := new(NetworkPlan)
-	c := planCodec{buf: data, dec: true}
+// decode runs the field walk backwards over data into p and reports
+// whether data is exactly what AppendPlan writes for the plan it decodes
+// to. The walk compares every literal in place and reads only the numbers
+// and strings AppendPlan writes, so it accepts an input, and decodes it to
+// a value, only where encoding/json would too. Into a plan that an earlier
+// decode filled, it reuses the layer slices and every name the two plans
+// share; every field is overwritten. spans, when not nil, is space the walk
+// records where it read each network layer in, so that a layer plan whose
+// layer repeats those bytes, as in every plan a compile makes, copies the
+// network layer instead of reading it again.
+func (p *NetworkPlan) decode(data []byte, spans *[]int) bool {
+	c := planCodec{buf: data, dec: true, spans: spans}
+	if spans != nil {
+		*spans = (*spans)[:0]
+	}
 	c.plan(p)
-	if c.err != nil || c.pos != len(data) {
-		return nil, false
-	}
-	bp := planBufPool.Get().(*[]byte)
-	defer planBufPool.Put(bp)
-	enc, err := AppendPlan(slices.Grow((*bp)[:0], len(data)), p)
-	if err != nil {
-		return nil, false
-	}
-	*bp = enc // keep the grown capacity for the next plan
-	if !bytes.Equal(enc, data) {
-		return nil, false
-	}
-	return p, true
+	return c.err == nil && c.pos == len(data)
 }
 
-// planBufPool recycles AppendPlan scratch buffers across Encode calls and
-// decodePlan's re-encoding; entries retain whatever capacity past plans
-// grew them to.
-var planBufPool = sync.Pool{New: func() any { return new([]byte) }}
+// decodePlan is FromJSON's fast path: it decodes data into a new plan and
+// reports false when data is in any other form than AppendPlan's —
+// whitespace, another key order, a non-canonical number or string — and
+// then the caller must decode with encoding/json instead.
+func decodePlan(data []byte) (*NetworkPlan, bool) {
+	p := new(NetworkPlan)
+	return p, p.decode(data, nil)
+}
+
+// CheckPlan checks a plan that arrives from outside the process, a store
+// entry or a peer's reply, and returns its totals. It accepts exactly the
+// bytes AppendPlan writes for a plan whose totals are consistent with its
+// layers (Validate) and whose own request has the canonical key key, so
+// bytes filed or sent under the wrong key are rejected, never served. It
+// has no encoding/json fallback: bytes in any other form are an error.
+//
+// CheckPlan runs FromJSON's walk into pooled scratch space, so it builds no
+// plan: it allocates only for what the scratch space does not already
+// hold, such as more layers or other names than the plans it checked
+// before. It is safe for concurrent use.
+func CheckPlan(data []byte, key string) (Totals, error) {
+	sc := checkPool.Get().(*checkScratch)
+	defer checkPool.Put(sc)
+	p := &sc.plan
+	if !p.decode(data, &sc.spans) {
+		return Totals{}, errNotCanonical
+	}
+	if err := p.Validate(); err != nil {
+		return Totals{}, err
+	}
+	buf, err := AppendKey(sc.key[:0], p.Request)
+	if err != nil {
+		return Totals{}, fmt.Errorf("compile: key the plan: %w", err)
+	}
+	sc.key = buf // keep the grown capacity for the next check
+	if string(buf) != key {
+		return Totals{}, fmt.Errorf("compile: plan for %s is not the plan for the requested key", p.Network.Name)
+	}
+	return p.Totals, nil
+}
+
+// checkScratch is one CheckPlan's working space: the plan it decodes into,
+// where it read the network layers, and the key it derives.
+type checkScratch struct {
+	plan  NetworkPlan
+	spans []int
+	key   []byte
+}
+
+var checkPool = sync.Pool{New: func() any { return new(checkScratch) }}
 
 // errNotCanonical stops a decoding walk at the first value it cannot read.
 var errNotCanonical = errors.New("compile: plan bytes not in canonical form")
 
 // planCodec runs the plan's field walk in one of two directions. Encoding,
 // it appends each literal and value to buf; decoding, it reads each value
-// from buf where encoding would have written it, and stops at the first
-// value it cannot read. One walk drives both directions, so the encoder and
-// the decoder cannot drift apart.
+// from buf where encoding would have written it, compares each literal in
+// place, and stops at the first byte encoding would not have written there.
+// One walk drives both directions, so the encoder and the decoder cannot
+// drift apart.
 //
 // Every walk method takes the key literal before its value, separators
 // included, so decoding steps over a key in one move.
@@ -89,15 +129,25 @@ type planCodec struct {
 	// likely carries; a layer's name repeats in its layer plan and each of
 	// its mappings, so an equal string reuses it instead of allocating.
 	last string
+
+	// best and layer are the input a decode read the last search's best
+	// mapping and the last mapping's layer from, and layerOf is that layer;
+	// conv is the input of the network layer the next layer plan most
+	// likely repeats, and convOf that layer.
+	best, layer, conv []byte
+	layerOf           *core.Layer
+	convOf            *model.ConvLayer
+
+	// spans, when not nil, holds where each network layer was read, as
+	// start and end offsets.
+	spans *[]int
 }
 
-// lit writes s, or steps over it in the input. Decoding does not compare
-// the skipped bytes: decodePlan re-encodes the plan and compares every byte
-// of it with the input, literals included, before it uses the plan.
+// lit writes s, or steps over it in the input after comparing it there.
 func (c *planCodec) lit(s string) {
 	if !c.dec {
 		c.buf = append(c.buf, s...)
-	} else if c.err == nil && len(c.buf)-c.pos >= len(s) {
+	} else if c.has(s) {
 		c.pos += len(s)
 	} else {
 		c.fail()
@@ -124,6 +174,18 @@ func (c *planCodec) opt(s string, present bool) bool {
 // has reports whether a decode still in progress reads s next.
 func (c *planCodec) has(s string) bool {
 	return c.err == nil && len(c.buf)-c.pos >= len(s) && string(c.buf[c.pos:c.pos+len(s)]) == s
+}
+
+// repeat reports whether a decode reads span, the input an earlier value
+// was read from, next, and then steps over it: the caller copies that value
+// instead of reading it again. span ends with the value's closing brace, so
+// the input it prefixes holds the same value.
+func (c *planCodec) repeat(span []byte) bool {
+	if !c.dec || c.err != nil || len(span) == 0 || !bytes.HasPrefix(c.buf[c.pos:], span) {
+		return false
+	}
+	c.pos += len(span)
+	return true
 }
 
 func (c *planCodec) fail() {
@@ -153,17 +215,23 @@ func (c *planCodec) next(i, n int) bool {
 	return c.err == nil
 }
 
-// grow returns element i of *s, first appending a zero element when
-// decoding.
+// grow returns element i of *s, first extending *s by one element when
+// decoding: the one an earlier decode left past its length, whose names the
+// walk can reuse, or else a zero one.
 func grow[T any](c *planCodec, s *[]T, i int) *T {
 	if c.dec {
-		var zero T
-		*s = append(*s, zero)
+		if i < cap(*s) {
+			*s = (*s)[:i+1]
+		} else {
+			var zero T
+			*s = append(*s, zero)
+		}
 	}
 	return &(*s)[i]
 }
 
-// num64 walks key and an integer value.
+// num64 walks key and an integer value, in strconv.AppendInt's form: no
+// plus sign, no leading zero and no negative zero.
 func (c *planCodec) num64(key string, v *int64) {
 	c.lit(key)
 	if !c.dec {
@@ -173,43 +241,52 @@ func (c *planCodec) num64(key string, v *int64) {
 	if c.err != nil {
 		return
 	}
-	i := c.pos
-	neg := i < len(c.buf) && c.buf[i] == '-'
+	b := c.buf[c.pos:]
+	neg := len(b) > 0 && b[0] == '-'
 	if neg {
-		i++
+		b = b[1:]
 	}
 	// 19 digits fit a uint64; the sign bit's worth of range is checked after.
-	start := i
 	var n uint64
-	for ; i < len(c.buf) && '0' <= c.buf[i] && c.buf[i] <= '9'; i++ {
-		n = n*10 + uint64(c.buf[i]-'0')
+	k := 0
+	for ; k < len(b); k++ {
+		d := b[k] - '0'
+		if d > 9 {
+			break
+		}
+		n = n*10 + uint64(d)
 	}
 	limit := uint64(math.MaxInt64)
 	if neg {
 		limit++
 	}
-	if i == start || i-start > 19 || n > limit {
+	if k == 0 || k > 19 || n > limit || b[0] == '0' && (k > 1 || neg) {
 		c.fail()
 		return
 	}
-	c.pos = i
+	c.pos = len(c.buf) - len(b) + k
 	*v = int64(n)
 	if neg {
 		*v = -*v
 	}
 }
 
-// num is num64 for an int; the decoded value's re-encoding catches an int
-// too wide for the platform.
+// num is num64 for an int; decoding refuses one too wide for the platform,
+// as encoding/json does.
 func (c *planCodec) num(key string, v *int) {
 	x := int64(*v)
 	c.num64(key, &x)
-	if c.dec {
-		*v = int(x)
+	if !c.dec {
+		return
 	}
+	if int64(int(x)) != x {
+		c.fail()
+	}
+	*v = int(x)
 }
 
 // real walks key and a float in encoding/json's format (AppendJSONFloat).
+// Decoding reads a float only when that format writes it back unchanged.
 func (c *planCodec) real(key string, v *float64) {
 	c.lit(key)
 	if c.dec {
@@ -220,8 +297,8 @@ func (c *planCodec) real(key string, v *float64) {
 		for i < len(c.buf) && isNumberByte(c.buf[i]) {
 			i++
 		}
-		f, err := strconv.ParseFloat(string(c.buf[c.pos:i]), 64)
-		if err != nil {
+		f, ok := readJSONFloat(c.buf[c.pos:i])
+		if !ok {
 			c.fail()
 			return
 		}
@@ -256,6 +333,86 @@ func AppendJSONFloat(dst []byte, f float64) ([]byte, error) {
 	return dst, nil
 }
 
+// readJSONFloat parses s and reports whether s is exactly what
+// AppendJSONFloat writes for the value it parses to. A decimal of at most
+// 15 significant digits survives a round trip through a normal float64, so
+// it is the shortest form of its value and needs only its syntax and its
+// format, 'f' or 'e', checked; any other is formatted and compared.
+func readJSONFloat(s []byte) (float64, bool) {
+	f, err := strconv.ParseFloat(string(s), 64)
+	if err != nil {
+		return 0, false
+	}
+	if short, ok := shortFloat(s); ok {
+		abs := math.Abs(f)
+		if short == 'f' && (abs == 0 || 1e-6 <= abs && abs < 1e21) ||
+			short == 'e' && (abs < 1e-6 || abs >= 1e21) && abs >= 0x1p-1022 {
+			return f, true
+		}
+	}
+	var canon [32]byte
+	b, _ := AppendJSONFloat(canon[:0], f)
+	return f, string(b) == string(s)
+}
+
+// shortFloat reports the format, 'f' or 'e', of a float literal written in
+// AppendJSONFloat's syntax with at most 15 significant digits: an integer
+// part with no leading zero, a fraction with no trailing zero and, in the
+// 'e' form, a one-digit mantissa and an exponent with no leading zero. It
+// reports false for any other literal, which may still be canonical.
+func shortFloat(s []byte) (format byte, ok bool) {
+	if len(s) > 0 && s[0] == '-' {
+		s = s[1:]
+	}
+	n := digitRun(s)
+	if n == 0 || s[0] == '0' && n > 1 {
+		return 0, false
+	}
+	sig := n // significant digits, trailing zeros of the integer part included
+	if s[0] == '0' {
+		sig = 0
+	}
+	one := n == 1 && s[0] != '0'
+	s = s[n:]
+	if len(s) > 0 && s[0] == '.' {
+		m := digitRun(s[1:])
+		if m == 0 || s[m] == '0' {
+			return 0, false
+		}
+		frac := s[1 : m+1]
+		if sig == 0 {
+			for frac[0] == '0' {
+				frac = frac[1:]
+			}
+		}
+		sig += len(frac)
+		s = s[m+1:]
+	}
+	switch {
+	case sig > 15:
+		return 0, false
+	case len(s) == 0:
+		return 'f', true
+	case !one || len(s) < 3 || s[0] != 'e':
+		return 0, false
+	}
+	e := s[2:]
+	if n := digitRun(e); n != len(e) || e[0] == '0' || s[1] == '+' && n < 2 || s[1] != '+' && s[1] != '-' {
+		return 0, false
+	}
+	return 'e', true
+}
+
+// digitRun returns the number of leading ASCII digits of s.
+func digitRun(s []byte) int {
+	for i, b := range s {
+		if b < '0' || b > '9' {
+			return i
+		}
+	}
+	return len(s)
+}
+
 func isNumberByte(b byte) bool {
 	return '0' <= b && b <= '9' || b == '-' || b == '+' || b == '.' || b == 'e' || b == 'E'
 }
@@ -270,50 +427,74 @@ func (c *planCodec) flag(key string, v *bool) {
 		c.buf = append(c.buf, "false"...)
 	case c.opt("true", false):
 		*v = true
-	case !c.opt("false", false):
+	case c.opt("false", false):
+		*v = false
+	default:
 		c.fail()
 	}
 }
 
-// text walks key and a string. Encoding writes a string that needs no
-// escape as is and hands any other to encoding/json; decoding gives up on
-// any escape.
+// text walks key and a string in cliutil.AppendJSONString's form. Decoding
+// keeps the string *v or c.last when the input holds the same one.
 func (c *planCodec) text(key string, v *string) {
 	c.lit(key)
 	if !c.dec {
-		c.buf = AppendJSONString(c.buf, *v)
+		c.buf = cliutil.AppendJSONString(c.buf, *v)
 		return
 	}
-	if !c.has(`"`) {
+	if c.err != nil {
+		return
+	}
+	n, s, plain := canonicalString(c.buf[c.pos:])
+	if n == 0 {
 		c.fail()
 		return
 	}
-	raw := c.buf[c.pos+1:]
-	end := bytes.IndexByte(raw, '"')
-	if end < 0 || bytes.IndexByte(raw[:end], '\\') >= 0 {
-		c.fail()
-		return
+	body := c.buf[c.pos+1 : c.pos+n-1]
+	c.pos += n
+	switch {
+	case !plain:
+		*v = s
+	case string(body) == *v:
+	case string(body) == c.last:
+		*v = c.last
+	default:
+		c.last = string(body)
+		*v = c.last
 	}
-	if string(raw[:end]) != c.last {
-		c.last = string(raw[:end])
-	}
-	*v = c.last
-	c.pos += end + 2
 }
 
-// AppendJSONString appends s as a JSON string, escaped as encoding/json
-// escapes it by default (HTML-safe). It is the one copy of that rule,
-// shared by AppendPlan and the optimize stream.
-func AppendJSONString(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if b := s[i]; b < ' ' || b >= utf8.RuneSelf || b == '"' || b == '\\' || b == '<' || b == '>' || b == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			return append(dst, q...)
+// canonicalString reads the JSON string literal at the start of data. When
+// cliutil.AppendJSONString writes exactly that literal for the string it
+// holds, it returns the literal's length, quotes included, and whether the
+// string is plain: printable ASCII that needs no escape, which is the bytes
+// between the quotes. It returns any other string decoded, and 0 for a
+// literal that is not canonical. Only a plain literal is read in place;
+// any other is held to the definition, decoded by encoding/json and
+// written again.
+func canonicalString(data []byte) (n int, s string, plain bool) {
+	if len(data) == 0 || data[0] != '"' {
+		return 0, "", false
+	}
+	plain = true
+	for i := 1; i < len(data); i++ {
+		switch b := data[i]; {
+		case b == '"' && plain:
+			return i + 1, "", true
+		case b == '"':
+			var dec string
+			if lit := data[:i+1]; json.Unmarshal(lit, &dec) != nil || !bytes.Equal(cliutil.AppendJSONString(nil, dec), lit) {
+				return 0, "", false
+			}
+			return i + 1, dec, false
+		case b == '\\':
+			plain = false
+			i++ // the escaped byte, which may be a quote
+		case b < ' ' || b >= utf8.RuneSelf || b == '<' || b == '>' || b == '&':
+			plain = false
 		}
 	}
-	dst = append(dst, '"')
-	dst = append(dst, s...)
-	return append(dst, '"')
+	return 0, "", false
 }
 
 // The field walk: one method per serialized type, fields in struct order.
@@ -328,13 +509,23 @@ func (c *planCodec) plan(p *NetworkPlan) {
 	c.lit(`,"Options":`)
 	c.options(&p.Options)
 	c.lit(`,"Layers":`)
-	if !c.null(p.Layers == nil) {
+	if c.null(p.Layers == nil) {
 		if c.dec {
-			p.Layers = make([]LayerPlan, 0, len(p.Network.Layers))
+			p.Layers = nil
+		}
+	} else {
+		if n := len(p.Network.Layers); c.dec && (p.Layers == nil || cap(p.Layers) < n) {
+			p.Layers = make([]LayerPlan, 0, n)
+		} else if c.dec {
+			p.Layers = p.Layers[:0]
 		}
 		for i := 0; c.next(i, len(p.Layers)); i++ {
 			if c.dec && i < len(p.Network.Layers) {
 				c.last = p.Network.Layers[i].Name // most likely this layer's name
+				c.conv, c.convOf = nil, &p.Network.Layers[i]
+				if c.spans != nil && 2*i+1 < len(*c.spans) {
+					c.conv = c.buf[(*c.spans)[2*i]:(*c.spans)[2*i+1]]
+				}
 			}
 			c.layerPlan(grow(c, &p.Layers, i))
 		}
@@ -347,12 +538,23 @@ func (c *planCodec) plan(p *NetworkPlan) {
 func (c *planCodec) network(n *model.Network) {
 	c.text(`{"Name":`, &n.Name)
 	c.lit(`,"Layers":`)
-	if !c.null(n.Layers == nil) {
+	if c.null(n.Layers == nil) {
 		if c.dec {
-			n.Layers = []model.ConvLayer{}
+			n.Layers = nil
+		}
+	} else {
+		if c.dec {
+			n.Layers = n.Layers[:0]
+			if n.Layers == nil {
+				n.Layers = []model.ConvLayer{} // [] decodes to an empty slice
+			}
 		}
 		for i := 0; c.next(i, len(n.Layers)); i++ {
+			start := c.pos
 			c.convLayer(grow(c, &n.Layers, i))
+			if c.spans != nil {
+				*c.spans = append(*c.spans, start, c.pos)
+			}
 		}
 	}
 	c.lit("}")
@@ -363,8 +565,12 @@ func (c *planCodec) options(o *Options) {
 	c.num(`,"Variant":`, (*int)(&o.Variant))
 	c.num(`,"Arrays":`, &o.Arrays)
 	c.lit(`,"Energy":`)
-	if !c.null(o.Energy == nil) {
+	if c.null(o.Energy == nil) {
 		if c.dec {
+			o.Energy = nil
+		}
+	} else {
+		if c.dec && o.Energy == nil {
 			o.Energy = new(energy.Model)
 		}
 		c.model(o.Energy)
@@ -386,11 +592,15 @@ func (c *planCodec) model(m *energy.Model) {
 
 func (c *planCodec) layerPlan(lp *LayerPlan) {
 	c.lit(`{"Layer":`)
-	c.convLayer(&lp.Layer)
+	if c.repeat(c.conv) {
+		lp.Layer = *c.convOf
+	} else {
+		c.convLayer(&lp.Layer)
+	}
 	c.lit(`,"Search":`)
 	c.result(&lp.Search)
 	c.lit(`,"Schedule":`)
-	c.schedule(&lp.Schedule)
+	c.schedule(&lp.Schedule, &lp.Search.Best)
 	c.lit(`,"Energy":`)
 	c.report(&lp.Energy)
 	c.lit("}")
@@ -418,6 +628,11 @@ func (c *planCodec) layerFields(l *core.Layer) {
 	c.num(`,"PadH":`, &l.PadH)
 	if c.opt(`,"Groups":`, l.Groups != 0) {
 		c.num("", &l.Groups)
+		if c.dec && l.Groups == 0 {
+			c.fail() // AppendPlan omits a zero Groups
+		}
+	} else if c.dec {
+		l.Groups = 0
 	}
 }
 
@@ -429,7 +644,11 @@ func (c *planCodec) array(a *core.Array) {
 
 func (c *planCodec) result(r *core.Result) {
 	c.lit(`{"Best":`)
+	start := c.pos
 	c.mapping(&r.Best)
+	if c.dec {
+		c.best = c.buf[start:c.pos]
+	}
 	c.lit(`,"Im2col":`)
 	c.mapping(&r.Im2col)
 	c.num(`,"Evaluated":`, &r.Evaluated)
@@ -437,10 +656,21 @@ func (c *planCodec) result(r *core.Result) {
 	c.lit("}")
 }
 
+// mapping walks m. In every plan a compile makes, the im2col baseline maps
+// the layer the best mapping maps: decoding copies the last mapping's
+// layer when the input repeats the bytes it was read from.
 func (c *planCodec) mapping(m *core.Mapping) {
 	c.lit(`{"Layer":`)
-	c.layerFields(&m.Layer)
-	c.lit(`},"Array":`)
+	if start := c.pos; c.repeat(c.layer) {
+		m.Layer = *c.layerOf
+	} else {
+		c.layerFields(&m.Layer)
+		c.lit("}")
+		if c.dec {
+			c.layer, c.layerOf = c.buf[start:c.pos], &m.Layer
+		}
+	}
+	c.lit(`,"Array":`)
 	c.array(&m.Array)
 	c.num(`,"Scheme":`, (*int)(&m.Scheme))
 	c.lit(`,"PW":`)
@@ -465,9 +695,16 @@ func (c *planCodec) window(w *core.Window) {
 	c.lit("}")
 }
 
-func (c *planCodec) schedule(s *chip.LayerSchedule) {
+// schedule walks s, whose mapping is the search's best one, best, in every
+// plan a compile makes: decoding copies *best when the input repeats the
+// bytes it was read from, instead of reading them again.
+func (c *planCodec) schedule(s *chip.LayerSchedule, best *core.Mapping) {
 	c.lit(`{"Mapping":`)
-	c.mapping(&s.Mapping)
+	if c.repeat(c.best) {
+		s.Mapping = *best
+	} else {
+		c.mapping(&s.Mapping)
+	}
 	c.num(`,"Arrays":`, &s.Arrays)
 	c.num(`,"Tiles":`, &s.Tiles)
 	c.num(`,"Replicas":`, &s.Replicas)

@@ -8,8 +8,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"regexp"
 	"testing"
+	"unicode/utf8"
 
+	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/engine"
@@ -31,8 +34,10 @@ func referencePlan(data []byte) (*NetworkPlan, error) {
 
 // checkCodec asserts the codec's contract on one plan: AppendPlan writes
 // exactly encoding/json's bytes, Encode writes them too, and the fast
-// decoder reads them back to encoding/json's plan. Only a string that
-// needed an escape may send the bytes to the fallback.
+// decoder reads them back to encoding/json's plan. Only a name holding
+// invalid UTF-8, which encoding/json writes as \ufffd and decodes to
+// U+FFFD, may send the bytes to the fallback: its bytes are no plan's
+// canonical encoding.
 func checkCodec(t *testing.T, p *NetworkPlan) []byte {
 	t.Helper()
 	want, err := json.Marshal(p)
@@ -60,7 +65,7 @@ func checkCodec(t *testing.T, p *NetworkPlan) []byte {
 	}
 	fast, ok := decodePlan(want)
 	if !ok {
-		if !bytes.Contains(want, []byte(`\`)) {
+		if !bytes.Contains(want, []byte(`\ufffd`)) {
 			t.Fatalf("fast decoder rejected canonical bytes:\n%s", want)
 		}
 		return want
@@ -114,6 +119,11 @@ func TestAppendPlanMatchesEncodingJSON(t *testing.T) {
 		"smallest int64":     func(p *NetworkPlan) { p.Totals.Energy.Latency = math.MinInt64 },
 		"one group":          func(p *NetworkPlan) { p.Layers[0].Search.Best.Layer.Groups = 1 },
 		"eighteen digit int": func(p *NetworkPlan) { p.Totals.Energy.CellWrites = 999999999999999999 },
+		"im2col layer unlike best": func(p *NetworkPlan) {
+			s := &p.Layers[0].Search
+			s.Best.Layer.PadH, s.Im2col.Layer.PadH, s.Im2col.Layer.Groups = 1, 10, 2
+		},
+		"schedule unlike best": func(p *NetworkPlan) { p.Layers[0].Schedule.Mapping.Cycles++ },
 	}
 	for name, mutate := range edge {
 		t.Run(name, func(t *testing.T) {
@@ -123,6 +133,46 @@ func TestAppendPlanMatchesEncodingJSON(t *testing.T) {
 			mutate(&q)
 			checkCodec(t, &q)
 		})
+	}
+}
+
+// TestDecodeReusesPlan pins CheckPlan's use of its scratch space: decoding
+// into a plan that earlier decodes filled, recording where the network
+// layers were read, yields exactly the plan decoding into a new one does,
+// whatever the earlier plans held — other names, flags, groups, energy
+// models and layer counts — and whether or not a layer plan's layer
+// repeats its network layer.
+func TestDecodeReusesPlan(t *testing.T) {
+	c := New(engine.New())
+	custom := energy.Model{TCycle: 7, EnergyDAC: 1e21, EnergyADC: 123456.789, EnergyCellMAC: 5e-324, EnergyCellWrite: 1e-7}
+	var plans [][]byte
+	for _, n := range []model.Network{model.VGG13(), model.MobileNetV2(), model.Random(5, 2), model.ResNet18()} {
+		for _, opts := range []Options{{}, {Scheme: SDK, Arrays: 4, GatePeripherals: true}, {Scheme: Im2col, Energy: &custom}} {
+			p, err := c.Compile(bg, NewRequest(n, core.Array{Rows: 128, Cols: 256}, opts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plans)%2 == 1 {
+				p.Options.Energy = nil
+				p.Layers[0].Layer.Count = 10 * p.Network.Layers[0].Count // no longer the network layer's bytes
+			}
+			data, err := AppendPlan(nil, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plans = append(plans, data)
+		}
+	}
+	var scratch NetworkPlan
+	var spans []int
+	for i, data := range plans {
+		want, ok := decodePlan(data)
+		if !ok || !scratch.decode(data, &spans) {
+			t.Fatalf("plan %d: canonical bytes rejected", i)
+		}
+		if !reflect.DeepEqual(&scratch, want) {
+			t.Fatalf("plan %d decoded into a reused plan differs from a new plan's decode", i)
+		}
 	}
 }
 
@@ -214,14 +264,12 @@ func TestAppendPlanZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestFromJSONAllocs pins the cost of loading a stored plan: FromJSON of
-// the compact VGG-13@512 plan, which encoding/json decoded in 74
-// allocations. The 19 are the plan, its energy model, its two layer slices
-// (the network's grown by appending), and one string per distinct name.
+// TestFromJSONAllocs pins the cost of decoding a plan: FromJSON of the
+// compact VGG-13@512 plan, which encoding/json decoded in 74 allocations.
+// The 19 are the plan, its energy model, its two layer slices (the
+// network's grown by appending), and one string per distinct name. It
+// uses no pool, so the count is the same under -race.
 func TestFromJSONAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race runtime drops a share of sync.Pool puts, so FromJSON's pooled decode buffer is sometimes reallocated and the count reads 20; the build without -race pins it")
-	}
 	p, err := New(core.Serial{}).Compile(bg, NewRequest(model.VGG13(), array512, Options{}))
 	if err != nil {
 		t.Fatal(err)
@@ -244,28 +292,57 @@ func TestFromJSONAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkFromKeyedJSON measures a store load's decode: the compact
-// VGG-13@512 plan under its own key.
-func BenchmarkFromKeyedJSON(b *testing.B) {
+// vgg13Plan returns the compact VGG-13@512 plan, a store entry's bytes,
+// and its key.
+func vgg13Plan(tb testing.TB) ([]byte, string) {
+	tb.Helper()
 	req := NewRequest(model.VGG13(), array512, Options{})
 	p, err := New(core.Serial{}).Compile(bg, req)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	var data bytes.Buffer
-	if err := p.Encode(&data); err != nil {
-		b.Fatal(err)
+	data, err := AppendPlan(nil, p)
+	if err != nil {
+		tb.Fatal(err)
 	}
 	key, err := Key(req)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	b.SetBytes(int64(data.Len()))
+	return data, key
+}
+
+// BenchmarkCheckPlan measures a store load's check: the compact VGG-13@512
+// plan under its own key.
+func BenchmarkCheckPlan(b *testing.B) {
+	data, key := vgg13Plan(b)
+	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	for b.Loop() {
-		if _, err := FromKeyedJSON(data.Bytes(), key); err != nil {
+		if _, err := CheckPlan(data, key); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCheckPlanAllocs pins the cost of checking a store entry or a peer's
+// reply: CheckPlan of the compact VGG-13@512 plan, which FromKeyedJSON
+// decoded into a new plan in 20 allocations. It reuses pooled scratch
+// space, names included, so it reads 0; the limit leaves room for a
+// scratch space the pool dropped at a GC.
+func TestCheckPlanAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime drops a share of sync.Pool puts, so CheckPlan's scratch space, names included, is sometimes rebuilt; the build without -race pins it")
+	}
+	data, key := vgg13Plan(t)
+	const limit = 2
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := CheckPlan(data, key); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > limit {
+		t.Errorf("CheckPlan allocates %.1f times per call, want ≤ %d", allocs, limit)
 	}
 }
 
@@ -285,19 +362,9 @@ func FuzzPlanCodec(f *testing.F) {
 	f.Add(uint64(2), uint8(2), uint8(41), "x", uint16(7), []byte(" "))
 	f.Add(uint64(3), uint8(1), uint8(17), "y", uint16(40), []byte(`,"Groups":0`))
 	f.Add(uint64(4), uint8(4), uint8(90), "z", uint16(300), []byte("9"))
-	arrays := []core.Array{{Rows: 64, Cols: 64}, {Rows: 128, Cols: 96}, array512}
 	c := New(engine.New())
 	f.Fuzz(func(t *testing.T, seed uint64, layers, sel uint8, name string, at uint16, patch []byte) {
-		n := model.Random(seed, 1+int(layers%4))
-		n.Name = name
-		n.Layers[int(seed%uint64(len(n.Layers)))].Name = name
-		opts := Options{
-			Scheme:          Scheme(sel % 4),
-			Variant:         core.Variant(sel / 4 % 3),
-			Arrays:          1 << (sel / 12 % 4),
-			GatePeripherals: sel/48%2 == 1,
-		}
-		p, err := c.Compile(bg, NewRequest(n, arrays[int(sel)%len(arrays)], opts))
+		p, err := c.Compile(bg, fuzzRequest(seed, layers, sel, name))
 		if err != nil {
 			t.Skip(err)
 		}
@@ -317,4 +384,160 @@ func FuzzPlanCodec(f *testing.F) {
 			t.Fatalf("FromJSON's plan differs from encoding/json's on\n%s", mutated)
 		}
 	})
+}
+
+// fuzzArrays are the arrays the plan fuzzers compile on.
+var fuzzArrays = []core.Array{{Rows: 64, Cols: 64}, {Rows: 128, Cols: 96}, array512}
+
+// fuzzRequest is the request the plan fuzzers compile: a model.Random
+// network of 1 to 4 layers, named name, with one of its layers named name
+// too, under the scheme, variant, array count, gating and array sel picks.
+func fuzzRequest(seed uint64, layers, sel uint8, name string) Request {
+	n := model.Random(seed, 1+int(layers%4))
+	n.Name = name
+	n.Layers[int(seed%uint64(len(n.Layers)))].Name = name
+	opts := Options{
+		Scheme:          Scheme(sel % 4),
+		Variant:         core.Variant(sel / 4 % 3),
+		Arrays:          1 << (sel / 12 % 4),
+		GatePeripherals: sel/48%2 == 1,
+	}
+	return NewRequest(n, fuzzArrays[int(sel)%len(fuzzArrays)], opts)
+}
+
+// FuzzCheckPlan fuzzes CheckPlan over the plans FuzzPlanCodec compiles,
+// spliced at a fuzzed offset (drop bytes replaced by patch) and checked
+// under their own key or another request's. CheckPlan must succeed exactly
+// when FromJSON decodes the bytes, the plan's own key is the key, and
+// AppendPlan of the plan writes the bytes back, and then return the plan's
+// totals. The seeds cover escaped names, a zero Groups, non-canonical
+// ints (-0, 007, 1e2) and a float with a trailing zero, a plan less its
+// last byte, and another request's key.
+func FuzzCheckPlan(f *testing.F) {
+	c := New(engine.New())
+	add := func(name string, find func(data []byte) (at, drop int, patch string), other bool) {
+		p, err := c.Compile(bg, fuzzRequest(1, 3, 0, name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		data, err := AppendPlan(nil, p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		at, drop, patch := find(data)
+		f.Add(uint64(1), uint8(3), uint8(0), name, uint16(at), uint8(drop), []byte(patch), other)
+	}
+	none := func([]byte) (int, int, string) { return 0, 0, "" }
+	for _, name := range []string{"conv", "<>&", `"`, `\`, "\x01", "\xff", "\u2028", "réseau"} {
+		add(name, none, false)
+	}
+	after := func(lit, patch string, drop int) func([]byte) (int, int, string) {
+		return func(data []byte) (int, int, string) {
+			return bytes.Index(data, []byte(lit)) + len(lit), drop, patch
+		}
+	}
+	add("x", after(`"PadH":0`, `,"Groups":0`, 0), false)
+	for _, n := range []string{"-0", "007", "1e2"} {
+		add("x", after(`"PadW":`, n, 1), false)
+	}
+	for _, float := range []string{`"Speedup":[0-9]+\.[0-9]+[,}]`, `"EnergyADC":[0-9]\.[0-9]+e`} {
+		add("x", func(data []byte) (int, int, string) {
+			loc := regexp.MustCompile(float).FindIndex(data)
+			return loc[1] - 1, 0, "0" // 1.5 becomes 1.50, 2.5e-8 2.50e-8
+		}, false)
+	}
+	add("x", func(data []byte) (int, int, string) { return len(data) - 1, 1, "" }, false)
+	add("x", none, true)
+
+	f.Fuzz(func(t *testing.T, seed uint64, layers, sel uint8, name string, at uint16, drop uint8, patch []byte, other bool) {
+		req := fuzzRequest(seed, layers, sel, name)
+		p, err := c.Compile(bg, req)
+		if err != nil {
+			t.Skip(err)
+		}
+		data, err := AppendPlan(nil, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		off := int(at) % (len(data) + 1)
+		data = append(append(append([]byte(nil), data[:off]...), patch...), data[min(off+int(drop), len(data)):]...)
+		if other {
+			req.Array = fuzzArrays[(int(sel)+1)%len(fuzzArrays)]
+		}
+		key, err := Key(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		got, err := CheckPlan(data, key)
+		want, wantErr := FromJSON(data)
+		if wantErr == nil {
+			if k, err := Key(want.Request); err != nil || k != key {
+				wantErr = errors.New("another request's plan")
+			} else if enc, err := AppendPlan(nil, want); err != nil || !bytes.Equal(enc, data) {
+				wantErr = errors.New("not AppendPlan's bytes")
+			}
+		}
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("CheckPlan error %v, oracle error %v, on\n%s", err, wantErr, data)
+		case err == nil && got != want.Totals:
+			t.Fatalf("CheckPlan totals %+v, want %+v", got, want.Totals)
+		}
+	})
+}
+
+// roundTrips is canonicalString's oracle: lit is a canonical literal when
+// encoding/json decodes it and AppendJSONString writes it back unchanged.
+func roundTrips(lit []byte) bool {
+	var s string
+	return json.Unmarshal(lit, &s) == nil && bytes.Equal(cliutil.AppendJSONString(nil, s), lit)
+}
+
+// TestCanonicalString holds canonicalString to its oracle on the literal
+// AppendJSONString writes for every byte, for runes encoding/json treats
+// apart, and for escapes it never writes. The literal is followed by the
+// bytes a plan puts after a string: canonicalString reads a round-tripping
+// literal to its end and no further, anything it reads round-trips, and the
+// string it returns, read in place when plain, writes that literal back.
+func TestCanonicalString(t *testing.T) {
+	var strs []string
+	for b := range 256 {
+		strs = append(strs, string([]byte{byte(b)}), "a"+string([]byte{byte(b)})+"z")
+	}
+	strs = append(strs, "", "conv1", "réseau ✓", "\u2028", "\u2029", "\ufffd", "\xef\xbf", "😀", "<>&")
+	var lits [][]byte
+	for _, s := range strs {
+		lits = append(lits, cliutil.AppendJSONString(nil, s))
+	}
+	for _, lit := range []string{
+		`"\/"`, `"\u0041"`, `"\u003C"`, `"\u000a"`, `"\u0008"`, `"\ud83d\ude00"`, `"\u2028x"`,
+		`"\u00"`, `"\x"`, `"\`, `"abc`, `abc"`, `""`, "\"\n\"", "\"\xff\"", `"\ufffd"`, "\"<\"",
+	} {
+		lits = append(lits, []byte(lit))
+	}
+	for _, lit := range lits {
+		data := append(lit[:len(lit):len(lit)], `,"IW":3}`...)
+		n, s, plain := canonicalString(data)
+		if ok := roundTrips(lit); ok != (n == len(lit)) {
+			t.Errorf("canonicalString(%s) = %d, round trip %v", lit, n, ok)
+		}
+		if n > 0 && !roundTrips(data[:n]) {
+			t.Errorf("canonicalString(%s) read the non-canonical %s", data, data[:n])
+		}
+		if plain {
+			s = string(data[1 : n-1])
+		}
+		if n > 0 && !bytes.Equal(cliutil.AppendJSONString(nil, s), data[:n]) {
+			t.Errorf("canonicalString(%s) returns %q (plain %v), which writes another literal", lit, s, plain)
+		}
+	}
+	// Every literal of a valid UTF-8 string round-trips, so it is read.
+	for _, s := range strs {
+		if lit := cliutil.AppendJSONString(nil, s); utf8.ValidString(s) {
+			if n, _, _ := canonicalString(lit); n != len(lit) {
+				t.Errorf("canonicalString(%s) = %d, want %d", lit, n, len(lit))
+			}
+		}
+	}
 }

@@ -27,16 +27,13 @@ func (p *NetworkPlan) ToJSON() ([]byte, error) {
 // trailing newline — the serving serialization: vwsdkd caches and serves
 // these bytes, so the wire format skips ToJSON's indentation (roughly a
 // third of the indented size for zoo networks). It builds the bytes with
-// AppendPlan in a pooled buffer and hands them to w in one Write.
-// FromJSON reads both forms.
+// AppendPlan and hands them to w in one Write. FromJSON reads both forms;
+// CheckPlan reads only this one.
 func (p *NetworkPlan) Encode(w io.Writer) error {
-	bp := planBufPool.Get().(*[]byte)
-	defer planBufPool.Put(bp)
-	data, err := AppendPlan((*bp)[:0], p)
+	data, err := AppendPlan(nil, p)
 	if err != nil {
 		return fmt.Errorf("compile: encode plan: %w", err)
 	}
-	*bp = data // keep the grown capacity for the next plan
 	if _, err := w.Write(data); err != nil {
 		return fmt.Errorf("compile: encode plan: %w", err)
 	}
@@ -45,10 +42,10 @@ func (p *NetworkPlan) Encode(w io.Writer) error {
 
 // FromJSON deserializes a plan produced by Encode or ToJSON and validates
 // that its totals are consistent with its per-layer entries. Encode's
-// compact bytes — every store entry and peer reply — take a one-pass
-// decoder, guarded by re-encoding; any other input, the indented form
-// included, is decoded by encoding/json, so FromJSON accepts the same
-// inputs, and decodes them to the same plans, as encoding/json.
+// compact bytes take a one-pass decoder that reads only the canonical
+// form; any other input, the indented form included, is decoded by
+// encoding/json, so FromJSON accepts the same inputs, and decodes them to
+// the same plans, as encoding/json.
 func FromJSON(data []byte) (*NetworkPlan, error) {
 	p, ok := decodePlan(data)
 	if !ok {
@@ -59,25 +56,6 @@ func FromJSON(data []byte) (*NetworkPlan, error) {
 	}
 	if err := p.Validate(); err != nil {
 		return nil, err
-	}
-	return p, nil
-}
-
-// FromKeyedJSON is FromJSON plus an address check: the decoded plan's own
-// request must have the canonical key key. Plans that arrive from outside
-// the process — a store load, a peer's reply — pass this one check, so bytes
-// filed or sent under the wrong key are rejected, never served.
-func FromKeyedJSON(data []byte, key string) (*NetworkPlan, error) {
-	p, err := FromJSON(data)
-	if err != nil {
-		return nil, err
-	}
-	got, err := Key(p.Request)
-	if err != nil {
-		return nil, fmt.Errorf("compile: key the decoded plan: %w", err)
-	}
-	if got != key {
-		return nil, fmt.Errorf("compile: plan for %s is not the plan for the requested key", p.Network.Name)
 	}
 	return p, nil
 }

@@ -89,10 +89,20 @@ func TestFromJSONRejectsCorruptTotals(t *testing.T) {
 	}
 }
 
-// TestFromKeyedJSON pins the address check: a valid plan decodes under its
-// own key and is rejected under any other.
-func TestFromKeyedJSON(t *testing.T) {
-	data, err := os.ReadFile(filepath.Join("testdata", "vgg13_512_plan.golden.json"))
+// TestCheckPlan pins the check a store entry or a peer's reply passes: the
+// compact plan is accepted under its own key, with its totals, and
+// rejected under any other key, in any other form (the indented golden)
+// and with totals inconsistent with its layers.
+func TestCheckPlan(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "vgg13_512_plan.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := FromJSON(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := AppendPlan(nil, p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,14 +110,23 @@ func TestFromKeyedJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromKeyedJSON(data, own); err != nil {
+	if totals, err := CheckPlan(data, own); err != nil {
 		t.Errorf("plan rejected under its own key: %v", err)
+	} else if totals != p.Totals {
+		t.Errorf("CheckPlan totals %+v, want %+v", totals, p.Totals)
 	}
 	other, err := Key(NewRequest(model.AlexNet(), array512, Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := FromKeyedJSON(data, other); err == nil {
+	if _, err := CheckPlan(data, other); err == nil {
 		t.Error("plan accepted under another request's key")
+	}
+	if _, err := CheckPlan(golden, own); err == nil {
+		t.Error("indented plan accepted")
+	}
+	tampered := bytes.Replace(data, []byte(`"Totals":{"Cycles":`), []byte(`"Totals":{"Cycles":9`), 1)
+	if _, err := CheckPlan(tampered, own); err == nil {
+		t.Error("plan with inconsistent totals accepted")
 	}
 }

@@ -1,25 +1,27 @@
 package compile
 
+import "context"
+
 // PlanStore is the contract a persistent plan store offers the serving
 // layer. It lives in this package because the two invariants a store build
 // on are owned here: Key is the content address (two requests with the same
 // key compile to equivalent plans, so an entry can never be stale — only
-// corrupt) and Encode/FromJSON is the storable representation (FromJSON
-// re-validates totals, so a loaded entry is checked exactly like the golden
-// round-trip before it is ever served). Encode's bytes are AppendPlan's, and
-// FromJSON reads them with a one-pass decoder it trusts only when
-// re-encoding reproduces them, so a load costs less than the compile it
-// saves while accepting exactly what encoding/json accepts.
+// corrupt) and Encode is the storable representation. Every load is checked
+// with CheckPlan before it is ever served: the bytes must be exactly what
+// AppendPlan writes for a plan of the key they are filed under, with totals
+// consistent with its layers. The check reads the bytes in one pass and
+// builds no plan, so a load costs far less than the compile it saves.
 //
-// Implementations must be safe for concurrent use: the server calls GetPlan
+// Implementations must be safe for concurrent use: the server calls LoadPlan
 // from concurrent cache-miss fills and PutPlan behind every locally computed
 // plan.
 type PlanStore interface {
-	// GetPlan returns the stored serialized plan for key and its decoded,
-	// validated form, or ok=false when the key is absent or the entry failed
-	// validation (in which case the implementation must quarantine it so a
-	// corrupt entry is recomputed, never served, and never retried).
-	GetPlan(key string) (data []byte, plan *NetworkPlan, ok bool)
+	// LoadPlan returns the stored serialized plan for key and its totals,
+	// checked with CheckPlan, or ok=false when the key is absent or the
+	// entry failed the check (in which case the implementation must
+	// quarantine it so a corrupt entry is recomputed, never served, and never
+	// retried). An implementation may record spans on ctx's trace.
+	LoadPlan(ctx context.Context, key string) (data []byte, totals Totals, ok bool)
 
 	// PutPlan persists the serialized plan for key. Implementations may write
 	// asynchronously (write-behind); data is immutable and may be retained.
@@ -41,8 +43,8 @@ type StoreStats struct {
 	// existing entry are not counted).
 	Writes uint64 `json:"writes"`
 
-	// Corrupt counts entries that failed validation on load — truncated,
-	// syntactically broken, totals-inconsistent, or keyed under the wrong
-	// content address — and were quarantined.
+	// Corrupt counts entries that failed the check on load — truncated,
+	// syntactically broken, not in the canonical form, totals-inconsistent,
+	// or keyed under the wrong content address — and were quarantined.
 	Corrupt uint64 `json:"corrupt"`
 }

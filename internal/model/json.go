@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
@@ -131,51 +132,73 @@ func FromJSONFile(path string) (Network, error) {
 	return n, nil
 }
 
-// ToJSON serializes a network as a spec FromJSON accepts, writing the
-// symmetric "stride"/"pad" shorthands when both axes agree.
+// ToJSON serializes a network as a spec FromJSON accepts, indented: the
+// json.Indent of AppendSpec's bytes, with a trailing newline.
 func ToJSON(n Network) ([]byte, error) {
 	if err := n.Validate(); err != nil {
 		return nil, err
 	}
-	spec := jsonNetwork{Name: n.Name}
-	for _, cl := range n.Layers {
+	var out bytes.Buffer
+	if err := json.Indent(&out, AppendSpec(nil, n), "", "  "); err != nil {
+		return nil, fmt.Errorf("model: indent network spec: %w", err)
+	}
+	out.WriteByte('\n')
+	return out.Bytes(), nil
+}
+
+// AppendSpec appends n to dst as a compact spec FromJSON accepts, exactly
+// the bytes json.Marshal writes for it, and returns the extended buffer. It
+// writes the symmetric "stride"/"pad" shorthands when both axes agree, and
+// omits a stride of 1, a padding of 0, "groups" for a dense layer and a
+// count of 1, so a spec and everything keyed on it read as they did before
+// groups. It is the one spec encoder: ToJSON indents its bytes, and the
+// server writes the network of a peer hop with it.
+func AppendSpec(dst []byte, n Network) []byte {
+	dst = cliutil.AppendJSONString(append(dst, `{"name":`...), n.Name)
+	if n.Layers == nil {
+		return append(dst, `,"layers":null}`...)
+	}
+	dst = append(dst, `,"layers":[`...)
+	for i, cl := range n.Layers {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
 		l := cl.Layer.Normalized()
-		jl := jsonLayer{
-			Name: l.Name,
-			IW:   l.IW, IH: l.IH,
-			KW: l.KW, KH: l.KH,
-			IC: l.IC, OC: l.OC,
+		dst = cliutil.AppendJSONString(append(dst, `{"name":`...), l.Name)
+		dst = appendSpecInt(dst, `,"iw":`, l.IW)
+		dst = appendSpecInt(dst, `,"ih":`, l.IH)
+		dst = appendSpecInt(dst, `,"kw":`, l.KW)
+		dst = appendSpecInt(dst, `,"kh":`, l.KH)
+		dst = appendSpecInt(dst, `,"ic":`, l.IC)
+		dst = appendSpecInt(dst, `,"oc":`, l.OC)
+		switch {
+		case l.StrideW != l.StrideH:
+			dst = appendSpecInt(dst, `,"stride_w":`, l.StrideW)
+			dst = appendSpecInt(dst, `,"stride_h":`, l.StrideH)
+		case l.StrideW != 1 && l.StrideW != 0:
+			dst = appendSpecInt(dst, `,"stride":`, l.StrideW)
 		}
-		if l.StrideW == l.StrideH {
-			if l.StrideW != 1 {
-				jl.Stride = l.StrideW
-			}
-		} else {
-			sw, sh := l.StrideW, l.StrideH
-			jl.StrideW, jl.StrideH = &sw, &sh
+		switch {
+		case l.PadW != l.PadH:
+			dst = appendSpecInt(dst, `,"pad_w":`, l.PadW)
+			dst = appendSpecInt(dst, `,"pad_h":`, l.PadH)
+		case l.PadW != 0:
+			dst = appendSpecInt(dst, `,"pad":`, l.PadW)
 		}
-		if l.PadW == l.PadH {
-			jl.Pad = l.PadW
-		} else {
-			pw, ph := l.PadW, l.PadH
-			jl.PadW, jl.PadH = &pw, &ph
+		if g := l.NumGroups(); g > 1 {
+			dst = appendSpecInt(dst, `,"groups":`, g)
 		}
-		// Dense layers omit "groups" entirely (whether stored as 0 or 1), so
-		// specs — and everything keyed on them, like compile.Key — are
-		// byte-identical to the pre-groups format.
-		if l.NumGroups() > 1 {
-			jl.Groups = l.NumGroups()
+		if cl.Count != 1 && cl.Count != 0 {
+			dst = appendSpecInt(dst, `,"count":`, cl.Count)
 		}
-		if cl.Count != 1 {
-			jl.Count = cl.Count
-		}
-		spec.Layers = append(spec.Layers, jl)
+		dst = append(dst, '}')
 	}
-	data, err := json.MarshalIndent(spec, "", "  ")
-	if err != nil {
-		return nil, fmt.Errorf("model: marshal network spec: %w", err)
-	}
-	return append(data, '\n'), nil
+	return append(dst, "]}"...)
+}
+
+// appendSpecInt appends key and the integer v.
+func appendSpecInt(dst []byte, key string, v int) []byte {
+	return strconv.AppendInt(append(dst, key...), int64(v), 10)
 }
 
 // ResolveSpec resolves a network reference as it appears in an API request:

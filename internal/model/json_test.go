@@ -1,6 +1,8 @@
 package model
 
 import (
+	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -188,6 +190,75 @@ func TestToJSONRoundTripsZoo(t *testing.T) {
 				t.Errorf("%s/%s: count %d != %d", n.Name, want.Name,
 					back.Layers[i].Count, n.Layers[i].Count)
 			}
+		}
+	}
+}
+
+// specOf is the spec ToJSON marshalled through encoding/json before
+// AppendSpec: the oracle AppendSpec and ToJSON are held to.
+func specOf(n Network) jsonNetwork {
+	spec := jsonNetwork{Name: n.Name}
+	for _, cl := range n.Layers {
+		l := cl.Layer.Normalized()
+		jl := jsonLayer{Name: l.Name, IW: l.IW, IH: l.IH, KW: l.KW, KH: l.KH, IC: l.IC, OC: l.OC}
+		if l.StrideW == l.StrideH {
+			if l.StrideW != 1 {
+				jl.Stride = l.StrideW
+			}
+		} else {
+			sw, sh := l.StrideW, l.StrideH
+			jl.StrideW, jl.StrideH = &sw, &sh
+		}
+		if l.PadW == l.PadH {
+			jl.Pad = l.PadW
+		} else {
+			pw, ph := l.PadW, l.PadH
+			jl.PadW, jl.PadH = &pw, &ph
+		}
+		if l.NumGroups() > 1 {
+			jl.Groups = l.NumGroups()
+		}
+		if cl.Count != 1 {
+			jl.Count = cl.Count
+		}
+		spec.Layers = append(spec.Layers, jl)
+	}
+	return spec
+}
+
+// TestAppendSpecMatchesMarshal holds AppendSpec to json.Marshal of the
+// spec, and ToJSON to json.MarshalIndent of it, over the zoo, random
+// networks with names that need escaping, and layers with per-axis strides
+// and padding, groups and counts.
+func TestAppendSpecMatchesMarshal(t *testing.T) {
+	nets := All()
+	for seed, name := range []string{"plain", "<>&", `"q"`, `a\b`, "\x01", "\xff", "\u2028", "réseau"} {
+		n := Random(uint64(seed), 1+seed%4)
+		n.Name, n.Layers[0].Name = name, name+"-conv"
+		nets = append(nets, n)
+	}
+	odd := Single(core.Layer{Name: "odd", IW: 9, IH: 7, KW: 3, KH: 2, IC: 8, OC: 4, StrideW: 2, StrideH: 1, PadW: 1, PadH: 0, Groups: 4})
+	odd.Layers = append(odd.Layers,
+		ConvLayer{Layer: core.Layer{Name: "even", IW: 8, IH: 8, KW: 3, KH: 3, IC: 4, OC: 4, StrideW: 2, StrideH: 2, PadW: 1, PadH: 1}, Count: 2},
+		ConvLayer{Layer: core.Layer{Name: "zero", IW: 8, IH: 8, KW: 1, KH: 1, IC: 4, OC: 4}})
+	nets = append(nets, odd, Network{Name: "empty"})
+	for _, n := range nets {
+		want, err := json.Marshal(specOf(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := AppendSpec(nil, n); !bytes.Equal(got, want) {
+			t.Errorf("%s: AppendSpec differs from json.Marshal:\ngot  %s\nwant %s", n.Name, got, want)
+		}
+		if n.Validate() != nil {
+			continue
+		}
+		indented, err := json.MarshalIndent(specOf(n), "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := ToJSON(n); err != nil || !bytes.Equal(got, append(indented, '\n')) {
+			t.Errorf("%s: ToJSON differs from json.MarshalIndent (%v):\ngot  %s\nwant %s", n.Name, err, got, indented)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package optimize
 import (
 	"strconv"
 
+	"repro/internal/cliutil"
 	"repro/internal/compile"
 )
 
@@ -13,7 +14,7 @@ import (
 // float format and its HTML-safe string escaping. Like encoding/json, it
 // fails on a NaN or infinite energy.
 func AppendEvent(dst []byte, e Event) ([]byte, error) {
-	dst = compile.AppendJSONString(append(dst, `{"event":`...), e.Kind)
+	dst = cliutil.AppendJSONString(append(dst, `{"event":`...), e.Kind)
 	dst = strconv.AppendInt(append(dst, `,"id":`...), int64(e.ID), 10)
 	if e.By != 0 {
 		dst = strconv.AppendInt(append(dst, `,"by":`...), int64(e.By), 10)
@@ -34,9 +35,9 @@ func AppendEvent(dst []byte, e Event) ([]byte, error) {
 func AppendFinal(dst []byte, f *Frontier) ([]byte, error) {
 	dst = append(dst, `{"event":"frontier","frontier":{`...)
 	if f.Name != "" {
-		dst = append(compile.AppendJSONString(append(dst, `"name":`...), f.Name), ',')
+		dst = append(cliutil.AppendJSONString(append(dst, `"name":`...), f.Name), ',')
 	}
-	dst = compile.AppendJSONString(append(dst, `"network":`...), f.Network)
+	dst = cliutil.AppendJSONString(append(dst, `"network":`...), f.Network)
 	dst = strconv.AppendInt(append(dst, `,"layer_groups":`...), int64(f.Groups), 10)
 	dst = strconv.AppendInt(append(dst, `,"evaluated":`...), int64(f.Evaluated), 10)
 	dst = strconv.AppendInt(append(dst, `,"admitted":`...), int64(f.Admitted), 10)

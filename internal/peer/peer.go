@@ -251,16 +251,25 @@ func (c *Client) Fetch(ctx context.Context, owner string, body []byte) ([]byte, 
 // Hosts absent from the map fail like an unreachable peer.
 type MemTransport map[string]http.Handler
 
-// RoundTrip implements http.RoundTripper.
+// RoundTrip implements http.RoundTripper. The handler's request carries the
+// caller's cancellation but none of its context's values, as a request
+// arriving over a connection would, so a traced caller does not record the
+// owner's spans.
 func (t MemTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 	h, ok := t[req.URL.Host]
 	if !ok {
 		return nil, fmt.Errorf("peer: no route to %s", req.URL.Host)
 	}
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
+	h.ServeHTTP(rec, req.WithContext(valueless{req.Context()}))
 	return rec.Result(), nil
 }
+
+// valueless is a context that keeps its parent's deadline and cancellation
+// and hides its values.
+type valueless struct{ context.Context }
+
+func (valueless) Value(any) any { return nil }
 
 // firstLine trims an error body for the wrapped error message.
 func firstLine(data []byte) string {

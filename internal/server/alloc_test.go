@@ -192,8 +192,10 @@ type recordingStore struct {
 	puts [][]byte
 }
 
-func (r *recordingStore) GetPlan(string) ([]byte, *compile.NetworkPlan, bool) { return nil, nil, false }
-func (r *recordingStore) StoreStats() compile.StoreStats                      { return compile.StoreStats{} }
+func (r *recordingStore) LoadPlan(context.Context, string) ([]byte, compile.Totals, bool) {
+	return nil, compile.Totals{}, false
+}
+func (r *recordingStore) StoreStats() compile.StoreStats { return compile.StoreStats{} }
 
 func (r *recordingStore) PutPlan(_ string, data []byte) {
 	r.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"sync"
@@ -18,10 +19,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/model"
+	"repro/internal/obs"
 	"repro/internal/peer"
 	"repro/internal/store"
 )
@@ -388,6 +391,189 @@ func TestPeerReplyKeyChecked(t *testing.T) {
 	}
 	if failed, proxied := s.peerFailed.Load(), s.peerProxied.Load(); failed != 1 || proxied != 0 {
 		t.Errorf("peer failed = %d, proxied = %d; want 1, 0", failed, proxied)
+	}
+}
+
+// lyingPeerBody returns a probe body whose key ring owns at addr, for a
+// node whose one peer is addr.
+func lyingPeerBody(t *testing.T, ring *peer.Ring, addr string) string {
+	t.Helper()
+	for i := 0; i < 64; i++ {
+		b := fmt.Sprintf(`{"network": {"name": "tiny-%d", "layers": [
+			{"name": "c1", "iw": 8, "ih": 8, "kw": 3, "kh": 3, "ic": 4, "oc": 8}]},
+			"array": "64x64"}`, i)
+		if owner, _ := ring.Owner(mustKeyFor(t, b)); owner == addr {
+			return b
+		}
+	}
+	t.Fatal("no probe key owned by the peer; widen the probe set")
+	return ""
+}
+
+// TestPeerReplyNotCanonical pins that a peer's reply must be the plan's
+// canonical bytes, exactly what a compile here writes: an owner answering
+// the right plan re-indented, with a float written with a trailing zero,
+// or less its last byte has its reply counted as a failure, and the node
+// compiles locally.
+func TestPeerReplyNotCanonical(t *testing.T) {
+	forms := map[string]func([]byte) []byte{
+		"indented": func(plan []byte) []byte {
+			var out bytes.Buffer
+			if err := json.Indent(&out, plan, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			return out.Bytes()
+		},
+		"trailing zero": func(plan []byte) []byte {
+			loc := regexp.MustCompile(`"[A-Za-z]+":-?[0-9]+\.[0-9]+`).FindIndex(plan)
+			if loc == nil {
+				t.Fatal("plan has no float with a fraction")
+			}
+			return slices.Concat(plan[:loc[1]], []byte("0"), plan[loc[1]:])
+		},
+		"truncated": func(plan []byte) []byte { return plan[:len(plan)-1] },
+	}
+	addrs := []string{"10.99.5.1:80", "10.99.5.2:80"}
+	ring, err := peer.NewRing(addrs[0], addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := lyingPeerBody(t, ring, addrs[1])
+	honest := New(Config{})
+	for name, form := range forms {
+		t.Run(name, func(t *testing.T) {
+			owner := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				rec := httptest.NewRecorder()
+				honest.ServeHTTP(rec, r)
+				w.Write(form(rec.Body.Bytes()))
+			})
+			s := New(Config{Peers: peer.NewClient(ring, peer.MemTransport{addrs[1]: owner}, 0)})
+			resp, got := fleetPost(t, s, body, nil)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d: %s", resp.StatusCode, got)
+			}
+			if xc := resp.Header.Get("X-Cache"); xc != "miss" {
+				t.Errorf("X-Cache = %q, want miss (non-canonical reply rejected, computed locally)", xc)
+			}
+			_, want := fleetPost(t, New(Config{}), body, nil)
+			if !bytes.Equal(got, want) {
+				t.Errorf("served bytes differ from a local compile's:\ngot  %s\nwant %s", got, want)
+			}
+			if failed, proxied := s.peerFailed.Load(), s.peerProxied.Load(); failed != 1 || proxied != 0 {
+				t.Errorf("peer failed = %d, proxied = %d; want 1, 0", failed, proxied)
+			}
+		})
+	}
+}
+
+// TestFillSpans pins what a ?trace=1 request records of a fill under its
+// handler span: a store miss's read (store.get); a store load's read and
+// check (store.get, plan.check); and a peer fill's round trip and check
+// (peer.fetch, naming the owner, and plan.check), with none of the owner's
+// own spans.
+func TestFillSpans(t *testing.T) {
+	handlerSpans := func(t *testing.T, s *Server, wantCache string) []*obs.Node {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodPost, "/v1/compile?trace=1", strings.NewReader(tinyBody))
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		if xc := rec.Header().Get("X-Cache"); xc != wantCache {
+			t.Fatalf("X-Cache = %q, want %s", xc, wantCache)
+		}
+		var answer struct {
+			Trace []*obs.Node `json:"trace"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &answer); err != nil {
+			t.Fatal(err)
+		}
+		h := obs.Find(answer.Trace, "handler")
+		if h == nil {
+			t.Fatalf("no handler span in %+v", answer.Trace)
+		}
+		return h.Children
+	}
+	names := func(nodes []*obs.Node) []string {
+		var out []string
+		for _, n := range nodes {
+			out = append(out, n.Name)
+			if len(n.Children) > 0 {
+				t.Errorf("%s span has children %+v", n.Name, n.Children)
+			}
+		}
+		return out
+	}
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if got := names(handlerSpans(t, New(Config{Store: st}), "miss")); !slices.Equal(got, []string{"store.get"}) {
+		t.Errorf("store miss records %v under handler, want [store.get]", got)
+	}
+	st.Flush()
+	if got := names(handlerSpans(t, New(Config{Store: openStore(t, dir)}), "store")); !slices.Equal(got, []string{"store.get", "plan.check"}) {
+		t.Errorf("store fill records %v under handler, want [store.get plan.check]", got)
+	}
+
+	servers, _ := newFleet(t, 3, func(int) Config { return Config{} })
+	owner, client := ownerAndClient(t, servers, tinyBody)
+	spans := handlerSpans(t, servers[client], "peer")
+	if got := names(spans); !slices.Equal(got, []string{"peer.fetch", "plan.check"}) {
+		t.Fatalf("peer fill records %v under handler, want [peer.fetch plan.check]", got)
+	}
+	if got, want := spans[0].Attrs["owner"], servers[owner].peers.Ring().Self(); got != want {
+		t.Errorf("peer.fetch owner = %v, want %s", got, want)
+	}
+}
+
+// TestProxyBodyResolvesToRequest pins the peer hop's body: for every zoo
+// network under each option set perfbench sends, the owner resolves the
+// appended body to the request the sender keyed, and the body is the one
+// encoding/json wrote of the same wire form.
+func TestProxyBodyResolvesToRequest(t *testing.T) {
+	for _, n := range model.All() {
+		for _, opts := range []string{``, `,"options":{"arrays":4}`, `,"options":{"gate_peripherals":true}`} {
+			body := fmt.Sprintf(`{"network":%q,"array":"256x128"%s}`, n.Name, opts)
+			var cr compileRequest
+			if err := json.Unmarshal([]byte(body), &cr); err != nil {
+				t.Fatal(err)
+			}
+			req, herr := cr.resolve()
+			if herr != nil {
+				t.Fatal(herr.msg)
+			}
+			hop, ok := proxyBody(req)
+			if !ok {
+				t.Fatalf("%s: no hop body", body)
+			}
+			var owner compileRequest
+			if err := cliutil.DecodeStrict(hop, &owner); err != nil {
+				t.Fatalf("%s: owner rejects the hop body: %v\n%s", body, err, hop)
+			}
+			got, herr := owner.resolve()
+			if herr != nil {
+				t.Fatalf("%s: owner cannot resolve the hop body: %s", body, herr.msg)
+			}
+			if k, err := compile.Key(got); err != nil || k != mustKeyFor(t, body) {
+				t.Errorf("%s: hop body keys to %s (%v)", body, k, err)
+			}
+			spec, err := model.ToJSON(req.Network)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := json.Marshal(struct {
+				Network json.RawMessage `json:"network"`
+				Array   map[string]int  `json:"array"`
+				Options *requestOptions `json:"options,omitempty"`
+			}{spec, map[string]int{"rows": req.Array.Rows, "cols": req.Array.Cols}, wireOptions(req.Options)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(hop, want) {
+				t.Errorf("%s: hop body differs from encoding/json's:\ngot  %s\nwant %s", body, hop, want)
+			}
+		}
 	}
 }
 

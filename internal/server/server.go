@@ -55,6 +55,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -309,14 +310,15 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// requestContext derives a synchronous handler's working context: the
-// client's own context (cancelled on disconnect) plus the configured
-// per-request deadline. Callers must invoke the returned cancel.
-func (s *Server) requestContext(r *http.Request) (context.Context, context.CancelFunc) {
+// requestContext derives a synchronous handler's working context from ctx,
+// the client's own context (cancelled on disconnect) or a span under it:
+// ctx plus the configured per-request deadline. Callers must invoke the
+// returned cancel.
+func (s *Server) requestContext(ctx context.Context) (context.Context, context.CancelFunc) {
 	if s.timeout <= 0 {
-		return r.Context(), func() {}
+		return ctx, func() {}
 	}
-	return context.WithTimeout(r.Context(), s.timeout)
+	return context.WithTimeout(ctx, s.timeout)
 }
 
 // responseWriter records the status code and body size for the access log,
@@ -424,12 +426,14 @@ func (s *Server) release() { <-s.sem }
 // deliberately replaces any request trace on ctx; the request's own tree
 // references the compile through its "handler" phase. Store and peer fills
 // carry no provenance — the search they avoid is exactly the part worth
-// tracing.
+// tracing — but record their steps on ctx's trace, under the handler span
+// of a ?trace=1 request: store.get and plan.check for a store load,
+// peer.fetch and plan.check for a peer's reply.
 func (s *Server) compilePlan(ctx context.Context, key string, req compile.Request, block, hop bool) (*planEntry, bool, error) {
 	entry, outcome, err := s.plans.Do(ctx, key, func() (*planEntry, error) {
 		if s.store != nil {
-			if data, plan, ok := s.store.GetPlan(key); ok {
-				return &planEntry{data: data, totals: plan.Totals, source: sourceStore}, nil
+			if data, totals, ok := s.store.LoadPlan(ctx, key); ok {
+				return &planEntry{data: data, totals: totals, source: sourceStore}, nil
 			}
 		}
 		if res, ok := s.fetchFromPeer(ctx, key, req, hop); ok {
@@ -508,7 +512,9 @@ func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Requ
 	if !ok {
 		return nil, false
 	}
+	sp := obs.StartLeaf(ctx, "peer.fetch").SetStr("owner", owner)
 	data, err := s.peers.Fetch(ctx, owner, body)
+	sp.End()
 	if err != nil {
 		s.peerFailed.Add(1)
 		if s.logger != nil {
@@ -516,12 +522,14 @@ func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Requ
 		}
 		return nil, false
 	}
-	// Validate the peer's bytes exactly like a store load: a corrupt,
-	// truncated or wrong-key response must never enter the cache. The owner
-	// serialized a validated plan for this key, so a failure here means
-	// transport damage, version skew or a misbehaving peer — either way,
-	// local compute is the safe answer.
-	plan, err := compile.FromKeyedJSON(data, key)
+	// Check the peer's bytes exactly like a store load: a corrupt,
+	// truncated, non-canonical or wrong-key response must never enter the
+	// cache. The owner serialized a validated plan for this key, so a
+	// failure here means transport damage, version skew or a misbehaving
+	// peer — either way, local compute is the safe answer.
+	sp = obs.StartLeaf(ctx, "plan.check").SetInt("bytes", int64(len(data)))
+	totals, err := compile.CheckPlan(data, key)
+	sp.End()
 	if err != nil {
 		s.peerFailed.Add(1)
 		if s.logger != nil {
@@ -530,35 +538,31 @@ func (s *Server) fetchFromPeer(ctx context.Context, key string, req compile.Requ
 		return nil, false
 	}
 	s.peerProxied.Add(1)
-	return &planEntry{data: data, totals: plan.Totals, source: sourcePeer}, true
+	return &planEntry{data: data, totals: totals, source: sourcePeer}, true
 }
 
-// proxyBody serializes a resolved request back into the /v1/compile wire
-// format for the peer hop. Requests whose options have no wire form — a
-// custom energy model or physical plans, neither reachable through the HTTP
-// surface today — report ok=false and are compiled locally.
+// proxyBody serializes a resolved, validated request back into the
+// /v1/compile wire format for the peer hop: the network as a compact inline
+// spec (model.AppendSpec), the array as an object and the options in their
+// wire form, omitted when defaulted. Requests whose options have no wire
+// form — a custom energy model or physical plans, neither reachable through
+// the HTTP surface today — report ok=false and are compiled locally.
 func proxyBody(req compile.Request) ([]byte, bool) {
 	if req.Options.Energy != nil || req.Options.Plans {
 		return nil, false
 	}
-	spec, err := model.ToJSON(req.Network)
-	if err != nil {
-		return nil, false
+	b := model.AppendSpec([]byte(`{"network":`), req.Network)
+	b = strconv.AppendInt(append(b, `,"array":{"cols":`...), int64(req.Array.Cols), 10)
+	b = strconv.AppendInt(append(b, `,"rows":`...), int64(req.Array.Rows), 10)
+	b = append(b, '}')
+	if o := wireOptions(req.Options); o != nil {
+		b = cliutil.AppendJSONString(append(b, `,"options":{"scheme":`...), o.Scheme)
+		b = cliutil.AppendJSONString(append(b, `,"variant":`...), o.Variant)
+		b = strconv.AppendInt(append(b, `,"arrays":`...), int64(o.Arrays), 10)
+		b = strconv.AppendBool(append(b, `,"gate_peripherals":`...), o.GatePeripherals)
+		b = append(b, '}')
 	}
-	wire := struct {
-		Network json.RawMessage `json:"network"`
-		Array   map[string]int  `json:"array"`
-		Options *requestOptions `json:"options,omitempty"`
-	}{
-		Network: json.RawMessage(spec),
-		Array:   map[string]int{"rows": req.Array.Rows, "cols": req.Array.Cols},
-		Options: wireOptions(req.Options),
-	}
-	body, err := json.Marshal(wire)
-	if err != nil {
-		return nil, false
-	}
-	return body, true
+	return append(b, '}'), true
 }
 
 // planBytesPerLayer bounds a compiled plan's compact encoding per layer
@@ -678,11 +682,11 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 	}
 	cached := entry != nil
 	if !cached {
-		ctx, cancel := s.requestContext(r)
+		hctx, hsp := obs.Start(tctx, "handler")
+		ctx, cancel := s.requestContext(hctx)
 		defer cancel()
-		sp = obs.StartLeaf(tctx, "handler")
 		entry, cached, err = s.compilePlan(ctx, key, req, false, isPeerHop(r))
-		sp.End()
+		hsp.End()
 		if err != nil {
 			writeError(w, toHTTPError(err))
 			return

@@ -193,7 +193,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, what string, pro
 			"server at capacity: all %d concurrent %s streams are taken", cap(s.sweepSem), what))
 		return
 	}
-	ctx, cancel := s.requestContext(r)
+	ctx, cancel := s.requestContext(r.Context())
 	defer cancel()
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -7,15 +7,14 @@
 //
 // Consistency is by construction: compile.Key is a pure content address (a
 // compilation is a deterministic function of its key), so a stored entry can
-// never be stale — only corrupt. Every load is therefore re-validated
-// exactly like the golden round-trip (compile.FromJSON re-checks the plan's
-// totals against its layers) plus a re-key check (the decoded plan's own
-// request must hash back to the key it was stored under); an entry failing
-// either check is quarantined on the spot — renamed aside with a .corrupt
-// suffix so it is recomputed, never served, and never retried. Entries hold
-// compile.AppendPlan's compact bytes, which compile.FromJSON decodes in one
-// pass, guarded by re-encoding; an entry in any other form still loads,
-// through encoding/json.
+// never be stale — only corrupt. Every load is therefore checked with
+// compile.CheckPlan: the bytes must be exactly compile.AppendPlan's compact
+// encoding of a plan whose totals match its layers and whose own request
+// hashes back to the key it was stored under. An entry failing the check —
+// truncated, damaged, in any other form (indented or hand-edited JSON
+// included) or filed under the wrong key — is quarantined on the spot:
+// renamed aside with a .corrupt suffix so it is recomputed, never served,
+// and never retried.
 //
 // Layout: one file per plan at <dir>/<aa>/<sha256(key) hex>.json, where
 // <aa> is the first hash byte (256-way fan-out keeps directories small at
@@ -26,6 +25,7 @@
 package store
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -36,6 +36,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/compile"
+	"repro/internal/obs"
 )
 
 // Store is an on-disk plan store rooted at a directory. Build one with
@@ -81,14 +82,18 @@ func (s *Store) path(key string) string {
 	return filepath.Join(s.dir, hexed[:2], hexed+".json")
 }
 
-// GetPlan implements compile.PlanStore: it loads, validates and returns the
-// entry for key. A missing entry is a miss; an entry that fails validation
-// — unreadable, truncated, totals-inconsistent, or stored under a key its
+// LoadPlan implements compile.PlanStore: it reads the entry for key, checks
+// it with compile.CheckPlan and returns its bytes and totals. A missing
+// entry is a miss; an entry that fails the check — unreadable, truncated,
+// not in the canonical form, totals-inconsistent, or stored under a key its
 // own request does not hash to — is quarantined and reported as a miss, so
-// the caller recomputes and overwrites it.
-func (s *Store) GetPlan(key string) ([]byte, *compile.NetworkPlan, bool) {
+// the caller recomputes and overwrites it. On a traced ctx the read is a
+// store.get span and the check a plan.check span.
+func (s *Store) LoadPlan(ctx context.Context, key string) ([]byte, compile.Totals, bool) {
 	path := s.path(key)
+	sp := obs.StartLeaf(ctx, "store.get")
 	data, err := os.ReadFile(path)
+	sp.End()
 	if err != nil {
 		if os.IsNotExist(err) {
 			s.misses.Add(1)
@@ -97,18 +102,33 @@ func (s *Store) GetPlan(key string) ([]byte, *compile.NetworkPlan, bool) {
 			// quarantine so the serve path never blocks on a sick file again.
 			s.quarantine(path)
 		}
-		return nil, nil, false
+		return nil, compile.Totals{}, false
 	}
-	// Truncated, syntactically broken or totals-inconsistent bytes fail, and
-	// so does an entry whose own request is not the content this address
-	// names: one copied or renamed to the wrong path, the only "staleness" a
-	// content-addressed store can exhibit.
-	plan, err := compile.FromKeyedJSON(data, key)
+	// An entry whose own request is not the content this address names —
+	// one copied or renamed to the wrong path — is the only "staleness" a
+	// content-addressed store can exhibit; the key check catches it.
+	sp = obs.StartLeaf(ctx, "plan.check").SetInt("bytes", int64(len(data)))
+	t, err := compile.CheckPlan(data, key)
+	sp.End()
 	if err != nil {
 		s.quarantine(path)
-		return nil, nil, false
+		return nil, compile.Totals{}, false
 	}
 	s.hits.Add(1)
+	return data, t, true
+}
+
+// GetPlan is LoadPlan plus the decoded plan, for callers that want the
+// plan itself rather than its bytes and totals.
+func (s *Store) GetPlan(key string) ([]byte, *compile.NetworkPlan, bool) {
+	data, _, ok := s.LoadPlan(context.Background(), key)
+	if !ok {
+		return nil, nil, false
+	}
+	plan, err := compile.FromJSON(data)
+	if err != nil {
+		return nil, nil, false // unreachable: CheckPlan accepted the bytes
+	}
 	return data, plan, true
 }
 

@@ -3,8 +3,11 @@ package store
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -156,6 +159,58 @@ func TestCorruptEntryQuarantined(t *testing.T) {
 			s.PutPlan(key, data)
 			s.Flush()
 			if _, _, ok := s.GetPlan(key); !ok {
+				t.Error("recomputed entry not served")
+			}
+		})
+	}
+}
+
+// TestNonCanonicalEntryQuarantined pins that an entry must hold the plan's
+// canonical bytes: the right plan re-indented, or with a float written
+// with a trailing zero, is quarantined, counted as corrupt and recomputed,
+// never loaded.
+func TestNonCanonicalEntryQuarantined(t *testing.T) {
+	cases := []struct {
+		name string
+		fn   func([]byte) []byte
+	}{
+		{"indented", func(d []byte) []byte {
+			var out bytes.Buffer
+			if err := json.Indent(&out, d, "", "  "); err != nil {
+				t.Fatal(err)
+			}
+			return out.Bytes()
+		}},
+		{"trailing-zero", func(d []byte) []byte {
+			loc := regexp.MustCompile(`"[A-Za-z]+":-?[0-9]+\.[0-9]+`).FindIndex(d)
+			if loc == nil {
+				t.Fatal("plan has no float with a fraction")
+			}
+			return slices.Concat(d[:loc[1]], []byte("0"), d[loc[1]:])
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := Open(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			key, data := testPlan(t, "canonical", 4)
+			s.PutPlan(key, data)
+			s.Flush()
+			path := corruptEntry(t, s, key, tc.fn)
+			if _, _, ok := s.LoadPlan(context.Background(), key); ok {
+				t.Fatal("non-canonical entry loaded")
+			}
+			if st := s.StoreStats(); st.Corrupt != 1 || st.Hits != 0 {
+				t.Errorf("stats = %+v, want 1 corrupt and no hit", st)
+			}
+			if _, err := os.Stat(path + ".corrupt"); err != nil {
+				t.Errorf("quarantine file missing: %v", err)
+			}
+			s.PutPlan(key, data)
+			s.Flush()
+			if got, _, ok := s.LoadPlan(context.Background(), key); !ok || !bytes.Equal(got, data) {
 				t.Error("recomputed entry not served")
 			}
 		})
