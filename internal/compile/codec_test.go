@@ -415,8 +415,8 @@ func fuzzRequest(seed uint64, layers, sel uint8, name string) Request {
 // last byte, and another request's key.
 func FuzzCheckPlan(f *testing.F) {
 	c := New(engine.New())
-	add := func(name string, find func(data []byte) (at, drop int, patch string), other bool) {
-		p, err := c.Compile(bg, fuzzRequest(1, 3, 0, name))
+	addSel := func(sel uint8, name string, find func(data []byte) (at, drop int, patch string), other bool) {
+		p, err := c.Compile(bg, fuzzRequest(1, 3, sel, name))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -425,7 +425,10 @@ func FuzzCheckPlan(f *testing.F) {
 			f.Fatal(err)
 		}
 		at, drop, patch := find(data)
-		f.Add(uint64(1), uint8(3), uint8(0), name, uint16(at), uint8(drop), []byte(patch), other)
+		f.Add(uint64(1), uint8(3), sel, name, uint16(at), uint8(drop), []byte(patch), other)
+	}
+	add := func(name string, find func(data []byte) (at, drop int, patch string), other bool) {
+		addSel(0, name, find, other)
 	}
 	none := func([]byte) (int, int, string) { return 0, 0, "" }
 	for _, name := range []string{"conv", "<>&", `"`, `\`, "\x01", "\xff", "\u2028", "réseau"} {
@@ -448,6 +451,17 @@ func FuzzCheckPlan(f *testing.F) {
 	}
 	add("x", func(data []byte) (int, int, string) { return len(data) - 1, 1, "" }, false)
 	add("x", none, true)
+	// A VW-SDK window of no area, and an SDK mapping's layer with no output
+	// channels (sel 7 compiles SDK, the first layer on a window wider than
+	// its kernel): divisors of the tile counts.
+	add("x", func(data []byte) (int, int, string) {
+		loc := regexp.MustCompile(`"PW":(\{"W":[0-9]+,"H":[0-9]+\})`).FindSubmatchIndex(data)
+		return loc[2], loc[3] - loc[2], `{"W":0,"H":0}`
+	}, false)
+	addSel(7, "x", func(data []byte) (int, int, string) {
+		loc := regexp.MustCompile(`"Best":\{"Layer":\{[^}]*"OC":([0-9]+)`).FindSubmatchIndex(data)
+		return loc[2], loc[3] - loc[2], "0"
+	}, false)
 
 	f.Fuzz(func(t *testing.T, seed uint64, layers, sel uint8, name string, at uint16, drop uint8, patch []byte, other bool) {
 		req := fuzzRequest(seed, layers, sel, name)

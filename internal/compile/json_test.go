@@ -129,4 +129,36 @@ func TestCheckPlan(t *testing.T) {
 	if _, err := CheckPlan(tampered, own); err == nil {
 		t.Error("plan with inconsistent totals accepted")
 	}
+
+	// A malformed mapping must not panic the check: a VW-SDK window of no
+	// area, and an SDK mapping's layer with no output channels, which the
+	// tile counts would otherwise divide by. The check agrees with FromJSON.
+	sdk, err := New(core.Serial{}).Compile(context.Background(), NewRequest(model.VGG13(), array512, Options{Scheme: SDK}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdkData, err := AppendPlan(nil, sdk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sdkKey, err := Key(sdk.Request)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		data, old, new []byte
+		key            string
+	}{
+		{data, []byte(`"PW":{"W":4,"H":3}`), []byte(`"PW":{"W":0,"H":0}`), own},
+		{sdkData, []byte(`"OC":64,"StrideW":1`), []byte(`"OC":0,"StrideW":1`), sdkKey},
+	} {
+		patched := bytes.Replace(tc.data, tc.old, tc.new, 1)
+		if bytes.Equal(patched, tc.data) {
+			t.Fatalf("no %s in the plan", tc.old)
+		}
+		_, err := CheckPlan(patched, tc.key)
+		if _, ferr := FromJSON(patched); (err == nil) != (ferr == nil) {
+			t.Errorf("%s: CheckPlan error %v, FromJSON error %v", tc.new, err, ferr)
+		}
+	}
 }

@@ -14,77 +14,138 @@ type TileShape struct {
 	UsedCells int64
 }
 
-// span returns the extent of one tile along an axis that n tiles of size full
-// cover, the last of them taking what remains of total: the channels of a
-// channel-granular row or column tile, or the raw rows of a row-granular one.
-func span(total, full, n int, last bool) int {
-	if !last {
-		return full
+// TileBounds returns tile (i, j)'s virtual rows [rowLo, rowHi) and columns
+// [colLo, colHi) in one convolution group's block of the window layout:
+// ICg·PW rows, the parallel window unrolled channel-major, by Nw·OCg
+// columns, the window's kernel copies. Row tiles step by the array's rows
+// when the mapping is RowGranular (im2col, SDK), else by ICt channels of
+// the window's area (eqs. 4–5); column tiles step by the array's columns
+// when it is ColGranular (SDK), else by OCt output channels of every copy
+// (eqs. 6–7). The last tile along each axis takes what remains. SMD
+// duplication is not a window layout: Tile gives its one tile's shape.
+func (m *Mapping) TileBounds(i, j int) (rowLo, rowHi, colLo, colHi int) {
+	area, nw := m.PW.Area(), m.NwW*m.NwH
+	rowStep, colStep := m.ICt*area, m.OCt*nw
+	if m.RowGranular {
+		rowStep = m.Array.Rows
 	}
-	return total - (n-1)*full
+	if m.ColGranular {
+		colStep = m.Array.Cols
+	}
+	rowLo, colLo = i*rowStep, j*colStep
+	return rowLo, min(rowLo+rowStep, m.Layer.ICg()*area), colLo, min(colLo+colStep, m.Layer.OCg()*nw)
 }
 
 // Tile returns the shape of the cycle at array-row tile i and array-column
-// tile j (0 ≤ i < AR, 0 ≤ j < AC). Every parallel-window position reuses the
-// same weights, so the shape depends only on (i, j); for SMD the last window
-// group may drive fewer columns, which Utilization accounts for separately.
+// tile j (0 ≤ i < AR, 0 ≤ j < AC), counted from its bounds. Every
+// parallel-window position reuses the same weights, so the shape depends
+// only on (i, j); for SMD the last window group may drive fewer columns,
+// which Utilization accounts for separately.
 func (m *Mapping) Tile(i, j int) TileShape {
-	if m.Scheme == SchemeSDK {
-		return m.sdkTile(i, j)
+	if m.Scheme == SchemeSMD && m.Dup > 1 {
+		kr, ocg := m.Layer.KernelRows(), m.Layer.OCg()
+		return TileShape{Rows: m.Dup * kr, Cols: m.Dup * ocg, UsedCells: int64(m.Dup) * int64(kr) * int64(ocg)}
 	}
-	var r, c int
-	if i >= m.AR-1 {
-		r = 1
+	rowLo, rowHi, colLo, colHi := m.TileBounds(i, j)
+	t := TileShape{Rows: rowHi - rowLo, Cols: colHi - colLo}
+	if m.tileClasses() {
+		t.UsedCells = int64(m.weightRows(t.Rows)) * int64(t.Cols)
+		return t
 	}
-	if j >= m.AC-1 {
-		c = 1
+	// SDK lays its copies out window-major, OCg columns each, and a window
+	// wider than the kernel leaves holes in each copy's rows: every copy in
+	// the tile adds its columns there times its kernel rows in the tile. A
+	// decoded plan's mapping is untrusted, so nothing divides by a size it
+	// has not checked.
+	ocg := m.Layer.OCg()
+	if ocg <= 0 || m.PW.Area() <= 0 {
+		return t
 	}
-	return m.classTiles()[r][c]
+	for w := max(colLo/ocg, 0); w < min(m.NwW*m.NwH, ceilDiv(colHi, ocg)); w++ {
+		cols := min(colHi, (w+1)*ocg) - max(colLo, w*ocg)
+		t.UsedCells += int64(cols) * int64(m.rowsBefore(w, rowHi)-m.rowsBefore(w, rowLo))
+	}
+	return t
 }
 
-// classTiles returns the shape of each class of tiles, for every scheme but
-// SDK. Such a tile's shape depends only on whether it is in the last row
-// tile and whether it is in the last column tile, so the classes are indexed
-// [lastRow][lastCol]: every other row tile holds ICt channels (or,
-// row-granularly, the whole array's rows), every other column tile OCt
-// channels, and the last tile along each axis takes the remainder. Tiling is
-// per convolution group (ICg and OCg channels); divisibility makes every
-// group's grid identical.
+// rowsBefore counts the virtual rows below r that hold a weight of SDK
+// kernel copy w (at window offset w%NwW, w/NwW): KW·KH for each whole
+// channel before r, plus the copy's raster positions before r in r's
+// channel. The window's area must be positive.
+func (m *Mapping) rowsBefore(w, r int) int {
+	l := &m.Layer
+	area := m.PW.Area()
+	y, x := r%area/m.PW.W, r%area%m.PW.W
+	dy, dx := w/m.NwW*l.StrideH, w%m.NwW*l.StrideW
+	n := r/area*l.KW*l.KH + min(max(y-dy, 0), l.KH)*l.KW
+	if y >= dy && y < dy+l.KH {
+		n += min(max(x-dx, 0), l.KW)
+	}
+	return n
+}
+
+// tileClasses reports whether the mapping's tiles fall into the four
+// classes of classTiles. Two layouts do not: SMD duplication, whose one
+// tile holds Dup block-diagonal copies of the kernel matrix, and an SDK
+// window wider than the kernel, whose window-major copies straddle column
+// tiles and whose holes spread unevenly over row tiles. SDK's kernel
+// window is im2col's layout.
+func (m *Mapping) tileClasses() bool {
+	switch m.Scheme {
+	case SchemeSMD:
+		return m.Dup <= 1
+	case SchemeSDK:
+		return m.PW == m.Layer.Kernel()
+	}
+	return true
+}
+
+// weightRows returns how many rows of a window-layout tile of the given
+// rows, in a layout with tile classes, hold a weight in each of its
+// columns. Its columns hold whole output channels of every copy, or the one
+// copy, so each holds the same weight rows: all of them when the window is
+// the kernel (row-granular im2col, SMD and SDK), else KW·KH of each whole
+// channel the channel-granular rows hold.
+func (m *Mapping) weightRows(rows int) int {
+	if m.RowGranular {
+		return rows
+	}
+	if area := m.PW.Area(); area > 0 {
+		return rows / area * m.Layer.KW * m.Layer.KH
+	}
+	return 0
+}
+
+// classTiles returns the shape of each class of tiles, indexed [lastRow]
+// [lastCol]: with tile classes, a tile's shape depends only on whether it
+// is in the last row tile and whether it is in the last column tile, so
+// the bounds of the first and the last tile give all four. Tiling is per
+// convolution group; divisibility makes every group's grid identical.
 func (m *Mapping) classTiles() (shapes [2][2]TileShape) {
-	// Each value-method call copies the layer or the mapping, so the
-	// derived sizes are read once.
-	kernelRows, icg, ocg, nw := m.Layer.KernelRows(), m.Layer.ICg(), m.Layer.OCg(), m.Nw()
-	for r, lastRow := range [2]bool{false, true} {
-		for c, lastCol := range [2]bool{false, true} {
-			switch {
-			case m.Scheme == SchemeIm2col, m.Scheme == SchemeSMD && m.Dup <= 1:
-				rows := span(kernelRows, m.Array.Rows, m.AR, lastRow)
-				cols := span(ocg, m.OCt, m.AC, lastCol)
-				shapes[r][c] = TileShape{Rows: rows, Cols: cols, UsedCells: int64(rows) * int64(cols)}
-			case m.Scheme == SchemeSMD:
-				used := int64(m.Dup) * int64(kernelRows) * int64(ocg)
-				shapes[r][c] = TileShape{Rows: m.Dup * kernelRows, Cols: m.Dup * ocg, UsedCells: used}
-			default: // SchemeVWSDK
-				ic := span(icg, m.ICt, m.AR, lastRow)
-				cols := nw * span(ocg, m.OCt, m.AC, lastCol)
-				used := int64(m.Layer.KW*m.Layer.KH*ic) * int64(cols)
-				shapes[r][c] = TileShape{Rows: m.PW.Area() * ic, Cols: cols, UsedCells: used}
-			}
+	rowLo, rowHi, colLo, colHi := m.TileBounds(0, 0)
+	lastRowLo, lastRowHi, lastColLo, lastColHi := m.TileBounds(m.AR-1, m.AC-1)
+	rows := [2]int{rowHi - rowLo, lastRowHi - lastRowLo}
+	cols := [2]int{colHi - colLo, lastColHi - lastColLo}
+	for r := range shapes {
+		used := int64(m.weightRows(rows[r]))
+		for c := range shapes[r] {
+			shapes[r][c] = TileShape{Rows: rows[r], Cols: cols[c], UsedCells: used * int64(cols[c])}
 		}
 	}
 	return shapes
 }
 
 // EachTileClass calls f once per class of the AR×AC tile grid with the
-// shape its tiles share and how many tiles it holds. For every scheme but
-// SDK there are at most four classes (see classTiles), holding (AR−1)(AC−1),
-// AR−1, AC−1 and 1 tiles; an empty class is skipped. SDK tiles have no
-// classes, so f sees each of them with count 1.
+// shape its tiles share and how many tiles it holds. There are at most four
+// classes (see classTiles), holding (AR−1)(AC−1), AR−1, AC−1 and 1 tiles;
+// an empty class is skipped. A layout without classes (tileClasses) has f
+// see each of its tiles with count 1: SMD duplication's one tile, or every
+// tile of an SDK window wider than the kernel.
 func (m *Mapping) EachTileClass(f func(shape TileShape, count int64)) {
-	if m.Scheme == SchemeSDK {
+	if !m.tileClasses() {
 		for i := range m.AR {
 			for j := range m.AC {
-				f(m.sdkTile(i, j), 1)
+				f(m.Tile(i, j), 1)
 			}
 		}
 		return
@@ -100,70 +161,6 @@ func (m *Mapping) EachTileClass(f func(shape TileShape, count int64)) {
 			}
 		}
 	}
-}
-
-// sdkTile computes the exact shape of an SDK cycle, where rows split
-// row-granularly across the PW·PW·IC unrolled window and columns split
-// column-granularly across the Nw·OC duplicated kernels. Weight cells are
-// counted by enumerating, per window copy, the kernel positions that fall in
-// the tile's row range.
-func (m *Mapping) sdkTile(i, j int) TileShape {
-	icg, ocg := m.Layer.ICg(), m.Layer.OCg()
-	totalRows := m.PW.Area() * icg
-	totalCols := m.Nw() * ocg
-
-	rowLo := i * m.Array.Rows
-	rowHi := min(rowLo+m.Array.Rows, totalRows)
-	colLo := j * m.Array.Cols
-	colHi := min(colLo+m.Array.Cols, totalCols)
-
-	var used int64
-	for wy := 0; wy < m.NwH; wy++ {
-		for wx := 0; wx < m.NwW; wx++ {
-			w := wy*m.NwW + wx
-			// Columns of this window copy overlapping the column tile.
-			cLo := max(colLo, w*ocg)
-			cHi := min(colHi, (w+1)*ocg)
-			if cLo >= cHi {
-				continue
-			}
-			nnz := m.sdkWindowRowsIn(icg, wx, wy, rowLo, rowHi)
-			used += int64(cHi-cLo) * int64(nnz)
-		}
-	}
-	return TileShape{Rows: rowHi - rowLo, Cols: colHi - colLo, UsedCells: used}
-}
-
-// sdkWindowRowsIn counts the weight-holding rows of one shifted kernel copy
-// (window offset wx,wy inside the parallel window) that fall in the
-// row-granular range [lo, hi). Rows are laid out channel-major: each of the
-// icg channels c occupies rows [c·area, (c+1)·area) in parallel-window
-// raster order.
-func (m *Mapping) sdkWindowRowsIn(icg, wx, wy, lo, hi int) int {
-	l := &m.Layer
-	area := m.PW.Area()
-	dx := wx * l.StrideW
-	dy := wy * l.StrideH
-	count := 0
-	for c := 0; c < icg; c++ {
-		base := c * area
-		if base >= hi {
-			break
-		}
-		if base+area <= lo {
-			continue
-		}
-		for ky := 0; ky < l.KH; ky++ {
-			rowBase := base + (dy+ky)*m.PW.W + dx
-			for kx := 0; kx < l.KW; kx++ {
-				r := rowBase + kx
-				if r >= lo && r < hi {
-					count++
-				}
-			}
-		}
-	}
-	return count
 }
 
 // Utilization returns the paper's eq. 9: the average over all computing
@@ -183,33 +180,30 @@ func (m *Mapping) Utilization() float64 {
 			cellFrac(int64(rem)*perWin, m.Array)
 		return 100 * sum / float64(m.NPW)
 	}
-	var sum float64
-	if m.Scheme == SchemeSDK {
-		for i := range m.AR {
-			for j := range m.AC {
-				sum += cellFrac(m.sdkTile(i, j).UsedCells, m.Array)
-			}
-		}
-		return 100 * sum / float64(m.AR*m.AC)
-	}
 	// Each tile class's fraction is computed once, [lastRow][lastCol], but
 	// the sum still adds one term per tile in row-major order: a class
-	// fraction times its count would round differently.
+	// fraction times its count would round differently. An SDK window wider
+	// than the kernel, which has no classes, adds each tile's own.
 	var frac [2][2]float64
 	for r, row := range m.classTiles() {
 		for c, shape := range row {
 			frac[r][c] = cellFrac(shape.UsedCells, m.Array)
 		}
 	}
+	classes := m.tileClasses()
+	var sum float64
 	for i := range m.AR {
 		row := &frac[0]
 		if i == m.AR-1 {
 			row = &frac[1]
 		}
 		for j := range m.AC {
-			if j < m.AC-1 {
+			switch {
+			case !classes:
+				sum += cellFrac(m.Tile(i, j).UsedCells, m.Array)
+			case j < m.AC-1:
 				sum += row[0]
-			} else {
+			default:
 				sum += row[1]
 			}
 		}

@@ -10,8 +10,8 @@ import (
 )
 
 // enumTile is a tile's shape computed from its indices alone, one tile at a
-// time, as the per-tile loops did before tile classes; SDK tiles, which
-// have no classes, come from core.Mapping.Tile.
+// time, as the per-tile loops did before tile classes; SDK tiles come from
+// sdkTile, which walks every channel.
 func enumTile(m *core.Mapping, i, j int) core.TileShape {
 	l := m.Layer
 	icTile := l.ICg() - (m.AR-1)*m.ICt
@@ -28,7 +28,7 @@ func enumTile(m *core.Mapping, i, j int) core.TileShape {
 	}
 	switch {
 	case m.Scheme == core.SchemeSDK:
-		return m.Tile(i, j)
+		return sdkTile(m, i, j)
 	case m.Scheme == core.SchemeIm2col, m.Scheme == core.SchemeSMD && m.Dup <= 1:
 		return core.TileShape{Rows: rowTile, Cols: ocTile, UsedCells: int64(rowTile) * int64(ocTile)}
 	case m.Scheme == core.SchemeSMD:
@@ -39,6 +39,68 @@ func enumTile(m *core.Mapping, i, j int) core.TileShape {
 		return core.TileShape{Rows: m.PW.Area() * icTile, Cols: cols,
 			UsedCells: int64(l.KW*l.KH*icTile) * int64(cols)}
 	}
+}
+
+// sdkTile is an SDK tile's shape found without core's tile bounds or
+// prefix counts: rows cut at i·Rows and columns at j·Cols, and the weights
+// of each window copy overlapping the column tile found by enumerating its
+// kernel positions channel by channel (sdkWindowRowsIn).
+func sdkTile(m *core.Mapping, i, j int) core.TileShape {
+	icg, ocg := m.Layer.ICg(), m.Layer.OCg()
+	totalRows := m.PW.Area() * icg
+	totalCols := m.Nw() * ocg
+
+	rowLo := i * m.Array.Rows
+	rowHi := min(rowLo+m.Array.Rows, totalRows)
+	colLo := j * m.Array.Cols
+	colHi := min(colLo+m.Array.Cols, totalCols)
+
+	var used int64
+	for wy := 0; wy < m.NwH; wy++ {
+		for wx := 0; wx < m.NwW; wx++ {
+			w := wy*m.NwW + wx
+			// Columns of this window copy overlapping the column tile.
+			cLo := max(colLo, w*ocg)
+			cHi := min(colHi, (w+1)*ocg)
+			if cLo >= cHi {
+				continue
+			}
+			used += int64(cHi-cLo) * int64(sdkWindowRowsIn(m, icg, wx, wy, rowLo, rowHi))
+		}
+	}
+	return core.TileShape{Rows: rowHi - rowLo, Cols: colHi - colLo, UsedCells: used}
+}
+
+// sdkWindowRowsIn counts the weight-holding rows of one shifted kernel copy
+// (window offset wx,wy inside the parallel window) that fall in the
+// row-granular range [lo, hi). Rows are laid out channel-major: each of the
+// icg channels c occupies rows [c·area, (c+1)·area) in parallel-window
+// raster order.
+func sdkWindowRowsIn(m *core.Mapping, icg, wx, wy, lo, hi int) int {
+	l := &m.Layer
+	area := m.PW.Area()
+	dx := wx * l.StrideW
+	dy := wy * l.StrideH
+	count := 0
+	for c := 0; c < icg; c++ {
+		base := c * area
+		if base >= hi {
+			break
+		}
+		if base+area <= lo {
+			continue
+		}
+		for ky := 0; ky < l.KH; ky++ {
+			rowBase := base + (dy+ky)*m.PW.W + dx
+			for kx := 0; kx < l.KW; kx++ {
+				r := rowBase + kx
+				if r >= lo && r < hi {
+					count++
+				}
+			}
+		}
+	}
+	return count
 }
 
 // enumUtilization is eq. 9 summed over every tile in row-major order.

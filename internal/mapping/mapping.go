@@ -183,31 +183,18 @@ func (p *Plan) buildDuplicated() {
 // buildTiles creates the AR×AC tile grid of the window layout once per
 // convolution group. Group g owns the virtual rows of input channels
 // [g·ICg, (g+1)·ICg) and the columns of output channels [g·OCg, (g+1)·OCg),
-// and its tiles are cut inside that block, so a tile never crosses a group
-// boundary: the physical form of "a group cannot share array columns with
-// another group". Row tiles step by an array's rows when the mapping is
-// RowGranular (im2col, SDK), else by ICt channels of the window's area
-// (eqs. 4–5); column tiles step by an array's columns when it is
-// ColGranular (SDK), else by OCt output channels of Nw windows (eqs. 6–7).
+// and its tiles are core.Mapping.TileBounds offset into that block, so a
+// tile never crosses a group boundary: the physical form of "a group cannot
+// share array columns with another group".
 func (p *Plan) buildTiles() {
-	m, l := p.M, p.M.Layer
+	m, l := &p.M, &p.M.Layer
 	rows, cols := l.ICg()*m.PW.Area(), l.OCg()*m.Nw()
-	rowStep, colStep := m.ICt*m.PW.Area(), m.OCt*m.Nw()
-	if m.RowGranular {
-		rowStep = m.Array.Rows
-	}
-	if m.ColGranular {
-		colStep = m.Array.Cols
-	}
 	for g := 0; g < l.NumGroups(); g++ {
 		for i := 0; i < m.AR; i++ {
-			rowLo := g*rows + i*rowStep
-			rowHi := min(rowLo+rowStep, (g+1)*rows)
 			for j := 0; j < m.AC; j++ {
-				colLo := g*cols + j*colStep
-				colHi := min(colLo+colStep, (g+1)*cols)
+				rowLo, rowHi, colLo, colHi := m.TileBounds(i, j)
 				p.Tiles = append(p.Tiles, Tile{I: i, J: j,
-					RowLo: rowLo, RowHi: rowHi, ColLo: colLo, ColHi: colHi})
+					RowLo: g*rows + rowLo, RowHi: g*rows + rowHi, ColLo: g*cols + colLo, ColHi: g*cols + colHi})
 			}
 		}
 	}

@@ -218,23 +218,35 @@ func TestPatternCellsMatchAnalytic(t *testing.T) {
 	}
 }
 
-// TestPatternCellsProperty extends the cross-check to random layers.
+// TestPatternCellsProperty extends the cross-check to random layers under
+// SDK, VW-SDK and im2col: square and rectangular kernels, strides 1–3 and
+// padding 0–2 per axis, and arrays whose rows and columns cut channels and
+// SDK's kernel copies mid-way.
 func TestPatternCellsProperty(t *testing.T) {
-	f := func(iw, k, ic, oc, pw, ph uint8) bool {
+	arrays := []core.Array{{Rows: 48, Cols: 32}, {Rows: 20, Cols: 16}, {Rows: 13, Cols: 7}}
+	// covered counts, per scheme, the mappings whose layer is strided,
+	// padded or has a rectangular kernel, and those with a row tile that
+	// starts mid-channel.
+	var covered [4][4]int
+	f := func(iw, ih, k, ic, oc, pw, ph, sp, arr uint8) bool {
 		l := core.Layer{
-			IW: int(iw%8) + 6, IH: int(iw%8) + 6,
-			KW: int(k%2) + 2, KH: int(k%2) + 2,
+			IW: int(iw%8) + 6, IH: int(ih%8) + 6,
+			KW: int(k%3) + 1, KH: int(k/3%3) + 1,
 			IC: int(ic%8) + 1, OC: int(oc%12) + 1,
+			StrideW: int(sp%3) + 1, StrideH: int(sp/3%3) + 1,
+			PadW: int(sp / 9 % 3), PadH: int(sp / 27 % 3),
 		}
-		a := core.Array{Rows: 48, Cols: 32}
-		w := core.Window{W: l.KW + int(pw)%3, H: l.KH + int(ph)%3}
-		if w.W > l.IW || w.H > l.IH {
-			return true
+		a := arrays[int(arr)%len(arrays)]
+		w := core.Window{W: l.KW + int(pw)%4, H: l.KH + int(ph)%4}
+		builds := []func() (core.Mapping, error){
+			func() (core.Mapping, error) { return core.Im2col(l, a) },
 		}
-		for _, build := range []func() (core.Mapping, error){
-			func() (core.Mapping, error) { return core.SDK(l, a, w) },
-			func() (core.Mapping, error) { return core.VW(l, a, w) },
-		} {
+		if w.W <= l.PaddedW() && w.H <= l.PaddedH() {
+			builds = append(builds,
+				func() (core.Mapping, error) { return core.SDK(l, a, w) },
+				func() (core.Mapping, error) { return core.VW(l, a, w) })
+		}
+		for _, build := range builds {
 			m, err := build()
 			if err != nil {
 				continue
@@ -243,20 +255,45 @@ func TestPatternCellsProperty(t *testing.T) {
 			if err != nil {
 				return false
 			}
+			c := &covered[m.Scheme]
+			if m.Layer.StrideW > 1 || m.Layer.StrideH > 1 {
+				c[0]++
+			}
+			if m.Layer.PadW > 0 || m.Layer.PadH > 0 {
+				c[1]++
+			}
+			if m.Layer.KW != m.Layer.KH {
+				c[2]++
+			}
+			for _, tile := range p.Tiles {
+				if tile.RowLo%m.PW.Area() != 0 {
+					c[3]++
+					break
+				}
+			}
 			for _, tile := range p.Tiles {
 				if p.PatternCells(tile) != m.Tile(tile.I, tile.J).UsedCells {
+					t.Logf("%v: tile (%d,%d)", m, tile.I, tile.J)
 					return false
 				}
 			}
 		}
 		return true
 	}
-	n := 80
+	n := 2000
 	if testing.Short() {
-		n = 15
+		n = 200
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: n}); err != nil {
 		t.Fatal(err)
+	}
+	t.Logf("strided, padded, rectangular-kernel and mid-channel mappings: im2col %v, SDK %v, VW-SDK %v",
+		covered[core.SchemeIm2col], covered[core.SchemeSDK], covered[core.SchemeVWSDK])
+	for _, s := range []core.Scheme{core.SchemeIm2col, core.SchemeSDK, core.SchemeVWSDK} {
+		// VW-SDK's row tiles hold whole channels, so it has no mid-channel cut.
+		if c := covered[s]; c[0] == 0 || c[1] == 0 || c[2] == 0 || s != core.SchemeVWSDK && c[3] == 0 {
+			t.Errorf("%v: the inputs miss a strided, padded, rectangular-kernel or mid-channel mapping: %v", s, c)
+		}
 	}
 }
 

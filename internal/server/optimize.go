@@ -50,10 +50,8 @@ func (s *Server) runOptimize(ctx context.Context, space optimize.DesignSpace, em
 	return s.opt.Run(ctx, space, func(e optimize.Event) {
 		switch e.Kind {
 		case "admit":
-			s.optPoints.Add(1)
 			s.optAdmitted.Add(1)
 		case "reject":
-			s.optPoints.Add(1)
 			s.optRejected.Add(1)
 		case "evict":
 			s.optEvicted.Add(1)

@@ -171,8 +171,7 @@ type Server struct {
 	peerFailed  atomic.Uint64
 
 	optRuns     atomic.Uint64 // optimize runs started (streams + jobs)
-	optPoints   atomic.Uint64 // design points evaluated (admits + rejects)
-	optAdmitted atomic.Uint64
+	optAdmitted atomic.Uint64 // with optRejected, the points evaluated
 	optEvicted  atomic.Uint64
 	optRejected atomic.Uint64
 
@@ -875,6 +874,10 @@ func (s *Server) counters() Stats {
 			Self:    s.peers.Ring().Self(),
 		}
 	}
+	// Every design point evaluated is admitted or rejected
+	// (optimize.Frontier.Validate), so the points evaluated are read as
+	// their sum, which no snapshot can see ahead of its parts.
+	admitted, rejected := s.optAdmitted.Load(), s.optRejected.Load()
 	return Stats{
 		Store: st,
 		Peer:  ps,
@@ -895,10 +898,10 @@ func (s *Server) counters() Stats {
 		Jobs:      s.jobs.stats(),
 		Optimize: OptimizeStats{
 			Runs:            s.optRuns.Load(),
-			PointsEvaluated: s.optPoints.Load(),
-			Admitted:        s.optAdmitted.Load(),
+			PointsEvaluated: admitted + rejected,
+			Admitted:        admitted,
 			Evicted:         s.optEvicted.Load(),
-			Rejected:        s.optRejected.Load(),
+			Rejected:        rejected,
 		},
 		Engine: s.eng.Stats(),
 	}
