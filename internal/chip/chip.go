@@ -61,36 +61,48 @@ type LayerSchedule struct {
 }
 
 // ScheduleLayer places mapping m on a chip with nArrays crossbars, each at
-// least m.Array in size.
+// least m.Array in size: it is Schedule into a new LayerSchedule.
 func ScheduleLayer(m core.Mapping, nArrays int) (LayerSchedule, error) {
-	if nArrays < 1 {
-		return LayerSchedule{}, fmt.Errorf("chip: need at least one array, got %d", nArrays)
+	var s LayerSchedule
+	err := Schedule(&s, &m, nArrays)
+	return s, err
+}
+
+// Schedule places mapping m on a chip with arrays crossbars into dst,
+// reading m in place. It overwrites every field of dst: with the schedule,
+// or with the zero LayerSchedule on an error, so a schedule reused from
+// another layer keeps nothing of it.
+func Schedule(dst *LayerSchedule, m *core.Mapping, arrays int) error {
+	if arrays < 1 {
+		*dst = LayerSchedule{}
+		return fmt.Errorf("chip: need at least one array, got %d", arrays)
 	}
 	if m.AR < 1 || m.AC < 1 || m.NPW < 1 {
-		return LayerSchedule{}, fmt.Errorf("chip: mapping not costed: %v", m)
+		*dst = LayerSchedule{}
+		return fmt.Errorf("chip: mapping not costed: %v", *m)
 	}
 	tiles := m.Tiles()
 	npw := int64(m.NPW)
-	s := LayerSchedule{Mapping: m, Tiles: tiles}
-	if nArrays >= tiles {
+	dst.Mapping, dst.Tiles = *m, tiles
+	if arrays >= tiles {
 		// Replicate tiles over the spare arrays and split positions.
-		rep := nArrays / tiles
-		s.Replicas = rep
-		s.Rounds = 1
-		s.Arrays = tiles * rep
-		s.Makespan = ceilDiv64(npw, int64(rep))
-		s.Programs = s.Arrays
+		rep := arrays / tiles
+		dst.Replicas = rep
+		dst.Rounds = 1
+		dst.Arrays = tiles * rep
+		dst.Makespan = ceilDiv64(npw, int64(rep))
+		dst.Programs = dst.Arrays
 	} else {
-		rounds := ceilDiv(tiles, nArrays)
-		s.Replicas = 1
-		s.Rounds = rounds
-		s.Arrays = nArrays
-		s.Makespan = int64(rounds) * npw
-		s.Programs = tiles
+		rounds := ceilDiv(tiles, arrays)
+		dst.Replicas = 1
+		dst.Rounds = rounds
+		dst.Arrays = arrays
+		dst.Makespan = int64(rounds) * npw
+		dst.Programs = tiles
 	}
 	total := m.Cycles // G·AR·AC·NPW array-cycles of real work
-	s.BusyFraction = float64(total) / (float64(s.Makespan) * float64(s.Arrays))
-	return s, nil
+	dst.BusyFraction = float64(total) / (float64(dst.Makespan) * float64(dst.Arrays))
+	return nil
 }
 
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -1,10 +1,12 @@
 package chip
 
 import (
+	"context"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 var a512 = core.Array{Rows: 512, Cols: 512}
@@ -175,5 +177,62 @@ func TestScheduleLayerGrouped(t *testing.T) {
 	}
 	if one.Makespan != m.Cycles || one.Rounds != wantTiles {
 		t.Errorf("single-array schedule = %+v, want makespan %d rounds %d", one, m.Cycles, wantTiles)
+	}
+}
+
+// zooMappings returns the VW-SDK winner and the im2col baseline of every
+// zoo layer on 128², 256² and 512² arrays.
+func zooMappings(t *testing.T) []core.Mapping {
+	t.Helper()
+	var out []core.Mapping
+	for _, a := range []core.Array{{Rows: 128, Cols: 128}, {Rows: 256, Cols: 256}, a512} {
+		for _, n := range model.All() {
+			for _, l := range n.CoreLayers() {
+				r, err := core.Search(context.Background(), l, a, core.MethodVWSDK)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out = append(out, r.Best, r.Im2col)
+			}
+		}
+	}
+	return out
+}
+
+// TestScheduleOverwrites: Schedule into a schedule that holds another
+// layer's writes every field, so it equals ScheduleLayer's fresh result, on
+// every zoo mapping and chip size, and the zero schedule on an error. The
+// stale schedule carries another layer's mapping and a marker no schedule
+// has in every other field, so a field Schedule never writes shows too.
+func TestScheduleOverwrites(t *testing.T) {
+	ms := zooMappings(t)
+	var dst LayerSchedule
+	for i, m := range ms {
+		for _, arrays := range []int{1, 3, 16, 1024} {
+			want, err := ScheduleLayer(m, arrays)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Mapping != m || want.Tiles != m.Tiles() {
+				t.Fatalf("%v on %d arrays: ScheduleLayer = %+v, want the mapping and its tiles", m, arrays, want)
+			}
+			dst = LayerSchedule{Mapping: ms[(i+len(ms)/2)%len(ms)], Arrays: -1, Tiles: -1, Replicas: -1,
+				Rounds: -1, Makespan: -1, Programs: -1, BusyFraction: -1}
+			if err := Schedule(&dst, &ms[i], arrays); err != nil || dst != want {
+				t.Fatalf("%v on %d arrays: Schedule over another layer's = %+v, %v; want %+v", m, arrays, dst, err, want)
+			}
+		}
+	}
+	uncosted := core.Mapping{Layer: ms[0].Layer, Array: ms[0].Array}
+	for _, tc := range []struct {
+		m      *core.Mapping
+		arrays int
+	}{{&ms[0], 0}, {&uncosted, 4}} {
+		if err := Schedule(&dst, tc.m, tc.arrays); err == nil || dst != (LayerSchedule{}) {
+			t.Errorf("%v on %d arrays: Schedule = %+v, %v; want the zero schedule and an error", tc.m, tc.arrays, dst, err)
+		}
+		if err := Schedule(&dst, &ms[1], 2); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -12,17 +12,21 @@
 // one whole-network path: the experiments, CLIs, server and examples read
 // every network total from a plan, and differential tests pin those totals
 // to per-layer core.Search, chip.ScheduleLayer and energy.Model.Estimate
-// calls summed by hand.
+// calls summed by hand (the by-value forms of the in-place chip.Schedule
+// and energy.Model.EstimateInto a compile runs).
 //
-// The stages run as a pipeline: layers fan out through fanout.Each on at
-// most GOMAXPROCS workers, the calling goroutine among them, each layer's
-// search goes through the compiler's Searcher (normally the memoizing
-// engine), and scheduling, energy estimation and physical planning
-// run per layer as soon as its search completes — layer i's schedule is
-// built while layer j is still searching. On a searcher that reports which
-// searches it holds (the engine), a compile fans out only for the searches
-// it must compute, so one whose every search is a cache hit runs on its
-// caller. Each worker fills its layer's entry of the plan in place. Options
+// The stages run as a pipeline: each layer's search goes through the
+// compiler's Searcher (normally the memoizing engine), and scheduling,
+// energy estimation and physical planning run per layer as soon as its
+// search completes, reading the chosen mapping in place. On a searcher that
+// serves the searches it holds in place (the engine's Hit), a compile first
+// finishes every layer it serves on the calling goroutine, in layer order
+// and each search looked up once, up to the first layer it must search; the
+// layers from there on fan out through fanout.Each on at most GOMAXPROCS
+// workers, the calling goroutine among them, so layer i's schedule is built
+// while layer j is still searching. A compile whose every search is a cache
+// hit starts no goroutine. Each worker fills its layer's entry of the plan
+// in place. Options
 // selects the mapping scheme, the VW-SDK ablation variant, the chip size and
 // the peripheral model, so one Compile call covers every ablation the
 // repository evaluates.
@@ -352,52 +356,82 @@ func New(s core.Searcher) *Compiler {
 // Searcher returns the searcher the compiler runs on.
 func (c *Compiler) Searcher() core.Searcher { return c.s }
 
-// compileLayer runs the full per-layer pipeline of dst's layer i into its
-// layer plan: search, then schedule, energy and (optionally) the physical
-// plan as soon as the search returns. The plan being built is already on
-// the heap, so the layer plan is filled in place instead of being returned
-// and copied. A compile that succeeds writes every field of the layer plan,
-// so one reused from an earlier compile keeps nothing of it.
-func (c *Compiler) compileLayer(ctx context.Context, dst *NetworkPlan, i int) error {
-	lp, cl, a, opts := &dst.Layers[i], &dst.Network.Layers[i], dst.Array, &dst.Options
-	ctx, lsp := obs.Start(ctx, "layer")
-	defer lsp.End()
-	lsp.SetStr("name", cl.Name)
-	lp.Layer = *cl
-	m, _ := opts.method() // Compile rejected an unknown scheme
-	sctx, sp := obs.Start(ctx, "search")
-	var err error
-	lp.Search, err = c.s.Search(sctx, cl.Layer, a, m)
-	sp.End()
-	if err != nil {
-		return err
+// hitter is a Searcher that can serve a search it holds without searching
+// (engine.Engine does): Hit copies the result into dst, counting and
+// tracing the search as served, and reports whether it did; a search it
+// does not hold it leaves to Search, counting and tracing nothing.
+// CompileInto finishes every layer Hit serves on its caller and fans out
+// only from the first layer it must search.
+type hitter interface {
+	Hit(ctx context.Context, l core.Layer, a core.Array, m core.Method, dst *core.Result) bool
+}
+
+// layerSpans are the spans that enclose a layer's search, the layer span
+// and the search span under it, with the context each derives. A layer's
+// spans start before the searcher says whether it holds the search, so the
+// layer the hit pass cannot serve carries them into the fan-out: the zero
+// value means none were started.
+type layerSpans struct {
+	lctx, sctx    context.Context
+	layer, search *obs.Span
+}
+
+// startLayer copies dst's layer i into its layer plan and starts the
+// layer's spans.
+func startLayer(ctx context.Context, dst *NetworkPlan, i int) layerSpans {
+	var ls layerSpans
+	cl := &dst.Network.Layers[i]
+	dst.Layers[i].Layer = *cl
+	ls.lctx, ls.layer = obs.Start(ctx, "layer")
+	ls.layer.SetStr("name", cl.Name)
+	ls.sctx, ls.search = obs.Start(ls.lctx, "search")
+	return ls
+}
+
+// compileLayer runs dst's layer i through its pipeline in the fan-out:
+// search, then schedule, energy and (optionally) the physical plan as soon
+// as the search returns. With resume set it runs under ls, the spans the
+// hit pass started for it, and otherwise under spans of its own.
+func (c *Compiler) compileLayer(ctx context.Context, dst *NetworkPlan, m core.Method, i int, ls layerSpans, resume bool) error {
+	if !resume || ls.lctx == nil {
+		ls = startLayer(ctx, dst, i)
 	}
-	sp = obs.StartLeaf(ctx, "schedule")
-	lp.Schedule, err = chip.ScheduleLayer(lp.Search.Best, opts.Arrays)
+	lp := &dst.Layers[i]
+	var err error
+	lp.Search, err = c.s.Search(ls.sctx, lp.Layer.Layer, dst.Array, m)
+	ls.search.End()
+	if err == nil {
+		err = finishLayer(ls.lctx, lp, &dst.Options)
+	}
+	ls.layer.End()
+	return err
+}
+
+// finishLayer runs what follows a layer's search: its schedule, energy and
+// (optionally) physical plan, each read from the chosen mapping in place
+// and written into lp in place. The plan being built is already on the
+// heap, so nothing is returned and copied. On success it writes every field
+// of the layer plan its search left, so one reused from an earlier compile
+// keeps nothing of it. opts are the plan's own options, so opts.Energy is
+// the model Request.check validated.
+func finishLayer(ctx context.Context, lp *LayerPlan, opts *Options) error {
+	lp.Plan = nil
+	sp := obs.StartLeaf(ctx, "schedule")
+	err := chip.Schedule(&lp.Schedule, &lp.Search.Best, opts.Arrays)
 	sp.End()
 	if err != nil {
 		return err
 	}
 	sp = obs.StartLeaf(ctx, "energy")
-	lp.Energy, err = opts.Energy.Estimate(lp.Search.Best)
+	err = opts.Energy.EstimateInto(&lp.Energy, &lp.Search.Best)
 	sp.End()
-	if err != nil {
+	if err != nil || !opts.Plans {
 		return err
 	}
-	lp.Plan = nil
-	if opts.Plans {
-		pctx, sp := obs.Start(ctx, "plan")
-		lp.Plan, err = mapping.NewPlanContext(pctx, lp.Search.Best)
-		sp.End()
-	}
+	pctx, sp := obs.Start(ctx, "plan")
+	lp.Plan, err = mapping.NewPlanContext(pctx, lp.Search.Best)
+	sp.End()
 	return err
-}
-
-// cacher is a Searcher that can tell, without searching, whether it holds
-// a search's result already (engine.Engine does). Compile asks it how many
-// of a network's searches still need computing and fans out only that wide.
-type cacher interface {
-	Cached(l core.Layer, a core.Array, m core.Method) bool
 }
 
 // Compile compiles req.Network for req.Array under req.Options into a new
@@ -415,18 +449,27 @@ func (c *Compiler) Compile(ctx context.Context, req Request) (*NetworkPlan, erro
 // requests into one plan allocates its layer plans once. Every field of dst
 // is overwritten; after an error its contents are unspecified.
 //
-// Layer pipelines run through fanout.Each, or at width one through its
-// one-worker loop, fanout.Serial: the caller is one of the workers, so a
-// compile of width w starts w − 1 goroutines. The width is GOMAXPROCS,
-// except on a searcher that reports what it holds (an engine): there it is
-// the number of layers whose search the searcher must compute, counted up
-// to GOMAXPROCS and at least one. A search served from the cache costs less
-// than starting a goroutine, so a compile whose every search is a hit runs
-// on its caller; a stale count changes only where a layer runs, never its
-// result. The compile span records the width as "workers". Each worker runs
-// a layer's search and then its schedule, energy and plan, filling the
-// layer's entry of dst in place, before it takes the next layer. The first
-// error in layer order wins.
+// On a searcher that can serve a search it holds in place (an engine's
+// Hit), a hit pass first runs on the caller, in layer order: each layer
+// whose search the searcher holds is served into its layer plan, looked up
+// once, and finished there. The pass stops at the first layer the searcher
+// must search, and the fan-out takes that layer and every one after it; on
+// any other searcher it takes every layer. A search served from the cache
+// costs less than starting a goroutine, so a compile whose every search is
+// a hit starts none, and a cold compile fans out as wide as it would
+// without the pass.
+//
+// The fan-out runs through fanout.Each, or at width one through its
+// one-worker loop, fanout.Serial: the caller is one of the workers and
+// resumes the first layer left, whose spans the hit pass started, so a
+// fan-out of width w starts w − 1 goroutines. Its width is the number of
+// layers left, at most GOMAXPROCS; the compile span records the width as
+// "workers", 1 when no layer was left. Each worker runs a layer's search
+// (a hit, a miss or a join; see engine.Engine.Search) and then its
+// schedule, energy and plan, filling the layer's entry of dst in place,
+// before it takes the next layer. The first error in layer order wins: the
+// hit pass stops at its first error, and every layer it finished precedes
+// the fan-out's.
 //
 // Cancelling ctx aborts the compilation: no layer not yet started is
 // started, every in-flight layer search stops at its next cancellation
@@ -450,15 +493,31 @@ func (c *Compiler) CompileInto(ctx context.Context, req Request, dst *NetworkPla
 		dst.Layers = make([]LayerPlan, len(n.Layers))
 	}
 	dst.Layers = dst.Layers[:len(n.Layers)]
-	workers := c.width(n.Layers, a, m)
+	i, ls := 0, layerSpans{}
+	if h, ok := c.s.(hitter); ok {
+		for ; i < len(n.Layers); i++ {
+			if err = ctx.Err(); err != nil {
+				break
+			}
+			ls = startLayer(ctx, dst, i)
+			lp := &dst.Layers[i]
+			if !h.Hit(ls.sctx, lp.Layer.Layer, a, m, &lp.Search) {
+				break
+			}
+			ls.search.End()
+			err = finishLayer(ls.lctx, lp, &dst.Options)
+			ls.layer.End()
+			if err != nil {
+				break
+			}
+		}
+	}
+	workers := max(min(len(n.Layers)-i, runtime.GOMAXPROCS(0)), 1)
 	sp.SetStr("network", n.Name).SetInt("layers", int64(len(n.Layers))).SetInt("workers", int64(workers))
-	// At width one the layers run through fanout.Serial, whose closure stays
-	// on this stack; the one given to Each moves to the heap.
-	var i int
-	if workers == 1 {
-		i, err = fanout.Serial(ctx, len(n.Layers), func(i int) error { return c.compileLayer(ctx, dst, i) })
-	} else {
-		i, err = fanout.Each(ctx, len(n.Layers), workers, func(i int) error { return c.compileLayer(ctx, dst, i) })
+	if err == nil && i < len(n.Layers) {
+		var j int
+		j, err = c.fanOut(ctx, dst, m, i, workers, ls)
+		i += j
 	}
 	if err != nil {
 		return fmt.Errorf("compile: %s/%s: %w", n.Name, n.Layers[i].Name, err)
@@ -467,22 +526,21 @@ func (c *Compiler) CompileInto(ctx context.Context, req Request, dst *NetworkPla
 	return nil
 }
 
-// width returns the fan-out width of a compile of layers, a validated
-// network's, so at least one: GOMAXPROCS, at most one worker per layer, and
-// on a cacher one worker per search it must compute.
-func (c *Compiler) width(layers []model.ConvLayer, a core.Array, m core.Method) int {
-	w := min(len(layers), runtime.GOMAXPROCS(0))
-	cs, ok := c.s.(cacher)
-	if !ok || w == 1 {
-		return w
+// fanOut runs the pipelines of dst's layers from first on, on workers
+// workers, and returns the lowest failing one's offset from first with its
+// error. The caller runs layer first, the fan-out's index 0, and resumes it
+// under ls, the spans the hit pass started for it, if it started any; they
+// end here if ctx ended before the layer ran. At width one the layers run
+// through fanout.Serial, whose closure stays on this stack; the one given
+// to Each moves to the heap.
+func (c *Compiler) fanOut(ctx context.Context, dst *NetworkPlan, m core.Method, first, workers int, ls layerSpans) (int, error) {
+	defer ls.layer.End()
+	defer ls.search.End()
+	n := len(dst.Layers) - first
+	if workers == 1 {
+		return fanout.Serial(ctx, n, func(j int) error { return c.compileLayer(ctx, dst, m, first+j, ls, j == 0) })
 	}
-	uncached := 0
-	for i := 0; i < len(layers) && uncached < w; i++ {
-		if !cs.Cached(layers[i].Layer, a, m) {
-			uncached++
-		}
-	}
-	return max(uncached, 1)
+	return fanout.Each(ctx, n, workers, func(j int) error { return c.compileLayer(ctx, dst, m, first+j, ls, j == 0) })
 }
 
 // CompileLayer compiles a single layer (wrapped as a one-layer network) and

@@ -604,11 +604,13 @@ func (s *rendezvousSearcher) Search(ctx context.Context, l core.Layer, a core.Ar
 	return core.Search(ctx, l, a, m)
 }
 
-// uncachedSearcher is a rendezvousSearcher that reports every search
-// uncached, as a cold engine does.
+// uncachedSearcher is a rendezvousSearcher whose hit probe serves nothing,
+// as a cold engine's does.
 type uncachedSearcher struct{ *rendezvousSearcher }
 
-func (uncachedSearcher) Cached(core.Layer, core.Array, core.Method) bool { return false }
+func (uncachedSearcher) Hit(context.Context, core.Layer, core.Array, core.Method, *core.Result) bool {
+	return false
+}
 
 // twoLayers is a network of two distinct layer shapes, the smallest compile
 // with a fan-out to choose.
@@ -618,9 +620,9 @@ var twoLayers = model.Network{Name: "two", Layers: []model.ConvLayer{
 }}
 
 // TestCompileFansOutUncachedSearches: at GOMAXPROCS ≥ 2, a two-layer
-// compile runs both layer searches at once, on a searcher that cannot say
-// what it holds (the GOMAXPROCS width) and on one that reports both searches
-// uncached (one worker per search it must compute).
+// compile runs both layer searches at once, on a searcher that cannot serve
+// a search in place and on one whose hit probe serves neither (the fan-out
+// from the first layer it must search).
 func TestCompileFansOutUncachedSearches(t *testing.T) {
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))

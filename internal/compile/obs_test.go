@@ -54,9 +54,9 @@ func TestCompileRecordsSpanTree(t *testing.T) {
 	}
 
 	// "workers" is the width the compile used. On an engine, a cold
-	// two-layer compile fans out to one worker per search to compute (at
-	// most GOMAXPROCS), and the same compile again, every search a hit,
-	// runs on its caller.
+	// two-layer compile fans out from its first layer, one worker per layer
+	// (at most GOMAXPROCS), and the same compile again, every search a hit
+	// served by the hit pass, runs on its caller.
 	if runtime.GOMAXPROCS(0) < 2 {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	}

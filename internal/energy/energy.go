@@ -146,46 +146,58 @@ func (r *Report) Add(other Report) {
 	r.EnergyTotal += other.EnergyTotal
 }
 
-// Estimate computes the report for one costed mapping. Each of the AR×AC
-// tiles runs NPW cycles; conversions follow the peripheral model, used
-// (weight-holding) cells consume MAC energy, and each tile is programmed
-// once. Tiles that share a shape (core.Mapping.EachTileClass) are counted
-// together: the counts are integers, so a class's shape times its size is
-// exactly the sum over its tiles.
+// Estimate computes the report for one costed mapping under a model it
+// validates: it is EstimateInto a new Report.
 func (m Model) Estimate(mp core.Mapping) (Report, error) {
-	if err := m.Validate(); err != nil {
-		return Report{}, err
-	}
-	if mp.Cycles <= 0 || mp.AR <= 0 || mp.AC <= 0 {
-		return Report{}, fmt.Errorf("energy: mapping not costed: %v", mp)
-	}
 	var r Report
+	if err := m.Validate(); err != nil {
+		return r, err
+	}
+	err := m.EstimateInto(&r, &mp)
+	return r, err
+}
+
+// EstimateInto writes the report for one costed mapping into dst, reading
+// the model and the mapping in place. It trusts the model: the caller has
+// validated it (see Validate), as a compile does once for all its layers.
+// Each of the AR×AC tiles runs NPW cycles; conversions follow the
+// peripheral model, used (weight-holding) cells consume MAC energy, and
+// each tile is programmed once. Tiles that share a shape
+// (core.Mapping.EachTileClass) are counted together: the counts are
+// integers, so a class's shape times its size is exactly the sum over its
+// tiles. It overwrites every field of dst, with the zero Report on an
+// error, so a report reused from another layer keeps nothing of it.
+func (m *Model) EstimateInto(dst *Report, mp *core.Mapping) error {
+	*dst = Report{}
+	if mp.Cycles <= 0 || mp.AR <= 0 || mp.AC <= 0 {
+		return fmt.Errorf("energy: mapping not costed: %v", *mp)
+	}
 	npw := int64(mp.NPW)
 	mp.EachTileClass(func(tile core.TileShape, n int64) {
 		rows, cols := mp.Array.Rows, mp.Array.Cols
 		if m.GatePeripherals {
 			rows, cols = tile.Rows, tile.Cols
 		}
-		r.DACConversions += n * npw * int64(rows)
-		r.ADCConversions += n * npw * int64(cols)
-		r.CellMACCycles += n * npw * tile.UsedCells
-		r.CellWrites += n * int64(tile.Rows) * int64(tile.Cols)
+		dst.DACConversions += n * npw * int64(rows)
+		dst.ADCConversions += n * npw * int64(cols)
+		dst.CellMACCycles += n * npw * tile.UsedCells
+		dst.CellWrites += n * int64(tile.Rows) * int64(tile.Cols)
 	})
 	// The classes above cover one convolution group's AR×AC grid; the
 	// divisibility constraint makes every group's grid identical, so the
 	// remaining groups scale the counts.
 	if g := int64(mp.Layer.NumGroups()); g > 1 {
-		r.DACConversions *= g
-		r.ADCConversions *= g
-		r.CellMACCycles *= g
-		r.CellWrites *= g
+		dst.DACConversions *= g
+		dst.ADCConversions *= g
+		dst.CellMACCycles *= g
+		dst.CellWrites *= g
 	}
-	r.Cycles = mp.Cycles
-	r.Latency = time.Duration(r.Cycles) * m.TCycle
-	r.EnergyDAC = float64(r.DACConversions) * m.EnergyDAC
-	r.EnergyADC = float64(r.ADCConversions) * m.EnergyADC
-	r.EnergyCompute = float64(r.CellMACCycles) * m.EnergyCellMAC
-	r.EnergyProgram = float64(r.CellWrites) * m.EnergyCellWrite
-	r.EnergyTotal = r.EnergyDAC + r.EnergyADC + r.EnergyCompute
-	return r, nil
+	dst.Cycles = mp.Cycles
+	dst.Latency = time.Duration(dst.Cycles) * m.TCycle
+	dst.EnergyDAC = float64(dst.DACConversions) * m.EnergyDAC
+	dst.EnergyADC = float64(dst.ADCConversions) * m.EnergyADC
+	dst.EnergyCompute = float64(dst.CellMACCycles) * m.EnergyCellMAC
+	dst.EnergyProgram = float64(dst.CellWrites) * m.EnergyCellWrite
+	dst.EnergyTotal = dst.EnergyDAC + dst.EnergyADC + dst.EnergyCompute
+	return nil
 }

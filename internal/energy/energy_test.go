@@ -1,11 +1,13 @@
 package energy
 
 import (
+	"context"
 	"math"
 	"testing"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/model"
 )
 
 func TestDefaultValidates(t *testing.T) {
@@ -270,5 +272,46 @@ func TestEstimateGrouped(t *testing.T) {
 		if gr.CellWrites != g*sr.CellWrites {
 			t.Errorf("gate=%v: cell writes %d, want %d", gate, gr.CellWrites, g*sr.CellWrites)
 		}
+	}
+}
+
+// TestEstimateIntoOverwrites: EstimateInto into a report that holds another
+// layer's writes every field, so it equals Estimate's fresh result, on the
+// VW-SDK winner and the im2col baseline of every zoo layer on 128², 256²
+// and 512² arrays, gated and not, and the zero report on an error.
+func TestEstimateIntoOverwrites(t *testing.T) {
+	var ms []core.Mapping
+	for _, a := range []core.Array{{Rows: 128, Cols: 128}, {Rows: 256, Cols: 256}, {Rows: 512, Cols: 512}} {
+		for _, n := range model.All() {
+			for _, l := range n.CoreLayers() {
+				r, err := core.Search(context.Background(), l, a, core.MethodVWSDK)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ms = append(ms, r.Best, r.Im2col)
+			}
+		}
+	}
+	var dst Report
+	for _, gated := range []bool{false, true} {
+		m := Default()
+		m.GatePeripherals = gated
+		for i, mp := range ms {
+			want, err := m.Estimate(mp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.EstimateInto(&dst, &ms[(i+len(ms)/2)%len(ms)]); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.EstimateInto(&dst, &ms[i]); err != nil || dst != want {
+				t.Fatalf("gated %v, %v: EstimateInto over another layer's = %+v, %v; want %+v", gated, mp, dst, err, want)
+			}
+		}
+	}
+	m := Default()
+	uncosted := core.Mapping{Layer: ms[0].Layer, Array: ms[0].Array}
+	if err := m.EstimateInto(&dst, &uncosted); err == nil || dst != (Report{}) {
+		t.Errorf("EstimateInto of an uncosted mapping = %+v, %v; want the zero report and an error", dst, err)
 	}
 }

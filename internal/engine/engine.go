@@ -12,11 +12,13 @@
 // allocates only its result.
 // The engine searches one layer per call and bounds nothing itself: its
 // callers fan out and bound the work, compile.Compile over a network's
-// layers and the server through its compile and stream slots. Cached tells
-// a caller, without searching or counting, whether a search would be a hit:
-// compile.Compile fans out one worker per search the engine must compute,
-// at most GOMAXPROCS, so a compile whose every search is a hit runs on its
-// caller. The brute-force oracle is core.Exhaustive, a Searcher of its own.
+// layers and the server through its compile and stream slots. Hit serves a
+// search the cache holds in place, into the caller's result, and reports a
+// search it does not hold without counting or tracing it: compile.Compile
+// finishes every layer Hit serves on its caller and fans out, at most
+// GOMAXPROCS wide, only from the first layer it must search, so a compile
+// whose every search is a hit starts no goroutine and looks each search up
+// once. The brute-force oracle is core.Exhaustive, a Searcher of its own.
 //
 // Search is context-first: cancellation propagates into in-flight dedupe
 // waits and into the search loops themselves via the core package's
@@ -27,7 +29,8 @@
 // with only the caller's layer name re-stamped, and differential tests
 // assert equality on every layer of every predefined network and on whole
 // compiled plans. A hit reads the memo's stored result in place and copies
-// it once, into the result Search returns.
+// it once: into the result Search returns, or through Hit into the
+// caller's own.
 //
 // An Engine is safe for concurrent use; all methods may be called from any
 // goroutine.
@@ -144,14 +147,30 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Cached reports whether the result of searching l on a under m is stored
-// in the cache, so that Search would answer it without computing. It counts
-// nothing and leaves the LRU order alone. A search in flight is not cached
-// yet, and the answer can be stale by the time the caller searches: it is a
-// hint about where the work is, never a promise about a result.
-func (e *Engine) Cached(l core.Layer, a core.Array, m core.Method) bool {
+// Hit serves the search of l on a under m from the cache if the cache holds
+// it: it builds the search's cache key once, copies the stored result once,
+// into dst, stamps l's name on it as Search does, and counts and traces the
+// search exactly as a Search hit: one served search and one cache hit, and
+// an engine.search span with outcome hit under ctx. It reports whether it
+// did. When the cache holds no result for the search — including a search
+// still in flight and one too wide for the cache key — Hit leaves dst
+// alone, counts nothing, records no span and reports false, and the caller
+// goes on to Search, which computes the search or joins its flight.
+func (e *Engine) Hit(ctx context.Context, l core.Layer, a core.Array, m core.Method, dst *core.Result) bool {
 	k, ok := newCacheKey(l, a, m)
-	return ok && e.cache.Contains(k)
+	if !ok {
+		return false
+	}
+	p := e.cache.Get(k)
+	if p == nil {
+		return false
+	}
+	e.searches.Add(1)
+	*dst = *p
+	dst.Best.Layer.Name = l.Name
+	dst.Im2col.Layer.Name = l.Name
+	obs.StartLeaf(ctx, "engine.search").SetStr("layer", l.Name).SetStr("outcome", spanOutcome[memo.Hit]).End()
+	return true
 }
 
 // Search runs core.Search for m under the cache; bit-identical to

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/model"
+	"repro/internal/obs"
 )
 
 // bg is the context every non-cancellation test runs under.
@@ -101,31 +102,106 @@ func TestEngineCachedHitIsIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineCached: Cached reports whether Search would answer from the
-// cache, under another layer name and for a method's canonical form too,
-// and moves no counter.
-func TestEngineCached(t *testing.T) {
+// TestEngineHit: Hit serves a stored search under another layer name and a
+// method with the same canonical form, as a Search hit would: the same
+// result (with the caller's name), one more search and one more hit, and
+// one engine.search span with outcome hit. A search never run, or still in
+// flight, is not served: dst is left alone, nothing is counted and no span
+// is recorded.
+func TestEngineHit(t *testing.T) {
 	e := New()
 	l := core.Layer{Name: "conv4", IW: 14, IH: 14, KW: 3, KH: 3, IC: 256, OC: 256}
 	a := core.Array{Rows: 512, Cols: 512}
 	sdk := core.Method{Scheme: core.SchemeSDK}
-	if e.Cached(l, a, sdk) {
-		t.Fatal("a fresh engine reports a cached search")
+	tr := obs.New("test")
+	ctx := obs.NewContext(bg, tr)
+	var dst core.Result
+	if e.Hit(ctx, l, a, sdk, &dst) || dst != (core.Result{}) || tr.Len() != 0 || e.Stats() != (Stats{}) {
+		t.Fatalf("a fresh engine served a search: %v, %d spans, %+v", dst.Best, tr.Len(), e.Stats())
 	}
 	if _, err := e.Search(bg, l, a, sdk); err != nil {
 		t.Fatal(err)
 	}
-	before := e.Stats()
 	other := l
 	other.Name = "resnet-conv4"
-	if !e.Cached(other, a, core.Method{Scheme: core.SchemeSDK, Variant: core.VariantSquareTiled}) {
-		t.Error("a stored search under another name and variant reads uncached")
+	variant := core.Method{Scheme: core.SchemeSDK, Variant: core.VariantSquareTiled}
+	want, err := e.Search(bg, other, a, variant)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e.Cached(l, a, core.MethodVWSDK) || e.Cached(l, core.Array{Rows: 256, Cols: 256}, sdk) {
-		t.Error("a search never run reads cached")
+	before := e.Stats()
+	if !e.Hit(ctx, other, a, variant, &dst) {
+		t.Fatal("a stored search under another name and variant was not served")
+	}
+	if !reflect.DeepEqual(dst, want) {
+		t.Errorf("Hit = %+v, want the Search hit %+v", dst.Best, want.Best)
+	}
+	if st := e.Stats(); st.Searches != before.Searches+1 || st.CacheHits != before.CacheHits+1 ||
+		st.CacheMisses != before.CacheMisses || st.FlightDedupes != before.FlightDedupes {
+		t.Errorf("a hit moved the counters %+v -> %+v, want one more search and hit", before, st)
+	}
+	nodes := tr.Tree()
+	if len(nodes) != 1 || nodes[0].Name != "engine.search" || len(nodes[0].Attrs) != 2 ||
+		nodes[0].Attrs["layer"] != "resnet-conv4" || nodes[0].Attrs["outcome"] != "hit" {
+		t.Errorf("a hit recorded %+v, want one engine.search span {layer, outcome: hit}", nodes)
+	}
+	probe := core.Result{Evaluated: -1}
+	before = e.Stats()
+	if e.Hit(ctx, l, a, core.MethodVWSDK, &probe) || e.Hit(ctx, l, core.Array{Rows: 256, Cols: 256}, sdk, &probe) {
+		t.Error("a search never run was served")
+	}
+	if probe != (core.Result{Evaluated: -1}) || tr.Len() != 1 || e.Stats() != before {
+		t.Errorf("a miss wrote %+v, recorded %d spans or moved the counters %+v -> %+v", probe, tr.Len(), before, e.Stats())
+	}
+}
+
+// TestEngineHitInFlight: a search still in flight is not served by Hit,
+// which counts nothing; the Search that follows joins the flight.
+func TestEngineHitInFlight(t *testing.T) {
+	e := New()
+	l := core.Layer{Name: "c", IW: 14, IH: 14, KW: 3, KH: 3, IC: 64, OC: 64}
+	a := core.Array{Rows: 256, Cols: 256}
+	k, _ := newCacheKey(l, a, core.MethodVWSDK)
+	release := make(chan struct{})
+	leader := make(chan error)
+	go func() {
+		_, err := e.memoized(bg, k, l.Name, func(ctx context.Context) (core.Result, error) {
+			<-release
+			return core.Search(ctx, l, a, core.MethodVWSDK)
+		})
+		leader <- err
+	}()
+	for e.Stats().CacheMisses == 0 {
+		runtime.Gosched()
+	}
+	var dst core.Result
+	before := e.Stats()
+	if e.Hit(bg, l, a, core.MethodVWSDK, &dst) {
+		t.Error("Hit served a search still in flight")
 	}
 	if st := e.Stats(); st != before {
-		t.Errorf("Cached moved the counters: %+v -> %+v", before, st)
+		t.Errorf("a probe of a flight moved the counters %+v -> %+v", before, st)
+	}
+	joined := make(chan error)
+	go func() {
+		_, err := e.Search(bg, l, a, core.MethodVWSDK)
+		joined <- err
+	}()
+	for e.Stats().FlightDedupes == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-joined; err != nil {
+		t.Fatal(err)
+	}
+	if st := e.Stats(); st.Searches != 2 || st.CacheMisses != 1 || st.CacheHits != 1 || st.FlightDedupes != 1 {
+		t.Errorf("stats = %+v, want the leader's miss and the joined Search's hit", st)
+	}
+	if !e.Hit(bg, l, a, core.MethodVWSDK, &dst) || dst.Best.Layer.Name != "c" {
+		t.Errorf("Hit after the flight stored = %+v, want the stored search", dst.Best)
 	}
 }
 
@@ -500,8 +576,9 @@ func TestEngineWideValuesBypassCache(t *testing.T) {
 		if !reflect.DeepEqual(got, want) || fmt.Sprint(err) != fmt.Sprint(werr) {
 			t.Errorf("%v %v: engine = %v, %v; core.Search = %v, %v", tc.l, tc.m, got.Best, err, want.Best, werr)
 		}
-		if e.Cached(tc.l, a, tc.m) {
-			t.Errorf("%v %v reads as cached", tc.l, tc.m)
+		var dst core.Result
+		if e.Hit(bg, tc.l, a, tc.m, &dst) {
+			t.Errorf("%v %v was served from the cache: %v", tc.l, tc.m, dst.Best)
 		}
 	}
 	if st := e.Stats(); st.Searches != 2 || st.CachedResults != 2 {

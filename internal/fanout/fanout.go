@@ -17,12 +17,15 @@ import (
 // whose call failed, with that call's error, or -1 and nil when none
 // failed. The calls run on min(n, workers) workers that take indices from a
 // shared atomic cursor: the caller's goroutine is one of them, and Each
-// starts only the other min(n, workers) − 1 goroutines. With one worker,
-// Each starts no goroutine and allocates nothing, and the calls run on the
-// caller, in index order. No index is dispatched after ctx ends: such an
-// index never runs and fails with ctx.Err(). Calls already running stop at
-// their own checkpoints. Each returns once every call has returned; what a
-// failure means is the caller's rule.
+// starts only the other min(n, workers) − 1 goroutines. The caller runs
+// index 0 itself, before it takes indices from the cursor like every other
+// worker, so work it began for index 0 before calling Each stays on its
+// goroutine. With one worker, Each starts no goroutine and allocates
+// nothing, and the calls run on the caller, in index order. No index is
+// dispatched after ctx ends: such an index never runs and fails with
+// ctx.Err(). Calls already running stop at their own checkpoints. Each
+// returns once every call has returned; what a failure means is the
+// caller's rule.
 //
 // Nested fan-outs cannot deadlock: the caller waits only once the cursor is
 // exhausted, when every index is held by a worker that is already running it.
@@ -33,7 +36,7 @@ func Each(ctx context.Context, n, workers int, do func(i int) error) (int, error
 	}
 	// The goroutines share the cursor, the lowest failure and the
 	// WaitGroup: one allocation, which the one-worker path above does not
-	// pay for.
+	// pay for. The cursor starts past index 0, the caller's.
 	shared := struct {
 		next     atomic.Int64
 		mu       sync.Mutex
@@ -41,8 +44,9 @@ func Each(ctx context.Context, n, workers int, do func(i int) error) (int, error
 		firstErr error
 		wg       sync.WaitGroup
 	}{first: -1}
-	work := func() {
-		for i := int(shared.next.Add(1)) - 1; i < n; i = int(shared.next.Add(1)) - 1 {
+	shared.next.Store(1)
+	work := func(i int) {
+		for ; i < n; i = int(shared.next.Add(1)) - 1 {
 			err := ctx.Err()
 			if err == nil {
 				err = do(i)
@@ -60,10 +64,10 @@ func Each(ctx context.Context, n, workers int, do func(i int) error) (int, error
 	for range workers - 1 {
 		go func() {
 			defer shared.wg.Done()
-			work()
+			work(int(shared.next.Add(1)) - 1)
 		}()
 	}
-	work()
+	work(0)
 	shared.wg.Wait()
 	return shared.first, shared.firstErr
 }

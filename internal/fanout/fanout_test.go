@@ -217,10 +217,11 @@ func goroutineID() uint64 {
 }
 
 // TestEachCallerIsAWorker pins that the caller is one of the workers: with
-// n ≥ workers ≥ 2, one call runs on the caller's goroutine and Each starts
-// at most workers − 1 goroutines. The first workers calls wait for one
-// another, so they run on workers distinct goroutines at once; a fan-out
-// whose caller only waited would start workers goroutines for them.
+// n ≥ workers ≥ 2, one call runs on the caller's goroutine, index 0's
+// among them, and Each starts at most workers − 1 goroutines. The first
+// workers calls wait for one another, so they run on workers distinct
+// goroutines at once; a fan-out whose caller only waited would start
+// workers goroutines for them.
 func TestEachCallerIsAWorker(t *testing.T) {
 	caller := goroutineID()
 	for _, c := range []struct{ n, workers int }{{2, 2}, {4, 4}, {12, 3}} {
@@ -230,9 +231,13 @@ func TestEachCallerIsAWorker(t *testing.T) {
 		var mu sync.Mutex
 		ran := map[uint64]bool{}
 		peak := 0
-		i, err := Each(context.Background(), c.n, c.workers, func(int) error {
+		var zero uint64
+		i, err := Each(context.Background(), c.n, c.workers, func(j int) error {
 			mu.Lock()
 			ran[goroutineID()] = true
+			if j == 0 {
+				zero = goroutineID()
+			}
 			peak = max(peak, runtime.NumGoroutine()-base)
 			mu.Unlock()
 			if k := arrived.Add(1); k == int32(c.workers) {
@@ -250,8 +255,8 @@ func TestEachCallerIsAWorker(t *testing.T) {
 		if err != nil {
 			t.Errorf("n=%d workers=%d: call %d: %v", c.n, c.workers, i, err)
 		}
-		if !ran[caller] {
-			t.Errorf("n=%d workers=%d: no call ran on the caller's goroutine", c.n, c.workers)
+		if !ran[caller] || zero != caller {
+			t.Errorf("n=%d workers=%d: index 0 ran on goroutine %d, not the caller's %d", c.n, c.workers, zero, caller)
 		}
 		if len(ran) != c.workers {
 			t.Errorf("n=%d workers=%d: calls ran on %d goroutines, want %d", c.n, c.workers, len(ran), c.workers)

@@ -119,11 +119,7 @@ func New[K comparable, V any](capacity int) *Cache[K, V] {
 func (c *Cache[K, V]) Do(ctx context.Context, k K, compute func() (V, error)) (*V, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.items[k]; ok {
-		c.order.MoveToFront(el)
-		r := el.Value.(*record[K, V])
-		c.mu.Unlock()
-		c.hits.Add(1)
-		return &r.val, Hit, nil
+		return &c.hit(el).val, Hit, nil
 	}
 	if r, ok := c.flight[k]; ok {
 		done := r.done
@@ -186,16 +182,30 @@ func (c *Cache[K, V]) store(r *record[K, V]) {
 	}
 }
 
-// Contains reports whether a value for k is stored, without counting a hit
-// or a miss and without touching the LRU order, so asking where a value
-// would come from changes nothing the cache keeps. A computation still in
-// flight is not stored yet. The answer can be stale by the time the caller
-// acts on it.
-func (c *Cache[K, V]) Contains(k K) bool {
+// Get returns the stored value for k, marking it most recently used and
+// counting a hit as Do's hit path does, or nil when none is stored.
+// A miss counts nothing, because the caller falls through to Do, which
+// counts the full path; a computation still in flight is not stored yet, so
+// the caller joins it there. Like Do's, the pointer is the cache's own copy
+// of the value: read it or copy it, never write through it.
+func (c *Cache[K, V]) Get(k K) *V {
 	c.mu.Lock()
-	_, ok := c.items[k]
+	if el, ok := c.items[k]; ok {
+		return &c.hit(el).val
+	}
 	c.mu.Unlock()
-	return ok
+	return nil
+}
+
+// hit serves the stored value of LRU element el: it marks el most recently
+// used, releases mu, which the caller holds, counts a hit and returns el's
+// record. Do and Get serve their hits through it.
+func (c *Cache[K, V]) hit(el *list.Element) *record[K, V] {
+	c.order.MoveToFront(el)
+	r := el.Value.(*record[K, V])
+	c.mu.Unlock()
+	c.hits.Add(1)
+	return r
 }
 
 // Lookup returns the stored value for a string key still held as bytes,

@@ -222,32 +222,39 @@ func TestLRU(t *testing.T) {
 	wantStats(t, c, Stats{Hits: 3, Misses: 3, Evictions: 1, Entries: 2})
 }
 
-// TestContains: Contains reports stored values only, moves no counter and
-// leaves the LRU order alone, so a capacity-2 cache still evicts the key it
-// just reported.
-func TestContains(t *testing.T) {
+// TestGet: Get serves stored values only, counting a hit and marking the
+// value most recently used exactly as Do's hit path does, so a capacity-2
+// cache evicts the key Get did not serve; a miss counts nothing, and a
+// computation still in flight is not served.
+func TestGet(t *testing.T) {
 	c := New[string, int](2)
 	var n atomic.Int64
 	c.Do(bg, "a", value(1, &n))
 	c.Do(bg, "b", value(2, &n))
 	before := c.Stats()
-	if c.Contains("c") || !c.Contains("b") || !c.Contains("a") {
-		t.Fatal("Contains disagrees with what is stored")
+	if c.Get("c") != nil {
+		t.Fatal("Get served a key never stored")
 	}
 	wantStats(t, c, before)
-	c.Do(bg, "c", value(3, &n)) // a, asked about last, is still the least recently used
-	if c.Contains("a") || !c.Contains("b") || !c.Contains("c") {
-		t.Error("asking Contains about a key moved it in the LRU order")
+	if v := c.Get("a"); v == nil || *v != 1 {
+		t.Fatalf("Get(a) = %v, want the stored 1", v)
+	}
+	before.Hits++
+	wantStats(t, c, before)
+	c.Do(bg, "c", value(3, &n)) // b, not a, is now the least recently used
+	if c.Get("b") != nil || c.Get("a") == nil || c.Get("c") == nil {
+		t.Error("Get did not mark the value it served most recently used")
 	}
 	release, leader := blocked(c, "d", 4, nil)
-	if c.Contains("d") {
-		t.Error("Contains reported a computation still in flight")
+	if c.Get("d") != nil {
+		t.Error("Get served a computation still in flight")
 	}
 	close(release)
 	<-leader
-	if !c.Contains("d") {
-		t.Error("Contains missed a stored computation")
+	if v := c.Get("d"); v == nil || *v != 4 {
+		t.Errorf("Get(d) = %v, want the stored 4", v)
 	}
+	wantStats(t, c, Stats{Hits: 4, Misses: 4, Evictions: 2, Entries: 2})
 }
 
 // TestNoCapacityCoalesces: a capacity ≤ 0 stores nothing, but identical
@@ -309,12 +316,13 @@ func TestMissAllocs(t *testing.T) {
 }
 
 // TestHammer: many concurrent callers on a few keys run exactly one compute
-// per key, every call is a hit or a miss, and Contains calls among them
-// count nothing. Run under -race.
+// per key, every call is a hit or a miss, and Get calls among them
+// count a hit only when they are served. Run under -race.
 func TestHammer(t *testing.T) {
 	const keys, callers, rounds = 4, 32, 50
 	c := New[string, int](keys)
 	var computes [keys]atomic.Int64
+	var gets atomic.Uint64
 	var wg sync.WaitGroup
 	for g := 0; g < callers; g++ {
 		wg.Add(1)
@@ -331,7 +339,9 @@ func TestHammer(t *testing.T) {
 					t.Errorf("key %d = %v, %v", i, v, err)
 				}
 				Lookup(c, []byte(fmt.Sprint(i)))
-				c.Contains(fmt.Sprint((i + 1) % keys))
+				if c.Get(fmt.Sprint((i+1)%keys)) != nil {
+					gets.Add(1)
+				}
 			}
 		}(g)
 	}
@@ -342,7 +352,7 @@ func TestHammer(t *testing.T) {
 		}
 	}
 	st := c.Stats()
-	if st.Misses != keys || st.Hits != 2*callers*rounds-keys || st.Entries != keys || st.Evictions != 0 {
+	if st.Misses != keys || st.Hits != 2*callers*rounds-keys+gets.Load() || st.Entries != keys || st.Evictions != 0 {
 		t.Errorf("stats = %+v, want %d misses and every other call a hit", st, keys)
 	}
 }

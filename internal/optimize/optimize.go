@@ -1,10 +1,11 @@
 package optimize
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/compile"
 	"repro/internal/core"
@@ -118,7 +119,7 @@ func (f *Frontier) Validate() error {
 	if len(f.Points) != f.Admitted-f.Evicted {
 		return fmt.Errorf("optimize: %d points != admitted %d - evicted %d", len(f.Points), f.Admitted, f.Evicted)
 	}
-	if !sort.SliceIsSorted(f.Points, func(i, j int) bool { return pointLess(f.Points[i], f.Points[j]) }) {
+	if !slices.IsSortedFunc(f.Points, comparePoints) {
 		return fmt.Errorf("optimize: frontier points out of order")
 	}
 	for i, p := range f.Points {
@@ -131,19 +132,11 @@ func (f *Frontier) Validate() error {
 	return nil
 }
 
-// pointLess is the frontier's canonical order: cycles, then energy, area
-// and enumeration ID.
-func pointLess(a, b FrontierPoint) bool {
-	if a.Metrics.Cycles != b.Metrics.Cycles {
-		return a.Metrics.Cycles < b.Metrics.Cycles
-	}
-	if a.Metrics.EnergyJ != b.Metrics.EnergyJ {
-		return a.Metrics.EnergyJ < b.Metrics.EnergyJ
-	}
-	if a.Metrics.AreaCells != b.Metrics.AreaCells {
-		return a.Metrics.AreaCells < b.Metrics.AreaCells
-	}
-	return a.ID < b.ID
+// comparePoints is the frontier's canonical order: cycles, then energy,
+// area and enumeration ID.
+func comparePoints(a, b FrontierPoint) int {
+	return cmp.Or(cmp.Compare(a.Metrics.Cycles, b.Metrics.Cycles), cmp.Compare(a.Metrics.EnergyJ, b.Metrics.EnergyJ),
+		cmp.Compare(a.Metrics.AreaCells, b.Metrics.AreaCells), cmp.Compare(a.ID, b.ID))
 }
 
 // ToJSON serializes the frontier; FromJSONFrontier parses and validates one.
@@ -190,20 +183,29 @@ func (o *Optimizer) Compiler() *compile.Compiler { return o.c }
 
 // Designs enumerates the space's design points in the canonical order:
 // array assignments as an odometer (last group fastest), then chip counts,
-// then gating. IDs start at 1.
+// then gating. IDs start at 1. Every assignment is a slice of one backing
+// array, so Designs allocates three times whatever the space: the odometer,
+// the assignments and the designs. A space with no arrays yields no design,
+// and so does one whose points Points cannot count.
 func Designs(s DesignSpace) []Design {
 	s.Normalize()
+	points, err := s.Points()
+	if err != nil || points == 0 {
+		return nil
+	}
 	groups := s.groups()
 	assign := make([]int, groups)
-	var out []Design
+	arrays := make([]core.Array, points/(len(s.Chips)*len(s.Gating))*groups)
+	out := make([]Design, 0, points)
 	for {
-		arrays := make([]core.Array, groups)
+		a := arrays[:groups:groups]
+		arrays = arrays[groups:]
 		for g, ai := range assign {
-			arrays[g] = s.Arrays[ai]
+			a[g] = s.Arrays[ai]
 		}
 		for _, chips := range s.Chips {
 			for _, gated := range s.Gating {
-				out = append(out, Design{ID: len(out) + 1, Arrays: arrays, Chips: chips, Gated: gated})
+				out = append(out, Design{ID: len(out) + 1, Arrays: a, Chips: chips, Gated: gated})
 			}
 		}
 		g := groups - 1
@@ -311,7 +313,14 @@ func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*
 	memo := make(map[cell]cellCost, len(groups)*len(s.Arrays)*len(s.Chips)*len(s.Gating))
 	var scratch compile.NetworkPlan
 	var frontier []FrontierPoint
-	for _, d := range Designs(s) {
+	designs := Designs(s)
+	// An event's point is the run's own copy in emitted, which holds one
+	// point per design and never grows, so a caller may keep an event.
+	var emitted []FrontierPoint
+	if emit != nil {
+		emitted = make([]FrontierPoint, 0, len(designs))
+	}
+	for _, d := range designs {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -324,7 +333,8 @@ func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*
 			f.Rejected++
 			f.Dominated++
 			if emit != nil {
-				emit(pointEvent("reject", by, p))
+				emitted = append(emitted, p)
+				emit(Event{Kind: "reject", ID: p.ID, By: by, Point: &emitted[len(emitted)-1]})
 			}
 			continue
 		}
@@ -346,21 +356,15 @@ func (o *Optimizer) Run(ctx context.Context, s DesignSpace, emit func(Event)) (*
 		frontier = append(kept, p)
 		f.Admitted++
 		if emit != nil {
-			emit(pointEvent("admit", 0, p))
+			emitted = append(emitted, p)
+			emit(Event{Kind: "admit", ID: p.ID, Point: &emitted[len(emitted)-1]})
 		}
 	}
-	sort.Slice(frontier, func(i, j int) bool { return pointLess(frontier[i], frontier[j]) })
+	slices.SortFunc(frontier, comparePoints)
 	f.Points = frontier
 	sp.SetInt("evaluated", int64(f.Evaluated)).SetInt("frontier", int64(len(f.Points))).
 		SetInt("compiles", int64(len(memo)))
 	return f, nil
-}
-
-// pointEvent returns the event of the given kind about p, by the ID of the
-// point that dominates it or 0, carrying its own copy of p, so that a point
-// moves to the heap only when a run emits it.
-func pointEvent(kind string, by int, p FrontierPoint) Event {
-	return Event{Kind: kind, ID: p.ID, By: by, Point: &p}
 }
 
 // dominatedBy returns the ID of the first frontier point (in admission

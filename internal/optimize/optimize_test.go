@@ -18,6 +18,7 @@ import (
 	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/model"
 	"repro/internal/obs"
 )
 
@@ -58,6 +59,40 @@ func TestDesignsEnumeration(t *testing.T) {
 	second := designs[1]
 	if second.Chips != 1 || !second.Gated {
 		t.Fatalf("second design = %+v", second)
+	}
+	// A space with no arrays yields no design.
+	if empty := Designs(DesignSpace{}); len(empty) != 0 {
+		t.Errorf("the empty space yields %d designs, want none", len(empty))
+	}
+}
+
+// TestDesignsAllocs pins Designs at 3 allocations on perfbench's codesign
+// space shape, 3 arrays × 2 layer groups × 2 chip counts × 2 gating
+// settings (36 points): the odometer, the array assignments, which share
+// one backing array, and the designs, sized from the point count. One
+// slice per assignment and a designs slice grown by appending made it 16.
+// The assignments must still be the odometer's, each its own slice.
+func TestDesignsAllocs(t *testing.T) {
+	s := DesignSpace{
+		Network: model.VGG13(),
+		Arrays:  []core.Array{{Rows: 128, Cols: 128}, {Rows: 256, Cols: 256}, {Rows: 512, Cols: 512}},
+		Chips:   []int{1, 4},
+		Gating:  []bool{false, true},
+		Groups:  2,
+	}
+	designs := Designs(s)
+	if len(designs) != 36 {
+		t.Fatalf("got %d designs, want 36", len(designs))
+	}
+	for i, d := range designs {
+		a := i / 4 // four chip and gating settings per assignment
+		want := []core.Array{s.Arrays[a/3], s.Arrays[a%3]}
+		if !slices.Equal(d.Arrays, want) || cap(d.Arrays) != 2 {
+			t.Fatalf("design %d assigns %v (capacity %d), want %v", d.ID, d.Arrays, cap(d.Arrays), want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Designs(s) }); allocs > 3 {
+		t.Errorf("Designs allocates %.0f times, want ≤ 3", allocs)
 	}
 }
 
@@ -485,16 +520,19 @@ func TestRunInvalidSpace(t *testing.T) {
 // every search is an engine hit: the example space at 2 layer groups (64
 // points, 32 cell compiles). Both are counted at GOMAXPROCS 1, where every
 // compile runs its layers on the caller, so they repeat on any runner. The
-// count reads 40 and the bytes 19,968, also under the race detector: the
+// count reads 16 and the bytes 15,512, also under the race detector: the
 // cells compile into the run's one scratch plan, which holds its energy
-// model, a compile of width one allocates nothing, and a point moves to the
-// heap only when a run emits it. A point on the heap per evaluated point
+// model, an all-hit compile allocates nothing, a run that emits nothing
+// keeps no point, Designs allocates 3 times whatever the space, and the
+// frontier sorts without reflection. One slice per array assignment, a
+// designs slice grown by appending and a reflective frontier sort made them
+// 40 allocations of 19,968 bytes. A point on the heap per evaluated point
 // and a per-layer closure per cell compile made them 136 allocations of
 // 26,624 bytes, a new energy model per cell compile and a fan-out that
 // allocated at width one 264 of 31,936, and a new plan per cell compile 342
 // of 103,824.
 func TestWarmRunAllocs(t *testing.T) {
-	const limit, bytesLimit = 40, 21_000
+	const limit, bytesLimit = 16, 16_500
 	s := exampleSpace(t)
 	s.Groups = 2
 	o := New(compile.New(engine.New()))

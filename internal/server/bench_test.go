@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -74,5 +75,41 @@ func BenchmarkSweepStream(b *testing.B) {
 		if n := strings.Count(strings.TrimSpace(string(data)), "\n") + 1; n != 3 {
 			b.Fatal(fmt.Errorf("got %d lines", n))
 		}
+	}
+}
+
+// BenchmarkWarmOptimize times a warm POST /v1/optimize through ServeHTTP,
+// with a writer that keeps the status and drops the body, over the five
+// co-design spaces perfbench's codesign workload posts: ResNet-18, VGG-13,
+// AlexNet, MobileNet-V2 and ResNeXt-50, each on arrays 128², 256² and
+// 512² × chips 1 and 4 × both gating settings × 2 layer groups (36 points,
+// 24 cell compiles). One untimed pass fills the engine, so every search
+// is a hit; an op is one request, the spaces in turn. Profile the warm
+// co-design path with -cpuprofile here.
+func BenchmarkWarmOptimize(b *testing.B) {
+	s := New(Config{})
+	var bodies [][]byte
+	for _, network := range []string{"ResNet-18", "VGG-13", "AlexNet", "MobileNet-V2", "ResNeXt-50"} {
+		bodies = append(bodies, []byte(fmt.Sprintf(`{"name":"codesign-%s","network":%q,`+
+			`"arrays":["128x128","256x256","512x512"],"chips":[1,4],"gating":[false,true],"layer_groups":2}`,
+			network, network)))
+	}
+	rw := &statusWriter{header: http.Header{}}
+	post := func(body []byte) {
+		clear(rw.header)
+		rw.status = 0
+		s.ServeHTTP(rw, httptest.NewRequest(http.MethodPost, "/v1/optimize", bytes.NewReader(body)))
+		if rw.status != http.StatusOK {
+			b.Fatalf("status %d", rw.status)
+		}
+	}
+	for _, body := range bodies {
+		post(body)
+	}
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		post(bodies[i])
+		i = (i + 1) % len(bodies)
 	}
 }
