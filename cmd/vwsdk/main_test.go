@@ -27,6 +27,26 @@ func TestRunSingleLayer(t *testing.T) {
 	}
 }
 
+// TestRunChannelGrid pins the table of a 1×1 layer of 65536 input and
+// output channels on a 1×1 array, byte for byte: 2^32 one-cell tiles and
+// 4294967296 cycles under every scheme, at 100% utilization. It took 12.7 s
+// to print while eq. 9 was summed one tile at a time.
+func TestRunChannelGrid(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-ifm", "1x1", "-kernel", "1x1", "-ic", "65536", "-oc", "65536", "-array", "1x1"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "layer 1x1x65536x65536 @1x1 s1 p0 on a 1x1 PIM array\n" +
+		"===================================================\n" +
+		"layer  kernel           im2col      SMD         SDK         VW-SDK window  VW-SDK cycles  speedup vs im2col  util %\n" +
+		"-------------------------------------------------------------------------------------------------------------------\n" +
+		"layer  1x1x65536x65536  4294967296  4294967296  4294967296  1x1x65536x1    4294967296     1.00               100.0 \n"
+	if got := out.String(); got != want {
+		t.Errorf("output differs:\ngot\n%s\nwant\n%s", got, want)
+	}
+}
+
 // TestRunNetworkCSV exercises the predefined-network path with CSV output.
 func TestRunNetworkCSV(t *testing.T) {
 	var out strings.Builder

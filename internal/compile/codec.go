@@ -67,10 +67,11 @@ func decodePlan(data []byte) (*NetworkPlan, bool) {
 
 // CheckPlan checks a plan that arrives from outside the process, a store
 // entry or a peer's reply, and returns its totals. It accepts exactly the
-// bytes AppendPlan writes for a plan whose totals are consistent with its
-// layers (Validate) and whose own request has the canonical key key, so
-// bytes filed or sent under the wrong key are rejected, never served. It
-// has no encoding/json fallback: bytes in any other form are an error.
+// bytes AppendPlan writes for a plan that Validate accepts (the mappings
+// the cost model derives for its layers, totals consistent with them) and
+// whose own request has the canonical key key, so bytes filed or sent
+// under the wrong key are rejected, never served. It has no encoding/json
+// fallback: bytes in any other form are an error.
 //
 // CheckPlan runs FromJSON's walk into pooled scratch space, so it builds no
 // plan: it allocates only for what the scratch space does not already

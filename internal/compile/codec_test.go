@@ -412,7 +412,10 @@ func fuzzRequest(seed uint64, layers, sel uint8, name string) Request {
 // AppendPlan of the plan writes the bytes back, and then return the plan's
 // totals. The seeds cover escaped names, a zero Groups, non-canonical
 // ints (-0, 007, 1e2) and a float with a trailing zero, a plan less its
-// last byte, and another request's key.
+// last byte, another request's key, and mappings that do not fit their
+// layer: a window of no area, an SDK layer with no output channels, the
+// first window in the shapes 2×6, 12×1 and 3×4, the first grid with 2^30
+// row tiles, and the first ICt and the first OCt ten times over.
 func FuzzCheckPlan(f *testing.F) {
 	c := New(engine.New())
 	addSel := func(sel uint8, name string, find func(data []byte) (at, drop int, patch string), other bool) {
@@ -462,6 +465,24 @@ func FuzzCheckPlan(f *testing.F) {
 		loc := regexp.MustCompile(`"Best":\{"Layer":\{[^}]*"OC":([0-9]+)`).FindSubmatchIndex(data)
 		return loc[2], loc[3] - loc[2], "0"
 	}, false)
+	// The first window in another shape, and the first grid with 2^30 row
+	// tiles, which a per-tile sum would walk.
+	for _, w := range []string{`{"W":2,"H":6}`, `{"W":12,"H":1}`, `{"W":3,"H":4}`} {
+		add("x", func(data []byte) (int, int, string) {
+			loc := regexp.MustCompile(`"PW":(\{"W":[0-9]+,"H":[0-9]+\})`).FindSubmatchIndex(data)
+			return loc[2], loc[3] - loc[2], w
+		}, false)
+	}
+	add("x", func(data []byte) (int, int, string) {
+		loc := regexp.MustCompile(`"AR":([0-9]+)`).FindSubmatchIndex(data)
+		return loc[2], loc[3] - loc[2], "1073741824"
+	}, false)
+	// The first channel tile ten times over, which no total reads.
+	for _, field := range []string{`"ICt":[0-9]+`, `"OCt":[0-9]+`} {
+		add("x", func(data []byte) (int, int, string) {
+			return regexp.MustCompile(field).FindIndex(data)[1], 0, "0"
+		}, false)
+	}
 
 	f.Fuzz(func(t *testing.T, seed uint64, layers, sel uint8, name string, at uint16, drop uint8, patch []byte, other bool) {
 		req := fuzzRequest(seed, layers, sel, name)

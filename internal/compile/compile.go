@@ -574,15 +574,28 @@ func totals(layers []LayerPlan) Totals {
 	return t
 }
 
-// Validate cross-checks the plan's totals against its per-layer entries:
-// total energy must equal the component-wise sum of the layer reports, the
-// makespan must equal the sum of the layer schedules, and the cycle totals
-// must match the searches. Deserialized plans (FromJSON) are validated with
-// this.
+// Validate cross-checks the plan against itself. Each layer plan must
+// carry its network layer, its schedule must place the search's best
+// mapping, and the best and im2col mappings must be the ones the cost
+// model derives for the layer on the plan's array (core.Mapping.Consistent)
+// from their scheme, window and duplication. The totals must equal the
+// per-layer entries' sums: total energy the component-wise sum of the
+// layer reports, the makespan the sum of the layer schedules, and the cycle
+// totals the searches'. Deserialized plans (FromJSON, CheckPlan) are
+// validated with this.
 func (p *NetworkPlan) Validate() error {
 	if len(p.Layers) != len(p.Network.Layers) {
 		return fmt.Errorf("compile: plan has %d layer plans for %d network layers",
 			len(p.Layers), len(p.Network.Layers))
+	}
+	for i := range p.Layers {
+		lp := &p.Layers[i]
+		l, best, base := lp.Layer.Layer.Normalized(), &lp.Search.Best, &lp.Search.Im2col
+		if lp.Layer != p.Network.Layers[i] || lp.Schedule.Mapping != *best ||
+			best.Layer != l || best.Array != p.Array || !best.Consistent() ||
+			base.Layer != l || base.Array != p.Array || base.Scheme != core.SchemeIm2col || !base.Consistent() {
+			return fmt.Errorf("compile: layer plan %d (%s): mappings inconsistent with the layer on %v", i, l.Name, p.Array)
+		}
 	}
 	want := totals(p.Layers)
 	if want != p.Totals {

@@ -41,11 +41,12 @@ func (p *NetworkPlan) Encode(w io.Writer) error {
 }
 
 // FromJSON deserializes a plan produced by Encode or ToJSON and validates
-// that its totals are consistent with its per-layer entries. Encode's
-// compact bytes take a one-pass decoder that reads only the canonical
-// form; any other input, the indented form included, is decoded by
-// encoding/json, so FromJSON accepts the same inputs, and decodes them to
-// the same plans, as encoding/json.
+// it (Validate): its mappings must be the ones the cost model derives for
+// their layers and its totals consistent with its per-layer entries.
+// Encode's compact bytes take a one-pass decoder that reads only the
+// canonical form; any other input, the indented form included, is decoded
+// by encoding/json, so FromJSON accepts the same inputs, and decodes them
+// to the same plans, as encoding/json.
 func FromJSON(data []byte) (*NetworkPlan, error) {
 	p, ok := decodePlan(data)
 	if !ok {

@@ -105,18 +105,56 @@ func (m Mapping) Nw() int { return m.NwW * m.NwH }
 // all convolution groups: AR × AC per group, times the group count.
 func (m Mapping) Tiles() int { return m.AR * m.AC * m.Layer.NumGroups() }
 
-// finish derives NPW, Cycles and validates tile counts. It assumes PW, NwW,
-// NwH, ICt, OCt, AR and AC are already set.
-func (m Mapping) finish() Mapping {
-	l := m.Layer
-	nppwW := ceilDiv(l.OutW(), m.NwW)
-	nppwH := ceilDiv(l.OutH(), m.NwH)
-	m.NPW = nppwW * nppwH
+// derive sets every field of m that eqs. 2–8 determine from its layer,
+// array, scheme, parallel window and duplication, and reports whether the
+// mapping is feasible. Im2col and SMD map the kernel window with im2col's
+// tiling, which SMD duplication replaces by one tile. SDK maps whole
+// channels, but its kernel window keeps im2col's tiling unless ColGranular
+// is set, as SearchSDK reports an im2col winner under its own scheme. The
+// layer must be normalized and valid, the array valid, the window inside
+// [kernel, padded IFM] and the duplication at least 1.
+func (m *Mapping) derive() bool {
+	l, a := &m.Layer, m.Array
+	icg, ocg := l.ICg(), l.OCg()
+	whole := m.Scheme == SchemeSDK && (m.PW != l.Kernel() || m.ColGranular)
+	if m.Scheme != SchemeVWSDK && !whole {
+		m.PW = l.Kernel()
+	}
+	if m.Scheme != SchemeSMD {
+		m.Dup = 1
+	}
+	m.NwW = windowsInside(m.PW.W, l.KW, l.StrideW)
+	m.NwH = windowsInside(m.PW.H, l.KH, l.StrideH)
+	nw := m.NwW * m.NwH
+	m.RowGranular, m.ColGranular = m.Scheme != SchemeVWSDK, whole
+	switch {
+	case m.Scheme == SchemeVWSDK:
+		m.ICt, m.OCt = a.Rows/m.PW.Area(), a.Cols/nw
+		if m.ICt < 1 || m.OCt < 1 {
+			return false
+		}
+		m.ICt, m.OCt = min(m.ICt, icg), min(m.OCt, ocg)
+		m.AR, m.AC = ceilDiv(icg, m.ICt), ceilDiv(ocg, m.OCt)
+	case whole:
+		m.ICt, m.OCt = icg, ocg
+		m.AR, m.AC = ceilDiv(m.PW.Area()*icg, a.Rows), ceilDiv(nw*ocg, a.Cols)
+	case m.Scheme == SchemeSMD && m.Dup > 1:
+		// The duplicated block-diagonal matrix is per group: each copy holds
+		// one group's KW·KH·ICg × OCg kernel matrix.
+		if m.Dup*l.KernelRows() > a.Rows || m.Dup*ocg > a.Cols {
+			return false
+		}
+		m.ICt, m.OCt, m.AR, m.AC = icg, ocg, 1, 1
+	default:
+		m.ICt, m.OCt = icg, min(ocg, a.Cols)
+		m.AR, m.AC = ceilDiv(l.KernelRows(), a.Rows), ceilDiv(ocg, a.Cols)
+	}
+	m.NPW = ceilDiv(l.OutW(), m.NwW) * ceilDiv(l.OutH(), m.NwH)
 	if m.Scheme == SchemeSMD {
 		m.NPW = ceilDiv(l.Windows(), m.Dup)
 	}
 	m.Cycles = int64(m.NPW) * int64(m.AR) * int64(m.AC) * int64(l.NumGroups())
-	return m
+	return true
 }
 
 // Im2col returns the cost of the im2col mapping (Fig. 2a): one kernel per
@@ -130,21 +168,9 @@ func Im2col(l Layer, a Array) (Mapping, error) {
 	if err := a.Validate(); err != nil {
 		return Mapping{}, err
 	}
-	m := Mapping{
-		Layer:       l,
-		Array:       a,
-		Scheme:      SchemeIm2col,
-		PW:          l.Kernel(),
-		NwW:         1,
-		NwH:         1,
-		Dup:         1,
-		ICt:         l.ICg(),
-		OCt:         min(l.OCg(), a.Cols),
-		RowGranular: true,
-		AR:          ceilDiv(l.KernelRows(), a.Rows),
-		AC:          ceilDiv(l.OCg(), a.Cols),
-	}
-	return m.finish(), nil
+	m := Mapping{Layer: l, Array: a, Scheme: SchemeIm2col}
+	m.derive()
+	return m, nil
 }
 
 // SMD returns the cost of sub-matrix duplication (Fig. 2b) with the given
@@ -163,23 +189,12 @@ func SMD(l Layer, a Array, dup int) (Mapping, error) {
 	if dup < 1 {
 		return Mapping{}, fmt.Errorf("core: SMD duplication %d: %w", dup, ErrInfeasible)
 	}
-	m, err := Im2col(l, a)
-	if err != nil {
-		return Mapping{}, err
+	m := Mapping{Layer: l, Array: a, Scheme: SchemeSMD, Dup: dup}
+	if !m.derive() {
+		return Mapping{}, fmt.Errorf("core: SMD duplication %d exceeds array %s for %s: %w",
+			dup, a, l.Name, ErrInfeasible)
 	}
-	m.Scheme = SchemeSMD
-	m.Dup = dup
-	if dup > 1 {
-		// The duplicated block-diagonal matrix is per group: each copy holds
-		// one group's KW·KH·ICg × OCg kernel matrix.
-		if dup*l.KernelRows() > a.Rows || dup*l.OCg() > a.Cols {
-			return Mapping{}, fmt.Errorf("core: SMD duplication %d exceeds array %s for %s: %w",
-				dup, a, l.Name, ErrInfeasible)
-		}
-		m.AR, m.AC = 1, 1
-		m.OCt = l.OCg()
-	}
-	return m.finish(), nil
+	return m, nil
 }
 
 // SDK returns the cost of the baseline shifted-and-duplicated-kernel mapping
@@ -194,24 +209,9 @@ func SDK(l Layer, a Array, pw Window) (Mapping, error) {
 	if err := checkWindow(l, a, pw); err != nil {
 		return Mapping{}, err
 	}
-	nwW := windowsInside(pw.W, l.KW, l.StrideW)
-	nwH := windowsInside(pw.H, l.KH, l.StrideH)
-	m := Mapping{
-		Layer:       l,
-		Array:       a,
-		Scheme:      SchemeSDK,
-		PW:          pw,
-		NwW:         nwW,
-		NwH:         nwH,
-		Dup:         1,
-		ICt:         l.ICg(),
-		OCt:         l.OCg(),
-		RowGranular: true,
-		ColGranular: true,
-		AR:          ceilDiv(pw.Area()*l.ICg(), a.Rows),
-		AC:          ceilDiv(nwW*nwH*l.OCg(), a.Cols),
-	}
-	return m.finish(), nil
+	m := Mapping{Layer: l, Array: a, Scheme: SchemeSDK, PW: pw, ColGranular: true}
+	m.derive()
+	return m, nil
 }
 
 // VW returns the cost of the paper's variable-window SDK mapping for a given
@@ -260,29 +260,11 @@ func VW(l Layer, a Array, pw Window) (Mapping, error) {
 // dominated the search profile (>80% of CPU samples), so the sweeps must
 // not allocate per rejected candidate.
 func SweepVW(l Layer, a Array, pw Window) (Mapping, error) {
-	nwW := windowsInside(pw.W, l.KW, l.StrideW)
-	nwH := windowsInside(pw.H, l.KH, l.StrideH)
-	ict := a.Rows / pw.Area()
-	oct := a.Cols / (nwW * nwH)
-	if ict < 1 || oct < 1 {
+	m := Mapping{Layer: l, Array: a, Scheme: SchemeVWSDK, PW: pw}
+	if !m.derive() {
 		return Mapping{}, ErrInfeasible
 	}
-	ict = min(ict, l.ICg())
-	oct = min(oct, l.OCg())
-	m := Mapping{
-		Layer:  l,
-		Array:  a,
-		Scheme: SchemeVWSDK,
-		PW:     pw,
-		NwW:    nwW,
-		NwH:    nwH,
-		Dup:    1,
-		ICt:    ict,
-		OCt:    oct,
-		AR:     ceilDiv(l.ICg(), ict),
-		AC:     ceilDiv(l.OCg(), oct),
-	}
-	return m.finish(), nil
+	return m, nil
 }
 
 // checkWindow validates layer and array, and that the parallel window covers
@@ -309,6 +291,28 @@ func checkWindow(l Layer, a Array, pw Window) error {
 			pw, l.PaddedW(), l.PaddedH())
 	}
 	return nil
+}
+
+// Consistent reports whether m is the mapping Im2col, SMD, SDK or VW
+// derives from m's own layer, array, scheme, parallel window and
+// duplication, so that every other field (NwW, NwH, ICt, OCt, the
+// granularities, NPW, AR, AC and Cycles) is what eqs. 2–8 give for them.
+// SMD without duplication is the im2col mapping under scheme SMD, and
+// SDK's kernel window may be too, without column granularity, as SearchSDK
+// reports an im2col winner. It checks a mapping from outside the process,
+// such as a stored plan's, in constant time: it first refuses an invalid
+// or unnormalized layer, an invalid array, a window outside [kernel,
+// padded IFM] and a duplication outside [1, array rows], so that no field
+// value can make the formulas divide by zero or overflow.
+func (m *Mapping) Consistent() bool {
+	l, pw := &m.Layer, m.PW
+	if l.StrideW < 1 || l.StrideH < 1 || l.Validate() != nil || m.Array.Validate() != nil ||
+		pw.W < l.KW || pw.W > l.PaddedW() || pw.H < l.KH || pw.H > l.PaddedH() ||
+		m.Scheme < SchemeIm2col || m.Scheme > SchemeVWSDK || m.Dup < 1 || m.Dup > m.Array.Rows {
+		return false
+	}
+	c := *m
+	return c.derive() && c == *m
 }
 
 // Speedup returns the ratio of the baseline's cycles to m's cycles; >1 means

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"testing/quick"
@@ -371,5 +372,112 @@ func TestSpeedup(t *testing.T) {
 	}
 	if (Mapping{}).Speedup(im) != 0 {
 		t.Fatal("zero-cycle mapping should report 0 speedup")
+	}
+}
+
+// TestConsistent holds Consistent to the cost model: every mapping a
+// search or a constructor returns is consistent, and no mapping with one
+// derived field changed, or with an invalid layer, array, window or
+// scheme, is.
+func TestConsistent(t *testing.T) {
+	layers := append(resnet18Shapes(), vgg13Shapes()...)
+	layers = append(layers,
+		Layer{Name: "strided", IW: 27, IH: 23, KW: 5, KH: 3, IC: 6, OC: 10, StrideW: 2, StrideH: 3, PadW: 1, PadH: 2},
+		Layer{Name: "grouped", IW: 14, IH: 14, KW: 3, KH: 3, IC: 32, OC: 64, Groups: 4},
+		Layer{Name: "depthwise", IW: 9, IH: 9, KW: 3, KH: 3, IC: 16, OC: 16, Groups: 16})
+	arrays := []Array{{1, 1}, {13, 9}, {80, 96}, {512, 512}}
+	methods := []Method{{Scheme: SchemeIm2col}, {Scheme: SchemeSMD}, {Scheme: SchemeSDK}, MethodVWSDK,
+		{Scheme: SchemeVWSDK, Variant: VariantSquareTiled}, {Scheme: SchemeVWSDK, Variant: VariantRectFullChannel}}
+	var mappings []Mapping
+	add := func(m Mapping, err error) {
+		if err == nil {
+			mappings = append(mappings, m)
+		}
+	}
+	for _, l := range layers {
+		n := l.Normalized()
+		for _, a := range arrays {
+			for _, method := range methods {
+				r, err := Search(context.Background(), l, a, method)
+				if err != nil {
+					t.Fatal(err)
+				}
+				mappings = append(mappings, r.Best, r.Im2col)
+			}
+			for _, pw := range []Window{n.Kernel(), {W: n.KW + n.StrideW, H: n.KH + 1}, {W: n.PaddedW(), H: n.PaddedH()}} {
+				add(SDK(l, a, pw))
+				add(VW(l, a, pw))
+			}
+			for dup := 1; dup <= 3; dup++ {
+				add(SMD(l, a, dup))
+			}
+		}
+	}
+	changes := []func(m *Mapping){
+		func(m *Mapping) { m.NwW++ },
+		func(m *Mapping) { m.NwH++ },
+		func(m *Mapping) { m.ICt++ },
+		func(m *Mapping) { m.OCt-- },
+		func(m *Mapping) { m.RowGranular = !m.RowGranular },
+		func(m *Mapping) { m.NPW++ },
+		func(m *Mapping) { m.AR++ },
+		func(m *Mapping) { m.AC++ },
+		func(m *Mapping) { m.Cycles++ },
+		func(m *Mapping) { m.Scheme = SchemeVWSDK + 1 },
+		func(m *Mapping) { m.PW = Window{W: m.Layer.KW - 1, H: m.Layer.KH} },
+		func(m *Mapping) { m.PW = Window{W: m.Layer.PaddedW(), H: m.Layer.PaddedH() + 1} },
+		func(m *Mapping) { m.Layer.StrideW = 0 },
+		func(m *Mapping) { m.Layer.OC = 0 },
+		func(m *Mapping) { m.Array = Array{} },
+	}
+	for _, m := range mappings {
+		if !m.Consistent() {
+			t.Errorf("%s on %s: %v not consistent", m.Layer.Name, m.Array, m)
+		}
+		for i, change := range changes {
+			c := m
+			change(&c)
+			if c.Consistent() {
+				t.Errorf("%s on %s: %v with change %d consistent", m.Layer.Name, m.Array, m, i)
+			}
+		}
+		if m.Scheme != SchemeSMD {
+			c := m
+			c.Dup++
+			if c.Consistent() {
+				t.Errorf("%s on %s: %v with Dup %d consistent", m.Layer.Name, m.Array, m, c.Dup)
+			}
+		}
+	}
+	if len(mappings) < 1000 {
+		t.Errorf("only %d mappings", len(mappings))
+	}
+	if (&Mapping{}).Consistent() {
+		t.Error("zero mapping consistent")
+	}
+
+	// SDK's own kernel window maps whole output channels, and SearchSDK's
+	// im2col winner, labelled SDK, keeps im2col's column tiles: each is
+	// consistent, and neither with the other's granularity.
+	l := Layer{Name: "k", IW: 8, IH: 8, KW: 3, KH: 3, IC: 4, OC: 64}
+	a := Array{Rows: 64, Cols: 8}
+	own, err := SDK(l, a, l.Kernel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := SearchSDK(l, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	won := r.Best
+	if !own.ColGranular || own.OCt != 64 || won.Scheme != SchemeSDK || won.PW != l.Kernel() || won.ColGranular || won.OCt != 8 {
+		t.Fatalf("SDK kernel window %v, SearchSDK winner %v", own, won)
+	}
+	if !own.Consistent() || !won.Consistent() {
+		t.Errorf("SDK kernel window consistent %v, SearchSDK winner %v", own.Consistent(), won.Consistent())
+	}
+	own.ColGranular, won.ColGranular = false, true
+	if own.Consistent() || won.Consistent() {
+		t.Error("a kernel-window SDK mapping with the other granularity consistent")
 	}
 }

@@ -43,12 +43,12 @@ func (m *Mapping) TileBounds(i, j int) (rowLo, rowHi, colLo, colHi int) {
 // which Utilization accounts for separately.
 func (m *Mapping) Tile(i, j int) TileShape {
 	if m.Scheme == SchemeSMD && m.Dup > 1 {
-		kr, ocg := m.Layer.KernelRows(), m.Layer.OCg()
-		return TileShape{Rows: m.Dup * kr, Cols: m.Dup * ocg, UsedCells: int64(m.Dup) * int64(kr) * int64(ocg)}
+		rows, cols, used := m.Grid()
+		return TileShape{Rows: rows, Cols: cols, UsedCells: used}
 	}
 	rowLo, rowHi, colLo, colHi := m.TileBounds(i, j)
 	t := TileShape{Rows: rowHi - rowLo, Cols: colHi - colLo}
-	if m.tileClasses() {
+	if !m.wideSDK() {
 		t.UsedCells = int64(m.weightRows(t.Rows)) * int64(t.Cols)
 		return t
 	}
@@ -84,28 +84,21 @@ func (m *Mapping) rowsBefore(w, r int) int {
 	return n
 }
 
-// tileClasses reports whether the mapping's tiles fall into the four
-// classes of classTiles. Two layouts do not: SMD duplication, whose one
-// tile holds Dup block-diagonal copies of the kernel matrix, and an SDK
-// window wider than the kernel, whose window-major copies straddle column
-// tiles and whose holes spread unevenly over row tiles. SDK's kernel
-// window is im2col's layout.
-func (m *Mapping) tileClasses() bool {
-	switch m.Scheme {
-	case SchemeSMD:
-		return m.Dup <= 1
-	case SchemeSDK:
-		return m.PW == m.Layer.Kernel()
-	}
-	return true
+// wideSDK reports whether the mapping is an SDK window wider than the
+// kernel, the one window layout whose columns differ in the rows that hold
+// their weights: its window-major copies straddle column tiles and its
+// holes spread unevenly over row tiles. SDK's kernel window is im2col's
+// layout.
+func (m *Mapping) wideSDK() bool {
+	return m.Scheme == SchemeSDK && m.PW != m.Layer.Kernel()
 }
 
 // weightRows returns how many rows of a window-layout tile of the given
-// rows, in a layout with tile classes, hold a weight in each of its
-// columns. Its columns hold whole output channels of every copy, or the one
-// copy, so each holds the same weight rows: all of them when the window is
-// the kernel (row-granular im2col, SMD and SDK), else KW·KH of each whole
-// channel the channel-granular rows hold.
+// rows hold a weight in each of its columns, in a layout that is not a
+// wide SDK window. Its columns hold whole output channels of every copy,
+// or the one copy, so each holds the same weight rows: all of them when the
+// window is the kernel (row-granular im2col, SMD and SDK), else KW·KH of
+// each whole channel the channel-granular rows hold.
 func (m *Mapping) weightRows(rows int) int {
 	if m.RowGranular {
 		return rows
@@ -116,58 +109,35 @@ func (m *Mapping) weightRows(rows int) int {
 	return 0
 }
 
-// classTiles returns the shape of each class of tiles, indexed [lastRow]
-// [lastCol]: with tile classes, a tile's shape depends only on whether it
-// is in the last row tile and whether it is in the last column tile, so
-// the bounds of the first and the last tile give all four. Tiling is per
-// convolution group; divisibility makes every group's grid identical.
-func (m *Mapping) classTiles() (shapes [2][2]TileShape) {
-	rowLo, rowHi, colLo, colHi := m.TileBounds(0, 0)
-	lastRowLo, lastRowHi, lastColLo, lastColHi := m.TileBounds(m.AR-1, m.AC-1)
-	rows := [2]int{rowHi - rowLo, lastRowHi - lastRowLo}
-	cols := [2]int{colHi - colLo, lastColHi - lastColLo}
-	for r := range shapes {
-		used := int64(m.weightRows(rows[r]))
-		for c := range shapes[r] {
-			shapes[r][c] = TileShape{Rows: rows[r], Cols: cols[c], UsedCells: used * int64(cols[c])}
-		}
+// Grid returns one convolution group's layout: its rows, its columns and
+// the weight cells it holds. A window layout (im2col, SMD without
+// duplication, SDK with any window, VW-SDK) is ICg·PW rows, the window
+// unrolled channel-major, by OCg output channels of each of its NwW·NwH
+// kernel copies, and each copy holds its KW·KH·ICg weights in each of its
+// columns. SMD duplication is its one tile: Dup block-diagonal copies of
+// the KW·KH·ICg × OCg kernel matrix. The AR×AC tiles partition the
+// layout (TileBounds), so no sum over them needs to visit them: their
+// weight cells add up to used, each column of tiles has rows rows and each
+// row of tiles cols columns.
+func (m *Mapping) Grid() (rows, cols int, used int64) {
+	l := &m.Layer
+	if m.Scheme == SchemeSMD && m.Dup > 1 {
+		kr, ocg := l.KernelRows(), l.OCg()
+		return m.Dup * kr, m.Dup * ocg, int64(m.Dup) * int64(kr) * int64(ocg)
 	}
-	return shapes
-}
-
-// EachTileClass calls f once per class of the AR×AC tile grid with the
-// shape its tiles share and how many tiles it holds. There are at most four
-// classes (see classTiles), holding (AR−1)(AC−1), AR−1, AC−1 and 1 tiles;
-// an empty class is skipped. A layout without classes (tileClasses) has f
-// see each of its tiles with count 1: SMD duplication's one tile, or every
-// tile of an SDK window wider than the kernel.
-func (m *Mapping) EachTileClass(f func(shape TileShape, count int64)) {
-	if !m.tileClasses() {
-		for i := range m.AR {
-			for j := range m.AC {
-				f(m.Tile(i, j), 1)
-			}
-		}
-		return
-	}
-	if m.AR < 1 || m.AC < 1 {
-		return
-	}
-	counts := [2][2]int64{{int64(m.AR-1) * int64(m.AC-1), int64(m.AR - 1)}, {int64(m.AC - 1), 1}}
-	for r, row := range m.classTiles() {
-		for c, shape := range row {
-			if n := counts[r][c]; n > 0 {
-				f(shape, n)
-			}
-		}
-	}
+	nw, icg, ocg := m.NwW*m.NwH, l.ICg(), l.OCg()
+	return icg * m.PW.Area(), ocg * nw, int64(nw) * int64(ocg) * int64(l.KW) * int64(l.KH) * int64(icg)
 }
 
 // Utilization returns the paper's eq. 9: the average over all computing
 // cycles of used weight cells over total array cells, in percent. Cycles at
 // different parallel-window positions reuse the same tiles, so the average
 // runs over the AR×AC tile grid (and over window groups for SMD, whose last
-// group may be partial). For grouped layers the grid is one group's — the
+// group may be partial). The tiles partition the layout, so their fractions
+// sum to the layout's weight cells (Grid) over the array's cells, taken as
+// one correctly rounded quotient. On an array whose cell count is a power
+// of two each tile's fraction is exact, so a per-tile sum gives that
+// quotient to the bit. For grouped layers the grid is one group's — the
 // divisibility constraint (IC%G == OC%G == 0) makes every group's AR×AC
 // grid identical, so the per-group average equals the all-group average.
 func (m *Mapping) Utilization() float64 {
@@ -180,42 +150,31 @@ func (m *Mapping) Utilization() float64 {
 			cellFrac(int64(rem)*perWin, m.Array)
 		return 100 * sum / float64(m.NPW)
 	}
-	// Each tile class's fraction is computed once, [lastRow][lastCol], but
-	// the sum still adds one term per tile in row-major order: a class
-	// fraction times its count would round differently. An SDK window wider
-	// than the kernel, which has no classes, adds each tile's own.
-	var frac [2][2]float64
-	for r, row := range m.classTiles() {
-		for c, shape := range row {
-			frac[r][c] = cellFrac(shape.UsedCells, m.Array)
-		}
-	}
-	classes := m.tileClasses()
 	var sum float64
-	for i := range m.AR {
-		row := &frac[0]
-		if i == m.AR-1 {
-			row = &frac[1]
-		}
-		for j := range m.AC {
-			switch {
-			case !classes:
-				sum += cellFrac(m.Tile(i, j).UsedCells, m.Array)
-			case j < m.AC-1:
-				sum += row[0]
-			default:
-				sum += row[1]
-			}
-		}
+	if m.AR > 0 && m.AC > 0 {
+		_, _, used := m.Grid()
+		sum = cellFrac(used, m.Array)
 	}
-	return 100 * sum / float64(m.AR*m.AC)
+	return 100 * sum / float64(int64(m.AR)*int64(m.AC))
 }
 
 // PeakUtilization returns the utilization of the fullest cycle in percent;
-// the paper's "up to 73.8%" for VGG-13 layer 5 is this value.
+// the paper's "up to 73.8%" for VGG-13 layer 5 is this value. Tile (0, 0)
+// is full along both axes, and it holds the most weights of any tile but
+// in a wide SDK window (wideSDK), whose tiles are compared one by one.
 func (m *Mapping) PeakUtilization() float64 {
 	var best int64
-	m.EachTileClass(func(shape TileShape, _ int64) { best = max(best, shape.UsedCells) })
+	switch {
+	case m.AR < 1 || m.AC < 1:
+	case m.wideSDK():
+		for i := range m.AR {
+			for j := range m.AC {
+				best = max(best, m.Tile(i, j).UsedCells)
+			}
+		}
+	default:
+		best = m.Tile(0, 0).UsedCells
+	}
 	return 100 * cellFrac(best, m.Array)
 }
 

@@ -263,3 +263,23 @@ func TestUtilizationPaperOrdering(t *testing.T) {
 		}
 	}
 }
+
+// TestPeakUtilizationWideSDK pins the one tile walk PeakUtilization keeps:
+// in an SDK window wider than the kernel the first tile need not be the
+// fullest. A 4×4 window of a 3×3 kernel over 3 channels on a 4×64 array
+// leaves holes in each copy's rows, and row tile 1 holds 24 weight cells
+// where tile 0 holds 12.
+func TestPeakUtilizationWideSDK(t *testing.T) {
+	l := Layer{Name: "p", IW: 8, IH: 8, KW: 3, KH: 3, IC: 3, OC: 2}
+	a := Array{Rows: 4, Cols: 64}
+	m, err := SDK(l, a, Window{W: 4, H: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, second := m.Tile(0, 0).UsedCells, m.Tile(1, 0).UsedCells; first != 12 || second != 24 {
+		t.Fatalf("tiles (0, 0) and (1, 0) hold %d and %d weight cells, want 12 and 24", first, second)
+	}
+	if got, want := m.PeakUtilization(), 100*(24.0/256); got != want {
+		t.Errorf("PeakUtilization = %v, want %v", got, want)
+	}
+}

@@ -162,30 +162,33 @@ func (m Model) Estimate(mp core.Mapping) (Report, error) {
 // validated it (see Validate), as a compile does once for all its layers.
 // Each of the AR×AC tiles runs NPW cycles; conversions follow the
 // peripheral model, used (weight-holding) cells consume MAC energy, and
-// each tile is programmed once. Tiles that share a shape
-// (core.Mapping.EachTileClass) are counted together: the counts are
-// integers, so a class's shape times its size is exactly the sum over its
-// tiles. It overwrites every field of dst, with the zero Report on an
+// each tile is programmed once. The tiles partition one convolution
+// group's layout (core.Mapping.Grid), so every count is a closed form: a
+// column of tiles holds each of the layout's rows once and a row of tiles
+// each of its columns, so per window position gated DACs convert rows·AC
+// and gated ADCs cols·AR samples, the full array converts all of its rows
+// and columns on each of the AR·AC tiles, and the tiles write rows·cols
+// cells. It overwrites every field of dst, with the zero Report on an
 // error, so a report reused from another layer keeps nothing of it.
 func (m *Model) EstimateInto(dst *Report, mp *core.Mapping) error {
 	*dst = Report{}
 	if mp.Cycles <= 0 || mp.AR <= 0 || mp.AC <= 0 {
 		return fmt.Errorf("energy: mapping not costed: %v", *mp)
 	}
-	npw := int64(mp.NPW)
-	mp.EachTileClass(func(tile core.TileShape, n int64) {
-		rows, cols := mp.Array.Rows, mp.Array.Cols
-		if m.GatePeripherals {
-			rows, cols = tile.Rows, tile.Cols
-		}
-		dst.DACConversions += n * npw * int64(rows)
-		dst.ADCConversions += n * npw * int64(cols)
-		dst.CellMACCycles += n * npw * tile.UsedCells
-		dst.CellWrites += n * int64(tile.Rows) * int64(tile.Cols)
-	})
-	// The classes above cover one convolution group's AR×AC grid; the
-	// divisibility constraint makes every group's grid identical, so the
-	// remaining groups scale the counts.
+	rows, cols, used := mp.Grid()
+	ar, ac, npw := int64(mp.AR), int64(mp.AC), int64(mp.NPW)
+	if m.GatePeripherals {
+		dst.DACConversions = int64(rows) * ac * npw
+		dst.ADCConversions = int64(cols) * ar * npw
+	} else {
+		dst.DACConversions = ar * ac * int64(mp.Array.Rows) * npw
+		dst.ADCConversions = ar * ac * int64(mp.Array.Cols) * npw
+	}
+	dst.CellMACCycles = used * npw
+	dst.CellWrites = int64(rows) * int64(cols)
+	// The layout is one convolution group's; the divisibility constraint
+	// makes every group's identical, so the remaining groups scale the
+	// counts.
 	if g := int64(mp.Layer.NumGroups()); g > 1 {
 		dst.DACConversions *= g
 		dst.ADCConversions *= g

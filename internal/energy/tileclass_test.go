@@ -196,13 +196,13 @@ func candidates(l core.Layer, a core.Array) []core.Mapping {
 	return out
 }
 
-// TestTileClassesMatchEnumeration holds the tile-class sums to a per-tile
-// enumeration: Utilization, PeakUtilization and Estimate under both
-// peripheral models must equal, float for float, what visiting every tile
-// of the AR×AC grid gives. It covers every zoo layer and a set of random
-// ones on arrays from 32×32 to 1024×1024, and fails unless the mappings
-// include grids with AR = 1, with AC = 1 and with both above 1.
-func TestTileClassesMatchEnumeration(t *testing.T) {
+// eachEnumerated calls check with each candidate mapping of every zoo
+// layer and of eight model.Random networks on each of arrays, and then
+// holds its Estimate under both peripheral models to enumEstimate, float
+// for float. It leaves out, and counts, the mappings of more than maxTiles
+// tiles.
+func eachEnumerated(t *testing.T, arrays []core.Array, maxTiles int64, check func(l core.Layer, a core.Array, m *core.Mapping)) (skipped int) {
+	t.Helper()
 	var layers []core.Layer
 	for _, n := range model.All() {
 		layers = append(layers, n.CoreLayers()...)
@@ -210,33 +210,17 @@ func TestTileClassesMatchEnumeration(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		layers = append(layers, model.Random(seed, 6).CoreLayers()...)
 	}
-	arrays := []core.Array{{Rows: 32, Cols: 32}, {Rows: 64, Cols: 128}, {Rows: 128, Cols: 64},
-		{Rows: 256, Cols: 256}, {Rows: 512, Cols: 512}, {Rows: 1024, Cols: 1024}}
 	models := []Model{Default(), Default()}
 	models[1].GatePeripherals = true
 
-	var oneRow, oneCol, grid, sdk, smdDup int
 	for _, l := range layers {
 		for _, a := range arrays {
 			for _, m := range candidates(l, a) {
-				switch {
-				case m.Scheme == core.SchemeSDK:
-					sdk++
-				case m.Scheme == core.SchemeSMD && m.Dup > 1:
-					smdDup++
-				case m.AR == 1:
-					oneRow++
-				case m.AC == 1:
-					oneCol++
-				default:
-					grid++
+				if int64(m.AR)*int64(m.AC) > maxTiles {
+					skipped++
+					continue
 				}
-				if got, want := m.Utilization(), enumUtilization(&m); got != want {
-					t.Errorf("%s on %s, %v: Utilization = %v, enumeration %v", l.Name, a, m, got, want)
-				}
-				if got, want := m.PeakUtilization(), enumPeak(&m); got != want {
-					t.Errorf("%s on %s, %v: PeakUtilization = %v, enumeration %v", l.Name, a, m, got, want)
-				}
+				check(l, a, &m)
 				for _, e := range models {
 					got, err := e.Estimate(m)
 					if err != nil {
@@ -250,6 +234,40 @@ func TestTileClassesMatchEnumeration(t *testing.T) {
 			}
 		}
 	}
+	return skipped
+}
+
+// TestTileClassesMatchEnumeration holds the tile-class sums to a per-tile
+// enumeration: Utilization, PeakUtilization and Estimate under both
+// peripheral models must equal, float for float, what visiting every tile
+// of the AR×AC grid gives. It covers every zoo layer and a set of random
+// ones on arrays from 32×32 to 1024×1024, and fails unless the mappings
+// include grids with AR = 1, with AC = 1 and with both above 1.
+func TestTileClassesMatchEnumeration(t *testing.T) {
+	arrays := []core.Array{{Rows: 32, Cols: 32}, {Rows: 64, Cols: 128}, {Rows: 128, Cols: 64},
+		{Rows: 256, Cols: 256}, {Rows: 512, Cols: 512}, {Rows: 1024, Cols: 1024}}
+
+	var oneRow, oneCol, grid, sdk, smdDup int
+	eachEnumerated(t, arrays, math.MaxInt64, func(l core.Layer, a core.Array, m *core.Mapping) {
+		switch {
+		case m.Scheme == core.SchemeSDK:
+			sdk++
+		case m.Scheme == core.SchemeSMD && m.Dup > 1:
+			smdDup++
+		case m.AR == 1:
+			oneRow++
+		case m.AC == 1:
+			oneCol++
+		default:
+			grid++
+		}
+		if got, want := m.Utilization(), enumUtilization(m); got != want {
+			t.Errorf("%s on %s, %v: Utilization = %v, enumeration %v", l.Name, a, *m, got, want)
+		}
+		if got, want := m.PeakUtilization(), enumPeak(m); got != want {
+			t.Errorf("%s on %s, %v: PeakUtilization = %v, enumeration %v", l.Name, a, *m, got, want)
+		}
+	})
 	t.Logf("mappings: %d with AR = 1, %d with AC = 1, %d on a larger grid, %d SDK, %d SMD dup > 1",
 		oneRow, oneCol, grid, sdk, smdDup)
 	if oneRow == 0 || oneCol == 0 || grid == 0 || sdk == 0 || smdDup == 0 {
@@ -271,6 +289,99 @@ func TestTileClassesEmptyGrid(t *testing.T) {
 			if got, want := m.PeakUtilization(), enumPeak(&m); got != want {
 				t.Errorf("%v AR=%d AC=%d: PeakUtilization = %v, enumeration %v", s, g[0], g[1], got, want)
 			}
+		}
+	}
+}
+
+// TestGridMatchesEnumeration holds the closed forms to the per-tile
+// enumeration on arrays whose cell count is not a power of two, and on the
+// 1×1 array, whose grids are the largest: there eq. 9's per-tile float sum
+// and the one ratio may round apart. Grid's weight cells must equal the
+// enumerated tiles' sum, Estimate under both peripheral models the
+// enumerated report, PeakUtilization the fullest enumerated tile's
+// fraction, and Utilization the ratio 100·(used/cells)/(AR·AC), or SMD
+// duplication's window-group formula, all bit for bit. It fails unless the
+// mappings include a grid with AR and AC above 1, an SDK window wider than
+// the kernel and an SMD duplication.
+//
+// The enumeration visits at most 65,536 tiles a mapping: every mapping on
+// the other arrays, and 646 of the 891 on the 1×1 array, whose largest
+// grids (2.4 million tiles, 223 million in all) would take about 11 s a
+// pass. TestGridAtChannelLimit pins the closed forms on the largest grid a
+// layer can have.
+func TestGridMatchesEnumeration(t *testing.T) {
+	const maxTiles = 1 << 16
+	arrays := []core.Array{{Rows: 1, Cols: 1}, {Rows: 13, Cols: 9}, {Rows: 80, Cols: 96}, {Rows: 1000, Cols: 1000}}
+
+	var grid, wideSDK, smdDup int
+	skipped := eachEnumerated(t, arrays, maxTiles, func(l core.Layer, a core.Array, m *core.Mapping) {
+		switch {
+		case m.Scheme == core.SchemeSMD && m.Dup > 1:
+			smdDup++
+		case m.Scheme == core.SchemeSDK && m.PW != m.Layer.Kernel():
+			wideSDK++
+		case m.AR > 1 && m.AC > 1:
+			grid++
+		}
+		var used, best int64
+		for i := 0; i < m.AR; i++ {
+			for j := 0; j < m.AC; j++ {
+				u := enumTile(m, i, j).UsedCells
+				used += u
+				best = max(best, u)
+			}
+		}
+		if _, _, got := m.Grid(); got != used {
+			t.Errorf("%s on %s, %v: Grid used = %d, enumeration %d", l.Name, a, *m, got, used)
+		}
+		cells := float64(a.Cells())
+		want := 100 * (float64(used) / cells) / float64(int64(m.AR)*int64(m.AC))
+		if m.Scheme == core.SchemeSMD && m.Dup > 1 {
+			want = enumUtilization(m)
+		}
+		if got := m.Utilization(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s on %s, %v: Utilization = %v, want %v", l.Name, a, *m, got, want)
+		}
+		if got, want := m.PeakUtilization(), 100*(float64(best)/cells); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s on %s, %v: PeakUtilization = %v, enumeration %v", l.Name, a, *m, got, want)
+		}
+	})
+	t.Logf("mappings: %d on a grid with AR, AC > 1, %d SDK wider than the kernel, %d SMD dup > 1; %d grids of more than %d tiles left out",
+		grid, wideSDK, smdDup, skipped, maxTiles)
+	if grid == 0 || wideSDK == 0 || smdDup == 0 {
+		t.Error("the mappings miss a layout the closed forms distinguish")
+	}
+}
+
+// TestGridAtChannelLimit pins the closed forms on a grid no per-tile loop
+// could finish: the im2col mapping of a 1×1 layer with core.MaxChannels
+// input and output channels on a 1×1 array has 1<<20 × 1<<20 tiles, each
+// one weight cell, so every count is 1<<40 and the array is always full.
+func TestGridAtChannelLimit(t *testing.T) {
+	const c, n = core.MaxChannels, int64(core.MaxChannels) * core.MaxChannels
+	l := core.Layer{Name: "wide", IW: 1, IH: 1, KW: 1, KH: 1, IC: c, OC: c}
+	m, err := core.Im2col(l, core.Array{Rows: 1, Cols: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.AR != c || m.AC != c || m.Cycles != n {
+		t.Fatalf("AR, AC, cycles = %d, %d, %d, want %d, %d, %d", m.AR, m.AC, m.Cycles, c, c, n)
+	}
+	if rows, cols, used := m.Grid(); rows != c || cols != c || used != n {
+		t.Errorf("Grid = %d, %d, %d, want %d, %d, %d", rows, cols, used, c, c, n)
+	}
+	if u, p := m.Utilization(), m.PeakUtilization(); u != 100 || p != 100 {
+		t.Errorf("Utilization, PeakUtilization = %v, %v, want 100, 100", u, p)
+	}
+	for _, gated := range []bool{false, true} {
+		e := Default()
+		e.GatePeripherals = gated
+		r, err := e.Estimate(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Cycles != n || r.DACConversions != n || r.ADCConversions != n || r.CellMACCycles != n || r.CellWrites != n {
+			t.Errorf("gated=%v: counts %+v, want %d each", gated, r, n)
 		}
 	}
 }

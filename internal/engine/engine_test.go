@@ -171,7 +171,10 @@ func TestEngineHitInFlight(t *testing.T) {
 		})
 		leader <- err
 	}()
-	for e.Stats().CacheMisses == 0 {
+	// The cache counts the miss before the search starts running, so wait
+	// for the running search: a snapshot between the two would see the
+	// flight counter move under the probe.
+	for e.Stats().InFlightSearches == 0 {
 		runtime.Gosched()
 	}
 	var dst core.Result

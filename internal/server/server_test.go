@@ -416,6 +416,43 @@ func TestLayerPastLimits422(t *testing.T) {
 	}
 }
 
+// TestLayerAtChannelLimit posts a layer at core.MaxChannels, with a 1×1
+// kernel and IFM, on a 1×1 array: a grid of 1<<20 × 1<<20 one-cell tiles
+// under every scheme. Each compile and the sweep answer 200 with 1<<40
+// cycles at 100% utilization. A sum that visited each tile would hold the
+// request for about an hour.
+func TestLayerAtChannelLimit(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	net := fmt.Sprintf(`{"name": "wide", "layers": [{"name": "a", "iw": 1, "ih": 1, "kw": 1, "kh": 1, "ic": %d, "oc": %d}]}`,
+		core.MaxChannels, core.MaxChannels)
+	const cycles = int64(core.MaxChannels) * core.MaxChannels
+	for _, scheme := range []string{"vw", "im2col", "smd", "sdk"} {
+		resp, body := post(t, ts.URL+"/v1/compile", `{"network": `+net+`, "array": "1x1", "options": {"scheme": "`+scheme+`"}}`)
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("%s: status %d: %s", scheme, resp.StatusCode, body)
+			continue
+		}
+		p, err := compile.FromJSON(body)
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		if p.Totals.Cycles != cycles || p.Totals.Utilization != 100 {
+			t.Errorf("%s: cycles %d, utilization %v, want %d and 100", scheme, p.Totals.Cycles, p.Totals.Utilization, cycles)
+		}
+	}
+	resp, body := post(t, ts.URL+"/v1/sweep", `{"networks": [`+net+`], "arrays": ["1x1"]}`)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("sweep: status %d: %s", resp.StatusCode, body)
+	}
+	var sum sweepSummary
+	if err := json.Unmarshal(body, &sum); err != nil {
+		t.Fatalf("sweep: %v: %s", err, body)
+	}
+	if sum.Error != "" || sum.Cycles != cycles || sum.UtilizationPct != 100 {
+		t.Errorf("sweep: %+v, want %d cycles at 100%% utilization", sum, cycles)
+	}
+}
+
 // TestSweepStreamsNDJSON drives /v1/sweep over a (2 networks × 2 arrays ×
 // 2 variants) cross product, checks one well-formed summary line per cell,
 // and that a repeated sweep is served from the plan cache.
